@@ -279,6 +279,67 @@ fn results_persist_across_service_restarts() {
     std::fs::remove_dir_all(&root).unwrap();
 }
 
+/// The `pareto --fast` example's budget grid.
+const PARETO_BUDGETS: [f64; 8] = [0.04, 0.08, 0.12, 0.16, 0.20, 0.25, 0.30, 0.35];
+
+/// Golden optimizer outcomes: the rendered response bytes of a 40×40
+/// budget search, a row-count search and the `pareto --fast` frontier,
+/// pinned by their `StableHasher` digest. Screening estimates
+/// (`estimated_reduction_pct`), evaluation and screening counts and the
+/// exact-verified reports all land in these bytes, so any change to how
+/// candidates are priced or verified shows up here.
+#[test]
+fn optimizer_outcomes_match_their_golden_digests() {
+    let fast = base();
+    let (nx, ny) = (fast.thermal.grid.nx, fast.thermal.grid.ny);
+    let request = || OptimizeRequest::builder().workload(WorkloadSpec::clustered_hotspot());
+    let cases = [
+        (
+            "budget-40x40",
+            request().mesh(40, 40).budget(0.16).build().unwrap(),
+            "42048c48abf843f71e5ef2c973000c12",
+        ),
+        (
+            "rows-for-target",
+            request()
+                .mesh(nx, ny)
+                .rows_for_target(5.0, 8)
+                .build()
+                .unwrap(),
+            "e0b8794ecf9f286e457fc9717d052575",
+        ),
+        (
+            "pareto-fast",
+            request()
+                .mesh(nx, ny)
+                .frontier(PARETO_BUDGETS)
+                .build()
+                .unwrap(),
+            "093b2cd2cc927b59923baadf1fd81dc7",
+        ),
+    ];
+
+    let config = ServiceConfig::new(fast).workers(1);
+    let digests: Vec<String> = serve(config, |service| {
+        cases
+            .iter()
+            .map(|(label, request, _)| {
+                let id = service.submit(request.clone());
+                let record = service.wait(id).unwrap_or_else(|e| panic!("{label}: {e}"));
+                let rendered = response_to_json(&record.response).render();
+                let mut h = postplace::StableHasher::new();
+                h.write_str(&rendered);
+                format!("{:032x}", h.finish())
+            })
+            .collect()
+    });
+    let expected: Vec<&str> = cases.iter().map(|(_, _, digest)| *digest).collect();
+    assert_eq!(
+        digests, expected,
+        "optimizer outcomes moved (budget-40x40, rows-for-target, pareto-fast)"
+    );
+}
+
 #[test]
 fn unknown_jobs_and_failures_surface_typed_errors() {
     let config = ServiceConfig::new(base()).workers(1);

@@ -9,26 +9,18 @@
 //! speedup. Because the speedup is a within-run ratio, it is comparable
 //! across machines, which is what lets CI gate on it.
 //!
-//! Since schema version 2 the document also carries a `delta` section:
-//! per-candidate latency of the Green's-function delta-evaluation path
-//! (`DeltaThermalModel`) versus `FactorizedThermalModel` re-solves on the
-//! paper's 40×40×9 configuration, plus the worst observed drift between
-//! the two. CI gates on the throughput ratio (≥ 10×) and the drift
-//! (≤ 0.05 K).
-//!
 //! Schema version 3 adds the `solver_scaling` section — per-solve
 //! latency, iteration counts and field drift of the structured stencil +
 //! multigrid path against the CSR + MIC(0) oracle across meshes (20/40
 //! smoke, up to 128 full), with fitted time-vs-unknowns scaling
 //! exponents — plus a large-mesh scenario band (80×80, 128×128,
-//! engine-only) in `records[]` and warm-start iteration savings in
-//! `delta`. CI gates on the 40×40×9 structured speedup (≥ 1.5×) and
-//! oracle drift (≤ 1e-6 K).
+//! engine-only) in `records[]`. CI gates on the 40×40×9 structured
+//! speedup (≥ 1.5×) and oracle drift (≤ 1e-6 K).
 //!
 //! Schema version 4 adds the `optimizer` section — the strategy-engine
 //! Pareto frontier on the clustered-hotspot workload: the full transform
 //! registry (paper techniques, targeted rows, hot-bin spreading,
-//! composite pipelines) × a budget grid screened through the delta
+//! composite pipelines) × a budget grid screened through the power-delta
 //! surrogate, exact-verifying only the surrogate-optimal points. Emits
 //! the frontier points and the screened/exact spend split; CI gates
 //! exact verifications at ≤ 25 % of screened candidates. Records also
@@ -59,6 +51,10 @@
 //! fitted scaling exponents. CI gates the drift (≤ 1e-6 K,
 //! unconditionally) and the 256×256 speedup (≥ 2×, full mode only).
 //!
+//! Schema version 8 drops the `delta` section along with the
+//! influence-column superposition tier it measured: the optimizer
+//! screens every non-uniform candidate with one exact solve.
+//!
 //! ```sh
 //! cargo bench -p coolplace-bench --bench sweep -- \
 //!     --smoke --threads 2 --out BENCH_sweep.json --check ci/bench-baseline.json
@@ -73,7 +69,6 @@
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::Instant;
 
 use arithgen::UnitRole;
@@ -86,7 +81,7 @@ use postplace::{
     default_threads, run_requests, Flow, FlowConfig, FlowError, FlowReport, OptimizeConfig,
     OptimizeRequest, Scenario, Strategy, SweepGrid, TransformRegistry, WorkloadSpec,
 };
-use thermalsim::{DeltaThermalModel, FactorizedThermalModel, SolverKind, ThermalConfig};
+use thermalsim::{FactorizedThermalModel, SolverKind, ThermalConfig};
 
 /// Bump when a field changes meaning; additions are backwards-compatible.
 /// v2: added the `delta` section (delta-vs-exact candidate throughput)
@@ -106,7 +101,9 @@ use thermalsim::{DeltaThermalModel, FactorizedThermalModel, SolverKind, ThermalC
 /// v7: added the `spectral` section (DCT direct solver vs the multigrid
 /// oracle on the homogeneous bench stack, with drift and fitted scaling
 /// exponents).
-const SCHEMA_VERSION: f64 = 7.0;
+/// v8: removed the `delta` section (the superposition tier it measured
+/// is gone).
+const SCHEMA_VERSION: f64 = 8.0;
 
 /// In-run agreement required between the sequential reference and the
 /// engine, in kelvin — pure solver noise, no physics.
@@ -286,8 +283,8 @@ struct EngineRun {
     wall_ms: f64,
 }
 
-/// Runs a grid through the engine the way an external client does since
-/// the `run_sweep` facade was deprecated: expand the grid into typed
+/// Runs a grid through the engine the way an external client does:
+/// expand the grid into typed
 /// [`OptimizeRequest`]s, dispatch the batch via [`run_requests`], and
 /// zip the responses back onto their scenarios (both sides share the
 /// grid's expansion order).
@@ -621,163 +618,6 @@ fn run_spectral_bench(smoke: bool) -> Result<Json, String> {
     ]))
 }
 
-/// Delta-bench shape: exact re-solves sampled for a stable per-candidate
-/// cost; enough delta evaluations that the cold influence-column
-/// population (which the delta total includes) is amortized the way a
-/// real screening loop amortizes it.
-const DELTA_EXACT_SAMPLE: usize = 24;
-const DELTA_CANDIDATES: usize = 512;
-const DELTA_POOL_CELLS: usize = 32;
-const DELTA_MOVES_PER_CANDIDATE: usize = 8;
-
-/// Benchmarks per-candidate evaluation on the paper's 40×40×9
-/// configuration: `FactorizedThermalModel::solve` re-solves (tier 2)
-/// versus `DeltaThermalModel::evaluate_delta` superposition (tier 3) over
-/// sparse power redistributions drawn from the hotspot's cells, plus the
-/// worst field-wise drift between the two paths on a common sample.
-fn run_delta_bench() -> Result<Json, String> {
-    let die = bench_die();
-    let config = ThermalConfig::paper();
-    let (nx, ny) = (config.grid.nx, config.grid.ny);
-    let build_started = Instant::now();
-    let model = Arc::new(FactorizedThermalModel::build(&config, die).map_err(|e| e.to_string())?);
-    let build_ms = build_started.elapsed().as_secs_f64() * 1e3;
-
-    // Baseline power: one concentrated hotspot over a warm background —
-    // the shape of the paper's test set 2.
-    let power = bench_power(nx, ny, die);
-    // Candidate pool: the hottest bins — where real strategies move power.
-    let mut by_power: Vec<(usize, usize)> = (0..ny)
-        .flat_map(|iy| (0..nx).map(move |ix| (ix, iy)))
-        .collect();
-    by_power.sort_by(|&(ax, ay), &(bx, by)| power.get(bx, by).total_cmp(power.get(ax, ay)));
-    let pool = &by_power[..DELTA_POOL_CELLS.min(by_power.len())];
-
-    // Deterministic candidate stream (LCG): each candidate moves power
-    // between pool cells, net-zero per move pair, never driving a cell
-    // negative (≤ 20 % of a cell's power per move, 4 moves max).
-    let mut state = 0x9E37_79B9_7F4A_7C15u64;
-    let mut next = move || {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        (state >> 33) as usize
-    };
-    let candidates: Vec<Vec<(usize, usize, f64)>> = (0..DELTA_CANDIDATES)
-        .map(|_| {
-            let mut moves = Vec::with_capacity(DELTA_MOVES_PER_CANDIDATE);
-            for _ in 0..DELTA_MOVES_PER_CANDIDATE / 2 {
-                let (fx, fy) = pool[next() % pool.len()];
-                let (tx, ty) = pool[next() % pool.len()];
-                let w = power.get(fx, fy) * 0.05 * (1 + next() % 4) as f64 / 4.0;
-                moves.push((fx, fy, -w));
-                moves.push((tx, ty, w));
-            }
-            moves
-        })
-        .collect();
-
-    // Tier 2: full preconditioned re-solves on a sample.
-    let exact_started = Instant::now();
-    let mut exact_maps = Vec::with_capacity(DELTA_EXACT_SAMPLE);
-    for candidate in &candidates[..DELTA_EXACT_SAMPLE] {
-        let mut perturbed = power.clone();
-        for &(ix, iy, dw) in candidate {
-            *perturbed.get_mut(ix, iy) += dw;
-        }
-        exact_maps.push(model.solve(&perturbed).map_err(|e| e.to_string())?);
-    }
-    let exact_ms = exact_started.elapsed().as_secs_f64() * 1e3;
-    let exact_per_candidate_ms = exact_ms / DELTA_EXACT_SAMPLE as f64;
-
-    // Tier 3: delta superposition over every candidate, cold cache — the
-    // column population (warmed in full-width blocks over the candidate
-    // pool, as a real screening loop would) is part of the measured
-    // total.
-    let delta_model =
-        DeltaThermalModel::new(Arc::clone(&model), &power).map_err(|e| e.to_string())?;
-    let delta_started = Instant::now();
-    delta_model.warm_columns(pool).map_err(|e| e.to_string())?;
-    let mut drift_c: f64 = 0.0;
-    for (i, candidate) in candidates.iter().enumerate() {
-        let outcome = delta_model
-            .evaluate_delta(candidate)
-            .map_err(|e| e.to_string())?;
-        if let Some(exact) = exact_maps.get(i) {
-            for ((_, a), (_, b)) in outcome.map.grid().iter().zip(exact.grid().iter()) {
-                drift_c = drift_c.max((a - b).abs());
-            }
-        }
-    }
-    let delta_ms = delta_started.elapsed().as_secs_f64() * 1e3;
-    let delta_per_candidate_ms = delta_ms / DELTA_CANDIDATES as f64;
-    let ratio = exact_per_candidate_ms / delta_per_candidate_ms;
-    println!(
-        "delta bench [{nx}x{ny}x9]: exact {exact_per_candidate_ms:.2} ms/cand, \
-         delta {delta_per_candidate_ms:.3} ms/cand (cold cache) → {ratio:.1}× \
-         ({} superposed, {} fallbacks, {} columns, drift {drift_c:.2e} K)",
-        delta_model.superposed_evaluations(),
-        delta_model.exact_fallbacks(),
-        delta_model.cached_columns(),
-    );
-
-    // CG warm-starts: the pool columns above were solved cold (nothing
-    // was retained yet); materializing their neighbours now seeds each
-    // solve from the nearest cached column, laterally shifted. The
-    // iteration split measures what seeding saves a real screening loop
-    // whose candidate support grows outward from the hotspots.
-    let ring: Vec<(usize, usize)> = pool
-        .iter()
-        .filter_map(|&(ix, iy)| {
-            let moved = (ix + 1, iy);
-            (moved.0 < nx && !pool.contains(&moved)).then_some(moved)
-        })
-        .collect();
-    delta_model.warm_columns(&ring).map_err(|e| e.to_string())?;
-    let column_stats = delta_model.column_stats();
-    let unseeded_mean = column_stats.unseeded_mean().unwrap_or(0.0);
-    let seeded_mean = column_stats.seeded_mean().unwrap_or(0.0);
-    let savings_pct = column_stats.savings().unwrap_or(0.0) * 100.0;
-    println!(
-        "warm starts: {} cold columns at {unseeded_mean:.1} its, \
-         {} seeded columns at {seeded_mean:.1} its → {savings_pct:.0}% saved",
-        column_stats.unseeded_columns, column_stats.seeded_columns,
-    );
-    Ok(Json::obj([
-        (
-            "mesh",
-            Json::Arr(vec![Json::Num(nx as f64), Json::Num(ny as f64)]),
-        ),
-        ("candidates", Json::Num(DELTA_CANDIDATES as f64)),
-        ("exact_sample", Json::Num(DELTA_EXACT_SAMPLE as f64)),
-        ("pool_cells", Json::Num(pool.len() as f64)),
-        ("model_build_ms", Json::Num(build_ms)),
-        ("exact_per_candidate_ms", Json::Num(exact_per_candidate_ms)),
-        ("delta_per_candidate_ms", Json::Num(delta_per_candidate_ms)),
-        ("throughput_ratio", Json::Num(ratio)),
-        ("max_drift_c", Json::Num(drift_c)),
-        (
-            "superposed",
-            Json::Num(delta_model.superposed_evaluations() as f64),
-        ),
-        (
-            "exact_fallbacks",
-            Json::Num(delta_model.exact_fallbacks() as f64),
-        ),
-        (
-            "columns_cached",
-            Json::Num(delta_model.cached_columns() as f64),
-        ),
-        ("column_iters_unseeded_mean", Json::Num(unseeded_mean)),
-        ("column_iters_seeded_mean", Json::Num(seeded_mean)),
-        (
-            "warm_started_columns",
-            Json::Num(column_stats.seeded_columns as f64),
-        ),
-        ("warm_start_savings_pct", Json::Num(savings_pct)),
-    ]))
-}
-
 /// Budget grid of the optimizer bench — fine enough that the frontier
 /// interleaves several technique families.
 const OPTIMIZER_BUDGETS: [f64; 8] = [0.04, 0.08, 0.12, 0.16, 0.20, 0.25, 0.30, 0.35];
@@ -785,7 +625,7 @@ const OPTIMIZER_BUDGETS: [f64; 8] = [0.04, 0.08, 0.12, 0.16, 0.20, 0.25, 0.30, 0
 /// The `optimizer` section: the strategy engine's Pareto frontier on the
 /// clustered-hotspot workload (the regime where every technique family
 /// is in play). Hundreds of registry × budget candidates go through the
-/// delta-screening surrogate; only the surrogate-Pareto-optimal points
+/// power-delta screening surrogate; only the surrogate-Pareto-optimal points
 /// pay an exact run, and CI gates that split.
 fn run_optimizer_bench() -> Result<Json, String> {
     let config = FlowConfig::with_workload(WorkloadSpec::clustered_hotspot()).fast();
@@ -1106,16 +946,6 @@ fn main() -> ExitCode {
         }
     };
 
-    // Per-candidate latency of the delta-evaluation engine vs exact
-    // re-solves on the acceptance configuration (40×40×9).
-    let delta_section = match run_delta_bench() {
-        Ok(section) => section,
-        Err(e) => {
-            eprintln!("delta bench failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
     // Structured-vs-CSR per-solve scaling; the 40×40×9 entry is what CI
     // gates on, the larger meshes measure the scaling exponent.
     let scaling_meshes: &[usize] = if args.smoke {
@@ -1234,7 +1064,6 @@ fn main() -> ExitCode {
         ("sweep_wall_ms", Json::Num(sweep_ms)),
         ("speedup", Json::Num(speedup)),
         ("max_peak_delta_c", Json::Num(max_delta_c)),
-        ("delta", delta_section),
         ("solver_scaling", solver_scaling),
         ("solver_threads", solver_threads_section),
         ("spectral", spectral_section),

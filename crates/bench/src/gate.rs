@@ -9,11 +9,6 @@
 //! * **Throughput** — the engine-vs-sequential speedup (measured within
 //!   one run, so machine speed cancels out) must not regress by more
 //!   than the configured fraction.
-//! * **Delta evaluation** (schema ≥ 2) — the Green's-function delta path
-//!   must stay exact (worst field-wise drift vs full re-solves within
-//!   [`DELTA_DRIFT_TOLERANCE_C`]) and fast (per-candidate throughput at
-//!   least [`MIN_DELTA_THROUGHPUT_RATIO`] times the re-solve path) —
-//!   both within-run measurements, so machine speed cancels out.
 //! * **Service cache** (schema ≥ 5) — warm requests answered by the
 //!   optimization service's keyed result cache must run at least
 //!   [`MIN_SERVICE_WARM_SPEEDUP`] times faster per request than their
@@ -37,22 +32,6 @@ pub const PEAK_TOLERANCE_C: f64 = 0.25;
 /// Maximum allowed fractional speedup regression vs the baseline (0.2 =
 /// fail when the measured speedup drops below 80 % of the baseline's).
 pub const MAX_SPEEDUP_REGRESSION: f64 = 0.2;
-
-/// Worst allowed field-wise disagreement between the delta-evaluation
-/// path and exact re-solves, in kelvin (the acceptance bound on the
-/// approximation path).
-pub const DELTA_DRIFT_TOLERANCE_C: f64 = 0.05;
-
-/// Minimum candidates-per-second advantage the delta path must hold over
-/// `FactorizedThermalModel` re-solves on the 40×40×9 configuration
-/// (cold-cache column population included in the delta cost). The
-/// re-solve side runs the model's real default backend, so when the
-/// spectral direct tier landed (schema 7) and made exact re-solves ~6×
-/// cheaper, the measured ratio dropped from ~30× to ~5×; the floor is
-/// re-anchored below that — it only has to catch the superposition path
-/// degrading into recomputation (ratio ≈ 1), not certify a margin the
-/// faster exact tier no longer leaves on the table.
-pub const MIN_DELTA_THROUGHPUT_RATIO: f64 = 3.0;
 
 /// Minimum per-solve speedup the structured stencil + multigrid path
 /// must hold over the CSR + MIC(0) oracle on the 40×40×9 configuration
@@ -198,7 +177,6 @@ pub fn check_against_baseline(
         _ => failures.push("missing `speedup` value".to_string()),
     }
 
-    failures.extend(check_delta_section(current, baseline));
     failures.extend(check_solver_scaling_section(current, baseline));
     failures.extend(check_solver_threads_section(current, baseline));
     failures.extend(check_spectral_section(current, baseline));
@@ -442,8 +420,8 @@ fn check_optimizer_section(current: &Json, baseline: &Json) -> Vec<String> {
 
 /// Validates the structured-solver section (schema ≥ 3): the 40×40×9
 /// entry must hold the structured-vs-CSR speedup floor and stay within
-/// the drift tolerance of the oracle. Like the delta section, these are
-/// within-run measurements; the baseline only establishes presence.
+/// the drift tolerance of the oracle. These are within-run measurements;
+/// the baseline only establishes presence.
 fn check_solver_scaling_section(current: &Json, baseline: &Json) -> Vec<String> {
     let mut failures = Vec::new();
     let Some(scaling) = current.get("solver_scaling") else {
@@ -483,37 +461,6 @@ fn check_solver_scaling_section(current: &Json, baseline: &Json) -> Vec<String> 
         Ok(drift) if drift > STRUCTURED_DRIFT_TOLERANCE_K => failures.push(format!(
             "structured solver drifted {drift:.2e} K from the CSR oracle at 40×40×9 \
              (tolerance {STRUCTURED_DRIFT_TOLERANCE_K:.0e} K)"
-        )),
-        Ok(_) => {}
-        Err(e) => failures.push(e),
-    }
-    failures
-}
-
-/// Validates the delta-evaluation section: drift and throughput are
-/// within-run measurements, so they gate on this run's own numbers; the
-/// baseline only establishes that the section must be present at all
-/// (schema ≥ 2 documents cannot silently drop it).
-fn check_delta_section(current: &Json, baseline: &Json) -> Vec<String> {
-    let mut failures = Vec::new();
-    let Some(delta) = current.get("delta") else {
-        if baseline.get("delta").is_some() {
-            failures.push("`delta` section missing from this run".to_string());
-        }
-        return failures;
-    };
-    match delta.require_f64("delta", "max_drift_c") {
-        Ok(drift) if drift > DELTA_DRIFT_TOLERANCE_C => failures.push(format!(
-            "delta path drifted {drift:.4} K from exact re-solves \
-             (tolerance {DELTA_DRIFT_TOLERANCE_C} K)"
-        )),
-        Ok(_) => {}
-        Err(e) => failures.push(e),
-    }
-    match delta.require_f64("delta", "throughput_ratio") {
-        Ok(ratio) if ratio < MIN_DELTA_THROUGHPUT_RATIO => failures.push(format!(
-            "delta path evaluates only {ratio:.1}× more candidates/sec than \
-             exact re-solves (floor {MIN_DELTA_THROUGHPUT_RATIO}×)"
         )),
         Ok(_) => {}
         Err(e) => failures.push(e),
@@ -573,52 +520,6 @@ mod tests {
         let failures = check_against_baseline(&four_threads, &doc(3.0, 81.5), 0.25, 0.2);
         assert_eq!(failures.len(), 1);
         assert!(failures[0].contains("thread count"), "{failures:?}");
-    }
-
-    fn with_delta(mut doc: Json, drift: f64, ratio: f64) -> Json {
-        let Json::Obj(pairs) = &mut doc else {
-            unreachable!()
-        };
-        pairs.push((
-            "delta".to_string(),
-            Json::obj([
-                ("max_drift_c", Json::Num(drift)),
-                ("throughput_ratio", Json::Num(ratio)),
-            ]),
-        ));
-        doc
-    }
-
-    #[test]
-    fn delta_drift_and_throughput_gate() {
-        let base = with_delta(doc(3.0, 81.5), 0.001, 20.0);
-        // Healthy section passes.
-        let good = with_delta(doc(3.0, 81.5), 0.02, 12.0);
-        assert!(check_against_baseline(&good, &base, 0.25, 0.2).is_empty());
-        // Excess drift fails.
-        let drifty = with_delta(doc(3.0, 81.5), 0.12, 20.0);
-        let failures = check_against_baseline(&drifty, &base, 0.25, 0.2);
-        assert!(
-            failures.iter().any(|f| f.contains("drifted")),
-            "{failures:?}"
-        );
-        // Throughput under the floor fails.
-        let slow = with_delta(doc(3.0, 81.5), 0.001, 2.0);
-        let failures = check_against_baseline(&slow, &base, 0.25, 0.2);
-        assert!(
-            failures.iter().any(|f| f.contains("candidates/sec")),
-            "{failures:?}"
-        );
-        // Dropping the section entirely (when the baseline has it) fails.
-        let failures = check_against_baseline(&doc(3.0, 81.5), &base, 0.25, 0.2);
-        assert!(
-            failures
-                .iter()
-                .any(|f| f.contains("`delta` section missing")),
-            "{failures:?}"
-        );
-        // Pre-v2 documents (no delta anywhere) still pass.
-        assert!(check_against_baseline(&doc(3.0, 81.5), &doc(3.0, 81.5), 0.25, 0.2).is_empty());
     }
 
     fn with_scaling(mut doc: Json, speedup: f64, drift: f64) -> Json {
@@ -1057,14 +958,14 @@ mod tests {
     }
 
     #[test]
-    fn non_finite_delta_values_fail_by_name() {
-        let base = with_delta(doc(3.0, 81.5), 0.001, 20.0);
-        let poisoned = with_delta(doc(3.0, 81.5), f64::NAN, 20.0);
+    fn non_finite_drift_values_fail_by_name() {
+        let base = with_scaling(doc(3.0, 81.5), 3.5, 1e-9);
+        let poisoned = with_scaling(doc(3.0, 81.5), 3.5, f64::NAN);
         let failures = check_against_baseline(&poisoned, &base, 0.25, 0.2);
         assert!(
             failures
                 .iter()
-                .any(|f| f.contains("max_drift_c") && f.contains("not finite")),
+                .any(|f| f.contains("max_drift_k") && f.contains("not finite")),
             "{failures:?}"
         );
     }
@@ -1097,13 +998,17 @@ mod tests {
     fn overflowing_literals_are_caught_at_the_gate() {
         // `1e999` parses to +inf via str::parse::<f64>; the finiteness
         // guard has to catch what the parser lets through.
-        let doc_inf =
-            Json::parse(r#"{"delta": {"max_drift_c": 1e999, "throughput_ratio": 20.0}}"#).unwrap();
-        let failures = check_delta_section(&doc_inf, &doc_inf);
+        let doc_inf = Json::parse(
+            r#"{"solver_scaling": {"meshes": [
+                {"mesh": [40, 40], "speedup_vs_csr": 3.0, "max_drift_k": 1e999}
+            ]}}"#,
+        )
+        .unwrap();
+        let failures = check_solver_scaling_section(&doc_inf, &doc_inf);
         assert!(
             failures
                 .iter()
-                .any(|f| f.contains("max_drift_c") && f.contains("not finite")),
+                .any(|f| f.contains("max_drift_k") && f.contains("not finite")),
             "{failures:?}"
         );
     }

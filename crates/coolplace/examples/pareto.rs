@@ -3,9 +3,10 @@
 //! hot-bin-spread techniques, and composite pipelines) across a budget
 //! grid and print the area-overhead-vs-peak-reduction Pareto frontier.
 //!
-//! Hundreds of candidates are screened through the Green's-function
-//! delta surrogate in microseconds each; only the surrogate-optimal
-//! points pay an exact re-place + re-solve.
+//! Every candidate is screened by one thermal solve of its power-map
+//! surrogate (none for a uniform scaling, which is priced in closed
+//! form); only the surrogate-optimal points pay an exact re-place +
+//! re-solve.
 //!
 //! ```sh
 //! cargo run --release --example pareto [-- --fast]

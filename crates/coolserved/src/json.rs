@@ -165,7 +165,7 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(text, &mut pos)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing data at byte {pos}"));
@@ -213,14 +213,15 @@ fn expect(bytes: &[u8], pos: &mut usize, token: &str) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_value(text: &str, pos: &mut usize) -> Result<Json, String> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
         Some(b'n') => expect(bytes, pos, "null").map(|()| Json::Null),
         Some(b't') => expect(bytes, pos, "true").map(|()| Json::Bool(true)),
         Some(b'f') => expect(bytes, pos, "false").map(|()| Json::Bool(false)),
-        Some(b'"') => parse_string(bytes, pos).map(Json::Str),
+        Some(b'"') => parse_string(text, pos).map(Json::Str),
         Some(b'[') => {
             *pos += 1;
             let mut items = Vec::new();
@@ -230,7 +231,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(text, pos)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -252,10 +253,10 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             }
             loop {
                 skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
+                let key = parse_string(text, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, ":")?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(text, pos)?;
                 pairs.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -272,7 +273,8 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
+    let bytes = text.as_bytes();
     if bytes.get(*pos) != Some(&b'"') {
         return Err(format!("expected string at byte {pos}", pos = *pos));
     }
@@ -314,15 +316,18 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 }
             }
             Some(_) => {
-                // Copy one UTF-8 character verbatim.
-                let rest =
-                    std::str::from_utf8(&bytes[*pos..]).map_err(|_| "invalid UTF-8".to_string())?;
-                let c = rest
-                    .chars()
-                    .next()
-                    .ok_or_else(|| "unterminated string".to_string())?;
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or escape verbatim.
+                // Both delimiters are ASCII, so the run starts and ends
+                // on character boundaries of the already-valid `text`.
+                let end = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .map_or(bytes.len(), |n| *pos + n);
+                let run = text.get(*pos..end).ok_or_else(|| {
+                    format!("string splits a character at byte {pos}", pos = *pos)
+                })?;
+                out.push_str(run);
+                *pos = end;
             }
         }
     }
@@ -405,6 +410,24 @@ mod tests {
         for bad in ["{", "[1,", "\"open", "{\"a\" 1}", "12 34", "nul"] {
             assert!(Json::parse(bad).is_err(), "`{bad}` should fail");
         }
+    }
+
+    #[test]
+    fn escaped_multibyte_and_long_strings_decode_exactly() {
+        let escaped = Json::parse(r#""tab\tquote\"back\\slash\/nl\nsnow\u2603""#).unwrap();
+        assert_eq!(
+            escaped.as_str(),
+            Some("tab\tquote\"back\\slash/nl\nsnow\u{2603}")
+        );
+        // ~1 MB of mixed one- to four-byte characters and escapes, as a
+        // member of a document: parsing must stay linear in its length.
+        let long: String = "aé€😀\"\\\n/".repeat(80_000);
+        let doc = Json::obj([("long", Json::Str(long.clone())), ("n", Json::Num(1.0))]);
+        let text = doc.render();
+        assert!(text.len() > 1_000_000);
+        let back = Json::parse(&text).unwrap();
+        assert_eq!(back.get("long").and_then(Json::as_str), Some(long.as_str()));
+        assert_eq!(back.get("n").and_then(Json::as_f64), Some(1.0));
     }
 
     #[test]

@@ -1,22 +1,22 @@
-//! Unified candidate evaluation: exact re-solves vs delta superposition.
+//! Candidate evaluation: pricing a power redistribution against the
+//! memoized baseline.
 //!
 //! The optimization loops on top of the flow (row bisection, budget
-//! search, sweeps over strategy spaces) compare many *candidate*
-//! transformations that differ from the memoized baseline only in how
-//! power is redistributed over the die. A [`PowerDelta`] captures that
-//! difference as a sparse set of per-bin watt changes; a
+//! search, frontier sweeps over strategy spaces) compare many
+//! *candidate* transformations that differ from the memoized baseline
+//! only in how power is redistributed over the die. A [`PowerDelta`]
+//! captures that difference as a set of per-bin watt changes; a
 //! [`CandidateEvaluator`] turns it into a peak-temperature estimate.
 //!
-//! Two implementations share the trait:
+//! [`DeltaCandidateEvaluator`] prices a candidate in one of two ways:
 //!
-//! * [`ExactCandidateEvaluator`] — applies the delta to the baseline
-//!   power map and runs a full preconditioned re-solve against the
-//!   cached [`FactorizedThermalModel`] (PR 2's cost model, ~tens of
-//!   milliseconds per candidate);
-//! * [`DeltaCandidateEvaluator`] — superposes cached Green's-function
-//!   influence columns through a [`DeltaThermalModel`] (microseconds per
-//!   candidate once columns are warm), falling back to an exact re-solve
-//!   for perturbations too dense for superposition to win.
+//! * a uniform scaling of the baseline power map is priced in closed
+//!   form — the network is linear, so the whole rise field scales with
+//!   it and no solve is spent;
+//! * anything else is priced by one [`FactorizedThermalModel::solve`] of
+//!   the merged, validated power map against the base geometry's cached
+//!   factorization (the spectral tier on laterally homogeneous stacks,
+//!   multigrid-CG otherwise — a few milliseconds at 40×40).
 //!
 //! Candidate deltas come from the strategy-transform engine:
 //! [`crate::PlacementTransform::power_delta`] diffs a transform's
@@ -24,7 +24,7 @@
 //! registered technique — composites included — can be priced here
 //! without touching a placement.
 //!
-//! Screening decisions may come from the delta path, but reported
+//! Screening decisions come from these estimates, but reported
 //! [`crate::FlowReport`] numbers never do: the optimization loops
 //! re-verify every winning candidate with a full [`crate::Flow::run`]
 //! (or [`crate::Flow::run_transform`]).
@@ -33,7 +33,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use geom::Grid2d;
-use thermalsim::{DeltaThermalModel, FactorizedThermalModel, ThermalMap};
+use thermalsim::{FactorizedThermalModel, ThermalMap};
 
 use crate::FlowError;
 
@@ -110,7 +110,7 @@ impl PowerDelta {
             }
             // Duplicate entries accumulate per the contract; the simple
             // per-entry ratio test below would misread them, so leave
-            // duplicated-bin deltas to the general superposition path.
+            // duplicated-bin deltas to the solve path.
             if !seen.insert((ix, iy)) {
                 return None;
             }
@@ -151,8 +151,8 @@ pub struct CandidateEval {
     /// Estimated peak-temperature reduction vs the baseline, percent of
     /// the baseline rise (the paper's metric).
     pub reduction_pct: f64,
-    /// `true` when the number came from a full re-solve rather than
-    /// superposition.
+    /// `true` when the number came from a thermal solve, `false` when a
+    /// uniform scaling of the baseline was priced in closed form.
     pub exact: bool,
 }
 
@@ -194,32 +194,18 @@ pub trait CandidateEvaluator: Send + Sync {
     fn evaluations(&self) -> usize;
 }
 
-fn eval_from_map(map: &ThermalMap, baseline: &ThermalMap, exact: bool) -> CandidateEval {
-    let base_rise = baseline.peak_rise();
-    let rise = map.peak_rise();
-    CandidateEval {
-        peak_c: map.peak_bin().1,
-        peak_rise: rise,
-        reduction_pct: if base_rise > 0.0 {
-            (base_rise - rise) / base_rise * 100.0
-        } else {
-            0.0
-        },
-        exact,
-    }
-}
-
-/// Tier-2 evaluation: every candidate pays one preconditioned re-solve
-/// against the shared factorization.
+/// The screening evaluator: uniform scalings of the baseline are priced
+/// in closed form, every other candidate by one re-solve against the
+/// shared factorization (see the module docs).
 #[derive(Debug)]
-pub struct ExactCandidateEvaluator {
+pub struct DeltaCandidateEvaluator {
     model: Arc<FactorizedThermalModel>,
     baseline_power: Grid2d<f64>,
     baseline: ThermalMap,
     count: AtomicUsize,
 }
 
-impl ExactCandidateEvaluator {
+impl DeltaCandidateEvaluator {
     /// Builds the evaluator from a factorized model and its baseline
     /// power map (the baseline field is solved once here).
     ///
@@ -234,7 +220,7 @@ impl ExactCandidateEvaluator {
         Ok(Self::with_baseline(model, baseline_power, baseline))
     }
 
-    /// Like [`ExactCandidateEvaluator::new`] with the baseline field
+    /// Like [`DeltaCandidateEvaluator::new`] with the baseline field
     /// already solved (e.g. the flow's memoized baseline analysis) — no
     /// extra solve is spent.
     pub fn with_baseline(
@@ -242,7 +228,7 @@ impl ExactCandidateEvaluator {
         baseline_power: &Grid2d<f64>,
         baseline: ThermalMap,
     ) -> Self {
-        ExactCandidateEvaluator {
+        DeltaCandidateEvaluator {
             model,
             baseline_power: baseline_power.clone(),
             baseline,
@@ -251,19 +237,28 @@ impl ExactCandidateEvaluator {
     }
 }
 
-impl CandidateEvaluator for ExactCandidateEvaluator {
+impl CandidateEvaluator for DeltaCandidateEvaluator {
     fn baseline(&self) -> &ThermalMap {
         &self.baseline
     }
 
     fn evaluate(&self, delta: &PowerDelta) -> Result<CandidateEval, FlowError> {
         self.count.fetch_add(1, Ordering::Relaxed);
-        if delta.is_empty() {
-            return Ok(eval_from_map(&self.baseline, &self.baseline, true));
+        let baseline = &self.baseline;
+        // A pure scaling of the baseline power needs no solve at all:
+        // by linearity the whole rise field scales with it.
+        if let Some(scale) = delta.uniform_scale_of(&self.baseline_power) {
+            let base_rise = baseline.peak_rise();
+            let rise = (1.0 + scale) * base_rise;
+            return Ok(CandidateEval {
+                peak_c: baseline.ambient_c()
+                    + (1.0 + scale) * (baseline.peak_bin().1 - baseline.ambient_c()),
+                peak_rise: rise,
+                reduction_pct: if base_rise > 0.0 { -scale * 100.0 } else { 0.0 },
+                exact: false,
+            });
         }
-        // Merge duplicate entries first, then validate the net totals —
-        // the same semantics as `DeltaThermalModel::evaluate_delta`, so
-        // the two trait implementations agree on every input.
+        // Merge duplicate entries first, then validate the net totals.
         let mut power = self.baseline_power.clone();
         for &(ix, iy, dw) in &delta.deltas {
             if ix >= power.nx() || iy >= power.ny() || !dw.is_finite() {
@@ -289,70 +284,17 @@ impl CandidateEvaluator for ExactCandidateEvaluator {
             }
         }
         let map = self.model.solve(&power)?;
-        Ok(eval_from_map(&map, &self.baseline, true))
-    }
-
-    fn evaluations(&self) -> usize {
-        self.count.load(Ordering::Relaxed)
-    }
-}
-
-/// Tier-3 evaluation: sparse candidates are priced by influence-column
-/// superposition; uniform scalings are priced in closed form; everything
-/// too dense falls back to one exact re-solve inside the wrapped
-/// [`DeltaThermalModel`].
-#[derive(Debug)]
-pub struct DeltaCandidateEvaluator {
-    model: DeltaThermalModel,
-    count: AtomicUsize,
-    analytic: AtomicUsize,
-}
-
-impl DeltaCandidateEvaluator {
-    /// Wraps a delta model.
-    pub fn new(model: DeltaThermalModel) -> Self {
-        DeltaCandidateEvaluator {
-            model,
-            count: AtomicUsize::new(0),
-            analytic: AtomicUsize::new(0),
-        }
-    }
-
-    /// The wrapped delta model (cache statistics live there).
-    pub fn model(&self) -> &DeltaThermalModel {
-        &self.model
-    }
-
-    /// Candidates priced in closed form as uniform power scalings.
-    pub fn analytic_evaluations(&self) -> usize {
-        self.analytic.load(Ordering::Relaxed)
-    }
-}
-
-impl CandidateEvaluator for DeltaCandidateEvaluator {
-    fn baseline(&self) -> &ThermalMap {
-        self.model.baseline()
-    }
-
-    fn evaluate(&self, delta: &PowerDelta) -> Result<CandidateEval, FlowError> {
-        self.count.fetch_add(1, Ordering::Relaxed);
-        let baseline = self.model.baseline();
-        // A pure scaling of the baseline power needs no solve at all:
-        // by linearity the whole rise field scales with it.
-        if let Some(scale) = delta.uniform_scale_of(self.model.baseline_power()) {
-            self.analytic.fetch_add(1, Ordering::Relaxed);
-            let base_rise = baseline.peak_rise();
-            let rise = (1.0 + scale) * base_rise;
-            return Ok(CandidateEval {
-                peak_c: baseline.ambient_c()
-                    + (1.0 + scale) * (baseline.peak_bin().1 - baseline.ambient_c()),
-                peak_rise: rise,
-                reduction_pct: if base_rise > 0.0 { -scale * 100.0 } else { 0.0 },
-                exact: false,
-            });
-        }
-        let outcome = self.model.evaluate_delta(&delta.deltas)?;
-        Ok(eval_from_map(&outcome.map, baseline, outcome.exact))
+        let (base_rise, rise) = (baseline.peak_rise(), map.peak_rise());
+        Ok(CandidateEval {
+            peak_c: map.peak_bin().1,
+            peak_rise: rise,
+            reduction_pct: if base_rise > 0.0 {
+                (base_rise - rise) / base_rise * 100.0
+            } else {
+                0.0
+            },
+            exact: true,
+        })
     }
 
     fn evaluations(&self) -> usize {
@@ -378,77 +320,82 @@ mod tests {
     }
 
     #[test]
-    fn exact_and_delta_evaluators_agree() {
+    fn candidates_are_priced_by_a_solve_of_the_perturbed_map() {
         let (model, power) = setup();
-        let exact = ExactCandidateEvaluator::new(Arc::clone(&model), &power).unwrap();
-        let delta = DeltaCandidateEvaluator::new(DeltaThermalModel::new(model, &power).unwrap());
+        let evaluator = DeltaCandidateEvaluator::new(Arc::clone(&model), &power).unwrap();
         let candidate = PowerDelta::new(vec![(5, 5, -1e-3), (8, 2, 1e-3)]);
-        let a = exact.evaluate(&candidate).unwrap();
-        let b = delta.evaluate(&candidate).unwrap();
-        assert!(a.exact && !b.exact);
-        assert!(
-            (a.peak_c - b.peak_c).abs() < 1e-6,
-            "{} vs {}",
-            a.peak_c,
-            b.peak_c
-        );
-        assert!((a.reduction_pct - b.reduction_pct).abs() < 1e-6);
-        assert_eq!(exact.evaluations(), 1);
-        assert_eq!(delta.evaluations(), 1);
+        let got = evaluator.evaluate(&candidate).unwrap();
+        assert!(got.exact);
+        let mut perturbed = power.clone();
+        *perturbed.get_mut(5, 5) -= 1e-3;
+        *perturbed.get_mut(8, 2) += 1e-3;
+        let want = model.solve(&perturbed).unwrap();
+        assert_eq!(got.peak_c.to_bits(), want.peak_bin().1.to_bits());
+        assert_eq!(got.peak_rise.to_bits(), want.peak_rise().to_bits());
+        assert!(got.reduction_pct > 0.0, "moving hotspot power must cool");
+        assert_eq!(evaluator.evaluations(), 1);
     }
 
     #[test]
     fn uniform_scaling_is_priced_in_closed_form() {
         let (model, power) = setup();
-        let exact = ExactCandidateEvaluator::new(Arc::clone(&model), &power).unwrap();
-        let delta = DeltaCandidateEvaluator::new(DeltaThermalModel::new(model, &power).unwrap());
+        let evaluator = DeltaCandidateEvaluator::new(Arc::clone(&model), &power).unwrap();
         // Scale every powered bin down by 1/(1+0.25): the Default
         // strategy's dilution surrogate.
         let s = 1.0 / 1.25 - 1.0;
         let candidate = PowerDelta::new(vec![(5, 5, 3e-3 * s), (2, 7, 1e-3 * s)]);
-        let a = exact.evaluate(&candidate).unwrap();
-        let b = delta.evaluate(&candidate).unwrap();
-        assert_eq!(delta.analytic_evaluations(), 1);
-        assert_eq!(delta.model().superposed_evaluations(), 0, "no solve spent");
-        assert!((a.peak_rise - b.peak_rise).abs() < 1e-6);
-        assert!((b.reduction_pct - 20.0).abs() < 1e-6, "{}", b.reduction_pct);
+        let got = evaluator.evaluate(&candidate).unwrap();
+        assert!(!got.exact, "no solve spent");
+        let mut scaled = power.clone();
+        *scaled.get_mut(5, 5) *= 1.0 + s;
+        *scaled.get_mut(2, 7) *= 1.0 + s;
+        let want = model.solve(&scaled).unwrap();
+        assert!((got.peak_rise - want.peak_rise()).abs() < 1e-6);
+        assert!(
+            (got.reduction_pct - 20.0).abs() < 1e-6,
+            "{}",
+            got.reduction_pct
+        );
     }
 
     #[test]
-    fn evaluators_agree_on_duplicate_bin_deltas() {
-        // Duplicate entries accumulate; a net-zero pair must price as the
-        // baseline on BOTH paths (order-independent, no closed-form
-        // misfire), and an accumulating pair must match across paths.
+    fn duplicate_bin_deltas_accumulate() {
+        // Duplicate entries accumulate: a net-zero pair prices as the
+        // baseline (no closed-form misfire), and a split move prices as
+        // the merged one.
         let (model, power) = setup();
-        let exact = ExactCandidateEvaluator::new(Arc::clone(&model), &power).unwrap();
-        let delta = DeltaCandidateEvaluator::new(DeltaThermalModel::new(model, &power).unwrap());
+        let evaluator = DeltaCandidateEvaluator::new(model, &power).unwrap();
         let net_zero = PowerDelta::new(vec![(5, 5, -2e-3), (5, 5, 2e-3)]);
-        let a = exact.evaluate(&net_zero).unwrap();
-        let b = delta.evaluate(&net_zero).unwrap();
-        assert!((a.peak_rise - exact.baseline().peak_rise()).abs() < 1e-9);
-        assert!((a.peak_rise - b.peak_rise).abs() < 1e-6);
+        let got = evaluator.evaluate(&net_zero).unwrap();
+        assert!((got.peak_rise - evaluator.baseline().peak_rise()).abs() < 1e-9);
         let split = PowerDelta::new(vec![(5, 5, -4e-4), (5, 5, -6e-4), (8, 2, 1e-3)]);
-        let a = exact.evaluate(&split).unwrap();
-        let b = delta.evaluate(&split).unwrap();
+        let merged = PowerDelta::new(vec![(5, 5, -1e-3), (8, 2, 1e-3)]);
+        let a = evaluator.evaluate(&split).unwrap();
+        let b = evaluator.evaluate(&merged).unwrap();
         assert!(
-            (a.peak_c - b.peak_c).abs() < 1e-6,
+            (a.peak_c - b.peak_c).abs() < 1e-9,
             "{} vs {}",
             a.peak_c,
             b.peak_c
         );
-        // Driving a bin's total power negative is an error on both paths.
-        let negative = PowerDelta::new(vec![(5, 5, -1.0)]);
-        assert!(exact.evaluate(&negative).is_err());
-        assert!(delta.evaluate(&negative).is_err());
+        // Driving a bin's total power negative is an error, as are
+        // out-of-range bins and non-finite changes.
+        for bad in [
+            PowerDelta::new(vec![(5, 5, -1.0)]),
+            PowerDelta::new(vec![(10, 0, 1e-3)]),
+            PowerDelta::new(vec![(0, 0, f64::NAN)]),
+        ] {
+            assert!(evaluator.evaluate(&bad).is_err(), "{bad:?}");
+        }
     }
 
     #[test]
     fn empty_delta_is_the_baseline() {
         let (model, power) = setup();
-        let exact = ExactCandidateEvaluator::new(model, &power).unwrap();
-        let eval = exact.evaluate(&PowerDelta::default()).unwrap();
+        let evaluator = DeltaCandidateEvaluator::new(model, &power).unwrap();
+        let eval = evaluator.evaluate(&PowerDelta::default()).unwrap();
         assert!((eval.reduction_pct).abs() < 1e-12);
-        assert!((eval.peak_rise - exact.baseline().peak_rise()).abs() < 1e-12);
+        assert!((eval.peak_rise - evaluator.baseline().peak_rise()).abs() < 1e-12);
     }
 
     #[test]

@@ -14,11 +14,9 @@ use thermalsim::{FactorizedThermalModel, ThermalConfig, ThermalMap, ThermalSimul
 use timan::{analyze, TimingConfig, TimingReport};
 
 use crate::{
-    detect_hotspots, DeltaCandidateEvaluator, ExactCandidateEvaluator, FlowError, Hotspot,
-    HotspotConfig, KeyedCache, PlacementTransform, PowerDelta, Strategy, TransformContext,
-    TransformState, WrapperConfig,
+    detect_hotspots, DeltaCandidateEvaluator, FlowError, Hotspot, HotspotConfig, KeyedCache,
+    PlacementTransform, PowerDelta, Strategy, TransformContext, TransformState, WrapperConfig,
 };
-use thermalsim::DeltaThermalModel;
 
 /// Which units a workload exercises, and how hard.
 #[derive(Debug, Clone, PartialEq)]
@@ -577,29 +575,12 @@ impl Flow {
         Ok(&self.baseline()?.hotspots)
     }
 
-    /// A tier-2 candidate evaluator: every candidate power delta is
-    /// priced by a full preconditioned re-solve against the base
-    /// geometry's cached factorization. The screening yardstick the
-    /// delta path is benchmarked against.
-    ///
-    /// # Errors
-    ///
-    /// Propagates model-construction and baseline-solve failures.
-    pub fn exact_evaluator(&self) -> Result<ExactCandidateEvaluator, FlowError> {
-        let b = self.baseline()?;
-        let model = self.thermal_model(self.base.floorplan.core())?;
-        Ok(ExactCandidateEvaluator::with_baseline(
-            model,
-            &b.pmap,
-            b.tmap.clone(),
-        ))
-    }
-
-    /// A tier-3 candidate evaluator: sparse candidate power deltas are
-    /// priced by Green's-function influence-column superposition against
-    /// the memoized baseline (with transparent exact fallback for dense
-    /// perturbations). This is what the optimization loops screen with;
-    /// winners are always re-verified by a full [`Flow::run`].
+    /// The screening evaluator: each candidate power delta is priced
+    /// against the memoized baseline — in closed form when it uniformly
+    /// scales the baseline power, otherwise by one re-solve against the
+    /// base geometry's cached factorization. This is what the
+    /// optimization loops screen with; winners are always re-verified by
+    /// a full [`Flow::run`].
     ///
     /// # Errors
     ///
@@ -608,8 +589,11 @@ impl Flow {
         let b = self.baseline()?;
         let model = self.thermal_model(self.base.floorplan.core())?;
         // Reuse the memoized baseline field — no extra solve.
-        let delta = DeltaThermalModel::with_baseline(model, &b.pmap, b.tmap.clone())?;
-        Ok(DeltaCandidateEvaluator::new(delta))
+        Ok(DeltaCandidateEvaluator::with_baseline(
+            model,
+            &b.pmap,
+            b.tmap.clone(),
+        ))
     }
 
     /// The memoized baseline thermal map and hotspots — the inputs every

@@ -26,9 +26,9 @@
 //! [`PlacementTransform`]): arbitrary techniques — composite pipelines
 //! ([`CompositeTransform`]), targeted row insertion, hot-bin filler
 //! spreading, or your own — plug into the same flow via
-//! [`Flow::run_transform`], screen through the same delta surrogates,
-//! and compete on the area-vs-temperature frontier
-//! ([`pareto_frontier`]). The [`Strategy`] enum remains as a thin
+//! [`Flow::run_transform`], screen through the same power-delta
+//! surrogates, and compete on the area-vs-temperature frontier
+//! ([`OptimizeRequestBuilder::frontier`]). The [`Strategy`] enum remains as a thin
 //! compatibility facade over the ported transforms.
 //!
 //! # Examples
@@ -68,16 +68,12 @@ pub use eri::{
     targeted_insertion_positions, EriReport,
 };
 pub use error::FlowError;
-pub use evaluate::{
-    CandidateEval, CandidateEvaluator, DeltaCandidateEvaluator, ExactCandidateEvaluator, PowerDelta,
-};
+pub use evaluate::{CandidateEval, CandidateEvaluator, DeltaCandidateEvaluator, PowerDelta};
 pub use flow::{Flow, FlowConfig, FlowReport, ThermalModelCache, ThermalSummary, WorkloadSpec};
 pub use hotspot::{
     classify_hotspots, detect_hotspots, split_hotspots_by_regions, Hotspot, HotspotClass,
     HotspotConfig,
 };
-#[allow(deprecated)]
-pub use optimize::{best_strategy_within_budget, pareto_frontier};
 pub use optimize::{
     best_strategy_within_budget_with, minimize_rows_for_target, BudgetOptimum, OptimizeConfig,
     ParetoFrontier, ParetoPoint, RowOptimum,
@@ -87,12 +83,7 @@ pub use request::{
     OptimizeRequestBuilder, OptimizeResponse, StableHasher,
 };
 pub use strategy::Strategy;
-#[allow(deprecated)]
-pub use sweep::run_sweep;
-pub use sweep::{
-    default_threads, run_requests, RequestBatch, RequestOutcome, Scenario, ScenarioResult,
-    SweepGrid, SweepReport,
-};
+pub use sweep::{default_threads, run_requests, RequestBatch, RequestOutcome, Scenario, SweepGrid};
 /// Re-exported so request builders can name a solver backend without
 /// depending on `thermalsim` directly.
 pub use thermalsim::SolverKind;

@@ -4,18 +4,21 @@
 //! inserted)."
 //!
 //! [`minimize_rows_for_target`] finds the smallest empty-row count whose
-//! ERI transformation reaches a requested peak-temperature reduction, and
-//! [`best_strategy_within_budget`] picks the winning technique under an
-//! area budget — the decisions a designer would otherwise sweep by hand.
+//! ERI transformation reaches a requested peak-temperature reduction,
+//! [`best_strategy_within_budget_with`] picks the winning technique under
+//! an area budget, and the frontier goal of [`Flow::optimize`] sweeps the
+//! whole transform registry — the decisions a designer would otherwise
+//! sweep by hand.
 //!
-//! Both loops follow the same two-phase shape: candidates are first
+//! All three loops follow the same two-phase shape: candidates are first
 //! *screened* through a [`crate::DeltaCandidateEvaluator`] — each
-//! candidate priced as a sparse power delta against the memoized
-//! baseline, microseconds-to-milliseconds instead of a full re-place +
-//! re-solve — and only the screened winner is *verified* with exact
-//! [`Flow::run`] evaluations. Reported numbers therefore never come from
-//! the approximation path, and the exactness guarantees (minimality of
-//! the row count, target actually met) are enforced by real runs.
+//! candidate's power-map surrogate priced against the memoized baseline
+//! by one thermal solve (or in closed form for a uniform scaling)
+//! instead of a full re-place + re-solve — and only the screened
+//! winners are *verified* with exact [`Flow::run`] evaluations. Reported
+//! numbers therefore never come from the surrogate, and the exactness
+//! guarantees (minimality of the row count, target actually met) are
+//! enforced by real runs.
 
 use crate::{
     CandidateEvaluator, Flow, FlowError, FlowReport, PlacementTransform, Strategy,
@@ -68,7 +71,7 @@ pub struct RowOptimum {
     pub report: FlowReport,
     /// Number of exact `Flow::run` evaluations spent.
     pub evaluations: usize,
-    /// Number of cheap surrogate screenings spent (delta path).
+    /// Number of cheap surrogate screenings spent (power-delta estimates).
     pub screened: usize,
 }
 
@@ -76,7 +79,7 @@ pub struct RowOptimum {
 /// `target_reduction_pct` (reduction is monotone in the row count to well
 /// within solver noise).
 ///
-/// The row-count axis is first bisected on the delta-screening surrogate
+/// The row-count axis is first bisected on the power-delta screening surrogate
 /// to locate a candidate; the candidate is then verified — and, if the
 /// surrogate was optimistic, grown; if pessimistic, walked down — with
 /// exact [`Flow::run`] evaluations, so the returned optimum carries the
@@ -210,26 +213,6 @@ pub struct BudgetOptimum {
 }
 
 /// Evaluates the three techniques at an area budget and returns the
-/// report with the largest peak-temperature reduction.
-///
-/// Deprecated shim: build an [`crate::OptimizeRequest`] with
-/// [`crate::OptimizeRequestBuilder::budget`] and dispatch it through
-/// [`Flow::optimize`] instead — bit-identical by construction (both
-/// paths run [`best_strategy_within_budget_with`]).
-///
-/// # Errors
-///
-/// Propagates the first evaluation error.
-#[deprecated(
-    since = "0.2.0",
-    note = "build an OptimizeRequest with .budget(..) and call Flow::optimize"
-)]
-pub fn best_strategy_within_budget(flow: &Flow, area_budget: f64) -> Result<FlowReport, FlowError> {
-    best_strategy_within_budget_with(flow, area_budget, &OptimizeConfig::default())
-        .map(|opt| opt.report)
-}
-
-/// Evaluates the three techniques at an area budget and returns the
 /// report with the largest peak-temperature reduction, plus the search's
 /// evaluation accounting.
 ///
@@ -237,7 +220,7 @@ pub fn best_strategy_within_budget(flow: &Flow, area_budget: f64) -> Result<Flow
 /// budget are dropped before *any* evaluation — surrogate or exact (a
 /// one-row ERI on a sub-row budget used to cost a full re-place +
 /// re-solve before being discarded). The survivors are ranked by the
-/// delta-screening surrogate; exact [`Flow::run`] evaluations are then
+/// power-delta screening surrogate; exact [`Flow::run`] evaluations are then
 /// spent best-estimate-first and stop as soon as the confirmed leader
 /// outruns every remaining estimate by the configured trust margin —
 /// typically one or two exact runs instead of three. The returned report
@@ -279,7 +262,7 @@ pub fn best_strategy_within_budget_with(
         // A candidate the workload cannot realize (e.g. ERI with no
         // detected hotspots) drops out of the ranking; the others still
         // compete — matching the tolerance of the exact-run stage below
-        // and of `pareto_frontier`.
+        // and of `compute_pareto_frontier`.
         let delta = match transform.power_delta(flow) {
             Ok(d) => d,
             Err(FlowError::BadStrategy { .. }) => continue,
@@ -345,7 +328,7 @@ pub struct ParetoPoint {
     pub report: FlowReport,
 }
 
-/// The outcome of [`pareto_frontier`]: the paper's headline comparison
+/// The outcome of a frontier goal: the paper's headline comparison
 /// — which technique wins at which area overhead — automated over the
 /// whole transform registry.
 #[must_use = "a ParetoFrontier is the product of many exact evaluations"]
@@ -381,8 +364,8 @@ impl ParetoFrontier {
 /// the area-overhead-vs-peak-reduction Pareto frontier.
 ///
 /// Every `registry × budgets` candidate is priced through the
-/// [`crate::DeltaCandidateEvaluator`] surrogate (microseconds each once
-/// the influence columns are warm); only the candidates on the
+/// [`crate::DeltaCandidateEvaluator`] (one thermal solve of its power-map
+/// surrogate, or none for a uniform scaling); only the candidates on the
 /// *surrogate* Pareto front are verified with exact
 /// [`Flow::run_transform`] evaluations, and the returned frontier is
 /// re-filtered on the exact numbers — so it is monotone (strictly
@@ -397,23 +380,6 @@ impl ParetoFrontier {
 /// # Errors
 ///
 /// Propagates baseline/thermal failures.
-#[deprecated(
-    since = "0.2.0",
-    note = "build an OptimizeRequest with .frontier(..) and call Flow::optimize \
-            (or Flow::optimize_with for a custom registry)"
-)]
-pub fn pareto_frontier(
-    flow: &Flow,
-    budgets: &[f64],
-    registry: &TransformRegistry,
-    config: &OptimizeConfig,
-) -> Result<ParetoFrontier, FlowError> {
-    compute_pareto_frontier(flow, budgets, registry, config)
-}
-
-/// The frontier engine behind [`Flow::optimize`]'s frontier goal and
-/// the deprecated [`pareto_frontier`] shim (see that function's docs
-/// for the screen-then-verify contract).
 pub(crate) fn compute_pareto_frontier(
     flow: &Flow,
     budgets: &[f64],
@@ -623,13 +589,14 @@ mod tests {
     }
 
     #[test]
-    fn best_strategy_fits_the_budget_and_the_shim_matches_the_typed_path() {
+    fn best_strategy_fits_the_budget_and_matches_the_typed_path() {
         let flow = Flow::new(FlowConfig::scattered_small().fast()).unwrap();
-        #[allow(deprecated)]
-        let best = best_strategy_within_budget(&flow, 0.16).unwrap();
+        let best = best_strategy_within_budget_with(&flow, 0.16, &OptimizeConfig::default())
+            .unwrap()
+            .report;
         assert!(best.reduction_pct() > 0.0);
         assert!(best.area_overhead_pct <= 16.5);
-        // The deprecated shim must stay bit-identical to the typed path.
+        // The typed request dispatches through the same search.
         let request = crate::OptimizeRequest::builder()
             .workload(flow.config().workload.clone())
             .mesh(flow.config().thermal.grid.nx, flow.config().thermal.grid.ny)

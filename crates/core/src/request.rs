@@ -4,11 +4,8 @@
 //! and a goal (one transform, the budget search, a Pareto frontier, or
 //! the minimal-row search) — and [`Flow::optimize`] dispatches it into
 //! the existing machinery, returning an [`OptimizeResponse`] whose
-//! [`OptimizeOutcome`] carries the same report types the loose-argument
-//! entry points used to return. The loose entry points
-//! ([`crate::run_sweep`], [`crate::best_strategy_within_budget`],
-//! [`crate::pareto_frontier`]) survive as deprecated shims over this
-//! path and stay bit-identical to it.
+//! [`OptimizeOutcome`] carries the report types of the engine behind
+//! each goal.
 //!
 //! [`CacheKey`] is the stable (process-independent) content hash the
 //! `coolserved` result cache persists to disk: request fingerprints key
@@ -209,13 +206,13 @@ pub enum OptimizeGoal {
         id: String,
     },
     /// Pick the best technique within an area budget
-    /// (the typed form of [`crate::best_strategy_within_budget`]).
+    /// (the typed form of [`crate::best_strategy_within_budget_with`]).
     BestWithinBudget {
         /// Extra core area as a fraction of the base area.
         budget: f64,
     },
     /// Sweep the registry × budget grid into an exact-verified Pareto
-    /// frontier (the typed form of [`crate::pareto_frontier`]).
+    /// frontier ([`crate::ParetoFrontier`]).
     Frontier {
         /// Area budgets, fractions of the base area.
         budgets: Vec<f64>,
@@ -643,8 +640,7 @@ impl Flow {
     }
 
     /// Dispatches a typed request against this flow with the standard
-    /// registry and default [`OptimizeConfig`] — the blessed entry point
-    /// the deprecated loose-argument functions are shims over.
+    /// registry and default [`OptimizeConfig`].
     ///
     /// # Errors
     ///

@@ -11,10 +11,8 @@
 //! [`std::thread::scope`] with a simple atomic work queue; results come
 //! back in deterministic submission order regardless of thread count.
 //!
-//! A [`SweepGrid`] still names (workload × mesh × strategy) axes and
-//! expands them — via [`SweepGrid::requests`] into typed requests, or
-//! via the deprecated [`run_sweep`] shim into the legacy
-//! [`SweepReport`] shape.
+//! A [`SweepGrid`] names (workload × mesh × strategy) axes and expands
+//! them into typed requests via [`SweepGrid::requests`].
 //!
 //! # Examples
 //!
@@ -43,8 +41,7 @@ use std::time::Instant;
 use thermalsim::GridSpec;
 
 use crate::{
-    Flow, FlowConfig, FlowError, FlowReport, OptimizeRequest, OptimizeResponse, Strategy,
-    WorkloadSpec,
+    Flow, FlowConfig, FlowError, OptimizeRequest, OptimizeResponse, Strategy, WorkloadSpec,
 };
 
 /// One cell of the sweep grid: which workload, mesh resolution and
@@ -184,9 +181,9 @@ impl SweepGrid {
 
     /// The full flow configuration a scenario resolves to: the base
     /// config with the scenario's workload and mesh applied. This is the
-    /// single source of truth both for [`run_sweep`] and for anything
-    /// replaying scenarios outside the engine (e.g. the sequential
-    /// yardstick of the bench pipeline).
+    /// single source of truth both for [`SweepGrid::requests`] and for
+    /// anything replaying scenarios outside the engine (e.g. the
+    /// sequential yardstick of the bench pipeline).
     pub fn scenario_config(&self, scenario: &Scenario) -> FlowConfig {
         let spec = self
             .effective_workloads()
@@ -272,30 +269,6 @@ impl SweepGrid {
     }
 }
 
-/// One evaluated scenario: the flow report plus its wall-clock cost.
-#[derive(Debug, Clone)]
-pub struct ScenarioResult {
-    /// The scenario that was evaluated.
-    pub scenario: Scenario,
-    /// The before/after report from [`Flow::run`].
-    pub report: FlowReport,
-    /// Wall-clock time of this evaluation, milliseconds.
-    pub wall_ms: f64,
-}
-
-/// The outcome of a [`run_sweep`] call.
-#[derive(Debug, Clone)]
-pub struct SweepReport {
-    /// Per-scenario results, in scenario (grid) order.
-    pub results: Vec<ScenarioResult>,
-    /// Worker threads used.
-    pub threads: usize,
-    /// Distinct (workload, mesh) flows that were built.
-    pub flows_built: usize,
-    /// End-to-end wall-clock of the sweep (flow builds included), ms.
-    pub wall_ms: f64,
-}
-
 /// One evaluated request of a [`run_requests`] batch.
 #[derive(Debug, Clone)]
 pub struct RequestOutcome {
@@ -350,52 +323,6 @@ fn group_config(
         config.thermal.threads = 1;
     }
     config
-}
-
-/// Runs every scenario of `grid` across `threads` workers and returns
-/// the results in grid order.
-///
-/// Deprecated shim over [`run_requests`]: the grid expands through
-/// [`SweepGrid::requests`], the batch runs on the typed engine, and the
-/// responses are repackaged into the legacy [`SweepReport`] shape —
-/// bit-identical reports by construction.
-///
-/// # Errors
-///
-/// Returns the first flow-construction or evaluation error; remaining
-/// workers stop at the next queue pull.
-#[deprecated(
-    since = "0.2.0",
-    note = "expand the grid with SweepGrid::requests and call run_requests"
-)]
-pub fn run_sweep(grid: &SweepGrid, threads: usize) -> Result<SweepReport, FlowError> {
-    let scenarios = grid.scenarios();
-    let requests = grid.requests()?;
-    let batch = run_requests(&grid.base, &requests, threads)?;
-    let results = scenarios
-        .into_iter()
-        .zip(batch.outcomes)
-        .map(|(scenario, outcome)| {
-            let report = outcome
-                .response
-                .report()
-                .cloned()
-                .ok_or_else(|| FlowError::Internal {
-                    detail: "a grid scenario produced a non-report outcome".to_string(),
-                })?;
-            Ok(ScenarioResult {
-                scenario,
-                report,
-                wall_ms: outcome.wall_ms,
-            })
-        })
-        .collect::<Result<_, FlowError>>()?;
-    Ok(SweepReport {
-        results,
-        threads: batch.threads,
-        flows_built: batch.flows_built,
-        wall_ms: batch.wall_ms,
-    })
 }
 
 /// Runs every request of `requests` (resolved against `base`) across
@@ -613,32 +540,30 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn sweep_matches_direct_runs_and_is_thread_invariant() {
         let grid = small_grid();
-        let one = run_sweep(&grid, 1).unwrap();
-        let four = run_sweep(&grid, 4).unwrap();
-        assert_eq!(one.results.len(), grid.scenario_count());
-        assert_eq!(four.results.len(), grid.scenario_count());
+        let requests = grid.requests().unwrap();
+        let one = run_requests(&grid.base, &requests, 1).unwrap();
+        let four = run_requests(&grid.base, &requests, 4).unwrap();
+        assert_eq!(one.outcomes.len(), grid.scenario_count());
+        assert_eq!(four.outcomes.len(), grid.scenario_count());
         assert_eq!(one.flows_built, 2, "two meshes share one workload");
-        for (a, b) in one.results.iter().zip(&four.results) {
-            assert_eq!(a.scenario.index, b.scenario.index);
-            assert!(
-                (a.report.after.peak_c - b.report.after.peak_c).abs() < 1e-9,
+        for (a, b) in one.outcomes.iter().zip(&four.outcomes) {
+            assert_eq!(a.request, b.request, "outcomes come back in order");
+            let (a, b) = (a.response.report().unwrap(), b.response.report().unwrap());
+            assert_eq!(
+                a.after.peak_c.to_bits(),
+                b.after.peak_c.to_bits(),
                 "thread count must not change results"
             );
         }
         // Spot-check scenario 0 against a direct Flow evaluation.
-        let flow = Flow::new(group_config(
-            &grid.base,
-            &grid.base.workload,
-            one.results[0].scenario.mesh,
-            1,
-        ))
-        .unwrap();
-        let direct = flow.run(one.results[0].scenario.strategy).unwrap();
+        let scenario = &grid.scenarios()[0];
+        let flow = Flow::new(grid.scenario_config(scenario)).unwrap();
+        let direct = flow.run(scenario.strategy).unwrap();
         assert!(
-            (direct.after.peak_c - one.results[0].report.after.peak_c).abs() < 1e-6,
+            (direct.after.peak_c - one.outcomes[0].response.report().unwrap().after.peak_c).abs()
+                < 1e-6,
             "sweep result must match a direct run"
         );
     }
@@ -664,7 +589,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn transform_axis_scenarios_match_direct_transform_runs() {
         let id = "composite(targeted-eri:4+spread)";
         let grid = SweepGrid::new(FlowConfig::scattered_small().fast())
@@ -673,16 +597,17 @@ mod tests {
             .transform(id)
             .transform("hot-spread:0.16");
         assert_eq!(grid.scenario_count(), 3);
-        let report = run_sweep(&grid, 2).unwrap();
-        let composite = &report.results[1];
-        assert_eq!(composite.scenario.label(), id);
-        assert_eq!(composite.report.transform_id, id);
-        assert_eq!(composite.scenario.strategy, Strategy::None, "facade value");
+        let batch = run_requests(&grid.base, &grid.requests().unwrap(), 2).unwrap();
+        let scenario = &grid.scenarios()[1];
+        assert_eq!(scenario.label(), id);
+        assert_eq!(scenario.strategy, Strategy::None, "facade value");
+        let report = batch.outcomes[1].response.report().unwrap();
+        assert_eq!(report.transform_id, id);
         // The sweep's transform evaluation must match a direct run.
-        let flow = Flow::new(grid.scenario_config(&composite.scenario)).unwrap();
+        let flow = Flow::new(grid.scenario_config(scenario)).unwrap();
         let t = crate::TransformRegistry::parse(id).unwrap();
         let direct = flow.run_transform(t.as_ref()).unwrap();
-        assert!((direct.after.peak_c - composite.report.after.peak_c).abs() < 1e-6);
+        assert!((direct.after.peak_c - report.after.peak_c).abs() < 1e-6);
     }
 
     #[test]
@@ -692,47 +617,12 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn empty_grid_returns_an_empty_report() {
         let grid = SweepGrid::new(FlowConfig::scattered_small().fast());
-        let report = run_sweep(&grid, 2).unwrap();
-        assert!(report.results.is_empty());
-        assert_eq!(report.flows_built, 0);
-        let batch = run_requests(&grid.base, &[], 2).unwrap();
+        let requests = grid.requests().unwrap();
+        assert!(requests.is_empty());
+        let batch = run_requests(&grid.base, &requests, 2).unwrap();
         assert!(batch.outcomes.is_empty());
         assert_eq!(batch.flows_built, 0);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_sweep_shim_is_bit_identical_to_the_typed_batch() {
-        let grid = small_grid();
-        let legacy = run_sweep(&grid, 2).unwrap();
-        let batch = run_requests(&grid.base, &grid.requests().unwrap(), 2).unwrap();
-        assert_eq!(legacy.results.len(), batch.outcomes.len());
-        assert_eq!(legacy.flows_built, batch.flows_built);
-        for (old, new) in legacy.results.iter().zip(&batch.outcomes) {
-            let report = new.response.report().expect("strategy goals yield reports");
-            // Bit-identical, not approximately equal: the shim routes
-            // through the exact same typed dispatch.
-            assert_eq!(
-                old.report.after.peak_c.to_bits(),
-                report.after.peak_c.to_bits()
-            );
-            assert_eq!(
-                old.report.area_overhead_pct.to_bits(),
-                report.area_overhead_pct.to_bits()
-            );
-            assert_eq!(old.report.transform_id, report.transform_id);
-            assert_eq!(old.scenario.label(), {
-                // Strategy-axis requests carry the strategy's compact
-                // display through the goal; labels stay comparable.
-                match &new.request.goal {
-                    crate::OptimizeGoal::Strategy(s) => s.to_string(),
-                    crate::OptimizeGoal::Transform { id } => id.clone(),
-                    _ => unreachable!("grids only expand strategy/transform goals"),
-                }
-            });
-        }
     }
 }

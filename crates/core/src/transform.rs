@@ -37,8 +37,8 @@
 //!   top of [`placement::fill_whitespace`]).
 //!
 //! [`TransformRegistry::standard`] bundles every built-in technique as a
-//! budget-parameterized factory — the search space
-//! [`crate::pareto_frontier`] screens.
+//! budget-parameterized factory — the search space a frontier goal
+//! ([`crate::OptimizeGoal::Frontier`]) screens.
 
 use geom::{Grid2d, Rect};
 use placement::{

@@ -56,7 +56,7 @@ pub fn uniform_surrogate_map(power: &Grid2d<f64>, area_overhead: f64) -> Grid2d<
 /// scales every bin's power density by `1/(1 + area_overhead)`, modeled
 /// on the baseline mesh as a uniform scaling of the power map. Being a
 /// pure scaling, a [`crate::DeltaCandidateEvaluator`] prices it in
-/// closed form — no solve at all.
+/// closed form by linearity — no solve at all.
 pub fn uniform_power_delta(power: &Grid2d<f64>, area_overhead: f64) -> PowerDelta {
     let scale = 1.0 / (1.0 + area_overhead.max(0.0)) - 1.0;
     let mut deltas = Vec::new();

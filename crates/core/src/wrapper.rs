@@ -128,8 +128,8 @@ pub fn wrap_regions(
 /// each wrapped hotspot's power evenly over its grown region. Modeled on
 /// the baseline mesh: all bins scale down uniformly, then the power of
 /// the bins inside each wrap `region` is pooled and flattened across
-/// them. Sparse (only wrapped bins deviate from the uniform scaling), so
-/// a [`crate::DeltaCandidateEvaluator`] prices it by superposition.
+/// them. Not a pure scaling (the wrapped bins deviate from it), so a
+/// [`crate::DeltaCandidateEvaluator`] prices it by one thermal solve.
 pub fn wrapper_power_delta(
     power: &Grid2d<f64>,
     regions: &[Rect],

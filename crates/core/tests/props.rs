@@ -56,7 +56,7 @@ proptest! {
     /// exact ranking at the top: the surrogate's top-1 pick, verified
     /// exactly, comes within the trust margin of the true exact best —
     /// that is precisely the guarantee the screen-then-verify loops
-    /// (`best_strategy_within_budget`, `pareto_frontier`) lean on when
+    /// (the budget and frontier goals of `Flow::optimize`) lean on when
     /// they stop spending exact runs early.
     #[test]
     fn surrogate_top1_tracks_exact_top1_within_the_trust_margin(

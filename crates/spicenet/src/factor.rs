@@ -12,7 +12,7 @@
 
 use crate::circuit::{Circuit, NodeId};
 use crate::mna::{dirichlet_map, reduce, ReducedSystem, SolveOptions};
-use crate::sparse::{preconditioned_cg, preconditioned_cg_block_grouped, Preconditioner};
+use crate::sparse::{preconditioned_cg, Preconditioner};
 use crate::{SolveError, SolveStats};
 
 /// A circuit reduced, assembled and preconditioned once, ready to be
@@ -53,18 +53,14 @@ pub struct FactorizedCircuit {
     static_rhs: Vec<f64>,
     tolerance: f64,
     max_iterations: usize,
-    threads: usize,
 }
 
 impl Circuit {
     /// Reduces, assembles and preconditions the circuit once, for
     /// repeated solves against varying current injections.
     ///
-    /// Only `tolerance`, `max_iterations` and `threads` of `options` are
-    /// honoured; the factorized path always uses the reduced sparse
-    /// system. `threads` parallelizes the blocked (multi-RHS) solves
-    /// over lane groups — results stay bit-identical at any thread
-    /// count (see [`crate::pool`]).
+    /// Only `tolerance` and `max_iterations` of `options` are honoured;
+    /// the factorized path always uses the reduced sparse system.
     ///
     /// # Errors
     ///
@@ -90,7 +86,6 @@ impl Circuit {
             static_rhs,
             tolerance: options.tolerance,
             max_iterations: options.max_iterations.unwrap_or(20 * n_red + 100),
-            threads: crate::pool::effective_threads(options.threads),
         })
     }
 }
@@ -179,222 +174,6 @@ impl FactorizedCircuit {
         };
         Ok((self.sys.expand(&x), stats))
     }
-
-    /// Solves a whole batch of injection patterns against the one
-    /// factorization, amortizing every triangular sweep and matrix
-    /// traversal across the batch (blocked conjugate gradients — see
-    /// `preconditioned_cg_block`). Each entry behaves exactly like a
-    /// [`FactorizedCircuit::solve_injections`] call; results come back in
-    /// batch order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolveError::NotConverged`] / [`SolveError::Singular`]
-    /// if any system of the batch fails, and [`SolveError::UnknownNode`]
-    /// if an injection names a node that does not belong to the
-    /// factorized circuit.
-    pub fn solve_many(&self, batches: &[Vec<(NodeId, f64)>]) -> Result<Vec<Vec<f64>>, SolveError> {
-        let k = batches.len();
-        let n = self.sys.a.n();
-        if k == 0 {
-            return Ok(Vec::new());
-        }
-        if n == 0 {
-            return Ok((0..k).map(|_| self.sys.expand(&[])).collect());
-        }
-        let mut block = vec![0.0f64; n * k];
-        for (j, injections) in batches.iter().enumerate() {
-            for (i, &s) in self.static_rhs.iter().enumerate() {
-                block[i * k + j] = s;
-            }
-            for &(node, amps) in injections {
-                let slot = self
-                    .sys
-                    .reduced
-                    .get(node.index())
-                    .ok_or(SolveError::UnknownNode { node })?;
-                if let Some(ri) = *slot {
-                    block[ri * k + j] += amps;
-                }
-            }
-        }
-        let (x, _) = self.run_block(&block, k)?;
-        Ok((0..k)
-            .map(|j| {
-                let xj: Vec<f64> = (0..n).map(|i| x[i * k + j]).collect();
-                self.sys.expand(&xj)
-            })
-            .collect())
-    }
-
-    /// Materializes selected columns of the inverse conductance matrix
-    /// `G⁻¹`: column `c` is the per-node *response* (volts, or kelvin in
-    /// the thermal analogy) to a **unit** current injection at node `c`,
-    /// with every pinned node contributing zero. By superposition, the
-    /// effect of any sparse injection change `Δp` on the solution is
-    /// `Σ Δp_c · column(c)` — the engine behind
-    /// `thermalsim::DeltaThermalModel`.
-    ///
-    /// All requested columns are solved as one blocked batch. Injections
-    /// into pinned nodes are absorbed by their voltage source, so those
-    /// columns are all-zero.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolveError::NotConverged`] / [`SolveError::Singular`]
-    /// if the blocked solve fails.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a node does not belong to the factorized circuit.
-    pub fn influence_columns(&self, nodes: &[NodeId]) -> Result<Vec<Vec<f64>>, SolveError> {
-        self.influence_columns_with(nodes, self.tolerance)
-    }
-
-    /// Like [`FactorizedCircuit::influence_columns`] at an explicit
-    /// relative tolerance. Influence columns weight *corrections* — small
-    /// injection deltas on top of a fully-converged baseline — so callers
-    /// superposing them can afford a much looser tolerance than the
-    /// baseline solve: a `1e-6`-relative column error scales with the
-    /// (small) delta and lands orders of magnitude under any physical
-    /// acceptance bound, while cutting a third of the CG iterations.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`FactorizedCircuit::influence_columns`].
-    ///
-    /// # Panics
-    ///
-    /// Same as [`FactorizedCircuit::influence_columns`].
-    pub fn influence_columns_with(
-        &self,
-        nodes: &[NodeId],
-        tolerance: f64,
-    ) -> Result<Vec<Vec<f64>>, SolveError> {
-        Ok(self
-            .influence_columns_seeded(nodes, tolerance, &[])?
-            .into_iter()
-            .map(|(column, _)| column)
-            .collect())
-    }
-
-    /// Like [`FactorizedCircuit::influence_columns_with`], additionally
-    /// warm-starting each column's CG iteration from a caller-supplied
-    /// seed and reporting the per-column iteration count.
-    ///
-    /// Influence columns of neighbouring injection points are nearly
-    /// identical fields, so seeding a column from an already-materialized
-    /// neighbour starts the solve at a small residual and saves a
-    /// substantial fraction of the iterations (measured in the bench
-    /// pipeline's `delta` section). Each seed is a full per-node vector
-    /// as returned by this method; `seeds` is either empty (no seeding)
-    /// or one entry per requested node.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`FactorizedCircuit::influence_columns`], plus
-    /// [`SolveError::UnknownNode`] for a node that does not belong to
-    /// the factorized circuit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a seed's length does not match the node count.
-    pub fn influence_columns_seeded(
-        &self,
-        nodes: &[NodeId],
-        tolerance: f64,
-        seeds: &[Option<&[f64]>],
-    ) -> Result<Vec<(Vec<f64>, usize)>, SolveError> {
-        let k = nodes.len();
-        let n = self.sys.a.n();
-        assert!(
-            seeds.is_empty() || seeds.len() == k,
-            "one seed slot per requested column"
-        );
-        if k == 0 {
-            return Ok(Vec::new());
-        }
-        if n == 0 {
-            return Ok((0..k).map(|_| (self.sys.expand_delta(&[]), 0)).collect());
-        }
-        let mut block = vec![0.0f64; n * k];
-        for (j, &node) in nodes.iter().enumerate() {
-            let slot = self
-                .sys
-                .reduced
-                .get(node.index())
-                .ok_or(SolveError::UnknownNode { node })?;
-            if let Some(ri) = *slot {
-                block[ri * k + j] = 1.0;
-            }
-        }
-        // Compress node-space seeds into a reduced node-major x0 block.
-        let x0 = if seeds.iter().any(Option::is_some) {
-            let mut x0 = vec![0.0f64; n * k];
-            for (j, seed) in seeds.iter().enumerate() {
-                let Some(seed) = seed else { continue };
-                assert_eq!(seed.len(), self.sys.reduced.len(), "seed length");
-                for (i, slot) in self.sys.reduced.iter().enumerate() {
-                    if let Some(ri) = *slot {
-                        x0[ri * k + j] = seed[i];
-                    }
-                }
-            }
-            Some(x0)
-        } else {
-            None
-        };
-        let (x, stats) = self.run_block_seeded(&block, k, tolerance, x0.as_deref())?;
-        Ok((0..k)
-            .map(|j| {
-                let xj: Vec<f64> = (0..n).map(|i| x[i * k + j]).collect();
-                (self.sys.expand_delta(&xj), stats[j].0)
-            })
-            .collect())
-    }
-
-    /// Runs the blocked solver on a packed node-major RHS block and maps
-    /// failures onto [`SolveError`].
-    fn run_block(
-        &self,
-        block: &[f64],
-        k: usize,
-    ) -> Result<crate::sparse::BlockSolution, SolveError> {
-        self.run_block_seeded(block, k, self.tolerance, None)
-    }
-
-    fn run_block_seeded(
-        &self,
-        block: &[f64],
-        k: usize,
-        tolerance: f64,
-        x0: Option<&[f64]>,
-    ) -> Result<crate::sparse::BlockSolution, SolveError> {
-        preconditioned_cg_block_grouped(
-            &self.sys.a,
-            block,
-            k,
-            tolerance,
-            self.max_iterations,
-            &self.precond,
-            x0,
-            self.threads,
-        )
-        .map_err(|(iterations, residual)| {
-            if residual.is_infinite() {
-                SolveError::Singular {
-                    detail: "conductance matrix is not positive definite \
-                             (floating subcircuit?)"
-                        .to_string(),
-                }
-            } else {
-                SolveError::NotConverged {
-                    iterations,
-                    residual,
-                }
-            }
-        })
-    }
 }
 
 #[cfg(test)]
@@ -470,55 +249,6 @@ mod tests {
     #[test]
     fn empty_circuit_is_rejected() {
         assert!(Circuit::new().factorize(SolveOptions::default()).is_err());
-    }
-
-    #[test]
-    fn solve_many_matches_sequential_solves() {
-        let (mut c, nodes) = ladder(16);
-        c.current_source(NodeRef::Ground, NodeRef::Node(nodes[2]), 0.004)
-            .unwrap();
-        let f = c.factorize(SolveOptions::default()).unwrap();
-        let batches: Vec<Vec<(crate::NodeId, f64)>> = vec![
-            vec![],
-            vec![(nodes[5], 0.01)],
-            vec![(nodes[5], 0.01), (nodes[11], -0.002)],
-            vec![(nodes[15], 0.05)],
-        ];
-        let many = f.solve_many(&batches).unwrap();
-        assert_eq!(many.len(), batches.len());
-        for (batch, got) in batches.iter().zip(&many) {
-            let want = f.solve_injections(batch).unwrap();
-            for (a, b) in got.iter().zip(&want) {
-                assert!((a - b).abs() < 1e-7, "{a} vs {b}");
-            }
-        }
-        assert!(f.solve_many(&[]).unwrap().is_empty());
-    }
-
-    #[test]
-    fn influence_columns_superpose_onto_the_static_solution() {
-        let (mut c, nodes) = ladder(12);
-        c.current_source(NodeRef::Ground, NodeRef::Node(nodes[4]), 0.01)
-            .unwrap();
-        let f = c.factorize(SolveOptions::default()).unwrap();
-        let base = f.solve_injections(&[]).unwrap();
-        let cols = f
-            .influence_columns(&[nodes[6], nodes[9], nodes[0]])
-            .unwrap();
-        // The pinned node's column is identically zero.
-        assert!(cols[2].iter().all(|&v| v.abs() < 1e-12));
-        // base + 0.02·col(6) − 0.003·col(9) must equal a direct re-solve.
-        let direct = f
-            .solve_injections(&[(nodes[6], 0.02), (nodes[9], -0.003)])
-            .unwrap();
-        for i in 0..base.len() {
-            let superposed = base[i] + 0.02 * cols[0][i] - 0.003 * cols[1][i];
-            assert!(
-                (superposed - direct[i]).abs() < 1e-6,
-                "node {i}: {superposed} vs {}",
-                direct[i]
-            );
-        }
     }
 
     #[test]

@@ -162,20 +162,6 @@ impl ReducedSystem {
         }
     }
 
-    /// Expands a reduced *delta* solution back to per-node values: pinned
-    /// nodes contribute zero (a voltage source absorbs any perturbation),
-    /// so the result is a pure response to the injected deltas — the
-    /// superposition building block behind influence columns.
-    pub(crate) fn expand_delta(&self, x: &[f64]) -> Vec<f64> {
-        self.reduced
-            .iter()
-            .map(|slot| match slot {
-                Some(r) => x[*r],
-                None => 0.0,
-            })
-            .collect()
-    }
-
     /// Expands a reduced solution back to per-node voltages.
     pub(crate) fn expand(&self, x: &[f64]) -> Vec<f64> {
         self.reduced

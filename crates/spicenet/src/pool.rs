@@ -2,9 +2,9 @@
 //! kernels.
 //!
 //! The multigrid stencil path threads its hot kernels over disjoint
-//! lateral row slabs (see `stencil.rs`); the blocked CG paths thread
-//! over lane groups (see `sparse.rs`). Both are built from the pieces
-//! in this module:
+//! lateral row slabs (see `stencil.rs`), and the spectral tier threads
+//! its transform stages the same way (see `spectral.rs`). Both are built
+//! from the pieces in this module:
 //!
 //! * [`run`] — spawn a worker team inside one [`std::thread::scope`]
 //!   and hand each worker its own moved-in context. The team is spawned
@@ -101,22 +101,6 @@ pub fn chunked_dot(a: &[f64], b: &[f64]) -> f64 {
         total += dot_wide(av, bv);
     }
     total
-}
-
-/// Splits `k` lanes into at most `threads` contiguous, near-equal
-/// groups — the lane-group decomposition of the blocked CG paths.
-/// Returns `(start, end)` half-open ranges covering `0..k` in order.
-///
-/// Groups always hold at least two lanes (unless `k < 2`): a size-1
-/// group would run the multigrid cycle's scalar `k == 1` kernels, whose
-/// summation shape differs from the blocked kernels — and lane-group
-/// solves must stay bit-identical lane-by-lane at any thread count.
-pub fn lane_groups(k: usize, threads: usize) -> Vec<(usize, usize)> {
-    let g = effective_threads(threads).min((k / 2).max(1));
-    (0..g)
-        .map(|i| (k * i / g, k * (i + 1) / g))
-        .filter(|(lo, hi)| hi > lo)
-        .collect()
 }
 
 /// Runs `ctxs.len()` workers inside one [`std::thread::scope`], moving
@@ -262,31 +246,6 @@ mod tests {
         let odd = 4097;
         let naive_odd: f64 = a[..odd].iter().zip(&b[..odd]).map(|(x, y)| x * y).sum();
         assert_eq!(chunked_dot(&a[..odd], &b[..odd]), naive_odd);
-    }
-
-    #[test]
-    fn lane_groups_cover_and_respect_caps() {
-        assert_eq!(lane_groups(10, 3), vec![(0, 3), (3, 6), (6, 10)]);
-        assert_eq!(lane_groups(2, 8), vec![(0, 2)]);
-        assert_eq!(lane_groups(5, 4), vec![(0, 2), (2, 5)]);
-        assert_eq!(lane_groups(5, 1), vec![(0, 5)]);
-        assert_eq!(lane_groups(0, 4), Vec::<(usize, usize)>::new());
-        for k in 1..40 {
-            for t in 1..9 {
-                let groups = lane_groups(k, t);
-                assert_eq!(groups.first().map(|g| g.0), Some(0));
-                assert_eq!(groups.last().map(|g| g.1), Some(k));
-                for pair in groups.windows(2) {
-                    assert_eq!(pair[0].1, pair[1].0, "contiguous groups");
-                    assert!(pair[0].1 - pair[0].0 >= 2, "no singleton groups");
-                }
-                if k >= 2 {
-                    for (lo, hi) in &groups {
-                        assert!(hi - lo >= 2, "k={k} t={t}: singleton group");
-                    }
-                }
-            }
-        }
     }
 
     #[test]

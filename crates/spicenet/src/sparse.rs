@@ -1,16 +1,13 @@
-/// A symmetric positive-definite operator the conjugate-gradient solvers
-/// can iterate against: a dimension plus single- and blocked
-/// matrix-vector products. Implemented by [`CsrMatrix`] (general sparse
-/// patterns) and by the structured-stencil path
-/// (`crate::stencil::StencilSystem`), so both ride the same CG loop.
+/// A symmetric positive-definite operator the conjugate-gradient solver
+/// can iterate against: a dimension plus a matrix-vector product.
+/// Implemented by [`CsrMatrix`] (general sparse patterns) and by the
+/// structured-stencil path (`crate::stencil::StencilSystem`), so both
+/// ride the same CG loop.
 pub(crate) trait LinearOperator {
     /// Operator dimension.
     fn dim(&self) -> usize;
     /// `y = A·x`.
     fn apply_into(&self, x: &[f64], y: &mut [f64]);
-    /// `Y = A·X` for `k` node-major vectors (`x[i*k + j]` is entry `i`
-    /// of vector `j`).
-    fn apply_block_into(&self, x: &[f64], y: &mut [f64], k: usize);
 }
 
 /// A symmetric positive-definite preconditioner for [`LinearOperator`]s.
@@ -22,12 +19,10 @@ pub(crate) trait LinearOperator {
 pub(crate) trait Preconditioning {
     /// Per-solve scratch state.
     type Workspace;
-    /// Allocates scratch for a block of `k` right-hand sides.
-    fn workspace(&self, k: usize) -> Self::Workspace;
+    /// Allocates scratch for one solve.
+    fn workspace(&self) -> Self::Workspace;
     /// `z ≈ A⁻¹·r`.
     fn precondition_into(&self, r: &[f64], z: &mut [f64], ws: &mut Self::Workspace);
-    /// Blocked `z ≈ A⁻¹·r` over `k` node-major residuals.
-    fn precondition_block_into(&self, r: &[f64], z: &mut [f64], k: usize, ws: &mut Self::Workspace);
 }
 
 /// A compressed-sparse-row matrix, built from coordinate triplets.
@@ -151,29 +146,6 @@ impl CsrMatrix {
         }
     }
 
-    /// `Y = A·X` for a block of `k` vectors stored node-major
-    /// (`x[i*k + j]` is entry `i` of vector `j`). One traversal of the
-    /// matrix serves the whole block, which is what lets the multi-RHS
-    /// solver amortize memory traffic across a batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the block sizes do not match `n·k`.
-    pub fn mul_block_into(&self, x: &[f64], y: &mut [f64], k: usize) {
-        assert_eq!(x.len(), self.n * k, "dimension mismatch");
-        assert_eq!(y.len(), self.n * k, "dimension mismatch");
-        for (r, yr) in y.chunks_exact_mut(k).enumerate() {
-            yr.fill(0.0);
-            for idx in self.row_ptr[r]..self.row_ptr[r + 1] {
-                let v = self.values[idx];
-                let xc = &x[self.col_idx[idx] * k..self.col_idx[idx] * k + k];
-                for (yj, xj) in yr.iter_mut().zip(xc) {
-                    *yj += v * xj;
-                }
-            }
-        }
-    }
-
     /// The main diagonal (zeros where unstored).
     pub fn diagonal(&self) -> Vec<f64> {
         let mut d = vec![0.0; self.n];
@@ -195,10 +167,6 @@ impl LinearOperator for CsrMatrix {
 
     fn apply_into(&self, x: &[f64], y: &mut [f64]) {
         self.mul_vec_into(x, y);
-    }
-
-    fn apply_block_into(&self, x: &[f64], y: &mut [f64], k: usize) {
-        self.mul_block_into(x, y, k);
     }
 }
 
@@ -406,50 +374,6 @@ impl IncompleteCholesky {
         })
     }
 
-    /// Applies the preconditioner to a node-major block of `k` residuals:
-    /// one forward/backward triangular sweep over the factor serves every
-    /// vector of the block — the sweep cost (pointer chasing through `L`)
-    /// is paid once instead of `k` times.
-    pub(crate) fn apply_block_into(&self, r: &[f64], z: &mut [f64], k: usize) {
-        debug_assert_eq!(r.len(), self.n * k);
-        debug_assert_eq!(z.len(), self.n * k);
-        // Forward: L·y = r, overwriting z with y.
-        for i in 0..self.n {
-            let (lo, hi) = (self.row_ptr[i], self.row_ptr[i + 1]);
-            let (head, tail) = z.split_at_mut(i * k);
-            let zi = &mut tail[..k];
-            zi.copy_from_slice(&r[i * k..i * k + k]);
-            for idx in lo..hi - 1 {
-                let v = self.values[idx];
-                let zc = &head[self.col_idx[idx] * k..self.col_idx[idx] * k + k];
-                for (zj, cj) in zi.iter_mut().zip(zc) {
-                    *zj -= v * cj;
-                }
-            }
-            let d = self.values[hi - 1];
-            for zj in zi.iter_mut() {
-                *zj /= d;
-            }
-        }
-        // Backward: Lᵀ·z = y, scattering column-wise over the rows of L.
-        for i in (0..self.n).rev() {
-            let (lo, hi) = (self.row_ptr[i], self.row_ptr[i + 1]);
-            let (head, tail) = z.split_at_mut(i * k);
-            let zi = &mut tail[..k];
-            let d = self.values[hi - 1];
-            for zj in zi.iter_mut() {
-                *zj /= d;
-            }
-            for idx in lo..hi - 1 {
-                let v = self.values[idx];
-                let zc = &mut head[self.col_idx[idx] * k..self.col_idx[idx] * k + k];
-                for (cj, zj) in zc.iter_mut().zip(&*zi) {
-                    *cj -= v * zj;
-                }
-            }
-        }
-    }
-
     /// Applies the preconditioner: solves `L·Lᵀ·z = r` into `z`.
     pub(crate) fn apply_into(&self, r: &[f64], z: &mut [f64]) {
         debug_assert_eq!(r.len(), self.n);
@@ -514,32 +438,15 @@ impl Preconditioner {
             Preconditioner::Ic0(ic) => ic.apply_into(r, z),
         }
     }
-
-    fn apply_block_into(&self, r: &[f64], z: &mut [f64], k: usize) {
-        match self {
-            Preconditioner::Jacobi(minv) => {
-                for (i, (zi, ri)) in z.chunks_exact_mut(k).zip(r.chunks_exact(k)).enumerate() {
-                    for (zj, rj) in zi.iter_mut().zip(ri) {
-                        *zj = rj * minv[i];
-                    }
-                }
-            }
-            Preconditioner::Ic0(ic) => ic.apply_block_into(r, z, k),
-        }
-    }
 }
 
 impl Preconditioning for Preconditioner {
     type Workspace = ();
 
-    fn workspace(&self, _k: usize) {}
+    fn workspace(&self) {}
 
     fn precondition_into(&self, r: &[f64], z: &mut [f64], (): &mut ()) {
         self.apply_into(r, z);
-    }
-
-    fn precondition_block_into(&self, r: &[f64], z: &mut [f64], k: usize, (): &mut ()) {
-        self.apply_block_into(r, z, k);
     }
 }
 
@@ -590,7 +497,7 @@ pub(crate) fn preconditioned_cg<A: LinearOperator, M: Preconditioning>(
     if norm_b == 0.0 {
         return Ok((vec![0.0; n], 0, 0.0));
     }
-    let mut ws = precond.workspace(1);
+    let mut ws = precond.workspace();
     let mut x = vec![0.0; n];
     let mut r = b.to_vec();
     let mut z = vec![0.0; n];
@@ -642,296 +549,6 @@ pub(crate) fn preconditioned_cg<A: LinearOperator, M: Preconditioning>(
     }
     let norm_r = crate::pool::chunked_dot(&r, &r).sqrt();
     Err((max_iter, norm_r / norm_b))
-}
-
-/// A solved RHS block plus per-system `(iterations, relative_residual)`
-/// diagnostics, as produced by [`preconditioned_cg_block`].
-pub(crate) type BlockSolution = (Vec<f64>, Vec<(usize, f64)>);
-
-/// Conjugate gradients over a block of `k` independent right-hand sides
-/// sharing one matrix and one preconditioner, iterated in lockstep.
-///
-/// The systems stay mathematically independent — each keeps its own
-/// `α`/`β`/residual — but every iteration performs **one** blocked
-/// matvec and **one** blocked preconditioner application for the whole
-/// batch, so the operator's data is streamed through memory once per
-/// iteration instead of `k` times. Converged systems are frozen (their
-/// updates zeroed) while the rest keep iterating.
-///
-/// `b` is node-major (`b[i*k + j]` = entry `i` of RHS `j`). An optional
-/// `x0` block (same layout) warm-starts the iteration — the engine
-/// behind influence-column seeding, where a neighbouring column is an
-/// excellent initial guess. Systems whose RHS is zero are pinned to the
-/// zero solution regardless of their seed. Returns the solution block in
-/// the same layout plus per-system `(iterations, relative_residual)`
-/// diagnostics.
-///
-/// # Errors
-///
-/// Returns `(iterations, residual)` of the worst offender if the matrix
-/// turns out indefinite or any system misses `tol` within `max_iter`.
-pub(crate) fn preconditioned_cg_block<A: LinearOperator, M: Preconditioning>(
-    a: &A,
-    b: &[f64],
-    k: usize,
-    tol: f64,
-    max_iter: usize,
-    precond: &M,
-    x0: Option<&[f64]>,
-) -> Result<BlockSolution, (usize, f64)> {
-    let n = a.dim();
-    assert_eq!(b.len(), n * k, "dimension mismatch");
-    let mut stats = vec![(0usize, 0.0f64); k];
-    if k == 0 {
-        return Ok((Vec::new(), stats));
-    }
-    let mut norm_b = vec![0.0f64; k];
-    for row in b.chunks_exact(k) {
-        for (nb, bj) in norm_b.iter_mut().zip(row) {
-            *nb += bj * bj;
-        }
-    }
-    for nb in &mut norm_b {
-        *nb = nb.sqrt();
-    }
-    // Zero RHS converges immediately; everything else is active.
-    let mut active: Vec<bool> = norm_b.iter().map(|&nb| nb > 0.0).collect();
-    let mut x = match x0 {
-        Some(seed) => {
-            assert_eq!(seed.len(), n * k, "dimension mismatch");
-            let mut x = seed.to_vec();
-            // A·0 = 0, so zero-RHS systems ignore their seed.
-            for (j, live) in active.iter().enumerate() {
-                if !live {
-                    for xi in x.chunks_exact_mut(k) {
-                        xi[j] = 0.0;
-                    }
-                }
-            }
-            x
-        }
-        None => vec![0.0f64; n * k],
-    };
-    if active.iter().all(|a| !a) {
-        return Ok((x, stats));
-    }
-    let mut r = b.to_vec();
-    let mut ap = vec![0.0f64; n * k];
-    let mut norm_r = vec![0.0f64; k];
-    if x0.is_some() {
-        // r = b − A·x0; a good seed may already satisfy the tolerance.
-        a.apply_block_into(&x, &mut ap, k);
-        norm_r.fill(0.0);
-        for (ri, api) in r.chunks_exact_mut(k).zip(ap.chunks_exact(k)) {
-            for ((rj, aj), nr) in ri.iter_mut().zip(api).zip(norm_r.iter_mut()) {
-                *rj -= aj;
-                *nr += *rj * *rj;
-            }
-        }
-        let mut any_active = false;
-        for j in 0..k {
-            if !active[j] {
-                continue;
-            }
-            let rel = norm_r[j].sqrt() / norm_b[j];
-            stats[j] = (0, rel);
-            if rel < tol {
-                active[j] = false;
-            } else {
-                any_active = true;
-            }
-        }
-        if !any_active {
-            return Ok((x, stats));
-        }
-    }
-    let mut ws = precond.workspace(k);
-    let mut z = vec![0.0f64; n * k];
-    precond.precondition_block_into(&r, &mut z, k, &mut ws);
-    let mut p = z.clone();
-    let mut rz = vec![0.0f64; k];
-    for (ri, zi) in r.chunks_exact(k).zip(z.chunks_exact(k)) {
-        for ((rzj, rj), zj) in rz.iter_mut().zip(ri).zip(zi) {
-            *rzj += rj * zj;
-        }
-    }
-    let mut pap = vec![0.0f64; k];
-    let mut alpha = vec![0.0f64; k];
-    for (j, live) in active.iter().enumerate() {
-        if *live && (!rz[j].is_finite() || rz[j] <= 0.0) {
-            // Preconditioner not SPD on this residual (or non-finite
-            // RHS): fail the whole block cleanly.
-            return Err((0, f64::INFINITY));
-        }
-    }
-    for it in 0..max_iter {
-        a.apply_block_into(&p, &mut ap, k);
-        #[cfg(feature = "paranoid")]
-        crate::paranoid::check_finite("preconditioned_cg_block matvec output", &ap);
-        pap.fill(0.0);
-        for (pi, api) in p.chunks_exact(k).zip(ap.chunks_exact(k)) {
-            for ((pj, aj), acc) in pi.iter().zip(api).zip(pap.iter_mut()) {
-                *acc += pj * aj;
-            }
-        }
-        for j in 0..k {
-            if active[j] && pap[j] <= 0.0 {
-                // Not SPD (or numerically singular).
-                return Err((it, f64::INFINITY));
-            }
-            alpha[j] = if active[j] { rz[j] / pap[j] } else { 0.0 };
-        }
-        norm_r.fill(0.0);
-        for ((xi, ri), (pi, api)) in x
-            .chunks_exact_mut(k)
-            .zip(r.chunks_exact_mut(k))
-            .zip(p.chunks_exact(k).zip(ap.chunks_exact(k)))
-        {
-            for j in 0..k {
-                xi[j] += alpha[j] * pi[j];
-                ri[j] -= alpha[j] * api[j];
-                norm_r[j] += ri[j] * ri[j];
-            }
-        }
-        let mut any_active = false;
-        for j in 0..k {
-            if !active[j] {
-                continue;
-            }
-            let rel = norm_r[j].sqrt() / norm_b[j];
-            #[cfg(feature = "paranoid")]
-            crate::paranoid::check_residual("preconditioned_cg_block", it + 1, rel);
-            stats[j] = (it + 1, rel);
-            if rel < tol {
-                active[j] = false;
-            } else {
-                any_active = true;
-            }
-        }
-        if !any_active {
-            #[cfg(feature = "paranoid")]
-            {
-                crate::paranoid::check_finite("preconditioned_cg_block solution", &x);
-                for j in 0..k {
-                    if norm_b[j] > 0.0 {
-                        let col: Vec<f64> = r.iter().skip(j).step_by(k).copied().collect();
-                        crate::paranoid::check_conservation(
-                            "preconditioned_cg_block",
-                            &col,
-                            norm_b[j],
-                            tol,
-                        );
-                    }
-                }
-            }
-            return Ok((x, stats));
-        }
-        precond.precondition_block_into(&r, &mut z, k, &mut ws);
-        let mut rz_new = vec![0.0f64; k];
-        for (ri, zi) in r.chunks_exact(k).zip(z.chunks_exact(k)) {
-            for ((acc, rj), zj) in rz_new.iter_mut().zip(ri).zip(zi) {
-                *acc += rj * zj;
-            }
-        }
-        for j in 0..k {
-            if active[j] && (!rz_new[j].is_finite() || rz_new[j] <= 0.0) {
-                return Err((it + 1, stats[j].1));
-            }
-        }
-        for (pi, zi) in p.chunks_exact_mut(k).zip(z.chunks_exact(k)) {
-            for j in 0..k {
-                if active[j] {
-                    let beta = rz_new[j] / rz[j];
-                    pi[j] = zi[j] + beta * pi[j];
-                }
-            }
-        }
-        rz = rz_new;
-    }
-    let worst = stats
-        .iter()
-        .zip(&active)
-        .filter(|(_, live)| **live)
-        .map(|((_, res), _)| *res)
-        .fold(0.0f64, f64::max);
-    Err((max_iter, worst))
-}
-
-/// [`preconditioned_cg_block`] threaded over contiguous **lane groups**:
-/// the `k` right-hand sides are split into at most `threads` groups and
-/// each group runs the blocked CG independently inside one scoped team.
-///
-/// The blocked iteration never mixes lanes — every matvec, sweep,
-/// transfer, dot, `α`/`β` and freeze decision is per-lane — so the
-/// grouped solve is **bit-identical** to the single-group solve lane by
-/// lane, at any thread count. With one group (or `k == 1`) this is a
-/// plain passthrough.
-///
-/// # Errors
-///
-/// The first failing group's error, in group order (each group fails
-/// exactly as the ungrouped solve over those lanes would).
-#[allow(clippy::too_many_arguments)] // mirrors preconditioned_cg_block's signature plus the thread knob
-pub(crate) fn preconditioned_cg_block_grouped<A, M>(
-    a: &A,
-    b: &[f64],
-    k: usize,
-    tol: f64,
-    max_iter: usize,
-    precond: &M,
-    x0: Option<&[f64]>,
-    threads: usize,
-) -> Result<BlockSolution, (usize, f64)>
-where
-    A: LinearOperator + Sync,
-    M: Preconditioning + Sync,
-{
-    let n = a.dim();
-    let groups = crate::pool::lane_groups(k, threads);
-    if groups.len() <= 1 {
-        return preconditioned_cg_block(a, b, k, tol, max_iter, precond, x0);
-    }
-    // Carve the node-major block into per-group sub-blocks.
-    let narrow = |src: &[f64], lo: usize, hi: usize| -> Vec<f64> {
-        let kg = hi - lo;
-        let mut sub = vec![0.0f64; n * kg];
-        for (row, sub_row) in src.chunks_exact(k).zip(sub.chunks_exact_mut(kg)) {
-            sub_row.copy_from_slice(&row[lo..hi]);
-        }
-        sub
-    };
-    // One job per lane group: (lo, hi, narrowed rhs, narrowed warm start).
-    type LaneJob = (usize, usize, Vec<f64>, Option<Vec<f64>>);
-    let jobs: Vec<LaneJob> = groups
-        .iter()
-        .map(|&(lo, hi)| {
-            (
-                lo,
-                hi,
-                narrow(b, lo, hi),
-                x0.map(|seed| narrow(seed, lo, hi)),
-            )
-        })
-        .collect();
-    let results = crate::pool::run(jobs, |_, (lo, hi, bg, x0g)| {
-        let kg = hi - lo;
-        (
-            lo,
-            hi,
-            preconditioned_cg_block(a, &bg, kg, tol, max_iter, precond, x0g.as_deref()),
-        )
-    });
-    let mut x = vec![0.0f64; n * k];
-    let mut stats = vec![(0usize, 0.0f64); k];
-    for (lo, hi, result) in results {
-        let (xg, sg) = result?;
-        let kg = hi - lo;
-        for (row, sub_row) in x.chunks_exact_mut(k).zip(xg.chunks_exact(kg)) {
-            row[lo..hi].copy_from_slice(sub_row);
-        }
-        stats[lo..hi].copy_from_slice(&sg);
-    }
-    Ok((x, stats))
 }
 
 #[cfg(test)]
@@ -1036,117 +653,6 @@ mod tests {
         for i in 0..n {
             assert!((ax[i] - b[i]).abs() < 1e-7);
         }
-    }
-
-    #[test]
-    fn block_cg_matches_sequential_solves() {
-        let n = 120;
-        let a = laplacian_chain(n);
-        let precond = Preconditioner::best(&a);
-        // Four RHS, one of them zero (must freeze at iteration 0).
-        let mut singles: Vec<Vec<f64>> = Vec::new();
-        for j in 0..4 {
-            let mut b = vec![0.0; n];
-            if j > 0 {
-                b[j * 17 % n] = 1.0 + j as f64;
-                b[(j * 31 + 5) % n] = -0.5 * j as f64;
-            }
-            singles.push(b);
-        }
-        let k = singles.len();
-        let mut block = vec![0.0; n * k];
-        for (j, b) in singles.iter().enumerate() {
-            for i in 0..n {
-                block[i * k + j] = b[i];
-            }
-        }
-        let (x, stats) =
-            preconditioned_cg_block(&a, &block, k, 1e-11, 10 * n, &precond, None).unwrap();
-        assert_eq!(stats[0], (0, 0.0), "zero RHS converges instantly");
-        for (j, b) in singles.iter().enumerate() {
-            let (want, _, _) = preconditioned_cg(&a, b, 1e-11, 10 * n, &precond).unwrap();
-            for i in 0..n {
-                assert!(
-                    (x[i * k + j] - want[i]).abs() < 1e-8,
-                    "system {j} row {i}: {} vs {}",
-                    x[i * k + j],
-                    want[i]
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn block_matvec_and_sweep_match_single() {
-        let n = 60;
-        let a = laplacian_chain(n);
-        let ic = IncompleteCholesky::factor(&a).unwrap();
-        let k = 3;
-        let mut block = vec![0.0; n * k];
-        let singles: Vec<Vec<f64>> = (0..k)
-            .map(|j| {
-                (0..n)
-                    .map(|i| ((i * 7 + j * 13) % 10) as f64 - 4.5)
-                    .collect()
-            })
-            .collect();
-        for (j, s) in singles.iter().enumerate() {
-            for i in 0..n {
-                block[i * k + j] = s[i];
-            }
-        }
-        let mut y_block = vec![0.0; n * k];
-        a.mul_block_into(&block, &mut y_block, k);
-        let mut z_block = vec![0.0; n * k];
-        ic.apply_block_into(&block, &mut z_block, k);
-        for (j, s) in singles.iter().enumerate() {
-            let y = a.mul_vec(s);
-            let mut z = vec![0.0; n];
-            ic.apply_into(s, &mut z);
-            for i in 0..n {
-                assert!((y_block[i * k + j] - y[i]).abs() < 1e-12);
-                assert!((z_block[i * k + j] - z[i]).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn warm_started_block_cg_matches_and_saves_iterations() {
-        let n = 160;
-        let a = laplacian_chain(n);
-        // Jacobi, not IC(0): the incomplete factor is *exact* on a
-        // tridiagonal chain, which would leave no iterations to save.
-        let precond = Preconditioner::jacobi(&a);
-        let mut b = vec![0.0; n];
-        b[n / 3] = 1.0;
-        b[2 * n / 3] = -0.5;
-        let (cold, cold_stats) =
-            preconditioned_cg_block(&a, &b, 1, 1e-11, 10 * n, &precond, None).unwrap();
-        // Seeding with the exact solution converges without iterating.
-        let (hot, hot_stats) =
-            preconditioned_cg_block(&a, &b, 1, 1e-11, 10 * n, &precond, Some(&cold)).unwrap();
-        assert_eq!(hot_stats[0].0, 0, "exact seed needs no iterations");
-        for (a, b) in cold.iter().zip(&hot) {
-            assert!((a - b).abs() < 1e-9);
-        }
-        // A partially-converged solution as seed picks up roughly where
-        // it left off instead of starting over.
-        let (rough, _) = preconditioned_cg_block(&a, &b, 1, 1e-4, 10 * n, &precond, None).unwrap();
-        let (_, near_stats) =
-            preconditioned_cg_block(&a, &b, 1, 1e-11, 10 * n, &precond, Some(&rough)).unwrap();
-        assert!(
-            near_stats[0].0 < cold_stats[0].0,
-            "seeded {} vs cold {}",
-            near_stats[0].0,
-            cold_stats[0].0
-        );
-        // A zero-RHS system ignores its seed entirely.
-        let zeros = vec![0.0; n];
-        let junk = vec![1.0; n];
-        let (x, stats) =
-            preconditioned_cg_block(&a, &zeros, 1, 1e-11, 10, &precond, Some(&junk)).unwrap();
-        assert_eq!(stats[0], (0, 0.0));
-        assert!(x.iter().all(|&v| v == 0.0));
     }
 
     #[test]

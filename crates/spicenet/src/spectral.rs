@@ -781,22 +781,6 @@ impl SpectralSystem {
         let out = self.solve(b, 1);
         x[..out.len()].copy_from_slice(&out);
     }
-
-    /// Lane-blocked variant of [`Self::solve_grid_into`] (node-major
-    /// lanes, matching `DenseSpd::solve_block_into`).
-    pub(crate) fn solve_grid_block_into(&self, b: &[f64], x: &mut [f64], k: usize) {
-        let n = self.nx * self.ny * self.nz;
-        let mut lane = vec![0.0; n];
-        for l in 0..k {
-            for (i, v) in lane.iter_mut().enumerate() {
-                *v = b[i * k + l];
-            }
-            let out = self.solve(&lane, 1);
-            for (i, v) in out.iter().enumerate() {
-                x[i * k + l] = *v;
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -23,8 +23,8 @@
 //!   preconditioner;
 //! * [`FactorizedStencil`] — the [`crate::FactorizedCircuit`] counterpart:
 //!   built once per geometry, then re-solved against many injection
-//!   patterns through single- and blocked multi-RHS conjugate gradients
-//!   with near-mesh-independent iteration counts.
+//!   patterns through multigrid-preconditioned conjugate gradients with
+//!   near-mesh-independent iteration counts.
 //!
 //! The z axis is *not* coarsened: thermal stacks are thin (a handful of
 //! strongly-coupled layers with large conductivity jumps), which is
@@ -34,7 +34,7 @@
 
 use crate::mna::SolveOptions;
 use crate::pool::{Board, Partials};
-use crate::sparse::{preconditioned_cg_block_grouped, LinearOperator, Preconditioning};
+use crate::sparse::{LinearOperator, Preconditioning};
 use crate::spectral::SpectralSystem;
 use crate::{SolveError, SolveStats};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -298,62 +298,6 @@ impl StencilOperator {
         }
     }
 
-    /// `Y = A·X` for `k` node-major vectors (`x[i·k + j]` is entry `i` of
-    /// vector `j`): the coefficient arrays are streamed once for the
-    /// whole block.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch.
-    pub fn apply_block_into(&self, x: &[f64], y: &mut [f64], k: usize) {
-        let n = self.len();
-        assert_eq!(x.len(), n * k, "dimension mismatch");
-        assert_eq!(y.len(), n * k, "dimension mismatch");
-        let (nx, ny, nz) = (self.nx, self.ny, self.nz);
-        let sx = nz;
-        let sy = nx * nz;
-        // One zipped slice pass per stencil leg: every lane sees exactly
-        // the scalar kernel's operation sequence (diagonal, then the six
-        // neighbour legs in fixed order), but the compiler sees
-        // alias-free fixed-stride loops it can vectorize across lanes.
-        fn leg(row: &mut [f64], g: f64, xs: &[f64]) {
-            for (yj, xj) in row.iter_mut().zip(xs) {
-                *yj -= g * xj;
-            }
-        }
-        for iy in 0..ny {
-            for ix in 0..nx {
-                let base = (iy * nx + ix) * nz;
-                for iz in 0..nz {
-                    let i = base + iz;
-                    let d = self.diag[i];
-                    let row = &mut y[i * k..(i + 1) * k];
-                    for (yj, xj) in row.iter_mut().zip(&x[i * k..(i + 1) * k]) {
-                        *yj = d * xj;
-                    }
-                    if iz + 1 < nz {
-                        leg(row, self.gz[i], &x[(i + 1) * k..(i + 2) * k]);
-                    }
-                    if iz > 0 {
-                        leg(row, self.gz[i - 1], &x[(i - 1) * k..i * k]);
-                    }
-                    if ix + 1 < nx {
-                        leg(row, self.gx[i], &x[(i + sx) * k..(i + sx + 1) * k]);
-                    }
-                    if ix > 0 {
-                        leg(row, self.gx[i - sx], &x[(i - sx) * k..(i - sx + 1) * k]);
-                    }
-                    if iy + 1 < ny {
-                        leg(row, self.gy[i], &x[(i + sy) * k..(i + sy + 1) * k]);
-                    }
-                    if iy > 0 {
-                        leg(row, self.gy[i - sy], &x[(i - sy) * k..(i - sy + 1) * k]);
-                    }
-                }
-            }
-        }
-    }
-
     /// One red-black pass of z-line Gauss–Seidel: for each lateral column
     /// of the given colour (`(ix + iy) % 2`), the vertical tridiagonal
     /// system is solved *exactly* (division-free Thomas against the
@@ -398,96 +342,6 @@ impl StencilOperator {
                         let i = base + iz;
                         next = dp[iz] + self.gz[i] * self.thomas_inv[i] * next;
                         x[i] = next;
-                    }
-                    ix += 2;
-                }
-            }
-        }
-    }
-
-    /// The lane-blocked counterpart of [`StencilOperator::smooth_lines`]
-    /// over `k` node-major right-hand sides: every coefficient (and
-    /// pivot) is loaded once per column and applied to the whole lane
-    /// row — the stencil counterpart of the CSR path's blocked
-    /// triangular sweeps, and what makes blocked influence-column
-    /// materialization pay. `dp` is `nz·k` scratch.
-    fn smooth_lines_block(
-        &self,
-        r: &[f64],
-        x: &mut [f64],
-        colors: [usize; 2],
-        dp: &mut [f64],
-        k: usize,
-    ) {
-        let (nx, ny, nz) = (self.nx, self.ny, self.nz);
-        let sx = nz;
-        let sy = nx * nz;
-        for &color in &colors {
-            for iy in 0..ny {
-                let mut ix = (color + iy) % 2;
-                while ix < nx {
-                    let base = (iy * nx + ix) * nz;
-                    // Forward Thomas sweep, lane-vectorized.
-                    for iz in 0..nz {
-                        let i = base + iz;
-                        let (prev_rows, cur_rows) = dp.split_at_mut(iz * k);
-                        let row = &mut cur_rows[..k];
-                        row.copy_from_slice(&r[i * k..(i + 1) * k]);
-                        if ix + 1 < nx {
-                            let g = self.gx[i];
-                            let xs = &x[(i + sx) * k..(i + sx + 1) * k];
-                            for (rj, xj) in row.iter_mut().zip(xs) {
-                                *rj += g * xj;
-                            }
-                        }
-                        if ix > 0 {
-                            let g = self.gx[i - sx];
-                            let xs = &x[(i - sx) * k..(i - sx + 1) * k];
-                            for (rj, xj) in row.iter_mut().zip(xs) {
-                                *rj += g * xj;
-                            }
-                        }
-                        if iy + 1 < ny {
-                            let g = self.gy[i];
-                            let xs = &x[(i + sy) * k..(i + sy + 1) * k];
-                            for (rj, xj) in row.iter_mut().zip(xs) {
-                                *rj += g * xj;
-                            }
-                        }
-                        if iy > 0 {
-                            let g = self.gy[i - sy];
-                            let xs = &x[(i - sy) * k..(i - sy + 1) * k];
-                            for (rj, xj) in row.iter_mut().zip(xs) {
-                                *rj += g * xj;
-                            }
-                        }
-                        let inv = self.thomas_inv[i];
-                        if iz > 0 {
-                            let g = self.gz[i - 1];
-                            let prev = &prev_rows[(iz - 1) * k..iz * k];
-                            for (rj, pj) in row.iter_mut().zip(prev) {
-                                *rj = (*rj + g * pj) * inv;
-                            }
-                        } else {
-                            for rj in row.iter_mut() {
-                                *rj *= inv;
-                            }
-                        }
-                    }
-                    // Back substitution, lane-vectorized.
-                    let last = nz - 1;
-                    x[(base + last) * k..(base + last + 1) * k]
-                        .copy_from_slice(&dp[last * k..(last + 1) * k]);
-                    for iz in (0..nz.saturating_sub(1)).rev() {
-                        let i = base + iz;
-                        let c = self.gz[i] * self.thomas_inv[i];
-                        let (xs_cur, xs_next) = x.split_at_mut((i + 1) * k);
-                        let cur = &mut xs_cur[i * k..];
-                        let next = &xs_next[..k];
-                        let row = &dp[iz * k..(iz + 1) * k];
-                        for ((xj, dj), nj) in cur.iter_mut().zip(row).zip(next) {
-                            *xj = dj + c * nj;
-                        }
                     }
                     ix += 2;
                 }
@@ -551,75 +405,6 @@ impl StencilOperator {
                         let cbase = (cy * nxc + cx) * nz;
                         for iz in 0..nz {
                             x_f[fbase + iz] += w * x_c[cbase + iz];
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// The lane-blocked counterpart of
-    /// [`StencilOperator::restrict_into`] over `k` node-major lanes.
-    fn restrict_block_into(&self, r_f: &[f64], r_c: &mut [f64], k: usize) {
-        let (nx, ny, nz) = (self.nx, self.ny, self.nz);
-        let nxc = nx.div_ceil(2);
-        let nyc = ny.div_ceil(2);
-        r_c.fill(0.0);
-        for iy in 0..ny {
-            let wy = lateral_weights(iy, nyc);
-            for ix in 0..nx {
-                let wx = lateral_weights(ix, nxc);
-                let fbase = (iy * nx + ix) * nz;
-                for &(cy, wyv) in &wy {
-                    if wyv == 0.0 {
-                        continue;
-                    }
-                    for &(cx, wxv) in &wx {
-                        let w = wyv * wxv;
-                        if w == 0.0 {
-                            continue;
-                        }
-                        let cbase = (cy * nxc + cx) * nz;
-                        for iz in 0..nz {
-                            let fs = &r_f[(fbase + iz) * k..(fbase + iz + 1) * k];
-                            let cs = &mut r_c[(cbase + iz) * k..(cbase + iz + 1) * k];
-                            for (cj, fj) in cs.iter_mut().zip(fs) {
-                                *cj += w * fj;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// The lane-blocked counterpart of
-    /// [`StencilOperator::prolong_add`] over `k` node-major lanes.
-    fn prolong_add_block(&self, x_c: &[f64], x_f: &mut [f64], k: usize) {
-        let (nx, ny, nz) = (self.nx, self.ny, self.nz);
-        let nxc = nx.div_ceil(2);
-        let nyc = ny.div_ceil(2);
-        for iy in 0..ny {
-            let wy = lateral_weights(iy, nyc);
-            for ix in 0..nx {
-                let wx = lateral_weights(ix, nxc);
-                let fbase = (iy * nx + ix) * nz;
-                for &(cy, wyv) in &wy {
-                    if wyv == 0.0 {
-                        continue;
-                    }
-                    for &(cx, wxv) in &wx {
-                        let w = wyv * wxv;
-                        if w == 0.0 {
-                            continue;
-                        }
-                        let cbase = (cy * nxc + cx) * nz;
-                        for iz in 0..nz {
-                            let cs = &x_c[(cbase + iz) * k..(cbase + iz + 1) * k];
-                            let fs = &mut x_f[(fbase + iz) * k..(fbase + iz + 1) * k];
-                            for (fj, cj) in fs.iter_mut().zip(cs) {
-                                *fj += w * cj;
-                            }
                         }
                     }
                 }
@@ -1121,26 +906,6 @@ impl LinearOperator for StencilSystem {
             y[ng] = b.diag * xb - b.coupling * sum;
         }
     }
-
-    fn apply_block_into(&self, x: &[f64], y: &mut [f64], k: usize) {
-        let ng = self.op.len();
-        self.op.apply_block_into(&x[..ng * k], &mut y[..ng * k], k);
-        if let Some(b) = &self.border {
-            let nz = self.op.nz;
-            let xb = &x[ng * k..(ng + 1) * k];
-            let mut sum = vec![0.0; k];
-            for col in 0..self.op.nx * self.op.ny {
-                let base = col * nz * k;
-                for j in 0..k {
-                    sum[j] += x[base + j];
-                    y[base + j] -= b.coupling * xb[j];
-                }
-            }
-            for j in 0..k {
-                y[ng * k + j] = b.diag * xb[j] - b.coupling * sum[j];
-            }
-        }
-    }
 }
 
 /// Dense Cholesky factor of the coarsest-grid operator (a few dozen
@@ -1211,60 +976,14 @@ impl DenseSpd {
             x[i] = acc / self.l[i * n + i];
         }
     }
-
-    /// Blocked solve over `k` node-major lanes: each factor entry is
-    /// loaded once per row and applied to the whole lane row.
-    fn solve_block_into(&self, b: &[f64], x: &mut [f64], k: usize) {
-        let n = self.n;
-        // Forward: L·Y = B.
-        for i in 0..n {
-            let (head, tail) = x.split_at_mut(i * k);
-            let row = &mut tail[..k];
-            row.copy_from_slice(&b[i * k..(i + 1) * k]);
-            for (j2, lij) in self.l[i * n..i * n + i].iter().enumerate() {
-                if *lij == 0.0 {
-                    continue;
-                }
-                let ys = &head[j2 * k..(j2 + 1) * k];
-                for (rj, yj) in row.iter_mut().zip(ys) {
-                    *rj -= lij * yj;
-                }
-            }
-            let inv = 1.0 / self.l[i * n + i];
-            for rj in row.iter_mut() {
-                *rj *= inv;
-            }
-        }
-        // Backward: Lᵀ·X = Y.
-        for i in (0..n).rev() {
-            let (head, tail) = x.split_at_mut((i + 1) * k);
-            let row = &mut head[i * k..];
-            for (jj, xs) in tail.chunks_exact(k).enumerate() {
-                let lji = self.l[(i + 1 + jj) * n + i];
-                if lji == 0.0 {
-                    continue;
-                }
-                for (rj, xj) in row.iter_mut().zip(xs) {
-                    *rj -= lji * xj;
-                }
-            }
-            let inv = 1.0 / self.l[i * n + i];
-            for rj in row.iter_mut() {
-                *rj *= inv;
-            }
-        }
-    }
 }
 
 /// Per-solve scratch space for [`MultigridPreconditioner`]: per-level
-/// residual/correction/defect blocks (sized for the solve's lane count
-/// `k`) plus the Thomas sweep buffer. The preconditioner itself stays
-/// immutable (`Send + Sync`), so one build serves any number of
-/// concurrent solves, each with its own workspace.
+/// residual/correction/defect vectors plus the Thomas sweep buffer. The
+/// preconditioner itself stays immutable (`Send + Sync`), so one build
+/// serves any number of concurrent solves, each with its own workspace.
 #[derive(Debug)]
 pub struct MgWorkspace {
-    /// Lane count the buffers were sized for.
-    k: usize,
     rs: Vec<Vec<f64>>,
     xs: Vec<Vec<f64>>,
     tmp: Vec<Vec<f64>>,
@@ -1377,105 +1096,70 @@ impl MultigridPreconditioner {
         self.levels.last().map(|l| l.len()).unwrap_or(0)
     }
 
-    /// Allocates scratch space for one solve over `k` lanes.
-    pub fn make_workspace(&self, k: usize) -> MgWorkspace {
-        let k = k.max(1);
-        let nz = self.levels[0].nz;
+    /// Allocates scratch space for one solve.
+    pub fn make_workspace(&self) -> MgWorkspace {
         MgWorkspace {
-            k,
-            rs: self.levels.iter().map(|l| vec![0.0; l.len() * k]).collect(),
-            xs: self.levels.iter().map(|l| vec![0.0; l.len() * k]).collect(),
-            tmp: self.levels.iter().map(|l| vec![0.0; l.len() * k]).collect(),
-            dp: vec![0.0; nz * k],
+            rs: self.levels.iter().map(|l| vec![0.0; l.len()]).collect(),
+            xs: self.levels.iter().map(|l| vec![0.0; l.len()]).collect(),
+            tmp: self.levels.iter().map(|l| vec![0.0; l.len()]).collect(),
+            dp: vec![0.0; self.levels[0].nz],
         }
     }
 
-    /// One blocked V-cycle on the full system: the grid block goes
-    /// through the hierarchy with every sweep, transfer and coarse solve
-    /// lane-vectorized over the `k` node-major right-hand sides; the
-    /// border node is preconditioned diagonally per lane.
-    fn apply_block(&self, r: &[f64], z: &mut [f64], k: usize, ws: &mut MgWorkspace) {
-        assert_eq!(ws.k, k, "workspace sized for a different lane count");
+    /// One V-cycle on the full system: the grid block goes through the
+    /// hierarchy; the border node is preconditioned diagonally.
+    fn apply(&self, r: &[f64], z: &mut [f64], ws: &mut MgWorkspace) {
         let ng = self.levels[0].len();
-        ws.rs[0].copy_from_slice(&r[..ng * k]);
-        self.cycle(0, k, ws);
-        z[..ng * k].copy_from_slice(&ws.xs[0]);
+        ws.rs[0].copy_from_slice(&r[..ng]);
+        self.cycle(0, ws);
+        z[..ng].copy_from_slice(&ws.xs[0]);
         if let Some(d) = self.border_diag {
-            for (zj, rj) in z[ng * k..].iter_mut().zip(&r[ng * k..]) {
+            for (zj, rj) in z[ng..].iter_mut().zip(&r[ng..]) {
                 *zj = rj / d;
             }
         }
     }
 
-    /// One level of the V-cycle. `k == 1` runs the dedicated single-lane
-    /// kernels (the hot path of every plain re-solve); `k > 1` runs the
-    /// lane-blocked kernels that stream each coefficient once for the
-    /// whole block (the influence-column path).
-    fn cycle(&self, level: usize, k: usize, ws: &mut MgWorkspace) {
+    /// One level of the V-cycle.
+    fn cycle(&self, level: usize, ws: &mut MgWorkspace) {
         if level + 1 == self.levels.len() {
             let (rs, xs) = (&ws.rs[level], &mut ws.xs[level]);
-            match (&self.coarse, k) {
-                (CoarseSolver::Dense(d), 1) => d.solve_into(rs, xs),
-                (CoarseSolver::Dense(d), _) => d.solve_block_into(rs, xs, k),
-                (CoarseSolver::Spectral(s), 1) => s.solve_grid_into(rs, xs),
-                (CoarseSolver::Spectral(s), _) => s.solve_grid_block_into(rs, xs, k),
+            match &self.coarse {
+                CoarseSolver::Dense(d) => d.solve_into(rs, xs),
+                CoarseSolver::Spectral(s) => s.solve_grid_into(rs, xs),
             }
             return;
         }
         let op = &self.levels[level];
         ws.xs[level].fill(0.0);
-        if k == 1 {
-            op.smooth_lines(&ws.rs[level], &mut ws.xs[level], [0, 1], &mut ws.dp);
-        } else {
-            op.smooth_lines_block(&ws.rs[level], &mut ws.xs[level], [0, 1], &mut ws.dp, k);
-        }
+        op.smooth_lines(&ws.rs[level], &mut ws.xs[level], [0, 1], &mut ws.dp);
         // Defect, restricted to the next level.
-        if k == 1 {
-            op.apply_into(&ws.xs[level], &mut ws.tmp[level]);
-        } else {
-            op.apply_block_into(&ws.xs[level], &mut ws.tmp[level], k);
-        }
+        op.apply_into(&ws.xs[level], &mut ws.tmp[level]);
         for (t, r) in ws.tmp[level].iter_mut().zip(&ws.rs[level]) {
             *t = r - *t;
         }
         {
             let (_, tail) = ws.rs.split_at_mut(level + 1);
-            if k == 1 {
-                op.restrict_into(&ws.tmp[level], &mut tail[0]);
-            } else {
-                op.restrict_block_into(&ws.tmp[level], &mut tail[0], k);
-            }
+            op.restrict_into(&ws.tmp[level], &mut tail[0]);
         }
-        self.cycle(level + 1, k, ws);
+        self.cycle(level + 1, ws);
         {
             let (head, tail) = ws.xs.split_at_mut(level + 1);
-            if k == 1 {
-                op.prolong_add(&tail[0], &mut head[level]);
-            } else {
-                op.prolong_add_block(&tail[0], &mut head[level], k);
-            }
+            op.prolong_add(&tail[0], &mut head[level]);
         }
-        if k == 1 {
-            op.smooth_lines(&ws.rs[level], &mut ws.xs[level], [1, 0], &mut ws.dp);
-        } else {
-            op.smooth_lines_block(&ws.rs[level], &mut ws.xs[level], [1, 0], &mut ws.dp, k);
-        }
+        op.smooth_lines(&ws.rs[level], &mut ws.xs[level], [1, 0], &mut ws.dp);
     }
 }
 
 impl Preconditioning for MultigridPreconditioner {
     type Workspace = MgWorkspace;
 
-    fn workspace(&self, k: usize) -> MgWorkspace {
-        self.make_workspace(k)
+    fn workspace(&self) -> MgWorkspace {
+        self.make_workspace()
     }
 
     fn precondition_into(&self, r: &[f64], z: &mut [f64], ws: &mut MgWorkspace) {
-        self.apply_block(r, z, 1, ws);
-    }
-
-    fn precondition_block_into(&self, r: &[f64], z: &mut [f64], k: usize, ws: &mut MgWorkspace) {
-        self.apply_block(r, z, k, ws);
+        self.apply(r, z, ws);
     }
 }
 
@@ -1563,9 +1247,9 @@ impl FactorizedStencil {
     /// spectral tier. When the system is bitwise laterally homogeneous
     /// (and the lateral sizes admit a DCT), full-field solves are
     /// answered by the `spicenet::spectral` direct solver — exact, no
-    /// iteration — while the multigrid hierarchy is still built with its
-    /// usual dense coarse factor so influence-column / multi-RHS solves
-    /// stay bit-identical to [`FactorizedStencil::new`]. When the system
+    /// iteration — while the multigrid hierarchy behind the
+    /// residual-verified fallback is built with its usual dense coarse
+    /// factor, exactly as [`FactorizedStencil::new`] builds it. When the system
     /// does *not* qualify (wrapper rings, spread non-uniformities), the
     /// hierarchy is built with the spectral coarse-grid solver of the
     /// homogenized operator instead
@@ -1756,119 +1440,6 @@ impl FactorizedStencil {
         };
         Ok((x, stats))
     }
-
-    /// Solves a batch of injection patterns as one blocked CG, mirroring
-    /// [`crate::FactorizedCircuit::solve_many`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the first solver failure of the batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an injection names a cell outside the grid.
-    pub fn solve_many(&self, batches: &[Vec<(usize, f64)>]) -> Result<Vec<Vec<f64>>, SolveError> {
-        let k = batches.len();
-        if k == 0 {
-            return Ok(Vec::new());
-        }
-        let n = self.sys.unknowns();
-        let ng = self.sys.grid_cells();
-        let mut block = vec![0.0f64; n * k];
-        for (j, injections) in batches.iter().enumerate() {
-            for (i, &s) in self.static_rhs.iter().enumerate() {
-                block[i * k + j] = s;
-            }
-            for &(cell, amps) in injections {
-                assert!(cell < ng, "injection into a foreign cell");
-                block[cell * k + j] += amps;
-            }
-        }
-        let (x, _) = preconditioned_cg_block_grouped(
-            &self.sys,
-            &block,
-            k,
-            self.tolerance,
-            self.max_iterations,
-            &self.mg,
-            None,
-            self.threads,
-        )
-        .map_err(stencil_cg_failure)?;
-        Ok((0..k)
-            .map(|j| (0..ng).map(|i| x[i * k + j]).collect())
-            .collect())
-    }
-
-    /// Materializes influence columns (responses to unit injections at
-    /// `cells`) as one blocked, optionally warm-started solve — the
-    /// structured counterpart of
-    /// [`crate::FactorizedCircuit::influence_columns_seeded`]. Seeds are
-    /// full solver-space vectors as returned by this method; `seeds` is
-    /// empty or one entry per cell. Returns each full column (length
-    /// [`FactorizedStencil::unknowns`], usable as a future seed) with its
-    /// CG iteration count.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first solver failure of the batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a cell is outside the grid or a seed has the wrong
-    /// length.
-    pub fn influence_columns_seeded(
-        &self,
-        cells: &[usize],
-        tolerance: f64,
-        seeds: &[Option<&[f64]>],
-    ) -> Result<Vec<(Vec<f64>, usize)>, SolveError> {
-        let k = cells.len();
-        assert!(
-            seeds.is_empty() || seeds.len() == k,
-            "one seed slot per requested column"
-        );
-        if k == 0 {
-            return Ok(Vec::new());
-        }
-        let n = self.sys.unknowns();
-        let ng = self.sys.grid_cells();
-        let mut block = vec![0.0f64; n * k];
-        for (j, &cell) in cells.iter().enumerate() {
-            assert!(cell < ng, "influence column of a foreign cell");
-            block[cell * k + j] = 1.0;
-        }
-        let x0 = if seeds.iter().any(Option::is_some) {
-            let mut x0 = vec![0.0f64; n * k];
-            for (j, seed) in seeds.iter().enumerate() {
-                let Some(seed) = seed else { continue };
-                assert_eq!(seed.len(), n, "seed length");
-                for (i, &v) in seed.iter().enumerate() {
-                    x0[i * k + j] = v;
-                }
-            }
-            Some(x0)
-        } else {
-            None
-        };
-        let (x, stats) = preconditioned_cg_block_grouped(
-            &self.sys,
-            &block,
-            k,
-            tolerance,
-            self.max_iterations,
-            &self.mg,
-            x0.as_deref(),
-            self.threads,
-        )
-        .map_err(stencil_cg_failure)?;
-        Ok((0..k)
-            .map(|j| {
-                let column: Vec<f64> = (0..n).map(|i| x[i * k + j]).collect();
-                (column, stats[j].0)
-            })
-            .collect())
-    }
 }
 
 /// Row-slab partition of the multigrid hierarchy for one worker team.
@@ -2008,7 +1579,6 @@ fn replicated_workspace(mg: &MultigridPreconditioner, d: usize) -> MgWorkspace {
         }
     };
     MgWorkspace {
-        k: 1,
         rs: mg.levels.iter().enumerate().map(sized).collect(),
         xs: mg.levels.iter().enumerate().map(sized).collect(),
         tmp: mg.levels.iter().enumerate().map(sized).collect(),
@@ -2152,7 +1722,7 @@ fn spmd_vcycle(w: usize, ctx: &mut SpmdCtx<'_>, shared: &SpmdShared<'_>) {
     if d == 0 {
         // Tiny hierarchy: single worker, scalar cycle unchanged.
         ws.rs[0].copy_from_slice(r);
-        shared.mg.cycle(0, 1, ws);
+        shared.mg.cycle(0, ws);
         z.copy_from_slice(&ws.xs[0]);
         return;
     }
@@ -2213,7 +1783,7 @@ fn spmd_vcycle(w: usize, ctx: &mut SpmdCtx<'_>, shared: &SpmdShared<'_>) {
         }
     }
     // Replicated coarse recursion — identical on every worker.
-    shared.mg.cycle(d, 1, ws);
+    shared.mg.cycle(d, ws);
     for l in (0..d).rev() {
         let op = &levels[l];
         let row_len = op.nx * nz;
@@ -2583,22 +2153,6 @@ mod tests {
                     want[i]
                 );
             }
-            // Block matvec agrees with repeated single matvecs.
-            let k = 3;
-            let mut xb = vec![0.0; n * k];
-            for j in 0..k {
-                for i in 0..n {
-                    xb[i * k + j] = x[i] * (j + 1) as f64;
-                }
-            }
-            let mut yb = vec![0.0; n * k];
-            sys.apply_block_into(&xb, &mut yb, k);
-            for j in 0..k {
-                for i in 0..n {
-                    let want = got[i] * (j + 1) as f64;
-                    assert!((yb[i * k + j] - want).abs() <= 1e-10 * want.abs().max(1.0));
-                }
-            }
         }
     }
 
@@ -2661,81 +2215,6 @@ mod tests {
     }
 
     #[test]
-    fn solve_many_matches_sequential_solves() {
-        let sys = StencilSystem::layered(&spec(7, 6));
-        let nz = sys.operator().nz();
-        let f = FactorizedStencil::new(sys, SolveOptions::default()).unwrap();
-        let batches: Vec<Vec<(usize, f64)>> = vec![
-            vec![],
-            vec![(3 * nz, 1e-3)],
-            vec![(3 * nz, 1e-3), (20 * nz + 2, -4e-4)],
-        ];
-        let many = f.solve_many(&batches).unwrap();
-        assert_eq!(many.len(), batches.len());
-        for (batch, got) in batches.iter().zip(&many) {
-            let want = f.solve_injections(batch).unwrap();
-            for (a, b) in got.iter().zip(&want) {
-                assert!((a - b).abs() < 1e-7, "{a} vs {b}");
-            }
-        }
-        assert!(f.solve_many(&[]).unwrap().is_empty());
-    }
-
-    #[test]
-    fn influence_columns_superpose_and_seeding_saves_iterations() {
-        let sys = StencilSystem::layered(&spec(10, 10));
-        let nz = sys.operator().nz();
-        let f = FactorizedStencil::new(sys, SolveOptions::default()).unwrap();
-        let active = |col: usize| col * nz + 2;
-        let cols = f
-            .influence_columns_seeded(&[active(44), active(45)], 1e-9, &[])
-            .unwrap();
-        // Superposition against a direct solve.
-        let base = f.solve_injections(&[]).unwrap();
-        let direct = f
-            .solve_injections(&[(active(44), 2e-3), (active(45), -1e-3)])
-            .unwrap();
-        for i in 0..base.len() {
-            let superposed = base[i] + 2e-3 * cols[0].0[i] - 1e-3 * cols[1].0[i];
-            assert!(
-                (superposed - direct[i]).abs() < 1e-6,
-                "cell {i}: {superposed} vs {}",
-                direct[i]
-            );
-        }
-        // Seeding a column from its *translated* neighbour (the mesh is
-        // near translation-invariant laterally, so the shifted field is
-        // an excellent initial guess) saves iterations.
-        let nx = 10;
-        let shifted: Vec<f64> = (0..f.unknowns())
-            .map(|i| {
-                if i >= 100 * nz {
-                    return cols[1].0[i]; // border slot
-                }
-                let (col, iz) = (i / nz, i % nz);
-                let (ix, iy) = (col % nx, col / nx);
-                let from = iy * nx + ix.saturating_sub(1);
-                cols[1].0[from * nz + iz]
-            })
-            .collect();
-        let unseeded = f
-            .influence_columns_seeded(&[active(46)], 1e-9, &[])
-            .unwrap();
-        let seeded = f
-            .influence_columns_seeded(&[active(46)], 1e-9, &[Some(shifted.as_slice())])
-            .unwrap();
-        assert!(
-            seeded[0].1 < unseeded[0].1,
-            "seeded {} vs unseeded {} iterations",
-            seeded[0].1,
-            unseeded[0].1
-        );
-        for (a, b) in seeded[0].0.iter().zip(&unseeded[0].0) {
-            assert!((a - b).abs() < 1e-6);
-        }
-    }
-
-    #[test]
     fn no_package_resistance_means_no_border_node() {
         let mut s = spec(5, 5);
         s.package_resistance = 0.0;
@@ -2767,9 +2246,9 @@ mod tests {
         let r: Vec<f64> = (0..op.len()).map(|i| ((i * 13 + 5) % 23) as f64).collect();
         let xc: Vec<f64> = (0..nc).map(|i| ((i * 7 + 3) % 17) as f64).collect();
         let mut rc = vec![0.0; nc];
-        op.restrict_block_into(&r, &mut rc, 1);
+        op.restrict_into(&r, &mut rc);
         let mut px = vec![0.0; op.len()];
-        op.prolong_add_block(&xc, &mut px, 1);
+        op.prolong_add(&xc, &mut px);
         let lhs: f64 = rc.iter().zip(&xc).map(|(a, b)| a * b).sum();
         let rhs: f64 = r.iter().zip(&px).map(|(a, b)| a * b).sum();
         assert!(
@@ -2929,45 +2408,6 @@ mod tests {
     }
 
     #[test]
-    fn blocked_solves_are_bit_identical_across_thread_counts() {
-        let sys = StencilSystem::layered(&spec(9, 11));
-        let nz = sys.operator().nz();
-        let batches: Vec<Vec<(usize, f64)>> = (0..5)
-            .map(|j| vec![(j * 7 * nz, 1e-3), (j * 5 * nz + 1, -2e-4)])
-            .collect();
-        let cells: Vec<usize> = (0..5).map(|j| (j * 13 + 2) * nz).collect();
-        let mut base_many: Option<Vec<Vec<f64>>> = None;
-        let mut base_cols: Option<Vec<(Vec<f64>, usize)>> = None;
-        for threads in [1usize, 2, 4] {
-            let f = FactorizedStencil::new(
-                sys.clone(),
-                SolveOptions {
-                    threads,
-                    ..SolveOptions::default()
-                },
-            )
-            .unwrap();
-            let many = f.solve_many(&batches).unwrap();
-            let cols = f.influence_columns_seeded(&cells, 1e-9, &[]).unwrap();
-            match (&base_many, &base_cols) {
-                (None, _) | (_, None) => {
-                    base_many = Some(many);
-                    base_cols = Some(cols);
-                }
-                (Some(m1), Some(c1)) => {
-                    for (j, (a, b)) in many.iter().zip(m1).enumerate() {
-                        assert_bits_eq(&format!("solve_many batch {j} t={threads}"), a, b);
-                    }
-                    for (j, (a, b)) in cols.iter().zip(c1).enumerate() {
-                        assert_eq!(a.1, b.1, "column {j} iterations t={threads}");
-                        assert_bits_eq(&format!("column {j} t={threads}"), &a.0, &b.0);
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn threaded_vcycle_preconditioner_is_bitwise_the_scalar_cycle() {
         // One V-cycle application z = M·r, threaded vs the scalar
         // recursion — pins the kernels *and* the slab/halo/all-gather
@@ -2978,9 +2418,9 @@ mod tests {
             let ng = sys.op.len();
             let r: Vec<f64> = (0..ng).map(|i| ((i * 19 + 5) % 13) as f64 * 1e-3).collect();
             // Scalar oracle: the private cycle() on a fresh workspace.
-            let mut ws = mg.workspace(1);
+            let mut ws = mg.workspace();
             ws.rs[0].copy_from_slice(&r);
-            mg.cycle(0, 1, &mut ws);
+            mg.cycle(0, &mut ws);
             let want = ws.xs[0].clone();
             for threads in [2usize, 4] {
                 // Drive the full SPMD solve for zero iterations is not
@@ -3251,26 +2691,6 @@ mod tests {
                     assert_bits_eq(&format!("spectral-coarse solve t={threads}"), &x, x1);
                 }
             }
-        }
-    }
-
-    #[test]
-    fn with_spectral_matches_new_bit_for_bit_on_influence_columns() {
-        // Influence-column (multi-RHS) solves stay on the multigrid path
-        // with the dense coarse factor even when the direct tier is
-        // active, so delta-model blocks keep matching the plain
-        // factorization to the last bit.
-        let sys = StencilSystem::layered(&spec(12, 12));
-        let direct =
-            FactorizedStencil::with_spectral(sys.clone(), SolveOptions::default()).unwrap();
-        let plain = FactorizedStencil::new(sys, SolveOptions::default()).unwrap();
-        let nz = plain.system().operator().nz();
-        let cells: Vec<usize> = (0..4).map(|c| c * 37 * nz + nz - 1).collect();
-        let a = direct.influence_columns_seeded(&cells, 1e-8, &[]).unwrap();
-        let b = plain.influence_columns_seeded(&cells, 1e-8, &[]).unwrap();
-        for (col, ((ca, ia), (cb, ib))) in a.iter().zip(&b).enumerate() {
-            assert_eq!(ia, ib, "influence column {col}: iteration drift");
-            assert_bits_eq(&format!("influence column {col}"), ca, cb);
         }
     }
 }

@@ -109,38 +109,4 @@ proptest! {
         }
     }
 
-    /// The blocked multi-RHS path must agree element-wise with a
-    /// sequential `solve_injections` call per batch entry, whatever the
-    /// topology, batch size and injection pattern (zero batches and
-    /// injections into the pinned node included).
-    #[test]
-    fn solve_many_matches_sequential_solves(
-        rs in prop::collection::vec(1.0f64..5_000.0, 3..16),
-        pin in -5.0f64..5.0,
-        batches in prop::collection::vec(
-            prop::collection::vec((0usize..16, -0.05f64..0.05), 0..5),
-            1..6,
-        ),
-    ) {
-        let n = rs.len();
-        let c = ladder(&rs, &vec![0.0; n], pin);
-        let f = c.factorize(SolveOptions::default()).unwrap();
-        let node_ids: Vec<spicenet::NodeId> =
-            (0..n).map(spicenet::NodeId::new).collect();
-        let batches: Vec<Vec<(spicenet::NodeId, f64)>> = batches
-            .iter()
-            .map(|b| b.iter().map(|&(i, a)| (node_ids[i % n], a)).collect())
-            .collect();
-        let many = f.solve_many(&batches).unwrap();
-        prop_assert_eq!(many.len(), batches.len());
-        for (batch, got) in batches.iter().zip(&many) {
-            let want = f.solve_injections(batch).unwrap();
-            for (j, (a, b)) in got.iter().zip(&want).enumerate() {
-                prop_assert!(
-                    (a - b).abs() < 1e-6 * (1.0 + b.abs()),
-                    "node {j}: batched {a} vs sequential {b}"
-                );
-            }
-        }
-    }
 }

@@ -31,14 +31,12 @@
 //! # }
 //! ```
 
-mod delta;
 mod map;
 mod model;
 mod network;
 mod sim;
 mod stack;
 
-pub use delta::{ColumnStats, DeltaEvaluation, DeltaThermalModel};
 pub use map::ThermalMap;
 pub use model::{FactorizedThermalModel, ModelMeta};
 pub use sim::{GridSpec, SolverKind, ThermalConfig, ThermalError, ThermalSimulator};

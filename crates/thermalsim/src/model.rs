@@ -30,20 +30,6 @@ use spicenet::{FactorizedCircuit, FactorizedStencil, NodeId, SolveOptions, Solve
 use crate::network::{build_geometry, validate_power, EmitSystem};
 use crate::{GridSpec, SolverKind, ThermalConfig, ThermalError, ThermalMap};
 
-/// One materialized influence column, in both the shapes its consumers
-/// need: the active-layer response (what superposition weights) and the
-/// full solver-space vector (an opaque warm-start seed for neighbouring
-/// columns), plus the CG iterations the solve took.
-pub(crate) struct InfluenceColumn {
-    /// Response at every active-layer cell, `iy·nx + ix` order (K/W).
-    pub active: Vec<f64>,
-    /// Full solver-space column — backend-specific layout, only useful
-    /// as a seed for [`FactorizedThermalModel::influence_columns_cells`].
-    pub full: Vec<f64>,
-    /// CG iterations spent on this column.
-    pub iterations: usize,
-}
-
 /// Serializable description of one factorized model — solver backend,
 /// problem size, multigrid depth and the stable content fingerprint of
 /// its inputs. A result cache persists this next to the answers the
@@ -340,86 +326,6 @@ impl FactorizedThermalModel {
             );
         }
     }
-
-    /// Materializes influence columns for active-layer bins (`iy·nx + ix`
-    /// indices) as one blocked, optionally warm-started solve at
-    /// `tolerance`. `seeds` is empty or one (backend-specific,
-    /// solver-space) seed slot per bin, as previously returned in
-    /// [`InfluenceColumn::full`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ThermalError::Solve`] if the blocked solve fails.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a bin index is out of range or a seed has a foreign
-    /// length.
-    pub(crate) fn influence_columns_cells(
-        &self,
-        bins: &[usize],
-        tolerance: f64,
-        seeds: &[Option<&[f64]>],
-    ) -> Result<Vec<InfluenceColumn>, ThermalError> {
-        let columns: Vec<InfluenceColumn> = match &self.backend {
-            Backend::Stencil(f) => {
-                let GridSpec { nx, ny } = self.config.grid;
-                let cells: Vec<usize> = bins.iter().map(|&b| self.grid_cell(b)).collect();
-                f.influence_columns_seeded(&cells, tolerance, seeds)
-                    .map_err(ThermalError::Solve)?
-                    .into_iter()
-                    .map(|(full, iterations)| InfluenceColumn {
-                        active: (0..nx * ny).map(|bin| full[self.grid_cell(bin)]).collect(),
-                        full,
-                        iterations,
-                    })
-                    .collect()
-            }
-            Backend::Csr(f) => {
-                let nodes: Vec<NodeId> = bins.iter().map(|&b| self.active_nodes[b]).collect();
-                f.influence_columns_seeded(&nodes, tolerance, seeds)
-                    .map_err(ThermalError::Solve)?
-                    .into_iter()
-                    .map(|(full, iterations)| InfluenceColumn {
-                        active: self.active_nodes.iter().map(|n| full[n.index()]).collect(),
-                        full,
-                        iterations,
-                    })
-                    .collect()
-            }
-        };
-        // Influence columns are unit-injection responses, so they obey
-        // the same finiteness / maximum-principle invariants as a full
-        // solve.
-        #[cfg(feature = "paranoid")]
-        for column in &columns {
-            Self::check_rise_field("influence column", &column.full, tolerance);
-        }
-        Ok(columns)
-    }
-
-    /// Laterally translates a solver-space column by `(dx, dy)` thermal
-    /// bins (clamped at the die edge), leaving non-grid slots (border /
-    /// pinned nodes) untouched. Because the mesh is near
-    /// translation-invariant away from its boundaries, the shifted column
-    /// of a neighbouring injection is an excellent warm-start seed for a
-    /// new influence column — this is what turns cached columns into CG
-    /// iteration savings.
-    pub(crate) fn shift_column(&self, full: &[f64], dx: isize, dy: isize) -> Vec<f64> {
-        let GridSpec { nx, ny } = self.config.grid;
-        let nz = self.nz;
-        let mut out = full.to_vec();
-        for iy in 0..ny {
-            let fy = (iy as isize - dy).clamp(0, ny as isize - 1) as usize;
-            for ix in 0..nx {
-                let fx = (ix as isize - dx).clamp(0, nx as isize - 1) as usize;
-                let to = (iy * nx + ix) * nz;
-                let from = (fy * nx + fx) * nz;
-                out[to..to + nz].copy_from_slice(&full[from..from + nz]);
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -547,52 +453,11 @@ mod tests {
         assert_eq!(model.die(), die());
         assert!(model.unknowns() > 0);
     }
-
-    #[test]
-    fn shifted_columns_translate_the_field() {
-        let config = ThermalConfig::with_resolution(8, 8);
-        let model = FactorizedThermalModel::build(&config, die()).unwrap();
-        let cols = model
-            .influence_columns_cells(&[3 * 8 + 3], 1e-9, &[])
-            .unwrap();
-        let shifted = model.shift_column(&cols[0].full, 1, 0);
-        // The shifted column's peak sits one bin to the right.
-        let peak_of = |col: &[f64]| {
-            (0..64)
-                .max_by(|&a, &b| col[model.grid_cell(a)].total_cmp(&col[model.grid_cell(b)]))
-                .unwrap()
-        };
-        assert_eq!(peak_of(&cols[0].full), 3 * 8 + 3);
-        assert_eq!(peak_of(&shifted), 3 * 8 + 4);
-    }
 }
 
 #[cfg(test)]
 mod iter_probe {
     use super::*;
-
-    #[test]
-    #[ignore]
-    fn print_influence_column_timings() {
-        let die = Rect::new(0.0, 0.0, 373.5, 375.3);
-        let config = ThermalConfig::paper();
-        let model = FactorizedThermalModel::build(&config, die).unwrap();
-        let bins: Vec<usize> = (0..32).map(|i| 820 + i).collect();
-        for tol in [1e-9f64, 1e-6] {
-            for k in [1usize, 8, 16, 32] {
-                let started = std::time::Instant::now();
-                let mut total = 0;
-                for chunk in bins.chunks(k) {
-                    model.influence_columns_cells(chunk, tol, &[]).unwrap();
-                    total += chunk.len();
-                }
-                println!(
-                    "tol {tol:.0e} block {k:>2}: {:>7.1} ms for {total} columns",
-                    started.elapsed().as_secs_f64() * 1e3
-                );
-            }
-        }
-    }
 
     #[test]
     #[ignore]

@@ -3,13 +3,9 @@
 //! [`ThermalSimulator::solve`] temperature fields to within solver
 //! tolerance for any admissible power map, mesh resolution and die size.
 
-use std::sync::Arc;
-
 use geom::{Grid2d, Rect};
 use proptest::prelude::*;
-use thermalsim::{
-    DeltaThermalModel, FactorizedThermalModel, SolverKind, ThermalConfig, ThermalSimulator,
-};
+use thermalsim::{FactorizedThermalModel, SolverKind, ThermalConfig, ThermalSimulator};
 
 /// Builds both solver backends for one geometry and asserts their
 /// temperature fields agree to ≤ `tol_k` kelvin on `power`.
@@ -105,45 +101,4 @@ proptest! {
         }
     }
 
-    /// The acceptance pin for the delta path: superposed fields must
-    /// track a *fresh* `ThermalSimulator::solve` of the perturbed power
-    /// map to ≤ 0.05 K on random sparse perturbations — both via the
-    /// superposition fast path and (for denser perturbations) the exact
-    /// fallback.
-    #[test]
-    fn delta_model_tracks_fresh_solves_within_50mk(
-        n in 6usize..13,
-        side in 200.0f64..420.0,
-        base in prop::collection::vec((0usize..12, 0usize..12, 1e-4f64..4e-3), 2..8),
-        moves in prop::collection::vec((0usize..12, 0usize..12, -5e-4f64..1e-3), 1..10),
-    ) {
-        let die = Rect::new(0.0, 0.0, side, side);
-        let config = ThermalConfig::with_resolution(n, n);
-        let mut power = Grid2d::new(n, n, die, 0.0);
-        for &(ix, iy, w) in &base {
-            *power.get_mut(ix % n, iy % n) += w;
-        }
-        let model = Arc::new(FactorizedThermalModel::build(&config, die).unwrap());
-        let delta_model = DeltaThermalModel::new(Arc::clone(&model), &power).unwrap();
-        // Clamp the random moves so no cell's total power goes negative.
-        let mut perturbed = power.clone();
-        let mut deltas = Vec::new();
-        for &(ix, iy, dw) in &moves {
-            let (ix, iy) = (ix % n, iy % n);
-            let have = *perturbed.get(ix, iy);
-            let dw = dw.max(-have);
-            *perturbed.get_mut(ix, iy) += dw;
-            deltas.push((ix, iy, dw));
-        }
-        let got = delta_model.evaluate_delta(&deltas).unwrap();
-        let fresh = ThermalSimulator::new(config).solve(die, &perturbed).unwrap();
-        for ((_, a), (_, b)) in got.map.grid().iter().zip(fresh.grid().iter()) {
-            prop_assert!(
-                (a - b).abs() <= 0.05,
-                "mesh {n}x{n} (exact fallback: {}): delta {a} vs fresh {b}",
-                got.exact
-            );
-        }
-        prop_assert!((got.map.peak_rise() - fresh.peak_rise()).abs() <= 0.05);
-    }
 }

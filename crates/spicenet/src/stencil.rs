@@ -2693,4 +2693,91 @@ mod tests {
             }
         }
     }
+
+    /// FNV-1a over the bits of a solve: every solution entry, then the
+    /// iteration count and the relative residual.
+    fn solve_digest(x: &[f64], stats: &SolveStats) -> u64 {
+        let words = x
+            .iter()
+            .map(|v| v.to_bits())
+            .chain([stats.iterations as u64, stats.relative_residual.to_bits()]);
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for word in words {
+            for byte in word.to_le_bytes() {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn multigrid_solves_match_their_golden_digests() {
+        // Golden multigrid answers: dense-coarse solves on square, odd and
+        // border-free meshes plus the spectral-coarse ring system, each at
+        // 1 and 4 threads. They pin the V-cycle's bits on their own, with
+        // no second kernel set to compare against.
+        let mut border_free = spec(16, 7);
+        border_free.package_resistance = 0.0;
+        let cases = [
+            (
+                "12x12",
+                StencilSystem::layered(&spec(12, 12)),
+                false,
+                0xdcbd_c81e_70ab_35fdu64,
+            ),
+            (
+                "9x13",
+                StencilSystem::layered(&spec(9, 13)),
+                false,
+                0x6b23_9ebc_cc90_ceca,
+            ),
+            (
+                "16x7 border-free",
+                StencilSystem::layered(&border_free),
+                false,
+                0x75b6_e1ab_730e_945b,
+            ),
+            (
+                "16x8 ring",
+                ring_perturbed_system(16, 8),
+                true,
+                0x110c_ee1c_ec85_25d9,
+            ),
+        ];
+        let mut got = Vec::new();
+        for (label, sys, spectral_coarse, _) in &cases {
+            let nz = sys.operator().nz();
+            let columns = sys.operator().nx() * sys.operator().ny();
+            let injections: Vec<(usize, f64)> = (0..columns)
+                .step_by(3)
+                .map(|col| (col * nz + nz - 1, 1e-4 * (1.0 + (col % 7) as f64)))
+                .collect();
+            for threads in [1usize, 4] {
+                let options = SolveOptions {
+                    threads,
+                    ..SolveOptions::default()
+                };
+                let f = if *spectral_coarse {
+                    FactorizedStencil::with_spectral(sys.clone(), options)
+                } else {
+                    FactorizedStencil::new(sys.clone(), options)
+                }
+                .unwrap();
+                assert_eq!(f.spectral_coarse(), *spectral_coarse, "{label}");
+                let (x, stats) = f.solve_injections_stats(&injections).unwrap();
+                assert_eq!(f.iterative_solves(), 1, "{label}: multigrid answered");
+                got.push(format!(
+                    "{label} t={threads}: {:016x}",
+                    solve_digest(&x, &stats)
+                ));
+            }
+        }
+        let want: Vec<String> = cases
+            .iter()
+            .flat_map(|(label, _, _, digest)| {
+                [1, 4].map(|threads| format!("{label} t={threads}: {digest:016x}"))
+            })
+            .collect();
+        assert_eq!(got, want, "multigrid answers moved");
+    }
 }

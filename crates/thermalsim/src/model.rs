@@ -420,6 +420,51 @@ mod tests {
         }
     }
 
+    /// Golden answers of the only production multigrid paths: `Auto` on
+    /// odd meshes, where the spectral direct tier does not apply. 25×25
+    /// semi-coarsens to an even 4×4 coarsest grid (spectral coarse
+    /// solve); 21×21 bottoms out at 3×3 (dense Cholesky). The digest is
+    /// FNV-1a over the bits of the solved field, the iteration count and
+    /// the relative residual.
+    #[test]
+    fn auto_multigrid_models_match_their_golden_digests() {
+        let cases = [
+            (25usize, true, 0xaedb_d017_54dd_7b54u64),
+            (21, false, 0xdc3b_0478_816a_53f8),
+        ];
+        let mut got = Vec::new();
+        for &(n, spectral_coarse, _) in &cases {
+            let model = FactorizedThermalModel::build(&ThermalConfig::with_resolution(n, n), die())
+                .unwrap();
+            assert_eq!(model.solver_name(), "stencil-multigrid", "{n}x{n}");
+            let Backend::Stencil(f) = &model.backend else {
+                panic!("{n}x{n}: Auto builds the stencil backend");
+            };
+            assert_eq!(f.spectral_coarse(), spectral_coarse, "{n}x{n}");
+            let mut p = Grid2d::new(n, n, die(), 0.0);
+            for iy in 0..n {
+                for ix in 0..n {
+                    let h = ((iy * n + ix) as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                    *p.get_mut(ix, iy) = (h >> 40) as f64 / (1u64 << 24) as f64 * 4e-4;
+                }
+            }
+            let (map, stats) = model.solve_with_stats(&p).unwrap();
+            assert!(stats.iterations > 1, "{n}x{n}: multigrid iterated");
+            let mut h = crate::sim::StableFnv::new();
+            for &v in map.grid().values() {
+                h.write_f64(v);
+            }
+            h.write_usize(stats.iterations);
+            h.write_f64(stats.relative_residual);
+            got.push(format!("{n}x{n}: {:016x}", h.finish()));
+        }
+        let want: Vec<String> = cases
+            .iter()
+            .map(|(n, _, digest)| format!("{n}x{n}: {digest:016x}"))
+            .collect();
+        assert_eq!(got, want, "multigrid answers moved");
+    }
+
     #[test]
     fn rejects_mismatched_and_invalid_power() {
         let model =

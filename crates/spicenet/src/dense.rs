@@ -23,7 +23,7 @@ pub(crate) fn lu_solve(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Option<Vec<f64>
         let pivot = a[col][col];
         for r in col + 1..n {
             let factor = a[r][col] / pivot;
-            if factor == 0.0 {
+            if crate::exact_zero(factor) {
                 continue;
             }
             let (upper_rows, lower_rows) = a.split_at_mut(r);

@@ -59,6 +59,15 @@ pub use solution::{DcSolution, SolveStats};
 pub use sparse::CsrMatrix;
 pub use spectral::{DctPlan, DctScratch, SpectralSystem};
 pub use stencil::{
-    FactorizedStencil, LayeredStencilSpec, MgWorkspace, MultigridPreconditioner, StencilFactorMeta,
+    FactorizedStencil, LayeredStencilSpec, MultigridPreconditioner, StencilFactorMeta,
     StencilOperator, StencilSystem,
 };
+
+/// Exact-zero test for the places where an exact `0.0` carries meaning:
+/// the skip sentinel of the multigrid transfer weights, structurally
+/// absent couplings, a zero elimination factor and a zero right-hand
+/// side. `NaN` is never zero.
+pub(crate) fn exact_zero(v: f64) -> bool {
+    // lint: allow(float-eq, reason = "an exact 0.0 here is a sentinel or a structural zero, never a rounded result")
+    v == 0.0
+}

@@ -1,30 +1,3 @@
-/// A symmetric positive-definite operator the conjugate-gradient solver
-/// can iterate against: a dimension plus a matrix-vector product.
-/// Implemented by [`CsrMatrix`] (general sparse patterns) and by the
-/// structured-stencil path (`crate::stencil::StencilSystem`), so both
-/// ride the same CG loop.
-pub(crate) trait LinearOperator {
-    /// Operator dimension.
-    fn dim(&self) -> usize;
-    /// `y = A·x`.
-    fn apply_into(&self, x: &[f64], y: &mut [f64]);
-}
-
-/// A symmetric positive-definite preconditioner for [`LinearOperator`]s.
-///
-/// Some preconditioners (the multigrid V-cycle) need mutable scratch
-/// space; the CG driver allocates one [`Preconditioning::Workspace`] per
-/// solve and threads it through every application, so the preconditioner
-/// itself stays `&self` (and thus freely shareable across threads).
-pub(crate) trait Preconditioning {
-    /// Per-solve scratch state.
-    type Workspace;
-    /// Allocates scratch for one solve.
-    fn workspace(&self) -> Self::Workspace;
-    /// `z ≈ A⁻¹·r`.
-    fn precondition_into(&self, r: &[f64], z: &mut [f64], ws: &mut Self::Workspace);
-}
-
 /// A compressed-sparse-row matrix, built from coordinate triplets.
 ///
 /// Only what the conjugate-gradient solver needs: assembly with duplicate
@@ -157,16 +130,6 @@ impl CsrMatrix {
             }
         }
         d
-    }
-}
-
-impl LinearOperator for CsrMatrix {
-    fn dim(&self) -> usize {
-        self.n
-    }
-
-    fn apply_into(&self, x: &[f64], y: &mut [f64]) {
-        self.mul_vec_into(x, y);
     }
 }
 
@@ -440,16 +403,6 @@ impl Preconditioner {
     }
 }
 
-impl Preconditioning for Preconditioner {
-    type Workspace = ();
-
-    fn workspace(&self) {}
-
-    fn precondition_into(&self, r: &[f64], z: &mut [f64], (): &mut ()) {
-        self.apply_into(r, z);
-    }
-}
-
 /// Jacobi-preconditioned conjugate gradients for SPD systems (the
 /// default, assembly-per-solve path).
 ///
@@ -470,9 +423,7 @@ pub(crate) fn conjugate_gradient(
 
 /// Conjugate gradients with a caller-supplied preconditioner — the
 /// factorized path hands in an IC(0) factor computed once and amortized
-/// over many right-hand sides. Generic over the operator and the
-/// preconditioner, so the CSR + incomplete-Cholesky path and the
-/// structured-stencil + multigrid path share one iteration loop.
+/// over many right-hand sides.
 ///
 /// Every dot product goes through [`crate::pool::chunked_dot`], the
 /// fixed-shape reduction the threaded solvers also use — the summation
@@ -485,23 +436,22 @@ pub(crate) fn conjugate_gradient(
 ///
 /// Returns the iteration count and final residual if the tolerance is not
 /// reached within `max_iter`.
-pub(crate) fn preconditioned_cg<A: LinearOperator, M: Preconditioning>(
-    a: &A,
+pub(crate) fn preconditioned_cg(
+    a: &CsrMatrix,
     b: &[f64],
     tol: f64,
     max_iter: usize,
-    precond: &M,
+    precond: &Preconditioner,
 ) -> Result<(Vec<f64>, usize, f64), (usize, f64)> {
-    let n = a.dim();
+    let n = a.n;
     let norm_b = crate::pool::chunked_dot(b, b).sqrt();
-    if norm_b == 0.0 {
+    if crate::exact_zero(norm_b) {
         return Ok((vec![0.0; n], 0, 0.0));
     }
-    let mut ws = precond.workspace();
     let mut x = vec![0.0; n];
     let mut r = b.to_vec();
     let mut z = vec![0.0; n];
-    precond.precondition_into(&r, &mut z, &mut ws);
+    precond.apply_into(&r, &mut z);
     let mut p = z.clone();
     let mut ap = vec![0.0; n];
     let mut rz: f64 = crate::pool::chunked_dot(&r, &z);
@@ -512,7 +462,7 @@ pub(crate) fn preconditioned_cg<A: LinearOperator, M: Preconditioning>(
         return Err((0, f64::INFINITY));
     }
     for it in 0..max_iter {
-        a.apply_into(&p, &mut ap);
+        a.mul_vec_into(&p, &mut ap);
         #[cfg(feature = "paranoid")]
         crate::paranoid::check_finite("preconditioned_cg matvec output", &ap);
         let pap: f64 = crate::pool::chunked_dot(&p, &ap);
@@ -536,7 +486,7 @@ pub(crate) fn preconditioned_cg<A: LinearOperator, M: Preconditioning>(
             }
             return Ok((x, it + 1, norm_r / norm_b));
         }
-        precond.precondition_into(&r, &mut z, &mut ws);
+        precond.apply_into(&r, &mut z);
         let rz_new: f64 = crate::pool::chunked_dot(&r, &z);
         if !rz_new.is_finite() || rz_new <= 0.0 {
             return Err((it + 1, norm_r / norm_b));

@@ -786,7 +786,6 @@ impl SpectralSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sparse::LinearOperator;
     use crate::stencil::LayeredStencilSpec;
 
     /// Deterministic pseudo-random value in `[-1, 1]` (splitmix64 hash of

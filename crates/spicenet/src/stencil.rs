@@ -34,9 +34,8 @@
 
 use crate::mna::SolveOptions;
 use crate::pool::{Board, Partials};
-use crate::sparse::{LinearOperator, Preconditioning};
 use crate::spectral::SpectralSystem;
-use crate::{SolveError, SolveStats};
+use crate::{exact_zero, SolveError, SolveStats};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Lateral size at (or below) which the hierarchy bottoms out into a
@@ -256,7 +255,8 @@ impl StencilOperator {
         y
     }
 
-    /// `y = A·x` into a caller-provided buffer.
+    /// `y = A·x` into a caller-provided buffer: the row-slab matvec with
+    /// the whole grid as one slab.
     ///
     /// # Panics
     ///
@@ -265,151 +265,7 @@ impl StencilOperator {
         let n = self.len();
         assert_eq!(x.len(), n, "dimension mismatch");
         assert_eq!(y.len(), n, "dimension mismatch");
-        let (nx, ny, nz) = (self.nx, self.ny, self.nz);
-        let sx = nz;
-        let sy = nx * nz;
-        for iy in 0..ny {
-            for ix in 0..nx {
-                let base = (iy * nx + ix) * nz;
-                for iz in 0..nz {
-                    let i = base + iz;
-                    let mut acc = self.diag[i] * x[i];
-                    if iz + 1 < nz {
-                        acc -= self.gz[i] * x[i + 1];
-                    }
-                    if iz > 0 {
-                        acc -= self.gz[i - 1] * x[i - 1];
-                    }
-                    if ix + 1 < nx {
-                        acc -= self.gx[i] * x[i + sx];
-                    }
-                    if ix > 0 {
-                        acc -= self.gx[i - sx] * x[i - sx];
-                    }
-                    if iy + 1 < ny {
-                        acc -= self.gy[i] * x[i + sy];
-                    }
-                    if iy > 0 {
-                        acc -= self.gy[i - sy] * x[i - sy];
-                    }
-                    y[i] = acc;
-                }
-            }
-        }
-    }
-
-    /// One red-black pass of z-line Gauss–Seidel: for each lateral column
-    /// of the given colour (`(ix + iy) % 2`), the vertical tridiagonal
-    /// system is solved *exactly* (division-free Thomas against the
-    /// precomputed pivots) against the current lateral neighbour values.
-    /// Colour order `[0, 1]` and its reverse `[1, 0]` are exact adjoints
-    /// of each other, which is what keeps the V-cycle a symmetric
-    /// preconditioner.
-    fn smooth_lines(&self, r: &[f64], x: &mut [f64], colors: [usize; 2], dp: &mut [f64]) {
-        let (nx, ny, nz) = (self.nx, self.ny, self.nz);
-        let sx = nz;
-        let sy = nx * nz;
-        for &color in &colors {
-            for iy in 0..ny {
-                let mut ix = (color + iy) % 2;
-                while ix < nx {
-                    let base = (iy * nx + ix) * nz;
-                    let mut prev = 0.0;
-                    for (iz, slot) in dp.iter_mut().enumerate() {
-                        let i = base + iz;
-                        let mut b = r[i];
-                        if ix + 1 < nx {
-                            b += self.gx[i] * x[i + sx];
-                        }
-                        if ix > 0 {
-                            b += self.gx[i - sx] * x[i - sx];
-                        }
-                        if iy + 1 < ny {
-                            b += self.gy[i] * x[i + sy];
-                        }
-                        if iy > 0 {
-                            b += self.gy[i - sy] * x[i - sy];
-                        }
-                        if iz > 0 {
-                            b += self.gz[i - 1] * prev;
-                        }
-                        prev = b * self.thomas_inv[i];
-                        *slot = prev;
-                    }
-                    let mut next = dp[nz - 1];
-                    x[base + nz - 1] = next;
-                    for iz in (0..nz.saturating_sub(1)).rev() {
-                        let i = base + iz;
-                        next = dp[iz] + self.gz[i] * self.thomas_inv[i] * next;
-                        x[i] = next;
-                    }
-                    ix += 2;
-                }
-            }
-        }
-    }
-
-    /// Full-weighting restriction `r_c = Pᵀ·r_f` for the cell-centered
-    /// 2:1 lateral coarsening (weights ¾ / ¼ toward the owning and the
-    /// adjacent coarse cell; z is injected unchanged).
-    fn restrict_into(&self, r_f: &[f64], r_c: &mut [f64]) {
-        let (nx, ny, nz) = (self.nx, self.ny, self.nz);
-        let nxc = nx.div_ceil(2);
-        let nyc = ny.div_ceil(2);
-        r_c.fill(0.0);
-        for iy in 0..ny {
-            let wy = lateral_weights(iy, nyc);
-            for ix in 0..nx {
-                let wx = lateral_weights(ix, nxc);
-                let fbase = (iy * nx + ix) * nz;
-                for &(cy, wyv) in &wy {
-                    if wyv == 0.0 {
-                        continue;
-                    }
-                    for &(cx, wxv) in &wx {
-                        let w = wyv * wxv;
-                        if w == 0.0 {
-                            continue;
-                        }
-                        let cbase = (cy * nxc + cx) * nz;
-                        for iz in 0..nz {
-                            r_c[cbase + iz] += w * r_f[fbase + iz];
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Prolongation `x_f += P·x_c` — the exact transpose of
-    /// [`StencilOperator::restrict_into`] (same weight table), which is
-    /// what keeps the V-cycle symmetric.
-    fn prolong_add(&self, x_c: &[f64], x_f: &mut [f64]) {
-        let (nx, ny, nz) = (self.nx, self.ny, self.nz);
-        let nxc = nx.div_ceil(2);
-        let nyc = ny.div_ceil(2);
-        for iy in 0..ny {
-            let wy = lateral_weights(iy, nyc);
-            for ix in 0..nx {
-                let wx = lateral_weights(ix, nxc);
-                let fbase = (iy * nx + ix) * nz;
-                for &(cy, wyv) in &wy {
-                    if wyv == 0.0 {
-                        continue;
-                    }
-                    for &(cx, wxv) in &wx {
-                        let w = wyv * wxv;
-                        if w == 0.0 {
-                            continue;
-                        }
-                        let cbase = (cy * nxc + cx) * nz;
-                        for iz in 0..nz {
-                            x_f[fbase + iz] += w * x_c[cbase + iz];
-                        }
-                    }
-                }
-            }
-        }
+        self.apply_rows(x, &[], &[], y, 0);
     }
 
     /// The 2:1 laterally semi-coarsened operator (z untouched): vertical
@@ -464,18 +320,10 @@ fn lateral_weights(i: usize, nc: usize) -> [(usize, f64); 2] {
     }
 }
 
-/// Exact-zero test for the interpolation weights: [`lateral_weights`]
-/// emits the literal sentinel `0.0` for folded edge entries, so exact
-/// comparison is the correct (and deterministic) skip test.
-fn exact_zero(v: f64) -> bool {
-    // lint: allow(float-eq, reason = "skip sentinel is the literal 0.0 emitted by lateral_weights")
-    v == 0.0
-}
-
 /// The weight fine cell `f` contributes to coarse cell `c` along one
-/// lateral axis, or `0.0` when `c` is not one of `f`'s targets. The
-/// gather-form transfer kernels use this to reproduce the scatter-form
-/// accumulation of [`StencilOperator::restrict_into`] exactly.
+/// lateral axis, or `0.0` when `c` is not one of `f`'s targets — the
+/// gather-form view of [`lateral_weights`] that
+/// [`StencilOperator::restrict_rows`] reads.
 fn weight_to(f: usize, c: usize, nc: usize) -> f64 {
     for &(ci, wi) in &lateral_weights(f, nc) {
         if ci == c && !exact_zero(wi) {
@@ -487,7 +335,7 @@ fn weight_to(f: usize, c: usize, nc: usize) -> f64 {
 
 /// Sequential sum over the bottom-layer (`iz == 0`) cells of one lateral
 /// row — the per-row partial of the border-node coupling sum. Both the
-/// scalar [`StencilSystem`] matvec and the threaded solver fold these
+/// whole-system [`StencilSystem`] matvec and the threaded solver fold these
 /// row partials in row order, which is what keeps the border row of the
 /// operator bit-identical at any thread count.
 fn border_row_sum(row: &[f64], nx: usize, nz: usize) -> f64 {
@@ -534,12 +382,13 @@ impl CoarseRows<'_> {
     }
 }
 
-/// Row-slab kernels for the threaded (SPMD) solver: each computes
-/// exactly the same per-cell arithmetic — in the same order — as its
-/// whole-grid counterpart above, restricted to a contiguous range of
-/// lateral rows. Values from the one row on either side of the slab
-/// arrive as halo copies published through a [`crate::pool::Board`].
-/// Bit-identity with the scalar kernels is pinned by the `spmd` tests.
+/// The stencil kernels, each written once over a contiguous range of
+/// lateral rows (a *slab*). Values from the one row on either side of
+/// the slab arrive as halo copies published through a
+/// [`crate::pool::Board`]. The whole grid is one slab (`iy0 = 0`, empty
+/// halos, `CoarseRows::Full`): a halo row is read only across an
+/// interior slab boundary, never at `iy = 0` or `iy = ny − 1`. The
+/// `slab_*` tests pin that any split reproduces the one-slab bits.
 impl StencilOperator {
     /// `y_slab = A·x` over rows `[iy0, iy0 + rows)`; `x_lo` / `x_hi`
     /// hold rows `iy0 − 1` / `iy0 + rows` (unused at grid edges).
@@ -593,11 +442,15 @@ impl StencilOperator {
     }
 
     /// One colour phase of the red-black z-line Gauss–Seidel sweep over
-    /// a row slab. Within one colour no updated column reads another
-    /// updated column (lateral neighbours of a `(ix + iy) % 2 == color`
-    /// column always have the other colour), so slabs of the same phase
-    /// run in parallel against pre-phase halo snapshots and still
-    /// reproduce the serial [`StencilOperator::smooth_lines`] bits.
+    /// a row slab: for each lateral column of colour `(ix + iy) % 2`,
+    /// the vertical tridiagonal system is solved *exactly*
+    /// (division-free Thomas against the precomputed pivots) against the
+    /// current lateral neighbour values. Within one colour no updated
+    /// column reads another updated column (lateral neighbours always
+    /// have the other colour), so slabs of the same phase run in
+    /// parallel against pre-phase halo snapshots. Colour order `[0, 1]`
+    /// and its reverse `[1, 0]` are exact adjoints of each other, which
+    /// is what keeps the V-cycle a symmetric preconditioner.
     #[allow(clippy::too_many_arguments)]
     fn smooth_rows_color(
         &self,
@@ -665,11 +518,12 @@ impl StencilOperator {
         }
     }
 
-    /// Gather-form restriction of fine defect rows into coarse rows
-    /// `[c_iy0, c_iy0 + crows)`. For each coarse cell the contributing
-    /// fine cells are visited in ascending `(fy, fx)` — exactly the
-    /// accumulation order of the scatter-form
-    /// [`StencilOperator::restrict_into`], so the bits match.
+    /// Full-weighting restriction `r_c = Pᵀ·r_f` for the cell-centered
+    /// 2:1 lateral coarsening (weights ¾ / ¼ toward the owning and the
+    /// adjacent coarse cell; z is injected unchanged), in gather form:
+    /// fine defect rows in, coarse rows `[c_iy0, c_iy0 + crows)` out.
+    /// Each coarse cell visits its contributing fine cells in ascending
+    /// `(fy, fx)`, an order that does not depend on the slab split.
     fn restrict_rows(
         &self,
         t: &[f64],
@@ -720,8 +574,9 @@ impl StencilOperator {
     }
 
     /// Prolongation `x_f += P·x_c` over fine rows `[iy0, iy0 + rows)`,
-    /// reading coarse rows through a [`CoarseRows`] view. Weight-table
-    /// iteration order matches [`StencilOperator::prolong_add`].
+    /// reading coarse rows through a [`CoarseRows`] view — the exact
+    /// transpose of [`StencilOperator::restrict_rows`] (same weight
+    /// table), which is what keeps the V-cycle symmetric.
     fn prolong_rows(&self, x_c: &CoarseRows<'_>, x_f: &mut [f64], iy0: usize) {
         let (nx, _ny, nz) = (self.nx, self.ny, self.nz);
         let nxc = nx.div_ceil(2);
@@ -875,14 +730,10 @@ impl StencilSystem {
     pub fn unknowns(&self) -> usize {
         self.op.len() + usize::from(self.border.is_some())
     }
-}
 
-impl LinearOperator for StencilSystem {
-    fn dim(&self) -> usize {
-        self.unknowns()
-    }
-
-    fn apply_into(&self, x: &[f64], y: &mut [f64]) {
+    /// `y = A·x` over every unknown: the grid block, then the border
+    /// node's column and row when present.
+    pub(crate) fn apply_into(&self, x: &[f64], y: &mut [f64]) {
         let ng = self.op.len();
         self.op.apply_into(&x[..ng], &mut y[..ng]);
         if let Some(b) = &self.border {
@@ -925,13 +776,13 @@ impl DenseSpd {
         let mut a = vec![0.0; n * n];
         for i in 0..n {
             a[i * n + i] = op.diag[i];
-            if op.gz[i] != 0.0 {
+            if !exact_zero(op.gz[i]) {
                 a[(i + 1) * n + i] = -op.gz[i];
             }
-            if op.gx[i] != 0.0 {
+            if !exact_zero(op.gx[i]) {
                 a[(i + sx) * n + i] = -op.gx[i];
             }
-            if op.gy[i] != 0.0 {
+            if !exact_zero(op.gy[i]) {
                 a[(i + sy) * n + i] = -op.gy[i];
             }
         }
@@ -978,12 +829,13 @@ impl DenseSpd {
     }
 }
 
-/// Per-solve scratch space for [`MultigridPreconditioner`]: per-level
-/// residual/correction/defect vectors plus the Thomas sweep buffer. The
-/// preconditioner itself stays immutable (`Send + Sync`), so one build
-/// serves any number of concurrent solves, each with its own workspace.
+/// Scratch space for the whole-grid V-cycle recursion
+/// ([`MultigridPreconditioner::cycle`]): per-level
+/// residual/correction/defect vectors plus the Thomas sweep buffer. Every
+/// SPMD worker owns one, so the preconditioner itself stays immutable
+/// (`Send + Sync`) and one build serves any number of concurrent solves.
 #[derive(Debug)]
-pub struct MgWorkspace {
+struct MgWorkspace {
     rs: Vec<Vec<f64>>,
     xs: Vec<Vec<f64>>,
     tmp: Vec<Vec<f64>>,
@@ -1091,36 +943,15 @@ impl MultigridPreconditioner {
         self.levels.len()
     }
 
-    /// Unknowns on the coarsest (densely factorized) level.
+    /// Unknowns on the coarsest level, which is solved exactly: by dense
+    /// Cholesky, or spectrally in spectral-coarse mode.
     pub fn coarse_unknowns(&self) -> usize {
         self.levels.last().map(|l| l.len()).unwrap_or(0)
     }
 
-    /// Allocates scratch space for one solve.
-    pub fn make_workspace(&self) -> MgWorkspace {
-        MgWorkspace {
-            rs: self.levels.iter().map(|l| vec![0.0; l.len()]).collect(),
-            xs: self.levels.iter().map(|l| vec![0.0; l.len()]).collect(),
-            tmp: self.levels.iter().map(|l| vec![0.0; l.len()]).collect(),
-            dp: vec![0.0; self.levels[0].nz],
-        }
-    }
-
-    /// One V-cycle on the full system: the grid block goes through the
-    /// hierarchy; the border node is preconditioned diagonally.
-    fn apply(&self, r: &[f64], z: &mut [f64], ws: &mut MgWorkspace) {
-        let ng = self.levels[0].len();
-        ws.rs[0].copy_from_slice(&r[..ng]);
-        self.cycle(0, ws);
-        z[..ng].copy_from_slice(&ws.xs[0]);
-        if let Some(d) = self.border_diag {
-            for (zj, rj) in z[ng..].iter_mut().zip(&r[ng..]) {
-                *zj = rj / d;
-            }
-        }
-    }
-
-    /// One level of the V-cycle.
+    /// One level of the V-cycle over the whole grid: every kernel runs
+    /// with the grid as one row slab. The SPMD solver runs this
+    /// replicated on every worker below its distributed levels.
     fn cycle(&self, level: usize, ws: &mut MgWorkspace) {
         if level + 1 == self.levels.len() {
             let (rs, xs) = (&ws.rs[level], &mut ws.xs[level]);
@@ -1132,34 +963,42 @@ impl MultigridPreconditioner {
         }
         let op = &self.levels[level];
         ws.xs[level].fill(0.0);
-        op.smooth_lines(&ws.rs[level], &mut ws.xs[level], [0, 1], &mut ws.dp);
+        for color in [0, 1] {
+            op.smooth_rows_color(
+                &ws.rs[level],
+                &mut ws.xs[level],
+                &[],
+                &[],
+                0,
+                color,
+                &mut ws.dp,
+            );
+        }
         // Defect, restricted to the next level.
-        op.apply_into(&ws.xs[level], &mut ws.tmp[level]);
+        op.apply_rows(&ws.xs[level], &[], &[], &mut ws.tmp[level], 0);
         for (t, r) in ws.tmp[level].iter_mut().zip(&ws.rs[level]) {
             *t = r - *t;
         }
         {
             let (_, tail) = ws.rs.split_at_mut(level + 1);
-            op.restrict_into(&ws.tmp[level], &mut tail[0]);
+            op.restrict_rows(&ws.tmp[level], &[], &[], 0, &mut tail[0], 0);
         }
         self.cycle(level + 1, ws);
         {
             let (head, tail) = ws.xs.split_at_mut(level + 1);
-            op.prolong_add(&tail[0], &mut head[level]);
+            op.prolong_rows(&CoarseRows::Full(&tail[0]), &mut head[level], 0);
         }
-        op.smooth_lines(&ws.rs[level], &mut ws.xs[level], [1, 0], &mut ws.dp);
-    }
-}
-
-impl Preconditioning for MultigridPreconditioner {
-    type Workspace = MgWorkspace;
-
-    fn workspace(&self) -> MgWorkspace {
-        self.make_workspace()
-    }
-
-    fn precondition_into(&self, r: &[f64], z: &mut [f64], ws: &mut MgWorkspace) {
-        self.apply(r, z, ws);
+        for color in [1, 0] {
+            op.smooth_rows_color(
+                &ws.rs[level],
+                &mut ws.xs[level],
+                &[],
+                &[],
+                0,
+                color,
+                &mut ws.dp,
+            );
+        }
     }
 }
 
@@ -1226,7 +1065,7 @@ pub struct StencilFactorMeta {
     pub unknowns: usize,
     /// Multigrid hierarchy depth (finest level included).
     pub multigrid_levels: usize,
-    /// Unknowns on the densely factorized coarsest level.
+    /// Unknowns on the coarsest multigrid level (its exact bottom solve).
     pub coarse_unknowns: usize,
 }
 
@@ -1476,7 +1315,7 @@ impl SlabPlan {
         let d = mg.levels.len().saturating_sub(1).min(2);
         if d == 0 {
             // Hierarchy of one level (≤ 4×4 lateral): nothing worth
-            // distributing; a single worker runs the scalar cycle.
+            // distributing; a single worker runs the whole-grid cycle.
             return SlabPlan {
                 workers: 1,
                 d_levels: 0,
@@ -1569,7 +1408,8 @@ fn split_rows_ref<'a>(v: &'a [f64], bounds: &[usize], row_len: usize) -> Vec<&'a
 }
 
 /// A full-size [`MgWorkspace`] for the replicated levels only: levels
-/// below `d` stay empty, the recursion never touches them.
+/// below `d` stay empty, the recursion never touches them (`d = 0`
+/// sizes every level).
 fn replicated_workspace(mg: &MultigridPreconditioner, d: usize) -> MgWorkspace {
     let sized = |(l, lev): (usize, &StencilOperator)| {
         if l >= d {
@@ -1584,6 +1424,80 @@ fn replicated_workspace(mg: &MultigridPreconditioner, d: usize) -> MgWorkspace {
         tmp: mg.levels.iter().enumerate().map(sized).collect(),
         dp: vec![0.0; mg.levels[0].nz],
     }
+}
+
+/// Splits each distributed level's buffer into per-worker row slabs:
+/// `out[w][l]` is worker `w`'s rows of level `l`.
+fn split_levels<'a>(
+    levels: &'a mut [Vec<f64>],
+    mg: &MultigridPreconditioner,
+    plan: &SlabPlan,
+) -> Vec<Vec<&'a mut [f64]>> {
+    let mut out: Vec<Vec<&mut [f64]>> = (0..plan.workers)
+        .map(|_| Vec::with_capacity(levels.len()))
+        .collect();
+    for (l, level) in levels.iter_mut().enumerate() {
+        let row_len = mg.levels[l].nx * mg.levels[l].nz;
+        for (w, slab) in split_rows(level, &plan.bounds[l], row_len)
+            .into_iter()
+            .enumerate()
+        {
+            out[w].push(slab);
+        }
+    }
+    out
+}
+
+/// Runs `f` on every worker of one SPMD team: allocates the CG vectors
+/// and the distributed multigrid levels, hands each worker its row slabs
+/// of them (and of `b` and the grid solution `x`) plus a replicated
+/// coarse workspace, and returns the workers' results in worker order.
+fn run_team<R: Send>(
+    shared: &SpmdShared<'_>,
+    b: &[f64],
+    x: &mut [f64],
+    f: impl Fn(usize, &mut SpmdCtx<'_>) -> R + Sync,
+) -> Vec<R> {
+    let (mg, plan) = (shared.mg, shared.plan);
+    let d = plan.d_levels;
+    let ng = x.len();
+    let nz = mg.levels[0].nz;
+    let row_len = mg.levels[0].nx * nz;
+    let mut r = vec![0.0; ng];
+    let mut p = vec![0.0; ng];
+    let mut z = vec![0.0; ng];
+    let mut ap = vec![0.0; ng];
+    let level_buffers =
+        || -> Vec<Vec<f64>> { (0..d).map(|l| vec![0.0; mg.levels[l].len()]).collect() };
+    let (mut rs, mut xs, mut tmp) = (level_buffers(), level_buffers(), level_buffers());
+    let bounds = &plan.bounds[0];
+    let ctxs: Vec<SpmdCtx<'_>> = split_rows(x, bounds, row_len)
+        .into_iter()
+        .zip(split_rows(&mut r, bounds, row_len))
+        .zip(split_rows(&mut p, bounds, row_len))
+        .zip(split_rows(&mut z, bounds, row_len))
+        .zip(split_rows(&mut ap, bounds, row_len))
+        .zip(split_rows_ref(b, bounds, row_len))
+        .zip(split_levels(&mut rs, mg, plan))
+        .zip(split_levels(&mut xs, mg, plan))
+        .zip(split_levels(&mut tmp, mg, plan))
+        .map(|((((((((x, r), p), z), ap), b), rs), xs), tmp)| SpmdCtx {
+            b,
+            x,
+            r,
+            p,
+            z,
+            ap,
+            rs,
+            xs,
+            tmp,
+            ws: replicated_workspace(mg, d),
+            dp: vec![0.0; nz],
+            halo_lo: vec![0.0; row_len],
+            halo_hi: vec![0.0; row_len],
+        })
+        .collect();
+    crate::pool::run(ctxs, |w, mut ctx| f(w, &mut ctx))
 }
 
 /// Publishes the slab's first and last row and reads back the
@@ -1700,7 +1614,7 @@ fn spmd_check_finite(
 /// One multigrid V-cycle in SPMD form: `z = M·r` over this worker's
 /// slabs. Distributed levels smooth/restrict/prolong slab-wise with halo
 /// exchanges; the coarse tail of the hierarchy is replicated — every
-/// worker runs the identical scalar [`MultigridPreconditioner::cycle`]
+/// worker runs the identical whole-grid [`MultigridPreconditioner::cycle`]
 /// on its own full-size copy of the transition defect.
 fn spmd_vcycle(w: usize, ctx: &mut SpmdCtx<'_>, shared: &SpmdShared<'_>) {
     let plan = shared.plan;
@@ -1720,7 +1634,7 @@ fn spmd_vcycle(w: usize, ctx: &mut SpmdCtx<'_>, shared: &SpmdShared<'_>) {
         ..
     } = ctx;
     if d == 0 {
-        // Tiny hierarchy: single worker, scalar cycle unchanged.
+        // Tiny hierarchy: single worker, whole-grid cycle.
         ws.rs[0].copy_from_slice(r);
         shared.mg.cycle(0, ws);
         z.copy_from_slice(&ws.xs[0]);
@@ -1968,8 +1882,7 @@ fn stencil_cg_spmd(
 ) -> Result<(Vec<f64>, usize, f64), (usize, f64)> {
     let ng = sys.op.len();
     let n = sys.unknowns();
-    let nz = sys.op.nz;
-    let row_len0 = sys.op.nx * nz;
+    let row_len0 = sys.op.nx * sys.op.nz;
     let b_border = if sys.border.is_some() { b[ng] } else { 0.0 };
     // ‖b‖ with the same fixed per-row reduction shape the workers use.
     let mut nb2 = 0.0;
@@ -1982,87 +1895,28 @@ fn stencil_cg_spmd(
         return Ok((vec![0.0; n], 0, 0.0));
     }
     let plan = SlabPlan::new(mg, threads);
-    let t = plan.workers;
-    let d = plan.d_levels;
-    // Global CG vectors (grid part; the border scalar is replicated) and
-    // the distributed per-level multigrid buffers.
-    let mut x = vec![0.0; ng];
-    let mut r = vec![0.0; ng];
-    let mut p = vec![0.0; ng];
-    let mut z = vec![0.0; ng];
-    let mut ap = vec![0.0; ng];
-    let mut rs_g: Vec<Vec<f64>> = (0..d).map(|l| vec![0.0; mg.levels[l].len()]).collect();
-    let mut xs_g: Vec<Vec<f64>> = (0..d).map(|l| vec![0.0; mg.levels[l].len()]).collect();
-    let mut tmp_g: Vec<Vec<f64>> = (0..d).map(|l| vec![0.0; mg.levels[l].len()]).collect();
     let shared = SpmdShared {
         sys,
         mg,
         plan: &plan,
-        board: Board::new(t),
+        board: Board::new(plan.workers),
         partials: Partials::new(sys.op.ny),
         tol,
         max_iter,
         norm_b,
         b_border,
     };
-    let mut per_rs: Vec<Vec<&mut [f64]>> = (0..t).map(|_| Vec::with_capacity(d)).collect();
-    for (l, g) in rs_g.iter_mut().enumerate() {
-        let rl = mg.levels[l].nx * nz;
-        for (wi, s) in split_rows(g, &plan.bounds[l], rl).into_iter().enumerate() {
-            per_rs[wi].push(s);
-        }
-    }
-    let mut per_xs: Vec<Vec<&mut [f64]>> = (0..t).map(|_| Vec::with_capacity(d)).collect();
-    for (l, g) in xs_g.iter_mut().enumerate() {
-        let rl = mg.levels[l].nx * nz;
-        for (wi, s) in split_rows(g, &plan.bounds[l], rl).into_iter().enumerate() {
-            per_xs[wi].push(s);
-        }
-    }
-    let mut per_tmp: Vec<Vec<&mut [f64]>> = (0..t).map(|_| Vec::with_capacity(d)).collect();
-    for (l, g) in tmp_g.iter_mut().enumerate() {
-        let rl = mg.levels[l].nx * nz;
-        for (wi, s) in split_rows(g, &plan.bounds[l], rl).into_iter().enumerate() {
-            per_tmp[wi].push(s);
-        }
-    }
-    let bounds0 = &plan.bounds[0];
-    let mut ctxs: Vec<SpmdCtx<'_>> = Vec::with_capacity(t);
-    let zipped = split_rows(&mut x, bounds0, row_len0)
-        .into_iter()
-        .zip(split_rows(&mut r, bounds0, row_len0))
-        .zip(split_rows(&mut p, bounds0, row_len0))
-        .zip(split_rows(&mut z, bounds0, row_len0))
-        .zip(split_rows(&mut ap, bounds0, row_len0))
-        .zip(split_rows_ref(&b[..ng], bounds0, row_len0))
-        .zip(per_rs)
-        .zip(per_xs)
-        .zip(per_tmp);
-    for ((((((((x_s, r_s), p_s), z_s), ap_s), b_s), rs_s), xs_s), tmp_s) in zipped {
-        ctxs.push(SpmdCtx {
-            b: b_s,
-            x: x_s,
-            r: r_s,
-            p: p_s,
-            z: z_s,
-            ap: ap_s,
-            rs: rs_s,
-            xs: xs_s,
-            tmp: tmp_s,
-            ws: replicated_workspace(mg, d),
-            dp: vec![0.0; nz],
-            halo_lo: vec![0.0; row_len0],
-            halo_hi: vec![0.0; row_len0],
-        });
-    }
-    let outcomes = crate::pool::run(ctxs, |w, mut ctx| spmd_worker(w, &mut ctx, &shared));
+    // The grid part of the solution; the border scalar is replicated.
+    let mut x = vec![0.0; ng];
+    let outcomes = run_team(&shared, &b[..ng], &mut x, |w, ctx| {
+        spmd_worker(w, ctx, &shared)
+    });
     // Every worker returns the identical replicated outcome.
     let (iterations, rel, xb) = outcomes[0]?;
-    let mut out = x;
     if sys.border.is_some() {
-        out.push(xb);
+        x.push(xb);
     }
-    Ok((out, iterations, rel))
+    Ok((x, iterations, rel))
 }
 
 /// Maps a CG failure onto [`SolveError`], mirroring the CSR path.
@@ -2246,9 +2100,9 @@ mod tests {
         let r: Vec<f64> = (0..op.len()).map(|i| ((i * 13 + 5) % 23) as f64).collect();
         let xc: Vec<f64> = (0..nc).map(|i| ((i * 7 + 3) % 17) as f64).collect();
         let mut rc = vec![0.0; nc];
-        op.restrict_into(&r, &mut rc);
+        op.restrict_rows(&r, &[], &[], 0, &mut rc, 0);
         let mut px = vec![0.0; op.len()];
-        op.prolong_add(&xc, &mut px);
+        op.prolong_rows(&CoarseRows::Full(&xc), &mut px, 0);
         let lhs: f64 = rc.iter().zip(&xc).map(|(a, b)| a * b).sum();
         let rhs: f64 = r.iter().zip(&px).map(|(a, b)| a * b).sum();
         assert!(
@@ -2275,8 +2129,9 @@ mod tests {
     }
 
     #[test]
-    fn slab_matvec_is_bitwise_the_scalar_matvec() {
-        // Including nx ≠ ny and odd extents.
+    fn slab_matvec_is_bitwise_the_full_slab_matvec() {
+        // 2/3/4 slabs against the whole grid as one slab, including
+        // nx ≠ ny and odd extents.
         for (nx, ny) in [(12, 12), (9, 13), (17, 5)] {
             let op = StencilSystem::layered(&spec(nx, ny)).operator().clone();
             let row_len = nx * op.nz();
@@ -2316,7 +2171,8 @@ mod tests {
     }
 
     #[test]
-    fn slab_smoother_is_bitwise_the_scalar_smoother() {
+    fn slab_smoother_is_bitwise_the_full_slab_smoother() {
+        // 2/3/4 slabs against the whole grid as one slab.
         for (nx, ny) in [(10, 14), (9, 13), (17, 5)] {
             let op = StencilSystem::layered(&spec(nx, ny)).operator().clone();
             let nz = op.nz();
@@ -2326,7 +2182,9 @@ mod tests {
                 .collect();
             let mut want = vec![0.0; op.len()];
             let mut dp = vec![0.0; nz];
-            op.smooth_lines(&r, &mut want, [0, 1], &mut dp);
+            for color in [0, 1] {
+                op.smooth_rows_color(&r, &mut want, &[], &[], 0, color, &mut dp);
+            }
             let zeros = vec![0.0; row_len];
             for t in [2, 3, 4] {
                 let bounds = even_bounds(ny, t.min(ny));
@@ -2409,106 +2267,40 @@ mod tests {
 
     #[test]
     fn threaded_vcycle_preconditioner_is_bitwise_the_scalar_cycle() {
-        // One V-cycle application z = M·r, threaded vs the scalar
-        // recursion — pins the kernels *and* the slab/halo/all-gather
-        // protocol, independent of CG.
+        // One V-cycle application z = M·r, threaded vs the single-worker
+        // whole-grid recursion — pins the slab/halo/all-gather protocol,
+        // independent of CG.
         for (nx, ny) in [(12, 12), (9, 13)] {
             let sys = StencilSystem::layered(&spec(nx, ny));
             let mg = MultigridPreconditioner::build(&sys).unwrap();
             let ng = sys.op.len();
             let r: Vec<f64> = (0..ng).map(|i| ((i * 19 + 5) % 13) as f64 * 1e-3).collect();
-            // Scalar oracle: the private cycle() on a fresh workspace.
-            let mut ws = mg.workspace();
+            // Oracle: the private cycle() on a workspace sized for every
+            // level.
+            let mut ws = replicated_workspace(&mg, 0);
             ws.rs[0].copy_from_slice(&r);
             mg.cycle(0, &mut ws);
             let want = ws.xs[0].clone();
             for threads in [2usize, 4] {
-                // Drive the full SPMD solve for zero iterations is not
-                // possible; instead solve a system whose first
-                // preconditioned direction is observable: one CG step of
-                // max_iter = 1 from b = r fails over with the residual of
-                // the first direction, which is a pure function of M·r.
-                // Simpler and exact: run the worker protocol directly.
                 let plan = SlabPlan::new(&mg, threads);
-                let t = plan.workers;
-                let row_len = sys.op.nx * sys.op.nz;
-                let mut z = vec![0.0; ng];
-                let mut rr = r.clone();
-                let mut x = vec![0.0; ng];
-                let mut p = vec![0.0; ng];
-                let mut ap = vec![0.0; ng];
-                let d = plan.d_levels;
-                let mut rs_g: Vec<Vec<f64>> =
-                    (0..d).map(|l| vec![0.0; mg.levels[l].len()]).collect();
-                let mut xs_g: Vec<Vec<f64>> =
-                    (0..d).map(|l| vec![0.0; mg.levels[l].len()]).collect();
-                let mut tmp_g: Vec<Vec<f64>> =
-                    (0..d).map(|l| vec![0.0; mg.levels[l].len()]).collect();
                 let shared = SpmdShared {
                     sys: &sys,
                     mg: &mg,
                     plan: &plan,
-                    board: Board::new(t),
+                    board: Board::new(plan.workers),
                     partials: Partials::new(sys.op.ny),
                     tol: 1e-9,
                     max_iter: 1,
                     norm_b: 1.0,
                     b_border: 0.0,
                 };
-                let mut per_rs: Vec<Vec<&mut [f64]>> = (0..t).map(|_| Vec::new()).collect();
-                for (l, g) in rs_g.iter_mut().enumerate() {
-                    let rl = mg.levels[l].nx * mg.levels[l].nz;
-                    for (wi, s) in split_rows(g, &plan.bounds[l], rl).into_iter().enumerate() {
-                        per_rs[wi].push(s);
-                    }
-                }
-                let mut per_xs: Vec<Vec<&mut [f64]>> = (0..t).map(|_| Vec::new()).collect();
-                for (l, g) in xs_g.iter_mut().enumerate() {
-                    let rl = mg.levels[l].nx * mg.levels[l].nz;
-                    for (wi, s) in split_rows(g, &plan.bounds[l], rl).into_iter().enumerate() {
-                        per_xs[wi].push(s);
-                    }
-                }
-                let mut per_tmp: Vec<Vec<&mut [f64]>> = (0..t).map(|_| Vec::new()).collect();
-                for (l, g) in tmp_g.iter_mut().enumerate() {
-                    let rl = mg.levels[l].nx * mg.levels[l].nz;
-                    for (wi, s) in split_rows(g, &plan.bounds[l], rl).into_iter().enumerate() {
-                        per_tmp[wi].push(s);
-                    }
-                }
-                let bounds0 = &plan.bounds[0];
-                let mut ctxs: Vec<SpmdCtx<'_>> = Vec::new();
-                let zipped = split_rows(&mut x, bounds0, row_len)
-                    .into_iter()
-                    .zip(split_rows(&mut rr, bounds0, row_len))
-                    .zip(split_rows(&mut p, bounds0, row_len))
-                    .zip(split_rows(&mut z, bounds0, row_len))
-                    .zip(split_rows(&mut ap, bounds0, row_len))
-                    .zip(split_rows_ref(&r, bounds0, row_len))
-                    .zip(per_rs)
-                    .zip(per_xs)
-                    .zip(per_tmp);
-                for ((((((((x_s, r_s), p_s), z_s), ap_s), b_s), rs_s), xs_s), tmp_s) in zipped {
-                    ctxs.push(SpmdCtx {
-                        b: b_s,
-                        x: x_s,
-                        r: r_s,
-                        p: p_s,
-                        z: z_s,
-                        ap: ap_s,
-                        rs: rs_s,
-                        xs: xs_s,
-                        tmp: tmp_s,
-                        ws: replicated_workspace(&mg, d),
-                        dp: vec![0.0; sys.op.nz],
-                        halo_lo: vec![0.0; row_len],
-                        halo_hi: vec![0.0; row_len],
-                    });
-                }
-                crate::pool::run(ctxs, |w, mut ctx| {
+                let mut x = vec![0.0; ng];
+                let z = run_team(&shared, &r, &mut x, |w, ctx| {
                     ctx.r.copy_from_slice(ctx.b);
-                    spmd_vcycle(w, &mut ctx, &shared);
-                });
+                    spmd_vcycle(w, ctx, &shared);
+                    ctx.z.to_vec()
+                })
+                .concat();
                 assert_bits_eq(&format!("{nx}x{ny} vcycle t={threads}"), &z, &want);
             }
         }

@@ -10,17 +10,24 @@
 //! [`FactorizedThermalModel`] pays that cost once per geometry and turns
 //! every subsequent evaluation into a preconditioned re-solve.
 //!
-//! Two solver backends sit behind the same API (selected by
-//! [`SolverKind`](crate::SolverKind)):
+//! Three solver tiers sit behind the same API (selected by
+//! [`SolverKind`](crate::SolverKind)); [`FactorizedThermalModel::solver_name`]
+//! reports the one that answers:
 //!
-//! * **Structured (default)** — the mesh is a pure 7-point stencil, so
-//!   the model solves it through
-//!   [`spicenet::FactorizedStencil`]: an indirection-free fused stencil
-//!   matvec preconditioned by a geometric multigrid V-cycle, with
-//!   near-mesh-independent iteration counts. This is what makes the
-//!   large-mesh scenario band (80×80, 128×128) practical.
-//! * **CSR** — the general [`spicenet::FactorizedCircuit`] path
-//!   (Dirichlet reduction + MIC(0)-preconditioned CG), kept as the
+//! * **Spectral direct (`spectral-dct`, the `Auto` default)** — the mesh
+//!   is a pure 7-point stencil and every generated stack is laterally
+//!   homogeneous, so whenever both lateral sizes admit a cosine
+//!   transform (1 or even) [`spicenet::FactorizedStencil::with_spectral`]
+//!   solves it directly: one transform plus a Thomas sweep per lateral
+//!   mode, accepted only after a residual check.
+//! * **Structured multigrid (`stencil-multigrid`)** — an
+//!   indirection-free fused stencil matvec preconditioned by a geometric
+//!   multigrid V-cycle, with near-mesh-independent iteration counts.
+//!   `Auto` falls back to it on odd meshes (with a spectral coarse-grid
+//!   solve when the coarsest grid is even); forced `Stencil` always
+//!   takes it, as the spectral-free drift oracle.
+//! * **CSR (`csr-mic0`)** — the general [`spicenet::FactorizedCircuit`]
+//!   path (Dirichlet reduction + MIC(0)-preconditioned CG), kept as the
 //!   fallback for irregular geometries and as the cross-check oracle the
 //!   property tests pin the structured path against (≤ 1e-6 K).
 
@@ -37,7 +44,8 @@ use crate::{GridSpec, SolverKind, ThermalConfig, ThermalError, ThermalMap};
 /// without holding the factorization itself.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct ModelMeta {
-    /// Backend name (`"stencil-multigrid"` or `"csr-mic0"`).
+    /// Backend name (`"spectral-dct"`, `"stencil-multigrid"` or
+    /// `"csr-mic0"`).
     pub solver: String,
     /// Lateral mesh extent.
     pub nx: usize,

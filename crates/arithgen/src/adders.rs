@@ -153,7 +153,6 @@ mod tests {
         let (nl_c, _) = build(|b| carry_lookahead_adder(b, "cla16", 16));
         let depth = |nl: &netlist::Netlist| {
             netlist::combinational_levels(nl)
-                .unwrap()
                 .into_iter()
                 .flatten()
                 .max()

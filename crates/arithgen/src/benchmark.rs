@@ -90,7 +90,7 @@ impl std::fmt::Display for UnitRole {
 /// [`BenchmarkConfig::paper`] is tuned so the full design lands at the
 /// paper's "about 12 000 standard cells"; [`BenchmarkConfig::small`] is a
 /// fast variant for tests.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct BenchmarkConfig {
     /// Design name.
     pub name: String,

@@ -108,7 +108,6 @@ mod tests {
             array_divider(&mut b, "div", w);
             let nl = b.finish().unwrap();
             netlist::combinational_levels(&nl)
-                .unwrap()
                 .into_iter()
                 .flatten()
                 .max()

@@ -201,7 +201,6 @@ mod tests {
 
     fn depth(nl: &Netlist) -> u32 {
         combinational_levels(nl)
-            .unwrap()
             .into_iter()
             .flatten()
             .max()

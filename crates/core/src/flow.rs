@@ -238,6 +238,27 @@ fn model_key(config: &ThermalConfig, die: Rect) -> ModelKey {
     )
 }
 
+/// Benchmark netlists held process-wide. Every request names one of a
+/// few benchmark configurations (usually [`BenchmarkConfig::paper`]), so
+/// a handful of entries covers them while bounding the memo's memory.
+const NETLIST_CACHE_CAP: usize = 4;
+
+/// The benchmark netlist for `config`, built once per process and shared
+/// by every [`Flow`] that names the same configuration.
+/// [`build_benchmark`] is a pure function of its configuration and a
+/// [`Netlist`] is immutable once built, so sharing cannot change an
+/// answer.
+fn shared_netlist(config: &BenchmarkConfig) -> Result<Arc<Netlist>, FlowError> {
+    netlists().get_or_compute(config.clone(), || {
+        build_benchmark(config).map_err(FlowError::from)
+    })
+}
+
+fn netlists() -> &'static KeyedCache<BenchmarkConfig, Netlist> {
+    static NETLISTS: OnceLock<KeyedCache<BenchmarkConfig, Netlist>> = OnceLock::new();
+    NETLISTS.get_or_init(|| KeyedCache::with_capacity(NETLIST_CACHE_CAP))
+}
+
 /// Factorized models held per cache; a sweep touches a handful of die
 /// geometries per mesh, so a small bound is plenty and keeps memory flat.
 const MODEL_CACHE_CAP: usize = 64;
@@ -316,8 +337,12 @@ struct BaselineAnalysis {
     hpwl_um: f64,
 }
 
-/// The flow driver: builds the benchmark and its activity once, then
-/// evaluates any number of strategies against the same baseline.
+/// The flow driver: fetches the benchmark and computes its activity once,
+/// then evaluates any number of strategies against the same baseline.
+///
+/// The benchmark netlist is shared: every flow naming the same
+/// [`BenchmarkConfig`] holds one process-wide `Arc<Netlist>`, built on
+/// first use and kept in a small bounded memo.
 ///
 /// Thermal work is amortized two ways: the conductance network for each
 /// die geometry is factorized once (see [`FactorizedThermalModel`]) and
@@ -330,7 +355,7 @@ struct BaselineAnalysis {
 #[derive(Debug)]
 pub struct Flow {
     config: FlowConfig,
-    netlist: Netlist,
+    netlist: Arc<Netlist>,
     activity: Activity,
     base: PlacementResult,
     /// Per-cell power computed once on the base placement and held fixed
@@ -342,14 +367,14 @@ pub struct Flow {
 }
 
 impl Flow {
-    /// Builds the benchmark, simulates the workload and places the base
-    /// design.
+    /// Fetches the shared benchmark netlist (building it on first use),
+    /// simulates the workload and places the base design.
     ///
     /// # Errors
     ///
     /// Propagates netlist generation and placement errors.
     pub fn new(config: FlowConfig) -> Result<Self, FlowError> {
-        let netlist = build_benchmark(&config.benchmark)?;
+        let netlist = shared_netlist(&config.benchmark)?;
         let active: Vec<netlist::UnitId> =
             config.workload.active.iter().map(|r| r.unit_id()).collect();
         let workload =
@@ -394,7 +419,8 @@ impl Flow {
         &self.config
     }
 
-    /// The benchmark netlist.
+    /// The benchmark netlist, shared with every flow of the same
+    /// [`BenchmarkConfig`].
     pub fn netlist(&self) -> &Netlist {
         &self.netlist
     }
@@ -763,5 +789,30 @@ impl Flow {
             hpwl_after_um: hpwl_after,
             total_power_w: power_before.total_w(),
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn flows_of_one_benchmark_share_one_bounded_netlist_memo() {
+        let a = Flow::new(FlowConfig::scattered_small().fast()).unwrap();
+        let b = Flow::new(FlowConfig::concentrated_large().fast()).unwrap();
+        assert!(std::ptr::eq(a.netlist(), b.netlist()), "same benchmark");
+        let mut other = FlowConfig::scattered_small().fast();
+        other.benchmark.name = "shared-netlist-other".to_string();
+        let c = Flow::new(other).unwrap();
+        assert!(
+            !std::ptr::eq(a.netlist(), c.netlist()),
+            "distinct benchmark"
+        );
+        for i in 0..NETLIST_CACHE_CAP + 2 {
+            let mut config = BenchmarkConfig::small();
+            config.name = format!("shared-netlist-{i}");
+            shared_netlist(&config).unwrap();
+            assert!(netlists().len() <= NETLIST_CACHE_CAP, "memo stays bounded");
+        }
     }
 }

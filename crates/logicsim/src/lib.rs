@@ -8,6 +8,15 @@
 //! and re-settles the combinational logic in topological order, counting
 //! per-net toggles along the way.
 //!
+//! [`Simulator::new`] compiles the netlist once into a levelized byte
+//! tape: one op per combinational cell, grouped by logic level and then
+//! by function, holding its [`stdcell::CellFunction`] and up to three
+//! input and two output net indices. A cycle gathers the flip-flop `D`
+//! nets into a capture buffer, scatters them to the `Q` nets, runs the
+//! tape through [`stdcell::CellFunction::eval_bits`] over one byte per
+//! net, and counts toggles by XOR against the previous settled state —
+//! no pointer chasing through cells and pins, no allocation per cycle.
+//!
 //! Workloads drive the primary inputs of each *unit* independently
 //! ([`Workload`]), which is exactly how the paper controls the size and
 //! position of thermal hotspots.

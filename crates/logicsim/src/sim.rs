@@ -1,56 +1,115 @@
-use netlist::{topo_order, CellId, NetDriver, NetId, Netlist};
+use netlist::{combinational_levels, CellId, NetDriver, NetId, Netlist, PinId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use stdcell::CellFunction;
 
 use crate::{Activity, Workload};
 
+/// One combinational cell compiled onto the tape: its function and the
+/// net slots it reads and writes.
+///
+/// Unused input slots repeat a slot the cell already touches
+/// ([`CellFunction::eval_bits`] ignores inputs beyond the cell's arity);
+/// a single-output cell's second output slot equals its first, and the
+/// carry is written before `Y`, so `Y` is the value that stays.
+#[derive(Debug, Clone, Copy)]
+struct Op {
+    function: CellFunction,
+    inputs: [u32; 3],
+    outputs: [u32; 2],
+}
+
 /// Two-valued, cycle-based simulator over a validated [`Netlist`].
+///
+/// Construction compiles the netlist into a flat, levelized *tape*: one
+/// op per combinational cell ([`Netlist::comb_order`]), ordered by logic
+/// level and then by function, each holding its [`CellFunction`] and the
+/// net indices it reads and writes. Flip-flops become a D/Q index pair
+/// gathered into a reused capture buffer and scattered back on the clock
+/// edge. Net values are bytes (0 or 1), and toggles are counted by XOR
+/// against the previous settled state, so a cycle never touches the
+/// netlist's cell → pin → net structure.
 ///
 /// See the [crate docs](crate) for the simulation semantics and an
 /// end-to-end example.
 #[derive(Debug)]
 pub struct Simulator<'a> {
     netlist: &'a Netlist,
-    topo: Vec<CellId>,
-    ffs: Vec<CellId>,
-    values: Vec<bool>,
-    prev_values: Vec<bool>,
+    tape: Vec<Op>,
+    /// Net index of every flip-flop's `D` input…
+    ff_d: Vec<u32>,
+    /// …and of its `Q` output, in the same order.
+    ff_q: Vec<u32>,
+    /// `D` values captured on the clock edge before any `Q` commits.
+    captured: Vec<u8>,
+    values: Vec<u8>,
+    prev_values: Vec<u8>,
     toggles: Vec<u64>,
     cycles: u64,
 }
 
 impl<'a> Simulator<'a> {
-    /// Creates a simulator with all state initialized to logic 0 and the
-    /// combinational logic settled.
+    /// Compiles `netlist` onto the tape and creates a simulator with all
+    /// state initialized to logic 0 and the combinational logic settled.
     ///
     /// # Panics
     ///
-    /// Panics if the netlist contains a combinational cycle — impossible
-    /// for netlists produced by [`netlist::NetlistBuilder::finish`], which
-    /// validates this.
+    /// Panics if the netlist has more than `u32::MAX` nets (the tape's
+    /// index width).
     pub fn new(netlist: &'a Netlist) -> Self {
-        let topo = topo_order(netlist).expect("validated netlist is acyclic");
-        let ffs = netlist
-            .cells()
-            .filter(|(_, c)| {
-                netlist
-                    .library()
-                    .cell(c.master())
-                    .function()
-                    .is_sequential()
+        assert!(
+            u32::try_from(netlist.net_count()).is_ok(),
+            "netlist too large for 32-bit net indices"
+        );
+        let lib = netlist.library();
+        let slot = |pin: PinId| netlist.pin(pin).net().index() as u32;
+        // Levelize: cells of one logic level never feed each other, so a
+        // stable sort of the topological order by (level, function) keeps
+        // the tape topological while running each function's ops back to
+        // back.
+        let levels = combinational_levels(netlist);
+        let function = |id: CellId| lib.cell(netlist.cell(id).master()).function();
+        let mut levelled: Vec<(Option<u32>, Op)> = netlist
+            .comb_order()
+            .iter()
+            .map(|&id| {
+                let cell = netlist.cell(id);
+                let mut outputs = [0; 2];
+                for (s, &pin) in outputs.iter_mut().zip(cell.output_pins().iter().cycle()) {
+                    *s = slot(pin);
+                }
+                let mut inputs = [outputs[0]; 3];
+                for (s, &pin) in inputs.iter_mut().zip(cell.input_pins().iter().cycle()) {
+                    *s = slot(pin);
+                }
+                let op = Op {
+                    function: function(id),
+                    inputs,
+                    outputs,
+                };
+                (levels[id.index()], op)
             })
-            .map(|(id, _)| id)
             .collect();
+        levelled.sort_by_key(|&(level, op)| (level, op.function as u8));
+        let tape = levelled.into_iter().map(|(_, op)| op).collect();
+        let (ff_d, ff_q): (Vec<u32>, Vec<u32>) = netlist
+            .cells()
+            .filter(|&(id, _)| function(id).is_sequential())
+            .map(|(_, c)| (slot(c.input_pins()[0]), slot(c.output_pins()[0])))
+            .unzip();
+        let n = netlist.net_count();
         let mut sim = Simulator {
             netlist,
-            topo,
-            ffs,
-            values: vec![false; netlist.net_count()],
-            prev_values: vec![false; netlist.net_count()],
-            toggles: vec![0; netlist.net_count()],
+            tape,
+            captured: vec![0; ff_d.len()],
+            ff_d,
+            ff_q,
+            values: vec![0; n],
+            prev_values: vec![0; n],
+            toggles: vec![0; n],
             cycles: 0,
         };
-        sim.eval_combinational();
+        sim.settle();
         sim.prev_values.copy_from_slice(&sim.values);
         sim
     }
@@ -71,7 +130,7 @@ impl<'a> Simulator<'a> {
     ///
     /// Panics if `net` is out of range.
     pub fn net_value(&self, net: NetId) -> bool {
-        self.values[net.index()]
+        self.values[net.index()] == 1
     }
 
     /// Drives a primary-input net. The value takes effect at the next
@@ -85,7 +144,7 @@ impl<'a> Simulator<'a> {
             matches!(self.netlist.net(net).driver(), NetDriver::Port(_)),
             "net {net} is not a primary input"
         );
-        self.values[net.index()] = value;
+        self.values[net.index()] = u8::from(value);
     }
 
     /// Drives a bus of primary-input nets (LSB first) from an integer.
@@ -111,22 +170,16 @@ impl<'a> Simulator<'a> {
         })
     }
 
-    fn eval_combinational(&mut self) {
-        let lib = self.netlist.library();
-        let mut inputs = [false; 3];
-        let mut outputs = [false; 2];
-        for &cell_id in &self.topo {
-            let cell = self.netlist.cell(cell_id);
-            let f = lib.cell(cell.master()).function();
-            let ni = f.input_count();
-            let no = f.output_count();
-            for (slot, &pin) in cell.input_pins().iter().enumerate() {
-                inputs[slot] = self.values[self.netlist.pin(pin).net().index()];
-            }
-            f.eval(&inputs[..ni], &mut outputs[..no]);
-            for (slot, &pin) in cell.output_pins().iter().enumerate() {
-                self.values[self.netlist.pin(pin).net().index()] = outputs[slot];
-            }
+    /// Runs the tape once: every combinational cell in topological order.
+    fn settle(&mut self) {
+        let v = &mut self.values;
+        for op in &self.tape {
+            let [a, b, c] = op.inputs;
+            let (y, co) = op
+                .function
+                .eval_bits(v[a as usize], v[b as usize], v[c as usize]);
+            v[op.outputs[1] as usize] = co;
+            v[op.outputs[0] as usize] = y;
         }
     }
 
@@ -135,26 +188,23 @@ impl<'a> Simulator<'a> {
     /// counts against the previous settled state.
     pub fn step(&mut self) {
         // Capture all D inputs simultaneously…
-        let captured: Vec<bool> = self
-            .ffs
-            .iter()
-            .map(|&ff| {
-                let d_pin = self.netlist.cell(ff).input_pins()[0];
-                self.values[self.netlist.pin(d_pin).net().index()]
-            })
-            .collect();
+        for (c, &d) in self.captured.iter_mut().zip(&self.ff_d) {
+            *c = self.values[d as usize];
+        }
         // …then commit to the Q outputs.
-        for (&ff, &q) in self.ffs.iter().zip(&captured) {
-            let q_pin = self.netlist.cell(ff).output_pins()[0];
-            self.values[self.netlist.pin(q_pin).net().index()] = q;
+        for (&q, &c) in self.ff_q.iter().zip(&self.captured) {
+            self.values[q as usize] = c;
         }
-        self.eval_combinational();
-        for i in 0..self.values.len() {
-            if self.values[i] != self.prev_values[i] {
-                self.toggles[i] += 1;
-            }
+        self.settle();
+        for ((t, p), &v) in self
+            .toggles
+            .iter_mut()
+            .zip(&mut self.prev_values)
+            .zip(&self.values)
+        {
+            *t += u64::from(*p ^ v);
+            *p = v;
         }
-        self.prev_values.copy_from_slice(&self.values);
         self.cycles += 1;
     }
 
@@ -166,23 +216,25 @@ impl<'a> Simulator<'a> {
     /// their current value, so after one cycle an idle unit's data path is
     /// completely quiet (only its flip-flops' internal clock energy
     /// remains — exactly the paper's workload-controlled hotspots).
+    ///
+    /// Each cycle draws one random bit per active-unit input port, in
+    /// [`Netlist::input_ports`] order, before the clock edge — so a given
+    /// seed always yields the same [`Activity`].
     pub fn run_workload(&mut self, workload: &Workload, cycles: usize, seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
-        // Snapshot the port nets and their owning units once.
-        let ports: Vec<(NetId, netlist::UnitId)> = self
+        let active: Vec<(usize, f64)> = self
             .netlist
             .input_ports()
             .iter()
-            .map(|p| (p.net(), p.unit()))
+            .filter_map(|port| {
+                workload
+                    .toggle_probability(port.unit())
+                    .map(|p| (port.net().index(), p))
+            })
             .collect();
         for _ in 0..cycles {
-            for &(net, unit) in &ports {
-                if let Some(p) = workload.toggle_probability(unit) {
-                    if rng.gen_bool(p) {
-                        let v = self.values[net.index()];
-                        self.values[net.index()] = !v;
-                    }
-                }
+            for &(net, p) in &active {
+                self.values[net] ^= u8::from(rng.gen_bool(p));
             }
             self.step();
         }

@@ -218,7 +218,7 @@ impl NetlistBuilder {
                 });
             }
         }
-        let netlist = Netlist {
+        let mut netlist = Netlist {
             name: self.name,
             library: self.library,
             cells: self.cells,
@@ -227,9 +227,11 @@ impl NetlistBuilder {
             units: self.units,
             input_ports: self.input_ports,
             output_ports: self.output_ports,
+            comb_order: Vec::new(),
         };
-        // Cycle check via topological sort of the combinational graph.
-        topo_order(&netlist)?;
+        // Cycle check via topological sort of the combinational graph;
+        // the order is kept for the simulator and the timing analyzer.
+        netlist.comb_order = topo_order(&netlist)?;
         Ok(netlist)
     }
 }

@@ -243,6 +243,9 @@ pub struct Netlist {
     pub(crate) units: Vec<Unit>,
     pub(crate) input_ports: Vec<Port>,
     pub(crate) output_ports: Vec<Port>,
+    /// Topological order of the combinational cells, computed once by
+    /// [`NetlistBuilder::finish`](crate::NetlistBuilder::finish).
+    pub(crate) comb_order: Vec<CellId>,
 }
 
 impl Netlist {
@@ -269,6 +272,15 @@ impl Netlist {
     /// Number of units.
     pub fn unit_count(&self) -> usize {
         self.units.len()
+    }
+
+    /// A topological evaluation order of the combinational cells — the
+    /// [`topo_order`](crate::topo_order) that
+    /// [`NetlistBuilder::finish`](crate::NetlistBuilder::finish) computed
+    /// while validating the netlist, kept so the logic simulator and the
+    /// timing analyzer never re-sort. Flip-flops and fillers are excluded.
+    pub fn comb_order(&self) -> &[CellId] {
+        &self.comb_order
     }
 
     /// The cell with the given id.

@@ -78,31 +78,30 @@ pub fn topo_order(netlist: &Netlist) -> Result<Vec<CellId>, NetlistError> {
 }
 
 /// Assigns each combinational cell its logic level: 1 + the maximum level
-/// of its combinational fan-in (register/port-fed cells are level 0).
+/// of its combinational fan-in (register/port-fed cells are level 0);
+/// sequential and filler cells get `None`. Walks the order the netlist
+/// kept from validation ([`Netlist::comb_order`]).
 ///
-/// Useful for depth statistics and as a sanity check on generated units.
-///
-/// # Errors
-///
-/// Returns [`NetlistError::CombinationalCycle`] when the combinational
-/// subgraph is cyclic.
-pub fn combinational_levels(netlist: &Netlist) -> Result<Vec<Option<u32>>, NetlistError> {
-    let order = topo_order(netlist)?;
+/// Used for depth statistics, as a sanity check on generated units, and
+/// by the logic simulator to levelize its tape.
+pub fn combinational_levels(netlist: &Netlist) -> Vec<Option<u32>> {
+    // One past the level of each net's combinational driver; 0 for nets
+    // driven by ports and registers.
+    let mut net_level = vec![0u32; netlist.net_count()];
     let mut levels: Vec<Option<u32>> = vec![None; netlist.cell_count()];
-    for cell in order {
-        let mut level = 0;
-        for &pin in netlist.cell(cell).input_pins() {
-            let net = netlist.pin(pin).net();
-            if let NetDriver::Pin(dpin) = netlist.net(net).driver() {
-                let driver = netlist.pin(dpin).cell();
-                if let Some(dl) = levels[driver.index()] {
-                    level = level.max(dl + 1);
-                }
-            }
+    for &cell in netlist.comb_order() {
+        let pins = netlist.cell(cell);
+        let level = pins
+            .input_pins()
+            .iter()
+            .map(|&pin| net_level[netlist.pin(pin).net().index()])
+            .fold(0, u32::max);
+        for &pin in pins.output_pins() {
+            net_level[netlist.pin(pin).net().index()] = level + 1;
         }
         levels[cell.index()] = Some(level);
     }
-    Ok(levels)
+    levels
 }
 
 #[cfg(test)]
@@ -171,7 +170,7 @@ mod tests {
             .cell(u, CellFunction::Inv, Drive::X1, &[n1], &[n2])
             .unwrap();
         let nl = b.finish().unwrap();
-        let levels = combinational_levels(&nl).unwrap();
+        let levels = combinational_levels(&nl);
         assert_eq!(levels[c0.index()], Some(0));
         assert_eq!(levels[c1.index()], Some(1));
     }

@@ -51,6 +51,7 @@ proptest! {
     fn topo_order_respects_dependencies(gates in prop::collection::vec(any::<u8>(), 1..60)) {
         let nl = random_netlist(&gates);
         let order = netlist::topo_order(&nl).unwrap();
+        prop_assert_eq!(nl.comb_order(), &order[..], "finish keeps the order it validated");
         let mut position = vec![usize::MAX; nl.cell_count()];
         for (i, &c) in order.iter().enumerate() {
             position[c.index()] = i;

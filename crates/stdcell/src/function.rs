@@ -160,7 +160,51 @@ impl CellFunction {
         }
     }
 
-    /// Evaluates the combinational function.
+    /// Evaluates the logic function on bit values (`0` or `1`) — the one
+    /// truth table of every gate, inlined into the logic simulator's hot
+    /// loop.
+    ///
+    /// Inputs are `A, B, C` in pin order; inputs beyond
+    /// [`CellFunction::input_count`] are ignored. Returns `(y, co)`:
+    /// output 0 (`Y`, `S` or `Q`) and output 1 (`CO` of the adders, `0`
+    /// for every other cell). For the sequential [`CellFunction::Dff`]
+    /// `y` is the *next* state (`Q := D`); [`CellFunction::Filler`] has no
+    /// logic and yields `(0, 0)`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use stdcell::CellFunction;
+    ///
+    /// assert_eq!(CellFunction::FullAdder.eval_bits(1, 1, 0), (0, 1));
+    /// assert_eq!(CellFunction::Mux2.eval_bits(0, 1, 1), (1, 0));
+    /// ```
+    #[inline]
+    pub fn eval_bits(self, a: u8, b: u8, c: u8) -> (u8, u8) {
+        match self {
+            CellFunction::Inv => (a ^ 1, 0),
+            CellFunction::Buf | CellFunction::Dff => (a, 0),
+            CellFunction::Nand2 => ((a & b) ^ 1, 0),
+            CellFunction::Nand3 => ((a & b & c) ^ 1, 0),
+            CellFunction::Nor2 => ((a | b) ^ 1, 0),
+            CellFunction::Nor3 => ((a | b | c) ^ 1, 0),
+            CellFunction::And2 => (a & b, 0),
+            CellFunction::Or2 => (a | b, 0),
+            CellFunction::Xor2 => (a ^ b, 0),
+            CellFunction::Xnor2 => (a ^ b ^ 1, 0),
+            CellFunction::Aoi21 => (((a & b) | c) ^ 1, 0),
+            CellFunction::Oai21 => (((a | b) & c) ^ 1, 0),
+            CellFunction::Mux2 => ((a & (c ^ 1)) | (b & c), 0),
+            CellFunction::HalfAdder => (a ^ b, a & b),
+            // Majority carry: a·b + cin·(a ⊕ b).
+            CellFunction::FullAdder => (a ^ b ^ c, (a & b) | (c & (a ^ b))),
+            CellFunction::TieLo | CellFunction::Filler => (0, 0),
+            CellFunction::TieHi => (1, 0),
+        }
+    }
+
+    /// Evaluates the combinational function on slices — a checked
+    /// wrapper over [`CellFunction::eval_bits`].
     ///
     /// For the sequential [`CellFunction::Dff`] this computes the *next*
     /// state (`Q := D`); the simulator decides when to commit it.
@@ -173,33 +217,13 @@ impl CellFunction {
     pub fn eval(self, inputs: &[bool], outputs: &mut [bool]) {
         assert_eq!(inputs.len(), self.input_count(), "wrong input arity");
         assert_eq!(outputs.len(), self.output_count(), "wrong output arity");
-        match self {
-            CellFunction::Inv => outputs[0] = !inputs[0],
-            CellFunction::Buf => outputs[0] = inputs[0],
-            CellFunction::Nand2 => outputs[0] = !(inputs[0] && inputs[1]),
-            CellFunction::Nand3 => outputs[0] = !(inputs[0] && inputs[1] && inputs[2]),
-            CellFunction::Nor2 => outputs[0] = !(inputs[0] || inputs[1]),
-            CellFunction::Nor3 => outputs[0] = !(inputs[0] || inputs[1] || inputs[2]),
-            CellFunction::And2 => outputs[0] = inputs[0] && inputs[1],
-            CellFunction::Or2 => outputs[0] = inputs[0] || inputs[1],
-            CellFunction::Xor2 => outputs[0] = inputs[0] ^ inputs[1],
-            CellFunction::Xnor2 => outputs[0] = !(inputs[0] ^ inputs[1]),
-            CellFunction::Aoi21 => outputs[0] = !((inputs[0] && inputs[1]) || inputs[2]),
-            CellFunction::Oai21 => outputs[0] = !((inputs[0] || inputs[1]) && inputs[2]),
-            CellFunction::Mux2 => outputs[0] = if inputs[2] { inputs[1] } else { inputs[0] },
-            CellFunction::HalfAdder => {
-                outputs[0] = inputs[0] ^ inputs[1];
-                outputs[1] = inputs[0] && inputs[1];
-            }
-            CellFunction::FullAdder => {
-                outputs[0] = inputs[0] ^ inputs[1] ^ inputs[2];
-                // Majority carry: a·b + cin·(a ⊕ b).
-                outputs[1] = (inputs[0] && inputs[1]) || (inputs[2] && (inputs[0] ^ inputs[1]));
-            }
-            CellFunction::Dff => outputs[0] = inputs[0],
-            CellFunction::TieLo => outputs[0] = false,
-            CellFunction::TieHi => outputs[0] = true,
-            CellFunction::Filler => panic!("filler cells have no logic function"),
+        if self.is_physical_only() {
+            panic!("filler cells have no logic function");
+        }
+        let bit = |i: usize| inputs.get(i).map_or(0, |&v| u8::from(v));
+        let (y, co) = self.eval_bits(bit(0), bit(1), bit(2));
+        for (out, v) in outputs.iter_mut().zip([y, co]) {
+            *out = v == 1;
         }
     }
 }
@@ -273,6 +297,19 @@ mod tests {
                 CellFunction::HalfAdder.eval(&[a, b], &mut out);
                 assert_eq!(out[0], a ^ b);
                 assert_eq!(out[1], a && b);
+            }
+        }
+    }
+
+    #[test]
+    fn eval_bits_stays_binary_and_only_adders_carry() {
+        for f in CellFunction::ALL {
+            for idx in 0u8..8 {
+                let (y, co) = f.eval_bits(idx & 1, (idx >> 1) & 1, idx >> 2);
+                assert!(y <= 1 && co <= 1, "{f}: non-binary output");
+                if f.output_count() < 2 {
+                    assert_eq!(co, 0, "{f}: carry from a single-output cell");
+                }
             }
         }
     }

@@ -1,11 +1,8 @@
-use netlist::{CellId, NetlistError};
+use netlist::CellId;
 
 /// Errors raised by static timing analysis.
 #[derive(Debug)]
 pub enum TimingError {
-    /// The netlist failed validation — typically a combinational cycle,
-    /// which has no topological order to propagate arrivals along.
-    Netlist(NetlistError),
     /// A cell has no placement, so wire lengths and local temperatures
     /// are undefined.
     UnplacedCell {
@@ -17,7 +14,6 @@ pub enum TimingError {
 impl std::fmt::Display for TimingError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            TimingError::Netlist(e) => write!(f, "netlist: {e}"),
             TimingError::UnplacedCell { cell } => {
                 write!(
                     f,
@@ -28,17 +24,4 @@ impl std::fmt::Display for TimingError {
     }
 }
 
-impl std::error::Error for TimingError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            TimingError::Netlist(e) => Some(e),
-            TimingError::UnplacedCell { .. } => None,
-        }
-    }
-}
-
-impl From<NetlistError> for TimingError {
-    fn from(e: NetlistError) -> Self {
-        TimingError::Netlist(e)
-    }
-}
+impl std::error::Error for TimingError {}

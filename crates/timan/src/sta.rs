@@ -1,4 +1,4 @@
-use netlist::{topo_order, CellId, NetDriver, Netlist};
+use netlist::{CellId, NetDriver, Netlist};
 use placement::{Floorplan, Placement};
 use thermalsim::ThermalMap;
 
@@ -14,9 +14,7 @@ use crate::{TimingConfig, TimingError, TimingReport};
 ///
 /// # Errors
 ///
-/// Returns [`TimingError::Netlist`] if the netlist contains
-/// combinational cycles (impossible for validated netlists) and
-/// [`TimingError::UnplacedCell`] if any cell is unplaced.
+/// Returns [`TimingError::UnplacedCell`] if any cell is unplaced.
 pub fn analyze(
     netlist: &Netlist,
     floorplan: &Floorplan,
@@ -25,7 +23,6 @@ pub fn analyze(
     config: &TimingConfig,
 ) -> Result<TimingReport, TimingError> {
     let lib = netlist.library();
-    let order = topo_order(netlist)?;
     let center = |cell: CellId| {
         placement
             .cell_center(netlist, floorplan, cell)
@@ -60,9 +57,10 @@ pub fn analyze(
         }
     }
 
-    // Propagate through combinational cells in topological order.
+    // Propagate through combinational cells in the topological order the
+    // netlist kept from validation.
     let mut best_pred: Vec<Option<CellId>> = vec![None; netlist.cell_count()];
-    for &cell_id in &order {
+    for &cell_id in netlist.comb_order() {
         let cell = netlist.cell(cell_id);
         let def = lib.cell(cell.master());
         let t = cell_temp(cell_id)?;

@@ -36,8 +36,9 @@ const SEED_CRATES: [&str; 3] = ["spicenet", "core", "timan"];
 /// their library code must be fixed or explicitly waived with a reason.
 /// The `waivers` audit fails if one of these crates has a ratcheted
 /// violation or a `ci/lint-baseline.json` entry — so no new unwaivered
-/// site can land in the service or the solver crate behind the baseline.
-const STRICT_CRATES: [&str; 2] = ["coolserved", "spicenet"];
+/// site can land in the service, the solver or the logic simulator
+/// behind the baseline.
+const STRICT_CRATES: [&str; 3] = ["coolserved", "logicsim", "spicenet"];
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();

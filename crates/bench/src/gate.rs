@@ -1,24 +1,19 @@
 //! The CI regression gate for `BENCH_sweep.json`.
 //!
-//! A sweep run is compared against a checked-in baseline on two axes:
+//! A sweep run is checked on two axes:
 //!
 //! * **Results** — every baseline record must have a matching record
 //!   (same workload, mesh and strategy) whose after-transform peak
 //!   temperature agrees within an absolute tolerance. Result drift means
 //!   the physics changed, which is never acceptable silently.
-//! * **Throughput** — the engine-vs-sequential speedup (measured within
-//!   one run, so machine speed cancels out) must not regress by more
-//!   than the configured fraction.
-//! * **Service cache** (schema ≥ 5) — warm requests answered by the
-//!   optimization service's keyed result cache must run at least
-//!   [`MIN_SERVICE_WARM_SPEEDUP`] times faster per request than their
-//!   cold solves (a within-run ratio), and no warm pass may fall back to
-//!   a cold solve.
-//! * **Threaded kernels** (schema ≥ 6) — the slab-parallel V-cycle
-//!   kernels must produce *bit-identical* fields at every thread count
-//!   (zero drift, gated on every machine), and on hosts with at least
-//!   [`MIN_THREADED_GATE_HW_THREADS`] hardware threads the 256×256
-//!   speedup must hold [`MIN_THREADED_SPEEDUP_256`].
+//! * **Sections** — each row of one rule table bounds one field of one
+//!   section entry: the structured and spectral solvers' speedups and
+//!   oracle drift, the threaded kernels' bit-identity and speedup, the
+//!   optimizer's exact-verification share and frontier, and the service
+//!   cache's warm-over-cold ratio and cold fallbacks. Every bounded
+//!   quantity is a within-run ratio or an exact count, so machine speed
+//!   cancels out; the baseline only establishes which sections must be
+//!   present.
 //!
 //! Violations come back as human-readable strings; an empty list passes.
 
@@ -28,10 +23,6 @@ use crate::json::Json;
 /// baseline, in kelvin. Far above solver tolerance, far below any real
 /// physics change.
 pub const PEAK_TOLERANCE_C: f64 = 0.25;
-
-/// Maximum allowed fractional speedup regression vs the baseline (0.2 =
-/// fail when the measured speedup drops below 80 % of the baseline's).
-pub const MAX_SPEEDUP_REGRESSION: f64 = 0.2;
 
 /// Minimum per-solve speedup the structured stencil + multigrid path
 /// must hold over the CSR + MIC(0) oracle on the 40×40×9 configuration
@@ -83,6 +74,91 @@ pub const SPECTRAL_DRIFT_TOLERANCE_K: f64 = 1e-6;
 /// 128×128, where both solvers finish in noise territory.
 pub const MIN_SPECTRAL_SPEEDUP_256: f64 = 2.0;
 
+/// Which entries of a section a [`Rule`] reads.
+#[derive(Debug, Clone, Copy)]
+enum Entry {
+    /// The section object itself.
+    Section,
+    /// Every object of the section's `meshes` array.
+    EveryMesh,
+    /// The `meshes` object whose `mesh` starts with this `nx`.
+    Mesh(f64),
+}
+
+/// What a [`Rule`] demands of its field. Numeric bounds read the field
+/// through [`Json::require_f64`], so a non-finite value fails by name.
+#[derive(Debug, Clone, Copy)]
+enum Bound {
+    /// No smaller than the floor.
+    AtLeast(f64),
+    /// Strictly greater than the floor.
+    Above(f64),
+    /// No larger than the cap.
+    AtMost(f64),
+    /// Equal to the value.
+    Exactly(f64),
+    /// A string equal to the value.
+    StrEquals(&'static str),
+    /// An array with at least one element.
+    NonEmptyArray,
+    /// No larger than `share` times the entry's field `of`.
+    ShareOf { of: &'static str, share: f64 },
+}
+
+/// A condition on the run: when a [`Rule`] is armed, and when its
+/// [`Entry::Mesh`] entry must exist.
+#[derive(Debug, Clone, Copy)]
+enum When {
+    /// On every run.
+    Always,
+    /// When the document's `mode` is `full` (smoke grids stop short of
+    /// the largest meshes by design).
+    FullMode,
+    /// When the section records at least this many `hw_threads` *and*
+    /// ran at least this many solver `threads`; on smaller hosts a
+    /// threaded speedup measures oversubscription, not parallelism.
+    HwThreads(f64),
+}
+
+/// One gated field of a `BENCH_sweep.json` section.
+#[derive(Debug, Clone, Copy)]
+struct Rule {
+    section: &'static str,
+    entry: Entry,
+    field: &'static str,
+    bound: Bound,
+    armed: When,
+    /// When an absent [`Entry::Mesh`] entry fails an armed rule. The
+    /// section's `meshes` array itself is always required.
+    required: When,
+}
+
+/// Every section gate. A section the baseline has but the run lacks
+/// fails once by name; a present section is held to each of its rows.
+#[rustfmt::skip]
+const RULES: [Rule; 12] = {
+    use Bound::{Above, AtLeast, AtMost, Exactly, NonEmptyArray, ShareOf, StrEquals};
+    use Entry::{EveryMesh, Mesh, Section};
+    use When::{Always, FullMode, HwThreads};
+    const fn row(section: &'static str, entry: Entry, field: &'static str, bound: Bound, armed: When, required: When) -> Rule {
+        Rule { section, entry, field, bound, armed, required }
+    }
+    [
+        row("solver_scaling", Mesh(40.0), "speedup_vs_csr", AtLeast(MIN_STRUCTURED_SPEEDUP), Always, Always),
+        row("solver_scaling", Mesh(40.0), "max_drift_k", AtMost(STRUCTURED_DRIFT_TOLERANCE_K), Always, Always),
+        row("solver_threads", EveryMesh, "max_drift_k", Exactly(0.0), Always, Always),
+        row("solver_threads", Mesh(256.0), "speedup", AtLeast(MIN_THREADED_SPEEDUP_256), HwThreads(MIN_THREADED_GATE_HW_THREADS), FullMode),
+        row("spectral", Section, "backend", StrEquals("spectral-dct"), Always, Always),
+        row("spectral", EveryMesh, "max_drift_k", AtMost(SPECTRAL_DRIFT_TOLERANCE_K), Always, Always),
+        row("spectral", Mesh(256.0), "speedup_vs_mg", AtLeast(MIN_SPECTRAL_SPEEDUP_256), FullMode, Always),
+        row("optimizer", Section, "screened", Above(0.0), Always, Always),
+        row("optimizer", Section, "exact_runs", ShareOf { of: "screened", share: MAX_OPTIMIZER_EXACT_SHARE }, Always, Always),
+        row("optimizer", Section, "frontier", NonEmptyArray, Always, Always),
+        row("service", Section, "warm_over_cold", AtLeast(MIN_SERVICE_WARM_SPEEDUP), Always, Always),
+        row("service", Section, "warm_cold_solves", Exactly(0.0), Always, Always),
+    ]
+};
+
 fn record_key(record: &Json) -> Option<String> {
     let workload = record.get("workload")?.as_str()?;
     let strategy = record.get("strategy")?.as_str()?;
@@ -98,7 +174,6 @@ pub fn check_against_baseline(
     current: &Json,
     baseline: &Json,
     peak_tolerance_c: f64,
-    max_speedup_regression: f64,
 ) -> Vec<String> {
     let mut failures = Vec::new();
 
@@ -141,331 +216,140 @@ pub fn check_against_baseline(
         _ => failures.push("missing `records` array".to_string()),
     }
 
-    // The speedup is only comparable between runs with the same worker
-    // count — raw thread parallelism could otherwise mask a regression
-    // of the reuse machinery (or an over-threaded baseline could fail
-    // every CI run).
-    let current_threads = current.get("threads").and_then(Json::as_f64);
-    let baseline_threads = baseline.get("threads").and_then(Json::as_f64);
-    if let (Some(got), Some(want)) = (current_threads, baseline_threads) {
-        if got != want {
-            failures.push(format!(
-                "thread count {got} differs from the baseline's {want}; \
-                 speedups are not comparable — regenerate the baseline"
-            ));
-        }
-    }
-
-    let current_speedup = current.get("speedup").and_then(Json::as_f64);
-    let baseline_speedup = baseline.get("speedup").and_then(Json::as_f64);
-    match (current_speedup, baseline_speedup) {
-        (Some(got), Some(want)) if !got.is_finite() || !want.is_finite() => {
-            failures.push(format!(
-                "non-finite `speedup` value (run {got}, baseline {want})"
-            ));
-        }
-        (Some(got), Some(want)) => {
-            let floor = want * (1.0 - max_speedup_regression);
-            if got < floor {
-                failures.push(format!(
-                    "speedup {got:.2}× regressed more than \
-                     {pct:.0}% vs baseline {want:.2}× (floor {floor:.2}×)",
-                    pct = max_speedup_regression * 100.0
-                ));
-            }
-        }
-        _ => failures.push("missing `speedup` value".to_string()),
-    }
-
-    failures.extend(check_solver_scaling_section(current, baseline));
-    failures.extend(check_solver_threads_section(current, baseline));
-    failures.extend(check_spectral_section(current, baseline));
-    failures.extend(check_optimizer_section(current, baseline));
-    failures.extend(check_service_section(current, baseline));
+    failures.extend(check_sections(current, baseline));
     failures
 }
 
-/// Validates the threaded-kernel section (schema ≥ 6) on two axes of
-/// very different severity:
-///
-/// * **Bit-drift** — every benched mesh must report *exactly* zero
-///   drift between the single-thread and N-thread solves, on every
-///   machine. The chunked-tree reductions are designed to make thread
-///   count invisible to the bits; the content-keyed result caches
-///   assume it, so any nonzero drift is a correctness bug, not noise.
-/// * **Speedup** — the 256×256 entry must hold
-///   [`MIN_THREADED_SPEEDUP_256`], but only when the run both recorded
-///   ≥ [`MIN_THREADED_GATE_HW_THREADS`] hardware threads and ran that
-///   many solver threads; on smaller hosts the measurement is
-///   oversubscription, not parallelism.
-fn check_solver_threads_section(current: &Json, baseline: &Json) -> Vec<String> {
-    let mut failures = Vec::new();
-    let Some(section) = current.get("solver_threads") else {
-        if baseline.get("solver_threads").is_some() {
-            failures.push("`solver_threads` section missing from this run".to_string());
-        }
-        return failures;
-    };
-    let Some(meshes) = section.get("meshes").and_then(Json::as_arr) else {
-        failures.push("section `solver_threads` is missing key `meshes`".to_string());
-        return failures;
-    };
-    for entry in meshes {
-        let nx = entry
-            .get("mesh")
-            .and_then(Json::as_arr)
-            .and_then(|m| m.first())
-            .and_then(Json::as_f64)
-            .unwrap_or(f64::NAN);
-        match entry.require_f64(&format!("solver_threads.meshes[{nx}x{nx}]"), "max_drift_k") {
-            // lint: allow(float-eq, reason = "the threaded solver promises bit-identity; the only acceptable drift is exactly zero")
-            Ok(drift) if drift != 0.0 => failures.push(format!(
-                "threaded solve drifted {drift:.2e} K from the single-thread \
-                 solve at {nx}x{nx}x9 — thread count must be invisible to the bits"
-            )),
-            Ok(_) => {}
-            Err(e) => failures.push(e),
-        }
-    }
-    let hw = section.get("hw_threads").and_then(Json::as_f64);
-    let ran = section.get("threads").and_then(Json::as_f64);
-    let gate_speedup = hw.is_some_and(|hw| hw >= MIN_THREADED_GATE_HW_THREADS)
-        && ran.is_some_and(|t| t >= MIN_THREADED_GATE_HW_THREADS);
-    if gate_speedup {
-        let entry_256 = meshes.iter().find(|entry| {
-            entry
-                .get("mesh")
-                .and_then(Json::as_arr)
-                .and_then(|m| m.first())
-                .and_then(Json::as_f64)
-                == Some(256.0)
-        });
-        let Some(entry) = entry_256 else {
-            // Smoke runs stop at 128×128 by design; only a full run may
-            // not silently drop the gated configuration.
-            if current.get("mode").and_then(Json::as_str) == Some("full") {
-                failures.push(
-                    "section `solver_threads.meshes` has no 256×256 entry \
-                     in a full run on a multi-core host (the gated \
-                     configuration)"
-                        .to_string(),
-                );
+/// Holds every present section of `current` to its [`RULES`] rows and
+/// fails each section `baseline` has but `current` lacks. Identical
+/// messages from several rows of one section (a missing `meshes` array)
+/// are reported once.
+fn check_sections(current: &Json, baseline: &Json) -> Vec<String> {
+    let mut failures: Vec<String> = Vec::new();
+    for (i, rule) in RULES.iter().enumerate() {
+        let Some(section) = current.get(rule.section) else {
+            let first_row = RULES[..i].iter().all(|r| r.section != rule.section);
+            if first_row && baseline.get(rule.section).is_some() {
+                failures.push(format!("`{}` section missing from this run", rule.section));
             }
-            return failures;
+            continue;
         };
-        match entry.require_f64("solver_threads.meshes[256x256]", "speedup") {
-            Ok(speedup) if speedup < MIN_THREADED_SPEEDUP_256 => failures.push(format!(
-                "threaded kernels reach only {speedup:.2}× at 256×256×9 with \
-                 {t:.0} threads on {h:.0} hardware threads \
-                 (floor {MIN_THREADED_SPEEDUP_256}×)",
-                t = ran.unwrap_or(0.0),
-                h = hw.unwrap_or(0.0),
-            )),
-            Ok(_) => {}
-            Err(e) => failures.push(e),
+        for failure in check_rule(rule, current, section) {
+            if !failures.contains(&failure) {
+                failures.push(failure);
+            }
         }
     }
     failures
 }
 
-/// Validates the spectral-solver section (schema ≥ 7) on two axes:
-///
-/// * **Drift** — every benched mesh must agree with the multigrid
-///   oracle to [`SPECTRAL_DRIFT_TOLERANCE_K`], on every machine. The
-///   direct factorization and the iterative solve answer the same
-///   physics; a disagreement is a solver bug, not noise. The section
-///   must also record that the spectral leg actually routed to the
-///   `spectral-dct` backend — a silent fallback to multigrid would
-///   make every other number in the section a tautology.
-/// * **Speedup** — the 256×256 entry must hold
-///   [`MIN_SPECTRAL_SPEEDUP_256`] over the oracle, but only in full
-///   mode: smoke runs stop at 128×128 by design. The ratio is
-///   within-run, so no hardware conditioning is needed.
-fn check_spectral_section(current: &Json, baseline: &Json) -> Vec<String> {
-    let mut failures = Vec::new();
-    let Some(section) = current.get("spectral") else {
-        if baseline.get("spectral").is_some() {
-            failures.push("`spectral` section missing from this run".to_string());
-        }
-        return failures;
-    };
-    match section.get("backend").and_then(Json::as_str) {
-        Some("spectral-dct") => {}
-        Some(other) => failures.push(format!(
-            "section `spectral` routed to backend `{other}` instead of \
-             `spectral-dct` — the homogeneous bench stack must take the \
-             direct tier"
-        )),
-        None => failures.push("section `spectral` is missing key `backend`".to_string()),
+fn holds(condition: When, doc: &Json, section: &Json) -> bool {
+    match condition {
+        When::Always => true,
+        When::FullMode => doc.get("mode").and_then(Json::as_str) == Some("full"),
+        When::HwThreads(n) => ["hw_threads", "threads"].iter().all(|key| {
+            section
+                .get(key)
+                .and_then(Json::as_f64)
+                .is_some_and(|v| v >= n)
+        }),
+    }
+}
+
+fn mesh_nx(entry: &Json) -> Option<f64> {
+    entry.get("mesh")?.as_arr()?.first()?.as_f64()
+}
+
+/// The violations of one armed rule against a present section.
+fn check_rule(rule: &Rule, doc: &Json, section: &Json) -> Vec<String> {
+    if !holds(rule.armed, doc, section) {
+        return Vec::new();
+    }
+    let name = rule.section;
+    if let Entry::Section = rule.entry {
+        return check_field(rule, name, section).err().into_iter().collect();
     }
     let Some(meshes) = section.get("meshes").and_then(Json::as_arr) else {
-        failures.push("section `spectral` is missing key `meshes`".to_string());
-        return failures;
+        return vec![format!("section `{name}` is missing key `meshes`")];
     };
-    for entry in meshes {
-        let nx = entry
-            .get("mesh")
-            .and_then(Json::as_arr)
-            .and_then(|m| m.first())
-            .and_then(Json::as_f64)
-            .unwrap_or(f64::NAN);
-        match entry.require_f64(&format!("spectral.meshes[{nx}x{nx}]"), "max_drift_k") {
-            Ok(drift) if drift > SPECTRAL_DRIFT_TOLERANCE_K => failures.push(format!(
-                "spectral direct solve drifted {drift:.2e} K from the \
-                 multigrid oracle at {nx}x{nx}x9 \
-                 (tolerance {SPECTRAL_DRIFT_TOLERANCE_K:.0e} K)"
-            )),
-            Ok(_) => {}
-            Err(e) => failures.push(e),
+    let selected: Vec<&Json> = match rule.entry {
+        Entry::Mesh(nx) => {
+            let found = meshes.iter().find(|e| mesh_nx(e) == Some(nx));
+            if found.is_none() && holds(rule.required, doc, section) {
+                return vec![format!(
+                    "section `{name}.meshes` has no {nx}x{nx} entry (the gated configuration)"
+                )];
+            }
+            found.into_iter().collect()
         }
-    }
-    if current.get("mode").and_then(Json::as_str) == Some("full") {
-        let entry_256 = meshes.iter().find(|entry| {
-            entry
-                .get("mesh")
-                .and_then(Json::as_arr)
-                .and_then(|m| m.first())
-                .and_then(Json::as_f64)
-                == Some(256.0)
-        });
-        let Some(entry) = entry_256 else {
-            failures.push(
-                "section `spectral.meshes` has no 256×256 entry in a full \
-                 run (the gated configuration)"
-                    .to_string(),
-            );
-            return failures;
-        };
-        match entry.require_f64("spectral.meshes[256x256]", "speedup_vs_mg") {
-            Ok(speedup) if speedup < MIN_SPECTRAL_SPEEDUP_256 => failures.push(format!(
-                "spectral direct solver reaches only {speedup:.2}× over the \
-                 multigrid oracle at 256×256×9 \
-                 (floor {MIN_SPECTRAL_SPEEDUP_256}×)"
-            )),
-            Ok(_) => {}
-            Err(e) => failures.push(e),
-        }
-    }
-    failures
+        _ => meshes.iter().collect(),
+    };
+    selected
+        .into_iter()
+        .filter_map(|entry| {
+            let nx = mesh_nx(entry).unwrap_or(f64::NAN);
+            check_field(rule, &format!("{name}.meshes[{nx}x{nx}]"), entry).err()
+        })
+        .collect()
 }
 
-/// Validates the optimization-service section (schema ≥ 5): the warm
-/// (cache-served) passes must beat the cold pass per request by at least
-/// [`MIN_SERVICE_WARM_SPEEDUP`], and none of them may have fallen back
-/// to a cold solve. Both are within-run quantities; the baseline only
-/// establishes that the section must be present at all.
-fn check_service_section(current: &Json, baseline: &Json) -> Vec<String> {
-    let mut failures = Vec::new();
-    let Some(service) = current.get("service") else {
-        if baseline.get("service").is_some() {
-            failures.push("`service` section missing from this run".to_string());
-        }
-        return failures;
-    };
-    match service.require_f64("service", "warm_over_cold") {
-        Ok(ratio) if ratio < MIN_SERVICE_WARM_SPEEDUP => failures.push(format!(
-            "service cache serves warm requests only {ratio:.2}× faster than \
-             cold solves (floor {MIN_SERVICE_WARM_SPEEDUP}×)"
-        )),
-        Ok(_) => {}
-        Err(e) => failures.push(e),
-    }
-    match service.require_f64("service", "warm_cold_solves") {
-        Ok(n) if n > 0.0 => failures.push(format!(
-            "{n:.0} warm service request(s) fell through the result cache \
-             to a cold solve"
-        )),
-        Ok(_) => {}
-        Err(e) => failures.push(e),
-    }
-    failures
-}
-
-/// Validates the strategy-engine optimizer section (schema ≥ 4): exact
-/// verifications must stay at most [`MAX_OPTIMIZER_EXACT_SHARE`] of the
-/// screened candidates, and the frontier must not be empty. Within-run
-/// quantities — the baseline only establishes presence.
-fn check_optimizer_section(current: &Json, baseline: &Json) -> Vec<String> {
-    let mut failures = Vec::new();
-    let Some(optimizer) = current.get("optimizer") else {
-        if baseline.get("optimizer").is_some() {
-            failures.push("`optimizer` section missing from this run".to_string());
-        }
-        return failures;
-    };
-    let screened = optimizer.require_f64("optimizer", "screened");
-    let exact = optimizer.require_f64("optimizer", "exact_runs");
-    match (screened, exact) {
-        (Ok(screened), Ok(exact)) => {
-            if screened <= 0.0 {
-                failures.push("optimizer screened no candidates".to_string());
-            } else if exact > screened * MAX_OPTIMIZER_EXACT_SHARE {
-                failures.push(format!(
-                    "optimizer exact-verified {exact:.0} of {screened:.0} screened \
-                     candidates ({:.0}%, cap {:.0}%)",
-                    exact / screened * 100.0,
-                    MAX_OPTIMIZER_EXACT_SHARE * 100.0
-                ));
+/// Checks one entry's field against the rule's bound. A breach names
+/// the entry path, the field, the value and the bound.
+fn check_field(rule: &Rule, path: &str, entry: &Json) -> Result<(), String> {
+    let field = rule.field;
+    let number = |key: &str| entry.require_f64(path, key);
+    let (value, ok, needs) = match rule.bound {
+        Bound::StrEquals(want) => {
+            return match entry.get(field).and_then(Json::as_str) {
+                Some(got) if got == want => Ok(()),
+                Some(got) => Err(format!("`{path}.{field}` = `{got}`, needs `{want}`")),
+                None => Err(format!("section `{path}` is missing key `{field}`")),
             }
         }
-        (a, b) => failures.extend(a.err().into_iter().chain(b.err())),
+        Bound::NonEmptyArray => {
+            return match entry.get(field).and_then(Json::as_arr) {
+                Some([]) => Err(format!("`{path}.{field}` = [], needs a non-empty array")),
+                Some(_) => Ok(()),
+                None => Err(format!("section `{path}` is missing key `{field}`")),
+            }
+        }
+        Bound::AtLeast(floor) => {
+            let v = number(field)?;
+            (v, v >= floor, format!("≥ {}", num(floor)))
+        }
+        Bound::Above(floor) => {
+            let v = number(field)?;
+            (v, v > floor, format!("> {}", num(floor)))
+        }
+        Bound::AtMost(cap) => {
+            let v = number(field)?;
+            (v, v <= cap, format!("≤ {}", num(cap)))
+        }
+        Bound::Exactly(want) => {
+            let v = number(field)?;
+            (v, v == want, format!("exactly {}", num(want)))
+        }
+        Bound::ShareOf { of, share } => {
+            let (v, total) = (number(field)?, number(of)?);
+            let needs = format!("≤ {}% of `{of}` = {}", num(share * 100.0), num(total));
+            (v, v <= total * share, needs)
+        }
+    };
+    if ok {
+        Ok(())
+    } else {
+        Err(format!("`{path}.{field}` = {}, needs {needs}", num(value)))
     }
-    match optimizer.get("frontier").and_then(Json::as_arr) {
-        Some([]) => failures.push("optimizer frontier is empty".to_string()),
-        Some(_) => {}
-        None => failures.push("section `optimizer` is missing key `frontier`".to_string()),
-    }
-    failures
 }
 
-/// Validates the structured-solver section (schema ≥ 3): the 40×40×9
-/// entry must hold the structured-vs-CSR speedup floor and stay within
-/// the drift tolerance of the oracle. These are within-run measurements;
-/// the baseline only establishes presence.
-fn check_solver_scaling_section(current: &Json, baseline: &Json) -> Vec<String> {
-    let mut failures = Vec::new();
-    let Some(scaling) = current.get("solver_scaling") else {
-        if baseline.get("solver_scaling").is_some() {
-            failures.push("`solver_scaling` section missing from this run".to_string());
-        }
-        return failures;
-    };
-    let Some(meshes) = scaling.get("meshes").and_then(Json::as_arr) else {
-        failures.push("section `solver_scaling` is missing key `meshes`".to_string());
-        return failures;
-    };
-    let gate_entry = meshes.iter().find(|entry| {
-        entry
-            .get("mesh")
-            .and_then(Json::as_arr)
-            .and_then(|m| m.first())
-            .and_then(Json::as_f64)
-            == Some(40.0)
-    });
-    let Some(entry) = gate_entry else {
-        failures.push(
-            "section `solver_scaling.meshes` has no 40×40 entry (the gated configuration)"
-                .to_string(),
-        );
-        return failures;
-    };
-    match entry.require_f64("solver_scaling.meshes[40x40]", "speedup_vs_csr") {
-        Ok(speedup) if speedup < MIN_STRUCTURED_SPEEDUP => failures.push(format!(
-            "structured solver is only {speedup:.2}× the CSR oracle at 40×40×9 \
-             (floor {MIN_STRUCTURED_SPEEDUP}×)"
-        )),
-        Ok(_) => {}
-        Err(e) => failures.push(e),
+/// A gate number in messages: exponent form for tiny and huge
+/// magnitudes (drifts in kelvin), plain otherwise.
+fn num(v: f64) -> String {
+    if v.abs() > 0.0 && !(1e-3..1e6).contains(&v.abs()) {
+        format!("{v:e}")
+    } else {
+        format!("{v}")
     }
-    match entry.require_f64("solver_scaling.meshes[40x40]", "max_drift_k") {
-        Ok(drift) if drift > STRUCTURED_DRIFT_TOLERANCE_K => failures.push(format!(
-            "structured solver drifted {drift:.2e} K from the CSR oracle at 40×40×9 \
-             (tolerance {STRUCTURED_DRIFT_TOLERANCE_K:.0e} K)"
-        )),
-        Ok(_) => {}
-        Err(e) => failures.push(e),
-    }
-    failures
 }
 
 #[cfg(test)]
@@ -491,35 +375,14 @@ mod tests {
     #[test]
     fn identical_runs_pass() {
         let failures = doc(3.0, 81.5);
-        assert!(check_against_baseline(&failures, &failures, 0.25, 0.2).is_empty());
+        assert!(check_against_baseline(&failures, &failures, 0.25).is_empty());
     }
 
     #[test]
     fn peak_drift_fails() {
-        let failures = check_against_baseline(&doc(3.0, 82.5), &doc(3.0, 81.5), 0.25, 0.2);
+        let failures = check_against_baseline(&doc(3.0, 82.5), &doc(3.0, 81.5), 0.25);
         assert_eq!(failures.len(), 1);
         assert!(failures[0].contains("drifted"), "{failures:?}");
-    }
-
-    #[test]
-    fn speedup_regression_fails_only_past_the_threshold() {
-        // 2.5 vs 3.0 is a 17 % regression — allowed at 20 %.
-        assert!(check_against_baseline(&doc(2.5, 81.5), &doc(3.0, 81.5), 0.25, 0.2).is_empty());
-        let failures = check_against_baseline(&doc(2.3, 81.5), &doc(3.0, 81.5), 0.25, 0.2);
-        assert_eq!(failures.len(), 1);
-        assert!(failures[0].contains("regressed"), "{failures:?}");
-    }
-
-    #[test]
-    fn thread_count_mismatch_fails() {
-        let mut four_threads = doc(5.0, 81.5);
-        let Json::Obj(pairs) = &mut four_threads else {
-            unreachable!()
-        };
-        pairs[0].1 = Json::Num(4.0);
-        let failures = check_against_baseline(&four_threads, &doc(3.0, 81.5), 0.25, 0.2);
-        assert_eq!(failures.len(), 1);
-        assert!(failures[0].contains("thread count"), "{failures:?}");
     }
 
     fn with_scaling(mut doc: Json, speedup: f64, drift: f64) -> Json {
@@ -552,19 +415,23 @@ mod tests {
         let base = with_scaling(doc(3.0, 81.5), 3.5, 1e-9);
         // Healthy section passes.
         let good = with_scaling(doc(3.0, 81.5), 2.1, 3e-8);
-        assert!(check_against_baseline(&good, &base, 0.25, 0.2).is_empty());
+        assert!(check_against_baseline(&good, &base, 0.25).is_empty());
         // Speedup under the floor fails, naming the configuration.
         let slow = with_scaling(doc(3.0, 81.5), 1.2, 1e-9);
-        let failures = check_against_baseline(&slow, &base, 0.25, 0.2);
+        let failures = check_against_baseline(&slow, &base, 0.25);
         assert!(
-            failures.iter().any(|f| f.contains("40×40×9")),
+            failures
+                .iter()
+                .any(|f| f.contains("`solver_scaling.meshes[40x40].speedup_vs_csr` = 1.2")),
             "{failures:?}"
         );
         // Oracle drift fails.
         let drifty = with_scaling(doc(3.0, 81.5), 3.0, 1e-3);
-        let failures = check_against_baseline(&drifty, &base, 0.25, 0.2);
+        let failures = check_against_baseline(&drifty, &base, 0.25);
         assert!(
-            failures.iter().any(|f| f.contains("drifted")),
+            failures
+                .iter()
+                .any(|f| f.contains("meshes[40x40].max_drift_k` = 0.001, needs ≤ 1e-6")),
             "{failures:?}"
         );
         // A truncated section names exactly what is missing.
@@ -574,7 +441,7 @@ mod tests {
         };
         pairs.retain(|(k, _)| k != "solver_scaling");
         pairs.push(("solver_scaling".to_string(), Json::obj([])));
-        let failures = check_against_baseline(&truncated, &base, 0.25, 0.2);
+        let failures = check_against_baseline(&truncated, &base, 0.25);
         assert!(
             failures
                 .iter()
@@ -582,7 +449,7 @@ mod tests {
             "{failures:?}"
         );
         // Dropping the section entirely (when the baseline has it) fails.
-        let failures = check_against_baseline(&doc(3.0, 81.5), &base, 0.25, 0.2);
+        let failures = check_against_baseline(&doc(3.0, 81.5), &base, 0.25);
         assert!(
             failures
                 .iter()
@@ -590,7 +457,7 @@ mod tests {
             "{failures:?}"
         );
         // Pre-v3 documents (no section on either side) still pass.
-        assert!(check_against_baseline(&doc(3.0, 81.5), &doc(3.0, 81.5), 0.25, 0.2).is_empty());
+        assert!(check_against_baseline(&doc(3.0, 81.5), &doc(3.0, 81.5), 0.25).is_empty());
     }
 
     fn with_solver_threads(mut doc: Json, hw: f64, ran: f64, speedup_256: f64, drift: f64) -> Json {
@@ -629,11 +496,13 @@ mod tests {
         // A single-core host: the speedup floor is waived, the drift
         // gate is not.
         let single_core_ok = with_solver_threads(doc(3.0, 81.5), 1.0, 2.0, 0.9, 0.0);
-        assert!(check_against_baseline(&single_core_ok, &base, 0.25, 0.2).is_empty());
+        assert!(check_against_baseline(&single_core_ok, &base, 0.25).is_empty());
         let drifty = with_solver_threads(doc(3.0, 81.5), 1.0, 2.0, 0.9, 1e-15);
-        let failures = check_against_baseline(&drifty, &base, 0.25, 0.2);
+        let failures = check_against_baseline(&drifty, &base, 0.25);
         assert!(
-            failures.iter().any(|f| f.contains("invisible to the bits")),
+            failures
+                .iter()
+                .any(|f| f.contains("solver_threads.meshes[256x256].max_drift_k` = 1e-15")),
             "{failures:?}"
         );
     }
@@ -643,22 +512,24 @@ mod tests {
         let base = with_solver_threads(doc(3.0, 81.5), 8.0, 4.0, 2.6, 0.0);
         // Healthy multi-core run passes.
         let good = with_solver_threads(doc(3.0, 81.5), 8.0, 4.0, 2.3, 0.0);
-        assert!(check_against_baseline(&good, &base, 0.25, 0.2).is_empty());
+        assert!(check_against_baseline(&good, &base, 0.25).is_empty());
         // Multi-core host under the floor fails.
         let slow = with_solver_threads(doc(3.0, 81.5), 8.0, 4.0, 1.3, 0.0);
-        let failures = check_against_baseline(&slow, &base, 0.25, 0.2);
+        let failures = check_against_baseline(&slow, &base, 0.25);
         assert!(
-            failures.iter().any(|f| f.contains("floor 2×")),
+            failures
+                .iter()
+                .any(|f| f.contains("meshes[256x256].speedup` = 1.3, needs ≥ 2")),
             "{failures:?}"
         );
         // The same measurement on a single-core host is skipped.
         let single = with_solver_threads(doc(3.0, 81.5), 1.0, 4.0, 1.3, 0.0);
-        assert!(check_against_baseline(&single, &base, 0.25, 0.2).is_empty());
+        assert!(check_against_baseline(&single, &base, 0.25).is_empty());
         // ...as is a multi-core run that only used 2 solver threads.
         let underthreaded = with_solver_threads(doc(3.0, 81.5), 8.0, 2.0, 1.3, 0.0);
-        assert!(check_against_baseline(&underthreaded, &base, 0.25, 0.2).is_empty());
+        assert!(check_against_baseline(&underthreaded, &base, 0.25).is_empty());
         // Dropping the section entirely (when the baseline has it) fails.
-        let failures = check_against_baseline(&doc(3.0, 81.5), &base, 0.25, 0.2);
+        let failures = check_against_baseline(&doc(3.0, 81.5), &base, 0.25);
         assert!(
             failures
                 .iter()
@@ -666,7 +537,7 @@ mod tests {
             "{failures:?}"
         );
         // Pre-v6 documents (no section on either side) still pass.
-        assert!(check_against_baseline(&doc(3.0, 81.5), &doc(3.0, 81.5), 0.25, 0.2).is_empty());
+        assert!(check_against_baseline(&doc(3.0, 81.5), &doc(3.0, 81.5), 0.25).is_empty());
     }
 
     #[test]
@@ -701,9 +572,9 @@ mod tests {
             with_solver_threads(doc(3.0, 81.5), 8.0, 4.0, 2.6, 0.0),
             "full",
         );
-        let failures = check_against_baseline(&hollow, &base, 0.25, 0.2);
+        let failures = check_against_baseline(&hollow, &base, 0.25);
         assert!(
-            failures.iter().any(|f| f.contains("no 256×256 entry")),
+            failures.iter().any(|f| f.contains("no 256x256 entry")),
             "{failures:?}"
         );
         // ...but a smoke run stops at 128×128 by design.
@@ -711,7 +582,7 @@ mod tests {
             with_solver_threads(doc(3.0, 81.5), 8.0, 4.0, 2.6, 0.0),
             "smoke",
         );
-        assert!(check_against_baseline(&smoke, &base, 0.25, 0.2).is_empty());
+        assert!(check_against_baseline(&smoke, &base, 0.25).is_empty());
     }
 
     fn with_spectral(
@@ -754,23 +625,25 @@ mod tests {
         let base = with_spectral(doc(3.0, 81.5), "full", "spectral-dct", 3.1, 1e-9);
         // Healthy full run passes.
         let good = with_spectral(doc(3.0, 81.5), "full", "spectral-dct", 2.4, 2e-8);
-        assert!(check_against_baseline(&good, &base, 0.25, 0.2).is_empty());
+        assert!(check_against_baseline(&good, &base, 0.25).is_empty());
         // Oracle drift past a microkelvin fails — even in smoke mode.
         let drifty = with_spectral(doc(3.0, 81.5), "smoke", "spectral-dct", 2.4, 1e-3);
-        let failures = check_against_baseline(&drifty, &base, 0.25, 0.2);
+        let failures = check_against_baseline(&drifty, &base, 0.25);
         assert!(
-            failures.iter().any(|f| f.contains("drifted")),
+            failures
+                .iter()
+                .any(|f| f.contains("spectral.meshes[256x256].max_drift_k")),
             "{failures:?}"
         );
         // A spectral leg that silently fell back to multigrid fails.
         let fallback = with_spectral(doc(3.0, 81.5), "full", "stencil-multigrid", 2.4, 0.0);
-        let failures = check_against_baseline(&fallback, &base, 0.25, 0.2);
+        let failures = check_against_baseline(&fallback, &base, 0.25);
         assert!(
             failures.iter().any(|f| f.contains("stencil-multigrid")),
             "{failures:?}"
         );
         // Dropping the section entirely (when the baseline has it) fails.
-        let failures = check_against_baseline(&doc(3.0, 81.5), &base, 0.25, 0.2);
+        let failures = check_against_baseline(&doc(3.0, 81.5), &base, 0.25);
         assert!(
             failures
                 .iter()
@@ -778,7 +651,7 @@ mod tests {
             "{failures:?}"
         );
         // Pre-v7 documents (no section on either side) still pass.
-        assert!(check_against_baseline(&doc(3.0, 81.5), &doc(3.0, 81.5), 0.25, 0.2).is_empty());
+        assert!(check_against_baseline(&doc(3.0, 81.5), &doc(3.0, 81.5), 0.25).is_empty());
     }
 
     #[test]
@@ -786,17 +659,17 @@ mod tests {
         let base = with_spectral(doc(3.0, 81.5), "full", "spectral-dct", 3.1, 1e-9);
         // A full run under the floor fails, naming the configuration.
         let slow = with_spectral(doc(3.0, 81.5), "full", "spectral-dct", 1.3, 1e-9);
-        let failures = check_against_baseline(&slow, &base, 0.25, 0.2);
+        let failures = check_against_baseline(&slow, &base, 0.25);
         assert!(
             failures
                 .iter()
-                .any(|f| f.contains("256×256×9") && f.contains("floor 2×")),
+                .any(|f| f.contains("spectral.meshes[256x256].speedup_vs_mg` = 1.3, needs ≥ 2")),
             "{failures:?}"
         );
         // The same ratio in a smoke run is not gated (the smoke grid
         // stops at 128×128; this 256 entry is synthetic)...
         let smoke = with_spectral(doc(3.0, 81.5), "smoke", "spectral-dct", 1.3, 1e-9);
-        assert!(check_against_baseline(&smoke, &base, 0.25, 0.2).is_empty());
+        assert!(check_against_baseline(&smoke, &base, 0.25).is_empty());
         // ...but a full run may not drop the gated mesh.
         let mut hollow = with_spectral(doc(3.0, 81.5), "full", "spectral-dct", 3.1, 1e-9);
         let Json::Obj(pairs) = &mut hollow else {
@@ -817,9 +690,9 @@ mod tests {
                 }
             }
         }
-        let failures = check_against_baseline(&hollow, &base, 0.25, 0.2);
+        let failures = check_against_baseline(&hollow, &base, 0.25);
         assert!(
-            failures.iter().any(|f| f.contains("no 256×256 entry")),
+            failures.iter().any(|f| f.contains("no 256x256 entry")),
             "{failures:?}"
         );
     }
@@ -851,23 +724,27 @@ mod tests {
         let base = with_optimizer(doc(3.0, 81.5), 60.0, 12.0, 10);
         // Healthy section passes (20 % exact).
         let good = with_optimizer(doc(3.0, 81.5), 60.0, 12.0, 10);
-        assert!(check_against_baseline(&good, &base, 0.25, 0.2).is_empty());
+        assert!(check_against_baseline(&good, &base, 0.25).is_empty());
         // Exact share over the cap fails.
         let greedy = with_optimizer(doc(3.0, 81.5), 60.0, 20.0, 10);
-        let failures = check_against_baseline(&greedy, &base, 0.25, 0.2);
+        let failures = check_against_baseline(&greedy, &base, 0.25);
         assert!(
-            failures.iter().any(|f| f.contains("exact-verified")),
+            failures
+                .iter()
+                .any(|f| f.contains("`optimizer.exact_runs` = 20, needs ≤ 25% of `screened`")),
             "{failures:?}"
         );
         // An empty frontier fails.
         let empty = with_optimizer(doc(3.0, 81.5), 60.0, 12.0, 0);
-        let failures = check_against_baseline(&empty, &base, 0.25, 0.2);
+        let failures = check_against_baseline(&empty, &base, 0.25);
         assert!(
-            failures.iter().any(|f| f.contains("frontier is empty")),
+            failures
+                .iter()
+                .any(|f| f.contains("`optimizer.frontier` = [], needs a non-empty array")),
             "{failures:?}"
         );
         // Dropping the section entirely (when the baseline has it) fails.
-        let failures = check_against_baseline(&doc(3.0, 81.5), &base, 0.25, 0.2);
+        let failures = check_against_baseline(&doc(3.0, 81.5), &base, 0.25);
         assert!(
             failures
                 .iter()
@@ -875,7 +752,7 @@ mod tests {
             "{failures:?}"
         );
         // Pre-v4 documents (no section on either side) still pass.
-        assert!(check_against_baseline(&doc(3.0, 81.5), &doc(3.0, 81.5), 0.25, 0.2).is_empty());
+        assert!(check_against_baseline(&doc(3.0, 81.5), &doc(3.0, 81.5), 0.25).is_empty());
     }
 
     fn with_service(mut doc: Json, warm_over_cold: f64, warm_cold_solves: f64) -> Json {
@@ -897,24 +774,28 @@ mod tests {
         let base = with_service(doc(3.0, 81.5), 200.0, 0.0);
         // Healthy section passes.
         let good = with_service(doc(3.0, 81.5), 50.0, 0.0);
-        assert!(check_against_baseline(&good, &base, 0.25, 0.2).is_empty());
+        assert!(check_against_baseline(&good, &base, 0.25).is_empty());
         // Warm requests barely beating cold solves fails.
         let tepid = with_service(doc(3.0, 81.5), 1.4, 0.0);
-        let failures = check_against_baseline(&tepid, &base, 0.25, 0.2);
+        let failures = check_against_baseline(&tepid, &base, 0.25);
         assert!(
-            failures.iter().any(|f| f.contains("warm requests")),
+            failures
+                .iter()
+                .any(|f| f.contains("`service.warm_over_cold` = 1.4, needs ≥ 3")),
             "{failures:?}"
         );
         // Any warm request falling through to a cold solve fails.
         let leaky = with_service(doc(3.0, 81.5), 50.0, 2.0);
-        let failures = check_against_baseline(&leaky, &base, 0.25, 0.2);
+        let failures = check_against_baseline(&leaky, &base, 0.25);
         assert!(
-            failures.iter().any(|f| f.contains("fell through")),
+            failures
+                .iter()
+                .any(|f| f.contains("`service.warm_cold_solves` = 2, needs exactly 0")),
             "{failures:?}"
         );
         // A non-finite ratio fails by name instead of passing silently.
         let poisoned = with_service(doc(3.0, 81.5), f64::NAN, 0.0);
-        let failures = check_against_baseline(&poisoned, &base, 0.25, 0.2);
+        let failures = check_against_baseline(&poisoned, &base, 0.25);
         assert!(
             failures
                 .iter()
@@ -922,7 +803,7 @@ mod tests {
             "{failures:?}"
         );
         // Dropping the section entirely (when the baseline has it) fails.
-        let failures = check_against_baseline(&doc(3.0, 81.5), &base, 0.25, 0.2);
+        let failures = check_against_baseline(&doc(3.0, 81.5), &base, 0.25);
         assert!(
             failures
                 .iter()
@@ -930,17 +811,21 @@ mod tests {
             "{failures:?}"
         );
         // Pre-v5 documents (no section on either side) still pass.
-        assert!(check_against_baseline(&doc(3.0, 81.5), &doc(3.0, 81.5), 0.25, 0.2).is_empty());
+        assert!(check_against_baseline(&doc(3.0, 81.5), &doc(3.0, 81.5), 0.25).is_empty());
     }
 
     #[test]
     fn non_finite_speedup_fails_instead_of_passing_silently() {
         // `NaN < floor` is false, so without an explicit guard a NaN
-        // speedup would pass the regression gate.
+        // speedup would pass its floor.
+        let base = with_scaling(doc(3.0, 81.5), 3.5, 1e-9);
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            let failures = check_against_baseline(&doc(bad, 81.5), &doc(3.0, 81.5), 0.25, 0.2);
+            let poisoned = with_scaling(doc(3.0, 81.5), bad, 1e-9);
+            let failures = check_against_baseline(&poisoned, &base, 0.25);
             assert!(
-                failures.iter().any(|f| f.contains("non-finite `speedup`")),
+                failures
+                    .iter()
+                    .any(|f| f.contains("speedup_vs_csr") && f.contains("not finite")),
                 "speedup {bad}: {failures:?}"
             );
         }
@@ -948,7 +833,7 @@ mod tests {
 
     #[test]
     fn non_finite_peak_fails_instead_of_passing_silently() {
-        let failures = check_against_baseline(&doc(3.0, f64::NAN), &doc(3.0, 81.5), 0.25, 0.2);
+        let failures = check_against_baseline(&doc(3.0, f64::NAN), &doc(3.0, 81.5), 0.25);
         assert!(
             failures
                 .iter()
@@ -961,7 +846,7 @@ mod tests {
     fn non_finite_drift_values_fail_by_name() {
         let base = with_scaling(doc(3.0, 81.5), 3.5, 1e-9);
         let poisoned = with_scaling(doc(3.0, 81.5), 3.5, f64::NAN);
-        let failures = check_against_baseline(&poisoned, &base, 0.25, 0.2);
+        let failures = check_against_baseline(&poisoned, &base, 0.25);
         assert!(
             failures
                 .iter()
@@ -983,13 +868,9 @@ mod tests {
         // A baseline that parses but lacks the gated sections fails with
         // messages naming each missing piece.
         let hollow = Json::parse("{}").unwrap();
-        let failures = check_against_baseline(&hollow, &doc(3.0, 81.5), 0.25, 0.2);
+        let failures = check_against_baseline(&hollow, &doc(3.0, 81.5), 0.25);
         assert!(
             failures.iter().any(|f| f.contains("missing `records`")),
-            "{failures:?}"
-        );
-        assert!(
-            failures.iter().any(|f| f.contains("missing `speedup`")),
             "{failures:?}"
         );
     }
@@ -1004,7 +885,7 @@ mod tests {
             ]}}"#,
         )
         .unwrap();
-        let failures = check_solver_scaling_section(&doc_inf, &doc_inf);
+        let failures = check_sections(&doc_inf, &doc_inf);
         assert!(
             failures
                 .iter()
@@ -1019,7 +900,7 @@ mod tests {
             ("speedup", Json::Num(3.0)),
             ("records", Json::Arr(Vec::new())),
         ]);
-        let failures = check_against_baseline(&empty, &doc(3.0, 81.5), 0.25, 0.2);
+        let failures = check_against_baseline(&empty, &doc(3.0, 81.5), 0.25);
         assert!(failures.iter().any(|f| f.contains("missing from this run")));
     }
 }

@@ -17,8 +17,8 @@ use geom::Rect;
 use netlist::CellId;
 use postplace::{
     BudgetOptimum, CacheKey, FlowReport, Hotspot, OptimizeGoal, OptimizeOutcome, OptimizeRequest,
-    OptimizeResponse, ParetoFrontier, ParetoPoint, RowOptimum, SolverKind, Strategy,
-    ThermalSummary, WorkloadSpec,
+    OptimizeRequestBuilder, OptimizeResponse, ParetoFrontier, ParetoPoint, RowOptimum, SolverKind,
+    Strategy, ThermalSummary, WorkloadSpec,
 };
 use timan::TimingReport;
 
@@ -193,26 +193,22 @@ fn goal_to_json(goal: &OptimizeGoal) -> Json {
     }
 }
 
-fn goal_from_json(value: &Json) -> Result<OptimizeGoal, ServiceError> {
-    match member_str(value, "goal", "type")? {
-        "strategy" => Ok(OptimizeGoal::Strategy(strategy_from_json(member(
-            value, "goal", "strategy",
-        )?)?)),
-        "transform" => Ok(OptimizeGoal::Transform {
-            id: member_str(value, "goal", "id")?.to_string(),
-        }),
-        "budget" => Ok(OptimizeGoal::BestWithinBudget {
-            budget: member_f64(value, "goal", "budget")?,
-        }),
-        "frontier" => Ok(OptimizeGoal::Frontier {
-            budgets: f64_arr(value, "goal", "budgets")?,
-        }),
-        "rows_for_target" => Ok(OptimizeGoal::RowsForTarget {
-            target_reduction_pct: member_f64(value, "goal", "target_reduction_pct")?,
-            max_rows: member_usize(value, "goal", "max_rows")?,
-        }),
-        other => Err(codec_err(format!("goal: unknown type `{other}`"))),
-    }
+/// Sets the goal a JSON goal object names on `builder`.
+fn goal_from_json(
+    value: &Json,
+    builder: OptimizeRequestBuilder,
+) -> Result<OptimizeRequestBuilder, ServiceError> {
+    Ok(match member_str(value, "goal", "type")? {
+        "strategy" => builder.strategy(strategy_from_json(member(value, "goal", "strategy")?)?),
+        "transform" => builder.transform(member_str(value, "goal", "id")?),
+        "budget" => builder.budget(member_f64(value, "goal", "budget")?),
+        "frontier" => builder.frontier(f64_arr(value, "goal", "budgets")?),
+        "rows_for_target" => builder.rows_for_target(
+            member_f64(value, "goal", "target_reduction_pct")?,
+            member_usize(value, "goal", "max_rows")?,
+        ),
+        other => return Err(codec_err(format!("goal: unknown type `{other}`"))),
+    })
 }
 
 /// [`OptimizeRequest`] → JSON. `solver_threads`, `deadline_ms` and
@@ -313,15 +309,28 @@ pub fn request_from_json(value: &Json) -> Result<OptimizeRequest, ServiceError> 
         None | Some(Json::Null) => None,
         Some(_) => Some(solver_from_token(member_str(value, "request", "solver")?)?),
     };
-    Ok(OptimizeRequest {
-        workload: workload_from_json(member(value, "request", "workload")?)?,
-        mesh: (dim(nx, "nx")?, dim(ny, "ny")?),
-        goal: goal_from_json(member(value, "request", "goal")?)?,
-        tag,
-        solver_threads,
-        deadline_ms,
-        solver,
-    })
+    // Decoded requests go through the builder's validation like every
+    // other request: a degenerate mesh or an unparsable transform id is
+    // a codec error, not a job that fails (or misbehaves) downstream.
+    let mut builder = OptimizeRequest::builder()
+        .workload(workload_from_json(member(value, "request", "workload")?)?)
+        .mesh(dim(nx, "nx")?, dim(ny, "ny")?);
+    builder = goal_from_json(member(value, "request", "goal")?, builder)?;
+    if let Some(tag) = tag {
+        builder = builder.tag(tag);
+    }
+    if let Some(threads) = solver_threads {
+        builder = builder.solver_threads(threads);
+    }
+    if let Some(deadline_ms) = deadline_ms {
+        builder = builder.deadline_ms(deadline_ms);
+    }
+    if let Some(solver) = solver {
+        builder = builder.solver(solver);
+    }
+    builder
+        .build()
+        .map_err(|e| codec_err(format!("request: {e}")))
 }
 
 fn thermal_summary_to_json(s: &ThermalSummary) -> Json {
@@ -789,6 +798,31 @@ mod tests {
         let doc = Json::parse(r#"{"kind": "warp-drive"}"#).unwrap();
         let err = strategy_from_json(&doc).unwrap_err().to_string();
         assert!(err.contains("unknown kind `warp-drive`"), "{err}");
+    }
+
+    #[test]
+    fn decoded_requests_are_validated_like_built_ones() {
+        let text = request_to_json(&sample_request()).render();
+        let transform = request_to_json(
+            &OptimizeRequest::builder()
+                .workload(WorkloadSpec::checkerboard())
+                .mesh(10, 12)
+                .transform("eri:8")
+                .build()
+                .unwrap(),
+        )
+        .render();
+        for (bad, needle) in [
+            (text.replace("16,\n    16", "1,\n    16"), "1x16"),
+            (text.replace("16,\n    16", "0,\n    0"), "0x0"),
+            (transform.replace("\"eri:8\"", "\"bogus:1\""), "bogus:1"),
+        ] {
+            assert_ne!(bad, text, "replacement must have fired");
+            assert_ne!(bad, transform, "replacement must have fired");
+            let err = request_from_json(&Json::parse(&bad).unwrap()).unwrap_err();
+            assert!(matches!(err, ServiceError::Codec { .. }), "{err:?}");
+            assert!(err.to_string().contains(needle), "{err}");
+        }
     }
 
     #[test]

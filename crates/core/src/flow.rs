@@ -10,7 +10,7 @@ use logicsim::{Activity, Simulator, Workload};
 use netlist::Netlist;
 use placement::{total_hpwl, Floorplan, Placement, PlacementResult, Placer, PlacerConfig};
 use powerest::{estimate_power, power_map, PowerConfig, PowerReport};
-use thermalsim::{FactorizedThermalModel, ThermalConfig, ThermalMap, ThermalSimulator};
+use thermalsim::{FactorizedThermalModel, ThermalConfig, ThermalMap};
 use timan::{analyze, TimingConfig, TimingReport};
 
 use crate::{
@@ -348,8 +348,7 @@ struct BaselineAnalysis {
 /// die geometry is factorized once (see [`FactorizedThermalModel`]) and
 /// re-solved per power map, and the base placement's analysis is
 /// memoized across runs. Both caches are behind locks, so a `&Flow` can
-/// be shared by sweep worker threads. [`Flow::run_reference`] keeps the
-/// original assemble-per-solve path as the benchmarking yardstick.
+/// be shared by sweep worker threads.
 ///
 /// See the [crate docs](crate) for an example.
 #[derive(Debug)]
@@ -452,22 +451,6 @@ impl Flow {
         self.models = cache;
     }
 
-    /// Solves one thermal field — against the cached factorization, or
-    /// assembling from scratch on the reference path.
-    fn solve_thermal(
-        &self,
-        die: Rect,
-        pmap: &Grid2d<f64>,
-        cached: bool,
-    ) -> Result<ThermalMap, FlowError> {
-        if cached {
-            Ok(self.thermal_model(die)?.solve(pmap)?)
-        } else {
-            let simulator = ThermalSimulator::new(self.config.thermal.clone());
-            Ok(simulator.solve(die, pmap)?)
-        }
-    }
-
     /// Power, power map and thermal map for a given placement, including
     /// the optional leakage–temperature feedback loop. Thermal solves go
     /// through the per-geometry factorized-model cache.
@@ -480,25 +463,17 @@ impl Flow {
         floorplan: &Floorplan,
         placement: &Placement,
     ) -> Result<(PowerReport, Grid2d<f64>, ThermalMap), FlowError> {
-        self.analyze_placement_mode(floorplan, placement, true)
-    }
-
-    pub(crate) fn analyze_placement_mode(
-        &self,
-        floorplan: &Floorplan,
-        placement: &Placement,
-        cached: bool,
-    ) -> Result<(PowerReport, Grid2d<f64>, ThermalMap), FlowError> {
         let nx = self.config.thermal.grid.nx;
         let ny = self.config.thermal.grid.ny;
+        let model = self.thermal_model(floorplan.core())?;
         let mut report = self.power.clone();
         let mut pmap = power_map(&self.netlist, floorplan, placement, &report, nx, ny);
-        let mut tmap = self.solve_thermal(floorplan.core(), &pmap, cached)?;
+        let mut tmap = model.solve(&pmap)?;
         for _ in 0..self.config.leakage_feedback_iters {
             let temps = self.cell_temps(floorplan, placement, &tmap);
             report = report.with_leakage_at(&self.netlist, &self.config.power, &temps);
             pmap = power_map(&self.netlist, floorplan, placement, &report, nx, ny);
-            tmap = self.solve_thermal(floorplan.core(), &pmap, cached)?;
+            tmap = model.solve(&pmap)?;
         }
         Ok((report, pmap, tmap))
     }
@@ -520,14 +495,14 @@ impl Flow {
         if let Some(b) = self.baseline.get() {
             return Ok(b);
         }
-        let b = self.compute_baseline(true)?;
+        let b = self.compute_baseline()?;
         Ok(self.baseline.get_or_init(|| b))
     }
 
-    fn compute_baseline(&self, cached: bool) -> Result<BaselineAnalysis, FlowError> {
+    fn compute_baseline(&self) -> Result<BaselineAnalysis, FlowError> {
         let fp = &self.base.floorplan;
         let pl = &self.base.placement;
-        let (power, pmap, tmap) = self.analyze_placement_mode(fp, pl, cached)?;
+        let (power, pmap, tmap) = self.analyze_placement(fp, pl)?;
         let hotspots = detect_hotspots(&tmap, &self.config.hotspot);
         let timing = analyze(&self.netlist, fp, pl, Some(&tmap), &self.config.timing)?;
         let hpwl_um = total_hpwl(&self.netlist, fp, pl);
@@ -681,7 +656,7 @@ impl Flow {
     ///
     /// Propagates placement, thermal and strategy-parameter errors.
     pub fn run(&self, strategy: Strategy) -> Result<FlowReport, FlowError> {
-        self.run_transform_with(&*strategy.to_transform(), true)
+        self.run_transform(&*strategy.to_transform())
     }
 
     /// Runs an arbitrary transform (composites and post-enum techniques
@@ -697,52 +672,9 @@ impl Flow {
         &self,
         transform: &dyn PlacementTransform,
     ) -> Result<FlowReport, FlowError> {
-        self.run_transform_with(transform, true)
-    }
-
-    /// Evaluates exactly like [`Flow::run`] but bypasses the factorized
-    /// model cache and the baseline memoization — every solve assembles
-    /// its network from scratch, as the flow did before the sweep engine
-    /// existed. Kept as the sequential yardstick the bench pipeline (and
-    /// the regression gate in CI) measures the engine against; results
-    /// match [`Flow::run`] to within solver tolerance.
-    ///
-    /// # Errors
-    ///
-    /// Propagates placement, thermal and strategy-parameter errors.
-    pub fn run_reference(&self, strategy: Strategy) -> Result<FlowReport, FlowError> {
-        self.run_transform_with(&*strategy.to_transform(), false)
-    }
-
-    /// The open-set sibling of [`Flow::run_reference`]: evaluates an
-    /// arbitrary transform on the assemble-per-solve path, so the bench
-    /// yardstick can replay transform-axis scenarios the same way it
-    /// replays strategy scenarios.
-    ///
-    /// # Errors
-    ///
-    /// Propagates placement, thermal and transform-parameter errors.
-    pub fn run_transform_reference(
-        &self,
-        transform: &dyn PlacementTransform,
-    ) -> Result<FlowReport, FlowError> {
-        self.run_transform_with(transform, false)
-    }
-
-    fn run_transform_with(
-        &self,
-        transform: &dyn PlacementTransform,
-        cached: bool,
-    ) -> Result<FlowReport, FlowError> {
         let base_fp = &self.base.floorplan;
         let base_pl = &self.base.placement;
-        let reference_baseline;
-        let baseline = if cached {
-            self.baseline()?
-        } else {
-            reference_baseline = self.compute_baseline(false)?;
-            &reference_baseline
-        };
+        let baseline = self.baseline()?;
         let power_before = &baseline.power;
         let tmap_before = &baseline.tmap;
         let hotspots = baseline.hotspots.clone();
@@ -752,7 +684,7 @@ impl Flow {
         // Apply the transform (pipeline stages included) on top of the
         // base state; the baseline's thermal analysis is handed over so
         // no stage re-solves what is already known.
-        let ctx = TransformContext::with_mode(self, cached, power_before.clone());
+        let ctx = TransformContext::new(self)?;
         let mut base_state = TransformState::with_thermal(
             base_fp.clone(),
             base_pl.clone(),
@@ -763,7 +695,7 @@ impl Flow {
         let next = transform.apply(&ctx, &mut base_state)?;
         let (new_fp, new_pl) = (next.floorplan, next.placement);
 
-        let (_, _, tmap_after) = self.analyze_placement_mode(&new_fp, &new_pl, cached)?;
+        let (_, _, tmap_after) = self.analyze_placement(&new_fp, &new_pl)?;
         let timing_after = analyze(
             &self.netlist,
             &new_fp,
@@ -814,5 +746,30 @@ mod tests {
             shared_netlist(&config).unwrap();
             assert!(netlists().len() <= NETLIST_CACHE_CAP, "memo stays bounded");
         }
+    }
+
+    #[test]
+    fn repeated_runs_reuse_factorized_models_and_the_baseline_memo() {
+        let flow = Flow::new(FlowConfig::scattered_small().fast()).unwrap();
+        let strategy = Strategy::UniformSlack {
+            area_overhead: 0.16,
+        };
+        let first = flow.run(strategy).unwrap();
+        let after_first = flow.thermal_cache().stats();
+        // Two distinct die outlines were solved: the base core (baseline)
+        // and the slack-expanded core (after). One factorization each.
+        assert!(first.new_area_um2 > first.base_area_um2);
+        assert_eq!(after_first.misses, 2, "{after_first:?}");
+
+        let second = flow.run(strategy).unwrap();
+        let after_second = flow.thermal_cache().stats();
+        assert_eq!(
+            after_second.misses, after_first.misses,
+            "a repeated run must not factorize again"
+        );
+        // Only the after-solve looks a model up; a re-solved baseline
+        // would add a second lookup.
+        assert_eq!(after_second.hits, after_first.hits + 1, "{after_second:?}");
+        assert_eq!(first.after.peak_c.to_bits(), second.after.peak_c.to_bits());
     }
 }

@@ -182,8 +182,8 @@ impl SweepGrid {
     /// The full flow configuration a scenario resolves to: the base
     /// config with the scenario's workload and mesh applied. This is the
     /// single source of truth both for [`SweepGrid::requests`] and for
-    /// anything replaying scenarios outside the engine (e.g. the
-    /// sequential yardstick of the bench pipeline).
+    /// anything replaying scenarios outside the engine (e.g. a test
+    /// building one scenario's flow directly).
     pub fn scenario_config(&self, scenario: &Scenario) -> FlowConfig {
         let spec = self
             .effective_workloads()

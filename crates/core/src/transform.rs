@@ -54,40 +54,24 @@ use crate::{
     Strategy,
 };
 
-/// The environment a transform applies in: the owning [`Flow`], the
-/// cached-vs-reference solve mode (so `Flow::run_reference` keeps
-/// bypassing every cache through arbitrary transform pipelines), and
-/// the run's baseline power report (leakage-adjusted when the flow's
+/// The environment a transform applies in: the owning [`Flow`] and the
+/// run's baseline power report (leakage-adjusted when the flow's
 /// feedback loop is on — what cell-power-ranking stages must see).
 #[derive(Debug)]
 pub struct TransformContext<'a> {
     flow: &'a Flow,
-    cached: bool,
     power: PowerReport,
 }
 
 impl<'a> TransformContext<'a> {
-    /// A context over `flow` using the cached (factorized-model) solve
-    /// path and the memoized baseline's power report.
+    /// A context over `flow` with the memoized baseline's power report.
     ///
     /// # Errors
     ///
     /// Propagates baseline-solve failures.
     pub fn new(flow: &'a Flow) -> Result<Self, FlowError> {
         let power = flow.baseline_power_report()?.clone();
-        Ok(TransformContext {
-            flow,
-            cached: true,
-            power,
-        })
-    }
-
-    pub(crate) fn with_mode(flow: &'a Flow, cached: bool, power: PowerReport) -> Self {
-        TransformContext {
-            flow,
-            cached,
-            power,
-        }
+        Ok(TransformContext { flow, power })
     }
 
     /// The flow the transforms run against.
@@ -102,8 +86,8 @@ impl<'a> TransformContext<'a> {
         &self.power
     }
 
-    /// Solves the thermal field of an intermediate placement, honoring
-    /// the context's cached/reference mode.
+    /// Solves the thermal field of an intermediate placement against the
+    /// flow's cached factorization of its geometry.
     ///
     /// # Errors
     ///
@@ -113,9 +97,7 @@ impl<'a> TransformContext<'a> {
         floorplan: &Floorplan,
         placement: &Placement,
     ) -> Result<ThermalMap, FlowError> {
-        let (_, _, tmap) = self
-            .flow
-            .analyze_placement_mode(floorplan, placement, self.cached)?;
+        let (_, _, tmap) = self.flow.analyze_placement(floorplan, placement)?;
         Ok(tmap)
     }
 }

@@ -63,6 +63,7 @@ pub fn uniform_power_delta(power: &Grid2d<f64>, area_overhead: f64) -> PowerDelt
     for iy in 0..power.ny() {
         for ix in 0..power.nx() {
             let p = *power.get(ix, iy);
+            // lint: allow(float-eq, reason = "a zero overhead gives exactly 0.0 and must yield an empty delta; any other scale, however small, is a real scaling")
             if p > 0.0 && scale != 0.0 {
                 deltas.push((ix, iy, p * scale));
             }

@@ -36,9 +36,9 @@ const SEED_CRATES: [&str; 3] = ["spicenet", "core", "timan"];
 /// their library code must be fixed or explicitly waived with a reason.
 /// The `waivers` audit fails if one of these crates has a ratcheted
 /// violation or a `ci/lint-baseline.json` entry — so no new unwaivered
-/// site can land in the service, the solver or the logic simulator
-/// behind the baseline.
-const STRICT_CRATES: [&str; 3] = ["coolserved", "logicsim", "spicenet"];
+/// site can land in the service, the solver, the logic simulator or the
+/// flow (`core`, the `postplace` library) behind the baseline.
+const STRICT_CRATES: [&str; 4] = ["coolserved", "core", "logicsim", "spicenet"];
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -60,6 +60,15 @@
 //! the flow has one way to run, and the factorized-model reuse that
 //! speedup stood for is pinned by counter tests in `postplace` instead.
 //!
+//! Schema version 10 folds the `spectral` section into `solver_scaling`:
+//! with the multigrid tier gone, both timed the `Auto` backend (the
+//! spectral direct solver) against the CSR + MIC(0) oracle. The merged
+//! section covers the union of their meshes (20/40/64/128 smoke, up to
+//! 512 full) and records the backend `Auto` routed to per mesh; CI gates
+//! that backend and the drift (≤ 1e-6 K) on every mesh, the 40×40×9
+//! speedup (≥ 1.5×) always and the 256×256×9 one (≥ 2×) in full mode.
+//! `solver_threads` times the threaded spectral pipeline.
+//!
 //! ```sh
 //! cargo bench -p coolplace-bench --bench sweep -- \
 //!     --smoke --threads 2 --out BENCH_sweep.json --check ci/bench-baseline.json
@@ -110,7 +119,10 @@ use thermalsim::{FactorizedThermalModel, SolverKind, ThermalConfig};
 /// is gone).
 /// v9: removed the sequential-reference leg and its four top-level
 /// fields (wall-clock, `speedup`, peak agreement delta, repeat count).
-const SCHEMA_VERSION: f64 = 9.0;
+/// v10: folded the `spectral` section into `solver_scaling` (`Auto` vs
+/// CSR over the union of both mesh lists, per-mesh `backend`); the
+/// multigrid tier both used to time is gone.
+const SCHEMA_VERSION: f64 = 10.0;
 
 /// `cargo bench` launches the binary with the *package* directory as
 /// CWD; anchor relative paths at the workspace root so
@@ -222,7 +234,7 @@ fn build_grid(smoke: bool) -> SweepGrid {
 
 /// The large-mesh scenario band (full mode only): resolutions the
 /// CSR + MIC(0) solver made impractically slow, opened up by the
-/// structured multigrid path.
+/// spectral direct solver.
 fn build_large_grid() -> SweepGrid {
     SweepGrid::new(FlowConfig::scattered_small().fast())
         .workload("scattered", scattered())
@@ -285,13 +297,12 @@ fn run_engine(grid: &SweepGrid, threads: usize) -> Result<EngineRun, String> {
 }
 
 /// The xlarge scenario band (full mode only): the 256×256 and 512×512
-/// resolutions the threaded V-cycle kernels open. One workload, one
-/// strategy — at ~600k–2.4M unknowns per solve the point is that the
-/// band completes at all, not grid coverage. Run with a single engine
-/// worker and the thread budget spent *inside* each solve instead of
-/// across scenarios: two scenarios offer no
-/// batch parallelism worth having, while the per-solve slab kernels
-/// scale with the mesh.
+/// resolutions. One workload, one strategy — at ~600k–2.4M unknowns per
+/// solve the point is that the band completes at all, not grid
+/// coverage. Run with a single engine worker and the thread budget
+/// spent *inside* each solve instead of across scenarios: two scenarios
+/// offer no batch parallelism worth having, while the threaded spectral
+/// stages scale with the mesh.
 fn build_xlarge_grid(threads: usize) -> SweepGrid {
     let mut base = FlowConfig::scattered_small().fast();
     base.thermal.threads = threads;
@@ -374,14 +385,15 @@ fn time_backend(
     ))
 }
 
-/// The solver-scaling section: structured stencil + multigrid versus the
-/// CSR + MIC(0) oracle, per mesh — per-solve latency (within-run ratio,
-/// machine-independent), iteration counts (near-mesh-independent for
-/// multigrid, growing for MIC), worst field drift between the two, and
-/// the fitted time-vs-unknowns scaling exponents.
+/// The solver-scaling section: the `Auto` backend (the spectral direct
+/// tier on the homogeneous bench stack) versus the CSR + MIC(0) oracle,
+/// per mesh — the backend `Auto` routed to, per-solve latency
+/// (within-run ratio, machine-independent), iteration counts (one for a
+/// direct solve, growing for MIC), worst field drift between the two,
+/// and the fitted time-vs-unknowns scaling exponents.
 fn run_solver_scaling(meshes: &[usize]) -> Result<Json, String> {
     let mut entries = Vec::new();
-    let mut stencil_points = Vec::new();
+    let mut auto_points = Vec::new();
     let mut csr_points = Vec::new();
     for &nx in meshes {
         let solves = if nx <= 40 {
@@ -391,19 +403,20 @@ fn run_solver_scaling(meshes: &[usize]) -> Result<Json, String> {
         } else {
             2
         };
-        let (s_build, s_solve, s_iters, s_map, _) = time_backend(nx, SolverKind::Stencil, solves)?;
+        let (a_build, a_solve, a_iters, a_map, backend) =
+            time_backend(nx, SolverKind::Auto, solves)?;
         let (c_build, c_solve, c_iters, c_map, _) = time_backend(nx, SolverKind::Csr, solves)?;
         let mut drift_k: f64 = 0.0;
-        for ((_, a), (_, b)) in s_map.grid().iter().zip(c_map.grid().iter()) {
+        for ((_, a), (_, b)) in a_map.grid().iter().zip(c_map.grid().iter()) {
             drift_k = drift_k.max((a - b).abs());
         }
         let unknowns = (nx * nx * 9 + 1) as f64;
-        stencil_points.push((unknowns, s_solve));
+        auto_points.push((unknowns, a_solve));
         csr_points.push((unknowns, c_solve));
-        let speedup = c_solve / s_solve;
+        let speedup = c_solve / a_solve;
         println!(
-            "solver scaling [{nx}x{nx}x9]: stencil {s_solve:.2} ms/{s_iters} its \
-             (build {s_build:.0} ms), csr {c_solve:.2} ms/{c_iters} its \
+            "solver scaling [{nx}x{nx}x9]: {backend} {a_solve:.2} ms/{a_iters} its \
+             (build {a_build:.0} ms), csr {c_solve:.2} ms/{c_iters} its \
              (build {c_build:.0} ms) → {speedup:.1}×, drift {drift_k:.1e} K"
         );
         entries.push(Json::obj([
@@ -413,9 +426,10 @@ fn run_solver_scaling(meshes: &[usize]) -> Result<Json, String> {
             ),
             ("unknowns", Json::Num(unknowns)),
             ("timed_solves", Json::Num(solves as f64)),
-            ("stencil_build_ms", Json::Num(s_build)),
-            ("stencil_solve_ms", Json::Num(s_solve)),
-            ("stencil_iterations", Json::Num(s_iters as f64)),
+            ("backend", Json::Str(backend.to_string())),
+            ("auto_build_ms", Json::Num(a_build)),
+            ("auto_solve_ms", Json::Num(a_solve)),
+            ("auto_iterations", Json::Num(a_iters as f64)),
             ("csr_build_ms", Json::Num(c_build)),
             ("csr_solve_ms", Json::Num(c_solve)),
             ("csr_iterations", Json::Num(c_iters as f64)),
@@ -426,8 +440,8 @@ fn run_solver_scaling(meshes: &[usize]) -> Result<Json, String> {
     Ok(Json::obj([
         ("meshes", Json::Arr(entries)),
         (
-            "scaling_exponent_stencil",
-            scaling_exponent(&stencil_points).map_or(Json::Null, Json::Num),
+            "scaling_exponent_auto",
+            scaling_exponent(&auto_points).map_or(Json::Null, Json::Num),
         ),
         (
             "scaling_exponent_csr",
@@ -436,7 +450,7 @@ fn run_solver_scaling(meshes: &[usize]) -> Result<Json, String> {
     ]))
 }
 
-/// Benchmarks the stencil backend at one mesh and thread count: build,
+/// Benchmarks the `Auto` backend at one mesh and thread count: build,
 /// one untimed warm-up solve, then the mean of `solves` timed re-solves,
 /// plus the solved field for the bit-drift check.
 fn time_threaded(
@@ -445,9 +459,7 @@ fn time_threaded(
     solves: usize,
 ) -> Result<(f64, usize, thermalsim::ThermalMap), String> {
     let die = bench_die();
-    let config = ThermalConfig::with_resolution(nx, nx)
-        .with_solver(SolverKind::Stencil)
-        .with_threads(threads);
+    let config = ThermalConfig::with_resolution(nx, nx).with_threads(threads);
     let power = bench_power(nx, nx, die);
     let model = FactorizedThermalModel::build(&config, die).map_err(|e| e.to_string())?;
     let (map, mut stats) = model.solve_with_stats(&power).map_err(|e| e.to_string())?;
@@ -460,8 +472,8 @@ fn time_threaded(
     Ok((solve_ms, stats.iterations, map))
 }
 
-/// The `solver_threads` section (schema ≥ 6): the threaded slab-parallel
-/// V-cycle kernels against their own single-thread run, at the meshes
+/// The `solver_threads` section (schema ≥ 6): the threaded spectral
+/// pipeline against its own single-thread run, at the meshes
 /// the parallel band targets. The speedup is within-run (machine speed
 /// cancels out) and only meaningful on multi-core hardware, so the
 /// document records `hw_threads` and the gate conditions its floor on
@@ -509,79 +521,6 @@ fn run_solver_threads(threads: usize, smoke: bool) -> Result<Json, String> {
         ("hw_threads", Json::Num(hw_threads as f64)),
         ("threads", Json::Num(threads as f64)),
         ("meshes", Json::Arr(entries)),
-    ]))
-}
-
-/// The `spectral` section (schema ≥ 7): the spectral direct solver
-/// (DCT diagonalization, per-mode Thomas) against the stencil +
-/// multigrid oracle. The bench stack is laterally homogeneous — the geometry the
-/// spectral tier exists for — so the `Spectral` leg must actually route
-/// to `spectral-dct` (anything else means the qualification logic
-/// regressed and the section would silently measure multigrid against
-/// itself). The speedup is within-run (machine speed cancels out); the
-/// drift against the oracle is physics and gated on any machine.
-fn run_spectral_bench(smoke: bool) -> Result<Json, String> {
-    let meshes: &[usize] = if smoke {
-        &[64, 128]
-    } else {
-        &[64, 128, 256, 512]
-    };
-    let mut entries = Vec::new();
-    let mut spectral_points = Vec::new();
-    let mut mg_points = Vec::new();
-    for &nx in meshes {
-        let solves = if nx <= 128 { 3 } else { 2 };
-        let (sp_build, sp_solve, sp_iters, sp_map, sp_name) =
-            time_backend(nx, SolverKind::Spectral, solves)?;
-        if sp_name != "spectral-dct" {
-            return Err(format!(
-                "spectral leg at {nx}x{nx} routed to `{sp_name}` — the \
-                 homogeneous bench stack must qualify for the direct tier"
-            ));
-        }
-        let (mg_build, mg_solve, mg_iters, mg_map, _) =
-            time_backend(nx, SolverKind::Stencil, solves)?;
-        let mut drift_k: f64 = 0.0;
-        for ((_, a), (_, b)) in sp_map.grid().iter().zip(mg_map.grid().iter()) {
-            drift_k = drift_k.max((a - b).abs());
-        }
-        let unknowns = (nx * nx * 9 + 1) as f64;
-        spectral_points.push((unknowns, sp_solve));
-        mg_points.push((unknowns, mg_solve));
-        let speedup = mg_solve / sp_solve;
-        println!(
-            "spectral bench [{nx}x{nx}x9]: spectral {sp_solve:.2} ms/{sp_iters} its \
-             (build {sp_build:.0} ms), multigrid {mg_solve:.2} ms/{mg_iters} its \
-             (build {mg_build:.0} ms) → {speedup:.1}×, drift {drift_k:.1e} K"
-        );
-        entries.push(Json::obj([
-            (
-                "mesh",
-                Json::Arr(vec![Json::Num(nx as f64), Json::Num(nx as f64)]),
-            ),
-            ("unknowns", Json::Num(unknowns)),
-            ("timed_solves", Json::Num(solves as f64)),
-            ("spectral_build_ms", Json::Num(sp_build)),
-            ("spectral_solve_ms", Json::Num(sp_solve)),
-            ("spectral_iterations", Json::Num(sp_iters as f64)),
-            ("mg_build_ms", Json::Num(mg_build)),
-            ("mg_solve_ms", Json::Num(mg_solve)),
-            ("mg_iterations", Json::Num(mg_iters as f64)),
-            ("speedup_vs_mg", Json::Num(speedup)),
-            ("max_drift_k", Json::Num(drift_k)),
-        ]));
-    }
-    Ok(Json::obj([
-        ("backend", Json::Str("spectral-dct".to_string())),
-        ("meshes", Json::Arr(entries)),
-        (
-            "scaling_exponent_spectral",
-            scaling_exponent(&spectral_points).map_or(Json::Null, Json::Num),
-        ),
-        (
-            "scaling_exponent_mg",
-            scaling_exponent(&mg_points).map_or(Json::Null, Json::Num),
-        ),
     ]))
 }
 
@@ -865,12 +804,12 @@ fn main() -> ExitCode {
         }
     };
 
-    // Structured-vs-CSR per-solve scaling; the 40×40×9 entry is what CI
-    // gates on, the larger meshes measure the scaling exponent.
+    // Auto-vs-CSR per-solve scaling; CI gates the backend and drift of
+    // every mesh and the 40×40×9 speedup, full runs the 256×256 one too.
     let scaling_meshes: &[usize] = if args.smoke {
-        &[20, 40]
+        &[20, 40, 64, 128]
     } else {
-        &[20, 40, 80, 128]
+        &[20, 40, 64, 80, 128, 256, 512]
     };
     let solver_scaling = match run_solver_scaling(scaling_meshes) {
         Ok(section) => section,
@@ -886,16 +825,6 @@ fn main() -> ExitCode {
         Ok(section) => section,
         Err(e) => {
             eprintln!("solver-threads bench failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    // The spectral direct solver against the multigrid oracle on the
-    // homogeneous bench stack, with the drift gate's numbers.
-    let spectral_section = match run_spectral_bench(args.smoke) {
-        Ok(section) => section,
-        Err(e) => {
-            eprintln!("spectral bench failed: {e}");
             return ExitCode::FAILURE;
         }
     };
@@ -981,7 +910,6 @@ fn main() -> ExitCode {
         ("sweep_wall_ms", Json::Num(sweep.wall_ms)),
         ("solver_scaling", solver_scaling),
         ("solver_threads", solver_threads_section),
-        ("spectral", spectral_section),
         ("optimizer", optimizer_section),
         ("service", service_section),
         ("records", Json::Arr(records)),

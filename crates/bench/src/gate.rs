@@ -7,8 +7,8 @@
 //!   temperature agrees within an absolute tolerance. Result drift means
 //!   the physics changed, which is never acceptable silently.
 //! * **Sections** — each row of one rule table bounds one field of one
-//!   section entry: the structured and spectral solvers' speedups and
-//!   oracle drift, the threaded kernels' bit-identity and speedup, the
+//!   section entry: the `Auto` backend's routing, speedups and oracle
+//!   drift, the threaded solves' bit-identity and speedup, the
 //!   optimizer's exact-verification share and frontier, and the service
 //!   cache's warm-over-cold ratio and cold fallbacks. Every bounded
 //!   quantity is a within-run ratio or an exact count, so machine speed
@@ -24,10 +24,10 @@ use crate::json::Json;
 /// physics change.
 pub const PEAK_TOLERANCE_C: f64 = 0.25;
 
-/// Minimum per-solve speedup the structured stencil + multigrid path
-/// must hold over the CSR + MIC(0) oracle on the 40×40×9 configuration
-/// (a within-run ratio, so machine speed cancels out). Measured ~3–5×;
-/// gated conservatively.
+/// Minimum per-solve speedup the `Auto` backend (the spectral direct
+/// solver) must hold over the CSR + MIC(0) oracle on the 40×40×9
+/// configuration (a within-run ratio, so machine speed cancels out).
+/// Gated conservatively.
 pub const MIN_STRUCTURED_SPEEDUP: f64 = 1.5;
 
 /// Maximum fraction of screened Pareto candidates the optimizer may
@@ -44,14 +44,15 @@ pub const MAX_OPTIMIZER_EXACT_SHARE: f64 = 0.25;
 /// to catch the cache silently degrading into recomputation.
 pub const MIN_SERVICE_WARM_SPEEDUP: f64 = 3.0;
 
-/// Worst allowed temperature disagreement between the structured path
-/// and the CSR oracle, kelvin. Both solve the same conductances to a
-/// 1e-9 relative residual, so anything past a microkelvin means one of
-/// the solvers is wrong.
+/// Worst allowed temperature disagreement between the `Auto` backend
+/// and the CSR oracle at any mesh, kelvin. The spectral path is a
+/// *direct* factorization of the same conductances the oracle iterates
+/// on to a 1e-9 relative residual, so anything past a microkelvin means
+/// one of the solvers is wrong.
 pub const STRUCTURED_DRIFT_TOLERANCE_K: f64 = 1e-6;
 
-/// Minimum speedup the threaded V-cycle kernels must hold over their
-/// own single-thread run at 256×256×9 (schema ≥ 6) — enforced only
+/// Minimum speedup the threaded spectral solve must hold over its own
+/// single-thread run at 256×256×9 (schema ≥ 6) — enforced only
 /// when the run recorded at least [`MIN_THREADED_GATE_HW_THREADS`]
 /// hardware threads *and* actually ran that many solver threads; a
 /// single-core CI container can measure bit-drift but not parallelism.
@@ -61,17 +62,9 @@ pub const MIN_THREADED_SPEEDUP_256: f64 = 2.0;
 /// skipped (the drift gate never is).
 pub const MIN_THREADED_GATE_HW_THREADS: f64 = 4.0;
 
-/// Worst allowed temperature disagreement between the spectral (DCT)
-/// direct solver and the stencil + multigrid oracle, kelvin (schema
-/// ≥ 7). The spectral path is a *direct* factorization of the same
-/// conductances the oracle iterates on to a 1e-9 relative residual, so
-/// anything past a microkelvin means one of them is wrong.
-pub const SPECTRAL_DRIFT_TOLERANCE_K: f64 = 1e-6;
-
-/// Minimum speedup the spectral direct solver must hold over the
-/// multigrid oracle at 256×256×9 (schema ≥ 7) — a within-run ratio, so
-/// enforced on any host, but only in full mode: smoke runs stop at
-/// 128×128, where both solvers finish in noise territory.
+/// Minimum speedup the `Auto` backend must hold over the CSR oracle at
+/// 256×256×9 (schema ≥ 10) — a within-run ratio, so enforced on any
+/// host, but only in full mode: smoke runs stop at 128×128.
 pub const MIN_SPECTRAL_SPEEDUP_256: f64 = 2.0;
 
 /// Which entries of a section a [`Rule`] reads.
@@ -136,7 +129,7 @@ struct Rule {
 /// Every section gate. A section the baseline has but the run lacks
 /// fails once by name; a present section is held to each of its rows.
 #[rustfmt::skip]
-const RULES: [Rule; 12] = {
+const RULES: [Rule; 11] = {
     use Bound::{Above, AtLeast, AtMost, Exactly, NonEmptyArray, ShareOf, StrEquals};
     use Entry::{EveryMesh, Mesh, Section};
     use When::{Always, FullMode, HwThreads};
@@ -145,12 +138,11 @@ const RULES: [Rule; 12] = {
     }
     [
         row("solver_scaling", Mesh(40.0), "speedup_vs_csr", AtLeast(MIN_STRUCTURED_SPEEDUP), Always, Always),
-        row("solver_scaling", Mesh(40.0), "max_drift_k", AtMost(STRUCTURED_DRIFT_TOLERANCE_K), Always, Always),
+        row("solver_scaling", EveryMesh, "max_drift_k", AtMost(STRUCTURED_DRIFT_TOLERANCE_K), Always, Always),
+        row("solver_scaling", EveryMesh, "backend", StrEquals("spectral-dct"), Always, Always),
+        row("solver_scaling", Mesh(256.0), "speedup_vs_csr", AtLeast(MIN_SPECTRAL_SPEEDUP_256), FullMode, Always),
         row("solver_threads", EveryMesh, "max_drift_k", Exactly(0.0), Always, Always),
         row("solver_threads", Mesh(256.0), "speedup", AtLeast(MIN_THREADED_SPEEDUP_256), HwThreads(MIN_THREADED_GATE_HW_THREADS), FullMode),
-        row("spectral", Section, "backend", StrEquals("spectral-dct"), Always, Always),
-        row("spectral", EveryMesh, "max_drift_k", AtMost(SPECTRAL_DRIFT_TOLERANCE_K), Always, Always),
-        row("spectral", Mesh(256.0), "speedup_vs_mg", AtLeast(MIN_SPECTRAL_SPEEDUP_256), FullMode, Always),
         row("optimizer", Section, "screened", Above(0.0), Always, Always),
         row("optimizer", Section, "exact_runs", ShareOf { of: "screened", share: MAX_OPTIMIZER_EXACT_SHARE }, Always, Always),
         row("optimizer", Section, "frontier", NonEmptyArray, Always, Always),
@@ -385,29 +377,38 @@ mod tests {
         assert!(failures[0].contains("drifted"), "{failures:?}");
     }
 
-    fn with_scaling(mut doc: Json, speedup: f64, drift: f64) -> Json {
+    /// One `solver_scaling` mesh entry.
+    fn scaling_entry(nx: f64, backend: &str, speedup: f64, drift: f64) -> Json {
+        Json::obj([
+            ("mesh", Json::Arr(vec![Json::Num(nx), Json::Num(nx)])),
+            ("backend", Json::Str(backend.to_string())),
+            ("speedup_vs_csr", Json::Num(speedup)),
+            ("max_drift_k", Json::Num(drift)),
+        ])
+    }
+
+    /// `doc` in `mode` with a `solver_scaling` section of `meshes`.
+    fn with_meshes(mut doc: Json, mode: &str, meshes: Vec<Json>) -> Json {
         let Json::Obj(pairs) = &mut doc else {
             unreachable!()
         };
+        pairs.push(("mode".to_string(), Json::Str(mode.to_string())));
         pairs.push((
             "solver_scaling".to_string(),
-            Json::obj([(
-                "meshes",
-                Json::Arr(vec![
-                    Json::obj([
-                        ("mesh", Json::Arr(vec![Json::Num(20.0), Json::Num(20.0)])),
-                        ("speedup_vs_csr", Json::Num(3.0)),
-                        ("max_drift_k", Json::Num(1e-9)),
-                    ]),
-                    Json::obj([
-                        ("mesh", Json::Arr(vec![Json::Num(40.0), Json::Num(40.0)])),
-                        ("speedup_vs_csr", Json::Num(speedup)),
-                        ("max_drift_k", Json::Num(drift)),
-                    ]),
-                ]),
-            )]),
+            Json::obj([("meshes", Json::Arr(meshes))]),
         ));
         doc
+    }
+
+    fn with_scaling(doc: Json, speedup: f64, drift: f64) -> Json {
+        with_meshes(
+            doc,
+            "smoke",
+            vec![
+                scaling_entry(20.0, "spectral-dct", 3.0, 1e-9),
+                scaling_entry(40.0, "spectral-dct", speedup, drift),
+            ],
+        )
     }
 
     #[test]
@@ -585,39 +586,18 @@ mod tests {
         assert!(check_against_baseline(&smoke, &base, 0.25).is_empty());
     }
 
-    fn with_spectral(
-        mut doc: Json,
-        mode: &str,
-        backend: &str,
-        speedup_256: f64,
-        drift: f64,
-    ) -> Json {
-        let Json::Obj(pairs) = &mut doc else {
-            unreachable!()
-        };
-        pairs.push(("mode".to_string(), Json::Str(mode.to_string())));
-        pairs.push((
-            "spectral".to_string(),
-            Json::obj([
-                ("backend", Json::Str(backend.to_string())),
-                (
-                    "meshes",
-                    Json::Arr(vec![
-                        Json::obj([
-                            ("mesh", Json::Arr(vec![Json::Num(128.0), Json::Num(128.0)])),
-                            ("speedup_vs_mg", Json::Num(2.4)),
-                            ("max_drift_k", Json::Num(1e-9)),
-                        ]),
-                        Json::obj([
-                            ("mesh", Json::Arr(vec![Json::Num(256.0), Json::Num(256.0)])),
-                            ("speedup_vs_mg", Json::Num(speedup_256)),
-                            ("max_drift_k", Json::Num(drift)),
-                        ]),
-                    ]),
-                ),
-            ]),
-        ));
-        doc
+    /// A full-mode `solver_scaling` section whose 128×128 entry carries
+    /// `backend` and whose 256×256 entry carries the speedup and drift.
+    fn with_spectral(doc: Json, mode: &str, backend: &str, speedup_256: f64, drift: f64) -> Json {
+        with_meshes(
+            doc,
+            mode,
+            vec![
+                scaling_entry(40.0, "spectral-dct", 3.0, 1e-9),
+                scaling_entry(128.0, backend, 2.4, 1e-9),
+                scaling_entry(256.0, "spectral-dct", speedup_256, drift),
+            ],
+        )
     }
 
     #[test]
@@ -626,32 +606,40 @@ mod tests {
         // Healthy full run passes.
         let good = with_spectral(doc(3.0, 81.5), "full", "spectral-dct", 2.4, 2e-8);
         assert!(check_against_baseline(&good, &base, 0.25).is_empty());
-        // Oracle drift past a microkelvin fails — even in smoke mode.
+        // Oracle drift past a microkelvin fails at any mesh — even in
+        // smoke mode.
         let drifty = with_spectral(doc(3.0, 81.5), "smoke", "spectral-dct", 2.4, 1e-3);
         let failures = check_against_baseline(&drifty, &base, 0.25);
         assert!(
             failures
                 .iter()
-                .any(|f| f.contains("spectral.meshes[256x256].max_drift_k")),
+                .any(|f| f.contains("solver_scaling.meshes[256x256].max_drift_k")),
             "{failures:?}"
         );
-        // A spectral leg that silently fell back to multigrid fails.
-        let fallback = with_spectral(doc(3.0, 81.5), "full", "stencil-multigrid", 2.4, 0.0);
+        // A mesh whose Auto leg silently fell back to CSR fails.
+        let fallback = with_spectral(doc(3.0, 81.5), "smoke", "csr-mic0", 2.4, 0.0);
         let failures = check_against_baseline(&fallback, &base, 0.25);
-        assert!(
-            failures.iter().any(|f| f.contains("stencil-multigrid")),
-            "{failures:?}"
-        );
-        // Dropping the section entirely (when the baseline has it) fails.
-        let failures = check_against_baseline(&doc(3.0, 81.5), &base, 0.25);
         assert!(
             failures
                 .iter()
-                .any(|f| f.contains("`spectral` section missing")),
+                .any(|f| f.contains("`solver_scaling.meshes[128x128].backend` = `csr-mic0`")),
             "{failures:?}"
         );
-        // Pre-v7 documents (no section on either side) still pass.
-        assert!(check_against_baseline(&doc(3.0, 81.5), &doc(3.0, 81.5), 0.25).is_empty());
+        // An entry without a backend fails by name.
+        let unnamed = with_meshes(
+            doc(3.0, 81.5),
+            "smoke",
+            vec![Json::obj([
+                ("mesh", Json::Arr(vec![Json::Num(40.0), Json::Num(40.0)])),
+                ("speedup_vs_csr", Json::Num(3.0)),
+                ("max_drift_k", Json::Num(1e-9)),
+            ])],
+        );
+        let failures = check_against_baseline(&unnamed, &base, 0.25);
+        assert!(
+            failures.iter().any(|f| f.contains("missing key `backend`")),
+            "{failures:?}"
+        );
     }
 
     #[test]
@@ -663,7 +651,8 @@ mod tests {
         assert!(
             failures
                 .iter()
-                .any(|f| f.contains("spectral.meshes[256x256].speedup_vs_mg` = 1.3, needs ≥ 2")),
+                .any(|f| f
+                    .contains("solver_scaling.meshes[256x256].speedup_vs_csr` = 1.3, needs ≥ 2")),
             "{failures:?}"
         );
         // The same ratio in a smoke run is not gated (the smoke grid
@@ -671,25 +660,11 @@ mod tests {
         let smoke = with_spectral(doc(3.0, 81.5), "smoke", "spectral-dct", 1.3, 1e-9);
         assert!(check_against_baseline(&smoke, &base, 0.25).is_empty());
         // ...but a full run may not drop the gated mesh.
-        let mut hollow = with_spectral(doc(3.0, 81.5), "full", "spectral-dct", 3.1, 1e-9);
-        let Json::Obj(pairs) = &mut hollow else {
-            unreachable!()
-        };
-        for (k, v) in pairs.iter_mut() {
-            if k == "spectral" {
-                let Json::Obj(section) = v else {
-                    unreachable!()
-                };
-                for (sk, sv) in section.iter_mut() {
-                    if sk == "meshes" {
-                        let Json::Arr(meshes) = sv else {
-                            unreachable!()
-                        };
-                        meshes.truncate(1);
-                    }
-                }
-            }
-        }
+        let hollow = with_meshes(
+            doc(3.0, 81.5),
+            "full",
+            vec![scaling_entry(40.0, "spectral-dct", 3.0, 1e-9)],
+        );
         let failures = check_against_baseline(&hollow, &base, 0.25);
         assert!(
             failures.iter().any(|f| f.contains("no 256x256 entry")),
@@ -881,7 +856,8 @@ mod tests {
         // guard has to catch what the parser lets through.
         let doc_inf = Json::parse(
             r#"{"solver_scaling": {"meshes": [
-                {"mesh": [40, 40], "speedup_vs_csr": 3.0, "max_drift_k": 1e999}
+                {"mesh": [40, 40], "backend": "spectral-dct", "speedup_vs_csr": 3.0,
+                 "max_drift_k": 1e999}
             ]}}"#,
         )
         .unwrap();

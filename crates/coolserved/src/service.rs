@@ -73,16 +73,6 @@ pub struct ServiceConfig {
     /// count is a latency knob only — answers are bit-identical at any
     /// setting, so cached results stay valid across it.
     pub solver_threads: usize,
-    /// Linear-solver backend for every job's thermal solves; `None`
-    /// (the default) keeps the base configuration's solver — normally
-    /// [`postplace::SolverKind::Auto`], which takes the spectral (DCT)
-    /// direct tier whenever the stack qualifies. The resolved value is
-    /// written into the base configuration before serving; a request
-    /// carrying its own `solver` still overrides it. Unlike
-    /// `solver_threads`, the backend is part of each request's cache
-    /// key when explicitly set on the request — the backends agree
-    /// only to solver tolerance, not bit-for-bit.
-    pub solver: Option<postplace::SolverKind>,
     /// Retry policy for transient disk-tier I/O.
     pub retry: RetryPolicy,
     /// Most documents kept on disk (oldest evicted past the bound);
@@ -110,7 +100,6 @@ impl std::fmt::Debug for ServiceConfig {
             .field("cache_capacity", &self.cache_capacity)
             .field("disk_root", &self.disk_root)
             .field("solver_threads", &self.solver_threads)
-            .field("solver", &self.solver)
             .field("retry", &self.retry)
             .field("disk_max_documents", &self.disk_max_documents)
             .field("disk_max_age_ms", &self.disk_max_age_ms)
@@ -130,7 +119,6 @@ impl ServiceConfig {
             cache_capacity: 256,
             disk_root: None,
             solver_threads: 0,
-            solver: None,
             retry: RetryPolicy::default(),
             disk_max_documents: None,
             disk_max_age_ms: None,
@@ -160,13 +148,6 @@ impl ServiceConfig {
     /// Sets the per-job solver-thread count; zero restores auto mode.
     pub fn solver_threads(mut self, threads: usize) -> Self {
         self.solver_threads = threads;
-        self
-    }
-
-    /// Sets the linear-solver backend for every job (requests carrying
-    /// their own `solver` still override it).
-    pub fn solver(mut self, solver: postplace::SolverKind) -> Self {
-        self.solver = Some(solver);
         self
     }
 
@@ -580,9 +561,6 @@ pub fn serve<R>(config: ServiceConfig, client: impl FnOnce(&ServiceHandle<'_>) -
     };
     let mut base = config.base;
     base.thermal.threads = solver_threads;
-    if let Some(solver) = config.solver {
-        base.thermal.solver = solver;
-    }
     let store = ResultStore::with_backend(
         config.cache_capacity.max(1),
         config.disk_root,

@@ -252,20 +252,16 @@ pub fn request_to_json(request: &OptimizeRequest) -> Json {
 fn solver_token(solver: SolverKind) -> &'static str {
     match solver {
         SolverKind::Auto => "auto",
-        SolverKind::Stencil => "stencil",
         SolverKind::Csr => "csr",
-        SolverKind::Spectral => "spectral",
     }
 }
 
 fn solver_from_token(token: &str) -> Result<SolverKind, ServiceError> {
     match token {
         "auto" => Ok(SolverKind::Auto),
-        "stencil" => Ok(SolverKind::Stencil),
         "csr" => Ok(SolverKind::Csr),
-        "spectral" => Ok(SolverKind::Spectral),
         other => Err(codec_err(format!(
-            "request.solver: unknown backend `{other}` (expected auto/stencil/csr/spectral)"
+            "request.solver: unknown backend `{other}` (expected auto/csr)"
         ))),
     }
 }
@@ -713,12 +709,7 @@ mod tests {
 
     #[test]
     fn solver_rides_the_wire_only_when_set() {
-        for (kind, token) in [
-            (SolverKind::Auto, "auto"),
-            (SolverKind::Stencil, "stencil"),
-            (SolverKind::Csr, "csr"),
-            (SolverKind::Spectral, "spectral"),
-        ] {
+        for (kind, token) in [(SolverKind::Auto, "auto"), (SolverKind::Csr, "csr")] {
             let mut request = sample_request();
             request.solver = Some(kind);
             let text = request_to_json(&request).render();
@@ -746,6 +737,22 @@ mod tests {
         .unwrap_err()
         .to_string();
         assert!(err.contains("warp-drive"), "{err}");
+        // Backends other than auto and csr are codec errors.
+        for retired in ["stencil", "spectral"] {
+            let err = request_from_json(
+                &Json::parse(&text.replace(
+                    "\"solver_threads\": 3",
+                    &format!("\"solver_threads\": 3, \"solver\": \"{retired}\""),
+                ))
+                .unwrap(),
+            )
+            .unwrap_err();
+            assert!(
+                matches!(err, ServiceError::Codec { .. }),
+                "{retired}: {err:?}"
+            );
+            assert!(err.to_string().contains(retired), "{err}");
+        }
     }
 
     #[test]

@@ -100,6 +100,17 @@ impl StableHasher {
     }
 }
 
+/// The numerics generation of the engine, hashed first into every
+/// [`Flow::content_key`] — the only key the result store and its disk
+/// documents are found by. Bump it whenever a change moves answer bits
+/// on purpose, so documents computed by an older engine can no longer
+/// be reached and are recomputed instead of served as current.
+///
+/// Epoch 1: odd lateral meshes are solved by the spectral tier (a
+/// Bluestein DCT) instead of multigrid-preconditioned CG, moving their
+/// answers within the old solver's tolerance.
+pub const ENGINE_EPOCH: u64 = 1;
+
 /// A stable 128-bit content-hash key, printable as (and parsable from)
 /// 32 hex digits. Derived either from a request alone
 /// ([`CacheKey::of_request`] — what the service's job queue dedups on)
@@ -141,9 +152,7 @@ impl CacheKey {
             h.write_u64(0x536f_6c76_6572_4b64); // "SolverKd"
             h.write_u64(match solver {
                 thermalsim::SolverKind::Auto => 0,
-                thermalsim::SolverKind::Stencil => 1,
                 thermalsim::SolverKind::Csr => 2,
-                thermalsim::SolverKind::Spectral => 3,
             });
         }
         CacheKey(h.finish())
@@ -260,8 +269,8 @@ pub struct OptimizeRequest {
     /// Linear-solver backend for this request's thermal solves (`None`
     /// = inherit the base config / service default, normally
     /// [`thermalsim::SolverKind::Auto`]). Unlike `solver_threads`, the
-    /// backend **can** change result bits (spectral vs multigrid vs
-    /// CSR agree only to solver tolerance), so an explicitly set
+    /// backend **can** change result bits (spectral and CSR agree only
+    /// to solver tolerance), so an explicitly set
     /// solver *is* folded into the cache key. It is folded only when
     /// set, so keys of requests that leave it `None` — including every
     /// request minted before this field existed — are unchanged.
@@ -698,9 +707,10 @@ impl Flow {
     /// The *content* cache key of a request against this flow: the
     /// request fingerprint is replaced by the resolved physics — die
     /// outline, thermal-stack fingerprint and the bit-exact baseline
-    /// power map — folded with the goal. Two requests that resolve to
-    /// identical physics and identical goals share this key, which is
-    /// what lets a persistent result cache answer across sessions.
+    /// power map — folded with the goal, after the [`ENGINE_EPOCH`].
+    /// Two requests that resolve to identical physics and identical
+    /// goals share this key, which is what lets a persistent result
+    /// cache answer across sessions.
     ///
     /// # Errors
     ///
@@ -709,6 +719,7 @@ impl Flow {
     pub fn content_key(&self, request: &OptimizeRequest) -> Result<CacheKey, FlowError> {
         self.check_request(request)?;
         let mut h = StableHasher::new();
+        h.write_u64(ENGINE_EPOCH);
         let die = self.base_placement().floorplan.core();
         h.write_f64(die.llx);
         h.write_f64(die.lly);
@@ -786,6 +797,25 @@ mod tests {
     }
 
     #[test]
+    fn content_keys_are_stable_across_processes() {
+        // Golden value of the key the result store and its disk
+        // documents are found by. If this moves because answers moved
+        // on purpose, bump `ENGINE_EPOCH` so stale documents become
+        // unreachable, then update the digest; if it moves by
+        // accident, the hashing scheme broke persisted caches.
+        let base = FlowConfig::scattered_small().fast();
+        let request = request();
+        let flow = Flow::new(request.resolve_config(&base)).unwrap();
+        let key = flow.content_key(&request).unwrap();
+        assert_eq!(
+            key.to_hex(),
+            "0d6d44e0fd7ac9809b30d0496f20b5bc",
+            "content key moved (epoch {ENGINE_EPOCH}): bump ENGINE_EPOCH if answers \
+             moved on purpose"
+        );
+    }
+
+    #[test]
     fn tag_does_not_perturb_the_key() {
         let base = FlowConfig::scattered_small().fast();
         let mut tagged = request();
@@ -842,15 +872,16 @@ mod tests {
         let base = FlowConfig::scattered_small().fast();
         let reference = CacheKey::of_request(&request(), &base);
         let mut forced = request();
-        forced.solver = Some(thermalsim::SolverKind::Spectral);
+        forced.solver = Some(thermalsim::SolverKind::Csr);
         assert_ne!(CacheKey::of_request(&forced, &base), reference);
         assert_eq!(
             forced.resolve_config(&base).thermal.solver,
-            thermalsim::SolverKind::Spectral,
+            thermalsim::SolverKind::Csr,
             "resolve_config applies the override"
         );
         let mut oracle = request();
-        oracle.solver = Some(thermalsim::SolverKind::Stencil);
+        oracle.solver = Some(thermalsim::SolverKind::Auto);
+        assert_ne!(CacheKey::of_request(&oracle, &base), reference);
         assert_ne!(
             CacheKey::of_request(&oracle, &base),
             CacheKey::of_request(&forced, &base),
@@ -865,10 +896,10 @@ mod tests {
             .workload(WorkloadSpec::checkerboard())
             .mesh(16, 16)
             .transform("eri:8")
-            .solver(thermalsim::SolverKind::Spectral)
+            .solver(thermalsim::SolverKind::Csr)
             .build()
             .unwrap();
-        assert_eq!(built.solver, Some(thermalsim::SolverKind::Spectral));
+        assert_eq!(built.solver, Some(thermalsim::SolverKind::Csr));
     }
 
     #[test]

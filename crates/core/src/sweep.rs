@@ -125,8 +125,8 @@ impl SweepGrid {
     }
 
     /// Adds several mesh resolutions at once — the shape the large-mesh
-    /// scenario band uses (`.meshes([(80, 80), (128, 128)])`), now that
-    /// the structured multigrid solver makes those resolutions practical.
+    /// scenario band uses (`.meshes([(80, 80), (128, 128)])`), which the
+    /// spectral direct solver makes practical.
     pub fn meshes(mut self, meshes: impl IntoIterator<Item = (usize, usize)>) -> Self {
         self.meshes.extend(meshes);
         self

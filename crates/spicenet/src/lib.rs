@@ -16,7 +16,11 @@
 //! * [`Circuit::factorize`] — the same reduction assembled and
 //!   preconditioned (incomplete Cholesky) **once**, returning a
 //!   [`FactorizedCircuit`] that is re-solved against many
-//!   current-injection patterns at a fraction of the per-solve cost.
+//!   current-injection patterns at a fraction of the per-solve cost;
+//! * [`SpectralSystem`] — the direct solver for regular 7-point meshes
+//!   ([`StencilSystem`]) whose conductances are uniform within each
+//!   layer: cosine transforms over both lateral axes plus one
+//!   tridiagonal sweep per lateral mode, at any mesh size.
 //!
 //! # Examples
 //!
@@ -58,15 +62,11 @@ pub use mna::{Method, SolveOptions};
 pub use solution::{DcSolution, SolveStats};
 pub use sparse::CsrMatrix;
 pub use spectral::{DctPlan, DctScratch, SpectralSystem};
-pub use stencil::{
-    FactorizedStencil, LayeredStencilSpec, MultigridPreconditioner, StencilFactorMeta,
-    StencilOperator, StencilSystem,
-};
+pub use stencil::{LayeredStencilSpec, StencilOperator, StencilSystem};
 
 /// Exact-zero test for the places where an exact `0.0` carries meaning:
-/// the skip sentinel of the multigrid transfer weights, structurally
-/// absent couplings, a zero elimination factor and a zero right-hand
-/// side. `NaN` is never zero.
+/// a zero elimination factor and a zero right-hand side. `NaN` is never
+/// zero.
 pub(crate) fn exact_zero(v: f64) -> bool {
     // lint: allow(float-eq, reason = "an exact 0.0 here is a sentinel or a structural zero, never a rounded result")
     v == 0.0

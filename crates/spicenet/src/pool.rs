@@ -1,25 +1,13 @@
 //! Deterministic scoped worker-pool primitives for the threaded solver
 //! kernels.
 //!
-//! The multigrid stencil path threads its hot kernels over disjoint
-//! lateral row slabs (see `stencil.rs`), and the spectral tier threads
-//! its transform stages the same way (see `spectral.rs`). Both are built
+//! The spectral tier threads its transform stages over disjoint row,
+//! plane and mode ranges (see `spectral.rs`), and the CSR conjugate
+//! gradient reduces through the fixed-shape dot kernels. Both are built
 //! from the pieces in this module:
 //!
 //! * [`run`] — spawn a worker team inside one [`std::thread::scope`]
-//!   and hand each worker its own moved-in context. The team is spawned
-//!   **once per solve** and reused across every CG iteration; phases
-//!   inside the solve synchronize through [`Board::sync`] barriers
-//!   rather than respawning threads per kernel call.
-//! * [`Board`] — a mailbox-and-barrier rendezvous: workers publish halo
-//!   rows (or gathered slabs) into their own slot, synchronize, and
-//!   read their neighbours' slots. Plain `Mutex<Vec<f64>>` slots keep
-//!   the whole layer safe Rust — the workspace forbids `unsafe`.
-//! * [`Partials`] — fixed-shape reduction slots. Every global sum in
-//!   the threaded solver (dot products, the border-row bottom sum) is
-//!   computed as per-row partial sums folded in a fixed sequential
-//!   order, so the grouping of floating-point additions depends only on
-//!   the problem shape — **never** on the thread count.
+//!   and hand each worker its own moved-in context.
 //! * [`dot_wide`] / [`chunked_dot`] — the canonical fixed-shape dot
 //!   kernels: an 8-accumulator inner loop the compiler can
 //!   autovectorize, folded over fixed-width chunks.
@@ -30,11 +18,8 @@
 //! at any thread count (including 1). This is load-bearing:
 //! `Flow::content_key` and the coolserved disk cache assume bit-exact
 //! reproducibility, so a result computed with 4 threads must hash to
-//! the same key as the same solve on 1 thread. The property tests in
-//! `stencil.rs` pin this at 1/2/4 threads.
-
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
+//! the same key as the same solve on 1 thread. The spectral and stencil
+//! tests pin this at 1/2/4 threads.
 
 /// Number of independent accumulators in [`dot_wide`]'s inner loop —
 /// wide enough for the compiler to keep the reduction in vector
@@ -105,9 +90,7 @@ pub fn chunked_dot(a: &[f64], b: &[f64]) -> f64 {
 
 /// Runs `ctxs.len()` workers inside one [`std::thread::scope`], moving
 /// each context into its worker. Worker 0 runs on the calling thread;
-/// results come back in worker order. The scope spans the whole call,
-/// so a solver that enters here once keeps its team alive across every
-/// iteration of its outer loop.
+/// results come back in worker order.
 ///
 /// # Panics
 ///
@@ -134,98 +117,6 @@ pub fn run<C: Send, R: Send>(ctxs: Vec<C>, f: impl Fn(usize, C) -> R + Sync) -> 
         }
         out
     })
-}
-
-fn unpoison<'a, T>(
-    r: Result<MutexGuard<'a, T>, PoisonError<MutexGuard<'a, T>>>,
-) -> MutexGuard<'a, T> {
-    // A poisoned slot only means a sibling worker panicked mid-publish;
-    // the panic propagates through the scope join, so recovering the
-    // guard here cannot launder a half-written exchange into a result.
-    r.unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Mailbox-and-barrier rendezvous for a worker team: one publishing
-/// slot per worker plus the phase barrier the whole solve synchronizes
-/// on. The publish → [`Board::sync`] → read → [`Board::sync`] cycle
-/// makes every exchange race-free: writes happen strictly before the
-/// first barrier, reads strictly between the two.
-pub struct Board {
-    slots: Vec<Mutex<Vec<f64>>>,
-    barrier: Barrier,
-}
-
-impl Board {
-    /// A board for `workers` participants, each slot empty.
-    pub fn new(workers: usize) -> Board {
-        Board {
-            slots: (0..workers).map(|_| Mutex::new(Vec::new())).collect(),
-            barrier: Barrier::new(workers),
-        }
-    }
-
-    /// Overwrites worker `w`'s slot through `fill` (the slot vector is
-    /// cleared first; its capacity is retained across exchanges).
-    pub fn publish(&self, w: usize, fill: impl FnOnce(&mut Vec<f64>)) {
-        let mut slot = unpoison(self.slots[w].lock());
-        slot.clear();
-        fill(&mut slot);
-    }
-
-    /// Reads worker `s`'s slot.
-    pub fn read<R>(&self, s: usize, f: impl FnOnce(&[f64]) -> R) -> R {
-        f(&unpoison(self.slots[s].lock()))
-    }
-
-    /// The team barrier: every worker must call this the same number of
-    /// times in the same phase order.
-    pub fn sync(&self) {
-        self.barrier.wait();
-    }
-}
-
-/// Fixed-shape reduction slots: one `f64` (stored as bits in an
-/// `AtomicU64`) per partial sum. Workers store the partials for the
-/// rows they own, synchronize on the team [`Board`], and every worker
-/// folds **all** slots in the same fixed sequential order — the
-/// reduction tree is a function of the slot count alone, never of the
-/// thread count.
-pub struct Partials {
-    slots: Vec<AtomicU64>,
-}
-
-impl Partials {
-    /// `n` zeroed slots.
-    pub fn new(n: usize) -> Partials {
-        Partials {
-            slots: (0..n).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-
-    /// Number of slots.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// `true` when there are no slots.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// Stores partial `i` (relaxed — the phase barrier publishes it).
-    pub fn set(&self, i: usize, v: f64) {
-        self.slots[i].store(v.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Folds slots `0..len` sequentially. Call only after a barrier
-    /// that orders it against every [`Partials::set`].
-    pub fn fold(&self) -> f64 {
-        let mut total = 0.0;
-        for s in &self.slots {
-            total += f64::from_bits(s.load(Ordering::Relaxed));
-        }
-        total
-    }
 }
 
 #[cfg(test)]
@@ -257,21 +148,6 @@ mod tests {
         });
         assert_eq!(out, vec![0, 10, 20, 30]);
         assert_eq!(run(Vec::<usize>::new(), |_, c| c), Vec::<usize>::new());
-    }
-
-    #[test]
-    fn board_exchange_and_partials_roundtrip() {
-        let board = Board::new(1);
-        board.publish(0, |v| v.extend_from_slice(&[1.0, 2.0]));
-        board.sync();
-        let got = board.read(0, |s| s.to_vec());
-        assert_eq!(got, vec![1.0, 2.0]);
-        let p = Partials::new(3);
-        p.set(0, 1.5);
-        p.set(2, 2.5);
-        assert_eq!(p.fold(), 4.0);
-        assert_eq!(p.len(), 3);
-        assert!(!p.is_empty());
     }
 
     #[test]

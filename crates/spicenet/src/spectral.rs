@@ -1,4 +1,4 @@
-//! Spectral tier-0 solver: fast cosine transforms (DCT-II / DCT-III via a
+//! Spectral solver: fast cosine transforms (DCT-II / DCT-III via a
 //! mixed-radix FFT) and a *direct* solver for laterally homogeneous
 //! stencil stacks.
 //!
@@ -9,7 +9,9 @@
 //! `g·(2 − 2cos(πk/n))`. Transforming the right-hand side plane by plane
 //! therefore turns the 3-D solve into `nx·ny` independent vertical
 //! problems — one Thomas sweep per `(kx, ky)` mode — making the solve
-//! direct (exact, no iteration) at near `O(n log n)`.
+//! direct (exact, no iteration) at near `O(n log n)` for every lateral
+//! size: even lengths recurse radix-2, odd lengths run Bluestein's
+//! chirp-z convolution over a power-of-two FFT.
 //!
 //! Everything here is dependency-free and, like [`crate::pool::dot_wide`],
 //! uses a fixed, shape-pure butterfly/summation order: each row, column,
@@ -19,6 +21,7 @@
 //! disk cache key results by solved bits.
 
 use crate::stencil::{StencilOperator, StencilSystem};
+use crate::{SolveError, SolveStats};
 
 /// Minimal complex scalar for the internal FFT (no external deps).
 #[derive(Clone, Copy, Debug, Default)]
@@ -28,6 +31,14 @@ struct Complex {
 }
 
 impl Complex {
+    /// `exp(i·angle)`.
+    fn unit(angle: f64) -> Complex {
+        Complex {
+            re: angle.cos(),
+            im: angle.sin(),
+        }
+    }
+
     #[inline]
     fn add(self, o: Complex) -> Complex {
         Complex {
@@ -51,21 +62,26 @@ impl Complex {
             im: self.re * o.im + self.im * o.re,
         }
     }
+
+    #[inline]
+    fn conj(self) -> Complex {
+        Complex {
+            re: self.re,
+            im: -self.im,
+        }
+    }
 }
 
-/// Reads `exp(−2πi·idx/(4n))` from the plan table, conjugated for the
-/// inverse transform. The single 4n-entry table serves every recursion
-/// level (all sub-sizes divide `n`) *and* the DCT post-twiddle
-/// `exp(−iπk/2n)`, so forward and inverse share identical constants —
-/// part of the bit-identity story.
+/// Reads `exp(−2πi·idx/len)` from a twiddle table of length `len`,
+/// conjugated for the inverse transform. A plan's single 4n-entry table
+/// serves every recursion level (all sub-sizes divide `n`) *and* the DCT
+/// post-twiddle `exp(−iπk/2n)`, so forward and inverse share identical
+/// constants — part of the bit-identity story.
 #[inline]
 fn twiddle(tw: &[Complex], idx: usize, conj: bool) -> Complex {
     let w = tw[idx];
     if conj {
-        Complex {
-            re: w.re,
-            im: -w.im,
-        }
+        w.conj()
     } else {
         w
     }
@@ -73,10 +89,10 @@ fn twiddle(tw: &[Complex], idx: usize, conj: bool) -> Complex {
 
 /// Decimation-in-time FFT of `m` points read from `src` at `stride`,
 /// written to `out[0..m]`. `step` is the table stride for the current
-/// sub-size (`4n/m`); odd sub-sizes fall back to a naive DFT, which
-/// admits every even-composite length (20 = 4·5, 28 = 4·7, …). The
-/// recursion shape depends only on `m`, never on the data or the caller's
-/// threading, so the floating-point evaluation order is fixed.
+/// sub-size (`tw.len()/m`); odd sub-sizes fall back to a naive DFT,
+/// which admits every even-composite length (20 = 4·5, 28 = 4·7, …).
+/// The recursion shape depends only on `m`, never on the data or the
+/// caller's threading, so the floating-point evaluation order is fixed.
 fn fft_rec(
     src: &[Complex],
     stride: usize,
@@ -114,6 +130,84 @@ fn fft_rec(
     }
 }
 
+/// Bluestein's chirp-z form of an odd-length DFT. With
+/// `jk = (j² + k² − (k−j)²)/2`, the length-`n` transform becomes a
+/// circular convolution against the chirp `exp(iπt²/n)`, evaluated at a
+/// power-of-two length `m ≥ 2n − 1` with the radix-2 [`fft_rec`] — so an
+/// odd prime length costs `O(n log n)` instead of the naive `O(n²)`.
+#[derive(Clone, Debug)]
+struct Bluestein {
+    m: usize,
+    /// `exp(−2πi·i/m)`, length `m`: the radix-2 table.
+    tw: Vec<Complex>,
+    /// `chirp[j] = exp(−iπj²/n)`, `j < n`.
+    chirp: Vec<Complex>,
+    /// The FFT of the conjugate chirp wrapped onto length `m`,
+    /// pre-scaled by `1/m` so the inverse FFT needs no normalization.
+    kernel: Vec<Complex>,
+}
+
+impl Bluestein {
+    /// `plan_tw` is the plan's `exp(−2πi·i/(4n))` table; reducing `j²`
+    /// modulo `2n` reads every chirp value from it at a small angle.
+    fn new(n: usize, plan_tw: &[Complex]) -> Bluestein {
+        let m = (2 * n - 1).next_power_of_two();
+        let tw: Vec<Complex> = (0..m)
+            .map(|i| Complex::unit(-2.0 * std::f64::consts::PI * i as f64 / m as f64))
+            .collect();
+        let chirp: Vec<Complex> = (0..n).map(|j| plan_tw[2 * ((j * j) % (2 * n))]).collect();
+        let mut wrapped = vec![Complex::default(); m];
+        for (j, c) in chirp.iter().enumerate() {
+            wrapped[j] = c.conj();
+            if j > 0 {
+                wrapped[m - j] = c.conj();
+            }
+        }
+        let mut kernel = vec![Complex::default(); m];
+        fft_rec(&wrapped, 1, &mut kernel, m, 1, false, &tw);
+        let inv_m = 1.0 / m as f64;
+        for k in &mut kernel {
+            k.re *= inv_m;
+            k.im *= inv_m;
+        }
+        Bluestein {
+            m,
+            tw,
+            chirp,
+            kernel,
+        }
+    }
+
+    /// `out = DFT(x)` over `x.len() == n` points, with conjugated
+    /// twiddles when `conj` (computed as `conj(DFT(conj(x)))`). `u` and
+    /// `v` are length-`m` scratch.
+    fn dft(
+        &self,
+        x: &[Complex],
+        out: &mut [Complex],
+        conj: bool,
+        u: &mut [Complex],
+        v: &mut [Complex],
+    ) {
+        let n = x.len();
+        let (u, v) = (&mut u[..self.m], &mut v[..self.m]);
+        for (j, (slot, c)) in u.iter_mut().zip(&self.chirp).enumerate() {
+            let xj = if conj { x[j].conj() } else { x[j] };
+            *slot = xj.mul(*c);
+        }
+        u[n..].fill(Complex::default());
+        fft_rec(u, 1, v, self.m, 1, false, &self.tw);
+        for (a, k) in v.iter_mut().zip(&self.kernel) {
+            *a = a.mul(*k);
+        }
+        fft_rec(v, 1, u, self.m, 1, true, &self.tw);
+        for (k, o) in out.iter_mut().enumerate() {
+            let y = u[k].mul(self.chirp[k]);
+            *o = if conj { y.conj() } else { y };
+        }
+    }
+}
+
 /// Reusable FFT buffers for one transform length (grown on demand).
 /// Workers allocate one per team member; none of the transform entry
 /// points allocate per call once the scratch has warmed up.
@@ -121,6 +215,9 @@ fn fft_rec(
 pub struct DctScratch {
     a: Vec<Complex>,
     b: Vec<Complex>,
+    /// Bluestein convolution buffers (odd lengths only).
+    u: Vec<Complex>,
+    v: Vec<Complex>,
 }
 
 impl DctScratch {
@@ -129,47 +226,43 @@ impl DctScratch {
         Self::default()
     }
 
-    fn ensure(&mut self, n: usize) {
+    fn ensure(&mut self, n: usize, m: usize) {
         if self.a.len() < n {
             self.a.resize(n, Complex::default());
             self.b.resize(n, Complex::default());
+        }
+        if self.u.len() < m {
+            self.u.resize(m, Complex::default());
+            self.v.resize(m, Complex::default());
         }
     }
 }
 
 /// A fixed-length DCT-II / DCT-III plan (Makhoul's length-`n` FFT
-/// formulation). Supported lengths are 1 and any even `n` — the sweep
-/// mesh band (12…512) is entirely even; odd meshes simply do not qualify
-/// and stay on the multigrid path.
+/// formulation, `⌈n/2⌉` evens ascending then the odds descending).
+/// Every length `n ≥ 1` is supported: even lengths run the radix-2
+/// recursion, odd lengths `> 1` its Bluestein convolution.
 #[derive(Clone, Debug)]
 pub struct DctPlan {
     n: usize,
     /// `tw[i] = exp(−2πi·i/(4n))`, length `4n`.
     tw: Vec<Complex>,
+    /// The chirp-z transform, present exactly when `n` is odd and `> 1`.
+    bluestein: Option<Bluestein>,
 }
 
 impl DctPlan {
-    /// Whether a transform of length `n` is available.
-    pub fn supported(n: usize) -> bool {
-        n == 1 || (n > 0 && n.is_multiple_of(2))
-    }
-
-    /// Builds a plan, or `None` for unsupported lengths (0 or odd > 1).
+    /// Builds a plan, or `None` for the empty length 0.
     pub fn new(n: usize) -> Option<DctPlan> {
-        if !Self::supported(n) {
+        if n == 0 {
             return None;
         }
         let q = 4 * n;
-        let tw = (0..q)
-            .map(|i| {
-                let ang = -2.0 * std::f64::consts::PI * i as f64 / q as f64;
-                Complex {
-                    re: ang.cos(),
-                    im: ang.sin(),
-                }
-            })
+        let tw: Vec<Complex> = (0..q)
+            .map(|i| Complex::unit(-2.0 * std::f64::consts::PI * i as f64 / q as f64))
             .collect();
-        Some(DctPlan { n, tw })
+        let bluestein = (n > 1 && n % 2 == 1).then(|| Bluestein::new(n, &tw));
+        Some(DctPlan { n, tw, bluestein })
     }
 
     /// Transform length.
@@ -183,6 +276,21 @@ impl DctPlan {
         self.n == 0
     }
 
+    /// The length-`n` FFT of `a` into `b`: radix-2 recursion for even
+    /// `n`, the Bluestein convolution for odd `n`.
+    fn fft(&self, s: &mut DctScratch, conj: bool) {
+        let n = self.n;
+        let DctScratch { a, b, u, v } = s;
+        match &self.bluestein {
+            Some(chirp) => chirp.dft(&a[..n], &mut b[..n], conj, u, v),
+            None => fft_rec(&a[..n], 1, &mut b[..n], n, 4, conj, &self.tw),
+        }
+    }
+
+    fn ensure(&self, s: &mut DctScratch) {
+        s.ensure(self.n, self.bluestein.as_ref().map_or(0, |c| c.m));
+    }
+
     /// In-place unnormalized DCT-II: `X[k] = Σⱼ x[j]·cos(πk(2j+1)/2n)`.
     pub fn forward(&self, x: &mut [f64], s: &mut DctScratch) {
         let n = self.n;
@@ -190,21 +298,17 @@ impl DctPlan {
         if n == 1 {
             return;
         }
-        s.ensure(n);
-        let DctScratch { a, b } = s;
-        let (a, b) = (&mut a[..n], &mut b[..n]);
+        self.ensure(s);
         // Makhoul reordering: evens ascending, odds descending.
-        for j in 0..n / 2 {
-            a[j] = Complex {
-                re: x[2 * j],
-                im: 0.0,
-            };
-            a[n - 1 - j] = Complex {
-                re: x[2 * j + 1],
-                im: 0.0,
-            };
+        let a = &mut s.a[..n];
+        for (j, v) in x.iter().step_by(2).enumerate() {
+            a[j] = Complex { re: *v, im: 0.0 };
         }
-        fft_rec(a, 1, b, n, 4, false, &self.tw);
+        for (j, v) in x.iter().skip(1).step_by(2).enumerate() {
+            a[n - 1 - j] = Complex { re: *v, im: 0.0 };
+        }
+        self.fft(s, false);
+        let b = &s.b[..n];
         for (k, v) in x.iter_mut().enumerate() {
             let w = self.tw[k];
             *v = w.re * b[k].re - w.im * b[k].im;
@@ -219,27 +323,24 @@ impl DctPlan {
         if n == 1 {
             return;
         }
-        s.ensure(n);
-        let DctScratch { a, b } = s;
-        let (a, b) = (&mut a[..n], &mut b[..n]);
+        self.ensure(s);
+        let a = &mut s.a[..n];
         a[0] = Complex { re: x[0], im: 0.0 };
         for k in 1..n {
-            let w = self.tw[k];
             let v = Complex {
                 re: x[k],
                 im: -x[n - k],
             };
-            a[k] = Complex {
-                re: w.re,
-                im: -w.im,
-            }
-            .mul(v);
+            a[k] = self.tw[k].conj().mul(v);
         }
-        fft_rec(a, 1, b, n, 4, true, &self.tw);
+        self.fft(s, true);
+        let b = &s.b[..n];
         let inv_n = 1.0 / n as f64;
-        for j in 0..n / 2 {
-            x[2 * j] = b[j].re * inv_n;
-            x[2 * j + 1] = b[n - 1 - j].re * inv_n;
+        for (j, v) in x.iter_mut().step_by(2).enumerate() {
+            *v = b[j].re * inv_n;
+        }
+        for (j, v) in x.iter_mut().skip(1).step_by(2).enumerate() {
+            *v = b[n - 1 - j].re * inv_n;
         }
     }
 }
@@ -254,8 +355,8 @@ struct LayerProfile {
 
 /// Extracts the layer profile iff the operator is *bitwise* laterally
 /// homogeneous. Every `StencilOperator` is assembled by
-/// `StencilOperator::new`, which derives `diag` and the Thomas pivots
-/// from `gx/gy/gz/leak` alone — so uniformity of those four primitive
+/// `StencilOperator::new`, which derives `diag` from `gx/gy/gz/leak`
+/// alone — so uniformity of those four primitive
 /// arrays fully determines the operator. Comparison is on bits
 /// (`to_bits`) on purpose: qualification must be exact, and it sidesteps
 /// float `==` while staying conservative about `-0.0`.
@@ -295,50 +396,6 @@ fn exact_profile(op: &StencilOperator) -> Option<LayerProfile> {
         gzi,
         leak,
     })
-}
-
-/// Per-layer arithmetic means of the coupling arrays, accumulated in a
-/// fixed index order. Used to build the *homogenized* operator behind the
-/// spectral coarse-grid solver when the true operator does not qualify.
-fn mean_profile(op: &StencilOperator) -> LayerProfile {
-    let (nx, ny, nz) = (op.nx, op.ny, op.nz);
-    let mut gxl = vec![0.0; nz];
-    let mut gyl = vec![0.0; nz];
-    let mut gzi = vec![0.0; nz];
-    let mut leak = vec![0.0; nz];
-    for iy in 0..ny {
-        for ix in 0..nx {
-            let base = (iy * nx + ix) * nz;
-            for iz in 0..nz {
-                let i = base + iz;
-                if ix + 1 < nx {
-                    gxl[iz] += op.gx[i];
-                }
-                if iy + 1 < ny {
-                    gyl[iz] += op.gy[i];
-                }
-                if iz + 1 < nz {
-                    gzi[iz] += op.gz[i];
-                }
-                leak[iz] += op.leak[i];
-            }
-        }
-    }
-    let cols = (nx * ny) as f64;
-    let cx = ((nx.saturating_sub(1)) * ny).max(1) as f64;
-    let cy = (nx * ny.saturating_sub(1)).max(1) as f64;
-    for iz in 0..nz {
-        gxl[iz] /= cx;
-        gyl[iz] /= cy;
-        gzi[iz] /= cols;
-        leak[iz] /= cols;
-    }
-    LayerProfile {
-        gxl,
-        gyl,
-        gzi,
-        leak,
-    }
 }
 
 /// Partial-pivot LU of a tiny dense system (the `(nz+1)²` border block).
@@ -416,9 +473,8 @@ struct SpectralBorder {
 /// stack: forward DCT-II over both lateral axes, one Thomas tridiagonal
 /// per `(kx, ky)` mode (division-free pivots, precomputed), inverse
 /// DCT-III back. Construction fails (`None`) whenever the geometry does
-/// not qualify — inhomogeneous coefficients, unsupported (odd > 1)
-/// lateral sizes, or non-positive pivots — and callers fall back to
-/// multigrid.
+/// not qualify — inhomogeneous coefficients or non-positive pivots — and
+/// callers fall back to the general CSR solver.
 #[derive(Clone, Debug)]
 pub struct SpectralSystem {
     nx: usize,
@@ -441,20 +497,6 @@ impl SpectralSystem {
         let prof = exact_profile(&sys.op)?;
         let border = sys.border.as_ref().map(|b| (b.coupling, b.diag));
         Self::build(&sys.op, &prof, border)
-    }
-
-    /// Factors a bare (border-free) operator iff it qualifies exactly.
-    pub fn from_operator(op: &StencilOperator) -> Option<SpectralSystem> {
-        let prof = exact_profile(op)?;
-        Self::build(op, &prof, None)
-    }
-
-    /// Factors the *homogenized* operator (per-layer mean coefficients).
-    /// This is an approximation of `op` — exact when `op` already
-    /// qualifies — used as a multigrid coarse-grid solver.
-    pub fn homogenized(op: &StencilOperator) -> Option<SpectralSystem> {
-        let prof = mean_profile(op);
-        Self::build(op, &prof, None)
     }
 
     fn build(
@@ -502,7 +544,7 @@ impl SpectralSystem {
                     };
                     if !pivot.is_finite() || pivot <= 0.0 {
                         // Mode tridiagonal not SPD (e.g. a floating stack
-                        // with zero leak) — refuse, callers use multigrid.
+                        // with zero leak) — refuse, callers use CSR.
                         return None;
                     }
                     prev = 1.0 / pivot;
@@ -561,8 +603,7 @@ impl SpectralSystem {
     }
 }
 
-/// Even worker bounds over `n` items, the same fixed partition rule the
-/// SPMD multigrid solver uses (`bounds[w] = n·w/workers`).
+/// Even worker bounds over `n` items (`bounds[w] = n·w/workers`).
 fn even_bounds(n: usize, workers: usize) -> Vec<usize> {
     (0..=workers).map(|w| n * w / workers).collect()
 }
@@ -772,14 +813,70 @@ impl SpectralSystem {
         });
     }
 
-    /// Sequential border-free solve into a caller slice — the multigrid
-    /// coarse-solver entry point. Coarse lateral sizes are ≤ 4, so the
-    /// per-call allocations inside [`Self::solve`] are a handful of
-    /// sub-hundred-element vectors.
-    pub(crate) fn solve_grid_into(&self, b: &[f64], x: &mut [f64]) {
-        debug_assert!(self.border.is_none());
-        let out = self.solve(b, 1);
-        x[..out.len()].copy_from_slice(&out);
+    /// Direct solve of `sys` — the system this factorization was built
+    /// from — for `rhs` (see [`StencilSystem::rhs_with`]), accepted only
+    /// after a residual check. Returns the grid-cell part of the
+    /// solution.
+    ///
+    /// A direct solve lands at machine precision; a relative residual
+    /// `‖b − A·x‖/‖b‖` above `tolerance` means the factorization no
+    /// longer matches the system, so the solve is refused rather than
+    /// returned as a silently degraded field. The check is on
+    /// deterministic quantities, preserving bit-identity across thread
+    /// counts.
+    ///
+    /// # Errors
+    ///
+    /// [`SolveError::NotConverged`] carrying the residual when the check
+    /// fails.
+    pub fn solve_checked(
+        &self,
+        sys: &StencilSystem,
+        rhs: &[f64],
+        tolerance: f64,
+        threads: usize,
+    ) -> Result<(Vec<f64>, SolveStats), SolveError> {
+        let mut x = self.solve(rhs, threads);
+        let mut ax = vec![0.0; rhs.len()];
+        sys.apply_into(&x, &mut ax);
+        // Plain sequential norms in index order: deterministic and
+        // thread-independent, like everything else on this path.
+        let (mut nb, mut nr, mut net) = (0.0f64, 0.0f64, 0.0f64);
+        for (b, a) in rhs.iter().zip(&ax) {
+            let d = b - a;
+            nb += b * b;
+            nr += d * d;
+            net += d;
+        }
+        let norm_b = nb.sqrt();
+        let residual = if norm_b > 0.0 {
+            nr.sqrt() / norm_b
+        } else {
+            0.0
+        };
+        if !(residual.is_finite() && residual <= tolerance) {
+            return Err(SolveError::NotConverged {
+                iterations: 1,
+                residual,
+            });
+        }
+        #[cfg(feature = "paranoid")]
+        crate::paranoid::check_conservation_net(
+            "spectral direct solve",
+            net,
+            rhs.len(),
+            norm_b,
+            tolerance,
+        );
+        let _ = net;
+        x.truncate(sys.grid_cells());
+        Ok((
+            x,
+            SolveStats {
+                iterations: 1,
+                relative_residual: residual,
+            },
+        ))
     }
 }
 
@@ -830,7 +927,8 @@ mod tests {
     #[test]
     fn dct2_matches_the_naive_reference_elementwise() {
         for &n in &[
-            1usize, 2, 4, 6, 8, 10, 12, 16, 20, 28, 32, 40, 64, 80, 128, 256, 512,
+            1usize, 2, 3, 4, 5, 6, 8, 10, 12, 16, 20, 25, 27, 28, 32, 40, 64, 80, 127, 128, 256,
+            509, 512,
         ] {
             let plan = DctPlan::new(n).unwrap();
             let mut x: Vec<f64> = (0..n).map(|i| noise(i + 31 * n)).collect();
@@ -847,10 +945,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn round_trips_are_exact_to_1e12_for_every_even_size_up_to_512() {
+    /// Forward then inverse over every length in `sizes`, exact to 1e-12
+    /// of the input's magnitude.
+    fn assert_round_trips(sizes: impl Iterator<Item = usize>) {
         let mut s = DctScratch::new();
-        for n in (8..=512usize).filter(|n| n % 2 == 0) {
+        for n in sizes {
             let plan = DctPlan::new(n).unwrap();
             let orig: Vec<f64> = (0..n).map(|i| noise(i + 7 * n)).collect();
             let mut x = orig.clone();
@@ -867,13 +966,20 @@ mod tests {
     }
 
     #[test]
-    fn odd_sizes_beyond_one_are_unsupported() {
-        for &n in &[0usize, 3, 5, 7, 9, 15, 33, 511] {
-            assert!(!DctPlan::supported(n), "n={n}");
-            assert!(DctPlan::new(n).is_none(), "n={n}");
-        }
-        for &n in &[1usize, 2, 6, 14, 20, 256] {
-            assert!(DctPlan::supported(n), "n={n}");
+    fn round_trips_are_exact_to_1e12_for_every_even_size_up_to_512() {
+        assert_round_trips((2..=512).step_by(2));
+    }
+
+    #[test]
+    fn round_trips_are_exact_to_1e12_for_every_odd_size_up_to_512() {
+        assert_round_trips((1..=511).step_by(2));
+    }
+
+    #[test]
+    fn only_length_zero_is_unsupported() {
+        assert!(DctPlan::new(0).is_none());
+        for &n in &[1usize, 2, 3, 5, 6, 7, 9, 14, 15, 20, 33, 256, 511] {
+            assert_eq!(DctPlan::new(n).map(|p| p.len()), Some(n), "n={n}");
         }
     }
 
@@ -937,11 +1043,13 @@ mod tests {
     #[test]
     fn direct_solve_is_exact_with_a_border_node() {
         check_direct_solve(&layered(20, 12, 157.0));
+        check_direct_solve(&layered(25, 13, 157.0));
     }
 
     #[test]
     fn direct_solve_is_exact_without_a_border_node() {
         check_direct_solve(&layered(12, 16, 0.0));
+        check_direct_solve(&layered(9, 27, 0.0));
     }
 
     #[test]
@@ -949,21 +1057,24 @@ mod tests {
         check_direct_solve(&layered(1, 8, 157.0));
         check_direct_solve(&layered(8, 1, 0.0));
         check_direct_solve(&layered(1, 1, 157.0));
+        check_direct_solve(&layered(3, 1, 157.0));
     }
 
     #[test]
     fn threaded_solves_are_bit_identical_across_thread_counts() {
-        let sys = layered(20, 12, 157.0);
-        let sp = SpectralSystem::from_stencil(&sys).unwrap();
-        let rhs: Vec<f64> = (0..sys.unknowns()).map(|i| noise(i + 55)).collect();
-        let baseline = sp.solve(&rhs, 1);
-        for threads in [2usize, 4] {
-            let got = sp.solve(&rhs, threads);
-            assert_bits_eq(
-                &format!("spectral solve at {threads} threads"),
-                &got,
-                &baseline,
-            );
+        for (nx, ny) in [(20, 12), (25, 21)] {
+            let sys = layered(nx, ny, 157.0);
+            let sp = SpectralSystem::from_stencil(&sys).unwrap();
+            let rhs: Vec<f64> = (0..sys.unknowns()).map(|i| noise(i + 55)).collect();
+            let baseline = sp.solve(&rhs, 1);
+            for threads in [2usize, 4] {
+                let got = sp.solve(&rhs, threads);
+                assert_bits_eq(
+                    &format!("{nx}x{ny} spectral solve at {threads} threads"),
+                    &got,
+                    &baseline,
+                );
+            }
         }
     }
 
@@ -987,29 +1098,26 @@ mod tests {
                 }
             }
         }
+        let shell = || {
+            StencilSystem::layered(&LayeredStencilSpec {
+                nx,
+                ny,
+                gx_layers: &[1.0; 3],
+                gy_layers: &[1.0; 3],
+                gz_interfaces: &[1.0; 2],
+                g_bottom: 1.0,
+                g_top: 1.0,
+                ambient: 25.0,
+                package_resistance: 0.0,
+            })
+        };
         let uniform =
             StencilOperator::new(nx, ny, nz, gx.clone(), gy.clone(), gz.clone(), leak.clone());
-        assert!(SpectralSystem::from_operator(&uniform).is_some());
+        assert!(SpectralSystem::from_stencil(&shell().with_operator(uniform)).is_some());
         // A wrapper-ring-style lateral perturbation disqualifies the
-        // direct path bit-for-bit…
+        // direct path bit-for-bit.
         gx[(3 * nx + 3) * nz + 1] *= 1.5;
         let ring = StencilOperator::new(nx, ny, nz, gx, gy, gz, leak);
-        assert!(SpectralSystem::from_operator(&ring).is_none());
-        // …while the homogenized coarse-solver factorization still exists.
-        assert!(SpectralSystem::homogenized(&ring).is_some());
-    }
-
-    #[test]
-    fn homogenized_agrees_with_exact_on_an_already_homogeneous_operator() {
-        let sys = layered(8, 8, 0.0);
-        let exact = SpectralSystem::from_operator(sys.operator()).unwrap();
-        let mean = SpectralSystem::homogenized(sys.operator()).unwrap();
-        let rhs: Vec<f64> = (0..sys.operator().len()).map(|i| noise(i + 9)).collect();
-        let a = exact.solve(&rhs, 1);
-        let b = mean.solve(&rhs, 1);
-        let scale = a.iter().fold(1.0f64, |acc, v| acc.max(v.abs()));
-        for (g, w) in a.iter().zip(&b) {
-            assert!((g - w).abs() <= 1e-9 * scale, "{g} vs {w}");
-        }
+        assert!(SpectralSystem::from_stencil(&shell().with_operator(ring)).is_none());
     }
 }

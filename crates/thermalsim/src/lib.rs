@@ -38,7 +38,7 @@ mod sim;
 mod stack;
 
 pub use map::ThermalMap;
-pub use model::{FactorizedThermalModel, ModelMeta};
+pub use model::FactorizedThermalModel;
 pub use sim::{GridSpec, SolverKind, ThermalConfig, ThermalError, ThermalSimulator};
 pub use spicenet::SolveStats;
 pub use stack::{Layer, LayerStack};

@@ -1,6 +1,14 @@
 use geom::{Grid2d, Rect};
 use serde::{Deserialize, Serialize};
 
+/// An extreme bin of [`Grid2d::max_bin`] / [`Grid2d::min_bin`], with a
+/// grid holding nothing but `NaN` (their only `None`) read as a `NaN`
+/// value at bin `(0, 0)` — a poisoned field reports a `NaN` peak
+/// instead of aborting.
+fn or_nan(bin: Option<((usize, usize), f64)>) -> ((usize, usize), f64) {
+    bin.unwrap_or(((0, 0), f64::NAN))
+}
+
 /// The active-layer temperature field produced by a thermal solve.
 ///
 /// Values are absolute °C; the paper reports *rises above ambient* and
@@ -48,7 +56,7 @@ impl ThermalMap {
 
     /// Peak temperature (absolute °C) and its bin.
     pub fn peak_bin(&self) -> ((usize, usize), f64) {
-        self.grid.max_bin().expect("non-empty grid")
+        or_nan(self.grid.max_bin())
     }
 
     /// Peak temperature rise above ambient, in K.
@@ -63,8 +71,8 @@ impl ThermalMap {
 
     /// On-die temperature gradient: hottest minus coolest cell, in K.
     pub fn gradient(&self) -> f64 {
-        let (_, max) = self.grid.max_bin().expect("non-empty grid");
-        let (_, min) = self.grid.min_bin().expect("non-empty grid");
+        let (_, max) = or_nan(self.grid.max_bin());
+        let (_, min) = or_nan(self.grid.min_bin());
         max - min
     }
 
@@ -98,8 +106,8 @@ impl ThermalMap {
     /// hottest) for terminal inspection.
     pub fn to_ascii(&self) -> String {
         const RAMP: &[u8] = b".:-=+*#%@";
-        let (_, max) = self.grid.max_bin().expect("non-empty grid");
-        let (_, min) = self.grid.min_bin().expect("non-empty grid");
+        let (_, max) = or_nan(self.grid.max_bin());
+        let (_, min) = or_nan(self.grid.min_bin());
         let span = (max - min).max(1e-12);
         let mut out = String::new();
         // Render y top-down so the output matches die orientation.
@@ -133,6 +141,18 @@ mod tests {
         assert_eq!(m.peak_bin(), ((1, 2), 40.0));
         assert_eq!(m.peak_rise(), 15.0);
         assert_eq!(m.gradient(), 15.0);
+    }
+
+    #[test]
+    fn an_all_nan_map_reports_nan_instead_of_panicking() {
+        let mut g = Grid2d::new(3, 2, Rect::new(0.0, 0.0, 30.0, 20.0), f64::NAN);
+        let m = ThermalMap::new(g.clone(), 25.0);
+        assert!(m.peak_rise().is_nan());
+        assert!(m.gradient().is_nan());
+        assert_eq!(m.to_ascii().lines().count(), 2);
+        // One finite bin is still found among the NaNs.
+        *g.get_mut(2, 1) = 30.0;
+        assert_eq!(ThermalMap::new(g, 25.0).peak_bin(), ((2, 1), 30.0));
     }
 
     #[test]

@@ -6,76 +6,117 @@
 //! power map. The optimization loops on top of the flow (row-count
 //! bisection, budget search, scenario sweeps) evaluate dozens of power
 //! maps against a handful of die geometries, so assembling and
-//! preconditioning the network per solve is pure waste. A
+//! factoring the network per solve is pure waste. A
 //! [`FactorizedThermalModel`] pays that cost once per geometry and turns
-//! every subsequent evaluation into a preconditioned re-solve.
+//! every subsequent evaluation into a re-solve.
 //!
-//! Three solver tiers sit behind the same API (selected by
-//! [`SolverKind`](crate::SolverKind)); [`FactorizedThermalModel::solver_name`]
-//! reports the one that answers:
+//! Two solver backends sit behind the same API (selected by
+//! [`SolverKind`](crate::SolverKind));
+//! [`FactorizedThermalModel::solver_name`] reports the one that answers:
 //!
 //! * **Spectral direct (`spectral-dct`, the `Auto` default)** — the mesh
 //!   is a pure 7-point stencil and every generated stack is laterally
-//!   homogeneous, so whenever both lateral sizes admit a cosine
-//!   transform (1 or even) [`spicenet::FactorizedStencil::with_spectral`]
-//!   solves it directly: one transform plus a Thomas sweep per lateral
-//!   mode, accepted only after a residual check.
-//! * **Structured multigrid (`stencil-multigrid`)** — an
-//!   indirection-free fused stencil matvec preconditioned by a geometric
-//!   multigrid V-cycle, with near-mesh-independent iteration counts.
-//!   `Auto` falls back to it on odd meshes (with a spectral coarse-grid
-//!   solve when the coarsest grid is even); forced `Stencil` always
-//!   takes it, as the spectral-free drift oracle.
+//!   homogeneous, so [`spicenet::SpectralSystem::from_stencil`] factors
+//!   it at every mesh size: one cosine transform per lateral axis plus a
+//!   Thomas sweep per lateral mode, each answer accepted only after a
+//!   residual check against the assembled [`spicenet::StencilSystem`].
 //! * **CSR (`csr-mic0`)** — the general [`spicenet::FactorizedCircuit`]
-//!   path (Dirichlet reduction + MIC(0)-preconditioned CG), kept as the
-//!   fallback for irregular geometries and as the cross-check oracle the
-//!   property tests pin the structured path against (≤ 1e-6 K).
+//!   path (Dirichlet reduction + MIC(0)-preconditioned CG): the backend
+//!   of every stack the spectral tier does not qualify for, the re-solve
+//!   behind a failed residual check (built once, on first need), and the
+//!   cross-check oracle the property tests pin the spectral path against
+//!   (≤ 1e-6 K).
+
+use std::sync::OnceLock;
 
 use geom::{Grid2d, Rect};
-use spicenet::{FactorizedCircuit, FactorizedStencil, NodeId, SolveOptions, SolveStats};
+use spicenet::{
+    FactorizedCircuit, NodeId, SolveOptions, SolveStats, SpectralSystem, StencilSystem,
+};
 
-use crate::network::{build_geometry, validate_power, EmitSystem};
+use crate::network::{build_circuit, build_stencil, validate_power};
 use crate::{GridSpec, SolverKind, ThermalConfig, ThermalError, ThermalMap};
 
-/// Serializable description of one factorized model — solver backend,
-/// problem size, multigrid depth and the stable content fingerprint of
-/// its inputs. A result cache persists this next to the answers the
-/// model produced, so on-disk entries remain auditable (and keyable)
-/// without holding the factorization itself.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct ModelMeta {
-    /// Backend name (`"spectral-dct"`, `"stencil-multigrid"` or
-    /// `"csr-mic0"`).
-    pub solver: String,
-    /// Lateral mesh extent.
-    pub nx: usize,
-    /// Lateral mesh extent.
-    pub ny: usize,
-    /// Vertical layers.
-    pub nz: usize,
-    /// Unknowns of the linear system actually solved.
-    pub unknowns: usize,
-    /// Multigrid hierarchy depth (0 on the CSR backend).
-    pub multigrid_levels: usize,
-    /// Stable content hash of (thermal config, die outline) — matches
-    /// across processes, unlike `DefaultHasher` output.
-    pub fingerprint: u64,
+/// The spectral backend: the direct factorization plus the assembled
+/// system its residual check runs against.
+#[derive(Debug)]
+struct SpectralModel {
+    spectral: SpectralSystem,
+    system: StencilSystem,
 }
 
-/// The solver backend of a factorized model.
+/// The CSR backend: the factored circuit plus its active-layer nodes.
+#[derive(Debug)]
+struct CsrModel {
+    factor: FactorizedCircuit,
+    /// Active-layer node ids in `iy·nx + ix` order.
+    active_nodes: Vec<NodeId>,
+}
+
+impl CsrModel {
+    fn build(config: &ThermalConfig, die: Rect) -> Result<CsrModel, ThermalError> {
+        let GridSpec { nx, ny } = config.grid;
+        let network = build_circuit(nx, ny, die, &config.stack)?;
+        let factor = network
+            .circuit
+            .factorize(solve_options(config))
+            .map_err(ThermalError::Solve)?;
+        Ok(CsrModel {
+            factor,
+            active_nodes: network.active_nodes,
+        })
+    }
+
+    /// Solves one power map (validated by the caller) into `grid`.
+    fn solve_into(
+        &self,
+        power: &Grid2d<f64>,
+        grid: &mut Grid2d<f64>,
+    ) -> Result<SolveStats, ThermalError> {
+        let injections = injections(power, |bin| self.active_nodes[bin]);
+        let (volts, stats) = self
+            .factor
+            .solve_injections_stats(&injections)
+            .map_err(ThermalError::Solve)?;
+        for (bin, t) in grid.values_mut().iter_mut().enumerate() {
+            *t = volts[self.active_nodes[bin].index()];
+        }
+        Ok(stats)
+    }
+}
+
+/// The powered bins of `power` as `(at(bin), watts)` current
+/// injections, in `iy·nx + ix` bin order.
+fn injections<T>(power: &Grid2d<f64>, at: impl Fn(usize) -> T) -> Vec<(T, f64)> {
+    power
+        .values()
+        .iter()
+        .enumerate()
+        .filter(|&(_, &watts)| watts > 0.0)
+        .map(|(bin, &watts)| (at(bin), watts))
+        .collect()
+}
+
+fn solve_options(config: &ThermalConfig) -> SolveOptions {
+    SolveOptions {
+        tolerance: config.tolerance,
+        threads: config.threads,
+        ..Default::default()
+    }
+}
+
+/// The solver backend of a factorized model. Both variants are boxed:
+/// the factorizations carry hundreds of bytes of inline state.
 #[derive(Debug)]
 enum Backend {
-    /// Structured stencil matvec + geometric multigrid PCG. Both
-    /// variants are boxed: the factorizations are hundreds of bytes of
-    /// inline state and the enum would otherwise carry the larger one
-    /// everywhere.
-    Stencil(Box<FactorizedStencil>),
-    /// General CSR + MIC(0) PCG (fallback and cross-check oracle).
-    Csr(Box<FactorizedCircuit>),
+    /// Spectral (DCT + per-mode Thomas) direct solve.
+    Spectral(Box<SpectralModel>),
+    /// General CSR + MIC(0) PCG.
+    Csr(Box<CsrModel>),
 }
 
 /// The geometry-dependent half of a thermal solve, computed once: the
-/// assembled and preconditioned conductance system plus the active-layer
+/// assembled and factored conductance system plus the active-layer
 /// bookkeeping.
 ///
 /// Solutions match [`ThermalSimulator::solve`](crate::ThermalSimulator)
@@ -105,10 +146,9 @@ pub struct FactorizedThermalModel {
     config: ThermalConfig,
     die: Rect,
     backend: Backend,
-    /// Active-layer node ids in `iy·nx + ix` order (CSR addressing;
-    /// empty on the stencil backend, which addresses cells
-    /// arithmetically).
-    active_nodes: Vec<NodeId>,
+    /// The CSR model a failed spectral residual check re-solves on,
+    /// built once on first need.
+    fallback: OnceLock<Result<CsrModel, ThermalError>>,
     /// Mesh layers (the stencil's z extent).
     nz: usize,
     /// Power-dissipating layer index.
@@ -116,53 +156,41 @@ pub struct FactorizedThermalModel {
 }
 
 impl FactorizedThermalModel {
-    /// Assembles, reduces and preconditions the network for `die` under
-    /// `config`, once.
+    /// Assembles and factors the network for `die` under `config`, once.
+    /// `Auto` takes the spectral backend whenever the stack qualifies
+    /// and the CSR backend otherwise; `Csr` always takes CSR.
     ///
     /// # Errors
     ///
     /// Propagates circuit-construction and factorization failures.
     pub fn build(config: &ThermalConfig, die: Rect) -> Result<Self, ThermalError> {
         let GridSpec { nx, ny } = config.grid;
-        // Assemble only the representation the selected backend keeps —
-        // the other one's build cost (notably ~150k interned node names
-        // for a 128×128×9 circuit) is never paid.
-        let emit = match config.solver {
-            SolverKind::Auto | SolverKind::Stencil | SolverKind::Spectral => EmitSystem::Stencil,
-            SolverKind::Csr => EmitSystem::Circuit,
+        let system = match config.solver {
+            SolverKind::Auto => Some(build_stencil(nx, ny, die, &config.stack)),
+            SolverKind::Csr => None,
         };
-        let network = build_geometry(nx, ny, die, &config.stack, emit)?;
-        let options = SolveOptions {
-            tolerance: config.tolerance,
-            threads: config.threads,
-            ..Default::default()
-        };
-        let backend = match config.solver {
-            SolverKind::Csr => Backend::Csr(Box::new(
-                network
-                    .circuit
-                    .expect("circuit emitted")
-                    .factorize(options)
-                    .map_err(ThermalError::Solve)?,
-            )),
-            kind => {
-                let sys = network.stencil.expect("stencil system emitted");
-                // Auto composes the tiers: spectral direct when the
-                // stack qualifies, multigrid otherwise. Forced `Stencil`
-                // stays the spectral-free drift oracle.
-                let factored = if kind == SolverKind::Stencil {
-                    FactorizedStencil::new(sys, options)
-                } else {
-                    FactorizedStencil::with_spectral(sys, options)
-                };
-                Backend::Stencil(Box::new(factored.map_err(ThermalError::Solve)?))
-            }
+        Self::assemble(config, die, system)
+    }
+
+    /// Picks the backend for an assembled stencil system (`None` forces
+    /// CSR) — only the representation the chosen backend keeps is built.
+    fn assemble(
+        config: &ThermalConfig,
+        die: Rect,
+        system: Option<StencilSystem>,
+    ) -> Result<Self, ThermalError> {
+        let spectral = system.and_then(|system| {
+            SpectralSystem::from_stencil(&system).map(|spectral| SpectralModel { spectral, system })
+        });
+        let backend = match spectral {
+            Some(model) => Backend::Spectral(Box::new(model)),
+            None => Backend::Csr(Box::new(CsrModel::build(config, die)?)),
         };
         Ok(FactorizedThermalModel {
             config: config.clone(),
             die,
             backend,
-            active_nodes: network.active_nodes,
+            fallback: OnceLock::new(),
             nz: config.stack.layers().len(),
             active_layer: config.stack.active_layer(),
         })
@@ -181,23 +209,18 @@ impl FactorizedThermalModel {
     /// Dimension of the linear system actually solved.
     pub fn unknowns(&self) -> usize {
         match &self.backend {
-            Backend::Stencil(f) => f.unknowns(),
-            Backend::Csr(f) => f.reduced_dim(),
+            Backend::Spectral(m) => m.system.unknowns(),
+            Backend::Csr(m) => m.factor.reduced_dim(),
         }
     }
 
-    /// Human-readable name of the active solver backend.
+    /// Human-readable name of the solver backend: `"spectral-dct"` or
+    /// `"csr-mic0"`.
     pub fn solver_name(&self) -> &'static str {
         match &self.backend {
-            Backend::Stencil(f) if f.spectral_direct() => "spectral-dct",
-            Backend::Stencil(_) => "stencil-multigrid",
+            Backend::Spectral(_) => "spectral-dct",
             Backend::Csr(_) => "csr-mic0",
         }
-    }
-
-    /// `true` when the model runs the structured stencil path.
-    pub fn is_structured(&self) -> bool {
-        matches!(self.backend, Backend::Stencil(_))
     }
 
     /// A stable content hash of the model's inputs: the thermal
@@ -212,22 +235,6 @@ impl FactorizedThermalModel {
         h.write_f64(self.die.urx);
         h.write_f64(self.die.ury);
         h.finish()
-    }
-
-    /// The model's serializable metadata (see [`ModelMeta`]).
-    pub fn meta(&self) -> ModelMeta {
-        ModelMeta {
-            solver: self.solver_name().to_string(),
-            nx: self.config.grid.nx,
-            ny: self.config.grid.ny,
-            nz: self.nz,
-            unknowns: self.unknowns(),
-            multigrid_levels: match &self.backend {
-                Backend::Stencil(f) => f.multigrid_levels(),
-                Backend::Csr(_) => 0,
-            },
-            fingerprint: self.stable_fingerprint(),
-        }
     }
 
     /// Grid-cell index of an active-layer bin (stencil addressing).
@@ -262,46 +269,11 @@ impl FactorizedThermalModel {
         validate_power(nx, ny, power)?;
         let mut grid = Grid2d::new(nx, ny, self.die, 0.0);
         let stats = match &self.backend {
-            Backend::Stencil(f) => {
-                let mut injections = Vec::with_capacity(nx * ny);
-                for iy in 0..ny {
-                    for ix in 0..nx {
-                        let watts = *power.get(ix, iy);
-                        if watts > 0.0 {
-                            injections.push((self.grid_cell(iy * nx + ix), watts));
-                        }
-                    }
-                }
-                let (temps, stats) = f
-                    .solve_injections_stats(&injections)
-                    .map_err(ThermalError::Solve)?;
-                for iy in 0..ny {
-                    for ix in 0..nx {
-                        *grid.get_mut(ix, iy) = temps[self.grid_cell(iy * nx + ix)];
-                    }
-                }
-                stats
-            }
-            Backend::Csr(f) => {
-                let mut injections = Vec::with_capacity(nx * ny);
-                for iy in 0..ny {
-                    for ix in 0..nx {
-                        let watts = *power.get(ix, iy);
-                        if watts > 0.0 {
-                            injections.push((self.active_nodes[iy * nx + ix], watts));
-                        }
-                    }
-                }
-                let (volts, stats) = f
-                    .solve_injections_stats(&injections)
-                    .map_err(ThermalError::Solve)?;
-                for iy in 0..ny {
-                    for ix in 0..nx {
-                        *grid.get_mut(ix, iy) = volts[self.active_nodes[iy * nx + ix].index()];
-                    }
-                }
-                stats
-            }
+            Backend::Spectral(m) => match self.solve_spectral(m, power, &mut grid) {
+                Some(stats) => stats,
+                None => self.csr_fallback()?.solve_into(power, &mut grid)?,
+            },
+            Backend::Csr(m) => m.solve_into(power, &mut grid)?,
         };
         #[cfg(feature = "paranoid")]
         Self::check_rise_field(
@@ -310,6 +282,36 @@ impl FactorizedThermalModel {
             self.config.tolerance,
         );
         Ok((ThermalMap::new(grid, self.config.stack.ambient_c), stats))
+    }
+
+    /// The verified spectral solve of one power map into `grid`, or
+    /// `None` when the residual check refuses the answer.
+    fn solve_spectral(
+        &self,
+        m: &SpectralModel,
+        power: &Grid2d<f64>,
+        grid: &mut Grid2d<f64>,
+    ) -> Option<SolveStats> {
+        let rhs = m
+            .system
+            .rhs_with(&injections(power, |bin| self.grid_cell(bin)));
+        let (temps, stats) = m
+            .spectral
+            .solve_checked(&m.system, &rhs, self.config.tolerance, self.config.threads)
+            .ok()?;
+        for (bin, t) in grid.values_mut().iter_mut().enumerate() {
+            *t = temps[self.grid_cell(bin)];
+        }
+        Some(stats)
+    }
+
+    /// The CSR model behind a failed residual check, built on first use
+    /// and kept for every later fallback.
+    fn csr_fallback(&self) -> Result<&CsrModel, ThermalError> {
+        self.fallback
+            .get_or_init(|| CsrModel::build(&self.config, self.die))
+            .as_ref()
+            .map_err(Clone::clone)
     }
 
     /// Paranoid-mode invariants on a solved rise field: every entry is
@@ -345,12 +347,34 @@ mod tests {
         Rect::new(0.0, 0.0, 335.0, 335.0)
     }
 
+    /// Deterministic pseudo-random power in `[0, 4e-4)` per bin.
+    fn hashed_power(nx: usize, ny: usize, seed: u64) -> Grid2d<f64> {
+        let mut p = Grid2d::new(nx, ny, die(), 0.0);
+        for iy in 0..ny {
+            for ix in 0..nx {
+                let h = (seed * 1_000_003)
+                    .wrapping_add((iy * nx + ix) as u64)
+                    .wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                *p.get_mut(ix, iy) = (h >> 40) as f64 / (1u64 << 24) as f64 * 4e-4;
+            }
+        }
+        p
+    }
+
+    fn max_drift(a: &ThermalMap, b: &ThermalMap) -> f64 {
+        a.grid()
+            .iter()
+            .zip(b.grid().iter())
+            .map(|((_, x), (_, y))| (x - y).abs())
+            .fold(0.0, f64::max)
+    }
+
     #[test]
     fn matches_the_simulator_on_a_hotspot_map() {
         let config = ThermalConfig::with_resolution(12, 12);
         let sim = ThermalSimulator::new(config.clone());
         let model = FactorizedThermalModel::build(&config, die()).unwrap();
-        assert!(model.is_structured(), "Auto selects the stencil path");
+        assert_eq!(model.solver_name(), "spectral-dct");
         let mut p = Grid2d::new(12, 12, die(), 0.0);
         *p.get_mut(2, 9) = 3e-3;
         *p.get_mut(8, 3) = 1e-3;
@@ -367,97 +391,54 @@ mod tests {
         let csr =
             FactorizedThermalModel::build(&config.clone().with_solver(SolverKind::Csr), die())
                 .unwrap();
-        assert!(!csr.is_structured());
         assert_eq!(csr.solver_name(), "csr-mic0");
-        let stencil =
-            FactorizedThermalModel::build(&config.with_solver(SolverKind::Stencil), die()).unwrap();
-        assert_eq!(stencil.solver_name(), "stencil-multigrid");
+        let auto = FactorizedThermalModel::build(&config, die()).unwrap();
+        assert_eq!(auto.solver_name(), "spectral-dct");
         let mut p = Grid2d::new(10, 10, die(), 0.0);
         *p.get_mut(3, 3) = 2e-3;
         *p.get_mut(7, 6) = 5e-4;
-        let a = csr.solve(&p).unwrap();
-        let b = stencil.solve(&p).unwrap();
-        for ((_, x), (_, y)) in a.grid().iter().zip(b.grid().iter()) {
-            assert!((x - y).abs() < 1e-6, "{x} vs {y}");
-        }
+        let drift = max_drift(&csr.solve(&p).unwrap(), &auto.solve(&p).unwrap());
+        assert!(drift < 1e-6, "drift {drift:.3e} K");
     }
 
     #[test]
-    fn spectral_backend_matches_the_multigrid_oracle() {
-        // The generated stacks are laterally homogeneous, so Auto (and
-        // the explicit Spectral kind) take the DCT direct tier; forced
-        // Stencil remains the spectral-free oracle it must track to
-        // within the CI drift budget — square and nx≠ny meshes, random
-        // power maps.
-        for (nx, ny) in [(12usize, 12usize), (16, 10)] {
+    fn spectral_backend_matches_the_csr_oracle() {
+        // The generated stacks are laterally homogeneous, so Auto takes
+        // the DCT direct tier at every mesh size — square, nx≠ny and odd
+        // meshes — and must track the CSR oracle to within the CI drift
+        // budget on random power maps.
+        for (nx, ny) in [(12usize, 12usize), (16, 10), (15, 9)] {
             let config = ThermalConfig::with_resolution(nx, ny);
             let auto = FactorizedThermalModel::build(&config, die()).unwrap();
             assert_eq!(auto.solver_name(), "spectral-dct", "{nx}x{ny}");
-            assert!(auto.is_structured());
-            let forced = FactorizedThermalModel::build(
-                &config.clone().with_solver(SolverKind::Spectral),
-                die(),
-            )
-            .unwrap();
-            assert_eq!(forced.solver_name(), "spectral-dct");
             let oracle =
-                FactorizedThermalModel::build(&config.with_solver(SolverKind::Stencil), die())
-                    .unwrap();
-            assert_eq!(oracle.solver_name(), "stencil-multigrid");
+                FactorizedThermalModel::build(&config.with_solver(SolverKind::Csr), die()).unwrap();
             for seed in 0..3u64 {
-                let mut p = Grid2d::new(nx, ny, die(), 0.0);
-                for iy in 0..ny {
-                    for ix in 0..nx {
-                        // Deterministic pseudo-random power in [0, 4e-4).
-                        let h = (seed * 1_000_003)
-                            .wrapping_add((iy * nx + ix) as u64)
-                            .wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                        *p.get_mut(ix, iy) = (h >> 40) as f64 / (1u64 << 24) as f64 * 4e-4;
-                    }
-                }
-                let a = auto.solve(&p).unwrap();
-                let f = forced.solve(&p).unwrap();
-                let o = oracle.solve(&p).unwrap();
-                for (((_, x), (_, y)), (_, w)) in
-                    a.grid().iter().zip(f.grid().iter()).zip(o.grid().iter())
-                {
-                    assert_eq!(x.to_bits(), y.to_bits(), "Auto and Spectral agree exactly");
-                    assert!((x - w).abs() <= 1e-6, "{nx}x{ny} seed {seed}: {x} vs {w}");
-                }
+                let p = hashed_power(nx, ny, seed);
+                let (map, stats) = auto.solve_with_stats(&p).unwrap();
+                assert_eq!(stats.iterations, 1, "direct solves do not iterate");
+                let drift = max_drift(&map, &oracle.solve(&p).unwrap());
+                assert!(drift <= 1e-6, "{nx}x{ny} seed {seed}: drift {drift:.3e} K");
             }
         }
     }
 
-    /// Golden answers of the only production multigrid paths: `Auto` on
-    /// odd meshes, where the spectral direct tier does not apply. 25×25
-    /// semi-coarsens to an even 4×4 coarsest grid (spectral coarse
-    /// solve); 21×21 bottoms out at 3×3 (dense Cholesky). The digest is
-    /// FNV-1a over the bits of the solved field, the iteration count and
-    /// the relative residual.
+    /// Golden answers of `Auto` on odd meshes, which the spectral tier
+    /// answers through the Bluestein transform. The digest is FNV-1a
+    /// over the bits of the solved field, the iteration count and the
+    /// relative residual.
     #[test]
-    fn auto_multigrid_models_match_their_golden_digests() {
+    fn auto_odd_mesh_models_match_their_golden_digests() {
         let cases = [
-            (25usize, true, 0xaedb_d017_54dd_7b54u64),
-            (21, false, 0xdc3b_0478_816a_53f8),
+            (25usize, 0x8f54_e07f_82f6_3a1cu64),
+            (21, 0x0832_ee40_a9ab_df21),
         ];
         let mut got = Vec::new();
-        for &(n, spectral_coarse, _) in &cases {
+        for &(n, _) in &cases {
             let model = FactorizedThermalModel::build(&ThermalConfig::with_resolution(n, n), die())
                 .unwrap();
-            assert_eq!(model.solver_name(), "stencil-multigrid", "{n}x{n}");
-            let Backend::Stencil(f) = &model.backend else {
-                panic!("{n}x{n}: Auto builds the stencil backend");
-            };
-            assert_eq!(f.spectral_coarse(), spectral_coarse, "{n}x{n}");
-            let mut p = Grid2d::new(n, n, die(), 0.0);
-            for iy in 0..n {
-                for ix in 0..n {
-                    let h = ((iy * n + ix) as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                    *p.get_mut(ix, iy) = (h >> 40) as f64 / (1u64 << 24) as f64 * 4e-4;
-                }
-            }
-            let (map, stats) = model.solve_with_stats(&p).unwrap();
-            assert!(stats.iterations > 1, "{n}x{n}: multigrid iterated");
+            assert_eq!(model.solver_name(), "spectral-dct", "{n}x{n}");
+            let (map, stats) = model.solve_with_stats(&hashed_power(n, n, 0)).unwrap();
             let mut h = crate::sim::StableFnv::new();
             for &v in map.grid().values() {
                 h.write_f64(v);
@@ -468,9 +449,75 @@ mod tests {
         }
         let want: Vec<String> = cases
             .iter()
-            .map(|(n, _, digest)| format!("{n}x{n}: {digest:016x}"))
+            .map(|(n, digest)| format!("{n}x{n}: {digest:016x}"))
             .collect();
-        assert_eq!(got, want, "multigrid answers moved");
+        assert_eq!(got, want, "odd-mesh spectral answers moved");
+    }
+
+    #[test]
+    fn ring_perturbed_stacks_route_to_csr() {
+        // A wrapper-ring-style lateral perturbation is not laterally
+        // homogeneous, so the spectral tier refuses it and the model
+        // answers from CSR.
+        let (nx, ny) = (10usize, 10usize);
+        let config = ThermalConfig::with_resolution(nx, ny);
+        let nz = config.stack.layers().len();
+        let n = nx * ny * nz;
+        let mut gx = vec![1e-3; n];
+        for iy in 2..ny - 2 {
+            for ix in 2..nx - 2 {
+                if ix == 2 || iy == 2 || ix == nx - 3 || iy == ny - 3 {
+                    gx[(iy * nx + ix) * nz + 1] *= 1.75;
+                }
+            }
+        }
+        let ring = spicenet::StencilOperator::new(
+            nx,
+            ny,
+            nz,
+            gx,
+            vec![1e-3; n],
+            vec![1e-2; n],
+            vec![1e-6; n],
+        );
+        let system = build_stencil(nx, ny, die(), &config.stack).with_operator(ring);
+        let model = FactorizedThermalModel::assemble(&config, die(), Some(system)).unwrap();
+        assert_eq!(model.solver_name(), "csr-mic0");
+        let csr =
+            FactorizedThermalModel::build(&config.with_solver(SolverKind::Csr), die()).unwrap();
+        let p = hashed_power(nx, ny, 1);
+        let (a, b) = (model.solve(&p).unwrap(), csr.solve(&p).unwrap());
+        assert_eq!(max_drift(&a, &b), 0.0, "the CSR backend answered");
+    }
+
+    #[test]
+    fn failed_residual_checks_answer_from_csr() {
+        // A spectral factor that no longer matches the assembled system
+        // (here: factored for a wider die) fails the residual check, and
+        // the model re-solves on a CSR model built once, on first need.
+        let (nx, ny) = (11usize, 10usize);
+        let config = ThermalConfig::with_resolution(nx, ny);
+        let mut model = FactorizedThermalModel::build(&config, die()).unwrap();
+        let wider = build_stencil(nx, ny, Rect::new(0.0, 0.0, 360.0, 335.0), &config.stack);
+        let Backend::Spectral(m) = &mut model.backend else {
+            panic!("Auto takes the spectral backend on a layered stack");
+        };
+        m.spectral = SpectralSystem::from_stencil(&wider).unwrap();
+        assert!(
+            model.fallback.get().is_none(),
+            "no CSR model before a failure"
+        );
+        let csr =
+            FactorizedThermalModel::build(&config.with_solver(SolverKind::Csr), die()).unwrap();
+        for seed in 0..2u64 {
+            let p = hashed_power(nx, ny, seed);
+            let (map, stats) = model.solve_with_stats(&p).unwrap();
+            assert!(stats.iterations > 1, "CSR iterated");
+            let drift = max_drift(&map, &csr.solve(&p).unwrap());
+            assert!(drift <= 1e-6, "seed {seed}: drift {drift:.3e} K");
+        }
+        assert!(model.fallback.get().is_some_and(Result::is_ok));
+        assert_eq!(model.solver_name(), "spectral-dct");
     }
 
     #[test]
@@ -517,7 +564,7 @@ mod iter_probe {
     fn print_iteration_counts() {
         for n in [20usize, 40, 80, 128] {
             let die = Rect::new(0.0, 0.0, 373.5, 375.3);
-            for solver in [SolverKind::Stencil, SolverKind::Csr] {
+            for solver in [SolverKind::Auto, SolverKind::Csr] {
                 if solver == SolverKind::Csr && n > 80 {
                     continue;
                 }

@@ -8,39 +8,26 @@
 use geom::{Grid2d, Rect};
 use spicenet::{Circuit, LayeredStencilSpec, NodeId, NodeRef, SolveOptions, StencilSystem};
 
-use crate::{LayerStack, ThermalError};
+use crate::{Layer, LayerStack, ThermalError};
 
 const UM_TO_M: f64 = 1e-6;
 
-/// The assembled network plus the node bookkeeping needed to read back
-/// the active-layer temperatures.
+/// The assembled resistor netlist plus the node bookkeeping needed to
+/// read back the active-layer temperatures.
 ///
 /// Because the mesh is a pure 7-point stencil on a regular grid, the
-/// geometry builder can emit the system in either representation: as a
+/// geometry can be emitted in either representation: as this
 /// [`Circuit`] (the general CSR path, kept as fallback and cross-check
-/// oracle) or as a [`StencilSystem`] (the structured multigrid path).
-/// Both are assembled from the *same* conductance values, so the two
-/// representations agree coefficient-for-coefficient — and since a
-/// 128×128×9 circuit means ~150k interned node names and ~590k resistor
-/// insertions, callers ask for exactly the representation their backend
-/// keeps (see [`EmitSystem`]) instead of paying for both.
+/// oracle, see [`build_circuit`]) or as a [`StencilSystem`] (the
+/// spectral path, see [`build_stencil`]). Both are assembled from the
+/// *same* [`Resistances`], so the two representations agree
+/// coefficient-for-coefficient — and since a 128×128×9 circuit means
+/// ~150k interned node names and ~590k resistor insertions, callers
+/// build exactly the representation their backend keeps.
 pub(crate) struct ThermalNetwork {
-    /// Present when [`EmitSystem::Circuit`] was requested.
-    pub circuit: Option<Circuit>,
-    /// Active-layer node ids (`iy·nx + ix` order); empty without a
-    /// circuit — the stencil path addresses cells arithmetically.
+    pub circuit: Circuit,
+    /// Active-layer node ids (`iy·nx + ix` order).
     pub active_nodes: Vec<NodeId>,
-    /// Present when [`EmitSystem::Stencil`] was requested.
-    pub stencil: Option<StencilSystem>,
-}
-
-/// Which representation [`build_geometry`] should assemble.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum EmitSystem {
-    /// The resistor netlist (CSR backend and the reference solver).
-    Circuit,
-    /// The structured stencil description (multigrid backend).
-    Stencil,
 }
 
 /// Checks a power map's resolution and values against the mesh.
@@ -79,14 +66,14 @@ pub(crate) fn build_network(
     power: &Grid2d<f64>,
 ) -> Result<ThermalNetwork, ThermalError> {
     validate_power(nx, ny, power)?;
-    let mut network = build_geometry(nx, ny, die, stack, EmitSystem::Circuit)?;
-    let circuit = network.circuit.as_mut().expect("circuit emitted");
+    let mut network = build_circuit(nx, ny, die, stack)?;
     for iy in 0..ny {
         for ix in 0..nx {
             let watts = *power.get(ix, iy);
             if watts > 0.0 {
                 let node = network.active_nodes[iy * nx + ix];
-                circuit
+                network
+                    .circuit
                     .current_source(NodeRef::Ground, NodeRef::Node(node), watts)
                     .map_err(ThermalError::from_circuit)?;
             }
@@ -95,75 +82,80 @@ pub(crate) fn build_network(
     Ok(network)
 }
 
-/// Builds the geometry-only network — resistors and boundary sources, no
-/// power injection. This is the source-free "pattern" a
-/// [`crate::FactorizedThermalModel`] factorizes once and re-solves
-/// against many power maps.
-pub(crate) fn build_geometry(
+/// Every resistance of one die geometry, per layer or per interface,
+/// computed once and shared by both system representations (circuit
+/// resistors and stencil coefficients), so the spectral path can never
+/// drift from the CSR oracle by construction.
+struct Resistances {
+    /// Lateral x-neighbour resistance per layer.
+    x_layers: Vec<f64>,
+    /// Lateral y-neighbour resistance per layer.
+    y_layers: Vec<f64>,
+    /// Vertical resistance per layer interface: series half-thicknesses
+    /// of the adjacent layers.
+    z_interfaces: Vec<f64>,
+    /// Bottom cell to package: half-layer conduction plus the film.
+    bottom: f64,
+    /// Top cell to ambient: half-layer conduction plus the film.
+    top: f64,
+}
+
+impl Resistances {
+    fn new(nx: usize, ny: usize, die: Rect, stack: &LayerStack) -> Resistances {
+        let dx = die.width() / nx as f64 * UM_TO_M;
+        let dy = die.height() / ny as f64 * UM_TO_M;
+        let area = dx * dy;
+        let layers = stack.layers();
+        let half = |l: &Layer| (l.thickness_um * UM_TO_M / 2.0) / (l.conductivity_w_mk * area);
+        let film = |l: &Layer, h: f64| half(l) + 1.0 / (h * area);
+        Resistances {
+            x_layers: layers
+                .iter()
+                .map(|l| dx / (l.conductivity_w_mk * dy * (l.thickness_um * UM_TO_M)))
+                .collect(),
+            y_layers: layers
+                .iter()
+                .map(|l| dy / (l.conductivity_w_mk * dx * (l.thickness_um * UM_TO_M)))
+                .collect(),
+            z_interfaces: layers
+                .windows(2)
+                .map(|w| half(&w[0]) + half(&w[1]))
+                .collect(),
+            bottom: film(&layers[0], stack.h_bottom_w_m2k),
+            top: film(&layers[layers.len() - 1], stack.h_top_w_m2k),
+        }
+    }
+}
+
+/// Builds the geometry-only network as a [`StencilSystem`] — the
+/// source-free system a [`crate::FactorizedThermalModel`] factors once
+/// and re-solves against many power maps.
+pub(crate) fn build_stencil(nx: usize, ny: usize, die: Rect, stack: &LayerStack) -> StencilSystem {
+    let r = Resistances::new(nx, ny, die, stack);
+    let conductances = |rs: &[f64]| -> Vec<f64> { rs.iter().map(|r| 1.0 / r).collect() };
+    StencilSystem::layered(&LayeredStencilSpec {
+        nx,
+        ny,
+        gx_layers: &conductances(&r.x_layers),
+        gy_layers: &conductances(&r.y_layers),
+        gz_interfaces: &conductances(&r.z_interfaces),
+        g_bottom: 1.0 / r.bottom,
+        g_top: 1.0 / r.top,
+        ambient: stack.ambient_c,
+        package_resistance: stack.package_resistance_k_w,
+    })
+}
+
+/// Builds the geometry-only network as a resistor [`Circuit`] —
+/// resistors and boundary sources, no power injection.
+pub(crate) fn build_circuit(
     nx: usize,
     ny: usize,
     die: Rect,
     stack: &LayerStack,
-    emit: EmitSystem,
 ) -> Result<ThermalNetwork, ThermalError> {
     let nz = stack.layers().len();
-    let dx = die.width() / nx as f64 * UM_TO_M;
-    let dy = die.height() / ny as f64 * UM_TO_M;
-    let area = dx * dy;
-
-    // Every conductance value is computed once here and shared by both
-    // system representations (circuit resistors and stencil
-    // coefficients), so the structured path can never drift from the CSR
-    // oracle by construction.
-    let r_x_layers: Vec<f64> = stack
-        .layers()
-        .iter()
-        .map(|l| dx / (l.conductivity_w_mk * dy * (l.thickness_um * UM_TO_M)))
-        .collect();
-    let r_y_layers: Vec<f64> = stack
-        .layers()
-        .iter()
-        .map(|l| dy / (l.conductivity_w_mk * dx * (l.thickness_um * UM_TO_M)))
-        .collect();
-    // Vertical resistances: series half-thicknesses of adjacent layers.
-    let r_z_interfaces: Vec<f64> = stack
-        .layers()
-        .windows(2)
-        .map(|w| {
-            (w[0].thickness_um * UM_TO_M / 2.0) / (w[0].conductivity_w_mk * area)
-                + (w[1].thickness_um * UM_TO_M / 2.0) / (w[1].conductivity_w_mk * area)
-        })
-        .collect();
-    // Package boundaries: half-layer conduction plus the film coefficient.
-    let bottom = &stack.layers()[0];
-    let r_bottom = (bottom.thickness_um * UM_TO_M / 2.0) / (bottom.conductivity_w_mk * area)
-        + 1.0 / (stack.h_bottom_w_m2k * area);
-    let top = &stack.layers()[nz - 1];
-    let r_top = (top.thickness_um * UM_TO_M / 2.0) / (top.conductivity_w_mk * area)
-        + 1.0 / (stack.h_top_w_m2k * area);
-
-    if emit == EmitSystem::Stencil {
-        let gx_layers: Vec<f64> = r_x_layers.iter().map(|r| 1.0 / r).collect();
-        let gy_layers: Vec<f64> = r_y_layers.iter().map(|r| 1.0 / r).collect();
-        let gz_interfaces: Vec<f64> = r_z_interfaces.iter().map(|r| 1.0 / r).collect();
-        let stencil = StencilSystem::layered(&LayeredStencilSpec {
-            nx,
-            ny,
-            gx_layers: &gx_layers,
-            gy_layers: &gy_layers,
-            gz_interfaces: &gz_interfaces,
-            g_bottom: 1.0 / r_bottom,
-            g_top: 1.0 / r_top,
-            ambient: stack.ambient_c,
-            package_resistance: stack.package_resistance_k_w,
-        });
-        return Ok(ThermalNetwork {
-            circuit: None,
-            active_nodes: Vec::new(),
-            stencil: Some(stencil),
-        });
-    }
-
+    let r = Resistances::new(nx, ny, die, stack);
     let mut circuit = Circuit::new();
 
     // Node ids in (iy, ix, iz) order — z innermost. The z couplings are
@@ -206,8 +198,8 @@ pub(crate) fn build_geometry(
 
     for iz in 0..nz {
         // Lateral resistances: R = dx / (k · dy · tz) and symmetrically.
-        let r_x = r_x_layers[iz];
-        let r_y = r_y_layers[iz];
+        let r_x = r.x_layers[iz];
+        let r_y = r.y_layers[iz];
         for iy in 0..ny {
             for ix in 0..nx {
                 let here = NodeRef::Node(node(ix, iy, iz));
@@ -225,14 +217,14 @@ pub(crate) fn build_geometry(
         }
     }
 
-    for (iz, &r) in r_z_interfaces.iter().enumerate() {
+    for (iz, &r_z) in r.z_interfaces.iter().enumerate() {
         for iy in 0..ny {
             for ix in 0..nx {
                 circuit
                     .resistor(
                         NodeRef::Node(node(ix, iy, iz)),
                         NodeRef::Node(node(ix, iy, iz + 1)),
-                        r,
+                        r_z,
                     )
                     .map_err(ThermalError::from_circuit)?;
             }
@@ -245,14 +237,14 @@ pub(crate) fn build_geometry(
                 .resistor(
                     NodeRef::Node(node(ix, iy, 0)),
                     NodeRef::Node(bottom_sink),
-                    r_bottom,
+                    r.bottom,
                 )
                 .map_err(ThermalError::from_circuit)?;
             circuit
                 .resistor(
                     NodeRef::Node(node(ix, iy, nz - 1)),
                     NodeRef::Node(ambient),
-                    r_top,
+                    r.top,
                 )
                 .map_err(ThermalError::from_circuit)?;
         }
@@ -267,9 +259,8 @@ pub(crate) fn build_geometry(
         .map(|(ix, iy)| node(ix, iy, active))
         .collect();
     Ok(ThermalNetwork {
-        circuit: Some(circuit),
+        circuit,
         active_nodes,
-        stencil: None,
     })
 }
 
@@ -277,8 +268,6 @@ impl ThermalNetwork {
     pub(crate) fn solve(&self, tolerance: f64) -> Result<Vec<f64>, ThermalError> {
         let sol = self
             .circuit
-            .as_ref()
-            .expect("reference solves run on the circuit representation")
             .solve(SolveOptions {
                 tolerance,
                 ..Default::default()

@@ -24,29 +24,20 @@ impl Default for GridSpec {
 
 /// Linear-solver backend selection for factorized thermal models.
 ///
-/// The regular-grid mesh this crate builds is a pure 7-point stencil, so
-/// the structured multigrid path applies everywhere and is the default;
-/// the CSR path is kept as the fallback for irregular future geometries
-/// and as the cross-check oracle the property tests pin the structured
-/// path against.
+/// Every stack this crate builds is a laterally homogeneous 7-point
+/// stencil, which the spectral (DCT) direct solver answers at any mesh
+/// size, so `Auto` is the default; the CSR path is the fallback for
+/// stacks the spectral tier does not qualify for and the cross-check
+/// oracle the property tests pin the spectral path against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum SolverKind {
-    /// Structured stencil when the network is a pure grid (always,
-    /// today), CSR otherwise. The stencil backend additionally takes the
-    /// spectral (DCT) direct tier whenever the stack qualifies — the
-    /// common laterally-homogeneous case — so `Auto` behaves like
-    /// [`SolverKind::Spectral`] with automatic fallback.
+    /// The spectral direct solver when the stack qualifies, with each
+    /// answer residual-checked and re-solved on CSR if the check fails;
+    /// CSR for stacks that do not qualify.
     #[default]
     Auto,
-    /// Force the structured stencil + geometric-multigrid path (no
-    /// spectral tier) — the CI-gated drift oracle for the spectral path.
-    Stencil,
     /// Force the general CSR + MIC(0)-preconditioned path.
     Csr,
-    /// Prefer the spectral (DCT + per-mode Thomas) direct solver for
-    /// laterally homogeneous stacks, falling back to multigrid with a
-    /// spectral coarse-grid solve when the geometry does not qualify.
-    Spectral,
 }
 
 /// Full thermal-simulation configuration.
@@ -121,9 +112,7 @@ impl ThermalConfig {
         h.write_f64(self.tolerance);
         h.write_u64(match self.solver {
             SolverKind::Auto => 0,
-            SolverKind::Stencil => 1,
             SolverKind::Csr => 2,
-            SolverKind::Spectral => 3,
         });
         h.write_f64(self.stack.h_bottom_w_m2k);
         h.write_f64(self.stack.h_top_w_m2k);
@@ -413,7 +402,7 @@ mod tests {
         *p.get_mut(4, 1) = 2e-3;
         let stack = crate::LayerStack::c65();
         let network = crate::network::build_network(n, n, die(), &stack, &p).unwrap();
-        let circuit = network.circuit.as_ref().unwrap();
+        let circuit = &network.circuit;
         let sol = circuit.solve(SolveOptions::default()).unwrap();
         // The single voltage source feeds the ambient node; at steady state
         // it must absorb exactly the injected 5 mW (current convention:

@@ -7,7 +7,7 @@ use geom::{Grid2d, Rect};
 use proptest::prelude::*;
 use thermalsim::{FactorizedThermalModel, SolverKind, ThermalConfig, ThermalSimulator};
 
-/// Builds both solver backends for one geometry and asserts their
+/// Builds the `Auto` and CSR backends for one geometry and asserts their
 /// temperature fields agree to ≤ `tol_k` kelvin on `power`.
 fn assert_backends_agree(
     nx: usize,
@@ -17,28 +17,32 @@ fn assert_backends_agree(
     tol_k: f64,
 ) -> Result<(), String> {
     let base = ThermalConfig::with_resolution(nx, ny);
-    let stencil =
-        FactorizedThermalModel::build(&base.clone().with_solver(SolverKind::Stencil), die)
-            .map_err(|e| e.to_string())?;
+    let auto = FactorizedThermalModel::build(&base, die).map_err(|e| e.to_string())?;
+    if auto.solver_name() != "spectral-dct" {
+        return Err(format!(
+            "mesh {nx}x{ny}: Auto routed to `{}`",
+            auto.solver_name()
+        ));
+    }
     let csr = FactorizedThermalModel::build(&base.with_solver(SolverKind::Csr), die)
         .map_err(|e| e.to_string())?;
-    let a = stencil.solve(power).map_err(|e| e.to_string())?;
+    let a = auto.solve(power).map_err(|e| e.to_string())?;
     let b = csr.solve(power).map_err(|e| e.to_string())?;
     for ((bin, x), (_, y)) in a.grid().iter().zip(b.grid().iter()) {
         if (x - y).abs() > tol_k {
             return Err(format!(
-                "mesh {nx}x{ny} bin {bin:?}: multigrid {x} vs MIC(0) {y} (|Δ| > {tol_k} K)"
+                "mesh {nx}x{ny} bin {bin:?}: spectral {x} vs MIC(0) {y} (|Δ| > {tol_k} K)"
             ));
         }
     }
     Ok(())
 }
 
-/// The structured multigrid path must reproduce the CSR + MIC(0) oracle
-/// to ≤ 1e-6 K on the non-power-of-two and asymmetric meshes the 2:1
-/// coarsening handles with clipped aggregates.
+/// `Auto` must route to the spectral direct solver and reproduce the
+/// CSR/MIC(0) oracle to ≤ 1e-6 K on non-power-of-two, odd and asymmetric
+/// meshes (odd lengths run the Bluestein transform).
 #[test]
-fn multigrid_matches_csr_oracle_on_awkward_meshes() {
+fn auto_matches_csr_oracle_on_awkward_meshes() {
     let die = Rect::new(0.0, 0.0, 373.5, 375.3);
     for (nx, ny) in [(28usize, 28usize), (20, 12), (9, 17)] {
         let mut power = Grid2d::new(nx, ny, die, 1e-6);
@@ -52,12 +56,12 @@ fn multigrid_matches_csr_oracle_on_awkward_meshes() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The structured-vs-CSR acceptance pin across random workloads,
-    /// mesh resolutions (including non-square) and die sizes: the two
+    /// The Auto-vs-CSR acceptance pin across random workloads, mesh
+    /// resolutions (odd, even and non-square) and die sizes: the two
     /// backends solve the *same* conductance values, so their fields
     /// must agree to well under a microkelvin.
     #[test]
-    fn multigrid_matches_csr_oracle_on_random_workloads(
+    fn auto_matches_csr_oracle_on_random_workloads(
         nx in 5usize..14,
         ny in 5usize..14,
         side in 150.0f64..500.0,

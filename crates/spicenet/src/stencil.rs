@@ -513,6 +513,17 @@ mod tests {
         .unwrap()
     }
 
+    /// Oracle: MIC(0)-preconditioned CG on the CSR expansion of `sys`
+    /// at tight tolerance.
+    fn csr_oracle(sys: &StencilSystem, injections: &[(usize, f64)]) -> Vec<f64> {
+        let csr = to_csr(sys);
+        let rhs = sys.rhs_with(injections);
+        let precond = crate::sparse::Preconditioner::best(&csr);
+        let (want, _, _) =
+            crate::sparse::preconditioned_cg(&csr, &rhs, 1e-12, 20 * csr.n(), &precond).unwrap();
+        want
+    }
+
     #[test]
     fn stencil_matvec_matches_csr_matvec_elementwise() {
         for (nx, ny) in [(5, 7), (8, 8), (1, 6), (3, 1)] {
@@ -541,7 +552,6 @@ mod tests {
         // lands on the CSR oracle's answer without iterating.
         for (nx, ny) in [(12, 12), (9, 13), (28, 4)] {
             let sys = StencilSystem::layered(&spec(nx, ny));
-            let csr = to_csr(&sys);
             // A scattered injection pattern at the top layer.
             let nz = sys.operator().nz();
             let injections: Vec<(usize, f64)> = (0..nx * ny)
@@ -550,13 +560,7 @@ mod tests {
                 .collect();
             let (got, stats) = spectral_solve(&sys, &injections, 1);
             assert_eq!(stats.iterations, 1, "direct solves do not iterate");
-            // Oracle: MIC(0)-preconditioned CG on the CSR expansion at
-            // tight tolerance.
-            let rhs = sys.rhs_with(&injections);
-            let precond = crate::sparse::Preconditioner::best(&csr);
-            let (want, _, _) =
-                crate::sparse::preconditioned_cg(&csr, &rhs, 1e-12, 20 * csr.n(), &precond)
-                    .unwrap();
+            let want = csr_oracle(&sys, &injections);
             for i in 0..got.len() {
                 assert!(
                     (got[i] - want[i]).abs() < 1e-6,
@@ -565,6 +569,38 @@ mod tests {
                     want[i]
                 );
             }
+        }
+    }
+
+    #[test]
+    fn with_spectral_takes_the_direct_path_on_homogeneous_systems() {
+        // A uniform layered stack qualifies: the verified direct solve
+        // answers it (a failed residual check would be an error here),
+        // and the result stays within the oracle drift budget.
+        for (nx, ny) in [(12usize, 12usize), (16, 12)] {
+            let sys = StencilSystem::layered(&spec(nx, ny));
+            assert!(
+                SpectralSystem::from_stencil(&sys).is_some(),
+                "{nx}x{ny} qualifies"
+            );
+            let nz = sys.operator().nz();
+            let injections: Vec<(usize, f64)> = (0..nx * ny)
+                .step_by(3)
+                .map(|col| (col * nz + nz - 1, 2e-4 * (1.0 + (col % 7) as f64)))
+                .collect();
+            let (xd, stats) = spectral_solve(&sys, &injections, 1);
+            assert_eq!(stats.iterations, 1, "direct solves do not iterate");
+            assert!(stats.relative_residual <= SolveOptions::default().tolerance);
+            let xo = csr_oracle(&sys, &injections);
+            let drift = xd
+                .iter()
+                .zip(&xo)
+                .map(|(a, b)| (a - b).abs())
+                .fold(0.0f64, f64::max);
+            assert!(
+                drift <= 1e-6,
+                "{nx}x{ny}: spectral-vs-CSR drift {drift:.3e} K"
+            );
         }
     }
 

@@ -63,44 +63,7 @@ pub fn wrap_regions(
         .iter()
         .map(|h| h.bbox.expand(ring).clamp_into(&core))
         .collect();
-    // Negotiate ring collisions: cut both regions at the midline of their
-    // overlap, along the axis with the smaller overlap.
-    for _round in 0..64 {
-        let mut changed = false;
-        for i in 0..regions.len() {
-            for j in i + 1..regions.len() {
-                let (a, b) = (regions[i], regions[j]);
-                if !a.intersects(&b) {
-                    continue;
-                }
-                let ox = a.urx.min(b.urx) - a.llx.max(b.llx);
-                let oy = a.ury.min(b.ury) - a.lly.max(b.lly);
-                if ox <= oy {
-                    let mid = (a.llx.max(b.llx) + a.urx.min(b.urx)) / 2.0;
-                    if a.center().x <= b.center().x {
-                        regions[i].urx = mid;
-                        regions[j].llx = mid;
-                    } else {
-                        regions[j].urx = mid;
-                        regions[i].llx = mid;
-                    }
-                } else {
-                    let mid = (a.lly.max(b.lly) + a.ury.min(b.ury)) / 2.0;
-                    if a.center().y <= b.center().y {
-                        regions[i].ury = mid;
-                        regions[j].lly = mid;
-                    } else {
-                        regions[j].ury = mid;
-                        regions[i].lly = mid;
-                    }
-                }
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
+    separate_rings(&mut regions);
     // Merge anything still overlapping (e.g. concentric boxes).
     loop {
         let mut merged = false;
@@ -120,6 +83,48 @@ pub fn wrap_regions(
         }
     }
     regions
+}
+
+/// Negotiates ring collisions: cuts each overlapping pair at the midline
+/// of its overlap, along the axis with the smaller overlap, for up to 64
+/// rounds.
+fn separate_rings(regions: &mut [Rect]) {
+    for _round in 0..64 {
+        let mut changed = false;
+        for i in 0..regions.len() {
+            for j in i + 1..regions.len() {
+                let (a, b) = (regions[i], regions[j]);
+                if !a.intersects(&b) {
+                    continue;
+                }
+                let ox = a.urx.min(b.urx) - a.llx.max(b.llx);
+                let oy = a.ury.min(b.ury) - a.lly.max(b.lly);
+                if ox <= oy {
+                    let mid = (a.llx.max(b.llx) + a.urx.min(b.urx)) / 2.0;
+                    let (left, right) = if a.center().x <= b.center().x {
+                        (i, j)
+                    } else {
+                        (j, i)
+                    };
+                    regions[left].urx = mid;
+                    regions[right].llx = mid;
+                } else {
+                    let mid = (a.lly.max(b.lly) + a.ury.min(b.ury)) / 2.0;
+                    let (low, high) = if a.center().y <= b.center().y {
+                        (i, j)
+                    } else {
+                        (j, i)
+                    };
+                    regions[low].ury = mid;
+                    regions[high].lly = mid;
+                }
+                changed = true;
+            }
+        }
+        if !changed {
+            break;
+        }
+    }
 }
 
 /// The screening surrogate for a Hotspot Wrapper candidate: the paper's
@@ -253,43 +258,15 @@ pub fn hotspot_wrapper(
         }
     }
     // Re-separate any regions that grew into each other.
-    for _round in 0..64 {
-        let mut changed = false;
-        for i in 0..regions.len() {
-            for j in i + 1..regions.len() {
-                let (a, b) = (regions[i], regions[j]);
-                if !a.intersects(&b) {
-                    continue;
-                }
-                let ox = a.urx.min(b.urx) - a.llx.max(b.llx);
-                let oy = a.ury.min(b.ury) - a.lly.max(b.lly);
-                if ox <= oy {
-                    let mid = (a.llx.max(b.llx) + a.urx.min(b.urx)) / 2.0;
-                    if a.center().x <= b.center().x {
-                        regions[i].urx = mid;
-                        regions[j].llx = mid;
-                    } else {
-                        regions[j].urx = mid;
-                        regions[i].llx = mid;
-                    }
-                } else {
-                    let mid = (a.lly.max(b.lly) + a.ury.min(b.ury)) / 2.0;
-                    if a.center().y <= b.center().y {
-                        regions[i].ury = mid;
-                        regions[j].lly = mid;
-                    } else {
-                        regions[j].ury = mid;
-                        regions[i].lly = mid;
-                    }
-                }
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
+    separate_rings(&mut regions);
 
+    // The squeeze fallback's receiving rows, with their center lines:
+    // those lying completely outside every wrapped region.
+    let outside_rows: Vec<(usize, f64)> = (0..floorplan.num_rows())
+        .map(|r| (r, floorplan.row_rect(r)))
+        .filter(|(_, rect)| !regions.iter().any(|g| g.intersects(rect)))
+        .map(|(r, rect)| (r, rect.center().y))
+        .collect();
     let mut evicted = 0usize;
     let mut respread = 0usize;
     let mut processed_regions = Vec::new();
@@ -345,23 +322,17 @@ pub fn hotspot_wrapper(
             // small gaps): shove cells aside in the nearest row that lies
             // completely outside every wrapped region.
             let mut done = false;
-            let mut candidate_rows: Vec<usize> = (0..floorplan.num_rows())
-                .filter(|&r| {
-                    let rect = floorplan.row_rect(r);
-                    !regions.iter().any(|g| g.intersects(&rect))
-                })
+            let mut candidate_rows: Vec<(usize, f64)> = outside_rows
+                .iter()
+                .map(|&(r, y)| (r, (y - origin.y).abs()))
                 .collect();
-            candidate_rows.sort_by(|&a, &b| {
-                let da = ((floorplan.row_rect(a).center().y) - origin.y).abs();
-                let db = ((floorplan.row_rect(b).center().y) - origin.y).abs();
-                da.total_cmp(&db)
-            });
+            candidate_rows.sort_by(|a, b| a.1.total_cmp(&b.1));
             // Cap the fill of receiving rows: dumping every evicted cell
             // into the nearest row would build a dense, hot stripe right
             // against the wrapper. Relax the cap progressively on small
             // dies rather than fail outright.
             'caps: for cap in [0.82, 0.95, 1.01] {
-                for &r in &candidate_rows {
+                for &(r, _) in &candidate_rows {
                     if placement.row_utilization(floorplan, r as u32) > cap {
                         continue;
                     }
@@ -519,26 +490,31 @@ fn spread_scaled(
         let gap_each = free / n;
         let extra = free % n;
         let mut cursor = lo as u64;
+        let mut run: Vec<(CellId, u32)> = Vec::with_capacity(batch.len());
         for (k, &(id, _)) in batch.iter().enumerate() {
             cursor += gap_each + u64::from((k as u64) < extra);
             let w = width_of(id);
             // An unevicted straggler may occupy the ideal slot: nudge
-            // right until the cell fits, or defer it to the sweep.
+            // right until the cell fits, or defer it to the sweep. The
+            // run's own cells all sit left of the cursor.
             let mut site = cursor as u32;
             let mut placed_at = None;
             while site + w <= hi {
                 if placement.fits(row, site, w) {
-                    placement.place(netlist, floorplan, id, row, site);
                     placed_at = Some(site);
                     break;
                 }
                 site += 1;
             }
             match placed_at {
-                Some(site) => cursor = (site + w) as u64,
+                Some(site) => {
+                    run.push((id, site));
+                    cursor = (site + w) as u64;
+                }
                 None => leftovers.push(id),
             }
         }
+        placement.place_run(netlist, floorplan, row, &run);
     }
     // First-fit sweep for anything that could not be balanced.
     'outer: for id in leftovers {

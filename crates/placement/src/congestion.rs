@@ -51,7 +51,10 @@ pub fn congestion_map(
         for &sink in net.sinks() {
             collect(netlist.pin(sink).cell(), &mut bbox);
         }
-        let b = bbox.expect("hpwl > 0 implies endpoints");
+        // A positive wirelength implies placed endpoints.
+        let Some(b) = bbox else {
+            continue;
+        };
         let spread = Rect::new(b.llx, b.lly, b.urx.max(b.llx + 1.0), b.ury.max(b.lly + 1.0));
         demand.splat(&spread, hpwl);
     }

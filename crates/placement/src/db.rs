@@ -30,8 +30,16 @@ pub struct FillerInst {
     pub width_sites: u32,
 }
 
-/// The placement database: a slot per netlist cell plus per-row occupancy
-/// indexes for fast gap queries, and the filler list.
+/// The placement database: a slot per netlist cell, a per-row occupancy
+/// index for fast gap queries, and the filler list.
+///
+/// Each row's index keeps its cells by site plus a free-space summary
+/// that every edit updates in O(log n), touching only the gaps it
+/// changes: the sites in use, the width of the gap starting at each site
+/// and, per block of sites, the widest gap starting in it, in a max
+/// segment tree. A row's utilization and widest free gap are O(1), and
+/// the nearest gap of a given width on either side of a site is
+/// O(log sites).
 ///
 /// # Examples
 ///
@@ -52,8 +60,326 @@ pub struct FillerInst {
 pub struct Placement {
     slots: Vec<Option<PlacedCell>>,
     fillers: Vec<FillerInst>,
-    /// Per-row map `site → (cell, width_sites)` for occupancy queries.
-    row_index: Vec<BTreeMap<u32, (CellId, u32)>>,
+    row_index: Vec<RowIndex>,
+}
+
+/// One row's occupancy: the cells by site and the free-space summary.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct RowIndex {
+    /// `site → (cell, width_sites)`.
+    cells: BTreeMap<u32, (CellId, u32)>,
+    /// Sites in the row.
+    sites: u32,
+    /// Sites covered by cells.
+    used: u32,
+    /// Per site, the width of the free gap starting there (0: none),
+    /// saturated at `u8::MAX`.
+    gap_at: Vec<u8>,
+    /// Per block of [`GAP_BLOCK`] sites, the widest free gap starting in
+    /// it.
+    blocks: BlockMax,
+}
+
+/// Sites per leaf of a row's [`BlockMax`] tree.
+const GAP_BLOCK: u32 = 16;
+
+/// A max segment tree over a row's blocks: the widest gap is O(1), and
+/// the nearest block holding a gap at least `w` wide on either side of a
+/// block is O(log blocks).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct BlockMax {
+    /// Leaves of the bottom level: a power of two ≥ the row's blocks.
+    leaves: usize,
+    /// Node `i` holds the max of nodes `2i` and `2i + 1`; leaf `j` (node
+    /// `leaves + j`) holds the widest gap starting in block `j`.
+    max: Vec<u32>,
+}
+
+impl BlockMax {
+    fn new(sites: u32) -> Self {
+        let leaves = (sites.div_ceil(GAP_BLOCK) as usize)
+            .max(1)
+            .next_power_of_two();
+        BlockMax {
+            leaves,
+            max: vec![0; 2 * leaves],
+        }
+    }
+
+    fn widest(&self) -> u32 {
+        self.max[1]
+    }
+
+    fn set(&mut self, block: usize, width: u32) {
+        let mut i = self.leaves + block;
+        self.max[i] = width;
+        while i > 1 {
+            i /= 2;
+            let max = self.max[2 * i].max(self.max[2 * i + 1]);
+            if self.max[i] == max {
+                break;
+            }
+            self.max[i] = max;
+        }
+    }
+
+    /// The last block at or before `block` holding a gap ≥ `width`.
+    fn last_at_least(&self, block: usize, width: u32) -> Option<usize> {
+        let mut i = self.leaves + block.min(self.leaves - 1);
+        loop {
+            if self.max[i] >= width {
+                while i < self.leaves {
+                    i = if self.max[2 * i + 1] >= width {
+                        2 * i + 1
+                    } else {
+                        2 * i
+                    };
+                }
+                return Some(i - self.leaves);
+            }
+            // Step to the subtree just left of `i`'s.
+            while i.is_multiple_of(2) {
+                i /= 2;
+            }
+            if i == 1 {
+                return None;
+            }
+            i -= 1;
+        }
+    }
+
+    /// The first block at or after `block` holding a gap ≥ `width`.
+    fn first_at_least(&self, block: usize, width: u32) -> Option<usize> {
+        if block >= self.leaves {
+            return None;
+        }
+        let mut i = self.leaves + block;
+        loop {
+            if self.max[i] >= width {
+                while i < self.leaves {
+                    i = if self.max[2 * i] >= width {
+                        2 * i
+                    } else {
+                        2 * i + 1
+                    };
+                }
+                return Some(i - self.leaves);
+            }
+            // Step to the subtree just right of `i`'s.
+            while !i.is_multiple_of(2) {
+                if i == 1 {
+                    return None;
+                }
+                i /= 2;
+            }
+            i += 1;
+        }
+    }
+}
+
+impl RowIndex {
+    fn new(sites: u32) -> Self {
+        let mut row = RowIndex {
+            cells: BTreeMap::new(),
+            sites,
+            used: 0,
+            gap_at: vec![0; sites as usize],
+            blocks: BlockMax::new(sites),
+        };
+        let mut touched = Vec::new();
+        row.mark_span(0, sites, true, &mut touched);
+        row.refresh(&touched);
+        row
+    }
+
+    /// End of the last cell that starts before `site`, or 0.
+    fn end_before(&self, site: u32) -> u32 {
+        self.cells
+            .range(..site)
+            .next_back()
+            .map_or(0, |(&s, &(_, w))| s + w)
+    }
+
+    /// Start of the first cell at or after `site`, or the row end.
+    fn start_from(&self, site: u32) -> u32 {
+        self.cells
+            .range(site..)
+            .next()
+            .map_or(self.sites, |(&s, _)| s)
+    }
+
+    /// Width of the free gap starting at `site` (0: none).
+    fn gap_width(&self, site: u32) -> u32 {
+        match self.gap_at[site as usize] {
+            u8::MAX => self.start_from(site) - site,
+            width => u32::from(width),
+        }
+    }
+
+    /// Records (or, with `add` false, erases) the free gaps of the span
+    /// `[lo, hi)` — which starts at a cell end (or 0) and ends at a cell
+    /// start (or the row end) — noting the blocks they start in.
+    fn mark_span(&mut self, lo: u32, hi: u32, add: bool, touched: &mut Vec<u32>) {
+        let mut cursor = lo;
+        let mut mark = |at: u32, width: u32| {
+            self.gap_at[at as usize] = if add {
+                u8::try_from(width).unwrap_or(u8::MAX)
+            } else {
+                0
+            };
+            touched.push(at / GAP_BLOCK);
+        };
+        for (&site, &(_, width)) in self.cells.range(lo..hi) {
+            if site > cursor {
+                mark(cursor, site - cursor);
+            }
+            cursor = site + width;
+        }
+        if hi > cursor {
+            mark(cursor, hi - cursor);
+        }
+    }
+
+    /// Recomputes the tree leaves of the `touched` blocks.
+    fn refresh(&mut self, touched: &[u32]) {
+        let mut last = None;
+        for &block in touched {
+            if last == Some(block) {
+                continue;
+            }
+            last = Some(block);
+            let lo = block * GAP_BLOCK;
+            let widest = (lo..(lo + GAP_BLOCK).min(self.sites))
+                .map(|s| self.gap_width(s))
+                .max()
+                .unwrap_or(0);
+            self.blocks.set(block as usize, widest);
+        }
+    }
+
+    /// Rewrites the gaps of the span `[lo, hi)` around an `edit` of the
+    /// cells inside it.
+    fn respan(&mut self, lo: u32, hi: u32, edit: impl FnOnce(&mut Self)) {
+        let mut touched = Vec::new();
+        self.mark_span(lo, hi, false, &mut touched);
+        edit(self);
+        self.mark_span(lo, hi, true, &mut touched);
+        touched.sort_unstable();
+        self.refresh(&touched);
+    }
+
+    /// Inserts `(site, cell, width)` entries at increasing sites, each
+    /// already known to fit; only the gaps of the span they cover change.
+    fn insert_run(&mut self, run: &[(u32, CellId, u32)]) {
+        let (Some(&(first, _, _)), Some(&(last, _, last_width))) = (run.first(), run.last()) else {
+            return;
+        };
+        let lo = self.end_before(first);
+        let hi = self.start_from(last + last_width);
+        self.respan(lo, hi, |row| {
+            if row.cells.is_empty() {
+                row.cells = run.iter().map(|&(s, c, w)| (s, (c, w))).collect();
+            } else {
+                for &(site, cell, width) in run {
+                    row.cells.insert(site, (cell, width));
+                }
+            }
+            row.used += run.iter().map(|&(_, _, w)| w).sum::<u32>();
+        });
+    }
+
+    /// Removes the cell starting at `site`, if any.
+    fn remove_at(&mut self, site: u32) {
+        let Some(&(_, width)) = self.cells.get(&site) else {
+            return;
+        };
+        let lo = self.end_before(site);
+        let hi = self.start_from(site + width);
+        self.respan(lo, hi, |row| {
+            row.cells.remove(&site);
+            row.used -= width;
+        });
+    }
+
+    /// Re-targets the row to `sites` sites, rebuilding its gap index.
+    fn resize(&mut self, sites: u32) {
+        let cells = std::mem::take(&mut self.cells);
+        *self = RowIndex::new(sites);
+        let run: Vec<(u32, CellId, u32)> = cells.into_iter().map(|(s, (c, w))| (s, c, w)).collect();
+        self.insert_run(&run);
+    }
+}
+
+/// The free gaps of one row at least `width` sites wide, as
+/// `[start, end)`, walked away from a start site; the block tree skips
+/// every block without such a gap.
+pub(crate) struct WideGaps<'a> {
+    row: &'a RowIndex,
+    width: u32,
+    leftward: bool,
+    block: usize,
+    /// The current block's sites still to scan, `[lo, hi)`: a leftward
+    /// walk takes them from `hi` down, a rightward one from `lo` up.
+    lo: u32,
+    hi: u32,
+}
+
+impl<'a> WideGaps<'a> {
+    fn new(row: &'a RowIndex, width: u32, leftward: bool, site: u32) -> Self {
+        let (block, lo, hi) = if leftward {
+            let block = site.min(row.sites.saturating_sub(1)) / GAP_BLOCK;
+            (
+                block,
+                block * GAP_BLOCK,
+                site.saturating_add(1).min(row.sites),
+            )
+        } else {
+            let block = site / GAP_BLOCK;
+            (block, site, ((block + 1) * GAP_BLOCK).min(row.sites))
+        };
+        WideGaps {
+            row,
+            width: width.max(1),
+            leftward,
+            block: block as usize,
+            lo,
+            hi,
+        }
+    }
+}
+
+impl Iterator for WideGaps<'_> {
+    type Item = (u32, u32);
+
+    fn next(&mut self) -> Option<(u32, u32)> {
+        let narrow = u8::try_from(self.width).unwrap_or(u8::MAX);
+        loop {
+            while self.lo < self.hi {
+                let site = if self.leftward {
+                    self.hi -= 1;
+                    self.hi
+                } else {
+                    self.lo += 1;
+                    self.lo - 1
+                };
+                if self.row.gap_at[site as usize] < narrow {
+                    continue;
+                }
+                let width = self.row.gap_width(site);
+                if width >= self.width {
+                    return Some((site, site + width));
+                }
+            }
+            self.block = if self.leftward {
+                let before = self.block.checked_sub(1)?;
+                self.row.blocks.last_at_least(before, self.width)?
+            } else {
+                self.row.blocks.first_at_least(self.block + 1, self.width)?
+            };
+            self.lo = self.block as u32 * GAP_BLOCK;
+            self.hi = (self.lo + GAP_BLOCK).min(self.row.sites);
+        }
+    }
 }
 
 impl Placement {
@@ -62,7 +388,9 @@ impl Placement {
         Placement {
             slots: vec![None; netlist.cell_count()],
             fillers: Vec::new(),
-            row_index: vec![BTreeMap::new(); floorplan.num_rows()],
+            row_index: (0..floorplan.num_rows())
+                .map(|r| RowIndex::new(floorplan.row(r).num_sites))
+                .collect(),
         }
     }
 
@@ -88,31 +416,86 @@ impl Placement {
         row: u32,
         site: u32,
     ) {
-        let width = Self::width_of(netlist, cell);
+        self.place_run(netlist, floorplan, row, &[(cell, site)]);
+    }
+
+    /// Places (or moves) a run of distinct cells into `row` at increasing
+    /// sites, updating the row's index once for the span the run covers.
+    /// Clears any fillers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a slot would overlap another cell (or an earlier cell of
+    /// the run) or leave the row.
+    pub fn place_run(
+        &mut self,
+        netlist: &Netlist,
+        floorplan: &Floorplan,
+        row: u32,
+        run: &[(CellId, u32)],
+    ) {
         assert!(
             (row as usize) < floorplan.num_rows(),
             "row {row} out of range"
         );
-        assert!(
-            site + width <= floorplan.row(row as usize).num_sites,
-            "cell {cell} leaves row {row} (site {site} width {width})"
-        );
-        assert!(
-            self.fits(row, site, width),
-            "cell {cell} overlaps at row {row} site {site}"
-        );
-        self.remove(cell);
-        self.slots[cell.index()] = Some(PlacedCell { row, site });
-        self.row_index[row as usize].insert(site, (cell, width));
+        let Some(&(_, first)) = run.first() else {
+            return;
+        };
+        // The cells the run could meet, as `[start, end)`: the one before
+        // it and those after, walked alongside the run.
+        let cells = &self.row_index[row as usize].cells;
+        let mut existing = cells
+            .range(..first)
+            .next_back()
+            .into_iter()
+            .chain(cells.range(first..))
+            .map(|(&s, &(_, w))| (s, s + w))
+            .peekable();
+        let mut entries = Vec::with_capacity(run.len());
+        let mut run_end = 0;
+        for &(cell, site) in run {
+            let width = Self::width_of(netlist, cell);
+            assert!(
+                site + width <= floorplan.row(row as usize).num_sites,
+                "cell {cell} leaves row {row} (site {site} width {width})"
+            );
+            while existing.next_if(|&(_, end)| end <= site).is_some() {}
+            assert!(
+                site >= run_end && existing.peek().is_none_or(|&(s, _)| s >= site + width),
+                "cell {cell} overlaps at row {row} site {site}"
+            );
+            run_end = site + width;
+            entries.push((site, cell, width));
+        }
+        for &(cell, site) in run {
+            self.remove(cell);
+            self.slots[cell.index()] = Some(PlacedCell { row, site });
+        }
+        self.row_index[row as usize].insert_run(&entries);
         self.fillers.clear();
     }
 
     /// Removes `cell` from the placement (no-op when unplaced).
     pub fn remove(&mut self, cell: CellId) {
         if let Some(pc) = self.slots[cell.index()].take() {
-            self.row_index[pc.row as usize].remove(&pc.site);
+            self.row_index[pc.row as usize].remove_at(pc.site);
             self.fillers.clear();
         }
+    }
+
+    /// Unplaces every cell of `row` at once and returns them as
+    /// `(site, cell, width)` in site order. Clears any fillers.
+    pub(crate) fn take_row(&mut self, row: u32) -> Vec<(u32, CellId, u32)> {
+        let index = &mut self.row_index[row as usize];
+        let cells = std::mem::replace(index, RowIndex::new(index.sites)).cells;
+        self.fillers.clear();
+        cells
+            .into_iter()
+            .map(|(site, (cell, width))| {
+                self.slots[cell.index()] = None;
+                (site, cell, width)
+            })
+            .collect()
     }
 
     /// Whether `[site, site+width)` in `row` is free of placed cells.
@@ -121,7 +504,7 @@ impl Placement {
     ///
     /// Panics if `row` is out of range.
     pub fn fits(&self, row: u32, site: u32, width: u32) -> bool {
-        let index = &self.row_index[row as usize];
+        let index = &self.row_index[row as usize].cells;
         // Previous occupant must end at or before `site`…
         if let Some((&s, &(_, w))) = index.range(..=site).next_back() {
             if s + w > site {
@@ -184,6 +567,7 @@ impl Placement {
     /// Panics if `row` is out of range.
     pub fn row_cells(&self, row: u32) -> Vec<(u32, CellId, u32)> {
         self.row_index[row as usize]
+            .cells
             .iter()
             .map(|(&s, &(c, w))| (s, c, w))
             .collect()
@@ -198,7 +582,7 @@ impl Placement {
         let total = floorplan.row(row as usize).num_sites;
         let mut gaps = Vec::new();
         let mut cursor = 0u32;
-        for (&site, &(_, width)) in &self.row_index[row as usize] {
+        for (&site, &(_, width)) in &self.row_index[row as usize].cells {
             if site > cursor {
                 gaps.push((cursor, site - cursor));
             }
@@ -216,8 +600,37 @@ impl Placement {
     ///
     /// Panics if `row` is out of range.
     pub fn row_utilization(&self, floorplan: &Floorplan, row: u32) -> f64 {
-        let used: u32 = self.row_index[row as usize].values().map(|&(_, w)| w).sum();
-        used as f64 / floorplan.row(row as usize).num_sites as f64
+        self.row_used_sites(row) as f64 / floorplan.row(row as usize).num_sites as f64
+    }
+
+    /// Sites of `row` covered by placed cells.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is out of range.
+    pub fn row_used_sites(&self, row: u32) -> u32 {
+        self.row_index[row as usize].used
+    }
+
+    /// Width in sites of `row`'s widest free gap (0 when the row is full).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is out of range.
+    pub fn row_widest_gap(&self, row: u32) -> u32 {
+        self.row_index[row as usize].blocks.widest()
+    }
+
+    /// The free gaps of `row` at least `width` sites wide that start at
+    /// or before `site`, rightmost first.
+    pub(crate) fn wide_gaps_left(&self, row: u32, site: u32, width: u32) -> WideGaps<'_> {
+        WideGaps::new(&self.row_index[row as usize], width, true, site)
+    }
+
+    /// The free gaps of `row` at least `width` sites wide that start at
+    /// or after `site`, leftmost first.
+    pub(crate) fn wide_gaps_right(&self, row: u32, site: u32, width: u32) -> WideGaps<'_> {
+        WideGaps::new(&self.row_index[row as usize], width, false, site)
     }
 
     /// The placed fillers.
@@ -239,31 +652,42 @@ impl Placement {
     }
 
     /// Rebuilds this placement onto a grown floorplan produced by
-    /// [`Floorplan::with_rows_inserted`], shifting each cell's row by the
-    /// supplied mapping. Fillers are dropped (refill afterwards).
+    /// [`Floorplan::with_rows_inserted`], moving each row (cells and
+    /// index) to the row the supplied mapping names. Fillers are dropped
+    /// (refill afterwards).
     ///
     /// # Panics
     ///
-    /// Panics if the mapping is shorter than the occupied rows require.
+    /// Panics if the mapping has fewer entries than this placement has
+    /// rows or names a row the new floorplan lacks.
     pub fn remap_rows(&self, floorplan_new: &Floorplan, mapping: &[usize]) -> Placement {
-        let mut out = Placement {
-            slots: vec![None; self.slots.len()],
-            fillers: Vec::new(),
-            row_index: vec![BTreeMap::new(); floorplan_new.num_rows()],
-        };
-        for (cell, pc) in self.iter() {
-            let new_row = mapping[pc.row as usize] as u32;
-            out.slots[cell.index()] = Some(PlacedCell {
-                row: new_row,
-                site: pc.site,
-            });
-            let width = self.row_index[pc.row as usize]
-                .get(&pc.site)
-                .expect("indexed cell")
-                .1;
-            out.row_index[new_row as usize].insert(pc.site, (cell, width));
+        let mut row_index: Vec<RowIndex> = (0..floorplan_new.num_rows())
+            .map(|r| RowIndex::new(floorplan_new.row(r).num_sites))
+            .collect();
+        for (old, index) in self.row_index.iter().enumerate() {
+            let new = mapping[old];
+            let mut moved = index.clone();
+            let sites = floorplan_new.row(new).num_sites;
+            if moved.sites != sites {
+                moved.resize(sites);
+            }
+            row_index[new] = moved;
         }
-        out
+        let slots = self
+            .slots
+            .iter()
+            .map(|slot| {
+                slot.map(|pc| PlacedCell {
+                    row: mapping[pc.row as usize] as u32,
+                    site: pc.site,
+                })
+            })
+            .collect();
+        Placement {
+            slots,
+            fillers: Vec::new(),
+            row_index,
+        }
     }
 }
 

@@ -6,7 +6,7 @@
 //! each layout row." Filling every gap completely is therefore a hard
 //! invariant, checked by [`crate::validate`].
 
-use netlist::Netlist;
+use netlist::{CellId, Netlist};
 
 use crate::{FillerInst, Floorplan, PlaceError, Placement};
 
@@ -114,22 +114,24 @@ pub fn respread_row(
     row: u32,
     gaps: &[u32],
 ) {
-    let cells = placement.row_cells(row);
+    let cells = placement.take_row(row);
     assert!(
         gaps.len() >= cells.len(),
         "need one gap per cell: {} < {}",
         gaps.len(),
         cells.len()
     );
-    for &(_, id, _) in &cells {
-        placement.remove(id);
-    }
     let mut cursor = 0u32;
-    for (i, &(_, id, width)) in cells.iter().enumerate() {
-        cursor += gaps[i];
-        placement.place(netlist, floorplan, id, row, cursor);
-        cursor += width;
-    }
+    let run: Vec<(CellId, u32)> = cells
+        .iter()
+        .zip(gaps)
+        .map(|(&(_, id, width), &gap)| {
+            let site = cursor + gap;
+            cursor = site + width;
+            (id, site)
+        })
+        .collect();
+    placement.place_run(netlist, floorplan, row, &run);
 }
 
 #[cfg(test)]

@@ -266,11 +266,17 @@ pub(crate) fn place_unit_into_region(
         let gap_each = free / n;
         let extra = free % n;
         let mut cursor = lo as u64;
-        for (i, &ci) in batch.iter().enumerate() {
-            cursor += gap_each + u64::from((i as u64) < extra);
-            placement.place(netlist, floorplan, cells[ci], row, cursor as u32);
-            cursor += widths[ci] as u64;
-        }
+        let run: Vec<(CellId, u32)> = batch
+            .iter()
+            .enumerate()
+            .map(|(i, &ci)| {
+                cursor += gap_each + u64::from((i as u64) < extra);
+                let site = cursor as u32;
+                cursor += widths[ci] as u64;
+                (cells[ci], site)
+            })
+            .collect();
+        placement.place_run(netlist, floorplan, row, &run);
         placed_sites += batch_width;
     }
     if idx < cells.len() {

@@ -36,9 +36,14 @@ pub fn assign_unit_regions(netlist: &Netlist, core: Rect) -> Vec<Rect> {
     let mut columns: Vec<Vec<usize>> = vec![Vec::new(); ncols];
     let mut col_area = vec![0.0f64; ncols];
     for u in order {
-        let lightest = (0..ncols)
-            .min_by(|&a, &b| col_area[a].total_cmp(&col_area[b]))
-            .expect("ncols > 0");
+        // The first of the lightest columns.
+        let lightest = (1..ncols).fold(0, |best, c| {
+            if col_area[c].total_cmp(&col_area[best]).is_lt() {
+                c
+            } else {
+                best
+            }
+        });
         columns[lightest].push(u);
         col_area[lightest] += stats.units[u].cell_area_um2;
     }

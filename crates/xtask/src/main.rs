@@ -37,9 +37,16 @@ const SEED_CRATES: [&str; 3] = ["spicenet", "core", "timan"];
 /// The `waivers` audit fails if one of these crates has a ratcheted
 /// violation or a `ci/lint-baseline.json` entry — so no new unwaivered
 /// site can land in the service, the solver, the thermal model, the
-/// logic simulator or the flow (`core`, the `postplace` library) behind
-/// the baseline.
-const STRICT_CRATES: [&str; 5] = ["coolserved", "core", "logicsim", "spicenet", "thermalsim"];
+/// logic simulator, the placement database or the flow (`core`, the
+/// `postplace` library) behind the baseline.
+const STRICT_CRATES: [&str; 6] = [
+    "coolserved",
+    "core",
+    "logicsim",
+    "placement",
+    "spicenet",
+    "thermalsim",
+];
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();

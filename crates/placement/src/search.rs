@@ -225,45 +225,59 @@ impl SlotSearch<'_> {
         };
         self.block_row(&row);
 
-        // An ideal site inside a forbidden interval bounds the whole row
-        // by the interval's nearest legal neighbours.
-        let nearest = row.ideal_site.clamp(0.0, row.max_site as f64) as u32;
-        if let Some((a, b)) = self.blocked_at(nearest) {
-            let dy = ((row.rect.lly + row.rect.ury) / 2.0 - self.origin.y).abs();
-            let bound = match (
-                self.bound_left_of(&row, a, dy),
-                self.bound_right_of(&row, b, dy),
-            ) {
-                (None, None) => return,
-                (Some(d), None) | (None, Some(d)) => d,
-                (Some(l), Some(r)) => l.min(r),
-            };
-            if !self.beats(bound, rank, 0) {
-                return;
-            }
-        }
-
-        // Leftward: the fitting gaps starting at or before the ideal
-        // site. Every candidate of a gap ending at `end` sits at or left
-        // of `end - width`.
+        // An ideal site inside a forbidden interval `[a, b]` bounds the
+        // whole row by the interval's nearest legal neighbours, and the
+        // walks start at its ends: every gap starting inside it is
+        // swallowed, except one that runs past `b` — the last fitting
+        // gap starting at or before `b`.
         let pivot = row.ideal_site.clamp(0.0, grid.num_sites as f64) as u32;
-        let mut gaps = placement.wide_gaps_left(r32, pivot, width);
-        while let Some((start, end)) = gaps.next() {
-            let c = self.center(&row, end - width);
-            if c.x <= self.origin.x && !self.beats(c.manhattan_to(self.origin), rank, 0) {
-                break;
+        let nearest = row.ideal_site.clamp(0.0, row.max_site as f64) as u32;
+        let (left_from, right_from) = match self.blocked_at(nearest) {
+            None => (Some(pivot), pivot + 1),
+            Some((a, b)) => {
+                let dy = ((row.rect.lly + row.rect.ury) / 2.0 - self.origin.y).abs();
+                let bound = match (
+                    self.bound_left_of(&row, a, dy),
+                    self.bound_right_of(&row, b, dy),
+                ) {
+                    (None, None) => return,
+                    (Some(d), None) | (None, Some(d)) => d,
+                    (Some(l), Some(r)) => l.min(r),
+                };
+                if !self.beats(bound, rank, 0) {
+                    return;
+                }
+                if let Some((start, end)) = placement.wide_gaps_left(r32, b, width).next() {
+                    if start >= a && end - width > b {
+                        self.offer(&row, start, end);
+                    }
+                }
+                (a.checked_sub(1), b + 1)
             }
-            match self.swallowed_by(start, end) {
-                Some((0, _)) => break,
-                Some((a, _)) => gaps = placement.wide_gaps_left(r32, a - 1, width),
-                None => self.offer(&row, start, end),
+        };
+
+        // Leftward: the fitting gaps starting at or before `left_from`.
+        // Every candidate of a gap ending at `end` sits at or left of
+        // `end - width`.
+        if let Some(from) = left_from {
+            let mut gaps = placement.wide_gaps_left(r32, from, width);
+            while let Some((start, end)) = gaps.next() {
+                let c = self.center(&row, end - width);
+                if c.x <= self.origin.x && !self.beats(c.manhattan_to(self.origin), rank, 0) {
+                    break;
+                }
+                match self.swallowed_by(start, end) {
+                    Some((0, _)) => break,
+                    Some((a, _)) => gaps = placement.wide_gaps_left(r32, a - 1, width),
+                    None => self.offer(&row, start, end),
+                }
             }
         }
 
-        // Rightward: the fitting gaps starting after the ideal site.
+        // Rightward: the fitting gaps starting at or after `right_from`.
         // Every candidate of a gap starting at `start` sits at or right
         // of `start`.
-        let mut gaps = placement.wide_gaps_right(r32, pivot + 1, width);
+        let mut gaps = placement.wide_gaps_right(r32, right_from, width);
         while let Some((start, end)) = gaps.next() {
             let c = self.center(&row, start);
             if c.x >= self.origin.x && !self.beats(c.manhattan_to(self.origin), rank, start) {

@@ -227,7 +227,10 @@ impl RowIndex {
             } else {
                 0
             };
-            touched.push(at / GAP_BLOCK);
+            let block = at / GAP_BLOCK;
+            if touched.last() != Some(&block) {
+                touched.push(block);
+            }
         };
         for (&site, &(_, width)) in self.cells.range(lo..hi) {
             if site > cursor {
@@ -249,10 +252,11 @@ impl RowIndex {
             }
             last = Some(block);
             let lo = block * GAP_BLOCK;
-            let widest = (lo..(lo + GAP_BLOCK).min(self.sites))
-                .map(|s| self.gap_width(s))
-                .max()
-                .unwrap_or(0);
+            let hi = (lo + GAP_BLOCK).min(self.sites);
+            let widest = match self.gap_at[lo as usize..hi as usize].iter().max() {
+                Some(&u8::MAX) => (lo..hi).map(|s| self.gap_width(s)).max().unwrap_or(0),
+                raw => raw.map_or(0, |&w| u32::from(w)),
+            };
             self.blocks.set(block as usize, widest);
         }
     }

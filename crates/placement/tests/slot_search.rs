@@ -256,7 +256,9 @@ fn slot_search_matches_the_full_scan() {
     let mut queries = 0;
     for _ in 0..40 {
         let rows = 3 + rng.below(14) as usize;
-        let width_um = rng.range(8.0, 60.0);
+        // Up to ~500 sites a row: gaps wider than 255 sites take the
+        // index's saturated path.
+        let width_um = rng.range(8.0, 150.0);
         let floorplan = Floorplan::new(netlist.library(), width_um, rows);
         let mut placement = Placement::new(&netlist, &floorplan);
         let tries = rng.below(40 * rows as u64) as usize;
@@ -278,7 +280,7 @@ fn slot_search_matches_the_full_scan() {
 fn row_index_tracks_every_edit() {
     let netlist = build_benchmark(&BenchmarkConfig::small()).unwrap();
     let mut rng = Rng(29);
-    let mut floorplan = Floorplan::new(netlist.library(), 30.0, 8);
+    let mut floorplan = Floorplan::new(netlist.library(), 90.0, 8);
     let mut placement = Placement::new(&netlist, &floorplan);
     check_index(&floorplan, &placement, "empty");
     let n_cells = netlist.cell_count() as u64;
@@ -287,7 +289,7 @@ fn row_index_tracks_every_edit() {
         let row = rng.below(rows) as u32;
         let label = match rng.below(10) {
             0..=3 => {
-                scatter(&netlist, &floorplan, &mut placement, &mut rng, 8);
+                scatter(&netlist, &floorplan, &mut placement, &mut rng, 24);
                 "place"
             }
             4 | 5 => {

@@ -16,8 +16,10 @@
 //!   resolved configuration and drain the queue on shutdown.
 //! * **A two-tier persistent result cache.** [`ResultStore`] layers an
 //!   in-memory LRU over an on-disk JSON directory keyed by
-//!   [`postplace::CacheKey`] — a stable content hash, so a second
-//!   process (or a run next week) reuses last week's solves.
+//!   [`postplace::CacheKey`] — a stable hash of the engine epoch and
+//!   the resolved request, so a second process (or a run next week)
+//!   reuses last week's solves, and a hit is found before any flow is
+//!   built.
 //! * **Fault tolerance by construction.** All disk I/O and time reads
 //!   route through the [`backend::StoreBackend`] seam, so the
 //!   deterministic [`fault::FaultPlan`] harness can fail the Nth write,

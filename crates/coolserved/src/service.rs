@@ -8,20 +8,23 @@
 //! job submitted before the closure returned has a terminal state by
 //! the time `serve` does — the scope join is the completion barrier.
 //!
-//! Flows are expensive to build (netlist synthesis, placement, thermal
-//! factorization), so workers share one [`Flow`] per distinct resolved
-//! configuration through a keyed cache; requests that only differ in
-//! goal reuse the same primed flow.
+//! A job is keyed by [`CacheKey::of_request`] under its resolved
+//! configuration and looked up in the store before any [`Flow`]
+//! exists, so a memory or disk hit costs a hash and a read. Flows are
+//! expensive to build (netlist synthesis, placement, thermal
+//! factorization), so only the worker that solves a missed key fetches
+//! one, from a keyed cache holding one primed [`Flow`] per distinct
+//! resolved configuration; requests that only differ in goal reuse it.
 //!
 //! Robustness behaviors layered on the basic loop:
 //!
-//! - **Single-flight dedup** — concurrent submissions resolving to the
-//!   same content key share one solve: the first worker to claim the
-//!   key leads, the rest wait and re-read the store when it publishes
-//!   (counted in [`ServiceStats::dedup_hits`]).
+//! - **Single-flight dedup** — concurrent submissions with the same
+//!   key share one solve: the first worker to claim the key leads, the
+//!   rest wait and re-read the store when it publishes (counted in
+//!   [`ServiceStats::dedup_hits`]).
 //! - **Deadlines** — a request carrying `deadline_ms` is checked at
-//!   tier boundaries (dequeue, flow built, store miss, before the cold
-//!   solve) against the backend clock, measured from submission; a blown
+//!   tier boundaries (dequeue, store miss, before the cold solve)
+//!   against the backend clock, measured from submission; a blown
 //!   budget fails the job with a typed [`ServiceError::Timeout`]. A
 //!   cache *hit* is returned even past the deadline — the answer is
 //!   already in hand.
@@ -205,7 +208,8 @@ pub struct JobRecord {
     pub id: JobId,
     /// The request this job answered.
     pub request: OptimizeRequest,
-    /// The content key the result is cached under.
+    /// The key the result is cached under; equal to the response's own
+    /// `key`.
     pub key: postplace::CacheKey,
     /// The answer; bit-identical whether solved or served from cache.
     pub response: Arc<postplace::OptimizeResponse>,
@@ -260,7 +264,7 @@ struct Shared {
     queue_limit: Option<usize>,
     jobs: Mutex<HashMap<u64, JobState>>,
     jobs_cv: Condvar,
-    // Content keys with a solve in flight; the worker that inserts a
+    // Keys with a solve in flight; the worker that inserts a
     // key leads, everyone else waits on the condvar and re-reads the
     // store when woken.
     inflight: Mutex<HashSet<CacheKey>>,
@@ -436,21 +440,7 @@ fn execute(shared: &Shared, job: &QueuedJob) -> Result<JobRecord, ServiceError> 
     let request = &job.request;
     check_deadline(shared, request, job.submitted_at_ms)?;
     let resolved = request.resolve_config(&shared.base);
-    // `config_fingerprint` deliberately excludes the thread knob (it
-    // cannot change results), but a Flow bakes its thread count into
-    // the factorized solver — so flows resolved at different thread
-    // counts must not share a cache slot. Mix the normalized count
-    // into the flow key; the result-store key is untouched.
-    let fingerprint = config_fingerprint(&resolved)
-        ^ (resolved.thermal.threads.max(1) as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    let flow = shared.flows.get_or_compute(fingerprint, || {
-        let flow = Flow::new(resolved)?;
-        flow.prime_baseline()?;
-        shared.flows_built.fetch_add(1, Ordering::Relaxed);
-        Ok::<_, ServiceError>(flow)
-    })?;
-    check_deadline(shared, request, job.submitted_at_ms)?;
-    let key = flow.content_key(request)?;
+    let key = CacheKey::of_request(request, &resolved);
     // Single-flight: a store hit (fresh, or published by the leader we
     // waited on) answers outright — even past the deadline, since the
     // answer is already in hand. A miss makes us the leader if no solve
@@ -470,7 +460,7 @@ fn execute(shared: &Shared, job: &QueuedJob) -> Result<JobRecord, ServiceError> 
                     if let Some(hit) = shared.store.get(key)? {
                         return Ok(hit);
                     }
-                    let response = lead_solve(shared, request, job.submitted_at_ms, &flow, key)?;
+                    let response = lead_solve(shared, job, &resolved, key)?;
                     Ok((response, ResultSource::ColdSolve))
                 })();
             // Leadership must be released on every path — success,
@@ -495,16 +485,29 @@ fn execute(shared: &Shared, job: &QueuedJob) -> Result<JobRecord, ServiceError> 
     })
 }
 
-/// The leader's half of single-flight: run the solve and publish it.
+/// The leader's half of single-flight: fetch or build the request's
+/// flow, run the solve and publish it.
 fn lead_solve(
     shared: &Shared,
-    request: &OptimizeRequest,
-    submitted_at_ms: u64,
-    flow: &Flow,
+    job: &QueuedJob,
+    resolved: &FlowConfig,
     key: CacheKey,
 ) -> Result<Arc<postplace::OptimizeResponse>, ServiceError> {
-    check_deadline(shared, request, submitted_at_ms)?;
-    let response = Arc::new(flow.optimize(request)?);
+    // `config_fingerprint` deliberately excludes the thread knob (it
+    // cannot change results), but a Flow bakes its thread count into
+    // the factorized solver — so flows resolved at different thread
+    // counts must not share a cache slot. Mix the normalized count
+    // into the flow key; the result-store key is untouched.
+    let fingerprint = config_fingerprint(resolved)
+        ^ (resolved.thermal.threads.max(1) as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    let flow = shared.flows.get_or_compute(fingerprint, || {
+        let flow = Flow::new(resolved.clone())?;
+        flow.prime_baseline()?;
+        shared.flows_built.fetch_add(1, Ordering::Relaxed);
+        Ok::<_, ServiceError>(flow)
+    })?;
+    check_deadline(shared, &job.request, job.submitted_at_ms)?;
+    let response = Arc::new(flow.optimize(&job.request)?);
     shared.store.put(key, Arc::clone(&response))?;
     shared.cold_solves.fetch_add(1, Ordering::Relaxed);
     Ok(response)

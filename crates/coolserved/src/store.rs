@@ -1,11 +1,13 @@
 //! Two-tier persistent result store: in-memory LRU over an on-disk
 //! JSON layer, built to survive a misbehaving disk.
 //!
-//! Results are keyed by [`CacheKey`] — the stable content hash of the
-//! request plus the resolved flow configuration — so a key computed in
-//! one process finds a result written by another. The memory tier is a
-//! [`KeyedCache`]; the optional disk tier stores one rendered document
-//! per key at `<root>/optimize/<hex-key>.json`.
+//! Results are keyed by [`CacheKey`] — the stable hash of the engine
+//! epoch, the request and its resolved flow configuration — so a key
+//! computed in one process finds a result written by another. The
+//! memory tier is a [`KeyedCache`]; the optional disk tier stores one
+//! document per key at `<root>/optimize/<hex-key>.json`:
+//! `{"schema", "epoch", "response"}`, whose response's own `key` must
+//! equal the file stem.
 //!
 //! All disk I/O and time reads route through a [`StoreBackend`]
 //! (see [`crate::backend`]), which is the fault-injection seam: every
@@ -14,7 +16,7 @@
 //!
 //! 1. **Retry** — transient I/O failures are retried with capped
 //!    exponential backoff ([`RetryPolicy`]).
-//! 2. **Quarantine** — a document failing parse / schema / content-key
+//! 2. **Quarantine** — a document failing parse, schema, epoch or key
 //!    integrity is atomically renamed to `<key>.quarantine.<n>` and the
 //!    lookup reports a miss, so the caller recomputes and rewrites a
 //!    clean document instead of failing forever on the same bytes.
@@ -35,7 +37,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use postplace::{CacheKey, CacheStats, KeyedCache, OptimizeResponse};
+use postplace::{CacheKey, CacheStats, KeyedCache, OptimizeResponse, ENGINE_EPOCH};
 
 use crate::backend::{OsBackend, RetryPolicy, StoreBackend};
 use crate::json::Json;
@@ -222,8 +224,9 @@ impl DiskTier {
         }
     }
 
-    /// Decodes a persisted document, checking schema and content-key
-    /// integrity against the file the bytes came from.
+    /// Decodes a persisted document, checking its schema, its engine
+    /// epoch and that the response answers the key the file is named
+    /// by.
     fn decode(&self, text: &str, key: CacheKey, path: &Path) -> Result<OptimizeResponse, String> {
         let doc = Json::parse(text).map_err(|detail| format!("{}: {detail}", path.display()))?;
         let schema = doc.get("schema").and_then(Json::as_f64);
@@ -233,20 +236,25 @@ impl DiskTier {
                 path.display()
             ));
         }
-        // The file is named by the *content* key (resolved physics +
-        // goal); the response's own `key` field is the cheaper request
-        // fingerprint, so integrity is checked against the envelope's
-        // content_key instead.
-        let named = doc.get("content_key").and_then(Json::as_str);
-        if named != Some(key.to_hex().as_str()) {
+        let epoch = doc.get("epoch").and_then(Json::as_f64);
+        if epoch != Some(ENGINE_EPOCH as f64) {
             return Err(format!(
-                "{}: document says content key {named:?} but file is named {key}",
+                "{}: epoch {epoch:?} does not match engine epoch {ENGINE_EPOCH}",
                 path.display()
             ));
         }
-        doc.get("response")
+        let response = doc
+            .get("response")
             .ok_or_else(|| format!("{}: missing key `response`", path.display()))
-            .and_then(|r| response_from_json(r).map_err(|e| e.to_string()))
+            .and_then(|r| response_from_json(r).map_err(|e| e.to_string()))?;
+        if response.key != key {
+            return Err(format!(
+                "{}: response answers key {} but file is named {key}",
+                path.display(),
+                response.key
+            ));
+        }
+        Ok(response)
     }
 
     /// Moves a corrupt document out of the lookup path so the key can
@@ -298,21 +306,6 @@ impl DiskTier {
                 Err(_) => Incumbent::Corrupt,
             },
         }
-    }
-
-    /// How many quarantine generations already exist for `key` — the
-    /// next document's generation number is one past them.
-    fn generation_for(&self, key: CacheKey) -> u64 {
-        let hex = key.to_hex();
-        let mut n = 0;
-        while n < MAX_QUARANTINE_GENERATIONS {
-            let slot = self.dir.join(format!("{hex}.quarantine.{}", n + 1));
-            if !self.backend.exists(&slot) {
-                break;
-            }
-            n += 1;
-        }
-        n + 1
     }
 
     /// Enforces the count/age bounds, oldest first. Best effort: a
@@ -391,8 +384,7 @@ impl DiskTier {
         }
         let document = Json::obj([
             ("schema", Json::Num(WIRE_SCHEMA)),
-            ("content_key", Json::Str(key.to_hex())),
-            ("generation", Json::Num(self.generation_for(key) as f64)),
+            ("epoch", Json::Num(ENGINE_EPOCH as f64)),
             ("response", response_to_json(response)),
         ]);
         // Unique temp name per process+key: concurrent writers of the

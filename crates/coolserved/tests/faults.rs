@@ -13,12 +13,15 @@
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 
+use coolserved::json::Json;
 use coolserved::wire::response_to_json;
 use coolserved::{
     serve, DiskHealth, DiskOptions, ErrorClass, FaultOp, FaultPlan, JobRecord, ResultStore,
     RetryPolicy, ServiceConfig, ServiceError, ServiceStats,
 };
-use postplace::{CacheKey, FlowConfig, OptimizeRequest, OptimizeResponse, Strategy, WorkloadSpec};
+use postplace::{
+    CacheKey, FlowConfig, OptimizeRequest, OptimizeResponse, Strategy, WorkloadSpec, ENGINE_EPOCH,
+};
 
 fn base() -> FlowConfig {
     FlowConfig::with_workload(WorkloadSpec::clustered_hotspot()).fast()
@@ -218,6 +221,72 @@ fn corrupt_documents_are_quarantined_and_recomputed() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// Replaces the value of `field` in a parsed document (a top-level
+/// member, or one inside `response`).
+fn set_field(doc: &mut Json, path: &[&str], value: Json) {
+    let Json::Obj(fields) = doc else {
+        panic!("documents are objects");
+    };
+    let (name, rest) = path.split_first().unwrap();
+    let slot = fields
+        .iter_mut()
+        .find(|(k, _)| k == name)
+        .map(|(_, v)| v)
+        .unwrap_or_else(|| panic!("document has no `{name}`"));
+    if rest.is_empty() {
+        *slot = value;
+    } else {
+        set_field(slot, rest, value);
+    }
+}
+
+#[test]
+fn stale_and_misfiled_documents_are_quarantined_and_recomputed() {
+    struct Case {
+        label: &'static str,
+        path: &'static [&'static str],
+        value: fn() -> Json,
+    }
+    let cases = [
+        Case {
+            label: "foreign-epoch",
+            path: &["epoch"],
+            value: || Json::Num((ENGINE_EPOCH + 1) as f64),
+        },
+        Case {
+            label: "response-key-differs-from-file-name",
+            path: &["response", "key"],
+            value: || Json::Str(fabricated_key(9).to_hex()),
+        },
+    ];
+    for case in &cases {
+        let root = scratch_dir(case.label);
+        let seeded = seed_root(&root);
+        let doc_path = document_path(&root, seeded.key);
+        let mut doc = Json::parse(&std::fs::read_to_string(&doc_path).unwrap()).unwrap();
+        set_field(&mut doc, case.path, (case.value)());
+        std::fs::write(&doc_path, doc.render()).unwrap();
+
+        let (outcome, stats) = run_service(&root, Arc::new(FaultPlan::new()), request());
+        let record =
+            outcome.unwrap_or_else(|e| panic!("{}: must recompute, not fail: {e}", case.label));
+        assert_baseline_bytes(&record);
+        assert_eq!(stats.store.quarantined, 1, "{}", case.label);
+        assert_eq!(
+            stats.cold_solves, 1,
+            "{}: the key must recompute",
+            case.label
+        );
+        assert_eq!(stats.store.disk_writes, 1, "{}: and rewrite it", case.label);
+        assert!(
+            quarantine_path(&root, seeded.key, 1).exists(),
+            "{}: the rejected document must be archived",
+            case.label
+        );
+        let _ = std::fs::remove_dir_all(&root);
+    }
+}
+
 #[test]
 fn eio_bursts_within_the_retry_budget_still_answer_warm() {
     let root = scratch_dir("read-burst-warm");
@@ -401,6 +470,14 @@ fn fabricated_key(n: u8) -> CacheKey {
     CacheKey::from_hex(&hex).unwrap()
 }
 
+/// The baseline answer re-keyed to `key`: the store only accepts a
+/// document whose response answers the key it is filed under.
+fn response_for(key: CacheKey) -> Arc<OptimizeResponse> {
+    let mut response = (*baseline().0).clone();
+    response.key = key;
+    Arc::new(response)
+}
+
 #[test]
 fn the_disk_tier_evicts_oldest_first_past_the_document_bound() {
     let root = scratch_dir("evict-count");
@@ -414,10 +491,9 @@ fn the_disk_tier_evicts_oldest_first_past_the_document_bound() {
             ..DiskOptions::default()
         },
     );
-    let response = Arc::clone(&baseline().0);
     let keys = [fabricated_key(1), fabricated_key(2), fabricated_key(3)];
     for &key in &keys {
-        store.put(key, Arc::clone(&response)).unwrap();
+        store.put(key, response_for(key)).unwrap();
     }
     let stats = store.stats();
     assert_eq!(stats.disk_writes, 3);
@@ -444,11 +520,10 @@ fn the_disk_tier_expires_documents_past_their_ttl() {
             ..DiskOptions::default()
         },
     );
-    let response = Arc::clone(&baseline().0);
     let (old_key, new_key) = (fabricated_key(4), fabricated_key(5));
-    store.put(old_key, Arc::clone(&response)).unwrap();
+    store.put(old_key, response_for(old_key)).unwrap();
     plan.advance_clock_ms(10_000);
-    store.put(new_key, Arc::clone(&response)).unwrap();
+    store.put(new_key, response_for(new_key)).unwrap();
     let stats = store.stats();
     assert_eq!(stats.evicted, 1);
     assert!(
@@ -463,7 +538,7 @@ fn the_disk_tier_expires_documents_past_their_ttl() {
 fn same_key_writers_in_two_stores_race_safely() {
     let root = scratch_dir("cas");
     let key = fabricated_key(6);
-    let response = Arc::clone(&baseline().0);
+    let response = response_for(key);
     let store_a = ResultStore::with_backend(
         8,
         Some(root.clone()),
@@ -503,7 +578,7 @@ fn strict_mode_surfaces_transient_errors_instead_of_degrading() {
     let seeder =
         ResultStore::with_backend(8, Some(root.clone()), seed_plan, DiskOptions::default());
     let key = fabricated_key(7);
-    let response = Arc::clone(&baseline().0);
+    let response = response_for(key);
     seeder.put(key, Arc::clone(&response)).unwrap();
 
     let plan = Arc::new(FaultPlan::new().with_fail(FaultOp::Read, 1));

@@ -195,19 +195,21 @@ fn concurrent_clients_get_bit_identical_warm_answers() {
 
 #[test]
 fn solver_thread_overrides_reuse_the_result_cache() {
-    let plain = OptimizeRequest::builder()
-        .workload(WorkloadSpec::clustered_hotspot())
-        .mesh(16, 16)
-        .strategy(Strategy::UniformSlack {
-            area_overhead: 0.12,
-        })
-        .build()
-        .unwrap();
-    let mut threaded = plain.clone();
-    threaded.solver_threads = Some(2);
+    let request = |area_overhead, threads| {
+        let mut request = OptimizeRequest::builder()
+            .workload(WorkloadSpec::clustered_hotspot())
+            .mesh(16, 16)
+            .strategy(Strategy::UniformSlack { area_overhead })
+            .build()
+            .unwrap();
+        request.solver_threads = threads;
+        request
+    };
+    let plain = request(0.12, None);
+    let threaded = request(0.12, Some(2));
 
     let config = ServiceConfig::new(base()).workers(1).solver_threads(1);
-    let (a, b, stats) = serve(config, |service| {
+    let (a, b, warm_stats) = serve(config.clone(), |service| {
         let first = service.submit(plain.clone());
         let a = service.wait(first).unwrap();
         let second = service.submit(threaded.clone());
@@ -215,17 +217,58 @@ fn solver_thread_overrides_reuse_the_result_cache() {
         (a, b, service.stats())
     });
     // Thread count is a latency knob: the key and the answer are the
-    // same, so the override is served warm from the result store...
+    // same, so the override is served warm from the result store,
+    // which a hit answers without building a flow.
     assert_eq!(a.key, b.key, "thread count must not move the cache key");
     assert_same_response(&a.response, &b.response);
-    assert_eq!(stats.cold_solves, 1);
+    assert_eq!(warm_stats.cold_solves, 1);
     assert_eq!(b.source, ResultSource::MemoryCache);
-    // ...but a flow bakes its thread count into the factorization, so
-    // the two requests must not share one.
+    assert_eq!(warm_stats.flows_built, 1, "a store hit builds no flow");
+
+    // A flow bakes its thread count into the factorization, so two
+    // requests that both miss must not share one across thread counts.
+    let (_, cold_stats) = serve(config, |service| {
+        for request in [request(0.08, None), request(0.16, Some(2))] {
+            let id = service.submit(request);
+            service.wait(id).unwrap();
+        }
+        ((), service.stats())
+    });
+    assert_eq!(cold_stats.cold_solves, 2);
     assert_eq!(
-        stats.flows_built, 2,
+        cold_stats.flows_built, 2,
         "distinct thread counts need distinct flows"
     );
+}
+
+#[test]
+fn a_restarted_service_answers_without_building_a_flow() {
+    let root = scratch_dir("restart-no-flow");
+    let _ = std::fs::remove_dir_all(&root);
+    let request = OptimizeRequest::builder()
+        .workload(WorkloadSpec::clustered_hotspot())
+        .mesh(16, 16)
+        .strategy(Strategy::HotspotWrapper {
+            area_overhead: 0.16,
+        })
+        .build()
+        .unwrap();
+    let config = ServiceConfig::new(base()).workers(1).disk_root(&root);
+    let submit = |config: ServiceConfig| {
+        serve(config, |service| {
+            let id = service.submit(request.clone());
+            (service.wait(id).unwrap(), service.stats())
+        })
+    };
+    let (cold, _) = submit(config.clone());
+    assert_eq!(cold.source, ResultSource::ColdSolve);
+
+    let (warm, stats) = submit(config);
+    assert_eq!(warm.source, ResultSource::DiskCache);
+    assert_same_response(&cold.response, &warm.response);
+    assert_eq!(stats.flows_built, 0, "a disk hit must not build a flow");
+    assert_eq!(stats.cold_solves, 0);
+    std::fs::remove_dir_all(&root).unwrap();
 }
 
 #[test]
@@ -297,7 +340,7 @@ fn optimizer_outcomes_match_their_golden_digests() {
         (
             "budget-40x40",
             request().mesh(40, 40).budget(0.16).build().unwrap(),
-            "42048c48abf843f71e5ef2c973000c12",
+            "bf91dad39070fb41a6fbf0523b2e90e4",
         ),
         (
             "rows-for-target",
@@ -306,7 +349,7 @@ fn optimizer_outcomes_match_their_golden_digests() {
                 .rows_for_target(5.0, 8)
                 .build()
                 .unwrap(),
-            "e0b8794ecf9f286e457fc9717d052575",
+            "f11dc53da1f2ad143b97c968f9d91c0f",
         ),
         (
             "pareto-fast",
@@ -315,7 +358,7 @@ fn optimizer_outcomes_match_their_golden_digests() {
                 .frontier(PARETO_BUDGETS)
                 .build()
                 .unwrap(),
-            "093b2cd2cc927b59923baadf1fd81dc7",
+            "350562bdd9469bd9c9c9d3b56d157e23",
         ),
     ];
 
@@ -335,8 +378,11 @@ fn optimizer_outcomes_match_their_golden_digests() {
     });
     let expected: Vec<&str> = cases.iter().map(|(_, _, digest)| *digest).collect();
     assert_eq!(
-        digests, expected,
-        "optimizer outcomes moved (budget-40x40, rows-for-target, pareto-fast)"
+        digests,
+        expected,
+        "optimizer outcomes moved (budget-40x40, rows-for-target, pareto-fast; epoch {}): \
+         bump ENGINE_EPOCH if this moved on purpose",
+        postplace::ENGINE_EPOCH
     );
 }
 

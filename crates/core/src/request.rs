@@ -7,10 +7,10 @@
 //! [`OptimizeOutcome`] carries the report types of the engine behind
 //! each goal.
 //!
-//! [`CacheKey`] is the stable (process-independent) content hash the
-//! `coolserved` result cache persists to disk: request fingerprints key
-//! the job queue, and [`Flow::content_key`] folds in the geometry,
-//! stack and baseline power map for the result tier.
+//! [`CacheKey`] is the stable (process-independent) request fingerprint
+//! the `coolserved` job queue dedups on and its result cache persists
+//! to disk; [`ENGINE_EPOCH`] is hashed into it first, so answers from
+//! an older engine are never found.
 //!
 //! # Examples
 //!
@@ -101,10 +101,13 @@ impl StableHasher {
 }
 
 /// The numerics generation of the engine, hashed first into every
-/// [`Flow::content_key`] — the only key the result store and its disk
-/// documents are found by. Bump it whenever a change moves answer bits
-/// on purpose, so documents computed by an older engine can no longer
-/// be reached and are recomputed instead of served as current.
+/// [`CacheKey::of_request`] — the key the result store and its disk
+/// documents are found by — and written into every document. Keys hash
+/// the request and its resolved configuration, not the answer, so a
+/// change that moves answer bits on purpose must bump the epoch: that
+/// makes documents computed by an older engine unreachable, and the
+/// store rejects any it still finds, so they are recomputed instead of
+/// served as current.
 ///
 /// Epoch 1: odd lateral meshes are solved by the spectral tier (a
 /// Bluestein DCT) instead of multigrid-preconditioned CG, moving their
@@ -112,11 +115,9 @@ impl StableHasher {
 pub const ENGINE_EPOCH: u64 = 1;
 
 /// A stable 128-bit content-hash key, printable as (and parsable from)
-/// 32 hex digits. Derived either from a request alone
-/// ([`CacheKey::of_request`] — what the service's job queue dedups on)
-/// or from the resolved physics ([`Flow::content_key`] — geometry,
-/// stack, power map, transform, budget — what the persistent result
-/// cache is keyed by).
+/// 32 hex digits, derived from a request and its resolved configuration
+/// by [`CacheKey::of_request`]. The service dedups and caches results
+/// on it, and every [`OptimizeResponse`] carries the key it answers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct CacheKey(u128);
 
@@ -132,13 +133,14 @@ impl CacheKey {
     }
 
     /// The fingerprint of a request under a base configuration: a
-    /// stable hash of every knob that can change the answer (the
-    /// request's workload, mesh and goal, plus the base config's
-    /// benchmark, simulation, placement, thermal, power, timing,
-    /// hotspot and wrapper parameters). The request's display tag is
-    /// deliberately excluded.
+    /// stable hash of the [`ENGINE_EPOCH`] and every knob that can
+    /// change the answer (the request's workload, mesh and goal, plus
+    /// the base config's benchmark, simulation, placement, thermal,
+    /// power, timing, hotspot and wrapper parameters). The request's
+    /// display tag is deliberately excluded.
     pub fn of_request(request: &OptimizeRequest, base: &FlowConfig) -> Self {
         let mut h = StableHasher::new();
+        h.write_u64(ENGINE_EPOCH);
         h.write_u64(config_fingerprint(base));
         hash_workload(&mut h, &request.workload);
         h.write_usize(request.mesh.0);
@@ -704,39 +706,17 @@ impl Flow {
         })
     }
 
-    /// The *content* cache key of a request against this flow: the
-    /// request fingerprint is replaced by the resolved physics — die
-    /// outline, thermal-stack fingerprint and the bit-exact baseline
-    /// power map — folded with the goal, after the [`ENGINE_EPOCH`].
-    /// Two requests that resolve to identical physics and identical
-    /// goals share this key, which is what lets a persistent result
-    /// cache answer across sessions.
+    /// The result-store key of a request against this flow:
+    /// [`CacheKey::of_request`] under the flow's config, the same key
+    /// [`Flow::optimize`] stamps on its response.
     ///
     /// # Errors
     ///
-    /// Propagates baseline analysis failures (the power map is part of
-    /// the key).
+    /// [`FlowError::BadRequest`] when the request does not match this
+    /// flow's workload/mesh.
     pub fn content_key(&self, request: &OptimizeRequest) -> Result<CacheKey, FlowError> {
         self.check_request(request)?;
-        let mut h = StableHasher::new();
-        h.write_u64(ENGINE_EPOCH);
-        let die = self.base_placement().floorplan.core();
-        h.write_f64(die.llx);
-        h.write_f64(die.lly);
-        h.write_f64(die.urx);
-        h.write_f64(die.ury);
-        h.write_u64(self.config().thermal.stable_fingerprint());
-        h.write_u64(config_fingerprint(self.config()));
-        let pmap = self.baseline_power_map()?;
-        h.write_usize(pmap.nx());
-        h.write_usize(pmap.ny());
-        for iy in 0..pmap.ny() {
-            for ix in 0..pmap.nx() {
-                h.write_f64(*pmap.get(ix, iy));
-            }
-        }
-        hash_goal(&mut h, &request.goal);
-        Ok(CacheKey::from_raw(h.finish()))
+        Ok(CacheKey::of_request(request, self.config()))
     }
 }
 
@@ -788,31 +768,32 @@ mod tests {
 
     #[test]
     fn fingerprints_are_stable_across_processes() {
-        // Golden value: any change to the hashing scheme (or an
-        // accidental switch to a randomized hasher) breaks persisted
-        // on-disk caches, so the exact digest is pinned here.
+        // Golden value of the key the result store and its disk
+        // documents are found by. If it moves because `ENGINE_EPOCH`
+        // was bumped, update the digest; any other move (a changed
+        // hashing scheme, a randomized hasher) breaks persisted caches.
         let key = CacheKey::of_request(&request(), &FlowConfig::scattered_small().fast());
         assert_eq!(key, CacheKey::from_hex(&key.to_hex()).unwrap());
-        assert_eq!(key.to_hex(), "fb37023af674e40463cf696abad4af60");
+        assert_eq!(
+            key.to_hex(),
+            "2e164f2da83b1f53d11151c4880685df",
+            "request fingerprint moved (epoch {ENGINE_EPOCH})"
+        );
     }
 
     #[test]
-    fn content_keys_are_stable_across_processes() {
-        // Golden value of the key the result store and its disk
-        // documents are found by. If this moves because answers moved
-        // on purpose, bump `ENGINE_EPOCH` so stale documents become
-        // unreachable, then update the digest; if it moves by
-        // accident, the hashing scheme broke persisted caches.
+    fn content_keys_are_request_fingerprints() {
+        // The result store is keyed by the request fingerprint under
+        // the resolved config, before any flow exists; a flow's content
+        // key and its response's key must both be that same value, or
+        // a stored answer would never be found again.
         let base = FlowConfig::scattered_small().fast();
         let request = request();
-        let flow = Flow::new(request.resolve_config(&base)).unwrap();
+        let resolved = request.resolve_config(&base);
+        let flow = Flow::new(resolved.clone()).unwrap();
         let key = flow.content_key(&request).unwrap();
-        assert_eq!(
-            key.to_hex(),
-            "0d6d44e0fd7ac9809b30d0496f20b5bc",
-            "content key moved (epoch {ENGINE_EPOCH}): bump ENGINE_EPOCH if answers \
-             moved on purpose"
-        );
+        assert_eq!(key, CacheKey::of_request(&request, &resolved));
+        assert_eq!(key, flow.optimize(&request).unwrap().key);
     }
 
     #[test]

@@ -53,7 +53,12 @@ fn check(scale: &str, cases: &[(&str, u64)], configure: impl Fn(FlowConfig) -> F
         .iter()
         .map(|(name, d)| format!("{scale}/{name}: {d:016x}"))
         .collect();
-    assert_eq!(got, want, "switching activity moved");
+    assert_eq!(
+        got,
+        want,
+        "switching activity moved (epoch {}): bump ENGINE_EPOCH if this moved on purpose",
+        postplace::ENGINE_EPOCH
+    );
 }
 
 #[test]
@@ -92,6 +97,7 @@ fn uniform_workload_matches_its_golden_activity() {
     assert_eq!(
         format!("{:016x}", digest(&sim.activity())),
         format!("{:016x}", 0x26ce_de61_a36e_7f25u64),
-        "switching activity moved"
+        "switching activity moved (epoch {}): bump ENGINE_EPOCH if this moved on purpose",
+        postplace::ENGINE_EPOCH
     );
 }

@@ -143,5 +143,10 @@ fn wrapper_placements_match_their_golden_digests() {
             want.push(format!("{name}@{overhead}: {digest:016x}"));
         }
     }
-    assert_eq!(got, want, "hotspot-wrapper placements moved");
+    assert_eq!(
+        got,
+        want,
+        "hotspot-wrapper placements moved (epoch {}): bump ENGINE_EPOCH if this moved on purpose",
+        postplace::ENGINE_EPOCH
+    );
 }

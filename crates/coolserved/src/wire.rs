@@ -369,8 +369,8 @@ fn timing_from_json(value: &Json, ctx: &str) -> Result<TimingReport, ServiceErro
         .map(|v| {
             v.as_f64()
                 // lint: allow(float-eq, reason = "fract() == 0.0 is the exact integer-ness test, not a tolerance comparison")
-                .filter(|d| d.fract() == 0.0 && *d >= 0.0)
-                .map(|d| CellId::new(d as usize))
+                .filter(|d| d.fract() == 0.0 && (0.0..=f64::from(u32::MAX)).contains(d))
+                .map(|d| CellId::from(d as u32))
                 .ok_or_else(|| codec_err(format!("{ctx}.critical_cells holds a non-index")))
         })
         .collect::<Result<Vec<_>, _>>()?;
@@ -538,7 +538,6 @@ fn outcome_to_json(outcome: &OptimizeOutcome) -> Json {
         OptimizeOutcome::Budget(b) => Json::obj([
             ("type", Json::Str("budget".to_string())),
             ("report", report_to_json(&b.report)),
-            ("screened", Json::Num(b.screened as f64)),
             ("evaluations", Json::Num(b.evaluations as f64)),
             (
                 "skipped_over_budget",
@@ -573,7 +572,7 @@ fn outcome_from_json(value: &Json) -> Result<OptimizeOutcome, ServiceError> {
         )?)?)),
         "budget" => Ok(OptimizeOutcome::Budget(BudgetOptimum {
             report: report_from_json(member(value, "outcome", "report")?)?,
-            screened: member_usize(value, "outcome", "screened")?,
+            screened: 0,
             evaluations: member_usize(value, "outcome", "evaluations")?,
             skipped_over_budget: member_usize(value, "outcome", "skipped_over_budget")?,
         })),
@@ -805,6 +804,26 @@ mod tests {
         let doc = Json::parse(r#"{"kind": "warp-drive"}"#).unwrap();
         let err = strategy_from_json(&doc).unwrap_err().to_string();
         assert!(err.contains("unknown kind `warp-drive`"), "{err}");
+    }
+
+    #[test]
+    fn out_of_range_cell_ids_are_codec_errors() {
+        // A cell index past u32 would overflow the id type; a corrupt
+        // document must be rejected, not panic the reader.
+        for cells in ["[4294967296]", "[1e300]", "[-1]", "[0.5]"] {
+            let doc = Json::parse(&format!(
+                r#"{{"critical_path_ps": 1, "slack_ps": 0, "critical_cells": {cells}}}"#
+            ))
+            .unwrap();
+            let err = timing_from_json(&doc, "timing").unwrap_err().to_string();
+            assert!(err.contains("non-index"), "{cells}: {err}");
+        }
+        let doc = Json::parse(
+            r#"{"critical_path_ps": 1, "slack_ps": 0, "critical_cells": [4294967295]}"#,
+        )
+        .unwrap();
+        let timing = timing_from_json(&doc, "timing").unwrap();
+        assert_eq!(timing.critical_cells, [CellId::from(u32::MAX)]);
     }
 
     #[test]

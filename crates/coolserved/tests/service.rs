@@ -340,7 +340,7 @@ fn optimizer_outcomes_match_their_golden_digests() {
         (
             "budget-40x40",
             request().mesh(40, 40).budget(0.16).build().unwrap(),
-            "bf91dad39070fb41a6fbf0523b2e90e4",
+            "69c460cf264e2e5d971a6b2dbaca8ca9",
         ),
         (
             "rows-for-target",
@@ -349,7 +349,7 @@ fn optimizer_outcomes_match_their_golden_digests() {
                 .rows_for_target(5.0, 8)
                 .build()
                 .unwrap(),
-            "f11dc53da1f2ad143b97c968f9d91c0f",
+            "2a93639e2d1c13190ea4e991a16db5e6",
         ),
         (
             "pareto-fast",
@@ -358,7 +358,7 @@ fn optimizer_outcomes_match_their_golden_digests() {
                 .frontier(PARETO_BUDGETS)
                 .build()
                 .unwrap(),
-            "350562bdd9469bd9c9c9d3b56d157e23",
+            "8f767fcbe5d70d68e3e26cab128865e2",
         ),
     ];
 

@@ -10,32 +10,27 @@
 //! whole transform registry — the decisions a designer would otherwise
 //! sweep by hand.
 //!
-//! All three loops follow the same two-phase shape: candidates are first
-//! *screened* through a [`crate::DeltaCandidateEvaluator`] — each
-//! candidate's power-map surrogate priced against the memoized baseline
-//! by one thermal solve (or in closed form for a uniform scaling)
-//! instead of a full re-place + re-solve — and only the screened
-//! winners are *verified* with exact [`Flow::run`] evaluations. Reported
-//! numbers therefore never come from the surrogate, and the exactness
-//! guarantees (minimality of the row count, target actually met) are
-//! enforced by real runs.
+//! The row and frontier loops follow the same two-phase shape:
+//! candidates are first *screened* through a
+//! [`crate::DeltaCandidateEvaluator`] — each candidate's power-map
+//! surrogate priced against the memoized baseline by one thermal solve
+//! (or in closed form for a uniform scaling) instead of a full re-place
+//! and re-solve — and only the screened winners are *verified* with exact
+//! [`Flow::run`] evaluations. The budget search has at most three
+//! candidates and screening never pruned one, so it runs them all
+//! exactly. Reported numbers therefore never come from the surrogate,
+//! and the exactness guarantees (minimality of the row count, target
+//! actually met) are enforced by real runs.
 
 use crate::{
-    CandidateEvaluator, Flow, FlowError, FlowReport, PlacementTransform, Strategy,
-    TransformRegistry,
+    CandidateEvaluator, EmptyRowInsertionTransform, Flow, FlowError, FlowReport,
+    HotspotWrapperTransform, PlacementTransform, Strategy, TransformContext, TransformRegistry,
+    TransformState, UniformSlackTransform, WrapHotspotsTransform,
 };
 
-/// Tunable knobs of the screen-then-verify optimization loops.
+/// Tunable knobs of the optimization loops.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OptimizeConfig {
-    /// How far (in percentage points of reduction) the screening
-    /// surrogate is trusted when ranking candidates: an
-    /// exactly-evaluated leader must beat the next candidate's
-    /// *estimate* by this margin before the loop stops spending exact
-    /// evaluations on the rest. Raise it for workloads where the
-    /// surrogate is known to be optimistic; lower it to spend fewer
-    /// exact runs.
-    pub screen_margin_pct: f64,
     /// Slack (in percentage points of area) tolerated between a
     /// candidate's realized overhead and the budget — row quantization
     /// and placer realization keep overheads from landing exactly on
@@ -54,7 +49,6 @@ pub struct OptimizeConfig {
 impl Default for OptimizeConfig {
     fn default() -> Self {
         OptimizeConfig {
-            screen_margin_pct: 1.5,
             budget_slack_pct: 0.5,
             frontier_gain_pct: 0.25,
         }
@@ -203,9 +197,10 @@ pub fn minimize_rows_for_target(
 pub struct BudgetOptimum {
     /// The winning report (always from an exact run).
     pub report: FlowReport,
-    /// Cheap surrogate screenings spent.
+    /// Always 0, as the budget search screens nothing; kept off the
+    /// wire, for perfbench's accounting only.
     pub screened: usize,
-    /// Exact `Flow::run` evaluations spent.
+    /// Exact evaluations spent.
     pub evaluations: usize,
     /// Candidates discarded *before any evaluation* because their
     /// row-quantized planned overhead already exceeded the budget.
@@ -217,14 +212,13 @@ pub struct BudgetOptimum {
 /// evaluation accounting.
 ///
 /// Candidates whose row-quantized planned overhead is knowably over
-/// budget are dropped before *any* evaluation — surrogate or exact (a
-/// one-row ERI on a sub-row budget used to cost a full re-place +
-/// re-solve before being discarded). The survivors are ranked by the
-/// power-delta screening surrogate; exact [`Flow::run`] evaluations are then
-/// spent best-estimate-first and stop as soon as the confirmed leader
-/// outruns every remaining estimate by the configured trust margin —
-/// typically one or two exact runs instead of three. The returned report
-/// always comes from an exact run.
+/// budget are dropped before any evaluation (a one-row ERI on a sub-row
+/// budget would otherwise cost a full re-place + re-solve before being
+/// discarded). The rest run exactly, in a fixed order — uniform slack,
+/// ERI, HW — and an exact tie keeps the earlier candidate. HW is the
+/// paper's uniform-then-wrap, so it wraps the placement the uniform
+/// candidate just evaluated instead of re-placing and re-solving it;
+/// its report bit-matches a direct [`Flow::run`] of the wrapper.
 ///
 /// # Errors
 ///
@@ -235,76 +229,66 @@ pub fn best_strategy_within_budget_with(
     area_budget: f64,
     config: &OptimizeConfig,
 ) -> Result<BudgetOptimum, FlowError> {
-    let rows = crate::rows_for_budget(flow, area_budget);
-    let candidates = [
-        Strategy::UniformSlack {
-            area_overhead: area_budget,
-        },
-        Strategy::EmptyRowInsertion { rows },
-        Strategy::HotspotWrapper {
-            area_overhead: area_budget,
-        },
-    ];
-    // Screen: drop knowably-over-budget candidates first (planned
-    // overheads are exact for row-quantized techniques), then price the
-    // survivors as power deltas on the baseline.
-    let evaluator = flow.delta_evaluator()?;
+    let uniform = UniformSlackTransform {
+        area_overhead: area_budget,
+    };
+    let eri = EmptyRowInsertionTransform {
+        rows: crate::rows_for_budget(flow, area_budget),
+    };
+    let hw = HotspotWrapperTransform {
+        area_overhead: area_budget,
+    };
+    let ctx = TransformContext::new(flow)?;
     let budget_cap_pct = area_budget * 100.0 + config.budget_slack_pct;
     let mut skipped_over_budget = 0usize;
-    let mut screened = 0usize;
-    let mut ranked: Vec<(Box<dyn PlacementTransform>, f64)> = Vec::with_capacity(candidates.len());
-    for strategy in candidates {
-        let transform = strategy.to_transform();
-        if transform.planned_overhead(flow)? * 100.0 > budget_cap_pct {
-            skipped_over_budget += 1;
-            continue;
-        }
-        // A candidate the workload cannot realize (e.g. ERI with no
-        // detected hotspots) drops out of the ranking; the others still
-        // compete — matching the tolerance of the exact-run stage below
-        // and of `compute_pareto_frontier`.
-        let delta = match transform.power_delta(flow) {
-            Ok(d) => d,
-            Err(FlowError::BadStrategy { .. }) => continue,
-            Err(e) => return Err(e),
-        };
-        screened += 1;
-        let estimate = evaluator.evaluate(&delta)?.reduction_pct;
-        ranked.push((transform, estimate));
-    }
-    ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
-    // Verify: exact runs, best estimate first, early-out on a clear win.
     let mut evaluations = 0usize;
     let mut best: Option<FlowReport> = None;
-    for (transform, estimate) in &ranked {
-        if let Some(b) = &best {
-            if b.reduction_pct() >= estimate + config.screen_margin_pct {
-                break;
-            }
+    // One exact run of `candidate` as `stage` applied to `state` (`None`:
+    // a prefix that failed), returning the evaluated state for reuse. An
+    // inapplicable candidate (ERI without hotspots, a wrapper short of
+    // slack) is not a winner, and not fatal.
+    let mut exact = |candidate: &dyn PlacementTransform,
+                     stage: &dyn PlacementTransform,
+                     state: Option<TransformState>|
+     -> Result<Option<TransformState>, FlowError> {
+        if candidate.planned_overhead(flow)? * 100.0 > budget_cap_pct {
+            skipped_over_budget += 1;
+            return Ok(None);
         }
         evaluations += 1;
-        let report = match flow.run_transform(transform.as_ref()) {
-            Ok(r) => r,
-            // Inapplicable at this budget (e.g. a wrapper with too
-            // little slack to absorb its hot cells): not a winner, not
-            // fatal to the search.
-            Err(FlowError::BadStrategy { .. }) => continue,
+        let Some(mut state) = state else {
+            return Ok(None);
+        };
+        let evaluated = stage.apply(&ctx, &mut state).and_then(|mut next| {
+            let report = flow.evaluate_state(&ctx, candidate, &mut next)?;
+            Ok((next, report))
+        });
+        let (next, report) = match evaluated {
+            Ok(done) => done,
+            Err(FlowError::BadStrategy { .. }) => return Ok(None),
             Err(e) => return Err(e),
         };
-        if report.area_overhead_pct > budget_cap_pct {
-            continue; // over budget (placer realization drift)
+        // Placer realization can drift past the planned overhead.
+        if report.area_overhead_pct <= budget_cap_pct
+            && best
+                .as_ref()
+                .is_none_or(|b| b.reduction_pct() < report.reduction_pct())
+        {
+            best = Some(report);
         }
-        best = match best {
-            Some(b) if b.reduction_pct() >= report.reduction_pct() => Some(b),
-            _ => Some(report),
-        };
-    }
+        Ok(Some(next))
+    };
+    let relaxed = exact(&uniform, &uniform, Some(flow.base_state()?))?;
+    exact(&eri, &eri, Some(flow.base_state()?))?;
+    // HW shares uniform's planned overhead and first stage, so it is
+    // skipped or fails with it, without a second run.
+    exact(&hw, &WrapHotspotsTransform, relaxed)?;
     let report = best.ok_or_else(|| FlowError::BadStrategy {
         detail: "no strategy fits the area budget".to_string(),
     })?;
     Ok(BudgetOptimum {
         report,
-        screened,
+        screened: 0,
         evaluations,
         skipped_over_budget,
     })
@@ -615,44 +599,19 @@ mod tests {
         // Regression: a budget below one row pitch quantizes ERI to a
         // single row whose realized overhead is knowably over budget.
         // The old loop paid a full exact `Flow::run` on it before the
-        // in-loop overhead check discarded it; screening must now drop
-        // it before any evaluation — surrogate or exact.
+        // in-loop overhead check discarded it; the planned-overhead
+        // check must drop it before any evaluation.
         let flow = Flow::new(FlowConfig::scattered_small().fast()).unwrap();
         let rows0 = flow.base_placement().floorplan.num_rows();
         let budget = 0.5 / rows0 as f64; // half a row pitch
         let opt =
             best_strategy_within_budget_with(&flow, budget, &OptimizeConfig::default()).unwrap();
         assert_eq!(opt.skipped_over_budget, 1, "the one-row ERI candidate");
-        assert_eq!(opt.screened, 2, "only uniform and hw get surrogates");
-        assert!(
-            opt.evaluations <= 2,
-            "no exact run on the over-budget candidate ({} spent)",
-            opt.evaluations
+        assert_eq!(
+            opt.evaluations, 2,
+            "exact runs of uniform and hw only, none on the over-budget candidate"
         );
+        assert_eq!(opt.screened, 0, "the budget search screens nothing");
         assert!(opt.report.area_overhead_pct <= budget * 100.0 + 0.5);
-    }
-
-    #[test]
-    fn screen_margin_is_tunable_per_workload() {
-        // A huge trust margin distrusts the surrogate and verifies every
-        // in-budget candidate; a zero margin trusts the ranking and
-        // stops as soon as the confirmed leader matches the next
-        // estimate.
-        let flow = Flow::new(FlowConfig::scattered_small().fast()).unwrap();
-        let skeptical = OptimizeConfig {
-            screen_margin_pct: 1e6,
-            ..OptimizeConfig::default()
-        };
-        let all = best_strategy_within_budget_with(&flow, 0.16, &skeptical).unwrap();
-        assert_eq!(all.evaluations, all.screened, "margin forces every run");
-        let trusting = OptimizeConfig {
-            screen_margin_pct: 0.0,
-            ..OptimizeConfig::default()
-        };
-        let opt = best_strategy_within_budget_with(&flow, 0.16, &trusting).unwrap();
-        assert!(opt.evaluations <= all.evaluations);
-        // Both pick exact-verified winners; the trusting loop's winner
-        // cannot beat the skeptical loop's (which saw everything).
-        assert!(all.report.reduction_pct() >= opt.report.reduction_pct() - 1e-9);
     }
 }

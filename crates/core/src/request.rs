@@ -112,7 +112,10 @@ impl StableHasher {
 /// Epoch 1: odd lateral meshes are solved by the spectral tier (a
 /// Bluestein DCT) instead of multigrid-preconditioned CG, moving their
 /// answers within the old solver's tolerance.
-pub const ENGINE_EPOCH: u64 = 1;
+///
+/// Epoch 2: budget answers lose their always-zero `screened` count
+/// (the budget search no longer screens); every winner is unchanged.
+pub const ENGINE_EPOCH: u64 = 2;
 
 /// A stable 128-bit content-hash key, printable as (and parsable from)
 /// 32 hex digits, derived from a request and its resolved configuration
@@ -666,8 +669,8 @@ impl Flow {
         )
     }
 
-    /// [`Flow::optimize`] with an explicit transform registry and
-    /// optimizer knobs (custom registries, tuned trust margins).
+    /// [`Flow::optimize`] with an explicit transform registry and optimizer
+    /// knobs (custom registries, budget slack, frontier resolution).
     ///
     /// # Errors
     ///
@@ -776,7 +779,7 @@ mod tests {
         assert_eq!(key, CacheKey::from_hex(&key.to_hex()).unwrap());
         assert_eq!(
             key.to_hex(),
-            "2e164f2da83b1f53d11151c4880685df",
+            "ab082c51f4368866c1daad9b5d5a0d7a",
             "request fingerprint moved (epoch {ENGINE_EPOCH})"
         );
     }

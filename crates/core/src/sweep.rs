@@ -291,6 +291,8 @@ pub struct RequestBatch {
     pub flows_built: usize,
     /// End-to-end wall-clock of the batch (flow builds included), ms.
     pub wall_ms: f64,
+    /// Counters of the model cache the batch's flows share.
+    pub models: crate::CacheStats,
 }
 
 /// The machine's available parallelism (1 if it cannot be queried).
@@ -357,6 +359,7 @@ pub fn run_requests(
             threads: 0,
             flows_built: 0,
             wall_ms: started.elapsed().as_secs_f64() * 1e3,
+            models: crate::CacheStats::default(),
         });
     }
 
@@ -484,6 +487,7 @@ pub fn run_requests(
         threads,
         flows_built: groups.len(),
         wall_ms: started.elapsed().as_secs_f64() * 1e3,
+        models: shared_cache.stats(),
     })
 }
 
@@ -548,6 +552,11 @@ mod tests {
         assert_eq!(one.outcomes.len(), grid.scenario_count());
         assert_eq!(four.outcomes.len(), grid.scenario_count());
         assert_eq!(one.flows_built, 2, "two meshes share one workload");
+        // 2 meshes × (base + uniform die + 2 ERI dies) fit the model
+        // cache's bound, so a sweep never evicts a model it reuses.
+        assert_eq!(one.models.misses, 8, "{:?}", one.models);
+        assert_eq!(one.models.evictions, 0, "{:?}", one.models);
+        assert_eq!(four.models.evictions, 0, "{:?}", four.models);
         for (a, b) in one.outcomes.iter().zip(&four.outcomes) {
             assert_eq!(a.request, b.request, "outcomes come back in order");
             let (a, b) = (a.response.report().unwrap(), b.response.report().unwrap());

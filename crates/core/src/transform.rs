@@ -209,8 +209,9 @@ pub trait PlacementTransform: std::fmt::Debug + Send + Sync {
 
     /// Predicted fractional area overhead vs the **base** placement
     /// (row-quantized where the technique is; composites compound their
-    /// stages). This is what budget screening trusts to discard
-    /// knowably-over-budget candidates before any exact run.
+    /// stages). This is what the budget search and the frontier goal
+    /// trust to discard knowably-over-budget candidates before any
+    /// evaluation.
     ///
     /// # Errors
     ///
@@ -578,7 +579,10 @@ impl PlacementTransform for WrapHotspotsTransform {
 /// slack at the given overhead, then wrap the hotspots the relaxed
 /// placement exhibits. Equivalent to
 /// `composite(uniform:…+wrap)` but keeps its own id and [`Strategy`]
-/// facade.
+/// facade. From the base state the first stage is exactly
+/// [`UniformSlackTransform`] at the same overhead, so the budget search
+/// applies only [`WrapHotspotsTransform`] to the uniform candidate's
+/// evaluated state.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HotspotWrapperTransform {
     /// Extra core area as a fraction of the base area, realized by

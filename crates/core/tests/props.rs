@@ -8,8 +8,8 @@
 
 use arithgen::UnitRole;
 use postplace::{
-    CandidateEvaluator, Flow, FlowConfig, OptimizeConfig, Strategy, TransformContext,
-    TransformRegistry, TransformState, WorkloadSpec,
+    CandidateEvaluator, Flow, FlowConfig, Strategy, TransformContext, TransformRegistry,
+    TransformState, WorkloadSpec,
 };
 use powerest::power_map;
 use proptest::prelude::*;
@@ -84,10 +84,10 @@ proptest! {
 
     /// The screening surrogate's candidate ranking must agree with the
     /// exact ranking at the top: the surrogate's top-1 pick, verified
-    /// exactly, comes within the trust margin of the true exact best —
-    /// that is precisely the guarantee the screen-then-verify loops
-    /// (the budget and frontier goals of `Flow::optimize`) lean on when
-    /// they stop spending exact runs early.
+    /// exactly, comes within a 1.5 pp trust margin of the true exact
+    /// best. The loops that still screen (the frontier goal and the
+    /// row-count search of `Flow::optimize`) lean on that ranking when
+    /// they spend exact runs only on the candidates it puts first.
     #[test]
     fn surrogate_top1_tracks_exact_top1_within_the_trust_margin(
         n in 10usize..15,
@@ -111,7 +111,7 @@ proptest! {
         let flow = Flow::new(config).unwrap();
         let evaluator = flow.delta_evaluator().unwrap();
         let registry = TransformRegistry::standard();
-        let margin = OptimizeConfig::default().screen_margin_pct;
+        let margin = 1.5;
 
         // Screen and exact-evaluate every applicable candidate at this
         // budget; candidates the workload cannot realize are skipped on

@@ -104,9 +104,18 @@ impl<T> Grid2d<T> {
         if x < e.llx || x > e.urx || y < e.lly || y > e.ury {
             return None;
         }
+        Some(self.clamped_bin(x, y))
+    }
+
+    /// The bin nearest die point `(x, y)`: [`Grid2d::bin_of`] for points
+    /// inside the extent, the nearest edge bin for points outside it.
+    /// Total: the float-to-index casts saturate (NaN maps to 0), so no
+    /// input can panic.
+    fn clamped_bin(&self, x: Um, y: Um) -> (usize, usize) {
+        let e = &self.extent;
         let ix = (((x - e.llx) / self.bin_width()) as usize).min(self.nx - 1);
         let iy = (((y - e.lly) / self.bin_height()) as usize).min(self.ny - 1);
-        Some((ix, iy))
+        (ix, iy)
     }
 
     /// The die rectangle covered by bin `(ix, iy)`.
@@ -191,15 +200,8 @@ impl Grid2d<f64> {
         let Some(clipped) = footprint.intersection(&self.extent.expand(-0.0)) else {
             return;
         };
-        let (ix0, iy0) = self
-            .bin_of(clipped.llx, clipped.lly)
-            .expect("clipped rect starts inside extent");
-        let (ix1, iy1) = self
-            .bin_of(
-                clipped.urx.min(self.extent.urx),
-                clipped.ury.min(self.extent.ury),
-            )
-            .expect("clipped rect ends inside extent");
+        let (ix0, iy0) = self.clamped_bin(clipped.llx, clipped.lly);
+        let (ix1, iy1) = self.clamped_bin(clipped.urx, clipped.ury);
         for iy in iy0..=iy1 {
             for ix in ix0..=ix1 {
                 let bin = self.bin_rect(ix, iy);
@@ -260,6 +262,20 @@ mod tests {
         let mut g = grid4();
         g.splat(&Rect::new(100.0, 100.0, 110.0, 110.0), 1.0);
         assert_eq!(g.sum(), 0.0);
+    }
+
+    #[test]
+    fn splat_clips_any_footprint_without_panicking() {
+        let mut g = grid4();
+        // Straddling the upper-right corner: only the inside quarter lands.
+        g.splat(&Rect::new(35.0, 35.0, 45.0, 45.0), 4.0);
+        assert!((g.sum() - 1.0).abs() < 1e-12);
+        assert!((g.get(3, 3) - 1.0).abs() < 1e-12);
+        // An unbounded footprint spreads its amount over infinite area:
+        // every bin is visited, none gains anything, none is out of range.
+        let inf = f64::INFINITY;
+        g.splat(&Rect::new(-inf, -inf, inf, inf), 1.0);
+        assert!((g.sum() - 1.0).abs() < 1e-12);
     }
 
     #[test]

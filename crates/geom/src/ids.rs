@@ -40,6 +40,7 @@ macro_rules! define_id {
             ///
             /// Panics if `index` does not fit in `u32`.
             pub fn new(index: usize) -> Self {
+                // lint: allow(no-panic, reason = "documented panic, unreachable in practice: every caller passes the length of a Vec it is about to push to or an index below it, and 2^32 objects of any id-indexed kind exceed 16 GiB, so allocation fails long before an index can overflow u32")
                 $name(u32::try_from(index).expect("id index overflows u32"))
             }
 

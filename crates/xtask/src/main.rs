@@ -37,11 +37,12 @@ const SEED_CRATES: [&str; 3] = ["spicenet", "core", "timan"];
 /// The `waivers` audit fails if one of these crates has a ratcheted
 /// violation or a `ci/lint-baseline.json` entry — so no new unwaivered
 /// site can land in the service, the solver, the thermal model, the
-/// logic simulator, the placement database or the flow (`core`, the
-/// `postplace` library) behind the baseline.
-const STRICT_CRATES: [&str; 6] = [
+/// logic simulator, the placement database, the geometry primitives or
+/// the flow (`core`, the `postplace` library) behind the baseline.
+const STRICT_CRATES: [&str; 7] = [
     "coolserved",
     "core",
+    "geom",
     "logicsim",
     "placement",
     "spicenet",

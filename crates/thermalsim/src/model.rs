@@ -423,10 +423,21 @@ mod tests {
         }
     }
 
+    /// FNV-1a over the bits of the solved field, the iteration count and
+    /// the relative residual of one `Auto` solve.
+    fn answer_digest(model: &FactorizedThermalModel, power: &Grid2d<f64>) -> u64 {
+        let (map, stats) = model.solve_with_stats(power).unwrap();
+        let mut h = crate::sim::StableFnv::new();
+        for &v in map.grid().values() {
+            h.write_f64(v);
+        }
+        h.write_usize(stats.iterations);
+        h.write_f64(stats.relative_residual);
+        h.finish()
+    }
+
     /// Golden answers of `Auto` on odd meshes, which the spectral tier
-    /// answers through the Bluestein transform. The digest is FNV-1a
-    /// over the bits of the solved field, the iteration count and the
-    /// relative residual.
+    /// answers through the Bluestein transform.
     #[test]
     fn auto_odd_mesh_models_match_their_golden_digests() {
         let cases = [
@@ -438,20 +449,48 @@ mod tests {
             let model = FactorizedThermalModel::build(&ThermalConfig::with_resolution(n, n), die())
                 .unwrap();
             assert_eq!(model.solver_name(), "spectral-dct", "{n}x{n}");
-            let (map, stats) = model.solve_with_stats(&hashed_power(n, n, 0)).unwrap();
-            let mut h = crate::sim::StableFnv::new();
-            for &v in map.grid().values() {
-                h.write_f64(v);
-            }
-            h.write_usize(stats.iterations);
-            h.write_f64(stats.relative_residual);
-            got.push(format!("{n}x{n}: {:016x}", h.finish()));
+            let digest = answer_digest(&model, &hashed_power(n, n, 0));
+            got.push(format!("{n}x{n}: {digest:016x}"));
         }
         let want: Vec<String> = cases
             .iter()
             .map(|(n, digest)| format!("{n}x{n}: {digest:016x}"))
             .collect();
         assert_eq!(got, want, "odd-mesh spectral answers moved");
+    }
+
+    /// Golden answers of `Auto` on the benchmark meshes (40² for the
+    /// paper scale, 128² for the fine budget search) and an even mesh
+    /// with `nx ≠ ny`, under hashed and zero power. Every mesh must give
+    /// the same bits at 1 and 2 solver threads.
+    #[test]
+    fn auto_benchmark_mesh_models_match_their_golden_digests() {
+        let cases: [(usize, usize, [u64; 2]); 3] = [
+            (40, 40, [0xe7f5_aae9_2408_2df2, 0xdf0f_757c_614f_5d77]),
+            (128, 128, [0x8fd7_8105_7d1c_76af, 0x6336_462b_3c87_6776]),
+            (64, 48, [0xa79e_be61_51b2_f6ee, 0x0dc8_3fd4_4d83_e1e8]),
+        ];
+        let mut got = Vec::new();
+        for &(nx, ny, _) in &cases {
+            let powers = [hashed_power(nx, ny, 0), Grid2d::new(nx, ny, die(), 0.0)];
+            for threads in [1usize, 2] {
+                let config = ThermalConfig::with_resolution(nx, ny).with_threads(threads);
+                let model = FactorizedThermalModel::build(&config, die()).unwrap();
+                assert_eq!(model.solver_name(), "spectral-dct", "{nx}x{ny}");
+                let digests = powers.each_ref().map(|p| answer_digest(&model, p));
+                got.push(format!(
+                    "{nx}x{ny} t={threads}: {:016x} {:016x}",
+                    digests[0], digests[1]
+                ));
+            }
+        }
+        let want: Vec<String> = cases
+            .iter()
+            .flat_map(|&(nx, ny, [hashed, zero])| {
+                [1usize, 2].map(|t| format!("{nx}x{ny} t={t}: {hashed:016x} {zero:016x}"))
+            })
+            .collect();
+        assert_eq!(got, want, "benchmark-mesh spectral answers moved");
     }
 
     #[test]

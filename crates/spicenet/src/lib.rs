@@ -62,7 +62,7 @@ pub use mna::{Method, SolveOptions};
 pub use solution::{DcSolution, SolveStats};
 pub use sparse::CsrMatrix;
 pub use spectral::{DctPlan, DctScratch, SpectralSystem};
-pub use stencil::{LayeredStencilSpec, StencilOperator, StencilSystem};
+pub use stencil::{LayeredStencilSpec, StencilSystem};
 
 /// Exact-zero test for the places where an exact `0.0` carries meaning:
 /// a zero elimination factor and a zero right-hand side. `NaN` is never

@@ -1,6 +1,5 @@
 //! Spectral solver: fast cosine transforms (DCT-II / DCT-III via a
-//! mixed-radix FFT) and a *direct* solver for laterally homogeneous
-//! stencil stacks.
+//! mixed-radix FFT) and a *direct* solver for layered stencil stacks.
 //!
 //! A layered die stack whose lateral conductances are uniform within each
 //! layer diagonalizes in the cosine basis: the DCT-II vectors
@@ -13,17 +12,33 @@
 //! size: even lengths recurse radix-2, odd lengths run Bluestein's
 //! chirp-z convolution over a power-of-two FFT.
 //!
+//! The transforms are batched: one FFT kernel runs `lanes` interleaved
+//! transforms at once (element `j` of lane `l` at `j·lanes + l`, real
+//! and imaginary parts in separate arrays), so the innermost loop runs
+//! across transforms and vectorizes. A plane's columns are already in
+//! that layout; rows go through a transposed tile. Planes whose
+//! right-hand side is entirely zero skip the forward transforms: their
+//! spectrum is zero.
+//!
 //! Everything here is dependency-free and, like [`crate::pool::dot_wide`],
-//! uses a fixed, shape-pure butterfly/summation order: each row, column,
-//! and mode is processed by identical scalar code regardless of how the
-//! work is partitioned, so results are bit-identical at any thread count.
-//! That contract is load-bearing — `Flow::content_key` and the coolserved
+//! uses a fixed, shape-pure butterfly/summation order: each lane of a
+//! batch runs the same scalar operations in the same order as a lone
+//! transform, and Rust never contracts them into fused multiply-adds, so
+//! the bits depend neither on the lane count nor on how the work is
+//! partitioned, and results are bit-identical at any thread count. That
+//! contract is load-bearing — `Flow::content_key` and the coolserved
 //! disk cache key results by solved bits.
 
-use crate::stencil::{StencilOperator, StencilSystem};
-use crate::{SolveError, SolveStats};
+use crate::stencil::StencilSystem;
+use crate::{exact_zero, SolveError, SolveStats};
 
-/// Minimal complex scalar for the internal FFT (no external deps).
+/// Rows per transposed tile in the row passes of
+/// [`SpectralSystem::solve`]: enough lanes to fill the vector units,
+/// few enough that a tile of a long row stays cache-resident.
+const ROW_TILE: usize = 16;
+
+/// Minimal complex scalar for the twiddle and chirp tables (no external
+/// deps).
 #[derive(Clone, Copy, Debug, Default)]
 struct Complex {
     re: f64,
@@ -40,36 +55,19 @@ impl Complex {
     }
 
     #[inline]
-    fn add(self, o: Complex) -> Complex {
-        Complex {
-            re: self.re + o.re,
-            im: self.im + o.im,
-        }
-    }
-
-    #[inline]
-    fn sub(self, o: Complex) -> Complex {
-        Complex {
-            re: self.re - o.re,
-            im: self.im - o.im,
-        }
-    }
-
-    #[inline]
-    fn mul(self, o: Complex) -> Complex {
-        Complex {
-            re: self.re * o.re - self.im * o.im,
-            im: self.re * o.im + self.im * o.re,
-        }
-    }
-
-    #[inline]
     fn conj(self) -> Complex {
         Complex {
             re: self.re,
             im: -self.im,
         }
     }
+}
+
+/// `(ar + i·ai)·(br + i·bi)`, in the one evaluation order every
+/// transform uses.
+#[inline]
+fn cmul(ar: f64, ai: f64, br: f64, bi: f64) -> (f64, f64) {
+    (ar * br - ai * bi, ar * bi + ai * br)
 }
 
 /// Reads `exp(−2πi·idx/len)` from a twiddle table of length `len`,
@@ -87,54 +85,117 @@ fn twiddle(tw: &[Complex], idx: usize, conj: bool) -> Complex {
     }
 }
 
-/// Decimation-in-time FFT of `m` points read from `src` at `stride`,
-/// written to `out[0..m]`. `step` is the table stride for the current
-/// sub-size (`tw.len()/m`); odd sub-sizes fall back to a naive DFT,
-/// which admits every even-composite length (20 = 4·5, 28 = 4·7, …).
-/// The recursion shape depends only on `m`, never on the data or the
-/// caller's threading, so the floating-point evaluation order is fixed.
-fn fft_rec(
-    src: &[Complex],
-    stride: usize,
-    out: &mut [Complex],
-    m: usize,
-    step: usize,
-    conj: bool,
-    tw: &[Complex],
-) {
-    if m == 1 {
-        out[0] = src[0];
-        return;
-    }
-    if m % 2 == 1 {
-        for (k, o) in out.iter_mut().enumerate() {
-            let mut acc = Complex::default();
-            for j in 0..m {
-                let w = twiddle(tw, (j * k) % m * step, conj);
-                acc = acc.add(src[j * stride].mul(w));
-            }
-            *o = acc;
+/// Lane-interleaved complex data: element `j` of lane `l` at
+/// `j·lanes + l`, real and imaginary parts in separate arrays.
+#[derive(Clone, Debug, Default)]
+struct Batch {
+    re: Vec<f64>,
+    im: Vec<f64>,
+}
+
+impl Batch {
+    fn ensure(&mut self, len: usize) {
+        if self.re.len() < len {
+            self.re.resize(len, 0.0);
+            self.im.resize(len, 0.0);
         }
-        return;
     }
-    let h = m / 2;
-    let (lo, hi) = out.split_at_mut(h);
-    fft_rec(src, stride * 2, lo, h, step * 2, conj, tw);
-    fft_rec(&src[stride..], stride * 2, hi, h, step * 2, conj, tw);
-    for k in 0..h {
-        let w = twiddle(tw, k * step, conj);
-        let t = w.mul(hi[k]);
-        let e = lo[k];
-        lo[k] = e.add(t);
-        hi[k] = e.sub(t);
+}
+
+/// The fixed parameters of one batched FFT: twiddle table, direction
+/// and the number of interleaved transforms.
+#[derive(Clone, Copy)]
+struct FftKernel<'a> {
+    tw: &'a [Complex],
+    conj: bool,
+    lanes: usize,
+}
+
+impl FftKernel<'_> {
+    /// Decimation-in-time FFT of `m` points per lane read from `src` at
+    /// element stride `stride`, written to the first `m` elements of
+    /// `out`. `step` is the table stride for the current sub-size
+    /// (`tw.len()/m`); odd sub-sizes fall back to a naive DFT, which
+    /// admits every even-composite length (20 = 4·5, 28 = 4·7, …). The
+    /// recursion shape depends only on `m`, never on the data, the lane
+    /// count or the caller's threading, so the floating-point
+    /// evaluation order of every lane is fixed.
+    fn run(
+        self,
+        src: (&[f64], &[f64]),
+        stride: usize,
+        out: (&mut [f64], &mut [f64]),
+        m: usize,
+        step: usize,
+    ) {
+        let lanes = self.lanes;
+        let (src_re, src_im) = src;
+        let (out_re, out_im) = out;
+        if m == 1 {
+            out_re[..lanes].copy_from_slice(&src_re[..lanes]);
+            out_im[..lanes].copy_from_slice(&src_im[..lanes]);
+            return;
+        }
+        if m % 2 == 1 {
+            for k in 0..m {
+                let acc_re = &mut out_re[k * lanes..(k + 1) * lanes];
+                let acc_im = &mut out_im[k * lanes..(k + 1) * lanes];
+                acc_re.fill(0.0);
+                acc_im.fill(0.0);
+                for j in 0..m {
+                    let w = twiddle(self.tw, (j * k) % m * step, self.conj);
+                    let at = j * stride * lanes;
+                    let xr = &src_re[at..at + lanes];
+                    let xi = &src_im[at..at + lanes];
+                    for l in 0..lanes {
+                        let (pr, pi) = cmul(xr[l], xi[l], w.re, w.im);
+                        acc_re[l] += pr;
+                        acc_im[l] += pi;
+                    }
+                }
+            }
+            return;
+        }
+        let h = m / 2;
+        let (lo_re, hi_re) = out_re.split_at_mut(h * lanes);
+        let (lo_im, hi_im) = out_im.split_at_mut(h * lanes);
+        self.run(
+            (src_re, src_im),
+            stride * 2,
+            (&mut *lo_re, &mut *lo_im),
+            h,
+            step * 2,
+        );
+        let odd = stride * lanes;
+        self.run(
+            (&src_re[odd..], &src_im[odd..]),
+            stride * 2,
+            (&mut *hi_re, &mut *hi_im),
+            h,
+            step * 2,
+        );
+        for k in 0..h {
+            let w = twiddle(self.tw, k * step, self.conj);
+            let at = k * lanes..(k + 1) * lanes;
+            let (lr, li) = (&mut lo_re[at.clone()], &mut lo_im[at.clone()]);
+            let (hr, hi) = (&mut hi_re[at.clone()], &mut hi_im[at]);
+            for l in 0..lanes {
+                let (tr, ti) = cmul(w.re, w.im, hr[l], hi[l]);
+                let (er, ei) = (lr[l], li[l]);
+                lr[l] = er + tr;
+                li[l] = ei + ti;
+                hr[l] = er - tr;
+                hi[l] = ei - ti;
+            }
+        }
     }
 }
 
 /// Bluestein's chirp-z form of an odd-length DFT. With
 /// `jk = (j² + k² − (k−j)²)/2`, the length-`n` transform becomes a
 /// circular convolution against the chirp `exp(iπt²/n)`, evaluated at a
-/// power-of-two length `m ≥ 2n − 1` with the radix-2 [`fft_rec`] — so an
-/// odd prime length costs `O(n log n)` instead of the naive `O(n²)`.
+/// power-of-two length `m ≥ 2n − 1` with the radix-2 [`FftKernel`] — so
+/// an odd prime length costs `O(n log n)` instead of the naive `O(n²)`.
 #[derive(Clone, Debug)]
 struct Bluestein {
     m: usize,
@@ -156,20 +217,38 @@ impl Bluestein {
             .map(|i| Complex::unit(-2.0 * std::f64::consts::PI * i as f64 / m as f64))
             .collect();
         let chirp: Vec<Complex> = (0..n).map(|j| plan_tw[2 * ((j * j) % (2 * n))]).collect();
-        let mut wrapped = vec![Complex::default(); m];
+        let mut wrapped = Batch::default();
+        wrapped.ensure(m);
         for (j, c) in chirp.iter().enumerate() {
-            wrapped[j] = c.conj();
-            if j > 0 {
-                wrapped[m - j] = c.conj();
+            for at in [j, (m - j) % m] {
+                wrapped.re[at] = c.re;
+                wrapped.im[at] = -c.im;
             }
         }
-        let mut kernel = vec![Complex::default(); m];
-        fft_rec(&wrapped, 1, &mut kernel, m, 1, false, &tw);
+        let mut spectrum = Batch::default();
+        spectrum.ensure(m);
+        let fft = FftKernel {
+            tw: &tw,
+            conj: false,
+            lanes: 1,
+        };
+        fft.run(
+            (&wrapped.re, &wrapped.im),
+            1,
+            (&mut spectrum.re, &mut spectrum.im),
+            m,
+            1,
+        );
         let inv_m = 1.0 / m as f64;
-        for k in &mut kernel {
-            k.re *= inv_m;
-            k.im *= inv_m;
-        }
+        let kernel = spectrum
+            .re
+            .iter()
+            .zip(&spectrum.im)
+            .map(|(&re, &im)| Complex {
+                re: re * inv_m,
+                im: im * inv_m,
+            })
+            .collect();
         Bluestein {
             m,
             tw,
@@ -178,63 +257,84 @@ impl Bluestein {
         }
     }
 
-    /// `out = DFT(x)` over `x.len() == n` points, with conjugated
-    /// twiddles when `conj` (computed as `conj(DFT(conj(x)))`). `u` and
-    /// `v` are length-`m` scratch.
+    /// `out = DFT(x)` per lane over `n` points (`x` holds `n·lanes`
+    /// interleaved values), with conjugated twiddles when `conj`
+    /// (computed as `conj(DFT(conj(x)))`). `u` and `v` are scratch.
     fn dft(
         &self,
-        x: &[Complex],
-        out: &mut [Complex],
+        x: &Batch,
+        out: &mut Batch,
         conj: bool,
-        u: &mut [Complex],
-        v: &mut [Complex],
+        lanes: usize,
+        u: &mut Batch,
+        v: &mut Batch,
     ) {
-        let n = x.len();
-        let (u, v) = (&mut u[..self.m], &mut v[..self.m]);
-        for (j, (slot, c)) in u.iter_mut().zip(&self.chirp).enumerate() {
-            let xj = if conj { x[j].conj() } else { x[j] };
-            *slot = xj.mul(*c);
+        let n = self.chirp.len();
+        let len = self.m * lanes;
+        u.ensure(len);
+        v.ensure(len);
+        for (j, c) in self.chirp.iter().enumerate() {
+            let at = j * lanes..(j + 1) * lanes;
+            let (ur, ui) = (&mut u.re[at.clone()], &mut u.im[at.clone()]);
+            for (((ur, ui), &xr), &xi) in ur
+                .iter_mut()
+                .zip(ui)
+                .zip(&x.re[at.clone()])
+                .zip(&x.im[at.clone()])
+            {
+                let xi = if conj { -xi } else { xi };
+                (*ur, *ui) = cmul(xr, xi, c.re, c.im);
+            }
         }
-        u[n..].fill(Complex::default());
-        fft_rec(u, 1, v, self.m, 1, false, &self.tw);
-        for (a, k) in v.iter_mut().zip(&self.kernel) {
-            *a = a.mul(*k);
+        u.re[n * lanes..len].fill(0.0);
+        u.im[n * lanes..len].fill(0.0);
+        let fft = FftKernel {
+            tw: &self.tw,
+            conj: false,
+            lanes,
+        };
+        fft.run((&u.re, &u.im), 1, (&mut v.re, &mut v.im), self.m, 1);
+        for (k, w) in self.kernel.iter().enumerate() {
+            let at = k * lanes..(k + 1) * lanes;
+            for (vr, vi) in v.re[at.clone()].iter_mut().zip(&mut v.im[at]) {
+                (*vr, *vi) = cmul(*vr, *vi, w.re, w.im);
+            }
         }
-        fft_rec(v, 1, u, self.m, 1, true, &self.tw);
-        for (k, o) in out.iter_mut().enumerate() {
-            let y = u[k].mul(self.chirp[k]);
-            *o = if conj { y.conj() } else { y };
+        let ifft = FftKernel { conj: true, ..fft };
+        ifft.run((&v.re, &v.im), 1, (&mut u.re, &mut u.im), self.m, 1);
+        for (k, c) in self.chirp.iter().enumerate() {
+            let at = k * lanes..(k + 1) * lanes;
+            let (or, oi) = (&mut out.re[at.clone()], &mut out.im[at.clone()]);
+            for (((or, oi), &ur), &ui) in or
+                .iter_mut()
+                .zip(oi)
+                .zip(&u.re[at.clone()])
+                .zip(&u.im[at.clone()])
+            {
+                let (yr, yi) = cmul(ur, ui, c.re, c.im);
+                *or = yr;
+                *oi = if conj { -yi } else { yi };
+            }
         }
     }
 }
 
-/// Reusable FFT buffers for one transform length (grown on demand).
-/// Workers allocate one per team member; none of the transform entry
-/// points allocate per call once the scratch has warmed up.
+/// Reusable FFT buffers (grown on demand). Workers allocate one per team
+/// member; none of the transform entry points allocate per call once the
+/// scratch has warmed up to the largest batch it serves.
 #[derive(Clone, Debug, Default)]
 pub struct DctScratch {
-    a: Vec<Complex>,
-    b: Vec<Complex>,
+    a: Batch,
+    b: Batch,
     /// Bluestein convolution buffers (odd lengths only).
-    u: Vec<Complex>,
-    v: Vec<Complex>,
+    u: Batch,
+    v: Batch,
 }
 
 impl DctScratch {
     /// An empty scratch; buffers grow to fit the first plan that uses it.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    fn ensure(&mut self, n: usize, m: usize) {
-        if self.a.len() < n {
-            self.a.resize(n, Complex::default());
-            self.b.resize(n, Complex::default());
-        }
-        if self.u.len() < m {
-            self.u.resize(m, Complex::default());
-            self.v.resize(m, Complex::default());
-        }
     }
 }
 
@@ -276,128 +376,107 @@ impl DctPlan {
         self.n == 0
     }
 
-    /// The length-`n` FFT of `a` into `b`: radix-2 recursion for even
-    /// `n`, the Bluestein convolution for odd `n`.
-    fn fft(&self, s: &mut DctScratch, conj: bool) {
-        let n = self.n;
+    /// The length-`n` FFT of every lane of `s.a` into `s.b`: radix-2
+    /// recursion for even `n`, the Bluestein convolution for odd `n`.
+    fn fft(&self, s: &mut DctScratch, conj: bool, lanes: usize) {
         let DctScratch { a, b, u, v } = s;
         match &self.bluestein {
-            Some(chirp) => chirp.dft(&a[..n], &mut b[..n], conj, u, v),
-            None => fft_rec(&a[..n], 1, &mut b[..n], n, 4, conj, &self.tw),
-        }
-    }
-
-    fn ensure(&self, s: &mut DctScratch) {
-        s.ensure(self.n, self.bluestein.as_ref().map_or(0, |c| c.m));
-    }
-
-    /// In-place unnormalized DCT-II: `X[k] = Σⱼ x[j]·cos(πk(2j+1)/2n)`.
-    pub fn forward(&self, x: &mut [f64], s: &mut DctScratch) {
-        let n = self.n;
-        debug_assert_eq!(x.len(), n);
-        if n == 1 {
-            return;
-        }
-        self.ensure(s);
-        // Makhoul reordering: evens ascending, odds descending.
-        let a = &mut s.a[..n];
-        for (j, v) in x.iter().step_by(2).enumerate() {
-            a[j] = Complex { re: *v, im: 0.0 };
-        }
-        for (j, v) in x.iter().skip(1).step_by(2).enumerate() {
-            a[n - 1 - j] = Complex { re: *v, im: 0.0 };
-        }
-        self.fft(s, false);
-        let b = &s.b[..n];
-        for (k, v) in x.iter_mut().enumerate() {
-            let w = self.tw[k];
-            *v = w.re * b[k].re - w.im * b[k].im;
-        }
-    }
-
-    /// In-place scaled DCT-III, the exact inverse of [`Self::forward`]:
-    /// `x[j] = (X[0] + 2·Σ_{k≥1} X[k]·cos(πk(2j+1)/2n)) / n`.
-    pub fn inverse(&self, x: &mut [f64], s: &mut DctScratch) {
-        let n = self.n;
-        debug_assert_eq!(x.len(), n);
-        if n == 1 {
-            return;
-        }
-        self.ensure(s);
-        let a = &mut s.a[..n];
-        a[0] = Complex { re: x[0], im: 0.0 };
-        for k in 1..n {
-            let v = Complex {
-                re: x[k],
-                im: -x[n - k],
-            };
-            a[k] = self.tw[k].conj().mul(v);
-        }
-        self.fft(s, true);
-        let b = &s.b[..n];
-        let inv_n = 1.0 / n as f64;
-        for (j, v) in x.iter_mut().step_by(2).enumerate() {
-            *v = b[j].re * inv_n;
-        }
-        for (j, v) in x.iter_mut().skip(1).step_by(2).enumerate() {
-            *v = b[n - 1 - j].re * inv_n;
-        }
-    }
-}
-
-/// Per-layer conductance profile of a laterally homogeneous operator.
-struct LayerProfile {
-    gxl: Vec<f64>,
-    gyl: Vec<f64>,
-    gzi: Vec<f64>,
-    leak: Vec<f64>,
-}
-
-/// Extracts the layer profile iff the operator is *bitwise* laterally
-/// homogeneous. Every `StencilOperator` is assembled by
-/// `StencilOperator::new`, which derives `diag` from `gx/gy/gz/leak`
-/// alone — so uniformity of those four primitive
-/// arrays fully determines the operator. Comparison is on bits
-/// (`to_bits`) on purpose: qualification must be exact, and it sidesteps
-/// float `==` while staying conservative about `-0.0`.
-fn exact_profile(op: &StencilOperator) -> Option<LayerProfile> {
-    let (nx, ny, nz) = (op.nx, op.ny, op.nz);
-    let gxl: Vec<f64> = (0..nz)
-        .map(|iz| if nx > 1 { op.gx[iz] } else { 0.0 })
-        .collect();
-    let gyl: Vec<f64> = (0..nz)
-        .map(|iz| if ny > 1 { op.gy[iz] } else { 0.0 })
-        .collect();
-    let gzi: Vec<f64> = (0..nz)
-        .map(|iz| if iz + 1 < nz { op.gz[iz] } else { 0.0 })
-        .collect();
-    let leak: Vec<f64> = op.leak[..nz].to_vec();
-    for iy in 0..ny {
-        for ix in 0..nx {
-            let base = (iy * nx + ix) * nz;
-            for iz in 0..nz {
-                let i = base + iz;
-                let want_gx = if ix + 1 < nx { gxl[iz] } else { 0.0 };
-                let want_gy = if iy + 1 < ny { gyl[iz] } else { 0.0 };
-                let want_gz = if iz + 1 < nz { gzi[iz] } else { 0.0 };
-                if op.gx[i].to_bits() != want_gx.to_bits()
-                    || op.gy[i].to_bits() != want_gy.to_bits()
-                    || op.gz[i].to_bits() != want_gz.to_bits()
-                    || op.leak[i].to_bits() != leak[iz].to_bits()
-                {
-                    return None;
-                }
+            Some(chirp) => chirp.dft(a, b, conj, lanes, u, v),
+            None => {
+                let fft = FftKernel {
+                    tw: &self.tw,
+                    conj,
+                    lanes,
+                };
+                fft.run((&a.re, &a.im), 1, (&mut b.re, &mut b.im), self.n, 4);
             }
         }
     }
-    Some(LayerProfile {
-        gxl,
-        gyl,
-        gzi,
-        leak,
-    })
-}
 
+    /// In-place unnormalized DCT-II of one vector:
+    /// `X[k] = Σⱼ x[j]·cos(πk(2j+1)/2n)`.
+    pub fn forward(&self, x: &mut [f64], s: &mut DctScratch) {
+        self.forward_lanes(x, 1, s);
+    }
+
+    /// In-place scaled DCT-III of one vector, the exact inverse of
+    /// [`Self::forward`]:
+    /// `x[j] = (X[0] + 2·Σ_{k≥1} X[k]·cos(πk(2j+1)/2n)) / n`.
+    pub fn inverse(&self, x: &mut [f64], s: &mut DctScratch) {
+        self.inverse_lanes(x, 1, s);
+    }
+
+    /// [`Self::forward`] of `lanes` interleaved vectors at once
+    /// (element `j` of vector `l` at `x[j·lanes + l]`). Each lane's bits
+    /// equal that vector transformed alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `x.len() != n·lanes`.
+    pub fn forward_lanes(&self, x: &mut [f64], lanes: usize, s: &mut DctScratch) {
+        let n = self.n;
+        assert_eq!(x.len(), n * lanes, "batched DCT length");
+        if n == 1 {
+            return;
+        }
+        s.a.ensure(n * lanes);
+        s.b.ensure(n * lanes);
+        // Makhoul reordering: evens ascending, odds descending.
+        let a = &mut s.a;
+        for (j, v) in x.chunks_exact(lanes).enumerate() {
+            let at = if j % 2 == 0 { j / 2 } else { n - 1 - j / 2 } * lanes;
+            a.re[at..at + lanes].copy_from_slice(v);
+            a.im[at..at + lanes].fill(0.0);
+        }
+        self.fft(s, false, lanes);
+        let b = &s.b;
+        for (k, v) in x.chunks_exact_mut(lanes).enumerate() {
+            let w = self.tw[k];
+            let at = k * lanes..(k + 1) * lanes;
+            for ((v, &br), &bi) in v.iter_mut().zip(&b.re[at.clone()]).zip(&b.im[at]) {
+                *v = w.re * br - w.im * bi;
+            }
+        }
+    }
+
+    /// [`Self::inverse`] of `lanes` interleaved vectors at once (layout
+    /// as in [`Self::forward_lanes`]). Each lane's bits equal that
+    /// vector transformed alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `x.len() != n·lanes`.
+    pub fn inverse_lanes(&self, x: &mut [f64], lanes: usize, s: &mut DctScratch) {
+        let n = self.n;
+        assert_eq!(x.len(), n * lanes, "batched DCT length");
+        if n == 1 {
+            return;
+        }
+        s.a.ensure(n * lanes);
+        s.b.ensure(n * lanes);
+        let a = &mut s.a;
+        a.re[..lanes].copy_from_slice(&x[..lanes]);
+        a.im[..lanes].fill(0.0);
+        for k in 1..n {
+            let c = self.tw[k].conj();
+            let at = k * lanes..(k + 1) * lanes;
+            let (ar, ai) = (&mut a.re[at.clone()], &mut a.im[at.clone()]);
+            let mirror = &x[(n - k) * lanes..(n - k + 1) * lanes];
+            for (((ar, ai), &xr), &xm) in ar.iter_mut().zip(ai).zip(&x[at]).zip(mirror) {
+                (*ar, *ai) = cmul(c.re, c.im, xr, -xm);
+            }
+        }
+        self.fft(s, true, lanes);
+        let b = &s.b;
+        let inv_n = 1.0 / n as f64;
+        for (j, v) in x.chunks_exact_mut(lanes).enumerate() {
+            let at = if j % 2 == 0 { j / 2 } else { n - 1 - j / 2 } * lanes;
+            for (v, &br) in v.iter_mut().zip(&b.re[at..at + lanes]) {
+                *v = br * inv_n;
+            }
+        }
+    }
+}
 /// Partial-pivot LU of a tiny dense system (the `(nz+1)²` border block).
 #[derive(Clone, Debug)]
 struct SmallLu {
@@ -469,12 +548,11 @@ struct SpectralBorder {
     lu: SmallLu,
 }
 
-/// A factored spectral direct solver for a laterally homogeneous stencil
-/// stack: forward DCT-II over both lateral axes, one Thomas tridiagonal
-/// per `(kx, ky)` mode (division-free pivots, precomputed), inverse
-/// DCT-III back. Construction fails (`None`) whenever the geometry does
-/// not qualify — inhomogeneous coefficients or non-positive pivots — and
-/// callers fall back to the general CSR solver.
+/// A factored spectral direct solver for a layered stencil stack:
+/// forward DCT-II over both lateral axes, one Thomas tridiagonal per
+/// `(kx, ky)` mode (division-free pivots, precomputed), inverse DCT-III
+/// back. Construction fails (`None`) when a mode's tridiagonal has a
+/// non-positive pivot, and callers fall back to the general CSR solver.
 #[derive(Clone, Debug)]
 pub struct SpectralSystem {
     nx: usize,
@@ -482,7 +560,7 @@ pub struct SpectralSystem {
     nz: usize,
     plan_x: DctPlan,
     plan_y: DctPlan,
-    /// Vertical interface conductance per layer (`gzi[nz−1] == 0`).
+    /// Vertical conductance per layer interface (`iz ↔ iz+1`).
     gzi: Vec<f64>,
     /// Division-free Thomas pivots, plane-major: `inv[iz·nx·ny + m]` for
     /// mode `m = ky·nx + kx`.
@@ -491,23 +569,15 @@ pub struct SpectralSystem {
 }
 
 impl SpectralSystem {
-    /// Factors the full system (grid + optional package border node) iff
-    /// the operator is bitwise laterally homogeneous.
+    /// Factors the full system (grid + optional package border node)
+    /// from its layer profile, or `None` when a mode's pivot is not
+    /// positive (e.g. a floating stack with zero leak).
     pub fn from_stencil(sys: &StencilSystem) -> Option<SpectralSystem> {
-        let prof = exact_profile(&sys.op)?;
-        let border = sys.border.as_ref().map(|b| (b.coupling, b.diag));
-        Self::build(&sys.op, &prof, border)
-    }
-
-    fn build(
-        op: &StencilOperator,
-        prof: &LayerProfile,
-        border: Option<(f64, f64)>,
-    ) -> Option<SpectralSystem> {
-        let (nx, ny, nz) = (op.nx, op.ny, op.nz);
+        let (nx, ny, nz) = sys.dims();
         let plan_x = DctPlan::new(nx)?;
         let plan_y = DctPlan::new(ny)?;
         let nxy = nx * ny;
+        let gzi = &sys.gz;
         let pi = std::f64::consts::PI;
         let lam_x: Vec<f64> = (0..nx)
             .map(|k| 2.0 - 2.0 * (pi * k as f64 / nx as f64).cos())
@@ -516,16 +586,16 @@ impl SpectralSystem {
             .map(|k| 2.0 - 2.0 * (pi * k as f64 / ny as f64).cos())
             .collect();
         // Vertical-only part of the modal diagonal; the lateral part is
-        // `gxl·λx(kx) + gyl·λy(ky)` (zero at the zero mode, matching the
+        // `gx·λx(kx) + gy·λy(ky)` (zero at the zero mode, matching the
         // Neumann row sums of the assembled operator).
         let dz: Vec<f64> = (0..nz)
             .map(|iz| {
-                let mut d = prof.leak[iz];
+                let mut d = sys.leak[iz];
                 if iz + 1 < nz {
-                    d += prof.gzi[iz];
+                    d += gzi[iz];
                 }
                 if iz > 0 {
-                    d += prof.gzi[iz - 1];
+                    d += gzi[iz - 1];
                 }
                 d
             })
@@ -536,15 +606,15 @@ impl SpectralSystem {
                 let m = ky * nx + kx;
                 let mut prev = 0.0;
                 for iz in 0..nz {
-                    let diag = dz[iz] + prof.gxl[iz] * lx + prof.gyl[iz] * ly;
+                    let diag = dz[iz] + sys.gx[iz] * lx + sys.gy[iz] * ly;
                     let pivot = if iz == 0 {
                         diag
                     } else {
-                        diag - prof.gzi[iz - 1] * prof.gzi[iz - 1] * prev
+                        diag - gzi[iz - 1] * gzi[iz - 1] * prev
                     };
                     if !pivot.is_finite() || pivot <= 0.0 {
-                        // Mode tridiagonal not SPD (e.g. a floating stack
-                        // with zero leak) — refuse, callers use CSR.
+                        // Mode tridiagonal not SPD — refuse, callers use
+                        // CSR.
                         return None;
                     }
                     prev = 1.0 / pivot;
@@ -552,24 +622,24 @@ impl SpectralSystem {
                 }
             }
         }
-        let border = match border {
+        let border = match &sys.border {
             None => None,
-            Some((coupling, bdiag)) => {
+            Some(b) => {
                 let nb = nz + 1;
                 let mut mat = vec![0.0; nb * nb];
                 for iz in 0..nz {
                     mat[iz * nb + iz] = dz[iz];
                     if iz + 1 < nz {
-                        mat[iz * nb + iz + 1] = -prof.gzi[iz];
-                        mat[(iz + 1) * nb + iz] = -prof.gzi[iz];
+                        mat[iz * nb + iz + 1] = -gzi[iz];
+                        mat[(iz + 1) * nb + iz] = -gzi[iz];
                     }
                 }
                 // Grid rows see the border scaled by the zero-mode mass
                 // `nx·ny`; the border row sees the plain sum. Nonsymmetric,
                 // hence LU rather than the Cholesky used elsewhere.
-                mat[nb - 1] = -coupling * nxy as f64;
-                mat[nz * nb] = -coupling;
-                mat[nz * nb + nz] = bdiag;
+                mat[nb - 1] = -b.coupling * nxy as f64;
+                mat[nz * nb] = -b.coupling;
+                mat[nz * nb + nz] = b.diag;
                 Some(SpectralBorder {
                     lu: SmallLu::factor(nb, mat)?,
                 })
@@ -581,7 +651,7 @@ impl SpectralSystem {
             nz,
             plan_x,
             plan_y,
-            gzi: prof.gzi.clone(),
+            gzi: gzi.clone(),
             inv,
             border,
         })
@@ -648,10 +718,14 @@ impl SpectralSystem {
     /// The pipeline runs in five slab-parallel stages over the shared
     /// `pool` worker teams — forward row DCTs, forward column DCTs, the
     /// per-mode Thomas sweeps, inverse column DCTs, inverse row DCTs —
-    /// with the border fix sequential in between. No stage performs a
-    /// cross-thread reduction and every row/column/mode is transformed by
-    /// identical scalar code whatever the partition, so the solution is
-    /// bit-identical at any `threads`.
+    /// with the border fix sequential in between. The forward stages
+    /// touch only the planes with a non-zero right-hand side; every other
+    /// plane's spectrum stays `0.0`, which can differ from a transformed
+    /// zero plane only in the sign of a zero, and `x + (−0) == x`. No
+    /// stage performs a cross-thread reduction and every row, column and
+    /// mode is transformed by identical scalar code whatever the
+    /// partition and batch width, so the solution is bit-identical at
+    /// any `threads`.
     pub fn solve(&self, rhs: &[f64], threads: usize) -> Vec<f64> {
         let (nx, ny, nz) = (self.nx, self.ny, self.nz);
         let nxy = nx * ny;
@@ -660,34 +734,60 @@ impl SpectralSystem {
         assert_eq!(rhs.len(), expect, "spectral rhs length mismatch");
         let team = crate::pool::effective_threads(threads);
         let mut planes: Vec<Vec<f64>> = vec![vec![0.0; nxy]; nz];
+        let mut loaded = vec![false; nz];
+        for column in rhs[..ng].chunks_exact(nz) {
+            for (flag, &v) in loaded.iter_mut().zip(column) {
+                *flag |= !exact_zero(v);
+            }
+        }
 
-        // Stage 1: gather x-rows out of the z-innermost RHS and DCT them.
+        // Stage 1: gather tiles of x-rows of the loaded planes out of the
+        // z-innermost RHS and DCT them; workers own disjoint y-row slabs.
         {
             let t = team.min(ny);
             let row_bounds = even_bounds(ny, t);
             let elem_bounds: Vec<usize> = row_bounds.iter().map(|r| r * nx).collect();
             let ctxs = split_planes(&mut planes, &elem_bounds);
             let plan_x = &self.plan_x;
-            let row_bounds = &row_bounds;
+            let (row_bounds, loaded) = (&row_bounds, &loaded);
             crate::pool::run(ctxs, move |w, mut slabs: Vec<&mut [f64]>| {
                 let mut scratch = DctScratch::new();
+                let mut tile = vec![0.0; nx * ROW_TILE];
                 let y0 = row_bounds[w];
                 let rows = row_bounds[w + 1] - y0;
                 for (iz, slab) in slabs.iter_mut().enumerate() {
-                    for r in 0..rows {
-                        let iy = y0 + r;
-                        let row = &mut slab[r * nx..(r + 1) * nx];
-                        for (ix, v) in row.iter_mut().enumerate() {
-                            *v = rhs[(iy * nx + ix) * nz + iz];
+                    if !loaded[iz] {
+                        continue;
+                    }
+                    for r0 in (0..rows).step_by(ROW_TILE) {
+                        let lanes = ROW_TILE.min(rows - r0);
+                        let tile = &mut tile[..nx * lanes];
+                        for r in 0..lanes {
+                            let row0 = (y0 + r0 + r) * nx;
+                            for ix in 0..nx {
+                                tile[ix * lanes + r] = rhs[(row0 + ix) * nz + iz];
+                            }
                         }
-                        plan_x.forward(row, &mut scratch);
+                        plan_x.forward_lanes(tile, lanes, &mut scratch);
+                        for r in 0..lanes {
+                            let row = &mut slab[(r0 + r) * nx..(r0 + r + 1) * nx];
+                            for (ix, v) in row.iter_mut().enumerate() {
+                                *v = tile[ix * lanes + r];
+                            }
+                        }
                     }
                 }
             });
         }
 
-        // Stage 2: forward DCT along y, whole planes per worker.
-        self.column_pass(&mut planes, team, false);
+        // Stage 2: forward DCT along y of the loaded planes.
+        let loaded_planes = planes
+            .iter_mut()
+            .zip(&loaded)
+            .filter(|(_, &l)| l)
+            .map(|(p, _)| p.as_mut_slice())
+            .collect();
+        self.column_pass(loaded_planes, team, false);
 
         // Mode-(0,0) RHS must be captured before Thomas overwrites it:
         // the border fix re-solves that mode against the coupled block.
@@ -744,12 +844,16 @@ impl SpectralSystem {
             xb = Some(v[nz]);
         }
 
-        // Stage 4: inverse DCT along y, whole planes per worker.
-        self.column_pass(&mut planes, team, true);
+        // Stage 4: inverse DCT along y, every plane.
+        self.column_pass(
+            planes.iter_mut().map(Vec::as_mut_slice).collect(),
+            team,
+            true,
+        );
 
-        // Stage 5: inverse row DCTs, scattered straight into the
-        // z-innermost output layout; workers own disjoint y-row slabs of
-        // the output vector.
+        // Stage 5: inverse DCTs of tiles of x-rows, scattered straight
+        // into the z-innermost output layout; workers own disjoint y-row
+        // slabs of the output vector.
         let mut out = vec![0.0; expect];
         {
             let t = team.min(ny);
@@ -761,16 +865,25 @@ impl SpectralSystem {
             let row_bounds = &row_bounds;
             crate::pool::run(slabs, move |w, slab: &mut [f64]| {
                 let mut scratch = DctScratch::new();
-                let mut row = vec![0.0; nx];
+                let mut tile = vec![0.0; nx * ROW_TILE];
                 let y0 = row_bounds[w];
                 let rows = row_bounds[w + 1] - y0;
-                for r in 0..rows {
-                    let iy = y0 + r;
+                for r0 in (0..rows).step_by(ROW_TILE) {
+                    let lanes = ROW_TILE.min(rows - r0);
+                    let tile = &mut tile[..nx * lanes];
                     for (iz, plane) in planes.iter().enumerate() {
-                        row.copy_from_slice(&plane[iy * nx..(iy + 1) * nx]);
-                        plan_x.inverse(&mut row, &mut scratch);
-                        for (ix, v) in row.iter().enumerate() {
-                            slab[r * nx * nz + ix * nz + iz] = *v;
+                        for r in 0..lanes {
+                            let row0 = (y0 + r0 + r) * nx;
+                            for (ix, v) in plane[row0..row0 + nx].iter().enumerate() {
+                                tile[ix * lanes + r] = *v;
+                            }
+                        }
+                        plan_x.inverse_lanes(tile, lanes, &mut scratch);
+                        for r in 0..lanes {
+                            let row = &mut slab[(r0 + r) * nx * nz..(r0 + r + 1) * nx * nz];
+                            for (ix, cell) in row.chunks_exact_mut(nz).enumerate() {
+                                cell[iz] = tile[ix * lanes + r];
+                            }
                         }
                     }
                 }
@@ -784,30 +897,22 @@ impl SpectralSystem {
         out
     }
 
-    /// Forward (`inverse == false`) or inverse column transforms, planes
-    /// distributed over the worker team.
-    fn column_pass(&self, planes: &mut [Vec<f64>], team: usize, inverse: bool) {
-        let (nx, ny) = (self.nx, self.ny);
-        let t = team.min(planes.len());
+    /// Forward (`inverse == false`) or inverse column transforms of
+    /// `planes`, whole planes distributed over the worker team. A plane
+    /// (`iy·nx + ix` order) is already `nx` interleaved columns, so each
+    /// plane is one batched transform.
+    fn column_pass(&self, mut planes: Vec<&mut [f64]>, team: usize, inverse: bool) {
+        let t = team.min(planes.len()).max(1);
         let bounds = even_bounds(planes.len(), t);
-        let chunks = split_slices(planes, &bounds);
-        let plan_y = &self.plan_y;
-        crate::pool::run(chunks, move |_w, chunk: &mut [Vec<f64>]| {
+        let chunks = split_slices(&mut planes, &bounds);
+        let (plan_y, nx) = (&self.plan_y, self.nx);
+        crate::pool::run(chunks, move |_w, chunk: &mut [&mut [f64]]| {
             let mut scratch = DctScratch::new();
-            let mut col = vec![0.0; ny];
             for plane in chunk.iter_mut() {
-                for ix in 0..nx {
-                    for (iy, c) in col.iter_mut().enumerate() {
-                        *c = plane[iy * nx + ix];
-                    }
-                    if inverse {
-                        plan_y.inverse(&mut col, &mut scratch);
-                    } else {
-                        plan_y.forward(&mut col, &mut scratch);
-                    }
-                    for (iy, c) in col.iter().enumerate() {
-                        plane[iy * nx + ix] = *c;
-                    }
+                if inverse {
+                    plan_y.inverse_lanes(plane, nx, &mut scratch);
+                } else {
+                    plan_y.forward_lanes(plane, nx, &mut scratch);
                 }
             }
         });
@@ -815,8 +920,8 @@ impl SpectralSystem {
 
     /// Direct solve of `sys` — the system this factorization was built
     /// from — for `rhs` (see [`StencilSystem::rhs_with`]), accepted only
-    /// after a residual check. Returns the grid-cell part of the
-    /// solution.
+    /// after a residual check against `sys`. Returns the grid-cell part
+    /// of the solution.
     ///
     /// A direct solve lands at machine precision; a relative residual
     /// `‖b − A·x‖/‖b‖` above `tolerance` means the factorization no
@@ -1019,12 +1124,11 @@ mod tests {
     }
 
     fn check_direct_solve(sys: &StencilSystem) {
-        let sp = SpectralSystem::from_stencil(sys).expect("homogeneous stack qualifies");
+        let sp = SpectralSystem::from_stencil(sys).expect("layered stacks factor");
         assert_eq!(sp.unknowns(), sys.unknowns());
         let rhs: Vec<f64> = (0..sys.unknowns()).map(|i| noise(i + 101)).collect();
         let x = sp.solve(&rhs, 1);
-        let mut ax = vec![0.0; sys.unknowns()];
-        sys.apply_into(&x, &mut ax);
+        let ax = sys.mul_vec(&x);
         let norm_b = rhs.iter().map(|v| v * v).sum::<f64>().sqrt();
         let norm_r = rhs
             .iter()
@@ -1062,62 +1166,98 @@ mod tests {
 
     #[test]
     fn threaded_solves_are_bit_identical_across_thread_counts() {
-        for (nx, ny) in [(20, 12), (25, 21)] {
+        // A right-hand side on every unknown, and one that loads only
+        // the second layer and the border, so the forward transforms
+        // skip the load-free planes.
+        for (nx, ny) in [(20, 12), (25, 21), (16, 10)] {
             let sys = layered(nx, ny, 157.0);
             let sp = SpectralSystem::from_stencil(&sys).unwrap();
-            let rhs: Vec<f64> = (0..sys.unknowns()).map(|i| noise(i + 55)).collect();
-            let baseline = sp.solve(&rhs, 1);
-            for threads in [2usize, 4] {
-                let got = sp.solve(&rhs, threads);
-                assert_bits_eq(
-                    &format!("{nx}x{ny} spectral solve at {threads} threads"),
-                    &got,
-                    &baseline,
-                );
+            let nz = sys.dims().2;
+            let dense: Vec<f64> = (0..sys.unknowns()).map(|i| noise(i + 55)).collect();
+            let sparse: Vec<f64> = (0..sys.unknowns())
+                .map(|i| {
+                    if i == sys.grid_cells() || i % nz == 1 {
+                        noise(i + 7)
+                    } else {
+                        0.0
+                    }
+                })
+                .collect();
+            for (label, rhs) in [("dense", dense), ("two-plane", sparse)] {
+                let baseline = sp.solve(&rhs, 1);
+                for threads in [2usize, 4] {
+                    let got = sp.solve(&rhs, threads);
+                    assert_bits_eq(
+                        &format!("{nx}x{ny} {label} spectral solve at {threads} threads"),
+                        &got,
+                        &baseline,
+                    );
+                }
+            }
+        }
+    }
+
+    /// Each lane of a batched forward and inverse transform of length
+    /// `n` must carry the bits of that vector transformed alone, at
+    /// every batch width in `widths`.
+    fn assert_batches_are_lone_transforms(n: usize, widths: &[usize], s: &mut DctScratch) {
+        let plan = DctPlan::new(n).unwrap();
+        let widest = widths.iter().copied().max().unwrap_or(0);
+        let vectors: Vec<Vec<f64>> = (0..widest)
+            .map(|l| (0..n).map(|j| noise(j + n * (l + 3))).collect())
+            .collect();
+        for inverse in [false, true] {
+            let transform = |x: &mut [f64], lanes: usize, s: &mut DctScratch| {
+                if inverse {
+                    plan.inverse_lanes(x, lanes, s);
+                } else {
+                    plan.forward_lanes(x, lanes, s);
+                }
+            };
+            let lone: Vec<Vec<f64>> = vectors
+                .iter()
+                .map(|v| {
+                    let mut v = v.clone();
+                    transform(&mut v, 1, s);
+                    v
+                })
+                .collect();
+            for &lanes in widths {
+                let mut batch = vec![0.0; n * lanes];
+                for (l, v) in vectors.iter().take(lanes).enumerate() {
+                    for (j, x) in v.iter().enumerate() {
+                        batch[j * lanes + l] = *x;
+                    }
+                }
+                transform(&mut batch, lanes, s);
+                for (l, want) in lone.iter().take(lanes).enumerate() {
+                    let got: Vec<f64> = (0..n).map(|j| batch[j * lanes + l]).collect();
+                    assert_bits_eq(
+                        &format!("n={n} lanes={lanes} lane {l} inverse={inverse}"),
+                        &got,
+                        want,
+                    );
+                }
             }
         }
     }
 
     #[test]
-    fn inhomogeneous_operators_do_not_qualify() {
-        let (nx, ny, nz) = (8usize, 8usize, 3usize);
-        let n = nx * ny * nz;
-        let mut gx = vec![0.0; n];
-        let mut gy = vec![0.0; n];
-        let mut gz = vec![0.0; n];
-        let leak = vec![1e-6; n];
-        for iy in 0..ny {
-            for ix in 0..nx {
-                let base = (iy * nx + ix) * nz;
-                for iz in 0..nz {
-                    gx[base + iz] = 4e-4;
-                    gy[base + iz] = 5e-4;
-                    if iz + 1 < nz {
-                        gz[base + iz] = 2e-3;
-                    }
-                }
-            }
+    fn batched_transforms_are_bitwise_the_lone_transforms() {
+        // Narrow batches (an even and an odd width) at every length up to
+        // 256 and at the longest lengths, and a batch as wide as a 128²
+        // plane's columns at the short lengths and the mesh lengths.
+        // Every length's recursion bottoms out in sub-sizes covered here;
+        // the cost grows with lanes × length², so longer lengths are
+        // sampled to keep the debug-mode suite fast. A lone transform is
+        // the one-lane batch, so the references are `forward_lanes` and
+        // `inverse_lanes` at one lane.
+        let mut s = DctScratch::new();
+        for n in (1..=256).chain([509, 510, 511, 512]) {
+            assert_batches_are_lone_transforms(n, &[2, 7], &mut s);
         }
-        let shell = || {
-            StencilSystem::layered(&LayeredStencilSpec {
-                nx,
-                ny,
-                gx_layers: &[1.0; 3],
-                gy_layers: &[1.0; 3],
-                gz_interfaces: &[1.0; 2],
-                g_bottom: 1.0,
-                g_top: 1.0,
-                ambient: 25.0,
-                package_resistance: 0.0,
-            })
-        };
-        let uniform =
-            StencilOperator::new(nx, ny, nz, gx.clone(), gy.clone(), gz.clone(), leak.clone());
-        assert!(SpectralSystem::from_stencil(&shell().with_operator(uniform)).is_some());
-        // A wrapper-ring-style lateral perturbation disqualifies the
-        // direct path bit-for-bit.
-        gx[(3 * nx + 3) * nz + 1] *= 1.5;
-        let ring = StencilOperator::new(nx, ny, nz, gx, gy, gz, leak);
-        assert!(SpectralSystem::from_stencil(&shell().with_operator(ring)).is_none());
+        for n in (1..=32).chain([40, 48, 64, 127, 128]) {
+            assert_batches_are_lone_transforms(n, &[128], &mut s);
+        }
     }
 }

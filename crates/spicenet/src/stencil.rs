@@ -1,260 +1,21 @@
-//! Structured description of regular 7-point resistive meshes.
+//! Matrix-free description of layered 7-point resistive meshes.
 //!
 //! The thermal network of the paper is a pure finite-volume stencil on a
 //! regular `nx × ny × nz` grid: every cell couples to at most six
 //! neighbours, the coupling conductances are known per axis, and the
 //! Dirichlet (ambient) boundary folds into the diagonal and the
-//! right-hand side. Squeezing that system through a general CSR matrix
-//! pays index indirection for structure the matrix never had to store.
+//! right-hand side. The die stack is laterally uniform, so every
+//! coefficient is a function of the layer alone: [`StencilSystem`]
+//! keeps one lateral conductance per layer and axis, one vertical
+//! conductance per layer interface, a leak and a Dirichlet right-hand
+//! side per layer, the optional *border node* (the shared package node
+//! every bottom-layer cell couples into), and a 3×3 table per layer of
+//! the diagonal at the low edge, interior and high edge in x and y. A
+//! 128×128×9 system is a few hundred bytes, not megabytes of per-cell
+//! arrays.
 //!
-//! This module keeps the structure explicit:
-//!
-//! * [`StencilOperator`] — the grid block: per-axis coupling-coefficient
-//!   arrays over a dense z-innermost layout with a fused, indirection-free
-//!   matvec;
-//! * [`StencilSystem`] — the full SPD system: the grid block plus an
-//!   optional *border node* (the shared package-resistance node every
-//!   bottom-layer cell couples into) and the Dirichlet-folded RHS.
-//!
-//! A laterally homogeneous system is solved directly by
-//! [`crate::SpectralSystem`], whose residual check runs the matvec here;
-//! everything else goes through [`crate::FactorizedCircuit`].
-
-/// The grid block of a 7-point stencil system: coupling conductances to
-/// the `+x`/`+y`/`+z` neighbour per cell (zero on the high boundary),
-/// plus per-cell *leak* conductance into eliminated (Dirichlet or border)
-/// nodes, which contributes to the diagonal only.
-///
-/// Cells are stored z-innermost: cell `(ix, iy, iz)` lives at index
-/// `(iy·nx + ix)·nz + iz`, so each vertical column is contiguous — the
-/// layout the strong vertical couplings want.
-///
-/// # Examples
-///
-/// ```
-/// use spicenet::StencilOperator;
-///
-/// // A 2×1×2 grid: lateral coupling 1.0 on both layers, vertical 2.0,
-/// // and a unit leak out of every cell.
-/// let op = StencilOperator::from_layers(2, 1, &[1.0, 1.0], &[1.0, 1.0], &[2.0], 1.0, 0.0);
-/// let y = op.mul_vec(&[1.0, 0.0, 0.0, 0.0]);
-/// assert_eq!(y[0], 4.0); // diag = leak 1 + gx 1 + gz 2
-/// assert_eq!(y[1], -2.0); // vertical neighbour
-/// assert_eq!(y[2], -1.0); // lateral neighbour
-/// ```
-#[derive(Debug, Clone)]
-pub struct StencilOperator {
-    pub(crate) nx: usize,
-    pub(crate) ny: usize,
-    pub(crate) nz: usize,
-    /// Coupling to the `+x` neighbour (`i ↔ i + nz`); zero at `ix = nx−1`.
-    pub(crate) gx: Vec<f64>,
-    /// Coupling to the `+y` neighbour (`i ↔ i + nx·nz`); zero at `iy = ny−1`.
-    pub(crate) gy: Vec<f64>,
-    /// Coupling to the `+z` neighbour (`i ↔ i + 1`); zero at `iz = nz−1`.
-    pub(crate) gz: Vec<f64>,
-    /// Conductance into eliminated nodes (diagonal-only contribution).
-    pub(crate) leak: Vec<f64>,
-    /// Precomputed diagonal: `leak + Σ incident couplings`.
-    diag: Vec<f64>,
-}
-
-impl StencilOperator {
-    /// Builds an operator from per-cell coupling arrays (each of length
-    /// `nx·ny·nz`, z-innermost). High-boundary entries of the coupling
-    /// arrays are forced to zero; the diagonal is derived.
-    ///
-    /// # Panics
-    ///
-    /// Panics on zero dimensions, mismatched array lengths, or negative /
-    /// non-finite conductances.
-    pub fn new(
-        nx: usize,
-        ny: usize,
-        nz: usize,
-        mut gx: Vec<f64>,
-        mut gy: Vec<f64>,
-        mut gz: Vec<f64>,
-        leak: Vec<f64>,
-    ) -> Self {
-        assert!(nx > 0 && ny > 0 && nz > 0, "stencil dimensions");
-        let n = nx * ny * nz;
-        assert!(
-            gx.len() == n && gy.len() == n && gz.len() == n && leak.len() == n,
-            "coefficient array length"
-        );
-        for v in gx.iter().chain(&gy).chain(&gz).chain(&leak) {
-            assert!(v.is_finite() && *v >= 0.0, "conductances are ≥ 0");
-        }
-        let sy = nx * nz;
-        for iy in 0..ny {
-            for ix in 0..nx {
-                let base = (iy * nx + ix) * nz;
-                gz[base + nz - 1] = 0.0;
-                if ix + 1 == nx {
-                    gx[base..base + nz].fill(0.0);
-                }
-                if iy + 1 == ny {
-                    gy[base..base + nz].fill(0.0);
-                }
-            }
-        }
-        let mut diag = leak.clone();
-        for i in 0..n {
-            diag[i] += gx[i] + gy[i] + gz[i];
-            if i >= 1 && (i % nz) != 0 {
-                diag[i] += gz[i - 1];
-            }
-            if !(i / nz).is_multiple_of(nx) {
-                diag[i] += gx[i - nz];
-            }
-            if i >= sy {
-                diag[i] += gy[i - sy];
-            }
-        }
-        let op = StencilOperator {
-            nx,
-            ny,
-            nz,
-            gx,
-            gy,
-            gz,
-            leak,
-            diag,
-        };
-        // Assembly-time tripwire: the 7-point stencil must assemble to a
-        // symmetric positive-definite operator; a one-sided coupling
-        // update or sign slip trips the probe immediately instead of
-        // surfacing as a mysteriously stalled CG much later.
-        #[cfg(feature = "paranoid")]
-        crate::paranoid::spot_check_spd("assembled stencil operator", n, |v| {
-            let mut out = vec![0.0; v.len()];
-            op.apply_into(v, &mut out);
-            out
-        });
-        op
-    }
-
-    /// Builds an operator whose coefficients are uniform per z-layer —
-    /// the shape the layered thermal mesh produces: `gx_layers[iz]` /
-    /// `gy_layers[iz]` couple lateral neighbours within layer `iz`,
-    /// `gz_interfaces[iz]` couples layers `iz ↔ iz+1`, and the bottom /
-    /// top layers leak `leak_bottom` / `leak_top` per cell.
-    ///
-    /// # Panics
-    ///
-    /// Panics on inconsistent layer-array lengths or invalid values.
-    pub fn from_layers(
-        nx: usize,
-        ny: usize,
-        gx_layers: &[f64],
-        gy_layers: &[f64],
-        gz_interfaces: &[f64],
-        leak_bottom: f64,
-        leak_top: f64,
-    ) -> Self {
-        let nz = gx_layers.len();
-        assert!(nz > 0, "at least one layer");
-        assert_eq!(gy_layers.len(), nz, "gy layer count");
-        assert_eq!(gz_interfaces.len(), nz.saturating_sub(1), "interface count");
-        let n = nx * ny * nz;
-        let mut gx = vec![0.0; n];
-        let mut gy = vec![0.0; n];
-        let mut gz = vec![0.0; n];
-        let mut leak = vec![0.0; n];
-        for col in 0..nx * ny {
-            let base = col * nz;
-            for iz in 0..nz {
-                gx[base + iz] = gx_layers[iz];
-                gy[base + iz] = gy_layers[iz];
-                if iz + 1 < nz {
-                    gz[base + iz] = gz_interfaces[iz];
-                }
-            }
-            leak[base] += leak_bottom;
-            leak[base + nz - 1] += leak_top;
-        }
-        StencilOperator::new(nx, ny, nz, gx, gy, gz, leak)
-    }
-
-    /// Cells along x.
-    pub fn nx(&self) -> usize {
-        self.nx
-    }
-
-    /// Cells along y.
-    pub fn ny(&self) -> usize {
-        self.ny
-    }
-
-    /// Cells along z.
-    pub fn nz(&self) -> usize {
-        self.nz
-    }
-
-    /// Total cell count `nx·ny·nz`.
-    pub fn len(&self) -> usize {
-        self.nx * self.ny * self.nz
-    }
-
-    /// `true` when the grid has no cells (never — dimensions are
-    /// validated positive — but clippy insists `len` has a companion).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// `y = A·x` — the fused 7-point matvec: one linear pass over the
-    /// coefficient arrays, neighbour accesses at fixed strides, no index
-    /// indirection. This is the structured replacement for
-    /// [`crate::CsrMatrix::mul_vec`] on grid systems.
-    pub fn mul_vec(&self, x: &[f64]) -> Vec<f64> {
-        let mut y = vec![0.0; self.len()];
-        self.apply_into(x, &mut y);
-        y
-    }
-
-    /// `y = A·x` into a caller-provided buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch.
-    pub fn apply_into(&self, x: &[f64], y: &mut [f64]) {
-        let n = self.len();
-        assert_eq!(x.len(), n, "dimension mismatch");
-        assert_eq!(y.len(), n, "dimension mismatch");
-        let (nx, ny, nz) = (self.nx, self.ny, self.nz);
-        let sx = nz;
-        let sy = nx * nz;
-        for iy in 0..ny {
-            for ix in 0..nx {
-                let base = (iy * nx + ix) * nz;
-                for iz in 0..nz {
-                    let i = base + iz;
-                    let mut acc = self.diag[i] * x[i];
-                    if iz + 1 < nz {
-                        acc -= self.gz[i] * x[i + 1];
-                    }
-                    if iz > 0 {
-                        acc -= self.gz[i - 1] * x[i - 1];
-                    }
-                    if ix + 1 < nx {
-                        acc -= self.gx[i] * x[i + sx];
-                    }
-                    if ix > 0 {
-                        acc -= self.gx[i - sx] * x[i - sx];
-                    }
-                    if iy + 1 < ny {
-                        acc -= self.gy[i] * x[i + sy];
-                    }
-                    if iy > 0 {
-                        acc -= self.gy[i - sy] * x[i - sy];
-                    }
-                    y[i] = acc;
-                }
-            }
-        }
-    }
-}
+//! [`crate::SpectralSystem`] factors the system directly, and its
+//! residual check runs the matrix-free matvec here.
 
 /// The shared package node of a [`StencilSystem`]: one extra unknown
 /// every bottom-layer cell couples into with the same conductance, which
@@ -297,16 +58,73 @@ pub struct LayeredStencilSpec<'a> {
     pub package_resistance: f64,
 }
 
-/// A complete SPD stencil system: grid block, optional border node, and
-/// the Dirichlet-folded right-hand side. This is what
-/// `thermalsim::build_geometry` emits alongside the equivalent
-/// [`crate::Circuit`] and what [`crate::SpectralSystem`] factors.
+/// Position class of a cell along one lateral axis: `0` at the low edge,
+/// `1` inside, `2` at the high edge. A length-1 axis has only class `0`,
+/// which then has no neighbour on either side.
+#[inline]
+fn edge_class(i: usize, n: usize) -> usize {
+    if i == 0 {
+        0
+    } else if i + 1 == n {
+        2
+    } else {
+        1
+    }
+}
+
+/// A complete SPD stencil system over a layered mesh: per-layer
+/// coefficients, the optional border node and the Dirichlet-folded
+/// right-hand side. This is what `thermalsim` emits alongside the
+/// equivalent [`crate::Circuit`] and what [`crate::SpectralSystem`]
+/// factors.
+///
+/// Unknowns are stored z-innermost: cell `(ix, iy, iz)` lives at index
+/// `(iy·nx + ix)·nz + iz`, so each vertical column is contiguous; the
+/// border node, when present, is the last unknown.
+///
+/// # Examples
+///
+/// ```
+/// use spicenet::{LayeredStencilSpec, StencilSystem};
+///
+/// // A 2×1×2 grid: lateral coupling 1.0 on both layers, vertical 2.0,
+/// // unit films out of the bottom and the top face, no package node.
+/// let sys = StencilSystem::layered(&LayeredStencilSpec {
+///     nx: 2,
+///     ny: 1,
+///     gx_layers: &[1.0, 1.0],
+///     gy_layers: &[1.0, 1.0],
+///     gz_interfaces: &[2.0],
+///     g_bottom: 1.0,
+///     g_top: 1.0,
+///     ambient: 25.0,
+///     package_resistance: 0.0,
+/// });
+/// // Column: diag = film 1 + gx 1 + gz 2, then the vertical and the
+/// // lateral neighbour.
+/// assert_eq!(sys.mul_vec(&[1.0, 0.0, 0.0, 0.0]), [4.0, -2.0, -1.0, 0.0]);
+/// // Both faces fold the ambient into the right-hand side.
+/// assert_eq!(sys.rhs_with(&[(0, 1.0)]), [26.0, 25.0, 25.0, 25.0]);
+/// ```
 #[derive(Debug, Clone)]
 pub struct StencilSystem {
-    pub(crate) op: StencilOperator,
+    pub(crate) nx: usize,
+    pub(crate) ny: usize,
+    pub(crate) nz: usize,
+    /// Coupling to the `+x` neighbour, per layer.
+    pub(crate) gx: Vec<f64>,
+    /// Coupling to the `+y` neighbour, per layer.
+    pub(crate) gy: Vec<f64>,
+    /// Coupling across interface `iz ↔ iz+1`, length `nz−1`.
+    pub(crate) gz: Vec<f64>,
+    /// Conductance into eliminated nodes (diagonal-only), per layer.
+    pub(crate) leak: Vec<f64>,
+    /// Diagonal `leak + Σ incident couplings` of a cell at layer `iz`
+    /// whose lateral position classes (see [`edge_class`]) are `cy`,
+    /// `cx`: entry `(3·cy + cx)·nz + iz`.
+    diag: Vec<f64>,
     pub(crate) border: Option<BorderNode>,
-    /// Dirichlet contributions, length [`StencilSystem::unknowns`] (the
-    /// border slot last when present).
+    /// Dirichlet right-hand side of every grid cell, per layer.
     fixed_rhs: Vec<f64>,
 }
 
@@ -315,10 +133,24 @@ impl StencilSystem {
     ///
     /// # Panics
     ///
-    /// Panics on non-positive boundary conductances, a negative package
-    /// resistance, or inconsistent layer arrays (see
-    /// [`StencilOperator::from_layers`]).
+    /// Panics on zero lateral dimensions, an empty stack, inconsistent
+    /// layer-array lengths, negative or non-finite conductances,
+    /// non-positive boundary conductances or a negative package
+    /// resistance.
     pub fn layered(spec: &LayeredStencilSpec<'_>) -> Self {
+        let (nx, ny) = (spec.nx, spec.ny);
+        let nz = spec.gx_layers.len();
+        assert!(nx > 0 && ny > 0 && nz > 0, "stencil dimensions");
+        assert_eq!(spec.gy_layers.len(), nz, "gy layer count");
+        assert_eq!(spec.gz_interfaces.len(), nz - 1, "interface count");
+        for v in spec
+            .gx_layers
+            .iter()
+            .chain(spec.gy_layers)
+            .chain(spec.gz_interfaces)
+        {
+            assert!(v.is_finite() && *v >= 0.0, "conductances are ≥ 0");
+        }
         assert!(
             spec.g_bottom > 0.0 && spec.g_top > 0.0,
             "boundary conductances are positive"
@@ -327,70 +159,85 @@ impl StencilSystem {
             spec.package_resistance >= 0.0 && spec.package_resistance.is_finite(),
             "package resistance is ≥ 0"
         );
-        let op = StencilOperator::from_layers(
-            spec.nx,
-            spec.ny,
-            spec.gx_layers,
-            spec.gy_layers,
-            spec.gz_interfaces,
-            spec.g_bottom,
-            spec.g_top,
+        let (gx, gy, gz) = (
+            spec.gx_layers.to_vec(),
+            spec.gy_layers.to_vec(),
+            spec.gz_interfaces.to_vec(),
         );
-        let (nx, ny, nz) = (op.nx, op.ny, op.nz);
+        let mut leak = vec![0.0; nz];
+        leak[0] += spec.g_bottom;
+        leak[nz - 1] += spec.g_top;
+        // The diagonal sums in one fixed order — own couplings, then the
+        // low neighbours' — with an absent high coupling as `0.0`.
+        let mut diag = vec![0.0; 9 * nz];
+        for (class, column) in diag.chunks_exact_mut(nz).enumerate() {
+            let (cy, cx) = (class / 3, class % 3);
+            let has_high_x = cx == 1 || (cx == 0 && nx > 1);
+            let has_high_y = cy == 1 || (cy == 0 && ny > 1);
+            for (iz, d) in column.iter_mut().enumerate() {
+                let gx_high = if has_high_x { gx[iz] } else { 0.0 };
+                let gy_high = if has_high_y { gy[iz] } else { 0.0 };
+                let gz_high = if iz + 1 < nz { gz[iz] } else { 0.0 };
+                let mut v = leak[iz];
+                v += gx_high + gy_high + gz_high;
+                if iz > 0 {
+                    v += gz[iz - 1];
+                }
+                if cx > 0 {
+                    v += gx[iz];
+                }
+                if cy > 0 {
+                    v += gy[iz];
+                }
+                *d = v;
+            }
+        }
         let border = (spec.package_resistance > 0.0).then(|| BorderNode {
             coupling: spec.g_bottom,
             diag: spec.g_bottom * (nx * ny) as f64 + 1.0 / spec.package_resistance,
             rhs: spec.ambient / spec.package_resistance,
         });
-        let mut fixed_rhs = vec![0.0; op.len() + usize::from(border.is_some())];
-        for col in 0..nx * ny {
-            let base = col * nz;
-            fixed_rhs[base + nz - 1] += spec.g_top * spec.ambient;
-            if border.is_none() {
-                fixed_rhs[base] += spec.g_bottom * spec.ambient;
-            }
+        let mut fixed_rhs = vec![0.0; nz];
+        fixed_rhs[nz - 1] += spec.g_top * spec.ambient;
+        if border.is_none() {
+            fixed_rhs[0] += spec.g_bottom * spec.ambient;
         }
-        if let Some(b) = &border {
-            fixed_rhs[op.len()] = b.rhs;
-        }
-        StencilSystem {
-            op,
+        let sys = StencilSystem {
+            nx,
+            ny,
+            nz,
+            gx,
+            gy,
+            gz,
+            leak,
+            diag,
             border,
             fixed_rhs,
-        }
+        };
+        // Assembly-time tripwire: the 7-point stencil must assemble to a
+        // symmetric positive-definite operator; a one-sided coupling
+        // update or sign slip trips the probe immediately instead of
+        // surfacing as a wrong field much later.
+        #[cfg(feature = "paranoid")]
+        crate::paranoid::spot_check_spd("assembled stencil system", sys.unknowns(), |v| {
+            sys.mul_vec(v)
+        });
+        sys
     }
 
-    /// The grid block.
-    pub fn operator(&self) -> &StencilOperator {
-        &self.op
-    }
-
-    /// This system with its grid block replaced by `op` — same border
-    /// node and Dirichlet right-hand side. Builds the non-layered
-    /// systems (wrapper rings, local conductance changes) the layered
-    /// assembler cannot express.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `op`'s dimensions differ from the current grid's.
-    pub fn with_operator(mut self, op: StencilOperator) -> StencilSystem {
-        assert_eq!(
-            (op.nx, op.ny, op.nz),
-            (self.op.nx, self.op.ny, self.op.nz),
-            "replacement operator dimensions"
-        );
-        self.op = op;
-        self
+    /// Grid dimensions `(nx, ny, nz)`.
+    pub fn dims(&self) -> (usize, usize, usize) {
+        (self.nx, self.ny, self.nz)
     }
 
     /// Grid cells (excluding the border node).
     pub fn grid_cells(&self) -> usize {
-        self.op.len()
+        self.nx * self.ny * self.nz
     }
 
     /// Total unknowns: grid cells plus the border node when present.
     pub fn unknowns(&self) -> usize {
-        self.op.len() + usize::from(self.border.is_some())
+        self.grid_cells() + usize::from(self.border.is_some())
     }
 
     /// The full right-hand side for one solve: the Dirichlet
@@ -402,7 +249,13 @@ impl StencilSystem {
     /// Panics if an injection names a cell outside the grid.
     pub fn rhs_with(&self, injections: &[(usize, f64)]) -> Vec<f64> {
         let ng = self.grid_cells();
-        let mut rhs = self.fixed_rhs.clone();
+        let mut rhs = Vec::with_capacity(self.unknowns());
+        for _ in 0..self.nx * self.ny {
+            rhs.extend_from_slice(&self.fixed_rhs);
+        }
+        if let Some(b) = &self.border {
+            rhs.push(b.rhs);
+        }
         for &(cell, amps) in injections {
             assert!(cell < ng, "injection into a foreign cell");
             rhs[cell] += amps;
@@ -410,14 +263,89 @@ impl StencilSystem {
         rhs
     }
 
-    /// `y = A·x` over every unknown: the grid block, then the border
+    /// `A·x` over every unknown: the 7-point grid block, then the border
     /// node's column and row when present.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `x.len()` is not [`StencilSystem::unknowns`].
+    pub fn mul_vec(&self, x: &[f64]) -> Vec<f64> {
+        let mut y = vec![0.0; self.unknowns()];
+        self.apply_into(x, &mut y);
+        y
+    }
+
+    /// `y = A·x` over every unknown: the 7-point matvec of the grid,
+    /// then the border node's column and row when present.
+    ///
+    /// A grid cell's row sums in one fixed order — diagonal, then the
+    /// `+z`, `−z`, `+x`, `−x`, `+y`, `−y` neighbours present — applied
+    /// one term at a time to a whole y-row of cells (`nx·nz` contiguous
+    /// values), so the diagonal and lateral passes are contiguous loops
+    /// over per-row coefficient patterns.
+    ///
+    /// # Panics
+    ///
+    /// Panics on dimension mismatch.
     pub(crate) fn apply_into(&self, x: &[f64], y: &mut [f64]) {
-        let ng = self.op.len();
-        self.op.apply_into(&x[..ng], &mut y[..ng]);
+        let n = self.unknowns();
+        assert_eq!(x.len(), n, "dimension mismatch");
+        assert_eq!(y.len(), n, "dimension mismatch");
+        let (nx, ny, nz) = (self.nx, self.ny, self.nz);
+        let ng = self.grid_cells();
+        let row_len = nx * nz;
+        // Per-row coefficient patterns: the diagonal of a row in each y
+        // class, and the lateral couplings repeated per column.
+        let diag_rows: Vec<f64> = (0..3)
+            .flat_map(|cy| {
+                (0..nx).flat_map(move |ix| {
+                    let class = 3 * cy + edge_class(ix, nx);
+                    self.diag[class * nz..(class + 1) * nz].iter().copied()
+                })
+            })
+            .collect();
+        let gx_row: Vec<f64> = self.gx.iter().copied().cycle().take(row_len).collect();
+        let gy_row: Vec<f64> = self.gy.iter().copied().cycle().take(row_len).collect();
+        for (iy, (xr, yr)) in x[..ng]
+            .chunks_exact(row_len)
+            .zip(y[..ng].chunks_exact_mut(row_len))
+            .enumerate()
+        {
+            let cy = edge_class(iy, ny);
+            let diag = &diag_rows[cy * row_len..(cy + 1) * row_len];
+            for ((yv, &d), &xv) in yr.iter_mut().zip(diag).zip(xr) {
+                *yv = d * xv;
+            }
+            for (iz, &g) in self.gz.iter().enumerate() {
+                for (yc, xc) in yr.chunks_exact_mut(nz).zip(xr.chunks_exact(nz)) {
+                    yc[iz] -= g * xc[iz + 1];
+                }
+            }
+            for (iz, &g) in self.gz.iter().enumerate() {
+                for (yc, xc) in yr.chunks_exact_mut(nz).zip(xr.chunks_exact(nz)) {
+                    yc[iz + 1] -= g * xc[iz];
+                }
+            }
+            for ((yv, &g), &xv) in yr.iter_mut().zip(&gx_row).zip(&xr[nz..]) {
+                *yv -= g * xv;
+            }
+            for ((yv, &g), &xv) in yr[nz..].iter_mut().zip(&gx_row).zip(xr) {
+                *yv -= g * xv;
+            }
+            if iy + 1 < ny {
+                let next = &x[(iy + 1) * row_len..(iy + 2) * row_len];
+                for ((yv, &g), &xv) in yr.iter_mut().zip(&gy_row).zip(next) {
+                    *yv -= g * xv;
+                }
+            }
+            if iy > 0 {
+                let prev = &x[(iy - 1) * row_len..iy * row_len];
+                for ((yv, &g), &xv) in yr.iter_mut().zip(&gy_row).zip(prev) {
+                    *yv -= g * xv;
+                }
+            }
+        }
         if let Some(b) = &self.border {
-            let nx = self.op.nx;
-            let nz = self.op.nz;
             let row_len = nx * nz;
             let xb = x[ng];
             // The bottom-face sum is accumulated per lateral row and the
@@ -463,27 +391,41 @@ mod tests {
     }
 
     /// Expands a stencil system into CSR triplets (the oracle pattern).
+    /// Couplings come from the per-layer coefficients; each diagonal is
+    /// re-derived as the layer's leak plus every incident coupling, so
+    /// the oracle does not share the system's diagonal table.
     fn to_csr(sys: &StencilSystem) -> CsrMatrix {
-        let op = sys.operator();
-        let (nx, ny, nz) = (op.nx(), op.ny(), op.nz());
+        let (nx, ny, nz) = sys.dims();
         let n = sys.unknowns();
-        let ng = op.len();
-        let sx = nz;
-        let sy = nx * nz;
+        let ng = sys.grid_cells();
         let mut t = Vec::new();
-        for i in 0..ng {
-            t.push((i, i, op.diag[i]));
-            if op.gz[i] != 0.0 {
-                t.push((i, i + 1, -op.gz[i]));
-                t.push((i + 1, i, -op.gz[i]));
-            }
-            if op.gx[i] != 0.0 {
-                t.push((i, i + sx, -op.gx[i]));
-                t.push((i + sx, i, -op.gx[i]));
-            }
-            if op.gy[i] != 0.0 {
-                t.push((i, i + sy, -op.gy[i]));
-                t.push((i + sy, i, -op.gy[i]));
+        for iy in 0..ny {
+            for ix in 0..nx {
+                for iz in 0..nz {
+                    let i = (iy * nx + ix) * nz + iz;
+                    let mut links = Vec::new();
+                    if iz + 1 < nz {
+                        links.push((i + 1, sys.gz[iz]));
+                    }
+                    if iz > 0 {
+                        links.push((i - 1, sys.gz[iz - 1]));
+                    }
+                    if ix + 1 < nx {
+                        links.push((i + nz, sys.gx[iz]));
+                    }
+                    if ix > 0 {
+                        links.push((i - nz, sys.gx[iz]));
+                    }
+                    if iy + 1 < ny {
+                        links.push((i + nx * nz, sys.gy[iz]));
+                    }
+                    if iy > 0 {
+                        links.push((i - nx * nz, sys.gy[iz]));
+                    }
+                    let diag = sys.leak[iz] + links.iter().map(|&(_, g)| g).sum::<f64>();
+                    t.push((i, i, diag));
+                    t.extend(links.into_iter().map(|(j, g)| (i, j, -g)));
+                }
             }
         }
         if let Some(b) = &sys.border {
@@ -503,7 +445,7 @@ mod tests {
         injections: &[(usize, f64)],
         threads: usize,
     ) -> (Vec<f64>, SolveStats) {
-        let sp = SpectralSystem::from_stencil(sys).expect("layered stacks qualify");
+        let sp = SpectralSystem::from_stencil(sys).expect("layered stacks factor");
         sp.solve_checked(
             sys,
             &sys.rhs_with(injections),
@@ -526,22 +468,26 @@ mod tests {
 
     #[test]
     fn stencil_matvec_matches_csr_matvec_elementwise() {
-        for (nx, ny) in [(5, 7), (8, 8), (1, 6), (3, 1)] {
-            let sys = StencilSystem::layered(&spec(nx, ny));
-            let csr = to_csr(&sys);
-            let n = sys.unknowns();
-            let x: Vec<f64> = (0..n).map(|i| ((i * 37 + 11) % 19) as f64 - 9.0).collect();
-            let mut want = vec![0.0; n];
-            csr.mul_vec_into(&x, &mut want);
-            let mut got = vec![0.0; n];
-            sys.apply_into(&x, &mut got);
-            for i in 0..n {
-                assert!(
-                    (got[i] - want[i]).abs() <= 1e-12 * want[i].abs().max(1.0),
-                    "{nx}x{ny} cell {i}: stencil {} vs csr {}",
-                    got[i],
-                    want[i]
-                );
+        for (nx, ny) in [(5, 7), (8, 8), (1, 6), (3, 1), (1, 1), (2, 2)] {
+            for package_resistance in [157.0, 0.0] {
+                let sys = StencilSystem::layered(&LayeredStencilSpec {
+                    package_resistance,
+                    ..spec(nx, ny)
+                });
+                let csr = to_csr(&sys);
+                let n = sys.unknowns();
+                let x: Vec<f64> = (0..n).map(|i| ((i * 37 + 11) % 19) as f64 - 9.0).collect();
+                let mut want = vec![0.0; n];
+                csr.mul_vec_into(&x, &mut want);
+                let got = sys.mul_vec(&x);
+                for i in 0..n {
+                    assert!(
+                        (got[i] - want[i]).abs() <= 1e-12 * want[i].abs().max(1.0),
+                        "{nx}x{ny} R={package_resistance} cell {i}: stencil {} vs csr {}",
+                        got[i],
+                        want[i]
+                    );
+                }
             }
         }
     }
@@ -553,7 +499,7 @@ mod tests {
         for (nx, ny) in [(12, 12), (9, 13), (28, 4)] {
             let sys = StencilSystem::layered(&spec(nx, ny));
             // A scattered injection pattern at the top layer.
-            let nz = sys.operator().nz();
+            let nz = sys.dims().2;
             let injections: Vec<(usize, f64)> = (0..nx * ny)
                 .step_by(5)
                 .map(|col| (col * nz + nz - 1, 1e-4 * (1.0 + (col % 7) as f64)))
@@ -574,16 +520,16 @@ mod tests {
 
     #[test]
     fn with_spectral_takes_the_direct_path_on_homogeneous_systems() {
-        // A uniform layered stack qualifies: the verified direct solve
-        // answers it (a failed residual check would be an error here),
-        // and the result stays within the oracle drift budget.
+        // A layered stack factors: the verified direct solve answers it
+        // (a failed residual check would be an error here), and the
+        // result stays within the oracle drift budget.
         for (nx, ny) in [(12usize, 12usize), (16, 12)] {
             let sys = StencilSystem::layered(&spec(nx, ny));
             assert!(
                 SpectralSystem::from_stencil(&sys).is_some(),
-                "{nx}x{ny} qualifies"
+                "{nx}x{ny} factors"
             );
-            let nz = sys.operator().nz();
+            let nz = sys.dims().2;
             let injections: Vec<(usize, f64)> = (0..nx * ny)
                 .step_by(3)
                 .map(|col| (col * nz + nz - 1, 2e-4 * (1.0 + (col % 7) as f64)))
@@ -626,9 +572,8 @@ mod tests {
     /// Asserts the verified spectral solve of `sys` is bit-identical at
     /// 1, 2 and 4 threads: solution and relative residual.
     fn assert_thread_count_bit_identity(sys: &StencilSystem, label: &str) {
-        let op = sys.operator();
-        let nz = op.nz();
-        let injections: Vec<(usize, f64)> = (0..op.nx() * op.ny())
+        let (nx, ny, nz) = sys.dims();
+        let injections: Vec<(usize, f64)> = (0..nx * ny)
             .step_by(4)
             .map(|col| (col * nz + nz - 1, 1e-4 * (1.0 + (col % 5) as f64)))
             .collect();

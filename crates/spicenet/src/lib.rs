@@ -18,8 +18,9 @@
 //!   [`FactorizedCircuit`] that is re-solved against many
 //!   current-injection patterns at a fraction of the per-solve cost;
 //! * [`SpectralSystem`] — the direct solver for regular 7-point meshes
-//!   ([`StencilSystem`]) whose conductances are uniform within each
-//!   layer: cosine transforms over both lateral axes plus one
+//!   whose conductances are uniform within each layer, described
+//!   matrix-free by a [`StencilSystem`] (one coefficient per layer):
+//!   batched cosine transforms over both lateral axes plus one
 //!   tridiagonal sweep per lateral mode, at any mesh size.
 //!
 //! # Examples

@@ -710,6 +710,19 @@ fn split_slices<'a, T>(mut rest: &'a mut [T], bounds: &[usize]) -> Vec<&'a mut [
     out
 }
 
+/// Folds the residual `d = b − a` of one run of unknowns into the sums
+/// `[Σb², Σd², Σd]`, in index order.
+fn fold_residual(sums: [f64; 3], b: &[f64], a: &[f64]) -> [f64; 3] {
+    let [mut nb, mut nr, mut net] = sums;
+    for (&b, &a) in b.iter().zip(a) {
+        let d = b - a;
+        nb += b * b;
+        nr += d * d;
+        net += d;
+    }
+    [nb, nr, net]
+}
+
 impl SpectralSystem {
     /// Direct solve. `rhs` covers the grid in the z-innermost stencil
     /// layout plus, when a border was factored, one trailing border slot;
@@ -942,17 +955,18 @@ impl SpectralSystem {
         threads: usize,
     ) -> Result<(Vec<f64>, SolveStats), SolveError> {
         let mut x = self.solve(rhs, threads);
-        let mut ax = vec![0.0; rhs.len()];
-        sys.apply_into(&x, &mut ax);
-        // Plain sequential norms in index order: deterministic and
-        // thread-independent, like everything else on this path.
-        let (mut nb, mut nr, mut net) = (0.0f64, 0.0f64, 0.0f64);
-        for (b, a) in rhs.iter().zip(&ax) {
-            let d = b - a;
-            nb += b * b;
-            nr += d * d;
-            net += d;
+        // Plain sequential norms in index order, folded row by row as the
+        // matvec streams: deterministic and thread-independent, like
+        // everything else on this path.
+        let row_len = self.nx * self.nz;
+        let mut sums = [0.0; 3];
+        let border = sys.apply_rows(&x, |iy, ax| {
+            sums = fold_residual(sums, &rhs[iy * row_len..(iy + 1) * row_len], ax);
+        });
+        if let Some(a) = border {
+            sums = fold_residual(sums, &rhs[sys.grid_cells()..], &[a]);
         }
+        let [nb, nr, net] = sums;
         let norm_b = nb.sqrt();
         let residual = if norm_b > 0.0 {
             nr.sqrt() / norm_b

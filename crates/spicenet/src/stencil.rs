@@ -270,27 +270,29 @@ impl StencilSystem {
     ///
     /// Panics when `x.len()` is not [`StencilSystem::unknowns`].
     pub fn mul_vec(&self, x: &[f64]) -> Vec<f64> {
-        let mut y = vec![0.0; self.unknowns()];
-        self.apply_into(x, &mut y);
+        let mut y = Vec::with_capacity(self.unknowns());
+        let border = self.apply_rows(x, |_, row| y.extend_from_slice(row));
+        y.extend(border);
         y
     }
 
-    /// `y = A·x` over every unknown: the 7-point matvec of the grid,
-    /// then the border node's column and row when present.
+    /// `A·x`, streamed one y-row of grid cells at a time: `row(iy, ax)`
+    /// receives the row's `nx·nz` entries (border column included) in
+    /// row order, and the border row's entry is returned when a border
+    /// node is present. Callers reduce or copy each row without
+    /// materializing the whole product.
     ///
-    /// A grid cell's row sums in one fixed order — diagonal, then the
-    /// `+z`, `−z`, `+x`, `−x`, `+y`, `−y` neighbours present — applied
-    /// one term at a time to a whole y-row of cells (`nx·nz` contiguous
-    /// values), so the diagonal and lateral passes are contiguous loops
-    /// over per-row coefficient patterns.
+    /// A grid cell's entry sums in one fixed order — diagonal, then the
+    /// `+z`, `−z`, `+x`, `−x`, `+y`, `−y` neighbours present, then the
+    /// border column — applied one term at a time to a whole row, so the
+    /// diagonal and lateral passes are contiguous loops over per-row
+    /// coefficient patterns.
     ///
     /// # Panics
     ///
-    /// Panics on dimension mismatch.
-    pub(crate) fn apply_into(&self, x: &[f64], y: &mut [f64]) {
-        let n = self.unknowns();
-        assert_eq!(x.len(), n, "dimension mismatch");
-        assert_eq!(y.len(), n, "dimension mismatch");
+    /// Panics when `x.len()` is not [`StencilSystem::unknowns`].
+    pub(crate) fn apply_rows(&self, x: &[f64], mut row: impl FnMut(usize, &[f64])) -> Option<f64> {
+        assert_eq!(x.len(), self.unknowns(), "dimension mismatch");
         let (nx, ny, nz) = (self.nx, self.ny, self.nz);
         let ng = self.grid_cells();
         let row_len = nx * nz;
@@ -306,11 +308,11 @@ impl StencilSystem {
             .collect();
         let gx_row: Vec<f64> = self.gx.iter().copied().cycle().take(row_len).collect();
         let gy_row: Vec<f64> = self.gy.iter().copied().cycle().take(row_len).collect();
-        for (iy, (xr, yr)) in x[..ng]
-            .chunks_exact(row_len)
-            .zip(y[..ng].chunks_exact_mut(row_len))
-            .enumerate()
-        {
+        let mut yr = vec![0.0; row_len];
+        // The border row's bottom-face sum is accumulated per lateral
+        // row and the row partials folded in row order.
+        let mut bottom_sum = 0.0;
+        for (iy, xr) in x[..ng].chunks_exact(row_len).enumerate() {
             let cy = edge_class(iy, ny);
             let diag = &diag_rows[cy * row_len..(cy + 1) * row_len];
             for ((yv, &d), &xv) in yr.iter_mut().zip(diag).zip(xr) {
@@ -344,28 +346,21 @@ impl StencilSystem {
                     *yv -= g * xv;
                 }
             }
-        }
-        if let Some(b) = &self.border {
-            let row_len = nx * nz;
-            let xb = x[ng];
-            // The bottom-face sum is accumulated per lateral row and the
-            // row partials folded in row order.
-            let mut sum = 0.0;
-            for (row_x, row_y) in x[..ng]
-                .chunks_exact(row_len)
-                .zip(y[..ng].chunks_exact_mut(row_len))
-            {
+            if let Some(b) = &self.border {
                 let mut row_sum = 0.0;
                 for ix in 0..nx {
-                    row_sum += row_x[ix * nz];
+                    row_sum += xr[ix * nz];
                 }
-                sum += row_sum;
-                for cell in row_y.chunks_exact_mut(nz) {
-                    cell[0] -= b.coupling * xb;
+                bottom_sum += row_sum;
+                for cell in yr.chunks_exact_mut(nz) {
+                    cell[0] -= b.coupling * x[ng];
                 }
             }
-            y[ng] = b.diag * xb - b.coupling * sum;
+            row(iy, &yr);
         }
+        self.border
+            .as_ref()
+            .map(|b| b.diag * x[ng] - b.coupling * bottom_sum)
     }
 }
 

@@ -15,8 +15,8 @@
 //!   it and no solve is spent;
 //! * anything else is priced by one [`FactorizedThermalModel::solve`] of
 //!   the merged, validated power map against the base geometry's cached
-//!   factorization (the spectral direct tier on laterally homogeneous
-//!   stacks, CSR/MIC(0)-CG otherwise — a few milliseconds at 40×40).
+//!   factorization (the spectral direct tier on the generated stacks,
+//!   CSR/MIC(0)-CG as its fallback — under a millisecond at 40×40).
 //!
 //! Candidate deltas come from the strategy-transform engine:
 //! [`crate::PlacementTransform::power_delta`] diffs a transform's

@@ -15,17 +15,19 @@
 //! [`FactorizedThermalModel::solver_name`] reports the one that answers:
 //!
 //! * **Spectral direct (`spectral-dct`, the `Auto` default)** — the mesh
-//!   is a pure 7-point stencil and every generated stack is laterally
-//!   homogeneous, so [`spicenet::SpectralSystem::from_stencil`] factors
-//!   it at every mesh size: one cosine transform per lateral axis plus a
-//!   Thomas sweep per lateral mode, each answer accepted only after a
-//!   residual check against the assembled [`spicenet::StencilSystem`].
+//!   is a pure 7-point stencil over a laterally uniform stack, emitted
+//!   as a layered, matrix-free [`spicenet::StencilSystem`] (a few
+//!   hundred bytes), which [`spicenet::SpectralSystem::from_stencil`]
+//!   factors at every mesh size: one cosine transform per lateral axis
+//!   plus a Thomas sweep per lateral mode, each answer accepted only
+//!   after a 3-D residual check against the layered system. A 128×128×9
+//!   model holds ~1.2 MiB, nearly all of it Thomas pivots.
 //! * **CSR (`csr-mic0`)** — the general [`spicenet::FactorizedCircuit`]
 //!   path (Dirichlet reduction + MIC(0)-preconditioned CG): the backend
-//!   of every stack the spectral tier does not qualify for, the re-solve
-//!   behind a failed residual check (built once, on first need), and the
-//!   cross-check oracle the property tests pin the spectral path against
-//!   (≤ 1e-6 K).
+//!   of a stack whose spectral factorization has a non-positive pivot,
+//!   the re-solve behind a failed residual check (built once, on first
+//!   need), and the cross-check oracle the property tests pin the
+//!   spectral path against (≤ 1e-6 K).
 
 use std::sync::OnceLock;
 
@@ -37,7 +39,7 @@ use spicenet::{
 use crate::network::{build_circuit, build_stencil, validate_power};
 use crate::{GridSpec, SolverKind, ThermalConfig, ThermalError, ThermalMap};
 
-/// The spectral backend: the direct factorization plus the assembled
+/// The spectral backend: the direct factorization plus the layered
 /// system its residual check runs against.
 #[derive(Debug)]
 struct SpectralModel {
@@ -157,8 +159,10 @@ pub struct FactorizedThermalModel {
 
 impl FactorizedThermalModel {
     /// Assembles and factors the network for `die` under `config`, once.
-    /// `Auto` takes the spectral backend whenever the stack qualifies
-    /// and the CSR backend otherwise; `Csr` always takes CSR.
+    /// `Auto` takes the spectral backend unless its factorization
+    /// refuses the stack (a non-positive mode pivot) and the CSR backend
+    /// otherwise; `Csr` always takes CSR. Only the representation the
+    /// chosen backend keeps is built.
     ///
     /// # Errors
     ///

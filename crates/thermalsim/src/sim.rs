@@ -24,16 +24,16 @@ impl Default for GridSpec {
 
 /// Linear-solver backend selection for factorized thermal models.
 ///
-/// Every stack this crate builds is a laterally homogeneous 7-point
+/// Every stack this crate builds is a laterally uniform 7-point
 /// stencil, which the spectral (DCT) direct solver answers at any mesh
-/// size, so `Auto` is the default; the CSR path is the fallback for
-/// stacks the spectral tier does not qualify for and the cross-check
-/// oracle the property tests pin the spectral path against.
+/// size, so `Auto` is the default; the CSR path is the fallback for a
+/// stack whose spectral factorization has a non-positive pivot and the
+/// cross-check oracle the property tests pin the spectral path against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum SolverKind {
-    /// The spectral direct solver when the stack qualifies, with each
-    /// answer residual-checked and re-solved on CSR if the check fails;
-    /// CSR for stacks that do not qualify.
+    /// The spectral direct solver, with each answer residual-checked
+    /// and re-solved on CSR if the check fails; CSR when the spectral
+    /// factorization refuses the stack.
     #[default]
     Auto,
     /// Force the general CSR + MIC(0)-preconditioned path.

@@ -755,35 +755,35 @@ impl SpectralSystem {
         }
 
         // Stage 1: gather tiles of x-rows of the loaded planes out of the
-        // z-innermost RHS and DCT them; workers own disjoint y-row slabs.
+        // z-innermost RHS in one sequential pass and DCT them; workers own
+        // disjoint y-row slabs.
+        let loaded_iz: Vec<usize> = (0..nz).filter(|&iz| loaded[iz]).collect();
         {
             let t = team.min(ny);
             let row_bounds = even_bounds(ny, t);
             let elem_bounds: Vec<usize> = row_bounds.iter().map(|r| r * nx).collect();
             let ctxs = split_planes(&mut planes, &elem_bounds);
             let plan_x = &self.plan_x;
-            let (row_bounds, loaded) = (&row_bounds, &loaded);
+            let (row_bounds, loaded_iz) = (&row_bounds, &loaded_iz);
             crate::pool::run(ctxs, move |w, mut slabs: Vec<&mut [f64]>| {
                 let mut scratch = DctScratch::new();
-                let mut tile = vec![0.0; nx * ROW_TILE];
+                let mut tiles = vec![0.0; loaded_iz.len() * nx * ROW_TILE];
                 let y0 = row_bounds[w];
                 let rows = row_bounds[w + 1] - y0;
-                for (iz, slab) in slabs.iter_mut().enumerate() {
-                    if !loaded[iz] {
-                        continue;
-                    }
-                    for r0 in (0..rows).step_by(ROW_TILE) {
-                        let lanes = ROW_TILE.min(rows - r0);
-                        let tile = &mut tile[..nx * lanes];
-                        for r in 0..lanes {
-                            let row0 = (y0 + r0 + r) * nx;
-                            for ix in 0..nx {
-                                tile[ix * lanes + r] = rhs[(row0 + ix) * nz + iz];
-                            }
+                for r0 in (0..rows).step_by(ROW_TILE) {
+                    let lanes = ROW_TILE.min(rows - r0);
+                    let block = nx * lanes;
+                    let rows_in = &rhs[(y0 + r0) * nx * nz..(y0 + r0 + lanes) * nx * nz];
+                    for (c, cell) in rows_in.chunks_exact(nz).enumerate() {
+                        let (r, ix) = (c / nx, c % nx);
+                        for (k, &iz) in loaded_iz.iter().enumerate() {
+                            tiles[k * block + ix * lanes + r] = cell[iz];
                         }
+                    }
+                    for (tile, &iz) in tiles.chunks_exact_mut(block).zip(loaded_iz) {
                         plan_x.forward_lanes(tile, lanes, &mut scratch);
                         for r in 0..lanes {
-                            let row = &mut slab[(r0 + r) * nx..(r0 + r + 1) * nx];
+                            let row = &mut slabs[iz][(r0 + r) * nx..(r0 + r + 1) * nx];
                             for (ix, v) in row.iter_mut().enumerate() {
                                 *v = tile[ix * lanes + r];
                             }
@@ -878,13 +878,13 @@ impl SpectralSystem {
             let row_bounds = &row_bounds;
             crate::pool::run(slabs, move |w, slab: &mut [f64]| {
                 let mut scratch = DctScratch::new();
-                let mut tile = vec![0.0; nx * ROW_TILE];
+                let mut tiles = vec![0.0; nz * nx * ROW_TILE];
                 let y0 = row_bounds[w];
                 let rows = row_bounds[w + 1] - y0;
                 for r0 in (0..rows).step_by(ROW_TILE) {
                     let lanes = ROW_TILE.min(rows - r0);
-                    let tile = &mut tile[..nx * lanes];
-                    for (iz, plane) in planes.iter().enumerate() {
+                    let block = nx * lanes;
+                    for (tile, plane) in tiles.chunks_exact_mut(block).zip(planes) {
                         for r in 0..lanes {
                             let row0 = (y0 + r0 + r) * nx;
                             for (ix, v) in plane[row0..row0 + nx].iter().enumerate() {
@@ -892,11 +892,12 @@ impl SpectralSystem {
                             }
                         }
                         plan_x.inverse_lanes(tile, lanes, &mut scratch);
-                        for r in 0..lanes {
-                            let row = &mut slab[(r0 + r) * nx * nz..(r0 + r + 1) * nx * nz];
-                            for (ix, cell) in row.chunks_exact_mut(nz).enumerate() {
-                                cell[iz] = tile[ix * lanes + r];
-                            }
+                    }
+                    let rows_out = &mut slab[r0 * nx * nz..(r0 + lanes) * nx * nz];
+                    for (c, cell) in rows_out.chunks_exact_mut(nz).enumerate() {
+                        let (r, ix) = (c / nx, c % nx);
+                        for (iz, v) in cell.iter_mut().enumerate() {
+                            *v = tiles[iz * block + ix * lanes + r];
                         }
                     }
                 }

@@ -338,6 +338,17 @@ impl DctScratch {
     }
 }
 
+/// Where Makhoul's reordering puts element `j` of a length-`n` vector:
+/// the evens ascending, then the odds descending.
+#[inline]
+fn makhoul(j: usize, n: usize) -> usize {
+    if j.is_multiple_of(2) {
+        j / 2
+    } else {
+        n - 1 - j / 2
+    }
+}
+
 /// A fixed-length DCT-II / DCT-III plan (Makhoul's length-`n` FFT
 /// formulation, `⌈n/2⌉` evens ascending then the odds descending).
 /// Every length `n ≥ 1` is supported: even lengths run the radix-2
@@ -413,7 +424,7 @@ impl DctPlan {
     /// # Panics
     ///
     /// Panics when `x.len() != n·lanes`.
-    pub fn forward_lanes(&self, x: &mut [f64], lanes: usize, s: &mut DctScratch) {
+    pub(crate) fn forward_lanes(&self, x: &mut [f64], lanes: usize, s: &mut DctScratch) {
         let n = self.n;
         assert_eq!(x.len(), n * lanes, "batched DCT length");
         if n == 1 {
@@ -421,10 +432,9 @@ impl DctPlan {
         }
         s.a.ensure(n * lanes);
         s.b.ensure(n * lanes);
-        // Makhoul reordering: evens ascending, odds descending.
         let a = &mut s.a;
         for (j, v) in x.chunks_exact(lanes).enumerate() {
-            let at = if j % 2 == 0 { j / 2 } else { n - 1 - j / 2 } * lanes;
+            let at = makhoul(j, n) * lanes;
             a.re[at..at + lanes].copy_from_slice(v);
             a.im[at..at + lanes].fill(0.0);
         }
@@ -446,7 +456,7 @@ impl DctPlan {
     /// # Panics
     ///
     /// Panics when `x.len() != n·lanes`.
-    pub fn inverse_lanes(&self, x: &mut [f64], lanes: usize, s: &mut DctScratch) {
+    pub(crate) fn inverse_lanes(&self, x: &mut [f64], lanes: usize, s: &mut DctScratch) {
         let n = self.n;
         assert_eq!(x.len(), n * lanes, "batched DCT length");
         if n == 1 {
@@ -470,13 +480,14 @@ impl DctPlan {
         let b = &s.b;
         let inv_n = 1.0 / n as f64;
         for (j, v) in x.chunks_exact_mut(lanes).enumerate() {
-            let at = if j % 2 == 0 { j / 2 } else { n - 1 - j / 2 } * lanes;
+            let at = makhoul(j, n) * lanes;
             for (v, &br) in v.iter_mut().zip(&b.re[at..at + lanes]) {
                 *v = br * inv_n;
             }
         }
     }
 }
+
 /// Partial-pivot LU of a tiny dense system (the `(nz+1)²` border block).
 #[derive(Clone, Debug)]
 struct SmallLu {

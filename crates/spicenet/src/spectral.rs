@@ -94,6 +94,13 @@ struct Batch {
 }
 
 impl Batch {
+    fn zeros(len: usize) -> Batch {
+        Batch {
+            re: vec![0.0; len],
+            im: vec![0.0; len],
+        }
+    }
+
     fn ensure(&mut self, len: usize) {
         if self.re.len() < len {
             self.re.resize(len, 0.0);
@@ -205,7 +212,7 @@ struct Bluestein {
     chirp: Vec<Complex>,
     /// The FFT of the conjugate chirp wrapped onto length `m`,
     /// pre-scaled by `1/m` so the inverse FFT needs no normalization.
-    kernel: Vec<Complex>,
+    kernel: Batch,
 }
 
 impl Bluestein {
@@ -217,16 +224,14 @@ impl Bluestein {
             .map(|i| Complex::unit(-2.0 * std::f64::consts::PI * i as f64 / m as f64))
             .collect();
         let chirp: Vec<Complex> = (0..n).map(|j| plan_tw[2 * ((j * j) % (2 * n))]).collect();
-        let mut wrapped = Batch::default();
-        wrapped.ensure(m);
+        let mut wrapped = Batch::zeros(m);
         for (j, c) in chirp.iter().enumerate() {
             for at in [j, (m - j) % m] {
                 wrapped.re[at] = c.re;
                 wrapped.im[at] = -c.im;
             }
         }
-        let mut spectrum = Batch::default();
-        spectrum.ensure(m);
+        let mut kernel = Batch::zeros(m);
         let fft = FftKernel {
             tw: &tw,
             conj: false,
@@ -235,20 +240,14 @@ impl Bluestein {
         fft.run(
             (&wrapped.re, &wrapped.im),
             1,
-            (&mut spectrum.re, &mut spectrum.im),
+            (&mut kernel.re, &mut kernel.im),
             m,
             1,
         );
         let inv_m = 1.0 / m as f64;
-        let kernel = spectrum
-            .re
-            .iter()
-            .zip(&spectrum.im)
-            .map(|(&re, &im)| Complex {
-                re: re * inv_m,
-                im: im * inv_m,
-            })
-            .collect();
+        for v in kernel.re.iter_mut().chain(&mut kernel.im) {
+            *v *= inv_m;
+        }
         Bluestein {
             m,
             tw,
@@ -275,15 +274,11 @@ impl Bluestein {
         v.ensure(len);
         for (j, c) in self.chirp.iter().enumerate() {
             let at = j * lanes..(j + 1) * lanes;
-            let (ur, ui) = (&mut u.re[at.clone()], &mut u.im[at.clone()]);
-            for (((ur, ui), &xr), &xi) in ur
-                .iter_mut()
-                .zip(ui)
-                .zip(&x.re[at.clone()])
-                .zip(&x.im[at.clone()])
-            {
-                let xi = if conj { -xi } else { xi };
-                (*ur, *ui) = cmul(xr, xi, c.re, c.im);
+            let (xr, xi) = (&x.re[at.clone()], &x.im[at.clone()]);
+            let (ur, ui) = (&mut u.re[at.clone()], &mut u.im[at]);
+            for l in 0..lanes {
+                let xi = if conj { -xi[l] } else { xi[l] };
+                (ur[l], ui[l]) = cmul(xr[l], xi, c.re, c.im);
             }
         }
         u.re[n * lanes..len].fill(0.0);
@@ -294,26 +289,22 @@ impl Bluestein {
             lanes,
         };
         fft.run((&u.re, &u.im), 1, (&mut v.re, &mut v.im), self.m, 1);
-        for (k, w) in self.kernel.iter().enumerate() {
+        for (k, (&wr, &wi)) in self.kernel.re.iter().zip(&self.kernel.im).enumerate() {
             let at = k * lanes..(k + 1) * lanes;
-            for (vr, vi) in v.re[at.clone()].iter_mut().zip(&mut v.im[at]) {
-                (*vr, *vi) = cmul(*vr, *vi, w.re, w.im);
+            let (vr, vi) = (&mut v.re[at.clone()], &mut v.im[at]);
+            for l in 0..lanes {
+                (vr[l], vi[l]) = cmul(vr[l], vi[l], wr, wi);
             }
         }
         let ifft = FftKernel { conj: true, ..fft };
         ifft.run((&v.re, &v.im), 1, (&mut u.re, &mut u.im), self.m, 1);
         for (k, c) in self.chirp.iter().enumerate() {
             let at = k * lanes..(k + 1) * lanes;
-            let (or, oi) = (&mut out.re[at.clone()], &mut out.im[at.clone()]);
-            for (((or, oi), &ur), &ui) in or
-                .iter_mut()
-                .zip(oi)
-                .zip(&u.re[at.clone()])
-                .zip(&u.im[at.clone()])
-            {
-                let (yr, yi) = cmul(ur, ui, c.re, c.im);
-                *or = yr;
-                *oi = if conj { -yi } else { yi };
+            let (ur, ui) = (&u.re[at.clone()], &u.im[at.clone()]);
+            let (or, oi) = (&mut out.re[at.clone()], &mut out.im[at]);
+            for l in 0..lanes {
+                let (yr, yi) = cmul(ur[l], ui[l], c.re, c.im);
+                (or[l], oi[l]) = (yr, if conj { -yi } else { yi });
             }
         }
     }
@@ -443,8 +434,9 @@ impl DctPlan {
         for (k, v) in x.chunks_exact_mut(lanes).enumerate() {
             let w = self.tw[k];
             let at = k * lanes..(k + 1) * lanes;
-            for ((v, &br), &bi) in v.iter_mut().zip(&b.re[at.clone()]).zip(&b.im[at]) {
-                *v = w.re * br - w.im * bi;
+            let (br, bi) = (&b.re[at.clone()], &b.im[at]);
+            for l in 0..lanes {
+                v[l] = w.re * br[l] - w.im * bi[l];
             }
         }
     }
@@ -470,10 +462,10 @@ impl DctPlan {
         for k in 1..n {
             let c = self.tw[k].conj();
             let at = k * lanes..(k + 1) * lanes;
-            let (ar, ai) = (&mut a.re[at.clone()], &mut a.im[at.clone()]);
-            let mirror = &x[(n - k) * lanes..(n - k + 1) * lanes];
-            for (((ar, ai), &xr), &xm) in ar.iter_mut().zip(ai).zip(&x[at]).zip(mirror) {
-                (*ar, *ai) = cmul(c.re, c.im, xr, -xm);
+            let (xk, xm) = (&x[at.clone()], &x[(n - k) * lanes..(n - k + 1) * lanes]);
+            let (ar, ai) = (&mut a.re[at.clone()], &mut a.im[at]);
+            for l in 0..lanes {
+                (ar[l], ai[l]) = cmul(c.re, c.im, xk[l], -xm[l]);
             }
         }
         self.fft(s, true, lanes);

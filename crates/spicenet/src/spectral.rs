@@ -39,7 +39,7 @@ const ROW_TILE: usize = 16;
 
 /// Minimal complex scalar for the twiddle and chirp tables (no external
 /// deps).
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug)]
 struct Complex {
     re: f64,
     im: f64,

@@ -101,3 +101,28 @@ fn uniform_workload_matches_its_golden_activity() {
         postplace::ENGINE_EPOCH
     );
 }
+
+#[test]
+fn two_unit_workload_matches_its_golden_activity() {
+    use arithgen::UnitRole;
+    let nl = build_benchmark(&BenchmarkConfig::paper()).expect("benchmark");
+    let mut sim = Simulator::new(&nl);
+    let pair = [UnitRole::Divider.unit_id(), UnitRole::RippleAdder.unit_id()];
+    sim.run_workload(&Workload::with_active_units(&nl, &pair, 0.5), 16, 5);
+    sim.reset_activity();
+    sim.run_workload(&Workload::with_active_units(&nl, &pair, 0.5), 256, 6);
+    let two_units = digest(&sim.activity());
+    // Hand the activity to a different unit: the pair goes quiet after
+    // one cycle and the MAC wakes up, all without a reset.
+    let mac = [UnitRole::Mac.unit_id()];
+    sim.run_workload(&Workload::with_active_units(&nl, &mac, 0.3), 64, 7);
+    assert_eq!(
+        format!("{two_units:016x} {:016x}", digest(&sim.activity())),
+        format!(
+            "{:016x} {:016x}",
+            0xfb11_858c_ff0a_5b51u64, 0xf373_0cc2_4c79_724cu64
+        ),
+        "switching activity moved (epoch {}): bump ENGINE_EPOCH if this moved on purpose",
+        postplace::ENGINE_EPOCH
+    );
+}

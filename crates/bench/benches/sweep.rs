@@ -69,6 +69,13 @@
 //! speedup (≥ 1.5×) always and the 256×256×9 one (≥ 2×) in full mode.
 //! `solver_threads` times the threaded spectral pipeline.
 //!
+//! Schema version 11 adds the `logic_sim` section — the logic simulator
+//! on the `scattered_small` paper workload, run as `Flow::new` runs it:
+//! the share of cells in active units, the cell-cycles the simulator
+//! actually evaluated (a segment of idle units stops running once it
+//! settles) and the wall-clock per cell-cycle. CI gates the evaluated
+//! share (≤ 0.5), a deterministic count.
+//!
 //! ```sh
 //! cargo bench -p coolplace-bench --bench sweep -- \
 //!     --smoke --threads 2 --out BENCH_sweep.json --check ci/bench-baseline.json
@@ -85,12 +92,13 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
-use arithgen::UnitRole;
+use arithgen::{build_benchmark, UnitRole};
 use coolplace_bench::gate::{check_against_baseline, PEAK_TOLERANCE_C};
 use coolplace_bench::json::Json;
 use coolserved::wire::response_to_json;
 use coolserved::{serve, JobRecord, ResultSource, ServiceConfig, ServiceHandle};
 use geom::{Grid2d, Rect};
+use logicsim::{Simulator, Workload};
 use postplace::{
     default_threads, run_requests, Flow, FlowConfig, FlowReport, OptimizeConfig, OptimizeRequest,
     Scenario, Strategy, SweepGrid, TransformRegistry, WorkloadSpec,
@@ -122,7 +130,10 @@ use thermalsim::{FactorizedThermalModel, SolverKind, ThermalConfig};
 /// v10: folded the `spectral` section into `solver_scaling` (`Auto` vs
 /// CSR over the union of both mesh lists, per-mesh `backend`); the
 /// multigrid tier both used to time is gone.
-const SCHEMA_VERSION: f64 = 10.0;
+/// v11: added the `logic_sim` section (active-cell share, evaluated
+/// cell-cycles and time per cell-cycle of the paper workload's logic
+/// simulation).
+const SCHEMA_VERSION: f64 = 11.0;
 
 /// `cargo bench` launches the binary with the *package* directory as
 /// CWD; anchor relative paths at the workspace root so
@@ -732,6 +743,60 @@ fn run_service_bench(threads: usize) -> Result<Json, String> {
     })
 }
 
+/// Timed repeats of the logic simulation; the fastest is reported.
+const LOGIC_SIM_REPEATS: usize = 5;
+
+/// The `logic_sim` section: the `scattered_small` paper workload
+/// simulated as [`Flow::new`] simulates it (warm-up, reset, measured
+/// cycles), [`LOGIC_SIM_REPEATS`] times. Reports the share of cells in
+/// active units, the share of cell-cycles the simulator evaluated, and
+/// the best wall-clock (compile included) per cell-cycle. The evaluated
+/// count is deterministic, so a netlist change that silently merges
+/// units into one segment shows up as an exact number.
+fn run_logic_sim_bench() -> Result<Json, String> {
+    let config = FlowConfig::scattered_small();
+    let netlist = build_benchmark(&config.benchmark).map_err(|e| e.to_string())?;
+    let active: Vec<_> = config.workload.active.iter().map(|r| r.unit_id()).collect();
+    let workload =
+        Workload::with_active_units(&netlist, &active, config.workload.toggle_probability);
+    let cells = netlist.cell_count();
+    let active_cells: usize = active.iter().map(|&u| netlist.unit_cells(u).len()).sum();
+    let cycles = config.warmup_cycles + config.cycles;
+    let cell_cycles = (cells * cycles) as f64;
+    let (mut best_ms, mut evaluated, mut segments) = (f64::INFINITY, 0, 0);
+    for _ in 0..LOGIC_SIM_REPEATS {
+        let started = Instant::now();
+        let mut sim = Simulator::new(&netlist);
+        sim.run_workload(&workload, config.warmup_cycles, config.seed);
+        let warmup = sim.evaluated_cells();
+        sim.reset_activity();
+        sim.run_workload(&workload, config.cycles, config.seed.wrapping_add(1));
+        best_ms = best_ms.min(started.elapsed().as_secs_f64() * 1e3);
+        evaluated = warmup + sim.evaluated_cells();
+        segments = sim.segment_count();
+    }
+    let active_share = active_cells as f64 / cells as f64;
+    let evaluated_share = evaluated as f64 / cell_cycles;
+    let ns_per_cell_cycle = best_ms * 1e6 / cell_cycles;
+    println!(
+        "logic sim bench [scattered_small]: {segments} segments, active share \
+         {active_share:.3}, evaluated share {evaluated_share:.3}, {best_ms:.2} ms \
+         ({ns_per_cell_cycle:.2} ns per cell-cycle)"
+    );
+    Ok(Json::obj([
+        ("workload", Json::Str("scattered_small".to_string())),
+        ("cells", Json::Num(cells as f64)),
+        ("segments", Json::Num(segments as f64)),
+        ("cycles", Json::Num(cycles as f64)),
+        ("active_cell_share", Json::Num(active_share)),
+        ("cell_cycles", Json::Num(cell_cycles)),
+        ("evaluated_cell_cycles", Json::Num(evaluated as f64)),
+        ("evaluated_share", Json::Num(evaluated_share)),
+        ("sim_ms", Json::Num(best_ms)),
+        ("ns_per_cell_cycle", Json::Num(ns_per_cell_cycle)),
+    ]))
+}
+
 fn main() -> ExitCode {
     let args = parse_args();
     let grid = build_grid(args.smoke);
@@ -892,6 +957,14 @@ fn main() -> ExitCode {
             )
         }))
         .collect();
+    let logic_sim_section = match run_logic_sim_bench() {
+        Ok(section) => section,
+        Err(e) => {
+            eprintln!("logic-sim bench failed: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+
     let doc = Json::obj([
         ("schema_version", Json::Num(SCHEMA_VERSION)),
         ("generator", Json::Str("coolplace-bench sweep".to_string())),
@@ -912,6 +985,7 @@ fn main() -> ExitCode {
         ("solver_threads", solver_threads_section),
         ("optimizer", optimizer_section),
         ("service", service_section),
+        ("logic_sim", logic_sim_section),
         ("records", Json::Arr(records)),
     ]);
     if let Err(e) = std::fs::write(&args.out, doc.render()) {

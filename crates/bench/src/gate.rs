@@ -67,6 +67,13 @@ pub const MIN_THREADED_GATE_HW_THREADS: f64 = 4.0;
 /// host, but only in full mode: smoke runs stop at 128×128.
 pub const MIN_SPECTRAL_SPEEDUP_256: f64 = 2.0;
 
+/// Most cell-cycles the logic simulator may evaluate on the
+/// `scattered_small` paper workload, as a share of cells × cycles
+/// (schema ≥ 11). Its active units hold 0.329 of the cells; idle units
+/// stop running once they settle. A deterministic count, so a netlist
+/// change that merges the units into one segment fails here.
+pub const MAX_LOGIC_SIM_EVALUATED_SHARE: f64 = 0.5;
+
 /// Which entries of a section a [`Rule`] reads.
 #[derive(Debug, Clone, Copy)]
 enum Entry {
@@ -129,7 +136,7 @@ struct Rule {
 /// Every section gate. A section the baseline has but the run lacks
 /// fails once by name; a present section is held to each of its rows.
 #[rustfmt::skip]
-const RULES: [Rule; 11] = {
+const RULES: [Rule; 12] = {
     use Bound::{Above, AtLeast, AtMost, Exactly, NonEmptyArray, ShareOf, StrEquals};
     use Entry::{EveryMesh, Mesh, Section};
     use When::{Always, FullMode, HwThreads};
@@ -148,6 +155,7 @@ const RULES: [Rule; 11] = {
         row("optimizer", Section, "frontier", NonEmptyArray, Always, Always),
         row("service", Section, "warm_over_cold", AtLeast(MIN_SERVICE_WARM_SPEEDUP), Always, Always),
         row("service", Section, "warm_cold_solves", Exactly(0.0), Always, Always),
+        row("logic_sim", Section, "evaluated_share", AtMost(MAX_LOGIC_SIM_EVALUATED_SHARE), Always, Always),
     ]
 };
 
@@ -787,6 +795,52 @@ mod tests {
         );
         // Pre-v5 documents (no section on either side) still pass.
         assert!(check_against_baseline(&doc(3.0, 81.5), &doc(3.0, 81.5), 0.25).is_empty());
+    }
+
+    fn with_logic_sim(mut doc: Json, evaluated_share: f64) -> Json {
+        let Json::Obj(pairs) = &mut doc else {
+            unreachable!()
+        };
+        pairs.push((
+            "logic_sim".to_string(),
+            Json::obj([
+                ("active_cell_share", Json::Num(0.329)),
+                ("evaluated_share", Json::Num(evaluated_share)),
+            ]),
+        ));
+        doc
+    }
+
+    #[test]
+    fn logic_sim_gate_caps_the_evaluated_share() {
+        // The baseline predates the section; a run that has it is still
+        // held to its row.
+        let base = doc(3.0, 81.5);
+        let good = with_logic_sim(doc(3.0, 81.5), 0.34);
+        assert!(check_against_baseline(&good, &base, 0.25).is_empty());
+        let merged = with_logic_sim(doc(3.0, 81.5), 1.0);
+        let failures = check_against_baseline(&merged, &base, 0.25);
+        assert!(
+            failures
+                .iter()
+                .any(|f| f.contains("`logic_sim.evaluated_share` = 1, needs ≤ 0.5")),
+            "{failures:?}"
+        );
+        let poisoned = with_logic_sim(doc(3.0, 81.5), f64::NAN);
+        let failures = check_against_baseline(&poisoned, &base, 0.25);
+        assert!(
+            failures
+                .iter()
+                .any(|f| f.contains("evaluated_share") && f.contains("not finite")),
+            "{failures:?}"
+        );
+        let failures = check_against_baseline(&base, &good, 0.25);
+        assert!(
+            failures
+                .iter()
+                .any(|f| f.contains("`logic_sim` section missing")),
+            "{failures:?}"
+        );
     }
 
     #[test]

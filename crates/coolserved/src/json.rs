@@ -8,7 +8,9 @@
 //! properties: object keys keep insertion order, floats render in
 //! Rust's shortest round-trip form (so `f64`s survive a
 //! render → parse cycle bit-exactly), and output is pretty-printed with
-//! two-space indents. The vendored `serde` stub has no `serde_json`, so
+//! two-space indents, except that an array holding no object renders on
+//! one line (`[16, 16]`, `[[3, 4], [3, 5]]`), which keeps long numeric
+//! arrays compact. The vendored `serde` stub has no `serde_json`, so
 //! this module carries the few hundred lines both pipelines need.
 
 use std::fmt::Write as _;
@@ -95,7 +97,8 @@ impl Json {
     }
 
     /// Renders the document pretty-printed (two-space indent, trailing
-    /// newline) — the stable on-disk format.
+    /// newline; an array with no object inside it stays on one line) —
+    /// the stable on-disk format.
     pub fn render(&self) -> String {
         let mut out = String::new();
         self.write(&mut out, 0);
@@ -116,8 +119,15 @@ impl Json {
             }
             Json::Str(s) => write_escaped(out, s),
             Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
+                if !self.holds_object() {
+                    out.push('[');
+                    for (i, item) in items.iter().enumerate() {
+                        if i > 0 {
+                            out.push_str(", ");
+                        }
+                        item.write(out, depth);
+                    }
+                    out.push(']');
                     return;
                 }
                 out.push('[');
@@ -153,6 +163,16 @@ impl Json {
                 indent(out, depth);
                 out.push('}');
             }
+        }
+    }
+
+    /// Whether this node is an object or an array with an object
+    /// somewhere inside it.
+    fn holds_object(&self) -> bool {
+        match self {
+            Json::Obj(_) => true,
+            Json::Arr(items) => items.iter().any(Json::holds_object),
+            _ => false,
         }
     }
 
@@ -369,6 +389,33 @@ mod tests {
         let text = doc.render();
         let back = Json::parse(&text).unwrap();
         assert_eq!(doc, back);
+    }
+
+    #[test]
+    fn arrays_without_objects_render_on_one_line() {
+        let num = |v: f64| Json::Num(v);
+        let pair = |a: f64, b: f64| Json::Arr(vec![num(a), num(b)]);
+        let doc = Json::obj([
+            ("mesh", pair(16.0, 16.0)),
+            ("cells", Json::Arr(vec![pair(3.0, 4.0), pair(3.0, 5.0)])),
+            (
+                "ids",
+                Json::Arr(vec![Json::Str("eri:8".to_string()), Json::Null]),
+            ),
+            ("none", Json::Arr(Vec::new())),
+            (
+                "points",
+                Json::Arr(vec![Json::obj([("at", pair(1.0, 2.5))]), pair(0.0, 1.0)]),
+            ),
+        ]);
+        let text = doc.render();
+        assert_eq!(
+            text,
+            "{\n  \"mesh\": [16, 16],\n  \"cells\": [[3, 4], [3, 5]],\n  \
+             \"ids\": [\"eri:8\", null],\n  \"none\": [],\n  \"points\": [\n    {\n      \
+             \"at\": [1, 2.5]\n    },\n    [0, 1]\n  ]\n}\n"
+        );
+        assert_eq!(Json::parse(&text).unwrap(), doc);
     }
 
     #[test]

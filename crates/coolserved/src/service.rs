@@ -291,8 +291,10 @@ struct QueuedJob {
     submitted_at_ms: u64,
 }
 
-/// Capacity of the per-service flow cache: flows are large (placed
-/// netlist + factorized thermal model), so only a handful of distinct
+/// Capacity of the per-service flow cache. Every flow shares its
+/// netlist and base placement process-wide, but owns its activity,
+/// per-cell power, baseline analysis and factorized thermal models
+/// (~1.2 MiB per 128² model), so only a handful of distinct
 /// configurations stay resident.
 const FLOW_CACHE_CAP: usize = 8;
 

@@ -839,8 +839,8 @@ mod tests {
         )
         .render();
         for (bad, needle) in [
-            (text.replace("16,\n    16", "1,\n    16"), "1x16"),
-            (text.replace("16,\n    16", "0,\n    0"), "0x0"),
+            (text.replace("[16, 16]", "[1, 16]"), "1x16"),
+            (text.replace("[16, 16]", "[0, 0]"), "0x0"),
             (transform.replace("\"eri:8\"", "\"bogus:1\""), "bogus:1"),
         ] {
             assert_ne!(bad, text, "replacement must have fired");

@@ -340,7 +340,7 @@ fn optimizer_outcomes_match_their_golden_digests() {
         (
             "budget-40x40",
             request().mesh(40, 40).budget(0.16).build().unwrap(),
-            "69c460cf264e2e5d971a6b2dbaca8ca9",
+            "82b2808599c2081078b6267839520970",
         ),
         (
             "rows-for-target",
@@ -349,7 +349,7 @@ fn optimizer_outcomes_match_their_golden_digests() {
                 .rows_for_target(5.0, 8)
                 .build()
                 .unwrap(),
-            "2a93639e2d1c13190ea4e991a16db5e6",
+            "b22c9cf035e1c12b7434536e9d4603fa",
         ),
         (
             "pareto-fast",
@@ -358,7 +358,7 @@ fn optimizer_outcomes_match_their_golden_digests() {
                 .frontier(PARETO_BUDGETS)
                 .build()
                 .unwrap(),
-            "8f767fcbe5d70d68e3e26cab128865e2",
+            "fad1f4b848b96b6d57fa550162340c3f",
         ),
     ];
 

@@ -259,12 +259,40 @@ fn netlists() -> &'static KeyedCache<BenchmarkConfig, Netlist> {
     NETLISTS.get_or_init(|| KeyedCache::with_capacity(NETLIST_CACHE_CAP))
 }
 
+/// Base placements held process-wide, one per benchmark configuration
+/// and base utilization a request names.
+const PLACEMENT_CACHE_CAP: usize = 4;
+
+/// The base placement of `netlist` (the shared netlist of `config`) at
+/// `utilization`, placed once per process and shared by every [`Flow`]
+/// that names the same pair. Placement is a pure function of the netlist
+/// and the utilization, and nothing mutates a base placement (a
+/// transformation starts from a clone), so sharing cannot change an
+/// answer.
+fn shared_base_placement(
+    config: &BenchmarkConfig,
+    netlist: &Netlist,
+    utilization: f64,
+) -> Result<Arc<PlacementResult>, FlowError> {
+    placements().get_or_compute((config.clone(), utilization.to_bits()), || {
+        Placer::new(PlacerConfig::with_utilization(utilization))
+            .place(netlist)
+            .map_err(FlowError::from)
+    })
+}
+
+fn placements() -> &'static KeyedCache<(BenchmarkConfig, u64), PlacementResult> {
+    static PLACEMENTS: OnceLock<KeyedCache<(BenchmarkConfig, u64), PlacementResult>> =
+        OnceLock::new();
+    PLACEMENTS.get_or_init(|| KeyedCache::with_capacity(PLACEMENT_CACHE_CAP))
+}
+
 /// Factorized models held per cache. The largest shared cache, the full
 /// sweep grid of the bench, touches 16 die geometries: 2 meshes × (the
 /// base + 2 uniform-slack dies + 5 ERI dies; HW reuses its uniform die).
 /// A budget request factorizes two new dies (its uniform/HW outline and
 /// its ERI outline) that later requests rarely revisit, so a larger
-/// bound only holds ~8 MiB per 128² model nobody reads again.
+/// bound only holds ~1.2 MiB per 128² model nobody reads again.
 const MODEL_CACHE_CAP: usize = 16;
 
 /// A shareable cache of factorized thermal models, keyed by mesh and die
@@ -346,7 +374,8 @@ struct BaselineAnalysis {
 ///
 /// The benchmark netlist is shared: every flow naming the same
 /// [`BenchmarkConfig`] holds one process-wide `Arc<Netlist>`, built on
-/// first use and kept in a small bounded memo.
+/// first use and kept in a small bounded memo. So is the base placement,
+/// per benchmark configuration and base utilization.
 ///
 /// Thermal work is amortized two ways: the conductance network for each
 /// die geometry is factorized once (see [`FactorizedThermalModel`]) and
@@ -360,7 +389,7 @@ pub struct Flow {
     config: FlowConfig,
     netlist: Arc<Netlist>,
     activity: Activity,
-    base: PlacementResult,
+    base: Arc<PlacementResult>,
     /// Per-cell power computed once on the base placement and held fixed
     /// across transformations — the paper's premise: the techniques reduce
     /// power *density* "while keeping (cell) power consumption unchanged".
@@ -370,8 +399,8 @@ pub struct Flow {
 }
 
 impl Flow {
-    /// Fetches the shared benchmark netlist (building it on first use),
-    /// simulates the workload and places the base design.
+    /// Fetches the shared benchmark netlist and base placement (building
+    /// each on first use) and simulates the workload.
     ///
     /// # Errors
     ///
@@ -387,8 +416,7 @@ impl Flow {
         sim.reset_activity();
         sim.run_workload(&workload, config.cycles, config.seed.wrapping_add(1));
         let activity = sim.activity();
-        let base =
-            Placer::new(PlacerConfig::with_utilization(config.base_utilization)).place(&netlist)?;
+        let base = shared_base_placement(&config.benchmark, &netlist, config.base_utilization)?;
         let power = estimate_power(
             &netlist,
             &activity,
@@ -746,6 +774,30 @@ mod tests {
             config.name = format!("shared-netlist-{i}");
             shared_netlist(&config).unwrap();
             assert!(netlists().len() <= NETLIST_CACHE_CAP, "memo stays bounded");
+        }
+    }
+
+    #[test]
+    fn flows_of_one_benchmark_and_utilization_share_one_base_placement() {
+        let a = Flow::new(FlowConfig::scattered_small().fast()).unwrap();
+        let b = Flow::new(FlowConfig::concentrated_large().fast()).unwrap();
+        assert!(
+            Arc::ptr_eq(&a.base, &b.base),
+            "same benchmark and utilization"
+        );
+        let mut looser = FlowConfig::scattered_small().fast();
+        looser.base_utilization = 0.7;
+        let c = Flow::new(looser).unwrap();
+        assert!(!Arc::ptr_eq(&a.base, &c.base), "distinct utilization");
+        assert!(c.base.floorplan.core().area() > a.base.floorplan.core().area());
+        let netlist = shared_netlist(&BenchmarkConfig::small()).unwrap();
+        for i in 0..PLACEMENT_CACHE_CAP + 2 {
+            let utilization = 0.6 + 0.01 * i as f64;
+            shared_base_placement(&BenchmarkConfig::small(), &netlist, utilization).unwrap();
+            assert!(
+                placements().len() <= PLACEMENT_CACHE_CAP,
+                "memo stays bounded"
+            );
         }
     }
 

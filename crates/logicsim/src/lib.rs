@@ -11,15 +11,26 @@
 //! [`Simulator::new`] compiles the netlist once into a levelized byte
 //! tape: one op per combinational cell, grouped by logic level and then
 //! by function, holding its [`stdcell::CellFunction`] and up to three
-//! input and two output net indices. A cycle gathers the flip-flop `D`
+//! input and two output net slots. A cycle gathers the flip-flop `D`
 //! nets into a capture buffer, scatters them to the `Q` nets, runs the
 //! tape through [`stdcell::CellFunction::eval_bits`] over one byte per
-//! net, and counts toggles by XOR against the previous settled state —
-//! no pointer chasing through cells and pins, no allocation per cycle.
+//! net, and counts toggles by XOR against the previous settled state
+//! into 16-bit counters that drain into 64-bit totals — no pointer
+//! chasing through cells and pins, no allocation per cycle.
 //!
 //! Workloads drive the primary inputs of each *unit* independently
 //! ([`Workload`]), which is exactly how the paper controls the size and
-//! position of thermal hotspots.
+//! position of thermal hotspots. The simulator exploits that: it splits
+//! the netlist into *segments*, the connected components of its units
+//! (a net joins the units of its driver and its sinks; the paper's
+//! benchmark has no net between units, so each of its 9 units is a
+//! segment). Each segment owns a contiguous run of the tape, of the
+//! flip-flops and of the net slots, and runs in a cycle only if one of
+//! its primary inputs changed or one of its flip-flops changed state at
+//! the edge. An idle unit's inputs are held, so its segment settles
+//! within a few cycles and then costs nothing, and because a skipped
+//! segment's values equal last cycle's and its toggles are exactly 0,
+//! the [`Activity`] is the same bit for bit.
 //!
 //! # Examples
 //!

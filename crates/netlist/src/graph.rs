@@ -82,8 +82,7 @@ pub fn topo_order(netlist: &Netlist) -> Result<Vec<CellId>, NetlistError> {
 /// sequential and filler cells get `None`. Walks the order the netlist
 /// kept from validation ([`Netlist::comb_order`]).
 ///
-/// Used for depth statistics, as a sanity check on generated units, and
-/// by the logic simulator to levelize its tape.
+/// Used for depth statistics and as a sanity check on generated units.
 pub fn combinational_levels(netlist: &Netlist) -> Vec<Option<u32>> {
     // One past the level of each net's combinational driver; 0 for nets
     // driven by ports and registers.

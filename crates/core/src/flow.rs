@@ -8,10 +8,10 @@ use arithgen::{build_benchmark, BenchmarkConfig, UnitRole};
 use geom::{Grid2d, Rect};
 use logicsim::{Activity, Simulator, Workload};
 use netlist::Netlist;
-use placement::{total_hpwl, Floorplan, Placement, PlacementResult, Placer, PlacerConfig};
-use powerest::{estimate_power, power_map, PowerConfig, PowerReport};
+use placement::{Floorplan, PlacedGeometry, Placement, PlacementResult, Placer, PlacerConfig};
+use powerest::{estimate_power, power_map_placed, PowerConfig, PowerReport};
 use thermalsim::{FactorizedThermalModel, ThermalConfig, ThermalMap};
-use timan::{analyze, TimingConfig, TimingReport};
+use timan::{analyze_placed, TimingConfig, TimingReport};
 
 use crate::{
     detect_hotspots, DeltaCandidateEvaluator, FlowError, Hotspot, HotspotConfig, KeyedCache,
@@ -495,16 +495,29 @@ impl Flow {
         floorplan: &Floorplan,
         placement: &Placement,
     ) -> Result<(PowerReport, Grid2d<f64>, ThermalMap), FlowError> {
+        self.analyze_geometry(&PlacedGeometry::new(&self.netlist, floorplan, placement))
+    }
+
+    /// [`Flow::analyze_placement`] over a placement's geometry, so the
+    /// caller can hand the same geometry to timing and wirelength.
+    ///
+    /// # Errors
+    ///
+    /// Propagates thermal-solve failures.
+    pub fn analyze_geometry(
+        &self,
+        geometry: &PlacedGeometry,
+    ) -> Result<(PowerReport, Grid2d<f64>, ThermalMap), FlowError> {
         let nx = self.config.thermal.grid.nx;
         let ny = self.config.thermal.grid.ny;
-        let model = self.thermal_model(floorplan.core())?;
+        let model = self.thermal_model(geometry.core())?;
         let mut report = self.power.clone();
-        let mut pmap = power_map(&self.netlist, floorplan, placement, &report, nx, ny);
+        let mut pmap = power_map_placed(&self.netlist, geometry, &report, nx, ny);
         let mut tmap = model.solve(&pmap)?;
         for _ in 0..self.config.leakage_feedback_iters {
-            let temps = self.cell_temps(floorplan, placement, &tmap);
+            let temps = self.cell_temps(geometry, &tmap);
             report = report.with_leakage_at(&self.netlist, &self.config.power, &temps);
-            pmap = power_map(&self.netlist, floorplan, placement, &report, nx, ny);
+            pmap = power_map_placed(&self.netlist, geometry, &report, nx, ny);
             tmap = model.solve(&pmap)?;
         }
         Ok((report, pmap, tmap))
@@ -532,37 +545,30 @@ impl Flow {
     }
 
     fn compute_baseline(&self) -> Result<BaselineAnalysis, FlowError> {
-        let fp = &self.base.floorplan;
-        let pl = &self.base.placement;
-        let (power, pmap, tmap) = self.analyze_placement(fp, pl)?;
+        let geometry =
+            PlacedGeometry::new(&self.netlist, &self.base.floorplan, &self.base.placement);
+        let (power, pmap, tmap) = self.analyze_geometry(&geometry)?;
         let hotspots = detect_hotspots(&tmap, &self.config.hotspot);
-        let timing = analyze(&self.netlist, fp, pl, Some(&tmap), &self.config.timing)?;
-        let hpwl_um = total_hpwl(&self.netlist, fp, pl);
+        let timing = analyze_placed(&self.netlist, &geometry, Some(&tmap), &self.config.timing)?;
         Ok(BaselineAnalysis {
             power,
             pmap,
             tmap,
             hotspots,
             timing,
-            hpwl_um,
+            hpwl_um: geometry.total_hpwl(),
         })
     }
 
-    /// Per-cell temperatures sampled from a thermal map.
-    pub fn cell_temps(
-        &self,
-        floorplan: &Floorplan,
-        placement: &Placement,
-        map: &ThermalMap,
-    ) -> Vec<f64> {
+    /// Per-cell temperatures sampled from a thermal map at the cell
+    /// centers of a placement's geometry (ambient for unplaced cells).
+    pub fn cell_temps(&self, geometry: &PlacedGeometry, map: &ThermalMap) -> Vec<f64> {
         self.netlist
             .cells()
             .map(|(id, _)| {
-                placement
-                    .cell_center(&self.netlist, floorplan, id)
-                    .and_then(|c| map.grid().bin_of(c.x, c.y))
-                    .map(|(ix, iy)| *map.grid().get(ix, iy))
-                    .unwrap_or(map.ambient_c())
+                geometry
+                    .cell_center(id)
+                    .map_or(map.ambient_c(), |c| map.temp_at(c))
             })
             .collect()
     }
@@ -722,19 +728,18 @@ impl Flow {
         state: &mut TransformState,
     ) -> Result<FlowReport, FlowError> {
         let baseline = self.baseline()?;
-        state.ensure_thermal(ctx)?;
+        let geometry = PlacedGeometry::new(&self.netlist, &state.floorplan, &state.placement);
+        state.ensure_thermal_with(ctx, &geometry)?;
         let (tmap_after, _) = state.analysis()?;
-        let (new_fp, new_pl) = (&state.floorplan, &state.placement);
-        let timing_after = analyze(
+        let timing_after = analyze_placed(
             &self.netlist,
-            new_fp,
-            new_pl,
+            &geometry,
             Some(tmap_after),
             &self.config.timing,
         )?;
-        let hpwl_after = total_hpwl(&self.netlist, new_fp, new_pl);
+        let hpwl_after = geometry.total_hpwl();
         let base_area = self.base.floorplan.core().area();
-        let new_area = new_fp.core().area();
+        let new_area = geometry.core().area();
         Ok(FlowReport {
             strategy: transform.as_strategy().unwrap_or(Strategy::None),
             transform_id: transform.id(),

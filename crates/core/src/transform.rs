@@ -42,7 +42,8 @@
 
 use geom::{Grid2d, Rect};
 use placement::{
-    fill_whitespace, respread_row, weighted_row_gaps, Floorplan, Placement, PlacerConfig,
+    fill_whitespace, respread_row, weighted_row_gaps, Floorplan, PlacedGeometry, Placement,
+    PlacerConfig,
 };
 use powerest::PowerReport;
 use thermalsim::ThermalMap;
@@ -84,21 +85,6 @@ impl<'a> TransformContext<'a> {
     /// ranked hot/cold cells by.
     pub fn power_report(&self) -> &PowerReport {
         &self.power
-    }
-
-    /// Solves the thermal field of an intermediate placement against the
-    /// flow's cached factorization of its geometry.
-    ///
-    /// # Errors
-    ///
-    /// Propagates thermal-solve failures.
-    pub fn analyze(
-        &self,
-        floorplan: &Floorplan,
-        placement: &Placement,
-    ) -> Result<ThermalMap, FlowError> {
-        let (_, _, tmap) = self.flow.analyze_placement(floorplan, placement)?;
-        Ok(tmap)
     }
 }
 
@@ -153,7 +139,22 @@ impl TransformState {
     /// Propagates thermal-solve failures.
     pub fn ensure_thermal(&mut self, ctx: &TransformContext) -> Result<(), FlowError> {
         if self.thermal.is_none() {
-            let tmap = ctx.analyze(&self.floorplan, &self.placement)?;
+            let netlist = ctx.flow().netlist();
+            let geometry = PlacedGeometry::new(netlist, &self.floorplan, &self.placement);
+            self.ensure_thermal_with(ctx, &geometry)?;
+        }
+        Ok(())
+    }
+
+    /// [`TransformState::ensure_thermal`] with the state's geometry
+    /// already built by the caller.
+    pub(crate) fn ensure_thermal_with(
+        &mut self,
+        ctx: &TransformContext,
+        geometry: &PlacedGeometry,
+    ) -> Result<(), FlowError> {
+        if self.thermal.is_none() {
+            let (_, _, tmap) = ctx.flow().analyze_geometry(geometry)?;
             let hotspots = detect_hotspots(&tmap, &ctx.flow().config().hotspot);
             self.thermal = Some((tmap, hotspots));
         }

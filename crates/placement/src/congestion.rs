@@ -7,9 +7,9 @@
 //! over its bounding box (Spindler & Johannes' RUDY).
 
 use geom::{Grid2d, Rect};
-use netlist::{NetDriver, Netlist};
+use netlist::Netlist;
 
-use crate::{Floorplan, Placement};
+use crate::{Floorplan, PlacedGeometry, Placement};
 
 /// Summary of a congestion map.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -29,30 +29,14 @@ pub fn congestion_map(
     ny: usize,
 ) -> (Grid2d<f64>, CongestionStats) {
     let mut demand = Grid2d::new(nx, ny, floorplan.core(), 0.0);
+    let geometry = PlacedGeometry::new(netlist, floorplan, placement);
     for (id, _) in netlist.nets() {
-        let hpwl = crate::net_hpwl(netlist, floorplan, placement, id);
+        let hpwl = geometry.net_hpwl(id);
         if hpwl <= 0.0 {
             continue;
         }
-        let mut bbox: Option<Rect> = None;
-        let collect = |cell, bbox: &mut Option<Rect>| {
-            if let Some(c) = placement.cell_center(netlist, floorplan, cell) {
-                let r = Rect::new(c.x, c.y, c.x, c.y);
-                *bbox = Some(match *bbox {
-                    None => r,
-                    Some(b) => b.union(&r),
-                });
-            }
-        };
-        let net = netlist.net(id);
-        if let NetDriver::Pin(pin) = net.driver() {
-            collect(netlist.pin(pin).cell(), &mut bbox);
-        }
-        for &sink in net.sinks() {
-            collect(netlist.pin(sink).cell(), &mut bbox);
-        }
         // A positive wirelength implies placed endpoints.
-        let Some(b) = bbox else {
+        let Some(b) = geometry.net_bbox(netlist, id) else {
             continue;
         };
         let spread = Rect::new(b.llx, b.lly, b.urx.max(b.llx + 1.0), b.ury.max(b.lly + 1.0));

@@ -1,10 +1,48 @@
 //! Half-perimeter wirelength, the placer's quality metric and the wire
 //! model feeding the timing analyzer.
 
-use geom::Rect;
-use netlist::{NetDriver, NetId, Netlist};
+use geom::{Point, Rect};
+use netlist::{CellId, NetDriver, NetId, Netlist};
 
-use crate::{Floorplan, Placement};
+use crate::{Floorplan, PlacedGeometry, Placement};
+
+/// The bounding box of a net's placed endpoints (pins are approximated by
+/// their cell centers; port-driven endpoints are skipped), or `None` when
+/// fewer than two endpoints are placed — the one wirelength kernel behind
+/// [`net_hpwl`] and [`PlacedGeometry`].
+pub(crate) fn placed_bbox(
+    netlist: &Netlist,
+    net: NetId,
+    center: impl Fn(CellId) -> Option<Point>,
+) -> Option<Rect> {
+    // Min/max are exact, so folding coordinates one at a time gives the
+    // same box as uniting point rectangles.
+    let (mut llx, mut lly) = (f64::INFINITY, f64::INFINITY);
+    let (mut urx, mut ury) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
+    let mut endpoints = 0;
+    let mut extend = |cell| {
+        if let Some(c) = center(cell) {
+            llx = llx.min(c.x);
+            lly = lly.min(c.y);
+            urx = urx.max(c.x);
+            ury = ury.max(c.y);
+            endpoints += 1;
+        }
+    };
+    let net = netlist.net(net);
+    if let NetDriver::Pin(pin) = net.driver() {
+        extend(netlist.pin(pin).cell());
+    }
+    for &sink in net.sinks() {
+        extend(netlist.pin(sink).cell());
+    }
+    (endpoints >= 2).then(|| Rect::new(llx, lly, urx, ury))
+}
+
+/// The half-perimeter of a [`placed_bbox`]; zero without one.
+pub(crate) fn bbox_hpwl(bbox: Option<Rect>) -> f64 {
+    bbox.map_or(0.0, |b| b.width() + b.height())
+}
 
 /// Half-perimeter wirelength of one net (µm): the half-perimeter of the
 /// bounding box of its placed pins (pins are approximated by their cell
@@ -20,36 +58,15 @@ pub fn net_hpwl(
     placement: &Placement,
     net: NetId,
 ) -> f64 {
-    let mut bbox: Option<Rect> = None;
-    let mut endpoints = 0;
-    let mut extend = |cell| {
-        if let Some(c) = placement.cell_center(netlist, floorplan, cell) {
-            let r = Rect::new(c.x, c.y, c.x, c.y);
-            bbox = Some(match bbox {
-                None => r,
-                Some(b) => b.union(&r),
-            });
-            endpoints += 1;
-        }
-    };
-    if let NetDriver::Pin(pin) = netlist.net(net).driver() {
-        extend(netlist.pin(pin).cell());
-    }
-    for &sink in netlist.net(net).sinks() {
-        extend(netlist.pin(sink).cell());
-    }
-    match bbox {
-        Some(b) if endpoints >= 2 => b.width() + b.height(),
-        _ => 0.0,
-    }
+    bbox_hpwl(placed_bbox(netlist, net, |cell| {
+        placement.cell_center(netlist, floorplan, cell)
+    }))
 }
 
-/// Total half-perimeter wirelength over all nets (µm).
+/// Total half-perimeter wirelength over all nets (µm); see
+/// [`PlacedGeometry::total_hpwl`].
 pub fn total_hpwl(netlist: &Netlist, floorplan: &Floorplan, placement: &Placement) -> f64 {
-    netlist
-        .nets()
-        .map(|(id, _)| net_hpwl(netlist, floorplan, placement, id))
-        .sum()
+    PlacedGeometry::new(netlist, floorplan, placement).total_hpwl()
 }
 
 #[cfg(test)]

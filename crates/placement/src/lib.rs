@@ -11,6 +11,8 @@
 //! * a [`Placement`] binding each netlist cell to a `(row, site)` slot;
 //! * [`fill_whitespace`], which pours zero-power filler cells into every
 //!   gap so each row's power rails stay electrically continuous;
+//! * [`PlacedGeometry`], each cell's footprint and each net's
+//!   wirelength on one placement, computed once for every consumer;
 //! * [`Placer`], which produces an initial legal placement at a target
 //!   row-utilization factor (the knob the paper's *Default* scheme
 //!   relaxes), placing each unit into its own region of the core.
@@ -34,6 +36,7 @@ mod db;
 mod error;
 mod fillers;
 mod floorplan;
+mod geometry;
 mod hpwl;
 mod place;
 mod regions;
@@ -45,6 +48,7 @@ pub use db::{FillerInst, PlacedCell, Placement};
 pub use error::PlaceError;
 pub use fillers::{fill_whitespace, respread_row, weighted_row_gaps};
 pub use floorplan::{Floorplan, Row};
+pub use geometry::PlacedGeometry;
 pub use hpwl::{net_hpwl, total_hpwl};
 pub use place::{region_row_segments, spread_into_region, PlacementResult, Placer, PlacerConfig};
 pub use regions::assign_unit_regions;

@@ -1,6 +1,6 @@
-use geom::Grid2d;
-use netlist::Netlist;
-use placement::{Floorplan, Placement};
+use geom::{Grid2d, Rect};
+use netlist::{CellId, Netlist};
+use placement::{Floorplan, PlacedGeometry, Placement};
 
 use crate::PowerReport;
 
@@ -22,10 +22,42 @@ pub fn power_map(
     nx: usize,
     ny: usize,
 ) -> Grid2d<f64> {
+    splat_cells(netlist, floorplan.core(), report, nx, ny, |cell| {
+        placement.cell_rect(netlist, floorplan, cell)
+    })
+}
+
+/// [`power_map`] over the cell footprints of a placement's geometry.
+///
+/// # Panics
+///
+/// Panics if the report does not cover the netlist.
+pub fn power_map_placed(
+    netlist: &Netlist,
+    geometry: &PlacedGeometry,
+    report: &PowerReport,
+    nx: usize,
+    ny: usize,
+) -> Grid2d<f64> {
+    splat_cells(netlist, geometry.core(), report, nx, ny, |cell| {
+        geometry.cell_rect(cell)
+    })
+}
+
+/// Splats each placed cell's watts over its footprint on an `nx`×`ny`
+/// grid over `core`.
+fn splat_cells(
+    netlist: &Netlist,
+    core: Rect,
+    report: &PowerReport,
+    nx: usize,
+    ny: usize,
+    rect: impl Fn(CellId) -> Option<Rect>,
+) -> Grid2d<f64> {
     assert_eq!(report.cell_count(), netlist.cell_count());
-    let mut grid = Grid2d::new(nx, ny, floorplan.core(), 0.0);
+    let mut grid = Grid2d::new(nx, ny, core, 0.0);
     for (id, _) in netlist.cells() {
-        if let Some(rect) = placement.cell_rect(netlist, floorplan, id) {
+        if let Some(rect) = rect(id) {
             grid.splat(&rect, report.cell_w(id));
         }
     }
@@ -55,6 +87,8 @@ mod tests {
             &PowerConfig::default(),
         );
         let map = power_map(&nl, &placed.floorplan, &placed.placement, &report, 20, 20);
+        let geometry = PlacedGeometry::new(&nl, &placed.floorplan, &placed.placement);
+        assert_eq!(map, power_map_placed(&nl, &geometry, &report, 20, 20));
         assert!(
             (map.sum() - report.total_w()).abs() < report.total_w() * 1e-9,
             "map {} vs report {}",

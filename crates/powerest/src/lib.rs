@@ -14,7 +14,9 @@
 //!   [`PowerConfig::leakage_doubling_c`] kelvin) — the paper's
 //!   "positive feedback between leakage power and temperature".
 //!
-//! [`power_map`] then aggregates per-cell watts onto the thermal grid:
+//! [`power_map`] (or [`power_map_placed`], on a placement's
+//! [`placement::PlacedGeometry`]) then aggregates per-cell watts onto the
+//! thermal grid:
 //!   "the power value in a thermal cell is the sum of power consumptions in
 //!   all the standard cells that it covers."
 //!
@@ -42,6 +44,6 @@ mod estimate;
 mod report;
 
 pub use config::PowerConfig;
-pub use density::power_map;
+pub use density::{power_map, power_map_placed};
 pub use estimate::estimate_power;
 pub use report::PowerReport;

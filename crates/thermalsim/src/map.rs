@@ -1,4 +1,4 @@
-use geom::{Grid2d, Rect};
+use geom::{Grid2d, Point, Rect};
 use serde::{Deserialize, Serialize};
 
 /// An extreme bin of [`Grid2d::max_bin`] / [`Grid2d::min_bin`], with a
@@ -47,6 +47,15 @@ impl ThermalMap {
     /// Ambient temperature in °C.
     pub fn ambient_c(&self) -> f64 {
         self.ambient_c
+    }
+
+    /// The temperature (°C) under die point `p`: its bin's value, or
+    /// ambient outside the map.
+    pub fn temp_at(&self, p: Point) -> f64 {
+        match self.grid.bin_of(p.x, p.y) {
+            Some((ix, iy)) => *self.grid.get(ix, iy),
+            None => self.ambient_c,
+        }
     }
 
     /// The die outline the map covers.
@@ -141,6 +150,14 @@ mod tests {
         assert_eq!(m.peak_bin(), ((1, 2), 40.0));
         assert_eq!(m.peak_rise(), 15.0);
         assert_eq!(m.gradient(), 15.0);
+    }
+
+    #[test]
+    fn temp_at_reads_the_bin_under_a_point_and_ambient_outside() {
+        let m = ThermalMap::new(map_with(&[(1, 2, 40.0)]).grid().clone(), 20.0);
+        assert_eq!(m.temp_at(Point::new(15.0, 25.0)), 40.0);
+        assert_eq!(m.temp_at(Point::new(5.0, 5.0)), 25.0);
+        assert_eq!(m.temp_at(Point::new(41.0, 5.0)), 20.0);
     }
 
     #[test]

@@ -1,16 +1,11 @@
 use netlist::{CellId, NetDriver, Netlist};
-use placement::{Floorplan, Placement};
+use placement::{Floorplan, PlacedGeometry, Placement};
 use thermalsim::ThermalMap;
 
 use crate::{TimingConfig, TimingError, TimingReport};
 
-/// Runs static timing analysis.
-///
-/// Launch points are primary-input nets (arrival 0) and flip-flop `Q`
-/// outputs (arrival = the flop's clk→Q intrinsic delay); capture points
-/// are flip-flop `D` pins and primary outputs. When `temps` is given,
-/// every cell and wire delay is derated at the driving cell's local
-/// temperature.
+/// Runs static timing analysis on a placement: [`analyze_placed`] over
+/// the placement's [`PlacedGeometry`].
 ///
 /// # Errors
 ///
@@ -22,22 +17,47 @@ pub fn analyze(
     temps: Option<&ThermalMap>,
     config: &TimingConfig,
 ) -> Result<TimingReport, TimingError> {
+    let geometry = PlacedGeometry::new(netlist, floorplan, placement);
+    analyze_placed(netlist, &geometry, temps, config)
+}
+
+/// Runs static timing analysis over the geometry of a placement.
+///
+/// Launch points are primary-input nets (arrival 0) and flip-flop `Q`
+/// outputs (arrival = the flop's clk→Q intrinsic delay); capture points
+/// are flip-flop `D` pins and primary outputs. When `temps` is given,
+/// every cell and wire delay is derated at the driving cell's local
+/// temperature.
+///
+/// # Errors
+///
+/// Returns [`TimingError::UnplacedCell`] if any cell is unplaced.
+pub fn analyze_placed(
+    netlist: &Netlist,
+    geometry: &PlacedGeometry,
+    temps: Option<&ThermalMap>,
+    config: &TimingConfig,
+) -> Result<TimingReport, TimingError> {
     let lib = netlist.library();
     let center = |cell: CellId| {
-        placement
-            .cell_center(netlist, floorplan, cell)
+        geometry
+            .cell_center(cell)
             .ok_or(TimingError::UnplacedCell { cell })
     };
-    let cell_temp = |cell: CellId| -> Result<f64, TimingError> {
-        let Some(map) = temps else {
-            return Ok(config.reference_temp_c);
-        };
-        let c = center(cell)?;
-        Ok(match map.grid().bin_of(c.x, c.y) {
-            Some((ix, iy)) => *map.grid().get(ix, iy),
-            None => map.ambient_c(),
+    // Each cell's (cell, wire) delay derates at its local temperature,
+    // or at the reference temperature without a map. Under a map an
+    // unplaced cell has no temperature: `None`.
+    let derates: Vec<Option<(f64, f64)>> = netlist
+        .cells()
+        .map(|(id, _)| {
+            let t = match temps {
+                None => Some(config.reference_temp_c),
+                Some(map) => geometry.cell_center(id).map(|c| map.temp_at(c)),
+            };
+            t.map(|t| (config.cell_derate(t), config.wire_derate(t)))
         })
-    };
+        .collect();
+    let derate = |cell: CellId| derates[cell.index()].ok_or(TimingError::UnplacedCell { cell });
 
     // Arrival time at each net (at the driver output) and the driving
     // cell that realizes it (for path recovery).
@@ -50,9 +70,9 @@ pub fn analyze(
         let def = lib.cell(cell.master());
         if def.function().is_sequential() {
             is_seq[id.index()] = true;
-            let t = cell_temp(id)?;
+            let (cell_derate, _) = derate(id)?;
             let q_net = netlist.pin(cell.output_pins()[0]).net();
-            arrival[q_net.index()] = def.intrinsic_delay_ps() * config.cell_derate(t);
+            arrival[q_net.index()] = def.intrinsic_delay_ps() * cell_derate;
             from_cell[q_net.index()] = Some(id);
         }
     }
@@ -63,33 +83,32 @@ pub fn analyze(
     for &cell_id in netlist.comb_order() {
         let cell = netlist.cell(cell_id);
         let def = lib.cell(cell.master());
-        let t = cell_temp(cell_id)?;
+        let (cell_derate, _) = derate(cell_id)?;
         let my_center = center(cell_id)?;
         // Worst input arrival, including the wire from each fan-in driver.
         let mut worst_in = 0.0f64;
         let mut worst_pred = None;
         for &pin in cell.input_pins() {
             let net = netlist.pin(pin).net();
-            let base = arrival[net.index()];
-            let wire = match netlist.net(net).driver() {
-                NetDriver::Pin(dpin) => {
-                    let driver = netlist.pin(dpin).cell();
-                    let dcenter = center(driver)?;
-                    let dist = dcenter.manhattan_to(my_center);
+            let driver = match netlist.net(net).driver() {
+                NetDriver::Pin(dpin) => Some(netlist.pin(dpin).cell()),
+                _ => None,
+            };
+            let wire = match driver {
+                Some(driver) => {
+                    let dist = center(driver)?.manhattan_to(my_center);
                     let r_wire = dist * config.wire_res_ohm_per_um / 1000.0; // kΩ
                     let c_wire = dist * config.wire_cap_ff_per_um;
                     let c_sink = def.input_cap_ff();
-                    (r_wire * (c_wire / 2.0 + c_sink)) * config.wire_derate(cell_temp(driver)?)
+                    let (_, wire_derate) = derate(driver)?;
+                    (r_wire * (c_wire / 2.0 + c_sink)) * wire_derate
                 }
-                _ => 0.0,
+                None => 0.0,
             };
-            let a = base + wire;
+            let a = arrival[net.index()] + wire;
             if a > worst_in {
                 worst_in = a;
-                worst_pred = match netlist.net(net).driver() {
-                    NetDriver::Pin(dpin) => Some(netlist.pin(dpin).cell()),
-                    _ => None,
-                };
+                worst_pred = driver;
             }
         }
         best_pred[cell_id.index()] = worst_pred;
@@ -101,10 +120,8 @@ pub fn analyze(
                 let sink_cell = netlist.cell(netlist.pin(sink).cell());
                 c_load += lib.cell(sink_cell.master()).input_cap_ff();
             }
-            c_load +=
-                placement::net_hpwl(netlist, floorplan, placement, net) * config.wire_cap_ff_per_um;
-            let delay =
-                (def.intrinsic_delay_ps() + def.drive_res_kohm() * c_load) * config.cell_derate(t);
+            c_load += geometry.net_hpwl(net) * config.wire_cap_ff_per_um;
+            let delay = (def.intrinsic_delay_ps() + def.drive_res_kohm() * c_load) * cell_derate;
             let a = worst_in + delay;
             if a > arrival[net.index()] {
                 arrival[net.index()] = a;
@@ -269,6 +286,30 @@ mod tests {
             overhead > 9.0 && overhead < 13.0,
             "thermal derating overhead {overhead}%"
         );
+    }
+
+    #[test]
+    fn an_unplaced_cell_is_an_error_not_a_panic() {
+        use geom::Grid2d;
+        let (nl, placed) = place_small();
+        let fp = &placed.floorplan;
+        let cfg = TimingConfig::default();
+        let hot_map = ThermalMap::new(Grid2d::new(8, 8, fp.core(), 50.0), 25.0);
+        let comb = *nl.comb_order().last().unwrap();
+        let flop = nl
+            .cells()
+            .find(|(_, c)| nl.library().cell(c.master()).function().is_sequential())
+            .unwrap()
+            .0;
+        for (removed, map) in [(comb, None), (comb, Some(&hot_map)), (flop, Some(&hot_map))] {
+            let mut pl = placed.placement.clone();
+            pl.remove(removed);
+            let err = analyze(&nl, fp, &pl, map, &cfg).unwrap_err();
+            assert!(
+                matches!(err, TimingError::UnplacedCell { cell } if cell == removed),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -377,7 +377,7 @@ fn timing_from_json(value: &Json, ctx: &str) -> Result<TimingReport, ServiceErro
     Ok(TimingReport {
         critical_path_ps: member_f64(value, ctx, "critical_path_ps")?,
         slack_ps: member_f64(value, ctx, "slack_ps")?,
-        critical_cells,
+        critical_cells: critical_cells.into(),
     })
 }
 
@@ -823,7 +823,7 @@ mod tests {
         )
         .unwrap();
         let timing = timing_from_json(&doc, "timing").unwrap();
-        assert_eq!(timing.critical_cells, [CellId::from(u32::MAX)]);
+        assert_eq!(*timing.critical_cells, [CellId::from(u32::MAX)]);
     }
 
     #[test]

@@ -500,11 +500,7 @@ impl Flow {
 
     /// [`Flow::analyze_placement`] over a placement's geometry, so the
     /// caller can hand the same geometry to timing and wirelength.
-    ///
-    /// # Errors
-    ///
-    /// Propagates thermal-solve failures.
-    pub fn analyze_geometry(
+    pub(crate) fn analyze_geometry(
         &self,
         geometry: &PlacedGeometry,
     ) -> Result<(PowerReport, Grid2d<f64>, ThermalMap), FlowError> {
@@ -731,12 +727,17 @@ impl Flow {
         let geometry = PlacedGeometry::new(&self.netlist, &state.floorplan, &state.placement);
         state.ensure_thermal_with(ctx, &geometry)?;
         let (tmap_after, _) = state.analysis()?;
-        let timing_after = analyze_placed(
+        let mut timing_after = analyze_placed(
             &self.netlist,
             &geometry,
             Some(tmap_after),
             &self.config.timing,
         )?;
+        // A transform seldom moves the critical path; when it did not,
+        // the report holds the baseline's copy of it instead of a second.
+        if timing_after.critical_cells == baseline.timing.critical_cells {
+            timing_after.critical_cells = Arc::clone(&baseline.timing.critical_cells);
+        }
         let hpwl_after = geometry.total_hpwl();
         let base_area = self.base.floorplan.core().area();
         let new_area = geometry.core().area();

@@ -28,7 +28,7 @@ impl Fnv {
 fn line(case: &str, timing: &TimingReport, hpwl_um: f64) -> String {
     let mut cells = Fnv::new();
     cells.write(timing.critical_cells.len() as u64);
-    for cell in &timing.critical_cells {
+    for cell in timing.critical_cells.iter() {
         cells.write(cell.index() as u64);
     }
     format!(

@@ -103,7 +103,7 @@ impl PlacedGeometry {
     ///
     /// Panics if `net` is out of range of `netlist`, or `netlist` is not
     /// the one the geometry was built from.
-    pub fn net_bbox(&self, netlist: &Netlist, net: NetId) -> Option<Rect> {
+    pub(crate) fn net_bbox(&self, netlist: &Netlist, net: NetId) -> Option<Rect> {
         placed_bbox(netlist, net, |cell| self.cell_center(cell))
     }
 

@@ -1,3 +1,5 @@
+use std::sync::Arc;
+
 use netlist::CellId;
 
 /// The result of a timing analysis.
@@ -9,8 +11,10 @@ pub struct TimingReport {
     /// Worst negative slack against the clock period, ps (positive =
     /// timing met).
     pub slack_ps: f64,
-    /// Cells on the critical path, launch to capture.
-    pub critical_cells: Vec<CellId>,
+    /// Cells on the critical path, launch to capture. Shared, so reports
+    /// whose paths are equal (a run's before and after timing, most
+    /// often) can hold one copy.
+    pub critical_cells: Arc<[CellId]>,
 }
 
 impl TimingReport {
@@ -45,12 +49,12 @@ mod tests {
         let a = TimingReport {
             critical_path_ps: 1000.0,
             slack_ps: 0.0,
-            critical_cells: vec![],
+            critical_cells: Arc::from([]),
         };
         let b = TimingReport {
             critical_path_ps: 1020.0,
             slack_ps: -20.0,
-            critical_cells: vec![],
+            critical_cells: Arc::from([]),
         };
         assert!((a.overhead_to(&b) - 2.0).abs() < 1e-12);
         assert!((b.overhead_to(&a) + 1.96).abs() < 0.01);

@@ -168,7 +168,7 @@ pub fn analyze_placed(
     Ok(TimingReport {
         critical_path_ps: critical,
         slack_ps: config.clock_period_ps - critical,
-        critical_cells,
+        critical_cells: critical_cells.into(),
     })
 }
 

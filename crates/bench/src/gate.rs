@@ -9,8 +9,9 @@
 //! * **Sections** — each row of one rule table bounds one field of one
 //!   section entry: the `Auto` backend's routing, speedups and oracle
 //!   drift, the threaded solves' bit-identity and speedup, the
-//!   optimizer's exact-verification share and frontier, and the service
-//!   cache's warm-over-cold ratio and cold fallbacks. Every bounded
+//!   optimizer's exact-verification share and frontier, the service
+//!   cache's warm-over-cold ratio and cold fallbacks, and the service
+//!   building its one resolved flow exactly once. Every bounded
 //!   quantity is a within-run ratio or an exact count, so machine speed
 //!   cancels out; the baseline only establishes which sections must be
 //!   present.
@@ -136,7 +137,7 @@ struct Rule {
 /// Every section gate. A section the baseline has but the run lacks
 /// fails once by name; a present section is held to each of its rows.
 #[rustfmt::skip]
-const RULES: [Rule; 12] = {
+const RULES: [Rule; 13] = {
     use Bound::{Above, AtLeast, AtMost, Exactly, NonEmptyArray, ShareOf, StrEquals};
     use Entry::{EveryMesh, Mesh, Section};
     use When::{Always, FullMode, HwThreads};
@@ -155,6 +156,7 @@ const RULES: [Rule; 12] = {
         row("optimizer", Section, "frontier", NonEmptyArray, Always, Always),
         row("service", Section, "warm_over_cold", AtLeast(MIN_SERVICE_WARM_SPEEDUP), Always, Always),
         row("service", Section, "warm_cold_solves", Exactly(0.0), Always, Always),
+        row("service", Section, "flows_built", Exactly(1.0), Always, Always),
         row("logic_sim", Section, "evaluated_share", AtMost(MAX_LOGIC_SIM_EVALUATED_SHARE), Always, Always),
     ]
 };
@@ -738,7 +740,12 @@ mod tests {
         assert!(check_against_baseline(&doc(3.0, 81.5), &doc(3.0, 81.5), 0.25).is_empty());
     }
 
-    fn with_service(mut doc: Json, warm_over_cold: f64, warm_cold_solves: f64) -> Json {
+    fn with_service(
+        mut doc: Json,
+        warm_over_cold: f64,
+        warm_cold_solves: f64,
+        flows_built: f64,
+    ) -> Json {
         let Json::Obj(pairs) = &mut doc else {
             unreachable!()
         };
@@ -747,6 +754,7 @@ mod tests {
             Json::obj([
                 ("warm_over_cold", Json::Num(warm_over_cold)),
                 ("warm_cold_solves", Json::Num(warm_cold_solves)),
+                ("flows_built", Json::Num(flows_built)),
             ]),
         ));
         doc
@@ -754,12 +762,12 @@ mod tests {
 
     #[test]
     fn service_gate_requires_warm_speedup_and_no_cold_fallbacks() {
-        let base = with_service(doc(3.0, 81.5), 200.0, 0.0);
+        let base = with_service(doc(3.0, 81.5), 200.0, 0.0, 1.0);
         // Healthy section passes.
-        let good = with_service(doc(3.0, 81.5), 50.0, 0.0);
+        let good = with_service(doc(3.0, 81.5), 50.0, 0.0, 1.0);
         assert!(check_against_baseline(&good, &base, 0.25).is_empty());
         // Warm requests barely beating cold solves fails.
-        let tepid = with_service(doc(3.0, 81.5), 1.4, 0.0);
+        let tepid = with_service(doc(3.0, 81.5), 1.4, 0.0, 1.0);
         let failures = check_against_baseline(&tepid, &base, 0.25);
         assert!(
             failures
@@ -768,7 +776,7 @@ mod tests {
             "{failures:?}"
         );
         // Any warm request falling through to a cold solve fails.
-        let leaky = with_service(doc(3.0, 81.5), 50.0, 2.0);
+        let leaky = with_service(doc(3.0, 81.5), 50.0, 2.0, 1.0);
         let failures = check_against_baseline(&leaky, &base, 0.25);
         assert!(
             failures
@@ -777,7 +785,7 @@ mod tests {
             "{failures:?}"
         );
         // A non-finite ratio fails by name instead of passing silently.
-        let poisoned = with_service(doc(3.0, 81.5), f64::NAN, 0.0);
+        let poisoned = with_service(doc(3.0, 81.5), f64::NAN, 0.0, 1.0);
         let failures = check_against_baseline(&poisoned, &base, 0.25);
         assert!(
             failures
@@ -795,6 +803,41 @@ mod tests {
         );
         // Pre-v5 documents (no section on either side) still pass.
         assert!(check_against_baseline(&doc(3.0, 81.5), &doc(3.0, 81.5), 0.25).is_empty());
+    }
+
+    #[test]
+    fn service_gate_requires_one_flow_per_resolved_config() {
+        let base = with_service(doc(3.0, 81.5), 200.0, 0.0, 1.0);
+        // Two workers that raced past the flow cache built it twice.
+        let raced = with_service(doc(3.0, 81.5), 50.0, 0.0, 2.0);
+        let failures = check_against_baseline(&raced, &base, 0.25);
+        assert!(
+            failures
+                .iter()
+                .any(|f| f.contains("`service.flows_built` = 2, needs exactly 1")),
+            "{failures:?}"
+        );
+        // A service that answered without building its flow is as wrong.
+        let none = with_service(doc(3.0, 81.5), 50.0, 0.0, 0.0);
+        let failures = check_against_baseline(&none, &base, 0.25);
+        assert!(
+            failures
+                .iter()
+                .any(|f| f.contains("`service.flows_built` = 0, needs exactly 1")),
+            "{failures:?}"
+        );
+        // A section without the count fails by name.
+        let Json::Obj(mut pairs) = with_service(doc(3.0, 81.5), 50.0, 0.0, 1.0) else {
+            unreachable!()
+        };
+        if let Some((_, Json::Obj(fields))) = pairs.iter_mut().find(|(k, _)| k == "service") {
+            fields.retain(|(k, _)| k != "flows_built");
+        }
+        let failures = check_against_baseline(&Json::Obj(pairs), &base, 0.25);
+        assert!(
+            failures.iter().any(|f| f.contains("flows_built")),
+            "{failures:?}"
+        );
     }
 
     fn with_logic_sim(mut doc: Json, evaluated_share: f64) -> Json {

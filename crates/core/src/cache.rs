@@ -2,6 +2,10 @@
 //! primitive under [`crate::ThermalModelCache`] and the result store of
 //! the `coolserved` optimization service.
 //!
+//! [`KeyedCache::get_or_compute`] is single-flight: while one caller
+//! computes a key, later callers of that key wait for its value instead
+//! of computing it again.
+//!
 //! Entries are tagged with the cache's *generation* at compute time;
 //! [`KeyedCache::bump_generation`] invalidates everything computed
 //! before it without walking the map (stale entries fall out lazily on
@@ -9,9 +13,9 @@
 //! [`KeyedCache::stats`] so the bench pipeline can gate cache
 //! effectiveness instead of guessing at it.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Counter snapshot of a [`KeyedCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -54,6 +58,8 @@ struct Entry<V> {
 #[derive(Debug)]
 struct Inner<K, V> {
     entries: HashMap<K, Entry<V>>,
+    /// Keys a [`KeyedCache::get_or_compute`] caller is computing now.
+    in_flight: HashSet<K>,
     capacity: usize,
     /// Monotonic LRU clock, bumped on every touch.
     tick: u64,
@@ -78,14 +84,36 @@ struct Inner<K, V> {
 /// bookkeeping of a linked LRU list.
 #[derive(Debug)]
 pub struct KeyedCache<K, V> {
-    inner: Arc<Mutex<Inner<K, V>>>,
+    shared: Arc<Shared<K, V>>,
+}
+
+/// The store behind every clone of one [`KeyedCache`].
+#[derive(Debug)]
+struct Shared<K, V> {
+    inner: Mutex<Inner<K, V>>,
+    /// Signalled whenever a key leaves [`Inner::in_flight`].
+    landed: Condvar,
 }
 
 impl<K, V> Clone for KeyedCache<K, V> {
     fn clone(&self) -> Self {
         KeyedCache {
-            inner: Arc::clone(&self.inner),
+            shared: Arc::clone(&self.shared),
         }
+    }
+}
+
+/// Held by the caller computing a key: dropping it, on success, error
+/// or unwind alike, takes the key out of flight and wakes its waiters.
+struct Flight<'a, K: Eq + Hash + Clone, V> {
+    cache: &'a KeyedCache<K, V>,
+    key: K,
+}
+
+impl<K: Eq + Hash + Clone, V> Drop for Flight<'_, K, V> {
+    fn drop(&mut self) {
+        self.cache.lock().in_flight.remove(&self.key);
+        self.cache.shared.landed.notify_all();
     }
 }
 
@@ -93,16 +121,20 @@ impl<K: Eq + Hash + Clone, V> KeyedCache<K, V> {
     /// An empty cache holding at most `capacity` entries (clamped to 1).
     pub fn with_capacity(capacity: usize) -> Self {
         KeyedCache {
-            inner: Arc::new(Mutex::new(Inner {
-                entries: HashMap::new(),
-                capacity: capacity.max(1),
-                tick: 0,
-                generation: 0,
-                hits: 0,
-                misses: 0,
-                evictions: 0,
-                insertions: 0,
-            })),
+            shared: Arc::new(Shared {
+                inner: Mutex::new(Inner {
+                    entries: HashMap::new(),
+                    in_flight: HashSet::new(),
+                    capacity: capacity.max(1),
+                    tick: 0,
+                    generation: 0,
+                    hits: 0,
+                    misses: 0,
+                    evictions: 0,
+                    insertions: 0,
+                }),
+                landed: Condvar::new(),
+            }),
         }
     }
 
@@ -110,35 +142,18 @@ impl<K: Eq + Hash + Clone, V> KeyedCache<K, V> {
     /// inserted whole (`Arc`s of finished values), so a panic on another
     /// thread cannot leave the map half-written.
     fn lock(&self) -> MutexGuard<'_, Inner<K, V>> {
-        self.inner
+        self.shared
+            .inner
             .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Looks `key` up, counting a hit or miss. An entry from an older
     /// generation is dropped and counted as a miss.
     pub fn get(&self, key: &K) -> Option<Arc<V>> {
         let mut inner = self.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        let generation = inner.generation;
-        let (value, stale) = match inner.entries.get_mut(key) {
-            Some(entry) if entry.generation == generation => {
-                entry.last_used = tick;
-                (Some(Arc::clone(&entry.value)), false)
-            }
-            Some(_) => (None, true),
-            None => (None, false),
-        };
-        if stale {
-            inner.entries.remove(key);
-            inner.evictions += 1;
-        }
-        if value.is_some() {
-            inner.hits += 1;
-        } else {
-            inner.misses += 1;
-        }
+        let value = inner.lookup(key);
+        inner.misses += u64::from(value.is_none());
         value
     }
 
@@ -146,35 +161,16 @@ impl<K: Eq + Hash + Clone, V> KeyedCache<K, V> {
     /// the least-recently-used entry if the cache is full.
     pub fn insert(&self, key: K, value: Arc<V>) {
         let mut inner = self.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
         let generation = inner.generation;
-        if !inner.entries.contains_key(&key) && inner.entries.len() >= inner.capacity {
-            let lru = inner
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone());
-            if let Some(lru) = lru {
-                inner.entries.remove(&lru);
-                inner.evictions += 1;
-            }
-        }
-        inner.insertions += 1;
-        inner.entries.insert(
-            key,
-            Entry {
-                value,
-                generation,
-                last_used: tick,
-            },
-        );
+        inner.store(key, value, generation);
     }
 
     /// Returns the cached value for `key`, computing and inserting it on
     /// a miss. The computation runs *outside* the lock so distinct keys
-    /// compute concurrently; if two threads race on the same key, the
-    /// loser's value is dropped in favour of the first one cached.
+    /// compute concurrently. A caller that finds a key another caller
+    /// is computing waits for that value instead of computing it again,
+    /// and counts a hit; if that computation fails or panics, it caches
+    /// nothing and the waiter computes the key itself.
     ///
     /// A value computed across a [`KeyedCache::bump_generation`] call is
     /// still returned to its caller but tagged with the generation it
@@ -188,41 +184,28 @@ impl<K: Eq + Hash + Clone, V> KeyedCache<K, V> {
         key: K,
         compute: impl FnOnce() -> Result<V, E>,
     ) -> Result<Arc<V>, E> {
-        if let Some(value) = self.get(&key) {
-            return Ok(value);
-        }
-        let started_generation = self.lock().generation;
-        let value = Arc::new(compute()?);
         let mut inner = self.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        let current_generation = inner.generation;
-        if let Some(existing) = inner.entries.get_mut(&key) {
-            if existing.generation == current_generation {
-                existing.last_used = tick;
-                return Ok(Arc::clone(&existing.value));
+        loop {
+            if let Some(value) = inner.lookup(&key) {
+                return Ok(value);
             }
-        }
-        if !inner.entries.contains_key(&key) && inner.entries.len() >= inner.capacity {
-            let lru = inner
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone());
-            if let Some(lru) = lru {
-                inner.entries.remove(&lru);
-                inner.evictions += 1;
+            if !inner.in_flight.contains(&key) {
+                break;
             }
+            inner = self
+                .shared
+                .landed
+                .wait(inner)
+                .unwrap_or_else(PoisonError::into_inner);
         }
-        inner.insertions += 1;
-        inner.entries.insert(
-            key,
-            Entry {
-                value: Arc::clone(&value),
-                generation: started_generation,
-                last_used: tick,
-            },
-        );
+        inner.misses += 1;
+        inner.in_flight.insert(key.clone());
+        let started_generation = inner.generation;
+        drop(inner);
+        let flight = Flight { cache: self, key };
+        let value = Arc::new(compute()?);
+        self.lock()
+            .store(flight.key.clone(), Arc::clone(&value), started_generation);
         Ok(value)
     }
 
@@ -266,6 +249,57 @@ impl<K: Eq + Hash + Clone, V> KeyedCache<K, V> {
     }
 }
 
+impl<K: Eq + Hash + Clone, V> Inner<K, V> {
+    /// The live entry for `key`, if any, touching it and counting a hit
+    /// (the caller counts a miss). An entry from an older generation is
+    /// dropped and counted as an eviction.
+    fn lookup(&mut self, key: &K) -> Option<Arc<V>> {
+        self.tick += 1;
+        let (tick, generation) = (self.tick, self.generation);
+        let (value, stale) = match self.entries.get_mut(key) {
+            Some(entry) if entry.generation == generation => {
+                entry.last_used = tick;
+                (Some(Arc::clone(&entry.value)), false)
+            }
+            Some(_) => (None, true),
+            None => (None, false),
+        };
+        if stale {
+            self.entries.remove(key);
+            self.evictions += 1;
+        }
+        self.hits += u64::from(value.is_some());
+        value
+    }
+
+    /// Inserts `value` under `key` tagged with `generation`, evicting the
+    /// least-recently-used entry if the cache is full.
+    fn store(&mut self, key: K, value: Arc<V>, generation: u64) {
+        self.tick += 1;
+        if !self.entries.contains_key(&key) && self.entries.len() >= self.capacity {
+            let lru = self
+                .entries
+                .iter()
+                .min_by_key(|(_, e)| e.last_used)
+                .map(|(k, _)| k.clone());
+            if let Some(lru) = lru {
+                self.entries.remove(&lru);
+                self.evictions += 1;
+            }
+        }
+        self.insertions += 1;
+        let last_used = self.tick;
+        self.entries.insert(
+            key,
+            Entry {
+                value,
+                generation,
+                last_used,
+            },
+        );
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -300,6 +334,116 @@ mod tests {
         assert!(cache.is_empty());
         let v = cache.get_or_compute(1, || Ok::<_, &str>(5)).unwrap();
         assert_eq!(*v, 5);
+    }
+
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::mpsc;
+    use std::thread;
+    use std::time::{Duration, Instant};
+
+    /// Spins until `flag` is set (bounded, so a broken cache fails
+    /// instead of hanging).
+    fn await_flag(flag: &AtomicBool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !flag.load(Ordering::SeqCst) && Instant::now() < deadline {
+            thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn racing_callers_of_one_key_compute_it_once() {
+        let cache: KeyedCache<u32, u32> = KeyedCache::with_capacity(4);
+        let computes = AtomicUsize::new(0);
+        let values: Vec<Arc<u32>> = thread::scope(|scope| {
+            let callers: Vec<_> = (0..6)
+                .map(|_| {
+                    scope.spawn(|| {
+                        cache
+                            .get_or_compute(1, || {
+                                computes.fetch_add(1, Ordering::SeqCst);
+                                thread::sleep(Duration::from_millis(50));
+                                Ok::<_, ()>(42)
+                            })
+                            .unwrap()
+                    })
+                })
+                .collect();
+            callers.into_iter().map(|c| c.join().unwrap()).collect()
+        });
+        assert_eq!(computes.load(Ordering::SeqCst), 1);
+        assert!(values.iter().all(|v| Arc::ptr_eq(v, &values[0])));
+        let stats = cache.stats();
+        assert_eq!((stats.insertions, stats.misses + stats.hits), (1, 6));
+    }
+
+    #[test]
+    fn distinct_keys_compute_concurrently() {
+        let cache: KeyedCache<u32, u32> = KeyedCache::with_capacity(4);
+        let inside = AtomicUsize::new(0);
+        let overlapped = AtomicBool::new(false);
+        thread::scope(|scope| {
+            for key in [1, 2] {
+                let (cache, inside, overlapped) = (&cache, &inside, &overlapped);
+                scope.spawn(move || {
+                    cache.get_or_compute(key, || {
+                        inside.fetch_add(1, Ordering::SeqCst);
+                        let deadline = Instant::now() + Duration::from_secs(10);
+                        while Instant::now() < deadline {
+                            if inside.load(Ordering::SeqCst) == 2 {
+                                overlapped.store(true, Ordering::SeqCst);
+                                break;
+                            }
+                            thread::yield_now();
+                        }
+                        Ok::<_, ()>(key)
+                    })
+                });
+            }
+        });
+        assert!(
+            overlapped.load(Ordering::SeqCst),
+            "two keys ran one at a time"
+        );
+        assert_eq!(cache.len(), 2);
+    }
+
+    /// A leader computing key 1 fails in `fail`; a caller that arrived
+    /// while it ran must get its own value back and cache it.
+    fn waiter_outlives_a_failed_leader(fail: fn() -> Result<u32, &'static str>) {
+        let cache: KeyedCache<u32, u32> = KeyedCache::with_capacity(4);
+        let leading = AtomicBool::new(false);
+        let (sent, received) = mpsc::channel();
+        thread::scope(|scope| {
+            let leader = scope.spawn(|| {
+                cache.get_or_compute(1, || {
+                    leading.store(true, Ordering::SeqCst);
+                    thread::sleep(Duration::from_millis(100));
+                    fail()
+                })
+            });
+            scope.spawn(|| {
+                await_flag(&leading);
+                let got = cache.get_or_compute(1, || Ok::<_, &str>(7));
+                let _ = sent.send(got.map(|v| *v));
+            });
+            let waited = received.recv_timeout(Duration::from_secs(20));
+            assert_eq!(waited, Ok(Ok(7)), "the waiter was not released");
+            if let Ok(result) = leader.join() {
+                assert!(result.is_err(), "the leader's error is its own");
+            }
+        });
+        assert_eq!(cache.get(&1).as_deref(), Some(&7));
+        assert_eq!(cache.stats().insertions, 1, "the failure cached nothing");
+    }
+
+    #[test]
+    fn an_erring_leader_releases_its_waiter_and_caches_nothing() {
+        waiter_outlives_a_failed_leader(|| Err("boom"));
+    }
+
+    #[test]
+    fn a_panicking_leader_releases_its_waiter() {
+        waiter_outlives_a_failed_leader(|| panic!("leader panicked"));
     }
 
     #[test]

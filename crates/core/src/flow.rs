@@ -6,10 +6,10 @@ use std::sync::{Arc, OnceLock};
 
 use arithgen::{build_benchmark, BenchmarkConfig, UnitRole};
 use geom::{Grid2d, Rect};
-use logicsim::{Activity, Simulator, Workload};
+use logicsim::{Activity, SimProgram, Simulator, Workload};
 use netlist::Netlist;
 use placement::{Floorplan, PlacedGeometry, Placement, PlacementResult, Placer, PlacerConfig};
-use powerest::{estimate_power, power_map_placed, PowerConfig, PowerReport};
+use powerest::{estimate_power_placed, power_map_placed, PowerConfig, PowerReport};
 use thermalsim::{FactorizedThermalModel, ThermalConfig, ThermalMap};
 use timan::{analyze_placed, TimingConfig, TimingReport};
 
@@ -243,19 +243,29 @@ fn model_key(config: &ThermalConfig, die: Rect) -> ModelKey {
 /// a handful of entries covers them while bounding the memo's memory.
 const NETLIST_CACHE_CAP: usize = 4;
 
-/// The benchmark netlist for `config`, built once per process and shared
-/// by every [`Flow`] that names the same configuration.
-/// [`build_benchmark`] is a pure function of its configuration and a
-/// [`Netlist`] is immutable once built, so sharing cannot change an
-/// answer.
-fn shared_netlist(config: &BenchmarkConfig) -> Result<Arc<Netlist>, FlowError> {
+/// A benchmark netlist and its compiled simulation program, which
+/// depends on nothing else.
+#[derive(Debug)]
+struct Benchmark {
+    netlist: Netlist,
+    program: SimProgram,
+}
+
+/// The benchmark netlist for `config` and its [`SimProgram`], built once
+/// per process and shared by every [`Flow`] that names the same
+/// configuration. [`build_benchmark`] and [`SimProgram::compile`] are
+/// pure functions of their inputs and both are immutable once built, so
+/// sharing cannot change an answer.
+fn shared_netlist(config: &BenchmarkConfig) -> Result<Arc<Benchmark>, FlowError> {
     netlists().get_or_compute(config.clone(), || {
-        build_benchmark(config).map_err(FlowError::from)
+        let netlist = build_benchmark(config)?;
+        let program = SimProgram::compile(&netlist);
+        Ok(Benchmark { netlist, program })
     })
 }
 
-fn netlists() -> &'static KeyedCache<BenchmarkConfig, Netlist> {
-    static NETLISTS: OnceLock<KeyedCache<BenchmarkConfig, Netlist>> = OnceLock::new();
+fn netlists() -> &'static KeyedCache<BenchmarkConfig, Benchmark> {
+    static NETLISTS: OnceLock<KeyedCache<BenchmarkConfig, Benchmark>> = OnceLock::new();
     NETLISTS.get_or_init(|| KeyedCache::with_capacity(NETLIST_CACHE_CAP))
 }
 
@@ -263,26 +273,33 @@ fn netlists() -> &'static KeyedCache<BenchmarkConfig, Netlist> {
 /// and base utilization a request names.
 const PLACEMENT_CACHE_CAP: usize = 4;
 
+/// A base placement and its [`PlacedGeometry`].
+#[derive(Debug)]
+struct BasePlacement {
+    placed: PlacementResult,
+    geometry: PlacedGeometry,
+}
+
 /// The base placement of `netlist` (the shared netlist of `config`) at
-/// `utilization`, placed once per process and shared by every [`Flow`]
-/// that names the same pair. Placement is a pure function of the netlist
-/// and the utilization, and nothing mutates a base placement (a
-/// transformation starts from a clone), so sharing cannot change an
-/// answer.
+/// `utilization` with its geometry, placed once per process and shared
+/// by every [`Flow`] that names the same pair. Placement is a pure
+/// function of the netlist and the utilization, and nothing mutates a
+/// base placement (a transformation starts from a clone), so sharing
+/// cannot change an answer.
 fn shared_base_placement(
     config: &BenchmarkConfig,
     netlist: &Netlist,
     utilization: f64,
-) -> Result<Arc<PlacementResult>, FlowError> {
+) -> Result<Arc<BasePlacement>, FlowError> {
     placements().get_or_compute((config.clone(), utilization.to_bits()), || {
-        Placer::new(PlacerConfig::with_utilization(utilization))
-            .place(netlist)
-            .map_err(FlowError::from)
+        let placed = Placer::new(PlacerConfig::with_utilization(utilization)).place(netlist)?;
+        let geometry = PlacedGeometry::new(netlist, &placed.floorplan, &placed.placement);
+        Ok(BasePlacement { placed, geometry })
     })
 }
 
-fn placements() -> &'static KeyedCache<(BenchmarkConfig, u64), PlacementResult> {
-    static PLACEMENTS: OnceLock<KeyedCache<(BenchmarkConfig, u64), PlacementResult>> =
+fn placements() -> &'static KeyedCache<(BenchmarkConfig, u64), BasePlacement> {
+    static PLACEMENTS: OnceLock<KeyedCache<(BenchmarkConfig, u64), BasePlacement>> =
         OnceLock::new();
     PLACEMENTS.get_or_init(|| KeyedCache::with_capacity(PLACEMENT_CACHE_CAP))
 }
@@ -348,9 +365,8 @@ impl ThermalModelCache {
         die: Rect,
     ) -> Result<Arc<FactorizedThermalModel>, FlowError> {
         // The compute runs outside the cache lock so distinct geometries
-        // factorize concurrently; a rare double build of the same key
-        // just means the loser's model is dropped in favour of the
-        // cached one.
+        // factorize concurrently; a second caller of the same geometry
+        // waits for the first one's model.
         self.models.get_or_compute(model_key(config, die), || {
             FactorizedThermalModel::build(config, die).map_err(FlowError::from)
         })
@@ -373,9 +389,10 @@ struct BaselineAnalysis {
 /// then evaluates any number of strategies against the same baseline.
 ///
 /// The benchmark netlist is shared: every flow naming the same
-/// [`BenchmarkConfig`] holds one process-wide `Arc<Netlist>`, built on
-/// first use and kept in a small bounded memo. So is the base placement,
-/// per benchmark configuration and base utilization.
+/// [`BenchmarkConfig`] holds one process-wide netlist and its compiled
+/// [`SimProgram`], built on first use and kept in a small bounded memo.
+/// So is the base placement with its [`PlacedGeometry`], per benchmark
+/// configuration and base utilization.
 ///
 /// Thermal work is amortized two ways: the conductance network for each
 /// die geometry is factorized once (see [`FactorizedThermalModel`]) and
@@ -387,9 +404,9 @@ struct BaselineAnalysis {
 #[derive(Debug)]
 pub struct Flow {
     config: FlowConfig,
-    netlist: Arc<Netlist>,
+    bench: Arc<Benchmark>,
     activity: Activity,
-    base: Arc<PlacementResult>,
+    base: Arc<BasePlacement>,
     /// Per-cell power computed once on the base placement and held fixed
     /// across transformations — the paper's premise: the techniques reduce
     /// power *density* "while keeping (cell) power consumption unchanged".
@@ -406,27 +423,22 @@ impl Flow {
     ///
     /// Propagates netlist generation and placement errors.
     pub fn new(config: FlowConfig) -> Result<Self, FlowError> {
-        let netlist = shared_netlist(&config.benchmark)?;
+        let bench = shared_netlist(&config.benchmark)?;
+        let netlist = &bench.netlist;
         let active: Vec<netlist::UnitId> =
             config.workload.active.iter().map(|r| r.unit_id()).collect();
         let workload =
-            Workload::with_active_units(&netlist, &active, config.workload.toggle_probability);
-        let mut sim = Simulator::new(&netlist);
+            Workload::with_active_units(netlist, &active, config.workload.toggle_probability);
+        let mut sim = Simulator::with_program(netlist, &bench.program);
         sim.run_workload(&workload, config.warmup_cycles, config.seed);
         sim.reset_activity();
         sim.run_workload(&workload, config.cycles, config.seed.wrapping_add(1));
         let activity = sim.activity();
-        let base = shared_base_placement(&config.benchmark, &netlist, config.base_utilization)?;
-        let power = estimate_power(
-            &netlist,
-            &activity,
-            Some((&base.floorplan, &base.placement)),
-            None,
-            &config.power,
-        );
+        let base = shared_base_placement(&config.benchmark, netlist, config.base_utilization)?;
+        let power = estimate_power_placed(netlist, &activity, &base.geometry, None, &config.power);
         Ok(Flow {
             config,
-            netlist,
+            bench,
             activity,
             base,
             power,
@@ -453,12 +465,12 @@ impl Flow {
     /// The benchmark netlist, shared with every flow of the same
     /// [`BenchmarkConfig`].
     pub fn netlist(&self) -> &Netlist {
-        &self.netlist
+        &self.bench.netlist
     }
 
     /// The base placement the overhead is measured against.
     pub fn base_placement(&self) -> &PlacementResult {
-        &self.base
+        &self.base.placed
     }
 
     /// The factorized thermal model for a die outline, built on first use
@@ -495,7 +507,7 @@ impl Flow {
         floorplan: &Floorplan,
         placement: &Placement,
     ) -> Result<(PowerReport, Grid2d<f64>, ThermalMap), FlowError> {
-        self.analyze_geometry(&PlacedGeometry::new(&self.netlist, floorplan, placement))
+        self.analyze_geometry(&PlacedGeometry::new(self.netlist(), floorplan, placement))
     }
 
     /// [`Flow::analyze_placement`] over a placement's geometry, so the
@@ -508,12 +520,12 @@ impl Flow {
         let ny = self.config.thermal.grid.ny;
         let model = self.thermal_model(geometry.core())?;
         let mut report = self.power.clone();
-        let mut pmap = power_map_placed(&self.netlist, geometry, &report, nx, ny);
+        let mut pmap = power_map_placed(self.netlist(), geometry, &report, nx, ny);
         let mut tmap = model.solve(&pmap)?;
         for _ in 0..self.config.leakage_feedback_iters {
             let temps = self.cell_temps(geometry, &tmap);
-            report = report.with_leakage_at(&self.netlist, &self.config.power, &temps);
-            pmap = power_map_placed(&self.netlist, geometry, &report, nx, ny);
+            report = report.with_leakage_at(self.netlist(), &self.config.power, &temps);
+            pmap = power_map_placed(self.netlist(), geometry, &report, nx, ny);
             tmap = model.solve(&pmap)?;
         }
         Ok((report, pmap, tmap))
@@ -541,11 +553,10 @@ impl Flow {
     }
 
     fn compute_baseline(&self) -> Result<BaselineAnalysis, FlowError> {
-        let geometry =
-            PlacedGeometry::new(&self.netlist, &self.base.floorplan, &self.base.placement);
-        let (power, pmap, tmap) = self.analyze_geometry(&geometry)?;
+        let geometry = &self.base.geometry;
+        let (power, pmap, tmap) = self.analyze_geometry(geometry)?;
         let hotspots = detect_hotspots(&tmap, &self.config.hotspot);
-        let timing = analyze_placed(&self.netlist, &geometry, Some(&tmap), &self.config.timing)?;
+        let timing = analyze_placed(self.netlist(), geometry, Some(&tmap), &self.config.timing)?;
         Ok(BaselineAnalysis {
             power,
             pmap,
@@ -559,13 +570,10 @@ impl Flow {
     /// Per-cell temperatures sampled from a thermal map at the cell
     /// centers of a placement's geometry (ambient for unplaced cells).
     pub fn cell_temps(&self, geometry: &PlacedGeometry, map: &ThermalMap) -> Vec<f64> {
-        self.netlist
+        let temp_at = map.sampler();
+        self.netlist()
             .cells()
-            .map(|(id, _)| {
-                geometry
-                    .cell_center(id)
-                    .map_or(map.ambient_c(), |c| map.temp_at(c))
-            })
+            .map(|(id, _)| geometry.cell_center(id).map_or(map.ambient_c(), &temp_at))
             .collect()
     }
 
@@ -622,7 +630,7 @@ impl Flow {
     /// Propagates model-construction and baseline-solve failures.
     pub fn delta_evaluator(&self) -> Result<DeltaCandidateEvaluator, FlowError> {
         let b = self.baseline()?;
-        let model = self.thermal_model(self.base.floorplan.core())?;
+        let model = self.thermal_model(self.base.geometry.core())?;
         // Reuse the memoized baseline field — no extra solve.
         Ok(DeltaCandidateEvaluator::with_baseline(
             model,
@@ -703,9 +711,9 @@ impl Flow {
     pub(crate) fn base_state(&self) -> Result<TransformState, FlowError> {
         let baseline = self.baseline()?;
         Ok(TransformState::with_thermal(
-            self.base.floorplan.clone(),
-            self.base.placement.clone(),
-            self.base.regions.clone(),
+            self.base.placed.floorplan.clone(),
+            self.base.placed.placement.clone(),
+            self.base.placed.regions.clone(),
             baseline.tmap.clone(),
             baseline.hotspots.clone(),
         ))
@@ -724,11 +732,11 @@ impl Flow {
         state: &mut TransformState,
     ) -> Result<FlowReport, FlowError> {
         let baseline = self.baseline()?;
-        let geometry = PlacedGeometry::new(&self.netlist, &state.floorplan, &state.placement);
+        let geometry = PlacedGeometry::new(self.netlist(), &state.floorplan, &state.placement);
         state.ensure_thermal_with(ctx, &geometry)?;
         let (tmap_after, _) = state.analysis()?;
         let mut timing_after = analyze_placed(
-            &self.netlist,
+            self.netlist(),
             &geometry,
             Some(tmap_after),
             &self.config.timing,
@@ -739,7 +747,7 @@ impl Flow {
             timing_after.critical_cells = Arc::clone(&baseline.timing.critical_cells);
         }
         let hpwl_after = geometry.total_hpwl();
-        let base_area = self.base.floorplan.core().area();
+        let base_area = self.base.geometry.core().area();
         let new_area = geometry.core().area();
         Ok(FlowReport {
             strategy: transform.as_strategy().unwrap_or(Strategy::None),
@@ -768,6 +776,10 @@ mod tests {
         let a = Flow::new(FlowConfig::scattered_small().fast()).unwrap();
         let b = Flow::new(FlowConfig::concentrated_large().fast()).unwrap();
         assert!(std::ptr::eq(a.netlist(), b.netlist()), "same benchmark");
+        assert!(
+            Arc::ptr_eq(&a.bench, &b.bench),
+            "one compiled program per benchmark"
+        );
         let mut other = FlowConfig::scattered_small().fast();
         other.benchmark.name = "shared-netlist-other".to_string();
         let c = Flow::new(other).unwrap();
@@ -789,17 +801,23 @@ mod tests {
         let b = Flow::new(FlowConfig::concentrated_large().fast()).unwrap();
         assert!(
             Arc::ptr_eq(&a.base, &b.base),
-            "same benchmark and utilization"
+            "same benchmark and utilization: one placement and one geometry"
+        );
+        let placed = a.base_placement();
+        assert_eq!(
+            a.base.geometry,
+            PlacedGeometry::new(a.netlist(), &placed.floorplan, &placed.placement),
+            "the shared geometry is the base placement's"
         );
         let mut looser = FlowConfig::scattered_small().fast();
         looser.base_utilization = 0.7;
         let c = Flow::new(looser).unwrap();
         assert!(!Arc::ptr_eq(&a.base, &c.base), "distinct utilization");
-        assert!(c.base.floorplan.core().area() > a.base.floorplan.core().area());
-        let netlist = shared_netlist(&BenchmarkConfig::small()).unwrap();
+        assert!(c.base.geometry.core().area() > a.base.geometry.core().area());
+        let bench = shared_netlist(&BenchmarkConfig::small()).unwrap();
         for i in 0..PLACEMENT_CACHE_CAP + 2 {
             let utilization = 0.6 + 0.01 * i as f64;
-            shared_base_placement(&BenchmarkConfig::small(), &netlist, utilization).unwrap();
+            shared_base_placement(&BenchmarkConfig::small(), &bench.netlist, utilization).unwrap();
             assert!(
                 placements().len() <= PLACEMENT_CACHE_CAP,
                 "memo stays bounded"

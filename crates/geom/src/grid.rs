@@ -100,22 +100,7 @@ impl<T> Grid2d<T> {
     /// The bin containing die point `(x, y)`, or `None` outside the extent.
     /// Points on the upper/right boundary map into the last bin.
     pub fn bin_of(&self, x: Um, y: Um) -> Option<(usize, usize)> {
-        let e = &self.extent;
-        if x < e.llx || x > e.urx || y < e.lly || y > e.ury {
-            return None;
-        }
-        Some(self.clamped_bin(x, y))
-    }
-
-    /// The bin nearest die point `(x, y)`: [`Grid2d::bin_of`] for points
-    /// inside the extent, the nearest edge bin for points outside it.
-    /// Total: the float-to-index casts saturate (NaN maps to 0), so no
-    /// input can panic.
-    fn clamped_bin(&self, x: Um, y: Um) -> (usize, usize) {
-        let e = &self.extent;
-        let ix = (((x - e.llx) / self.bin_width()) as usize).min(self.nx - 1);
-        let iy = (((y - e.lly) / self.bin_height()) as usize).min(self.ny - 1);
-        (ix, iy)
+        self.bins().bin_of(x, y)
     }
 
     /// The die rectangle covered by bin `(ix, iy)`.
@@ -124,15 +109,21 @@ impl<T> Grid2d<T> {
     ///
     /// Panics if the bin index is out of bounds.
     pub fn bin_rect(&self, ix: usize, iy: usize) -> Rect {
-        assert!(ix < self.nx && iy < self.ny, "grid index out of bounds");
-        let w = self.bin_width();
-        let h = self.bin_height();
-        Rect::new(
-            self.extent.llx + ix as f64 * w,
-            self.extent.lly + iy as f64 * h,
-            self.extent.llx + (ix + 1) as f64 * w,
-            self.extent.lly + (iy + 1) as f64 * h,
-        )
+        self.bins().bin_rect(ix, iy)
+    }
+
+    /// The grid's bin layout, with the bin size divided out once: a
+    /// caller locating many points or rectangles on one grid computes
+    /// it once and gets the same bins as [`Grid2d::bin_of`] and
+    /// [`Grid2d::bin_rect`].
+    pub fn bins(&self) -> GridBins {
+        GridBins {
+            extent: self.extent,
+            nx: self.nx,
+            ny: self.ny,
+            width: self.bin_width(),
+            height: self.bin_height(),
+        }
     }
 
     /// Iterates over `((ix, iy), &value)` in row-major order (y outer).
@@ -189,27 +180,85 @@ impl Grid2d<f64> {
     /// cell is the sum of power consumptions in all the standard cells that
     /// it covers", with area weighting for cells straddling bins.
     pub fn splat(&mut self, footprint: &Rect, amount: f64) {
-        let total = footprint.area();
-        if total <= 0.0 {
-            // Degenerate footprint: deposit into the containing bin.
-            if let Some((ix, iy)) = self.bin_of(footprint.llx, footprint.lly) {
-                *self.get_mut(ix, iy) += amount;
+        self.splat_each([(*footprint, amount)]);
+    }
+
+    /// [`Grid2d::splat`] of each `(footprint, amount)` in turn, with the
+    /// bin geometry computed once for all of them.
+    pub fn splat_each(&mut self, items: impl IntoIterator<Item = (Rect, f64)>) {
+        let bins = self.bins();
+        let clip = self.extent.expand(-0.0);
+        for (footprint, amount) in items {
+            let total = footprint.area();
+            if total <= 0.0 {
+                // Degenerate footprint: deposit into the containing bin.
+                if let Some((ix, iy)) = bins.bin_of(footprint.llx, footprint.lly) {
+                    self.data[iy * bins.nx + ix] += amount;
+                }
+                continue;
             }
-            return;
-        }
-        let Some(clipped) = footprint.intersection(&self.extent.expand(-0.0)) else {
-            return;
-        };
-        let (ix0, iy0) = self.clamped_bin(clipped.llx, clipped.lly);
-        let (ix1, iy1) = self.clamped_bin(clipped.urx, clipped.ury);
-        for iy in iy0..=iy1 {
-            for ix in ix0..=ix1 {
-                let bin = self.bin_rect(ix, iy);
-                if let Some(ov) = bin.intersection(footprint) {
-                    *self.get_mut(ix, iy) += amount * ov.area() / total;
+            let Some(clipped) = footprint.intersection(&clip) else {
+                continue;
+            };
+            let (ix0, iy0) = bins.clamped(clipped.llx, clipped.lly);
+            let (ix1, iy1) = bins.clamped(clipped.urx, clipped.ury);
+            for iy in iy0..=iy1 {
+                for ix in ix0..=ix1 {
+                    if let Some(ov) = bins.bin_rect(ix, iy).intersection(&footprint) {
+                        self.data[iy * bins.nx + ix] += amount * ov.area() / total;
+                    }
                 }
             }
         }
+    }
+}
+
+/// A [`Grid2d`]'s bin layout: its extent, bin counts and bin size
+/// ([`Grid2d::bins`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct GridBins {
+    extent: Rect,
+    nx: usize,
+    ny: usize,
+    width: Um,
+    height: Um,
+}
+
+impl GridBins {
+    /// See [`Grid2d::bin_of`].
+    pub fn bin_of(&self, x: Um, y: Um) -> Option<(usize, usize)> {
+        let e = &self.extent;
+        if x < e.llx || x > e.urx || y < e.lly || y > e.ury {
+            return None;
+        }
+        Some(self.clamped(x, y))
+    }
+
+    /// The bin nearest die point `(x, y)`: [`GridBins::bin_of`] for points
+    /// inside the extent, the nearest edge bin for points outside it.
+    /// Total: the float-to-index casts saturate (NaN maps to 0), so no
+    /// input can panic.
+    fn clamped(&self, x: Um, y: Um) -> (usize, usize) {
+        let e = &self.extent;
+        let ix = (((x - e.llx) / self.width) as usize).min(self.nx - 1);
+        let iy = (((y - e.lly) / self.height) as usize).min(self.ny - 1);
+        (ix, iy)
+    }
+
+    /// See [`Grid2d::bin_rect`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bin index is out of bounds.
+    pub fn bin_rect(&self, ix: usize, iy: usize) -> Rect {
+        assert!(ix < self.nx && iy < self.ny, "grid index out of bounds");
+        let (w, h) = (self.width, self.height);
+        Rect::new(
+            self.extent.llx + ix as f64 * w,
+            self.extent.lly + iy as f64 * h,
+            self.extent.llx + (ix + 1) as f64 * w,
+            self.extent.lly + (iy + 1) as f64 * h,
+        )
     }
 }
 
@@ -276,6 +325,69 @@ mod tests {
         let inf = f64::INFINITY;
         g.splat(&Rect::new(-inf, -inf, inf, inf), 1.0);
         assert!((g.sum() - 1.0).abs() < 1e-12);
+    }
+
+    /// The per-call splat, re-deriving the bin size for every footprint
+    /// and bin through the public accessors.
+    fn splat_per_call(g: &mut Grid2d<f64>, footprint: &Rect, amount: f64) {
+        let total = footprint.area();
+        if total <= 0.0 {
+            if let Some((ix, iy)) = g.bin_of(footprint.llx, footprint.lly) {
+                *g.get_mut(ix, iy) += amount;
+            }
+            return;
+        }
+        let Some(clipped) = footprint.intersection(&g.extent().expand(-0.0)) else {
+            return;
+        };
+        let e = g.extent();
+        let bin = |x: Um, y: Um| {
+            let ix = (((x - e.llx) / g.bin_width()) as usize).min(g.nx() - 1);
+            let iy = (((y - e.lly) / g.bin_height()) as usize).min(g.ny() - 1);
+            (ix, iy)
+        };
+        let ((ix0, iy0), (ix1, iy1)) =
+            (bin(clipped.llx, clipped.lly), bin(clipped.urx, clipped.ury));
+        for iy in iy0..=iy1 {
+            for ix in ix0..=ix1 {
+                if let Some(ov) = g.bin_rect(ix, iy).intersection(footprint) {
+                    *g.get_mut(ix, iy) += amount * ov.area() / total;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn splat_each_equals_per_call_splats_bit_for_bit() {
+        // An off-origin extent whose bin size is not a round number.
+        let extent = Rect::new(3.1, -2.7, 43.3, 31.9);
+        let footprints = [
+            // Inside, straddling several bins.
+            (Rect::new(7.0, 1.0, 19.4, 9.2), 1.5),
+            // Degenerate: a point, a vertical and a horizontal segment
+            // (one on the upper boundary), and one outside the core.
+            (Rect::new(20.0, 5.0, 20.0, 5.0), 0.25),
+            (Rect::new(10.0, 0.0, 10.0, 8.0), 0.5),
+            (Rect::new(4.0, 31.9, 30.0, 31.9), 0.75),
+            (Rect::new(-9.0, 5.0, -9.0, 5.0), 2.0),
+            // Crossing each core edge and a corner.
+            (Rect::new(0.0, 3.0, 6.0, 7.0), 1.0),
+            (Rect::new(40.0, 3.0, 47.0, 7.0), 1.0),
+            (Rect::new(10.0, -5.0, 14.0, -1.0), 1.0),
+            (Rect::new(10.0, 30.0, 14.0, 35.0), 1.0),
+            (Rect::new(41.0, 29.0, 50.0, 40.0), 3.0),
+            // Entirely outside.
+            (Rect::new(100.0, 100.0, 110.0, 110.0), 1.0),
+        ];
+        let mut each = Grid2d::new(7, 5, extent, 0.0);
+        each.splat_each(footprints);
+        let mut per_call = Grid2d::new(7, 5, extent, 0.0);
+        for (footprint, amount) in &footprints {
+            splat_per_call(&mut per_call, footprint, *amount);
+        }
+        let bits = |g: &Grid2d<f64>| g.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&each), bits(&per_call));
+        assert!(each.sum() > 0.0);
     }
 
     #[test]

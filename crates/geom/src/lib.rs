@@ -21,7 +21,7 @@ mod rect;
 
 pub mod ids;
 
-pub use grid::Grid2d;
+pub use grid::{Grid2d, GridBins};
 pub use point::Point;
 pub use rect::Rect;
 

@@ -54,5 +54,5 @@ mod sim;
 mod workload;
 
 pub use activity::Activity;
-pub use sim::Simulator;
+pub use sim::{SimProgram, Simulator};
 pub use workload::{UnitMode, Workload};

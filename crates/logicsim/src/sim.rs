@@ -1,6 +1,7 @@
+use std::borrow::Cow;
 use std::ops::Range;
 
-use netlist::{CellId, NetDriver, NetId, Netlist, PinId};
+use netlist::{CellId, NetDriver, NetId, Netlist};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use stdcell::CellFunction;
@@ -23,12 +24,17 @@ struct Op {
 
 /// A connected component of units: no net joins it to any other
 /// segment, so it settles on its own. Its ops, flip-flops and net slots
-/// are contiguous ranges of the simulator's arrays.
+/// are contiguous ranges of the program's arrays.
 #[derive(Debug, Clone)]
 struct Segment {
     ops: Range<usize>,
     flops: Range<usize>,
     nets: Range<usize>,
+}
+
+/// What a simulator knows about one [`Segment`] between cycles.
+#[derive(Debug, Clone, Copy)]
+struct SegmentState {
     /// A primary input of the segment changed since it last ran.
     inputs_changed: bool,
     /// The segment ran last cycle, so its `D`s may differ from its `Q`s.
@@ -39,20 +45,67 @@ struct Segment {
 /// cycle at most) before it must drain into the `u64` totals.
 const DRAIN_CYCLES: u32 = u16::MAX as u32;
 
-/// Two-valued, cycle-based simulator over a validated [`Netlist`].
+/// A [`Netlist`] compiled for simulation: the immutable half of a
+/// [`Simulator`], built once per netlist and shared by every simulator
+/// started from it ([`Simulator::with_program`]).
 ///
-/// Construction splits the netlist into *segments*, the connected
+/// Compiling splits the netlist into *segments*, the connected
 /// components of its units (two units join when a net connects them),
-/// and compiles each onto a flat, levelized *tape*: one op per
+/// and lays each onto a flat, levelized *tape*: one op per
 /// combinational cell ([`Netlist::comb_order`]), ordered by segment,
 /// logic level and then function, each holding its [`CellFunction`] and
 /// the net slots it reads and writes. Net slots are renumbered so each
 /// segment's nets are contiguous. Flip-flops become a D/Q slot pair,
-/// grouped by segment, gathered into a reused capture buffer and
-/// scattered back on the clock edge. Net values are bytes (0 or 1), and
-/// toggles are counted by XOR against the previous settled state into
-/// 16-bit counters that drain into 64-bit totals, so a cycle never
-/// touches the netlist's cell → pin → net structure.
+/// grouped by segment. The program also keeps each primary input's slot
+/// and segment and the settled all-zero start state, so starting a
+/// simulator copies values instead of compiling.
+///
+/// # Examples
+///
+/// ```
+/// use logicsim::{SimProgram, Simulator, Workload};
+/// use arithgen::{build_benchmark, BenchmarkConfig};
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let nl = build_benchmark(&BenchmarkConfig::small())?;
+/// let program = SimProgram::compile(&nl);
+/// let workload = Workload::uniform(&nl, 0.3);
+/// let mut shared = Simulator::with_program(&nl, &program);
+/// shared.run_workload(&workload, 64, 7);
+/// let mut own = Simulator::new(&nl);
+/// own.run_workload(&workload, 64, 7);
+/// assert_eq!(shared.activity(), own.activity());
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone)]
+pub struct SimProgram {
+    /// Value slot of every net, in [`NetId`] order.
+    slot: Vec<u32>,
+    segments: Vec<Segment>,
+    tape: Vec<Op>,
+    /// Slot of every flip-flop's `D` input…
+    ff_d: Vec<u32>,
+    /// …and of its `Q` output, in the same order.
+    ff_q: Vec<u32>,
+    /// Value slot and segment of every primary input, in
+    /// [`Netlist::input_ports`] order.
+    inputs: Vec<(u32, u32)>,
+    /// Net values after settling the all-zero state, by slot.
+    settled: Vec<u8>,
+    /// Flip-flops of the segment with the most.
+    widest: usize,
+}
+
+/// Two-valued, cycle-based simulator over a validated [`Netlist`].
+///
+/// The netlist is compiled into a [`SimProgram`]; the simulator holds
+/// only the state. Net values are bytes (0 or 1); on the clock edge a
+/// segment's `D` values are gathered into a reused capture buffer and
+/// scattered to its `Q`s. Toggles are counted by XOR against the
+/// previous settled state into 16-bit counters that drain into 64-bit
+/// totals, so a cycle never touches the netlist's cell → pin → net
+/// structure.
 ///
 /// A segment runs its ops and its toggle pass in a cycle only if one of
 /// its primary inputs changed since it last ran or one of its `Q`s
@@ -64,14 +117,8 @@ const DRAIN_CYCLES: u32 = u16::MAX as u32;
 #[derive(Debug)]
 pub struct Simulator<'a> {
     netlist: &'a Netlist,
-    /// Value slot of every net, in [`NetId`] order.
-    slot: Vec<u32>,
-    segments: Vec<Segment>,
-    tape: Vec<Op>,
-    /// Slot of every flip-flop's `D` input…
-    ff_d: Vec<u32>,
-    /// …and of its `Q` output, in the same order.
-    ff_q: Vec<u32>,
+    program: Cow<'a, SimProgram>,
+    segments: Vec<SegmentState>,
     /// One segment's `D` values, captured on the clock edge before any
     /// of its `Q`s commit.
     captured: Vec<u8>,
@@ -87,22 +134,21 @@ pub struct Simulator<'a> {
     evaluated: u64,
 }
 
-impl<'a> Simulator<'a> {
-    /// Compiles `netlist` onto the tape and creates a simulator with all
-    /// state initialized to logic 0 and the combinational logic settled.
+impl SimProgram {
+    /// Compiles `netlist` onto the tape and settles the all-zero state.
     ///
     /// # Panics
     ///
     /// Panics if the netlist has more than `u32::MAX` nets (the tape's
     /// index width).
-    pub fn new(netlist: &'a Netlist) -> Self {
+    pub fn compile(netlist: &Netlist) -> Self {
         assert!(
             u32::try_from(netlist.net_count()).is_ok(),
             "netlist too large for 32-bit net indices"
         );
         let lib = netlist.library();
         let function = |id: CellId| lib.cell(netlist.cell(id).master()).function();
-        let net = |pin: PinId| netlist.pin(pin).net().index() as u32;
+        let net = |net: &NetId| net.index() as u32;
         let unit = |id: CellId| netlist.cell(id).unit().index() as u32;
         let n = netlist.net_count();
         // Compile every cell against raw net indices, levelizing the
@@ -119,28 +165,28 @@ impl<'a> Simulator<'a> {
         let flops: Vec<(u32, u32, u32)> = netlist
             .cells()
             .filter(|&(id, _)| function(id).is_sequential())
-            .map(|(id, c)| {
-                let q = net(c.output_pins()[0]);
+            .map(|(id, _)| {
+                let q = net(&netlist.cell_output_nets(id)[0]);
                 driver[q as usize].1 = unit(id);
-                (unit(id), net(c.input_pins()[0]), q)
+                (unit(id), net(&netlist.cell_input_nets(id)[0]), q)
             })
             .collect();
         let comb: Vec<(u32, u32, Op)> = netlist
             .comb_order()
             .iter()
             .map(|&id| {
-                let cell = netlist.cell(id);
+                let (ins, outs) = (netlist.cell_input_nets(id), netlist.cell_output_nets(id));
                 let mut outputs = [0; 2];
-                for (s, &pin) in outputs.iter_mut().zip(cell.output_pins().iter().cycle()) {
-                    *s = net(pin);
+                for (s, n) in outputs.iter_mut().zip(outs.iter().cycle()) {
+                    *s = net(n);
                 }
                 let mut inputs = [outputs[0]; 3];
-                for (s, &pin) in inputs.iter_mut().zip(cell.input_pins().iter().cycle()) {
-                    *s = net(pin);
+                for (s, n) in inputs.iter_mut().zip(ins.iter().cycle()) {
+                    *s = net(n);
                 }
                 let u = unit(id);
                 let mut level = 0;
-                for &i in &inputs[..cell.input_pins().len().min(3)] {
+                for &i in &inputs[..ins.len().min(3)] {
                     let (l, from) = &mut driver[i as usize];
                     level = level.max(*l);
                     units.sink(from, u);
@@ -236,29 +282,95 @@ impl<'a> Simulator<'a> {
                 ops: level_starts[level_base[s]]..level_starts[level_base[s + 1]],
                 flops: flop_starts[s]..flop_starts[s + 1],
                 nets: net_starts[s]..net_starts[s + 1],
-                inputs_changed: false,
-                // The settled start state has not been clocked yet.
-                ran: true,
             })
             .collect();
         let widest = segments.iter().map(|s| s.flops.len()).max().unwrap_or(0);
-        let mut values = vec![0; n];
-        run_ops(&tape, &mut values);
-        Simulator {
-            netlist,
+        let mut settled = vec![0; n];
+        run_ops(&tape, &mut settled);
+        let mut program = SimProgram {
             slot,
             segments,
             tape,
             ff_d,
             ff_q,
-            captured: vec![0; widest],
-            prev_values: values.clone(),
-            values,
+            inputs: Vec::new(),
+            settled,
+            widest,
+        };
+        program.inputs = netlist
+            .input_ports()
+            .iter()
+            .map(|port| {
+                let slot = program.slot[port.net().index()];
+                (slot, program.segment_of(slot as usize) as u32)
+            })
+            .collect();
+        program
+    }
+
+    /// Number of segments: connected components of the netlist's units.
+    /// Units that share no net simulate independently.
+    pub fn segment_count(&self) -> usize {
+        self.segments.len()
+    }
+
+    /// The segment holding value slot `slot`. Only segment nets are
+    /// driven, so `slot` is never one of the untouched tail.
+    fn segment_of(&self, slot: usize) -> usize {
+        self.segments.partition_point(|s| s.nets.end <= slot)
+    }
+}
+
+impl<'a> Simulator<'a> {
+    /// Compiles `netlist` ([`SimProgram::compile`]) and creates a
+    /// simulator with all state initialized to logic 0 and the
+    /// combinational logic settled.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the netlist has more than `u32::MAX` nets (the tape's
+    /// index width).
+    pub fn new(netlist: &'a Netlist) -> Self {
+        Simulator::start(netlist, Cow::Owned(SimProgram::compile(netlist)))
+    }
+
+    /// A simulator of `netlist` running `program`, which must have been
+    /// compiled from it, in the state [`Simulator::new`] starts in — the
+    /// same values, so the same [`Activity`] bit for bit — without
+    /// compiling again.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `program` has a different net or primary-input count
+    /// than `netlist`.
+    pub fn with_program(netlist: &'a Netlist, program: &'a SimProgram) -> Self {
+        assert!(
+            program.slot.len() == netlist.net_count()
+                && program.inputs.len() == netlist.input_ports().len(),
+            "program was compiled from another netlist"
+        );
+        Simulator::start(netlist, Cow::Borrowed(program))
+    }
+
+    fn start(netlist: &'a Netlist, program: Cow<'a, SimProgram>) -> Self {
+        let n = program.settled.len();
+        let state = SegmentState {
+            inputs_changed: false,
+            // The settled start state has not been clocked yet.
+            ran: true,
+        };
+        Simulator {
+            netlist,
+            segments: vec![state; program.segments.len()],
+            captured: vec![0; program.widest],
+            values: program.settled.clone(),
+            prev_values: program.settled.clone(),
             pending: vec![0; n],
             totals: vec![0; n],
             undrained: 0,
             cycles: 0,
             evaluated: 0,
+            program,
         }
     }
 
@@ -270,7 +382,7 @@ impl<'a> Simulator<'a> {
     /// Number of segments: connected components of the netlist's units.
     /// Units that share no net simulate independently.
     pub fn segment_count(&self) -> usize {
-        self.segments.len()
+        self.program.segment_count()
     }
 
     /// Number of clock cycles simulated so far.
@@ -291,7 +403,7 @@ impl<'a> Simulator<'a> {
     ///
     /// Panics if `net` is out of range.
     pub fn net_value(&self, net: NetId) -> bool {
-        self.values[self.slot[net.index()] as usize] == 1
+        self.values[self.program.slot[net.index()] as usize] == 1
     }
 
     /// Drives a primary-input net. The value takes effect at the next
@@ -305,11 +417,11 @@ impl<'a> Simulator<'a> {
             matches!(self.netlist.net(net).driver(), NetDriver::Port(_)),
             "net {net} is not a primary input"
         );
-        let slot = self.slot[net.index()] as usize;
+        let slot = self.program.slot[net.index()] as usize;
         let value = u8::from(value);
         if self.values[slot] != value {
             self.values[slot] = value;
-            let segment = self.segment_of(slot);
+            let segment = self.program.segment_of(slot);
             self.segments[segment].inputs_changed = true;
         }
     }
@@ -337,12 +449,6 @@ impl<'a> Simulator<'a> {
         })
     }
 
-    /// The segment holding value slot `slot`. Only segment nets are
-    /// driven, so `slot` is never one of the untouched tail.
-    fn segment_of(&self, slot: usize) -> usize {
-        self.segments.partition_point(|s| s.nets.end <= slot)
-    }
-
     /// Advances one clock cycle: commits every flip-flop (`Q ← D`),
     /// re-settles the combinational logic, and accumulates per-net toggle
     /// counts against the previous settled state.
@@ -351,13 +457,14 @@ impl<'a> Simulator<'a> {
     /// `Q = D` already, so its edge is skipped; one whose inputs held
     /// and whose `Q`s did not change is not re-settled.
     pub fn step(&mut self) {
-        for seg in &mut self.segments {
-            let mut run = seg.inputs_changed;
-            if seg.ran || run {
-                let q = &self.ff_q[seg.flops.clone()];
+        let program = &*self.program;
+        for (seg, state) in program.segments.iter().zip(&mut self.segments) {
+            let mut run = state.inputs_changed;
+            if state.ran || run {
+                let q = &program.ff_q[seg.flops.clone()];
                 let captured = &mut self.captured[..q.len()];
                 // Capture the segment's D inputs simultaneously…
-                for (c, &d) in captured.iter_mut().zip(&self.ff_d[seg.flops.clone()]) {
+                for (c, &d) in captured.iter_mut().zip(&program.ff_d[seg.flops.clone()]) {
                     *c = self.values[d as usize];
                 }
                 // …then commit to its Q outputs.
@@ -368,7 +475,7 @@ impl<'a> Simulator<'a> {
                 }
             }
             if run {
-                run_ops(&self.tape[seg.ops.clone()], &mut self.values);
+                run_ops(&program.tape[seg.ops.clone()], &mut self.values);
                 let nets = seg.nets.clone();
                 for ((t, p), &v) in self.pending[nets.clone()]
                     .iter_mut()
@@ -380,8 +487,8 @@ impl<'a> Simulator<'a> {
                 }
                 self.evaluated += (seg.ops.len() + seg.flops.len()) as u64;
             }
-            seg.ran = run;
-            seg.inputs_changed = false;
+            state.ran = run;
+            state.inputs_changed = false;
         }
         self.cycles += 1;
         self.undrained += 1;
@@ -414,11 +521,11 @@ impl<'a> Simulator<'a> {
             .netlist
             .input_ports()
             .iter()
-            .filter_map(|port| {
-                workload.toggle_probability(port.unit()).map(|p| {
-                    let slot = self.slot[port.net().index()] as usize;
-                    (slot, self.segment_of(slot), p)
-                })
+            .zip(&self.program.inputs)
+            .filter_map(|(port, &(slot, segment))| {
+                workload
+                    .toggle_probability(port.unit())
+                    .map(|p| (slot as usize, segment as usize, p))
             })
             .collect();
         for _ in 0..cycles {
@@ -434,6 +541,7 @@ impl<'a> Simulator<'a> {
     /// The per-net switching activity accumulated so far.
     pub fn activity(&self) -> Activity {
         let toggles = self
+            .program
             .slot
             .iter()
             .map(|&s| self.totals[s as usize] + u64::from(self.pending[s as usize]))

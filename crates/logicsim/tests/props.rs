@@ -1,11 +1,70 @@
 //! Property-based simulation invariants on the small benchmark.
 
 use arithgen::{build_benchmark, BenchmarkConfig, UnitRole};
-use logicsim::{Simulator, Workload};
+use logicsim::{SimProgram, Simulator, Workload};
 use proptest::prelude::*;
 
 fn netlist() -> netlist::Netlist {
     build_benchmark(&BenchmarkConfig::small()).expect("benchmark")
+}
+
+/// One compiled program drives several simulators in turn, each through
+/// a warm-up, a reset and a measured run as a flow does; every one
+/// matches a freshly compiled simulator bit for bit, so running a
+/// program never changes it.
+#[test]
+fn simulators_sharing_one_program_match_fresh_ones() {
+    let nl = netlist();
+    let program = SimProgram::compile(&nl);
+    let unit = |role: UnitRole| role.unit_id();
+    let workloads = [
+        Workload::uniform(&nl, 0.3),
+        Workload::with_active_units(&nl, &[unit(UnitRole::ArrayMult)], 0.5),
+        Workload::with_active_units(
+            &nl,
+            &[
+                unit(UnitRole::RippleAdder),
+                unit(UnitRole::Alu),
+                unit(UnitRole::Mac),
+            ],
+            0.7,
+        ),
+        Workload::with_active_units(&nl, &[], 0.5),
+    ];
+    for (i, w) in workloads.iter().enumerate() {
+        let seed = 11 + i as u64;
+        let run = |mut sim: Simulator<'_>| {
+            sim.run_workload(w, 16, seed);
+            sim.reset_activity();
+            sim.run_workload(w, 96, seed + 1);
+            let values: Vec<bool> = nl.nets().map(|(id, _)| sim.net_value(id)).collect();
+            (sim.activity(), sim.evaluated_cells(), values)
+        };
+        let shared = run(Simulator::with_program(&nl, &program));
+        assert!(shared == run(Simulator::new(&nl)), "workload {i}");
+    }
+    assert_eq!(program.segment_count(), nl.unit_count());
+}
+
+#[test]
+#[should_panic(expected = "compiled from another netlist")]
+fn a_program_runs_only_its_own_netlist() {
+    let small = netlist();
+    let mut b = netlist::NetlistBuilder::new("one", stdcell::Library::c65());
+    let u = b.add_unit("u");
+    let a = b.input_port("a", u);
+    let y = b.net("y");
+    b.cell(
+        u,
+        stdcell::CellFunction::Inv,
+        stdcell::Drive::X1,
+        &[a],
+        &[y],
+    )
+    .unwrap();
+    let other = b.finish().unwrap();
+    let program = SimProgram::compile(&other);
+    let _ = Simulator::with_program(&small, &program);
 }
 
 proptest! {

@@ -1,6 +1,7 @@
 use stdcell::{CellFunction, Drive, Library};
 
 use crate::database::{CellInst, Net, NetDriver, Pin, PinDir, Port, Unit};
+use crate::tables::Tables;
 use crate::{topo_order, CellId, NetId, Netlist, NetlistError, PinId, PortId, UnitId};
 
 /// Incrementally constructs a validated [`Netlist`].
@@ -228,10 +229,13 @@ impl NetlistBuilder {
             input_ports: self.input_ports,
             output_ports: self.output_ports,
             comb_order: Vec::new(),
+            tables: Tables::default(),
         };
         // Cycle check via topological sort of the combinational graph;
-        // the order is kept for the simulator and the timing analyzer.
+        // the order is kept for the simulator and the timing analyzer,
+        // next to the flat connectivity every per-placement pass reads.
         netlist.comb_order = topo_order(&netlist)?;
+        netlist.tables = Tables::of(&netlist);
         Ok(netlist)
     }
 }

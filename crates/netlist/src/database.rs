@@ -1,6 +1,8 @@
 use serde::{Deserialize, Serialize};
 use stdcell::{LibCellId, Library};
 
+use crate::tables::Tables;
+
 geom::define_id!(
     /// Identifies a [`CellInst`] in a [`Netlist`].
     pub struct CellId
@@ -246,6 +248,10 @@ pub struct Netlist {
     /// Topological order of the combinational cells, computed once by
     /// [`NetlistBuilder::finish`](crate::NetlistBuilder::finish).
     pub(crate) comb_order: Vec<CellId>,
+    /// Flat connectivity, derived from the fields above by
+    /// [`NetlistBuilder::finish`](crate::NetlistBuilder::finish).
+    #[serde(skip)]
+    pub(crate) tables: Tables,
 }
 
 impl Netlist {
@@ -389,10 +395,71 @@ impl Netlist {
     }
 
     /// The driving cell of a net, if driven by a cell.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `net` is out of range.
     pub fn net_driver_cell(&self, net: NetId) -> Option<CellId> {
-        match self.net(net).driver() {
-            NetDriver::Pin(pin) => Some(self.pin(pin).cell()),
-            _ => None,
-        }
+        self.tables.net_driver(net)
+    }
+
+    /// The cells a net connects: its driving cell first (a port driver
+    /// is skipped), then the cell of each sink pin in
+    /// [`Net::sinks`] order. A cell with two pins on the net appears
+    /// twice. Read from a table built once per netlist.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `net` is out of range.
+    pub fn net_endpoints(&self, net: NetId) -> &[CellId] {
+        self.tables.net_endpoints(net)
+    }
+
+    /// The summed input capacitance of a net's sink pins, fF — each
+    /// sink cell's master input capacitance, added in [`Net::sinks`]
+    /// order starting from `0.0`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `net` is out of range.
+    pub fn net_sink_cap_ff(&self, net: NetId) -> f64 {
+        self.tables.net_sink_cap_ff(net)
+    }
+
+    /// The nets on a cell's input pins, in function slot order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cell` is out of range.
+    pub fn cell_input_nets(&self, cell: CellId) -> &[NetId] {
+        self.tables.cell_input_nets(cell)
+    }
+
+    /// The nets on a cell's output pins, in function slot order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cell` is out of range.
+    pub fn cell_output_nets(&self, cell: CellId) -> &[NetId] {
+        self.tables.cell_output_nets(cell)
+    }
+
+    /// A cell's library master ([`CellInst::master`]), read from a flat
+    /// per-cell table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cell` is out of range.
+    pub fn cell_master(&self, cell: CellId) -> LibCellId {
+        self.tables.cell_master(cell)
+    }
+
+    /// The width of a cell's master in placement sites.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cell` is out of range.
+    pub fn cell_width_sites(&self, cell: CellId) -> u32 {
+        self.tables.cell_width_sites(cell)
     }
 }

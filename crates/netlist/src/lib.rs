@@ -34,6 +34,7 @@ mod database;
 mod error;
 mod graph;
 mod stats;
+mod tables;
 
 pub use builder::NetlistBuilder;
 pub use database::{

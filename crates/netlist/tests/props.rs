@@ -1,6 +1,7 @@
-//! Property-based netlist invariants over randomly generated circuits.
+//! Property-based netlist invariants over randomly generated circuits,
+//! and the flat connectivity tables checked on the paper's benchmark.
 
-use netlist::{NetDriver, NetlistBuilder};
+use netlist::{CellId, NetDriver, NetId, Netlist, NetlistBuilder};
 use proptest::prelude::*;
 use stdcell::{CellFunction, Drive, Library};
 
@@ -33,8 +34,91 @@ fn random_netlist(gates: &[u8]) -> netlist::Netlist {
     b.finish().expect("construction is valid by design")
 }
 
+/// Checks every flat table entry against the net → pin → cell walk it
+/// replaces, bit for bit, and counts what the netlist exercised:
+/// `(port-driven nets, sink-less nets, two-output cells)`.
+fn assert_tables_match_the_pointer_walk(nl: &Netlist) -> (usize, usize, usize) {
+    let lib = nl.library();
+    let (mut port_driven, mut sinkless, mut two_output) = (0, 0, 0);
+    for (id, net) in nl.nets() {
+        let driver = match net.driver() {
+            NetDriver::Pin(pin) => Some(nl.pin(pin).cell()),
+            NetDriver::Port(_) => {
+                port_driven += 1;
+                None
+            }
+            NetDriver::None => None,
+        };
+        sinkless += usize::from(net.sinks().is_empty());
+        let mut endpoints: Vec<CellId> = driver.into_iter().collect();
+        let mut cap = 0.0f64;
+        for &sink in net.sinks() {
+            let cell = nl.pin(sink).cell();
+            endpoints.push(cell);
+            cap += lib.cell(nl.cell(cell).master()).input_cap_ff();
+        }
+        assert_eq!(nl.net_driver_cell(id), driver, "{id}");
+        assert_eq!(nl.net_endpoints(id), &endpoints[..], "{id}");
+        assert_eq!(nl.net_sink_cap_ff(id).to_bits(), cap.to_bits(), "{id}");
+    }
+    for (id, cell) in nl.cells() {
+        let nets = |pins: &[netlist::PinId]| -> Vec<NetId> {
+            pins.iter().map(|&pin| nl.pin(pin).net()).collect()
+        };
+        assert_eq!(nl.cell_input_nets(id), &nets(cell.input_pins())[..], "{id}");
+        assert_eq!(
+            nl.cell_output_nets(id),
+            &nets(cell.output_pins())[..],
+            "{id}"
+        );
+        assert_eq!(nl.cell_master(id), cell.master(), "{id}");
+        let def = lib.cell(cell.master());
+        assert_eq!(nl.cell_width_sites(id), def.width_sites(), "{id}");
+        two_output += usize::from(cell.output_pins().len() == 2);
+    }
+    (port_driven, sinkless, two_output)
+}
+
+#[test]
+fn paper_tables_match_the_pointer_walk() {
+    let nl = arithgen::build_benchmark(&arithgen::BenchmarkConfig::paper()).unwrap();
+    let (port_driven, sinkless, two_output) = assert_tables_match_the_pointer_walk(&nl);
+    assert!(port_driven > 0 && sinkless > 0 && two_output > 0);
+}
+
+#[test]
+fn tables_cover_port_driven_sinkless_and_adder_nets() {
+    // a, b, c → FA → (s, co); s → INV → y. `co` and `y` have no sink;
+    // a, b, c are port-driven; the adder has two outputs, and its first
+    // two inputs share net `a`.
+    let mut b = NetlistBuilder::new("t", Library::c65());
+    let u = b.add_unit("u");
+    let a = b.input_port("a", u);
+    let c = b.input_port("c", u);
+    let (s, co, y) = (b.net("s"), b.net("co"), b.net("y"));
+    let fa = b
+        .cell(u, CellFunction::FullAdder, Drive::X1, &[a, a, c], &[s, co])
+        .unwrap();
+    let inv = b.cell(u, CellFunction::Inv, Drive::X1, &[s], &[y]).unwrap();
+    let nl = b.finish().unwrap();
+    assert_eq!(assert_tables_match_the_pointer_walk(&nl), (2, 2, 1));
+    assert_eq!(nl.net_endpoints(a), &[fa, fa]);
+    assert_eq!(nl.net_driver_cell(a), None);
+    assert_eq!(nl.net_endpoints(s), &[fa, inv]);
+    assert_eq!(nl.net_endpoints(co), &[fa]);
+    assert_eq!(nl.net_sink_cap_ff(co), 0.0);
+    assert_eq!(nl.cell_output_nets(fa), &[s, co]);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn tables_match_the_pointer_walk(gates in prop::collection::vec(any::<u8>(), 1..60)) {
+        let nl = random_netlist(&gates);
+        let (port_driven, _, _) = assert_tables_match_the_pointer_walk(&nl);
+        prop_assert_eq!(port_driven, 3);
+    }
 
     #[test]
     fn every_net_has_exactly_one_driver(gates in prop::collection::vec(any::<u8>(), 1..60)) {

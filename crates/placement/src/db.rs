@@ -398,14 +398,6 @@ impl Placement {
         }
     }
 
-    /// Width of `cell` in sites.
-    fn width_of(netlist: &Netlist, cell: CellId) -> u32 {
-        netlist
-            .library()
-            .cell(netlist.cell(cell).master())
-            .width_sites()
-    }
-
     /// Places (or moves) `cell` at `(row, site)`. Clears any fillers — the
     /// caller refills whitespace after a batch of moves.
     ///
@@ -458,7 +450,7 @@ impl Placement {
         let mut entries = Vec::with_capacity(run.len());
         let mut run_end = 0;
         for &(cell, site) in run {
-            let width = Self::width_of(netlist, cell);
+            let width = netlist.cell_width_sites(cell);
             assert!(
                 site + width <= floorplan.row(row as usize).num_sites,
                 "cell {cell} leaves row {row} (site {site} width {width})"
@@ -548,7 +540,7 @@ impl Placement {
         cell: CellId,
     ) -> Option<Rect> {
         let pc = self.slots[cell.index()]?;
-        let width = Self::width_of(netlist, cell) as f64 * floorplan.site_width();
+        let width = netlist.cell_width_sites(cell) as f64 * floorplan.site_width();
         let x = floorplan.site_x(pc.row as usize, pc.site);
         let y = floorplan.row(pc.row as usize).y;
         Some(Rect::new(x, y, x + width, y + floorplan.row_height()))

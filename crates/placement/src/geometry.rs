@@ -38,27 +38,25 @@ use crate::{Floorplan, Placement};
 pub struct PlacedGeometry {
     core: Rect,
     rects: Vec<Option<Rect>>,
-    centers: Vec<Option<Point>>,
     hpwl: Vec<f64>,
 }
 
 impl PlacedGeometry {
     /// Computes every cell's footprint, then every net's HPWL from the
-    /// cell centers.
+    /// cell centers of the net's [`Netlist::net_endpoints`].
     pub fn new(netlist: &Netlist, floorplan: &Floorplan, placement: &Placement) -> Self {
         let rects: Vec<Option<Rect>> = netlist
             .cells()
             .map(|(id, _)| placement.cell_rect(netlist, floorplan, id))
             .collect();
-        let centers: Vec<Option<Point>> = rects.iter().map(|r| r.map(|r| r.center())).collect();
+        let center = |cell: CellId| rects[cell.index()].map(|r| r.center());
         let hpwl = netlist
             .nets()
-            .map(|(id, _)| bbox_hpwl(placed_bbox(netlist, id, |cell| centers[cell.index()])))
+            .map(|(id, _)| bbox_hpwl(placed_bbox(netlist.net_endpoints(id), center)))
             .collect();
         PlacedGeometry {
             core: floorplan.core(),
             rects,
-            centers,
             hpwl,
         }
     }
@@ -83,7 +81,7 @@ impl PlacedGeometry {
     ///
     /// Panics if `cell` is out of range.
     pub fn cell_center(&self, cell: CellId) -> Option<Point> {
-        self.centers[cell.index()]
+        self.rects[cell.index()].map(|r| r.center())
     }
 
     /// Half-perimeter wirelength of `net` (µm); zero when fewer than two
@@ -104,7 +102,7 @@ impl PlacedGeometry {
     /// Panics if `net` is out of range of `netlist`, or `netlist` is not
     /// the one the geometry was built from.
     pub(crate) fn net_bbox(&self, netlist: &Netlist, net: NetId) -> Option<Rect> {
-        placed_bbox(netlist, net, |cell| self.cell_center(cell))
+        placed_bbox(netlist.net_endpoints(net), |cell| self.cell_center(cell))
     }
 
     /// Total half-perimeter wirelength over all nets (µm), summed in net

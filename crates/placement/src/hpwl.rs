@@ -2,41 +2,32 @@
 //! model feeding the timing analyzer.
 
 use geom::{Point, Rect};
-use netlist::{CellId, NetDriver, NetId, Netlist};
+use netlist::{CellId, NetId, Netlist};
 
 use crate::{Floorplan, PlacedGeometry, Placement};
 
 /// The bounding box of a net's placed endpoints (pins are approximated by
 /// their cell centers; port-driven endpoints are skipped), or `None` when
 /// fewer than two endpoints are placed — the one wirelength kernel behind
-/// [`net_hpwl`] and [`PlacedGeometry`].
+/// [`net_hpwl`] and [`PlacedGeometry`]. `endpoints` are the net's
+/// [`Netlist::net_endpoints`].
 pub(crate) fn placed_bbox(
-    netlist: &Netlist,
-    net: NetId,
+    endpoints: &[CellId],
     center: impl Fn(CellId) -> Option<Point>,
 ) -> Option<Rect> {
     // Min/max are exact, so folding coordinates one at a time gives the
     // same box as uniting point rectangles.
     let (mut llx, mut lly) = (f64::INFINITY, f64::INFINITY);
     let (mut urx, mut ury) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
-    let mut endpoints = 0;
-    let mut extend = |cell| {
-        if let Some(c) = center(cell) {
-            llx = llx.min(c.x);
-            lly = lly.min(c.y);
-            urx = urx.max(c.x);
-            ury = ury.max(c.y);
-            endpoints += 1;
-        }
-    };
-    let net = netlist.net(net);
-    if let NetDriver::Pin(pin) = net.driver() {
-        extend(netlist.pin(pin).cell());
+    let mut placed = 0;
+    for c in endpoints.iter().filter_map(|&cell| center(cell)) {
+        llx = llx.min(c.x);
+        lly = lly.min(c.y);
+        urx = urx.max(c.x);
+        ury = ury.max(c.y);
+        placed += 1;
     }
-    for &sink in net.sinks() {
-        extend(netlist.pin(sink).cell());
-    }
-    (endpoints >= 2).then(|| Rect::new(llx, lly, urx, ury))
+    (placed >= 2).then(|| Rect::new(llx, lly, urx, ury))
 }
 
 /// The half-perimeter of a [`placed_bbox`]; zero without one.
@@ -58,7 +49,7 @@ pub fn net_hpwl(
     placement: &Placement,
     net: NetId,
 ) -> f64 {
-    bbox_hpwl(placed_bbox(netlist, net, |cell| {
+    bbox_hpwl(placed_bbox(netlist.net_endpoints(net), |cell| {
         placement.cell_center(netlist, floorplan, cell)
     }))
 }

@@ -45,7 +45,7 @@ pub fn power_map_placed(
 }
 
 /// Splats each placed cell's watts over its footprint on an `nx`×`ny`
-/// grid over `core`.
+/// grid over `core`, in cell order ([`Grid2d::splat_each`]).
 fn splat_cells(
     netlist: &Netlist,
     core: Rect,
@@ -56,11 +56,11 @@ fn splat_cells(
 ) -> Grid2d<f64> {
     assert_eq!(report.cell_count(), netlist.cell_count());
     let mut grid = Grid2d::new(nx, ny, core, 0.0);
-    for (id, _) in netlist.cells() {
-        if let Some(rect) = rect(id) {
-            grid.splat(&rect, report.cell_w(id));
-        }
-    }
+    grid.splat_each(
+        netlist
+            .cells()
+            .filter_map(|(id, _)| rect(id).map(|r| (r, report.cell_w(id)))),
+    );
     grid
 }
 

@@ -1,6 +1,6 @@
 use logicsim::Activity;
-use netlist::Netlist;
-use placement::{net_hpwl, Floorplan, Placement};
+use netlist::{NetId, Netlist};
+use placement::{net_hpwl, Floorplan, PlacedGeometry, Placement};
 
 use crate::{PowerConfig, PowerReport};
 
@@ -15,6 +15,10 @@ const NW_TO_W: f64 = 1e-9;
 ///   exponentially per [`PowerConfig::leakage_factor`]; otherwise all
 ///   cells leak at the reference temperature.
 ///
+/// Only switching nets need a wire length, so this measures each one on
+/// the placement; [`estimate_power_placed`] reads them from a geometry
+/// already built. Both give the same bits.
+///
 /// # Panics
 ///
 /// Panics if `activity` or `cell_temps_c` do not match the netlist's net
@@ -23,6 +27,38 @@ pub fn estimate_power(
     netlist: &Netlist,
     activity: &Activity,
     placed: Option<(&Floorplan, &Placement)>,
+    cell_temps_c: Option<&[f64]>,
+    config: &PowerConfig,
+) -> PowerReport {
+    let hpwl = placed.map(|(fp, pl)| move |net| net_hpwl(netlist, fp, pl, net));
+    estimate(netlist, activity, hpwl, cell_temps_c, config)
+}
+
+/// [`estimate_power`] on a placement's [`PlacedGeometry`]: wire loads
+/// read the geometry's per-net HPWL.
+///
+/// # Panics
+///
+/// Panics if `activity` or `cell_temps_c` do not match the netlist's net
+/// and cell counts.
+pub fn estimate_power_placed(
+    netlist: &Netlist,
+    activity: &Activity,
+    geometry: &PlacedGeometry,
+    cell_temps_c: Option<&[f64]>,
+    config: &PowerConfig,
+) -> PowerReport {
+    let hpwl = |net| geometry.net_hpwl(net);
+    estimate(netlist, activity, Some(hpwl), cell_temps_c, config)
+}
+
+/// The one estimation pass: per cell, leakage, clock power and the
+/// switching power of each output net, whose load is the net's static
+/// sink capacitance plus, given `hpwl`, its wire capacitance.
+fn estimate(
+    netlist: &Netlist,
+    activity: &Activity,
+    hpwl: Option<impl Fn(NetId) -> f64>,
     cell_temps_c: Option<&[f64]>,
     config: &PowerConfig,
 ) -> PowerReport {
@@ -38,8 +74,8 @@ pub fn estimate_power(
     let voltage = lib.voltage_v();
     let mut dynamic = vec![0.0f64; netlist.cell_count()];
     let mut leakage = vec![0.0f64; netlist.cell_count()];
-    for (id, cell) in netlist.cells() {
-        let def = lib.cell(cell.master());
+    for (id, _) in netlist.cells() {
+        let def = lib.cell(netlist.cell_master(id));
         // Leakage with optional temperature derating.
         let factor = cell_temps_c
             .map(|t| config.leakage_factor(t[id.index()]))
@@ -48,21 +84,16 @@ pub fn estimate_power(
         // Clock power for sequential cells: internal energy every cycle.
         dynamic[id.index()] += def.clock_energy_fj() * FJ_TO_J * config.clock_hz;
         // Switching power per output net.
-        for &pin in cell.output_pins() {
-            let net = netlist.pin(pin).net();
+        for &net in netlist.cell_output_nets(id) {
             let alpha = activity.switching_activity(net);
             if alpha == 0.0 {
                 continue;
             }
-            // Fan-out pin capacitance.
-            let mut c_load_ff = 0.0;
-            for &sink in netlist.net(net).sinks() {
-                let sink_cell = netlist.cell(netlist.pin(sink).cell());
-                c_load_ff += lib.cell(sink_cell.master()).input_cap_ff();
-            }
-            // Wire capacitance from placement geometry.
-            if let Some((fp, pl)) = placed {
-                c_load_ff += net_hpwl(netlist, fp, pl, net) * config.wire_cap_ff_per_um;
+            // Fan-out pin capacitance, plus wire capacitance from the
+            // placement geometry.
+            let mut c_load_ff = netlist.net_sink_cap_ff(net);
+            if let Some(hpwl) = &hpwl {
+                c_load_ff += hpwl(net) * config.wire_cap_ff_per_um;
             }
             let energy_j =
                 (def.switching_energy_fj() + 0.5 * c_load_ff * voltage * voltage) * FJ_TO_J;
@@ -176,6 +207,36 @@ mod tests {
             &cfg,
         );
         assert!(with_wires.total_dynamic_w() > unplaced.total_dynamic_w());
+    }
+
+    #[test]
+    fn a_geometry_fed_estimate_equals_the_placement_form_bit_for_bit() {
+        use placement::{Placer, PlacerConfig};
+        let nl = build_benchmark(&BenchmarkConfig::small()).unwrap();
+        let placed = Placer::new(PlacerConfig::default()).place(&nl).unwrap();
+        let (fp, pl) = (&placed.floorplan, &placed.placement);
+        let geometry = PlacedGeometry::new(&nl, fp, pl);
+        let active = UnitRole::BoothMult.unit_id();
+        let mut sim = Simulator::new(&nl);
+        sim.run_workload(&Workload::with_active_units(&nl, &[active], 0.6), 96, 3);
+        let temps: Vec<f64> = (0..nl.cell_count())
+            .map(|i| 25.0 + i as f64 * 1e-3)
+            .collect();
+        let cfg = PowerConfig::default();
+        for t in [None, Some(&temps[..])] {
+            let from_placement = estimate_power(&nl, &sim.activity(), Some((fp, pl)), t, &cfg);
+            let from_geometry = estimate_power_placed(&nl, &sim.activity(), &geometry, t, &cfg);
+            for (id, _) in nl.cells() {
+                assert_eq!(
+                    from_geometry.cell_dynamic_w(id).to_bits(),
+                    from_placement.cell_dynamic_w(id).to_bits()
+                );
+                assert_eq!(
+                    from_geometry.cell_leakage_w(id).to_bits(),
+                    from_placement.cell_leakage_w(id).to_bits()
+                );
+            }
+        }
     }
 
     #[test]

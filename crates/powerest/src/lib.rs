@@ -6,8 +6,10 @@
 //!
 //! * **dynamic** power: for every output net,
 //!   `α · f · (E_internal + ½ · C_load · V²)`, where `C_load` sums the
-//!   fan-out pin capacitances and (when a placement is supplied) HPWL-based
-//!   wire capacitance;
+//!   fan-out pin capacitances (the netlist's static
+//!   [`netlist::Netlist::net_sink_cap_ff`]) and, when a placement or its
+//!   [`placement::PlacedGeometry`] is supplied
+//!   ([`estimate_power_placed`]), HPWL-based wire capacitance;
 //! * **clock** power for sequential cells (internal clock-tree energy every
 //!   cycle regardless of data activity);
 //! * **leakage**, exponential in temperature (doubling every
@@ -45,5 +47,5 @@ mod report;
 
 pub use config::PowerConfig;
 pub use density::{power_map, power_map_placed};
-pub use estimate::estimate_power;
+pub use estimate::{estimate_power, estimate_power_placed};
 pub use report::PowerReport;

@@ -52,7 +52,14 @@ impl ThermalMap {
     /// The temperature (°C) under die point `p`: its bin's value, or
     /// ambient outside the map.
     pub fn temp_at(&self, p: Point) -> f64 {
-        match self.grid.bin_of(p.x, p.y) {
+        self.sampler()(p)
+    }
+
+    /// [`ThermalMap::temp_at`] for many points: the map's bin layout is
+    /// computed once, not per point.
+    pub fn sampler(&self) -> impl Fn(Point) -> f64 + '_ {
+        let bins = self.grid.bins();
+        move |p| match bins.bin_of(p.x, p.y) {
             Some((ix, iy)) => *self.grid.get(ix, iy),
             None => self.ambient_c,
         }

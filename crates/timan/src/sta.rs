@@ -1,4 +1,4 @@
-use netlist::{CellId, NetDriver, Netlist};
+use netlist::{CellId, Netlist};
 use placement::{Floorplan, PlacedGeometry, Placement};
 use thermalsim::ThermalMap;
 
@@ -29,6 +29,12 @@ pub fn analyze(
 /// every cell and wire delay is derated at the driving cell's local
 /// temperature.
 ///
+/// One pass over the netlist's flat connectivity: each cell's fan-in
+/// nets and their driver cells, and each output net's static sink
+/// capacitance, come from tables built once per netlist
+/// ([`Netlist::cell_input_nets`], [`Netlist::net_driver_cell`],
+/// [`Netlist::net_sink_cap_ff`]).
+///
 /// # Errors
 ///
 /// Returns [`TimingError::UnplacedCell`] if any cell is unplaced.
@@ -46,18 +52,24 @@ pub fn analyze_placed(
     };
     // Each cell's (cell, wire) delay derates at its local temperature,
     // or at the reference temperature without a map. Under a map an
-    // unplaced cell has no temperature: `None`.
-    let derates: Vec<Option<(f64, f64)>> = netlist
+    // unplaced cell has no temperature: its entry is unused, and reading
+    // it is an error.
+    let temp_at = temps.map(ThermalMap::sampler);
+    let derates: Vec<(f64, f64)> = netlist
         .cells()
         .map(|(id, _)| {
-            let t = match temps {
-                None => Some(config.reference_temp_c),
-                Some(map) => geometry.cell_center(id).map(|c| map.temp_at(c)),
+            let t = match (&temp_at, geometry.cell_center(id)) {
+                (Some(temp_at), Some(c)) => temp_at(c),
+                // No map, or an unplaced cell whose entry is never read.
+                _ => config.reference_temp_c,
             };
-            t.map(|t| (config.cell_derate(t), config.wire_derate(t)))
+            (config.cell_derate(t), config.wire_derate(t))
         })
         .collect();
-    let derate = |cell: CellId| derates[cell.index()].ok_or(TimingError::UnplacedCell { cell });
+    let derate = |cell: CellId| match (temps, geometry.cell_center(cell)) {
+        (Some(_), None) => Err(TimingError::UnplacedCell { cell }),
+        _ => Ok(derates[cell.index()]),
+    };
 
     // Arrival time at each net (at the driver output) and the driving
     // cell that realizes it (for path recovery).
@@ -65,13 +77,15 @@ pub fn analyze_placed(
     let mut from_cell: Vec<Option<CellId>> = vec![None; netlist.net_count()];
 
     // Launch: flop outputs.
+    let mut flops = Vec::new();
     let mut is_seq = vec![false; netlist.cell_count()];
-    for (id, cell) in netlist.cells() {
-        let def = lib.cell(cell.master());
+    for (id, _) in netlist.cells() {
+        let def = lib.cell(netlist.cell_master(id));
         if def.function().is_sequential() {
             is_seq[id.index()] = true;
+            flops.push(id);
             let (cell_derate, _) = derate(id)?;
-            let q_net = netlist.pin(cell.output_pins()[0]).net();
+            let q_net = netlist.cell_output_nets(id)[0];
             arrival[q_net.index()] = def.intrinsic_delay_ps() * cell_derate;
             from_cell[q_net.index()] = Some(id);
         }
@@ -81,25 +95,20 @@ pub fn analyze_placed(
     // netlist kept from validation.
     let mut best_pred: Vec<Option<CellId>> = vec![None; netlist.cell_count()];
     for &cell_id in netlist.comb_order() {
-        let cell = netlist.cell(cell_id);
-        let def = lib.cell(cell.master());
+        let def = lib.cell(netlist.cell_master(cell_id));
         let (cell_derate, _) = derate(cell_id)?;
         let my_center = center(cell_id)?;
+        let c_sink = def.input_cap_ff();
         // Worst input arrival, including the wire from each fan-in driver.
         let mut worst_in = 0.0f64;
         let mut worst_pred = None;
-        for &pin in cell.input_pins() {
-            let net = netlist.pin(pin).net();
-            let driver = match netlist.net(net).driver() {
-                NetDriver::Pin(dpin) => Some(netlist.pin(dpin).cell()),
-                _ => None,
-            };
+        for &net in netlist.cell_input_nets(cell_id) {
+            let driver = netlist.net_driver_cell(net);
             let wire = match driver {
                 Some(driver) => {
                     let dist = center(driver)?.manhattan_to(my_center);
                     let r_wire = dist * config.wire_res_ohm_per_um / 1000.0; // kΩ
                     let c_wire = dist * config.wire_cap_ff_per_um;
-                    let c_sink = def.input_cap_ff();
                     let (_, wire_derate) = derate(driver)?;
                     (r_wire * (c_wire / 2.0 + c_sink)) * wire_derate
                 }
@@ -113,14 +122,9 @@ pub fn analyze_placed(
         }
         best_pred[cell_id.index()] = worst_pred;
         // Cell delay: intrinsic + R_drive × (pin caps + wire cap).
-        for &out_pin in cell.output_pins() {
-            let net = netlist.pin(out_pin).net();
-            let mut c_load = 0.0;
-            for &sink in netlist.net(net).sinks() {
-                let sink_cell = netlist.cell(netlist.pin(sink).cell());
-                c_load += lib.cell(sink_cell.master()).input_cap_ff();
-            }
-            c_load += geometry.net_hpwl(net) * config.wire_cap_ff_per_um;
+        for &net in netlist.cell_output_nets(cell_id) {
+            let c_load =
+                netlist.net_sink_cap_ff(net) + geometry.net_hpwl(net) * config.wire_cap_ff_per_um;
             let delay = (def.intrinsic_delay_ps() + def.drive_res_kohm() * c_load) * cell_derate;
             let a = worst_in + delay;
             if a > arrival[net.index()] {
@@ -134,25 +138,15 @@ pub fn analyze_placed(
     // primary outputs.
     let mut critical = 0.0f64;
     let mut end_cell: Option<CellId> = None;
-    for (id, cell) in netlist.cells() {
-        if !is_seq[id.index()] {
-            continue;
-        }
-        let d_net = netlist.pin(cell.input_pins()[0]).net();
-        let a = arrival[d_net.index()];
+    let d_nets = flops.iter().map(|&id| netlist.cell_input_nets(id)[0]);
+    let out_nets = netlist.output_ports().iter().map(|port| port.net());
+    for net in d_nets.chain(out_nets) {
+        let a = arrival[net.index()];
         if a > critical {
             critical = a;
-            end_cell = from_cell[d_net.index()];
+            end_cell = from_cell[net.index()];
         }
     }
-    for port in netlist.output_ports() {
-        let a = arrival[port.net().index()];
-        if a > critical {
-            critical = a;
-            end_cell = from_cell[port.net().index()];
-        }
-    }
-
     // Recover the critical path by walking predecessors.
     let mut critical_cells = Vec::new();
     let mut cursor = end_cell;

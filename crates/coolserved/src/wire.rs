@@ -440,8 +440,8 @@ fn hotspot_from_json(value: &Json) -> Result<Hotspot, ServiceError> {
             let idx = |v: &Json| {
                 v.as_f64()
                     // lint: allow(float-eq, reason = "fract() == 0.0 is the exact integer-ness test, not a tolerance comparison")
-                    .filter(|d| d.fract() == 0.0 && *d >= 0.0)
-                    .map(|d| d as usize)
+                    .filter(|d| d.fract() == 0.0 && (0.0..=f64::from(u32::MAX)).contains(d))
+                    .map(|d| d as u32)
                     .ok_or_else(|| codec_err("hotspot.bins holds a non-index".to_string()))
             };
             Ok((idx(&items[0])?, idx(&items[1])?))
@@ -824,6 +824,22 @@ mod tests {
         .unwrap();
         let timing = timing_from_json(&doc, "timing").unwrap();
         assert_eq!(*timing.critical_cells, [CellId::from(u32::MAX)]);
+    }
+
+    #[test]
+    fn out_of_range_hotspot_bins_are_codec_errors() {
+        let hotspot = |bin: &str| {
+            Json::parse(&format!(
+                r#"{{"bins": [{bin}], "bbox": [0, 0, 1, 1], "peak_c": 30, "area_um2": 1}}"#
+            ))
+            .unwrap()
+        };
+        for bin in ["[4294967296, 0]", "[0, 1e300]", "[-1, 0]", "[0.5, 0]"] {
+            let err = hotspot_from_json(&hotspot(bin)).unwrap_err().to_string();
+            assert!(err.contains("non-index"), "{bin}: {err}");
+        }
+        let decoded = hotspot_from_json(&hotspot("[4294967295, 7]")).unwrap();
+        assert_eq!(decoded.bins, [(u32::MAX, 7)]);
     }
 
     #[test]

@@ -91,6 +91,7 @@ pub fn eri_insertion_positions(
     let mut any = false;
     for h in hotspots {
         for &(bx, by) in &h.bins {
+            let (bx, by) = (bx as usize, by as usize);
             let bin = grid.bin_rect(bx, by);
             let t = *grid.get(bx, by);
             for (r, heat) in row_heat.iter_mut().enumerate() {
@@ -341,7 +342,7 @@ mod tests {
         }
         Hotspot {
             area_um2: bins.len() as f64 * grid.bin_width() * grid.bin_height(),
-            bins,
+            bins: bins.iter().map(|&(x, y)| (x as u32, y as u32)).collect(),
             bbox,
             peak_c: 38.0,
         }

@@ -2,6 +2,7 @@
 //! (benchmark generation) → logic simulation → power estimation →
 //! placement → thermal simulation → **area management** → re-analysis.
 
+use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
 
 use arithgen::{build_benchmark, BenchmarkConfig, UnitRole};
@@ -377,7 +378,9 @@ impl ThermalModelCache {
 /// computed once and shared (including across sweep worker threads).
 #[derive(Debug, Clone)]
 struct BaselineAnalysis {
-    power: PowerReport,
+    /// The leakage-adjusted report, when the feedback loop changed the
+    /// flow's own ([`Flow::power`]).
+    power: Option<PowerReport>,
     pmap: Grid2d<f64>,
     tmap: ThermalMap,
     hotspots: Vec<Hotspot>,
@@ -507,24 +510,28 @@ impl Flow {
         floorplan: &Floorplan,
         placement: &Placement,
     ) -> Result<(PowerReport, Grid2d<f64>, ThermalMap), FlowError> {
-        self.analyze_geometry(&PlacedGeometry::new(self.netlist(), floorplan, placement))
+        let (report, pmap, tmap) =
+            self.analyze_geometry(&PlacedGeometry::new(self.netlist(), floorplan, placement))?;
+        Ok((report.into_owned(), pmap, tmap))
     }
 
     /// [`Flow::analyze_placement`] over a placement's geometry, so the
-    /// caller can hand the same geometry to timing and wirelength.
+    /// caller can hand the same geometry to timing and wirelength. The
+    /// report borrows [`Flow::power`] unless the leakage feedback loop
+    /// changed it.
     pub(crate) fn analyze_geometry(
         &self,
         geometry: &PlacedGeometry,
-    ) -> Result<(PowerReport, Grid2d<f64>, ThermalMap), FlowError> {
+    ) -> Result<(Cow<'_, PowerReport>, Grid2d<f64>, ThermalMap), FlowError> {
         let nx = self.config.thermal.grid.nx;
         let ny = self.config.thermal.grid.ny;
         let model = self.thermal_model(geometry.core())?;
-        let mut report = self.power.clone();
+        let mut report = Cow::Borrowed(&self.power);
         let mut pmap = power_map_placed(self.netlist(), geometry, &report, nx, ny);
         let mut tmap = model.solve(&pmap)?;
         for _ in 0..self.config.leakage_feedback_iters {
             let temps = self.cell_temps(geometry, &tmap);
-            report = report.with_leakage_at(self.netlist(), &self.config.power, &temps);
+            report = Cow::Owned(report.with_leakage_at(self.netlist(), &self.config.power, &temps));
             pmap = power_map_placed(self.netlist(), geometry, &report, nx, ny);
             tmap = model.solve(&pmap)?;
         }
@@ -555,6 +562,10 @@ impl Flow {
     fn compute_baseline(&self) -> Result<BaselineAnalysis, FlowError> {
         let geometry = &self.base.geometry;
         let (power, pmap, tmap) = self.analyze_geometry(geometry)?;
+        let power = match power {
+            Cow::Borrowed(_) => None,
+            Cow::Owned(adjusted) => Some(adjusted),
+        };
         let hotspots = detect_hotspots(&tmap, &self.config.hotspot);
         let timing = analyze_placed(self.netlist(), geometry, Some(&tmap), &self.config.timing)?;
         Ok(BaselineAnalysis {
@@ -606,7 +617,7 @@ impl Flow {
     ///
     /// Propagates thermal-solve failures.
     pub fn baseline_power_report(&self) -> Result<&PowerReport, FlowError> {
-        Ok(&self.baseline()?.power)
+        Ok(self.baseline()?.power.as_ref().unwrap_or(&self.power))
     }
 
     /// The memoized baseline hotspots (detected on the base placement).
@@ -762,7 +773,7 @@ impl Flow {
             timing_after,
             hpwl_before_um: baseline.hpwl_um,
             hpwl_after_um: hpwl_after,
-            total_power_w: baseline.power.total_w(),
+            total_power_w: self.baseline_power_report()?.total_w(),
         })
     }
 }

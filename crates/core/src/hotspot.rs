@@ -5,7 +5,7 @@
 //! positions), "so as to exactly localize the thermal hotspots": we
 //! threshold the thermal map and extract connected components.
 
-use geom::Rect;
+use geom::{Grid2d, Rect};
 use serde::{Deserialize, Serialize};
 use thermalsim::ThermalMap;
 
@@ -64,8 +64,9 @@ impl HotspotConfig {
 /// One detected hotspot: a connected set of hot thermal bins.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Hotspot {
-    /// The bins belonging to the component.
-    pub bins: Vec<(usize, usize)>,
+    /// The `(ix, iy)` bins belonging to the component (`u32`, as every
+    /// report of the hotspot holds a copy).
+    pub bins: Vec<(u32, u32)>,
     /// Bounding box in die coordinates.
     pub bbox: Rect,
     /// Peak absolute temperature inside the component, °C.
@@ -111,7 +112,7 @@ pub fn detect_hotspots(map: &ThermalMap, config: &HotspotConfig) -> Vec<Hotspot>
             let mut stack = vec![(sx, sy)];
             visited[sy * nx + sx] = true;
             while let Some((x, y)) = stack.pop() {
-                bins.push((x, y));
+                bins.push((x as u32, y as u32));
                 let mut push = |x: usize, y: usize, stack: &mut Vec<(usize, usize)>| {
                     if !visited[y * nx + x] && hot(x, y) {
                         visited[y * nx + x] = true;
@@ -134,12 +135,7 @@ pub fn detect_hotspots(map: &ThermalMap, config: &HotspotConfig) -> Vec<Hotspot>
             if bins.len() < config.min_bins {
                 continue;
             }
-            let mut bbox = grid.bin_rect(bins[0].0, bins[0].1);
-            let mut peak_c = f64::MIN;
-            for &(x, y) in &bins {
-                bbox = bbox.union(&grid.bin_rect(x, y));
-                peak_c = peak_c.max(*grid.get(x, y));
-            }
+            let (bbox, peak_c) = extent(grid, &bins);
             let bin_area = grid.bin_width() * grid.bin_height();
             hotspots.push(Hotspot {
                 area_um2: bins.len() as f64 * bin_area,
@@ -151,6 +147,18 @@ pub fn detect_hotspots(map: &ThermalMap, config: &HotspotConfig) -> Vec<Hotspot>
     }
     hotspots.sort_by(|a, b| b.peak_c.total_cmp(&a.peak_c));
     hotspots
+}
+
+/// The bounding box of a non-empty set of bins and their peak value.
+fn extent(grid: &Grid2d<f64>, bins: &[(u32, u32)]) -> (Rect, f64) {
+    let rect = |&(x, y): &(u32, u32)| grid.bin_rect(x as usize, y as usize);
+    let mut bbox = rect(&bins[0]);
+    let mut peak_c = f64::MIN;
+    for bin in bins {
+        bbox = bbox.union(&rect(bin));
+        peak_c = peak_c.max(*grid.get(bin.0 as usize, bin.1 as usize));
+    }
+    (bbox, peak_c)
 }
 
 /// Splits hotspots along placement-region boundaries.
@@ -172,21 +180,16 @@ pub fn split_hotspots_by_regions(
     let mut out = Vec::new();
     for h in hotspots {
         for region in regions {
-            let bins: Vec<(usize, usize)> = h
+            let bins: Vec<(u32, u32)> = h
                 .bins
                 .iter()
                 .copied()
-                .filter(|&(x, y)| region.contains(grid.bin_rect(x, y).center()))
+                .filter(|&(x, y)| region.contains(grid.bin_rect(x as usize, y as usize).center()))
                 .collect();
             if bins.len() < min_bins {
                 continue;
             }
-            let mut bbox = grid.bin_rect(bins[0].0, bins[0].1);
-            let mut peak_c = f64::MIN;
-            for &(x, y) in &bins {
-                bbox = bbox.union(&grid.bin_rect(x, y));
-                peak_c = peak_c.max(*grid.get(x, y));
-            }
+            let (bbox, peak_c) = extent(grid, &bins);
             out.push(Hotspot {
                 area_um2: bins.len() as f64 * bin_area,
                 bins,

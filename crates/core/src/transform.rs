@@ -61,7 +61,7 @@ use crate::{
 #[derive(Debug)]
 pub struct TransformContext<'a> {
     flow: &'a Flow,
-    power: PowerReport,
+    power: &'a PowerReport,
 }
 
 impl<'a> TransformContext<'a> {
@@ -71,7 +71,7 @@ impl<'a> TransformContext<'a> {
     ///
     /// Propagates baseline-solve failures.
     pub fn new(flow: &'a Flow) -> Result<Self, FlowError> {
-        let power = flow.baseline_power_report()?.clone();
+        let power = flow.baseline_power_report()?;
         Ok(TransformContext { flow, power })
     }
 
@@ -83,8 +83,8 @@ impl<'a> TransformContext<'a> {
     /// The run's baseline power report — leakage-adjusted when
     /// `leakage_feedback_iters > 0`, exactly what the enum-era HW arm
     /// ranked hot/cold cells by.
-    pub fn power_report(&self) -> &PowerReport {
-        &self.power
+    pub fn power_report(&self) -> &'a PowerReport {
+        self.power
     }
 }
 

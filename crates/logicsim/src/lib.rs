@@ -8,15 +8,18 @@
 //! and re-settles the combinational logic in topological order, counting
 //! per-net toggles along the way.
 //!
-//! [`Simulator::new`] compiles the netlist once into a levelized byte
-//! tape: one op per combinational cell, grouped by logic level and then
-//! by function, holding its [`stdcell::CellFunction`] and up to three
-//! input and two output net slots. A cycle gathers the flip-flop `D`
+//! [`SimProgram::compile`] (which [`Simulator::new`] calls) compiles the
+//! netlist once into a levelized byte tape: one op per combinational
+//! cell, grouped by logic level and then by function, holding its
+//! [`stdcell::CellFunction`] and up to three input and two output net
+//! slots. A cycle gathers the flip-flop `D`
 //! nets into a capture buffer, scatters them to the `Q` nets, runs the
 //! tape through [`stdcell::CellFunction::eval_bits`] over one byte per
 //! net, and counts toggles by XOR against the previous settled state
 //! into 16-bit counters that drain into 64-bit totals — no pointer
-//! chasing through cells and pins, no allocation per cycle.
+//! chasing through cells and pins, no allocation per cycle. The program
+//! is immutable, so one program starts any number of simulators
+//! ([`Simulator::with_program`]) without compiling again.
 //!
 //! Workloads drive the primary inputs of each *unit* independently
 //! ([`Workload`]), which is exactly how the paper controls the size and

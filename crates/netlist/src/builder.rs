@@ -170,15 +170,14 @@ impl NetlistBuilder {
             });
         }
         let cell_id = CellId::new(self.cells.len());
-        let mut input_pins = Vec::with_capacity(inputs.len());
+        let mut pins = Vec::with_capacity(inputs.len() + outputs.len());
         for (slot, &net) in inputs.iter().enumerate() {
             let pin_id = PinId::new(self.pins.len());
             self.pins
                 .push(Pin::new(cell_id, PinDir::Input, slot as u8, net));
             self.nets[net.index()].add_sink(pin_id);
-            input_pins.push(pin_id);
+            pins.push(pin_id);
         }
-        let mut output_pins = Vec::with_capacity(outputs.len());
         for (slot, &net) in outputs.iter().enumerate() {
             let pin_id = PinId::new(self.pins.len());
             self.pins
@@ -191,10 +190,10 @@ impl NetlistBuilder {
                 });
             }
             net_entry.set_driver(NetDriver::Pin(pin_id));
-            output_pins.push(pin_id);
+            pins.push(pin_id);
         }
         self.cells
-            .push(CellInst::new(name, master, unit, input_pins, output_pins));
+            .push(CellInst::new(name, master, unit, pins, inputs.len()));
         Ok(cell_id)
     }
 

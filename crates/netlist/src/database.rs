@@ -140,7 +140,7 @@ pub enum NetDriver {
 /// A net: one driver, any number of sink pins.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Net {
-    name: String,
+    name: Box<str>,
     driver: NetDriver,
     sinks: Vec<PinId>,
 }
@@ -148,7 +148,7 @@ pub struct Net {
 impl Net {
     pub(crate) fn new(name: impl Into<String>) -> Self {
         Net {
-            name: name.into(),
+            name: name.into().into_boxed_str(),
             driver: NetDriver::None,
             sinks: Vec::new(),
         }
@@ -181,27 +181,32 @@ impl Net {
 /// A cell instance bound to a library master.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CellInst {
-    name: String,
+    name: Box<str>,
     master: LibCellId,
     unit: UnitId,
-    input_pins: Vec<PinId>,
-    output_pins: Vec<PinId>,
+    /// Input pins, then output pins, each in function slot order: one
+    /// allocation per cell.
+    pins: Box<[PinId]>,
+    /// How many of `pins` are inputs.
+    inputs: u8,
 }
 
 impl CellInst {
+    /// A cell whose first `inputs` of `pins` are its inputs; the builder
+    /// checked the arity, at most three inputs.
     pub(crate) fn new(
         name: impl Into<String>,
         master: LibCellId,
         unit: UnitId,
-        input_pins: Vec<PinId>,
-        output_pins: Vec<PinId>,
+        pins: Vec<PinId>,
+        inputs: usize,
     ) -> Self {
         CellInst {
-            name: name.into(),
+            name: name.into().into_boxed_str(),
             master,
             unit,
-            input_pins,
-            output_pins,
+            pins: pins.into_boxed_slice(),
+            inputs: inputs as u8,
         }
     }
 
@@ -222,12 +227,12 @@ impl CellInst {
 
     /// Input pins in function slot order.
     pub fn input_pins(&self) -> &[PinId] {
-        &self.input_pins
+        &self.pins[..usize::from(self.inputs)]
     }
 
     /// Output pins in function slot order.
     pub fn output_pins(&self) -> &[PinId] {
-        &self.output_pins
+        &self.pins[usize::from(self.inputs)..]
     }
 }
 

@@ -8,7 +8,12 @@
 //!
 //! Netlists are constructed through [`NetlistBuilder`], which performs
 //! structural validation on [`NetlistBuilder::finish`]: single driver per
-//! net, no floating inputs, and no combinational cycles.
+//! net, no floating inputs, and no combinational cycles. `finish` also
+//! flattens the connectivity once — each net's endpoint cells, driver
+//! cell and summed sink capacitance, each cell's input and output nets,
+//! master and width — so per-placement passes read contiguous tables
+//! ([`Netlist::net_endpoints`], [`Netlist::net_sink_cap_ff`],
+//! [`Netlist::cell_input_nets`], …) instead of walking pins.
 //!
 //! # Examples
 //!

@@ -170,7 +170,8 @@ impl<K: Eq + Hash + Clone, V> KeyedCache<K, V> {
     /// compute concurrently. A caller that finds a key another caller
     /// is computing waits for that value instead of computing it again,
     /// and counts a hit; if that computation fails or panics, it caches
-    /// nothing and the waiter computes the key itself.
+    /// nothing and the waiter computes the key itself. So `compute` must
+    /// not ask this cache for `key`: it would wait for itself.
     ///
     /// A value computed across a [`KeyedCache::bump_generation`] call is
     /// still returned to its caller but tagged with the generation it

@@ -1,14 +1,15 @@
 //! Golden hotspot-wrapper placements: the `(row, site)` of every cell
 //! after the HW transform (uniform slack, then wrap) on the four
-//! fine-mesh benchmark workloads at two overheads, plus the wrapper's
-//! eviction and re-spread counts. Any change to the slot search, the
+//! fine-mesh benchmark workloads, at two overheads on a 32×32 mesh (with
+//! the wrapper's eviction and re-spread counts) and at three budgets on
+//! the service's 128×128 mesh. Any change to the slot search, the
 //! squeeze fallback or the placement index must reproduce these bits.
 
 use placement::Placement;
 use postplace::{
     detect_hotspots, hotspot_wrapper, split_hotspots_by_regions, wrap_regions, Flow, FlowConfig,
-    HotspotWrapperTransform, PlacementTransform, TransformContext, TransformState,
-    UniformSlackTransform, WorkloadSpec,
+    FlowError, HotspotWrapperTransform, PlacementTransform, TransformContext, TransformState,
+    UniformSlackTransform, WorkloadSpec, WrapHotspotsTransform,
 };
 
 /// Lateral thermal mesh: fine enough for the resolution-aware wrap
@@ -54,21 +55,36 @@ fn workloads() -> [(&'static str, WorkloadSpec); 4] {
     ]
 }
 
-/// Runs HW at `overhead` and digests the result. The wrap stage is
-/// replayed by hand to read its report; the replay must land on the
-/// transform's own placement.
-fn wrapped_digest(flow: &Flow, overhead: f64) -> u64 {
-    let ctx = TransformContext::new(flow).expect("baseline power");
+/// The flow of `workload` at the paper design on a `mesh`² grid, as the
+/// service resolves a fine-mesh request.
+fn flow_at(workload: WorkloadSpec, mesh: usize) -> Flow {
+    let mut config = FlowConfig::scattered_small();
+    config.workload = workload;
+    config.thermal.grid = thermalsim::GridSpec { nx: mesh, ny: mesh };
+    Flow::new(config).expect("flow builds")
+}
+
+/// The baseline state of `flow`: its base placement with the baseline
+/// thermal analysis, as every exact run starts.
+fn base_state(flow: &Flow) -> TransformState {
     let base = flow.base_placement();
     let (_, tmap) = flow.baseline_maps().expect("baseline solve");
     let hotspots = flow.baseline_hotspots().expect("baseline hotspots");
-    let mut base_state = TransformState::with_thermal(
+    TransformState::with_thermal(
         base.floorplan.clone(),
         base.placement.clone(),
         base.regions.clone(),
         tmap,
         hotspots.to_vec(),
-    );
+    )
+}
+
+/// Runs HW at `overhead` and digests the result. The wrap stage is
+/// replayed by hand to read its report; the replay must land on the
+/// transform's own placement.
+fn wrapped_digest(flow: &Flow, overhead: f64) -> u64 {
+    let ctx = TransformContext::new(flow).expect("baseline power");
+    let mut base_state = base_state(flow);
     let transformed = HotspotWrapperTransform {
         area_overhead: overhead,
     }
@@ -131,10 +147,7 @@ fn wrapper_placements_match_their_golden_digests() {
     let mut got = Vec::new();
     let mut want = Vec::new();
     for ((name, workload), (_, digests)) in workloads().into_iter().zip(golden) {
-        let mut config = FlowConfig::scattered_small();
-        config.workload = workload;
-        config.thermal.grid = thermalsim::GridSpec { nx: MESH, ny: MESH };
-        let flow = Flow::new(config).expect("flow builds");
+        let flow = flow_at(workload, MESH);
         for (overhead, digest) in [0.08, 0.20].into_iter().zip(digests) {
             got.push(format!(
                 "{name}@{overhead}: {:016x}",
@@ -147,6 +160,60 @@ fn wrapper_placements_match_their_golden_digests() {
         got,
         want,
         "hotspot-wrapper placements moved (epoch {}): bump ENGINE_EPOCH if this moved on purpose",
+        postplace::ENGINE_EPOCH
+    );
+}
+
+/// The service's fine mesh: the `budget_fine` requests' flows.
+const FINE_MESH: usize = 128;
+
+/// HW on the 128×128 fine-mesh flows at three area budgets, as a budget
+/// request runs it (the wrap stage on the uniform candidate's state). A
+/// wrap the die cannot absorb is refused, which is an answer too.
+#[test]
+fn fine_mesh_wrapper_placements_match_their_golden_digests() {
+    let golden: [(&str, [&str; 3]); 4] = [
+        (
+            "scattered_small",
+            ["f705ed137a06517f", "28b5cb8ce10e7576", "62ca7483dcc6e3d4"],
+        ),
+        (
+            "concentrated_large",
+            ["a9e92ee4c123b7ad", "be508c378e83d6a1", "d393b62b62886605"],
+        ),
+        (
+            "clustered_hotspot",
+            ["refused", "36ed6fc303976a7d", "00cafd4f38fe4f7b"],
+        ),
+        (
+            "checkerboard",
+            ["c1c44a7a6d89e57a", "8562cf1e6d9a45b7", "f42cf2b0968a199e"],
+        ),
+    ];
+    let mut got = Vec::new();
+    let mut want = Vec::new();
+    for ((name, workload), (_, digests)) in workloads().into_iter().zip(golden) {
+        let flow = flow_at(workload, FINE_MESH);
+        let ctx = TransformContext::new(&flow).expect("baseline power");
+        for (budget, digest) in [0.05, 0.15, 0.28].into_iter().zip(digests) {
+            let mut relaxed = UniformSlackTransform {
+                area_overhead: budget,
+            }
+            .apply(&ctx, &mut base_state(&flow))
+            .expect("uniform applies");
+            let outcome = match WrapHotspotsTransform.apply(&ctx, &mut relaxed) {
+                Ok(wrapped) => format!("{:016x}", placement_digest(&wrapped.placement, 0, 0)),
+                Err(FlowError::BadStrategy { .. }) => "refused".to_string(),
+                Err(e) => panic!("{name}@{budget}: {e}"),
+            };
+            got.push(format!("{name}@{budget}: {outcome}"));
+            want.push(format!("{name}@{budget}: {digest}"));
+        }
+    }
+    assert_eq!(
+        got,
+        want,
+        "fine-mesh hotspot-wrapper placements moved (epoch {})",
         postplace::ENGINE_EPOCH
     );
 }

@@ -40,10 +40,12 @@ fn width_of(netlist: &Netlist, cell: CellId) -> u32 {
         .width_sites()
 }
 
-/// The search as a plain full scan: every fitting gap of every row in
-/// the `0, +1, −1, …` order offers its site nearest the origin, or its
-/// legal ends when that site is forbidden; the first strictly nearest
-/// candidate wins.
+/// The search's documented candidate rule as a brute force: every
+/// fitting gap of every row offers its site nearest the origin (the
+/// ideal site clamped into the gap) or, when that site is forbidden,
+/// whichever of the gap's two ends is legal; rows are ranked `0, +1, −1,
+/// …` from the origin's row, and the smallest `(distance, rank,
+/// gap_start, site)` wins.
 fn reference_slot(
     netlist: &Netlist,
     floorplan: &Floorplan,
@@ -54,19 +56,14 @@ fn reference_slot(
 ) -> Option<(u32, u32)> {
     let width = width_of(netlist, cell);
     let width_um = width as f64 * floorplan.site_width();
-    let mut best: Option<(f64, u32, u32)> = None;
-    let mut offer = |d: f64, r: usize, site: u32| {
-        if best.is_none_or(|(bd, _, _)| d < bd) {
-            best = Some((d, r as u32, site));
-        }
-    };
+    let mut best: Option<(f64, u64, u32, u32, u32)> = None;
     let origin_row = floorplan
         .row_at(origin.y.clamp(floorplan.core().lly, floorplan.core().ury))
         .unwrap_or(0) as i64;
     let n_rows = floorplan.num_rows() as i64;
-    for k in 0..n_rows {
-        let step = (k + 1) / 2;
-        let r = if k % 2 == 1 {
+    for rank in 0..n_rows {
+        let step = (rank + 1) / 2;
+        let r = if rank % 2 == 1 {
             origin_row + step
         } else {
             origin_row - step
@@ -88,21 +85,28 @@ fn reference_slot(
                 continue;
             }
             let (lo, hi) = (start, start + gap - width);
-            let site = ideal_site.clamp(lo as f64, hi as f64) as u32;
-            let rect = footprint(site);
-            if legal(&rect) {
-                offer(rect.center().manhattan_to(origin), r, site);
-                continue;
-            }
-            for alt in [lo, hi] {
-                let rect = footprint(alt);
-                if legal(&rect) {
-                    offer(rect.center().manhattan_to(origin), r, alt);
+            let ideal = ideal_site.clamp(lo as f64, hi as f64) as u32;
+            let sites = if legal(&footprint(ideal)) {
+                vec![ideal]
+            } else {
+                [lo, hi]
+                    .into_iter()
+                    .filter(|&s| legal(&footprint(s)))
+                    .collect()
+            };
+            for site in sites {
+                let d = footprint(site).center().manhattan_to(origin);
+                let key = (d, rank as u64, start, site, r as u32);
+                let better = best.is_none_or(|b| {
+                    d < b.0 || (d == b.0 && (key.1, key.2, key.3) < (b.1, b.2, b.3))
+                });
+                if better {
+                    best = Some(key);
                 }
             }
         }
     }
-    best.map(|(_, r, s)| (r, s))
+    best.map(|(_, _, _, site, r)| (r, site))
 }
 
 /// Places up to `tries` random cells at random free sites, denser in
@@ -328,4 +332,162 @@ fn row_index_tracks_every_edit() {
             compare(&netlist, &floorplan, &placement, &forbidden, &mut rng, 4);
         }
     }
+}
+
+/// 1–3 disjoint wrap-like regions side by side over one band of rows,
+/// separated by gaps a few sites wide, edges off the site grid.
+fn wrap_regions(floorplan: &Floorplan, rng: &mut Rng) -> Vec<Rect> {
+    let core = floorplan.core();
+    let pitch = floorplan.row_height();
+    let sw = floorplan.site_width();
+    let rows = floorplan.num_rows() as u64;
+    let y0 = rng.below(rows) as f64 * pitch + rng.range(-0.4, 0.4) * pitch;
+    let y1 = y0 + (1 + rng.below(rows / 2 + 1)) as f64 * pitch + rng.range(-0.4, 0.4) * pitch;
+    let n = 1 + rng.below(3) as usize;
+    let mut x = core.llx + rng.range(0.0, 0.3) * core.width();
+    let mut regions = Vec::with_capacity(n);
+    for _ in 0..n {
+        let w = rng.range(0.05, 0.25) * core.width();
+        regions.push(Rect::new(
+            x,
+            y0.max(core.lly),
+            (x + w).min(core.urx),
+            y1.min(core.ury),
+        ));
+        // A gap between neighbours, from under one cell to a few cells.
+        x += w + rng.range(0.3, 8.0) * sw;
+        if x >= core.urx {
+            break;
+        }
+    }
+    regions
+}
+
+/// Places up to `tries` cells across the edges of `regions`.
+fn straddle(
+    netlist: &Netlist,
+    floorplan: &Floorplan,
+    placement: &mut Placement,
+    regions: &[Rect],
+    rng: &mut Rng,
+    tries: usize,
+) {
+    let sw = floorplan.site_width();
+    for _ in 0..tries {
+        let cell = CellId::new(rng.below(netlist.cell_count() as u64) as usize);
+        if placement.location(cell).is_some() {
+            continue;
+        }
+        let region = regions[rng.below(regions.len() as u64) as usize];
+        let edge = if rng.below(2) == 0 {
+            region.llx
+        } else {
+            region.urx
+        };
+        let Some(row) = floorplan.row_at(rng.range(region.lly, region.ury)) else {
+            continue;
+        };
+        let width = width_of(netlist, cell);
+        let sites = floorplan.row(row).num_sites;
+        let first = ((edge - floorplan.row(row).origin_x) / sw).floor() as i64;
+        let site = first - rng.below(u64::from(width)) as i64;
+        if site < 0 || site as u32 + width > sites {
+            continue;
+        }
+        if placement.fits(row as u32, site as u32, width) {
+            placement.place(netlist, floorplan, cell, row as u32, site as u32);
+        }
+    }
+}
+
+/// Packs each row left to right with unplaced cells and gaps of 0–2
+/// sites, up to a random fill between 75 % and the whole row, so many
+/// rows keep only narrow gaps, as a placement near its target
+/// utilization does.
+fn pack(netlist: &Netlist, floorplan: &Floorplan, placement: &mut Placement, rng: &mut Rng) {
+    let mut next = 0;
+    for row in 0..floorplan.num_rows() as u32 {
+        let sites = floorplan.row(row as usize).num_sites;
+        let stop = (rng.range(0.75, 1.0) * f64::from(sites)) as u32;
+        let mut site = rng.below(4) as u32;
+        while next < netlist.cell_count() {
+            let cell = CellId::new(next);
+            if placement.location(cell).is_some() {
+                next += 1;
+                continue;
+            }
+            let width = width_of(netlist, cell);
+            if site + width > stop {
+                break;
+            }
+            if placement.fits(row, site, width) {
+                placement.place(netlist, floorplan, cell, row, site);
+                next += 1;
+                site += width;
+            } else {
+                site += 1;
+            }
+            site += rng.below(3) as u32;
+        }
+    }
+}
+
+/// The wrapper's use of the search: evict every cell touching a wrap
+/// region, one at a time, to the slot the search picks outside all of
+/// them, with cells straddling the region edges and gaps between
+/// neighbouring regions. Every answer must be the reference's.
+#[test]
+fn slot_search_matches_the_reference_around_wrapped_regions() {
+    let netlist = build_benchmark(&BenchmarkConfig::small()).unwrap();
+    let mut rng = Rng(41);
+    let (mut found, mut queries) = (0, 0);
+    for _ in 0..40 {
+        let rows = 4 + rng.below(12) as usize;
+        let width_um = rng.range(12.0, 120.0);
+        let floorplan = Floorplan::new(netlist.library(), width_um, rows);
+        let mut placement = Placement::new(&netlist, &floorplan);
+        let regions = wrap_regions(&floorplan, &mut rng);
+        straddle(
+            &netlist,
+            &floorplan,
+            &mut placement,
+            &regions,
+            &mut rng,
+            8 * rows,
+        );
+        pack(&netlist, &floorplan, &mut placement, &mut rng);
+        let inside: Vec<CellId> = placement
+            .iter()
+            .map(|(cell, _)| cell)
+            .filter(|&cell| {
+                placement
+                    .cell_rect(&netlist, &floorplan, cell)
+                    .is_some_and(|rect| regions.iter().any(|g| g.intersects(&rect)))
+            })
+            .collect();
+        for cell in inside {
+            let origin = placement
+                .cell_center(&netlist, &floorplan, cell)
+                .expect("placed");
+            placement.remove(cell);
+            let want = reference_slot(&netlist, &floorplan, &placement, cell, origin, &regions);
+            let got =
+                nearest_slot_outside(&netlist, &floorplan, &placement, cell, origin, &regions);
+            assert_eq!(
+                got,
+                want,
+                "cell {cell} (width {}) from {origin:?} under {regions:?}",
+                width_of(&netlist, cell)
+            );
+            queries += 1;
+            if let Some((row, site)) = got {
+                placement.place(&netlist, &floorplan, cell, row, site);
+                found += 1;
+            }
+        }
+    }
+    assert!(
+        found > queries / 4 && found < queries,
+        "{found} of {queries} evictions found a slot"
+    );
 }

@@ -6,7 +6,6 @@
 //! 4. leakage–temperature feedback on/off.
 
 use coolplace_bench::banner;
-use placement::fill_whitespace;
 use postplace::{Flow, FlowConfig, Strategy};
 use thermalsim::ThermalConfig;
 
@@ -24,8 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // Blind variant: evenly spaced insertion positions.
         let positions: Vec<usize> = (0..rows).map(|k| (k + 1) * rows0 / (rows + 1)).collect();
         let (fp2, mapping) = fp0.with_rows_inserted(&positions);
-        let mut pl2 = flow.base_placement().placement.remap_rows(&fp2, &mapping);
-        fill_whitespace(flow.netlist(), &fp2, &mut pl2)?;
+        let pl2 = flow.base_placement().placement.remap_rows(&fp2, &mapping);
         let (_, t0) = flow.baseline_maps()?;
         let (_, _, t2) = flow.analyze_placement(&fp2, &pl2)?;
         println!("hotspot-driven ERI : {:>6.2}%", eri.reduction_pct());

@@ -76,6 +76,13 @@
 //! settles) and the wall-clock per cell-cycle. CI gates the evaluated
 //! share (≤ 0.5), a deterministic count.
 //!
+//! Schema version 12 adds the `wrapper` section — the hotspot wrapper
+//! (HW at 16 % on the paper design at 128×128, the `budget_fine`
+//! service's flows) for the four fine workloads: cells evicted, the
+//! eviction slot searches run, answered from the row bounds alone and
+//! the rows they walked, and the wrap's wall-clock. CI gates the rows
+//! walked per search, a deterministic count.
+//!
 //! ```sh
 //! cargo bench -p coolplace-bench --bench sweep -- \
 //!     --smoke --threads 2 --out BENCH_sweep.json --check ci/bench-baseline.json
@@ -100,8 +107,10 @@ use coolserved::{serve, JobRecord, ResultSource, ServiceConfig, ServiceHandle};
 use geom::{Grid2d, Rect};
 use logicsim::{Simulator, Workload};
 use postplace::{
-    default_threads, run_requests, Flow, FlowConfig, FlowReport, OptimizeConfig, OptimizeRequest,
-    Scenario, Strategy, SweepGrid, TransformRegistry, WorkloadSpec,
+    default_threads, detect_hotspots, hotspot_wrapper, run_requests, split_hotspots_by_regions,
+    wrap_regions, Flow, FlowConfig, FlowReport, HotspotConfig, OptimizeConfig, OptimizeRequest,
+    PlacementTransform, Scenario, Strategy, SweepGrid, TransformContext, TransformRegistry,
+    TransformState, UniformSlackTransform, WorkloadSpec,
 };
 use thermalsim::{FactorizedThermalModel, SolverKind, ThermalConfig};
 
@@ -133,7 +142,10 @@ use thermalsim::{FactorizedThermalModel, SolverKind, ThermalConfig};
 /// v11: added the `logic_sim` section (active-cell share, evaluated
 /// cell-cycles and time per cell-cycle of the paper workload's logic
 /// simulation).
-const SCHEMA_VERSION: f64 = 11.0;
+/// v12: added the `wrapper` section (evictions, slot searches and rows
+/// walked per search, and wall-clock of the hotspot wrapper on the four
+/// fine-mesh flows).
+const SCHEMA_VERSION: f64 = 12.0;
 
 /// `cargo bench` launches the binary with the *package* directory as
 /// CWD; anchor relative paths at the workspace root so
@@ -797,6 +809,132 @@ fn run_logic_sim_bench() -> Result<Json, String> {
     ]))
 }
 
+/// The `wrapper` section's mesh: the `budget_fine` service's flows.
+const WRAPPER_MESH: usize = 128;
+
+/// The area overhead HW spends before wrapping in the `wrapper` section.
+const WRAPPER_OVERHEAD: f64 = 0.16;
+
+/// Timed repeats of each wrap; the fastest is reported.
+const WRAPPER_REPEATS: usize = 3;
+
+/// The `wrapper` section: HW at [`WRAPPER_OVERHEAD`] on the paper design
+/// at [`WRAPPER_MESH`]² for the four fine workloads, its wrap stage
+/// replayed by hand to read the report. Reports per workload and in all
+/// the cells evicted, the eviction slot searches run, those the row
+/// bounds answered without a scan, the rows the searches walked, and
+/// the best wall-clock of the wrap. The search counts are deterministic.
+fn run_wrapper_bench() -> Result<Json, String> {
+    let workloads = [
+        ("scattered_small", FlowConfig::scattered_small().workload),
+        (
+            "concentrated_large",
+            FlowConfig::concentrated_large().workload,
+        ),
+        ("clustered_hotspot", WorkloadSpec::clustered_hotspot()),
+        ("checkerboard", WorkloadSpec::checkerboard()),
+    ];
+    let err = |e: postplace::FlowError| e.to_string();
+    let mut entries = Vec::new();
+    let (mut searches, mut rows_scanned, mut wrap_ms) = (0u64, 0u64, 0.0);
+    for (name, workload) in workloads {
+        let mut config = FlowConfig::scattered_small();
+        config.workload = workload;
+        config.thermal.grid = thermalsim::GridSpec {
+            nx: WRAPPER_MESH,
+            ny: WRAPPER_MESH,
+        };
+        let flow = Flow::new(config).map_err(err)?;
+        let ctx = TransformContext::new(&flow).map_err(err)?;
+        let base = flow.base_placement();
+        let (_, tmap) = flow.baseline_maps().map_err(err)?;
+        let hotspots = flow.baseline_hotspots().map_err(err)?;
+        let mut relaxed = UniformSlackTransform {
+            area_overhead: WRAPPER_OVERHEAD,
+        }
+        .apply(
+            &ctx,
+            &mut TransformState::with_thermal(
+                base.floorplan.clone(),
+                base.placement.clone(),
+                base.regions.clone(),
+                tmap,
+                hotspots.to_vec(),
+            ),
+        )
+        .map_err(err)?;
+        relaxed.ensure_thermal(&ctx).map_err(err)?;
+        let (tmap, _) = relaxed.analysis().map_err(err)?;
+        let wrapper = flow.config().wrapper;
+        let hotspot_cfg = HotspotConfig {
+            threshold_fraction: wrapper.threshold_fraction,
+            ..flow.config().hotspot
+        }
+        .scaled_for_mesh(WRAPPER_MESH, WRAPPER_MESH);
+        let blobs = detect_hotspots(tmap, &hotspot_cfg);
+        let spots = split_hotspots_by_regions(tmap, &blobs, &relaxed.regions, hotspot_cfg.min_bins);
+        let regions = wrap_regions(&spots, &relaxed.floorplan, &wrapper);
+        let mut best_ms = f64::INFINITY;
+        let mut report = None;
+        for _ in 0..WRAPPER_REPEATS {
+            let mut placement = relaxed.placement.clone();
+            let started = Instant::now();
+            let done = hotspot_wrapper(
+                flow.netlist(),
+                &relaxed.floorplan,
+                &mut placement,
+                &regions,
+                ctx.power_report(),
+                &wrapper,
+            )
+            .map_err(err)?;
+            best_ms = best_ms.min(started.elapsed().as_secs_f64() * 1e3);
+            report = Some(done);
+        }
+        let report = report.ok_or("no wrap ran")?;
+        let stats = report.searches;
+        searches += stats.searches;
+        rows_scanned += stats.rows_scanned;
+        wrap_ms += best_ms;
+        println!(
+            "wrapper bench [{name}]: {} evicted, {} searches ({} skipped), {:.2} rows \
+             per search, {best_ms:.2} ms",
+            report.evicted,
+            stats.searches,
+            stats.skipped,
+            stats.rows_scanned as f64 / stats.searches.max(1) as f64
+        );
+        entries.push(Json::obj([
+            ("workload", Json::Str(name.to_string())),
+            ("regions", Json::Num(report.regions.len() as f64)),
+            ("evicted", Json::Num(report.evicted as f64)),
+            ("respread", Json::Num(report.respread as f64)),
+            ("searches", Json::Num(stats.searches as f64)),
+            ("searches_skipped", Json::Num(stats.skipped as f64)),
+            ("rows_scanned", Json::Num(stats.rows_scanned as f64)),
+            ("wrap_ms", Json::Num(best_ms)),
+        ]));
+    }
+    Ok(Json::obj([
+        (
+            "mesh",
+            Json::Arr(vec![
+                Json::Num(WRAPPER_MESH as f64),
+                Json::Num(WRAPPER_MESH as f64),
+            ]),
+        ),
+        ("area_overhead", Json::Num(WRAPPER_OVERHEAD)),
+        ("searches", Json::Num(searches as f64)),
+        ("rows_scanned", Json::Num(rows_scanned as f64)),
+        (
+            "rows_scanned_per_search",
+            Json::Num(rows_scanned as f64 / searches.max(1) as f64),
+        ),
+        ("wrap_ms", Json::Num(wrap_ms)),
+        ("workloads", Json::Arr(entries)),
+    ]))
+}
+
 fn main() -> ExitCode {
     let args = parse_args();
     let grid = build_grid(args.smoke);
@@ -965,6 +1103,14 @@ fn main() -> ExitCode {
         }
     };
 
+    let wrapper_section = match run_wrapper_bench() {
+        Ok(section) => section,
+        Err(e) => {
+            eprintln!("wrapper bench failed: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+
     let doc = Json::obj([
         ("schema_version", Json::Num(SCHEMA_VERSION)),
         ("generator", Json::Str("coolplace-bench sweep".to_string())),
@@ -986,6 +1132,7 @@ fn main() -> ExitCode {
         ("optimizer", optimizer_section),
         ("service", service_section),
         ("logic_sim", logic_sim_section),
+        ("wrapper", wrapper_section),
         ("records", Json::Arr(records)),
     ]);
     if let Err(e) = std::fs::write(&args.out, doc.render()) {

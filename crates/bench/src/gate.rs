@@ -10,8 +10,9 @@
 //!   section entry: the `Auto` backend's routing, speedups and oracle
 //!   drift, the threaded solves' bit-identity and speedup, the
 //!   optimizer's exact-verification share and frontier, the service
-//!   cache's warm-over-cold ratio and cold fallbacks, and the service
-//!   building its one resolved flow exactly once. Every bounded
+//!   cache's warm-over-cold ratio and cold fallbacks, the service
+//!   building its one resolved flow exactly once, the logic simulator's
+//!   evaluated share and the rows the wrapper's slot searches walk. Every bounded
 //!   quantity is a within-run ratio or an exact count, so machine speed
 //!   cancels out; the baseline only establishes which sections must be
 //!   present.
@@ -75,6 +76,13 @@ pub const MIN_SPECTRAL_SPEEDUP_256: f64 = 2.0;
 /// change that merges the units into one segment fails here.
 pub const MAX_LOGIC_SIM_EVALUATED_SHARE: f64 = 0.5;
 
+/// Most rows the hotspot wrapper's eviction slot searches may walk per
+/// search on the four fine-mesh flows (schema ≥ 12). The row bounds
+/// hold it at 6.5 (3.1–10.0 per workload); without them the searches
+/// walked every row whose widest gap fits the cell, ~40 a search. A
+/// deterministic count.
+pub const MAX_WRAPPER_ROWS_PER_SEARCH: f64 = 12.0;
+
 /// Which entries of a section a [`Rule`] reads.
 #[derive(Debug, Clone, Copy)]
 enum Entry {
@@ -137,7 +145,7 @@ struct Rule {
 /// Every section gate. A section the baseline has but the run lacks
 /// fails once by name; a present section is held to each of its rows.
 #[rustfmt::skip]
-const RULES: [Rule; 13] = {
+const RULES: [Rule; 14] = {
     use Bound::{Above, AtLeast, AtMost, Exactly, NonEmptyArray, ShareOf, StrEquals};
     use Entry::{EveryMesh, Mesh, Section};
     use When::{Always, FullMode, HwThreads};
@@ -158,6 +166,7 @@ const RULES: [Rule; 13] = {
         row("service", Section, "warm_cold_solves", Exactly(0.0), Always, Always),
         row("service", Section, "flows_built", Exactly(1.0), Always, Always),
         row("logic_sim", Section, "evaluated_share", AtMost(MAX_LOGIC_SIM_EVALUATED_SHARE), Always, Always),
+        row("wrapper", Section, "rows_scanned_per_search", AtMost(MAX_WRAPPER_ROWS_PER_SEARCH), Always, Always),
     ]
 };
 
@@ -882,6 +891,42 @@ mod tests {
             failures
                 .iter()
                 .any(|f| f.contains("`logic_sim` section missing")),
+            "{failures:?}"
+        );
+    }
+
+    fn with_wrapper(mut doc: Json, rows_per_search: f64) -> Json {
+        let Json::Obj(pairs) = &mut doc else {
+            unreachable!()
+        };
+        pairs.push((
+            "wrapper".to_string(),
+            Json::obj([
+                ("searches", Json::Num(4174.0)),
+                ("rows_scanned_per_search", Json::Num(rows_per_search)),
+            ]),
+        ));
+        doc
+    }
+
+    #[test]
+    fn wrapper_gate_caps_the_rows_each_search_walks() {
+        let base = with_wrapper(doc(3.0, 81.5), 6.46);
+        let good = with_wrapper(doc(3.0, 81.5), 6.46);
+        assert!(check_against_baseline(&good, &base, 0.25).is_empty());
+        let unbounded = with_wrapper(doc(3.0, 81.5), 41.0);
+        let failures = check_against_baseline(&unbounded, &base, 0.25);
+        assert!(
+            failures
+                .iter()
+                .any(|f| { f.contains("`wrapper.rows_scanned_per_search` = 41, needs ≤ 12") }),
+            "{failures:?}"
+        );
+        let failures = check_against_baseline(&doc(3.0, 81.5), &base, 0.25);
+        assert!(
+            failures
+                .iter()
+                .any(|f| f.contains("`wrapper` section missing")),
             "{failures:?}"
         );
     }

@@ -502,12 +502,18 @@ fn lead_solve(
     // into the flow key; the result-store key is untouched.
     let fingerprint = config_fingerprint(resolved)
         ^ (resolved.thermal.threads.max(1) as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    let flow = shared.flows.get_or_compute(fingerprint, || {
-        let flow = Flow::new(resolved.clone())?;
-        flow.prime_baseline()?;
-        shared.flows_built.fetch_add(1, Ordering::Relaxed);
-        Ok::<_, ServiceError>(flow)
-    })?;
+    // A flow another worker is building is waited for only until this
+    // job's deadline; the build goes on and lands for later jobs.
+    let flow = shared.flows.get_or_compute_while(
+        fingerprint,
+        || check_deadline(shared, &job.request, job.submitted_at_ms),
+        || {
+            let flow = Flow::new(resolved.clone())?;
+            flow.prime_baseline()?;
+            shared.flows_built.fetch_add(1, Ordering::Relaxed);
+            Ok::<_, ServiceError>(flow)
+        },
+    )?;
     check_deadline(shared, &job.request, job.submitted_at_ms)?;
     let response = Arc::new(flow.optimize(&job.request)?);
     shared.store.put(key, Arc::clone(&response))?;

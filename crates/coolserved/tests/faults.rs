@@ -410,6 +410,59 @@ fn a_cache_hit_is_returned_even_past_the_deadline() {
 }
 
 #[test]
+fn a_deadline_that_passes_while_another_job_builds_the_flow_times_out() {
+    let root = scratch_dir("flow-wait");
+    let plan = Arc::new(FaultPlan::new());
+    let config = ServiceConfig::new(base())
+        .workers(2)
+        .disk_root(&root)
+        .backend(plan.clone() as Arc<dyn coolserved::StoreBackend>);
+    // The same flow as `request()`, another answer, 100 ms to get it.
+    let mut late = OptimizeRequest::builder()
+        .workload(WorkloadSpec::clustered_hotspot())
+        .mesh(12, 12)
+        .strategy(Strategy::UniformSlack { area_overhead: 0.2 })
+        .build()
+        .unwrap();
+    late.deadline_ms = Some(100);
+    // The handshake runs on the service's own counters: the leader's
+    // flow is in flight from its miss until it lands (a debug-build flow
+    // takes far longer than the handshake), and the late job counts its
+    // wait before blocking. The deadline then passes on the virtual
+    // clock, which nothing else moves.
+    let (lead, late, stats) = serve(config, |service| {
+        let lead = service.submit(request());
+        while service.stats().flows.misses == 0 {
+            std::thread::yield_now();
+        }
+        let late = service.submit(late);
+        while service.stats().flows.waits == 0 {
+            assert_eq!(
+                service.stats().flows_built,
+                0,
+                "the flow landed before the late job found it in flight"
+            );
+            std::thread::yield_now();
+        }
+        plan.advance_clock_ms(1_000);
+        (service.wait(lead), service.wait(late), service.stats())
+    });
+    assert_baseline_bytes(&lead.expect("the leader answers"));
+    let err = late.expect_err("the late job's deadline must end its wait");
+    assert_eq!(err.class(), ErrorClass::Timeout);
+    assert!(err.is_retryable(), "a timeout is worth retrying");
+    assert_eq!(stats.flows_built, 1, "the leader's flow still lands, once");
+    assert_eq!(
+        (stats.flows.waits, stats.flows.hits),
+        (1, 0),
+        "the late job gave up waiting instead of taking the flow"
+    );
+    assert_eq!(stats.cold_solves, 1, "only the leader solves");
+    assert_eq!((stats.timeouts, stats.completed), (1, 1));
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
 fn concurrent_same_key_submissions_share_one_solve() {
     let root = scratch_dir("dedup");
     // Stall the (real) publish long enough that the other worker

@@ -4,7 +4,8 @@
 //!
 //! [`KeyedCache::get_or_compute`] is single-flight: while one caller
 //! computes a key, later callers of that key wait for its value instead
-//! of computing it again.
+//! of computing it again; [`KeyedCache::get_or_compute_while`] lets a
+//! waiter give up (at its deadline) while the computation goes on.
 //!
 //! Entries are tagged with the cache's *generation* at compute time;
 //! [`KeyedCache::bump_generation`] invalidates everything computed
@@ -16,14 +17,23 @@
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::Duration;
+
+/// How often a caller waiting on another caller's computation asks its
+/// `keep_waiting` check again ([`KeyedCache::get_or_compute_while`]).
+const WAIT_POLL: Duration = Duration::from_millis(2);
 
 /// Counter snapshot of a [`KeyedCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Lookups answered from the cache.
     pub hits: u64,
-    /// Lookups that found nothing (or only a stale generation).
+    /// Lookups that found nothing (or only a stale generation), and
+    /// waits given up.
     pub misses: u64,
+    /// Lookups that found their key being computed by another caller
+    /// and waited for it.
+    pub waits: u64,
     /// Entries evicted by the LRU bound or dropped as stale.
     pub evictions: u64,
     /// Values inserted.
@@ -66,6 +76,7 @@ struct Inner<K, V> {
     generation: u64,
     hits: u64,
     misses: u64,
+    waits: u64,
     evictions: u64,
     insertions: u64,
 }
@@ -130,6 +141,7 @@ impl<K: Eq + Hash + Clone, V> KeyedCache<K, V> {
                     generation: 0,
                     hits: 0,
                     misses: 0,
+                    waits: 0,
                     evictions: 0,
                     insertions: 0,
                 }),
@@ -185,7 +197,28 @@ impl<K: Eq + Hash + Clone, V> KeyedCache<K, V> {
         key: K,
         compute: impl FnOnce() -> Result<V, E>,
     ) -> Result<Arc<V>, E> {
+        self.get_or_compute_while(key, || Ok(()), compute)
+    }
+
+    /// [`KeyedCache::get_or_compute`] for a caller that may stop
+    /// waiting: while another caller computes `key`, `keep_waiting` is
+    /// asked before the first wait and again every few milliseconds, and
+    /// its error ends the wait. The other caller's computation goes on
+    /// and still lands in the cache. `keep_waiting` runs under the
+    /// cache's lock, so it must not touch this cache.
+    ///
+    /// # Errors
+    ///
+    /// Propagates `keep_waiting`'s error (counted as a miss) or the
+    /// compute closure's; nothing is cached by this caller then.
+    pub fn get_or_compute_while<E>(
+        &self,
+        key: K,
+        mut keep_waiting: impl FnMut() -> Result<(), E>,
+        compute: impl FnOnce() -> Result<V, E>,
+    ) -> Result<Arc<V>, E> {
         let mut inner = self.lock();
+        let mut waited = false;
         loop {
             if let Some(value) = inner.lookup(&key) {
                 return Ok(value);
@@ -193,11 +226,18 @@ impl<K: Eq + Hash + Clone, V> KeyedCache<K, V> {
             if !inner.in_flight.contains(&key) {
                 break;
             }
+            if let Err(e) = keep_waiting() {
+                inner.misses += 1;
+                return Err(e);
+            }
+            inner.waits += u64::from(!waited);
+            waited = true;
             inner = self
                 .shared
                 .landed
-                .wait(inner)
-                .unwrap_or_else(PoisonError::into_inner);
+                .wait_timeout(inner, WAIT_POLL)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
         }
         inner.misses += 1;
         inner.in_flight.insert(key.clone());
@@ -241,6 +281,7 @@ impl<K: Eq + Hash + Clone, V> KeyedCache<K, V> {
         CacheStats {
             hits: inner.hits,
             misses: inner.misses,
+            waits: inner.waits,
             evictions: inner.evictions,
             insertions: inner.insertions,
             generation: inner.generation,
@@ -445,6 +486,50 @@ mod tests {
     #[test]
     fn a_panicking_leader_releases_its_waiter() {
         waiter_outlives_a_failed_leader(|| panic!("leader panicked"));
+    }
+
+    #[test]
+    fn a_waiter_that_stops_waiting_leaves_the_leader_to_land() {
+        let cache: KeyedCache<u32, u32> = KeyedCache::with_capacity(4);
+        let (computing, started) = std::sync::mpsc::channel();
+        let (release, released) = std::sync::mpsc::channel::<()>();
+        std::thread::scope(|s| {
+            let shared = &cache;
+            let leader = s.spawn(move || {
+                shared.get_or_compute(1, || {
+                    computing.send(()).expect("test thread listens");
+                    released.recv().expect("test thread releases");
+                    Ok::<_, &str>(7)
+                })
+            });
+            // The leader holds key 1 in flight until released.
+            started.recv().expect("leader starts");
+            let mut asks = 0;
+            let gave_up = cache.get_or_compute_while(
+                1,
+                || {
+                    asks += 1;
+                    if asks < 3 {
+                        Ok(())
+                    } else {
+                        Err("deadline")
+                    }
+                },
+                || Ok(0),
+            );
+            assert_eq!(gave_up, Err("deadline"));
+            assert_eq!(asks, 3, "asked before the first wait and after each");
+            release.send(()).expect("leader waits");
+            assert_eq!(leader.join().expect("no panic").as_deref(), Ok(&7));
+        });
+        assert_eq!(
+            cache.get(&1).as_deref(),
+            Some(&7),
+            "the leader's value landed"
+        );
+        let stats = cache.stats();
+        assert_eq!((stats.misses, stats.waits, stats.hits), (2, 1, 1));
+        assert_eq!(stats.insertions, 1);
     }
 
     #[test]

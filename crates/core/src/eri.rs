@@ -7,8 +7,7 @@
 //! in the paper's Table I (20 rows: 335×335 → 335×389 µm²).
 
 use geom::Grid2d;
-use netlist::Netlist;
-use placement::{fill_whitespace, Floorplan, Placement};
+use placement::{Floorplan, Placement};
 use thermalsim::ThermalMap;
 
 use crate::{FlowError, Hotspot, PowerDelta};
@@ -36,7 +35,6 @@ pub struct EriReport {
 /// Returns [`FlowError::BadStrategy`] when `rows == 0` or no hotspot was
 /// supplied.
 pub fn empty_row_insertion(
-    netlist: &Netlist,
     floorplan: &Floorplan,
     placement: &Placement,
     map: &ThermalMap,
@@ -45,8 +43,7 @@ pub fn empty_row_insertion(
 ) -> Result<(Floorplan, Placement, EriReport), FlowError> {
     let positions = eri_insertion_positions(floorplan, map, hotspots, rows)?;
     let (new_fp, mapping) = floorplan.with_rows_inserted(&positions);
-    let mut new_placement = placement.remap_rows(&new_fp, &mapping);
-    fill_whitespace(netlist, &new_fp, &mut new_placement)?;
+    let new_placement = placement.remap_rows(&new_fp, &mapping);
     let area_overhead = new_fp.core().area() / floorplan.core().area() - 1.0;
     Ok((
         new_fp,
@@ -367,7 +364,7 @@ mod tests {
         let map = fake_map(core, hot);
         let hs = fake_hotspot(&map);
         let (fp2, p2, report) =
-            empty_row_insertion(&nl, &base.floorplan, &base.placement, &map, &[hs], 8).unwrap();
+            empty_row_insertion(&base.floorplan, &base.placement, &map, &[hs], 8).unwrap();
         assert_eq!(fp2.num_rows(), base.floorplan.num_rows() + 8);
         assert!(validate(&nl, &fp2, &p2).is_empty(), "legal after ERI");
         let expected = 8.0 / base.floorplan.num_rows() as f64;
@@ -376,7 +373,7 @@ mod tests {
 
     #[test]
     fn insertions_land_in_the_hot_band() {
-        let (nl, base) = setup();
+        let (_, base) = setup();
         let core = base.floorplan.core();
         let hot = Rect::new(
             core.llx,
@@ -387,7 +384,7 @@ mod tests {
         let map = fake_map(core, hot);
         let hs = fake_hotspot(&map);
         let (_, _, report) =
-            empty_row_insertion(&nl, &base.floorplan, &base.placement, &map, &[hs], 4).unwrap();
+            empty_row_insertion(&base.floorplan, &base.placement, &map, &[hs], 4).unwrap();
         let n = base.floorplan.num_rows() as f64;
         for &p in &report.insertion_positions {
             let frac = p as f64 / n;
@@ -406,7 +403,7 @@ mod tests {
         let map = fake_map(core, hot);
         let hs = fake_hotspot(&map);
         let (fp2, p2, _) =
-            empty_row_insertion(&nl, &base.floorplan, &base.placement, &map, &[hs], 3).unwrap();
+            empty_row_insertion(&base.floorplan, &base.placement, &map, &[hs], 3).unwrap();
         for (id, _) in nl.cells() {
             let before = base.placement.cell_rect(&nl, &base.floorplan, id).unwrap();
             let after = p2.cell_rect(&nl, &fp2, id).unwrap();
@@ -429,7 +426,7 @@ mod tests {
         let hs = fake_hotspot(&map);
         let rows = base.floorplan.num_rows() / 2;
         let (fp2, p2, _) =
-            empty_row_insertion(&nl, &base.floorplan, &base.placement, &map, &[hs], rows).unwrap();
+            empty_row_insertion(&base.floorplan, &base.placement, &map, &[hs], rows).unwrap();
         assert_eq!(fp2.num_rows(), base.floorplan.num_rows() + rows);
         assert!(validate(&nl, &fp2, &p2).is_empty());
     }
@@ -466,12 +463,10 @@ mod tests {
 
     #[test]
     fn zero_rows_is_rejected() {
-        let (nl, base) = setup();
+        let (_, base) = setup();
         let core = base.floorplan.core();
         let map = fake_map(core, Rect::new(0.0, 0.0, 10.0, 10.0));
         let hs = fake_hotspot(&map);
-        assert!(
-            empty_row_insertion(&nl, &base.floorplan, &base.placement, &map, &[hs], 0).is_err()
-        );
+        assert!(empty_row_insertion(&base.floorplan, &base.placement, &map, &[hs], 0).is_err());
     }
 }

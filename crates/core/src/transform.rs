@@ -33,8 +33,8 @@
 //!   insertion: rows land on the hottest distinct row gaps of the whole
 //!   map instead of interleaving uniformly through detected hotspots;
 //! * [`HotBinSpreadTransform`] — uniform slack whose whitespace is then
-//!   pulled laterally into the hot bins of each row (filler spreading on
-//!   top of [`placement::fill_whitespace`]).
+//!   pulled laterally into the hot bins of each row (filler spreading:
+//!   the fillers follow the gaps, [`placement::Placement::fillers`]).
 //!
 //! [`TransformRegistry::standard`] bundles every built-in technique as a
 //! budget-parameterized factory — the search space a frontier goal
@@ -42,8 +42,7 @@
 
 use geom::{Grid2d, Rect};
 use placement::{
-    fill_whitespace, respread_row, weighted_row_gaps, Floorplan, PlacedGeometry, Placement,
-    PlacerConfig,
+    respread_row, weighted_row_gaps, Floorplan, PlacedGeometry, Placement, PlacerConfig,
 };
 use powerest::PowerReport;
 use thermalsim::ThermalMap;
@@ -428,7 +427,6 @@ impl PlacementTransform for EmptyRowInsertionTransform {
         state.ensure_thermal(ctx)?;
         let (tmap, hotspots) = state.analysis()?;
         let (fp, pl, report) = empty_row_insertion(
-            ctx.flow().netlist(),
             &state.floorplan,
             &state.placement,
             tmap,
@@ -486,8 +484,7 @@ impl PlacementTransform for TargetedRowInsertionTransform {
         let (tmap, _) = state.analysis()?;
         let positions = targeted_insertion_positions(&state.floorplan, tmap, self.rows)?;
         let (fp, mapping) = state.floorplan.with_rows_inserted(&positions);
-        let mut placement = state.placement.remap_rows(&fp, &mapping);
-        fill_whitespace(ctx.flow().netlist(), &fp, &mut placement)?;
+        let placement = state.placement.remap_rows(&fp, &mapping);
         let regions = remap_regions_for_rows(&state.regions, &state.floorplan, &positions);
         Ok(TransformState::new(fp, placement, regions))
     }
@@ -707,7 +704,6 @@ impl PlacementTransform for SpreadFillersTransform {
             let alloc = weighted_row_gaps(free, &gaps);
             respread_row(netlist, &fp, &mut placement, row, &alloc);
         }
-        fill_whitespace(netlist, &fp, &mut placement)?;
         Ok(TransformState::new(fp, placement, state.regions.clone()))
     }
 

@@ -9,7 +9,7 @@
 
 use geom::{Grid2d, Rect};
 use netlist::{CellId, Netlist};
-use placement::{fill_whitespace, nearest_slot_outside, squeeze_into_row, Floorplan, Placement};
+use placement::{squeeze_into_row, Floorplan, OutsideSlots, Placement, SlotSearchStats};
 use powerest::PowerReport;
 use serde::{Deserialize, Serialize};
 
@@ -182,6 +182,9 @@ pub struct WrapperReport {
     pub evicted: usize,
     /// Hot cells re-spread inside the wrapped regions.
     pub respread: usize,
+    /// The eviction slot searches: how many ran, how many the row
+    /// bounds answered without a scan, and the rows they walked.
+    pub searches: SlotSearchStats,
 }
 
 /// Applies the hotspot wrapper in place over pre-computed (disjoint)
@@ -190,7 +193,9 @@ pub struct WrapperReport {
 /// For every region: classify the cells inside by power density, move the
 /// *cold* cells to the nearest free legal slot outside all wrapped
 /// regions (the paper's "exclusive move bounds"), and spread the *hot*
-/// cells uniformly over the region. Fillers are re-poured at the end.
+/// cells uniformly over the region. Whitespace needs no pass of its own:
+/// the fillers are derived from the row gaps when asked for
+/// ([`Placement::fillers`]).
 ///
 /// # Errors
 ///
@@ -260,13 +265,17 @@ pub fn hotspot_wrapper(
     // Re-separate any regions that grew into each other.
     separate_rings(&mut regions);
 
-    // The squeeze fallback's receiving rows, with their center lines:
-    // those lying completely outside every wrapped region.
+    // The squeeze fallback's receiving rows, bottom-up, with their
+    // center lines: those lying completely outside every wrapped region.
     let outside_rows: Vec<(usize, f64)> = (0..floorplan.num_rows())
         .map(|r| (r, floorplan.row_rect(r)))
         .filter(|(_, rect)| !regions.iter().any(|g| g.intersects(rect)))
         .map(|(r, rect)| (r, rect.center().y))
         .collect();
+    // A removed cell wholly inside a region frees no site outside every
+    // region; any other may widen a free run the searches bound.
+    let frees_outside = |rect: &Rect| !regions.iter().any(|g| g.contains_rect(rect));
+    let mut slots = OutsideSlots::new(floorplan, placement, &regions);
     let mut evicted = 0usize;
     let mut respread = 0usize;
     let mut processed_regions = Vec::new();
@@ -274,31 +283,29 @@ pub fn hotspot_wrapper(
         // Partition the cells touching the wrapped region. Any overlap
         // counts: a cell straddling the boundary would collide with the
         // re-spread.
-        let mut hot_cells: Vec<CellId> = Vec::new();
-        let mut cold_cells: Vec<(CellId, geom::Point, placement::PlacedCell)> = Vec::new();
+        let mut hot_cells: Vec<(CellId, Rect, u32)> = Vec::new();
+        let mut cold_cells: Vec<(CellId, Rect, placement::PlacedCell)> = Vec::new();
         for (id, _) in netlist.cells() {
-            let Some(rect) = placement.cell_rect(netlist, floorplan, id) else {
+            let (Some(rect), Some(slot)) = (
+                placement.cell_rect(netlist, floorplan, id),
+                placement.location(id),
+            ) else {
                 continue;
             };
             if !region.intersects(&rect) {
                 continue;
             }
             if is_hot(id) {
-                hot_cells.push(id);
+                hot_cells.push((id, rect, slot.row));
             } else {
-                // `cell_rect` above answered, so the cell has a slot;
-                // skip rather than assert if that ever stops holding.
-                let Some(slot) = placement.location(id) else {
-                    continue;
-                };
-                cold_cells.push((id, rect.center(), slot));
+                cold_cells.push((id, rect, slot));
             }
         }
         // Diffused-warmth region with no real source: leave it alone
         // (wrapping it would only stretch wires).
         let hot_area: f64 = hot_cells
             .iter()
-            .map(|&c| lib.cell_area_um2(netlist.cell(c).master()))
+            .map(|&(c, _, _)| lib.cell_area_um2(netlist.cell(c).master()))
             .sum();
         let cold_area: f64 = cold_cells
             .iter()
@@ -309,11 +316,13 @@ pub fn hotspot_wrapper(
         }
         processed_regions.push(*region);
         // Evict cold cells to the nearest legal slot outside every region.
-        for (id, origin, original_slot) in cold_cells {
+        for (id, rect, original_slot) in cold_cells {
+            let origin = rect.center();
             placement.remove(id);
-            if let Some((row, site)) =
-                nearest_slot_outside(netlist, floorplan, placement, id, origin, &regions)
-            {
+            if frees_outside(&rect) {
+                slots.refresh_row(placement, original_slot.row);
+            }
+            if let Some((row, site)) = slots.nearest(netlist, placement, id, origin) {
                 placement.place(netlist, floorplan, id, row, site);
                 evicted += 1;
                 continue;
@@ -322,21 +331,17 @@ pub fn hotspot_wrapper(
             // small gaps): shove cells aside in the nearest row that lies
             // completely outside every wrapped region.
             let mut done = false;
-            let mut candidate_rows: Vec<(usize, f64)> = outside_rows
-                .iter()
-                .map(|&(r, y)| (r, (y - origin.y).abs()))
-                .collect();
-            candidate_rows.sort_by(|a, b| a.1.total_cmp(&b.1));
             // Cap the fill of receiving rows: dumping every evicted cell
             // into the nearest row would build a dense, hot stripe right
             // against the wrapper. Relax the cap progressively on small
             // dies rather than fail outright.
             'caps: for cap in [0.82, 0.95, 1.01] {
-                for &(r, _) in &candidate_rows {
+                for r in nearest_first(&outside_rows, origin.y) {
                     if placement.row_utilization(floorplan, r as u32) > cap {
                         continue;
                     }
                     if squeeze_into_row(netlist, floorplan, placement, id, r as u32, origin.x) {
+                        slots.refresh_row(placement, r as u32);
                         done = true;
                         break 'caps;
                     }
@@ -365,23 +370,43 @@ pub fn hotspot_wrapper(
         // are local").
         let sources: Vec<(CellId, geom::Point)> = hot_cells
             .iter()
-            .filter_map(|&id| {
-                placement
-                    .cell_center(netlist, floorplan, id)
-                    .map(|c| (id, c))
-            })
+            .map(|&(id, rect, _)| (id, rect.center()))
             .collect();
-        for &id in &hot_cells {
+        for &(id, _, _) in &hot_cells {
             placement.remove(id);
         }
         spread_scaled(netlist, floorplan, placement, &sources, *region)?;
+        for &(_, rect, row) in &hot_cells {
+            if frees_outside(&rect) {
+                slots.refresh_row(placement, row);
+            }
+        }
         respread += sources.len();
     }
-    fill_whitespace(netlist, floorplan, placement)?;
     Ok(WrapperReport {
         regions: processed_regions,
         evicted,
         respread,
+        searches: slots.stats(),
+    })
+}
+
+/// The rows of `rows` (bottom-up, with their center lines) ordered by
+/// the distance of their center line from `y`, nearest first; of two
+/// rows at one distance, the lower comes first. Walks outward from `y`
+/// instead of sorting: the rows below `y` get further away going down,
+/// the rest going up.
+fn nearest_first(rows: &[(usize, f64)], y: f64) -> impl Iterator<Item = usize> + '_ {
+    let split = rows.partition_point(|&(_, center)| center < y);
+    let mut below = rows[..split].iter().rev().peekable();
+    let mut above = rows[split..].iter().peekable();
+    std::iter::from_fn(move || {
+        let lower = match (below.peek(), above.peek()) {
+            (Some(&&(_, b)), Some(&&(_, a))) => (b - y).abs() <= (a - y).abs(),
+            (below, _) => below.is_some(),
+        };
+        let next = if lower { below.next() } else { above.next() };
+        next.map(|&(r, _)| r)
     })
 }
 
@@ -439,22 +464,23 @@ fn spread_scaled(
         let seg = ((ty * nseg as f64) as usize).min(nseg - 1);
         per_segment[seg].push((id, tx));
     }
-    // Balance overflowing segments into neighbours (row quantization).
+    // Balance overflowing segments into neighbours (row quantization):
+    // move the cells with the most extreme tx, one at a time, to the
+    // lighter neighbouring segment. Taking from an end keeps the
+    // segment sorted, so it is sorted once.
     for i in 0..nseg {
-        loop {
-            let (_, lo, hi) = segments[i];
-            let cap = (hi - lo) as u64;
-            let used: u64 = per_segment[i]
-                .iter()
-                .map(|&(id, _)| width_of(id) as u64)
-                .sum();
-            if used <= cap {
-                break;
-            }
-            // Move the cell with the most extreme tx to the lighter
-            // neighbouring segment.
-            per_segment[i].sort_by(|a, b| a.1.total_cmp(&b.1));
-            let take_last = i + 1 < nseg;
+        let (_, lo, hi) = segments[i];
+        let cap = (hi - lo) as u64;
+        let mut used: u64 = per_segment[i]
+            .iter()
+            .map(|&(id, _)| width_of(id) as u64)
+            .sum();
+        if used <= cap {
+            continue;
+        }
+        per_segment[i].sort_by(|a, b| a.1.total_cmp(&b.1));
+        let take_last = i + 1 < nseg;
+        while used > cap {
             let moved = if take_last {
                 per_segment[i].pop()
             } else if per_segment[i].is_empty() {
@@ -467,6 +493,7 @@ fn spread_scaled(
             let Some(moved) = moved else {
                 break;
             };
+            used -= width_of(moved.0) as u64;
             let dst = if take_last { i + 1 } else { i - 1 };
             per_segment[dst].push(moved);
         }
@@ -497,16 +524,7 @@ fn spread_scaled(
             // An unevicted straggler may occupy the ideal slot: nudge
             // right until the cell fits, or defer it to the sweep. The
             // run's own cells all sit left of the cursor.
-            let mut site = cursor as u32;
-            let mut placed_at = None;
-            while site + w <= hi {
-                if placement.fits(row, site, w) {
-                    placed_at = Some(site);
-                    break;
-                }
-                site += 1;
-            }
-            match placed_at {
+            match placement.first_fit(row, cursor as u32, hi, w) {
                 Some(site) => {
                     run.push((id, site));
                     cursor = (site + w) as u64;
@@ -520,13 +538,9 @@ fn spread_scaled(
     'outer: for id in leftovers {
         let w = width_of(id);
         for &(row, lo, hi) in &segments {
-            let mut site = lo;
-            while site + w <= hi {
-                if placement.fits(row, site, w) {
-                    placement.place(netlist, floorplan, id, row, site);
-                    continue 'outer;
-                }
-                site += 1;
+            if let Some(site) = placement.first_fit(row, lo, hi, w) {
+                placement.place(netlist, floorplan, id, row, site);
+                continue 'outer;
             }
         }
         return Err(FlowError::BadStrategy {

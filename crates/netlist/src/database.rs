@@ -467,4 +467,15 @@ impl Netlist {
     pub fn cell_width_sites(&self, cell: CellId) -> u32 {
         self.tables.cell_width_sites(cell)
     }
+
+    /// The summed area of a unit's cells, µm², added in cell order —
+    /// bit for bit [`crate::NetlistStats::of`]'s `cell_area_um2` — read
+    /// from a per-unit table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `unit` is out of range.
+    pub fn unit_cell_area_um2(&self, unit: UnitId) -> f64 {
+        self.tables.unit_cell_area_um2(unit)
+    }
 }

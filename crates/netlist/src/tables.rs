@@ -9,7 +9,7 @@
 use stdcell::LibCellId;
 
 use crate::database::{NetDriver, Netlist};
-use crate::{CellId, NetId};
+use crate::{CellId, NetId, UnitId};
 
 /// Connectivity derived from a netlist's cells, pins and nets.
 #[derive(Debug, Clone, Default)]
@@ -33,6 +33,9 @@ pub(crate) struct Tables {
     cell_masters: Vec<LibCellId>,
     /// …and that master's width in placement sites.
     cell_width_sites: Vec<u32>,
+    /// Per unit: the area of its cells, µm², summed in cell order from
+    /// `0.0` (the bits [`crate::NetlistStats::of`] adds up).
+    unit_cell_area_um2: Vec<f64>,
 }
 
 /// A table offset; a netlist's pin count fits `u32` because its pin ids
@@ -56,6 +59,7 @@ impl Tables {
             cell_nets: Vec::with_capacity(netlist.pins.len()),
             cell_masters: Vec::with_capacity(netlist.cell_count()),
             cell_width_sites: Vec::with_capacity(netlist.cell_count()),
+            unit_cell_area_um2: vec![0.0; netlist.units.len()],
         };
         t.net_endpoint_at.push(0);
         for net in &netlist.nets {
@@ -84,6 +88,7 @@ impl Tables {
             t.cell_masters.push(cell.master());
             t.cell_width_sites
                 .push(lib.cell(cell.master()).width_sites());
+            t.unit_cell_area_um2[cell.unit().index()] += lib.cell_area_um2(cell.master());
         }
         t
     }
@@ -120,5 +125,9 @@ impl Tables {
 
     pub(crate) fn cell_width_sites(&self, cell: CellId) -> u32 {
         self.cell_width_sites[cell.index()]
+    }
+
+    pub(crate) fn unit_cell_area_um2(&self, unit: UnitId) -> f64 {
+        self.unit_cell_area_um2[unit.index()]
     }
 }

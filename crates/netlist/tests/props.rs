@@ -76,6 +76,14 @@ fn assert_tables_match_the_pointer_walk(nl: &Netlist) -> (usize, usize, usize) {
         assert_eq!(nl.cell_width_sites(id), def.width_sites(), "{id}");
         two_output += usize::from(cell.output_pins().len() == 2);
     }
+    let stats = netlist::NetlistStats::of(nl);
+    for (id, _) in nl.units() {
+        assert_eq!(
+            nl.unit_cell_area_um2(id).to_bits(),
+            stats.units[id.index()].cell_area_um2.to_bits(),
+            "{id}"
+        );
+    }
     (port_driven, sinkless, two_output)
 }
 

@@ -16,8 +16,9 @@ pub struct PlacedCell {
     pub site: u32,
 }
 
-/// A placed filler (dummy) cell. Fillers are placement artifacts, not
-/// netlist content: zero power, zero pins, rail continuity only.
+/// A filler (dummy) cell tiling whitespace. Fillers are placement
+/// artifacts, not netlist content: zero power, zero pins, rail
+/// continuity only; [`Placement::fillers`] derives them on demand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FillerInst {
     /// The filler master in the library.
@@ -30,8 +31,9 @@ pub struct FillerInst {
     pub width_sites: u32,
 }
 
-/// The placement database: a slot per netlist cell, a per-row occupancy
-/// index for fast gap queries, and the filler list.
+/// The placement database: a slot per netlist cell and a per-row
+/// occupancy index for fast gap queries. Filler cells are not stored:
+/// [`Placement::fillers`] derives them from the row gaps.
 ///
 /// Each row's index keeps its cells by site plus a free-space summary
 /// that every edit updates in O(log n), touching only the gaps it
@@ -59,7 +61,6 @@ pub struct FillerInst {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Placement {
     slots: Vec<Option<PlacedCell>>,
-    fillers: Vec<FillerInst>,
     row_index: Vec<RowIndex>,
 }
 
@@ -108,6 +109,11 @@ impl BlockMax {
 
     fn widest(&self) -> u32 {
         self.max[1]
+    }
+
+    /// Whether a gap at least `width` wide starts in `block`.
+    fn holds(&self, block: usize, width: u32) -> bool {
+        block < self.leaves && self.max[self.leaves + block] >= width
     }
 
     fn set(&mut self, block: usize, width: u32) {
@@ -341,9 +347,16 @@ impl<'a> WideGaps<'a> {
             let block = site / GAP_BLOCK;
             (block, site, ((block + 1) * GAP_BLOCK).min(row.sites))
         };
+        let width = width.max(1);
+        // A start block holding no gap this wide needs no site scan.
+        let hi = if row.blocks.holds(block as usize, width) {
+            hi
+        } else {
+            lo
+        };
         WideGaps {
             row,
-            width: width.max(1),
+            width,
             leftward,
             block: block as usize,
             lo,
@@ -391,15 +404,13 @@ impl Placement {
     pub fn new(netlist: &Netlist, floorplan: &Floorplan) -> Self {
         Placement {
             slots: vec![None; netlist.cell_count()],
-            fillers: Vec::new(),
             row_index: (0..floorplan.num_rows())
                 .map(|r| RowIndex::new(floorplan.row(r).num_sites))
                 .collect(),
         }
     }
 
-    /// Places (or moves) `cell` at `(row, site)`. Clears any fillers — the
-    /// caller refills whitespace after a batch of moves.
+    /// Places (or moves) `cell` at `(row, site)`.
     ///
     /// # Panics
     ///
@@ -417,7 +428,6 @@ impl Placement {
 
     /// Places (or moves) a run of distinct cells into `row` at increasing
     /// sites, updating the row's index once for the span the run covers.
-    /// Clears any fillers.
     ///
     /// # Panics
     ///
@@ -468,23 +478,20 @@ impl Placement {
             self.slots[cell.index()] = Some(PlacedCell { row, site });
         }
         self.row_index[row as usize].insert_run(&entries);
-        self.fillers.clear();
     }
 
     /// Removes `cell` from the placement (no-op when unplaced).
     pub fn remove(&mut self, cell: CellId) {
         if let Some(pc) = self.slots[cell.index()].take() {
             self.row_index[pc.row as usize].remove_at(pc.site);
-            self.fillers.clear();
         }
     }
 
     /// Unplaces every cell of `row` at once and returns them as
-    /// `(site, cell, width)` in site order. Clears any fillers.
+    /// `(site, cell, width)` in site order.
     pub(crate) fn take_row(&mut self, row: u32) -> Vec<(u32, CellId, u32)> {
         let index = &mut self.row_index[row as usize];
         let cells = std::mem::replace(index, RowIndex::new(index.sites)).cells;
-        self.fillers.clear();
         cells
             .into_iter()
             .map(|(site, (cell, width))| {
@@ -492,6 +499,30 @@ impl Placement {
                 (site, cell, width)
             })
             .collect()
+    }
+
+    /// The first site `s` of `row` in `[from, to - width]` where `width`
+    /// sites from `s` are free of placed cells, found through the gap
+    /// index (the first `s` that [`Placement::fits`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is out of range.
+    pub fn first_fit(&self, row: u32, from: u32, to: u32, width: u32) -> Option<u32> {
+        // The gap holding `from`, then the wide gaps starting past it.
+        let holding = self
+            .wide_gaps_left(row, from, width)
+            .next()
+            .filter(|&(_, end)| end >= from.saturating_add(width))
+            .map(|_| from);
+        holding
+            .or_else(|| {
+                let next = from.checked_add(1)?;
+                self.wide_gaps_right(row, next, width)
+                    .next()
+                    .map(|(s, _)| s)
+            })
+            .filter(|&s| s.saturating_add(width) <= to)
     }
 
     /// Whether `[site, site+width)` in `row` is free of placed cells.
@@ -575,19 +606,30 @@ impl Placement {
     ///
     /// Panics if `row` is out of range.
     pub fn row_gaps(&self, floorplan: &Floorplan, row: u32) -> Vec<(u32, u32)> {
-        let total = floorplan.row(row as usize).num_sites;
-        let mut gaps = Vec::new();
+        debug_assert_eq!(
+            floorplan.row(row as usize).num_sites,
+            self.row_index[row as usize].sites
+        );
+        self.free_gaps(row).collect()
+    }
+
+    /// The free gaps of `row` as `(site, width)`, in site order.
+    pub(crate) fn free_gaps(&self, row: u32) -> impl Iterator<Item = (u32, u32)> + '_ {
+        let index = &self.row_index[row as usize];
+        let mut cells = index.cells.iter();
         let mut cursor = 0u32;
-        for (&site, &(_, width)) in &self.row_index[row as usize].cells {
-            if site > cursor {
-                gaps.push((cursor, site - cursor));
+        std::iter::from_fn(move || {
+            for (&site, &(_, width)) in cells.by_ref() {
+                let start = cursor;
+                cursor = site + width;
+                if site > start {
+                    return Some((start, site - start));
+                }
             }
-            cursor = site + width;
-        }
-        if cursor < total {
-            gaps.push((cursor, total - cursor));
-        }
-        gaps
+            let start = cursor;
+            cursor = index.sites;
+            (start < index.sites).then(|| (start, index.sites - start))
+        })
     }
 
     /// Fraction of `row`'s sites occupied by placed cells.
@@ -629,16 +671,6 @@ impl Placement {
         WideGaps::new(&self.row_index[row as usize], width, false, site)
     }
 
-    /// The placed fillers.
-    pub fn fillers(&self) -> &[FillerInst] {
-        &self.fillers
-    }
-
-    /// Replaces the filler list (used by [`crate::fill_whitespace`]).
-    pub fn set_fillers(&mut self, fillers: Vec<FillerInst>) {
-        self.fillers = fillers;
-    }
-
     /// Iterates over placed cells as `(cell, slot)`.
     pub fn iter(&self) -> impl Iterator<Item = (CellId, PlacedCell)> + '_ {
         self.slots
@@ -649,8 +681,7 @@ impl Placement {
 
     /// Rebuilds this placement onto a grown floorplan produced by
     /// [`Floorplan::with_rows_inserted`], moving each row (cells and
-    /// index) to the row the supplied mapping names. Fillers are dropped
-    /// (refill afterwards).
+    /// index) to the row the supplied mapping names.
     ///
     /// # Panics
     ///
@@ -679,11 +710,7 @@ impl Placement {
                 })
             })
             .collect();
-        Placement {
-            slots,
-            fillers: Vec::new(),
-            row_index,
-        }
+        Placement { slots, row_index }
     }
 }
 

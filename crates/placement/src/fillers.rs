@@ -3,56 +3,77 @@
 //! The paper: "the available area overhead is filled with dummy cells
 //! which do not contain active transistors and consume zero power. They
 //! can guarantee the electrical continuity of power and ground rails in
-//! each layout row." Filling every gap completely is therefore a hard
-//! invariant, checked by [`crate::validate`].
+//! each layout row." Every gap is therefore tiled completely; the tiling
+//! is a function of the row gaps, so a [`Placement`] stores none and
+//! derives it when asked ([`Placement::fillers`]), and [`crate::validate`]
+//! checks that the library can tile every gap.
 
 use netlist::{CellId, Netlist};
+use stdcell::{LibCellId, Library};
 
 use crate::{FillerInst, Floorplan, PlaceError, Placement};
 
-/// Tiles every free gap of every row with filler cells (greedy, widest
-/// first). Replaces the placement's existing filler list.
-///
-/// # Errors
-///
-/// Returns [`PlaceError::UnfillableGap`] if a gap cannot be tiled — which
-/// cannot happen with the `c65` library's 1-site filler.
-pub fn fill_whitespace(
-    netlist: &Netlist,
-    floorplan: &Floorplan,
-    placement: &mut Placement,
-) -> Result<(), PlaceError> {
-    let lib = netlist.library();
-    let masters = lib.fillers();
-    let mut fillers = Vec::new();
-    for row in 0..floorplan.num_rows() as u32 {
-        for (start, width) in placement.row_gaps(floorplan, row) {
-            let mut site = start;
-            let mut remaining = width;
-            while remaining > 0 {
-                let master = masters
-                    .iter()
-                    .copied()
-                    .find(|&m| lib.cell(m).width_sites() <= remaining)
-                    .ok_or(PlaceError::UnfillableGap {
-                        row,
-                        site,
-                        width: remaining,
-                    })?;
-                let w = lib.cell(master).width_sites();
-                fillers.push(FillerInst {
-                    master,
-                    row,
-                    site,
-                    width_sites: w,
-                });
-                site += w;
-                remaining -= w;
+/// The library's filler masters with their widths, widest first.
+pub(crate) fn filler_masters(lib: &Library) -> Vec<(LibCellId, u32)> {
+    lib.fillers()
+        .into_iter()
+        .map(|m| (m, lib.cell(m).width_sites()))
+        .collect()
+}
+
+/// Tiles the gap of `row` from `site`, `width` sites wide, greedily with
+/// the widest fitting master first, pushing each filler onto `out`.
+/// Returns the sites left untiled, as `(site, width)`, when no master
+/// fits what remains (never with a 1-site filler).
+pub(crate) fn tile_gap(
+    masters: &[(LibCellId, u32)],
+    row: u32,
+    mut site: u32,
+    mut width: u32,
+    out: &mut Vec<FillerInst>,
+) -> Option<(u32, u32)> {
+    while width > 0 {
+        let Some(&(master, w)) = masters.iter().find(|&&(_, w)| w <= width) else {
+            return Some((site, width));
+        };
+        out.push(FillerInst {
+            master,
+            row,
+            site,
+            width_sites: w,
+        });
+        site += w;
+        width -= w;
+    }
+    None
+}
+
+impl Placement {
+    /// The filler cells tiling every free gap of every row (greedy,
+    /// widest master first), in row and site order. Fillers are derived
+    /// from the row gaps on each call; nothing stores them.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PlaceError::UnfillableGap`] for the first gap the
+    /// library cannot tile — which cannot happen with the `c65`
+    /// library's 1-site filler.
+    pub fn fillers(
+        &self,
+        netlist: &Netlist,
+        floorplan: &Floorplan,
+    ) -> Result<Vec<FillerInst>, PlaceError> {
+        let masters = filler_masters(netlist.library());
+        let mut fillers = Vec::new();
+        for row in 0..floorplan.num_rows() as u32 {
+            for (start, width) in self.row_gaps(floorplan, row) {
+                if let Some((site, width)) = tile_gap(&masters, row, start, width, &mut fillers) {
+                    return Err(PlaceError::UnfillableGap { row, site, width });
+                }
             }
         }
+        Ok(fillers)
     }
-    placement.set_fillers(fillers);
-    Ok(())
 }
 
 /// Splits `total_free` whitespace sites over weighted gap slots by
@@ -100,8 +121,7 @@ pub fn weighted_row_gaps(total_free: u32, weights: &[f64]) -> Vec<u32> {
 /// Re-packs one row's cells left-to-right with the given gap widths
 /// (`gaps[i]` sites of whitespace before the `i`-th cell, in site
 /// order): the cells keep their row and relative order, only the
-/// whitespace between them moves. Existing fillers are dropped — re-pour
-/// with [`fill_whitespace`] after the last row.
+/// whitespace between them moves.
 ///
 /// # Panics
 ///
@@ -161,8 +181,12 @@ mod tests {
         let (nl, fp, mut p) = setup();
         p.place(&nl, &fp, CellId::new(0), 0, 37);
         p.place(&nl, &fp, CellId::new(1), 1, 0);
-        fill_whitespace(&nl, &fp, &mut p).unwrap();
-        let filler_sites: u32 = p.fillers().iter().map(|f| f.width_sites).sum();
+        let filler_sites: u32 = p
+            .fillers(&nl, &fp)
+            .unwrap()
+            .iter()
+            .map(|f| f.width_sites)
+            .sum();
         let cell_sites = 4; // two 2-site inverters
         assert_eq!(filler_sites + cell_sites, fp.total_sites() as u32);
     }
@@ -172,7 +196,7 @@ mod tests {
         let (nl, fp, mut p) = setup();
         p.place(&nl, &fp, CellId::new(0), 0, 37);
         p.place(&nl, &fp, CellId::new(1), 0, 61);
-        fill_whitespace(&nl, &fp, &mut p).unwrap();
+        let fillers = p.fillers(&nl, &fp).unwrap();
         // Reconstruct per-row coverage and require exact tiling.
         for row in 0..fp.num_rows() as u32 {
             let mut spans: Vec<(u32, u32)> = p
@@ -180,7 +204,7 @@ mod tests {
                 .into_iter()
                 .map(|(s, _, w)| (s, w))
                 .chain(
-                    p.fillers()
+                    fillers
                         .iter()
                         .filter(|f| f.row == row)
                         .map(|f| (f.site, f.width_sites)),
@@ -222,8 +246,12 @@ mod tests {
         assert_eq!(cells[0].1, CellId::new(0), "order preserved");
         assert_eq!(cells[0].0, free, "first cell pushed right");
         assert_eq!(cells[1].0, free + 2, "second cell packed against it");
-        fill_whitespace(&nl, &fp, &mut p).unwrap();
-        let filler_sites: u32 = p.fillers().iter().map(|f| f.width_sites).sum();
+        let filler_sites: u32 = p
+            .fillers(&nl, &fp)
+            .unwrap()
+            .iter()
+            .map(|f| f.width_sites)
+            .sum();
         assert_eq!(filler_sites + used, fp.total_sites() as u32);
     }
 
@@ -231,13 +259,48 @@ mod tests {
     fn refilling_after_a_move_stays_consistent() {
         let (nl, fp, mut p) = setup();
         p.place(&nl, &fp, CellId::new(0), 0, 10);
-        fill_whitespace(&nl, &fp, &mut p).unwrap();
-        assert!(!p.fillers().is_empty());
-        // Moving a cell clears fillers (they may now overlap).
+        let before = p.fillers(&nl, &fp).unwrap();
+        assert!(before.iter().any(|f| f.row == 0 && f.site == 0));
+        // The fillers follow a move: derived from the gaps it leaves.
         p.place(&nl, &fp, CellId::new(0), 1, 10);
-        assert!(p.fillers().is_empty());
-        fill_whitespace(&nl, &fp, &mut p).unwrap();
-        let filler_sites: u32 = p.fillers().iter().map(|f| f.width_sites).sum();
+        let after = p.fillers(&nl, &fp).unwrap();
+        assert_ne!(before, after);
+        assert!(after
+            .iter()
+            .all(|f| f.row != 1 || f.site + f.width_sites <= 10 || f.site >= 12));
+        let filler_sites: u32 = after.iter().map(|f| f.width_sites).sum();
         assert_eq!(filler_sites + 2, fp.total_sites() as u32);
+    }
+
+    #[test]
+    fn a_library_without_a_one_site_filler_cannot_tile_an_odd_gap() {
+        let lib = Library::new(
+            "no-unit-filler",
+            0.3,
+            2.7,
+            1.0,
+            stdcell::c65_cells()
+                .into_iter()
+                .filter(|c| c.name() != "FILLERLL_1")
+                .collect(),
+        );
+        let mut b = NetlistBuilder::new("t", lib);
+        let u = b.add_unit("u");
+        let a = b.input_port("a", u);
+        let n0 = b.net("n0");
+        b.cell(u, CellFunction::Inv, Drive::X1, &[a], &[n0])
+            .unwrap();
+        let nl = b.finish().unwrap();
+        let fp = Floorplan::new(nl.library(), 30.0, 1); // 100 sites
+        let mut p = Placement::new(&nl, &fp);
+        p.place(&nl, &fp, CellId::new(0), 0, 37);
+        assert_eq!(
+            p.fillers(&nl, &fp),
+            Err(PlaceError::UnfillableGap {
+                row: 0,
+                site: 36,
+                width: 1
+            })
+        );
     }
 }

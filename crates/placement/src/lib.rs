@@ -9,8 +9,9 @@
 //! * a [`Floorplan`] of uniform layout rows made of placement sites
 //!   (the paper's row pitch is 2.7 µm — Table I's geometry);
 //! * a [`Placement`] binding each netlist cell to a `(row, site)` slot;
-//! * [`fill_whitespace`], which pours zero-power filler cells into every
-//!   gap so each row's power rails stay electrically continuous;
+//! * [`Placement::fillers`], the zero-power filler cells tiling every
+//!   gap so each row's power rails stay electrically continuous, derived
+//!   from the row gaps when asked for;
 //! * [`PlacedGeometry`], each cell's footprint and each net's
 //!   wirelength on one placement, computed once for every consumer;
 //! * [`Placer`], which produces an initial legal placement at a target
@@ -46,11 +47,11 @@ mod validate;
 pub use congestion::{congestion_map, CongestionStats};
 pub use db::{FillerInst, PlacedCell, Placement};
 pub use error::PlaceError;
-pub use fillers::{fill_whitespace, respread_row, weighted_row_gaps};
+pub use fillers::{respread_row, weighted_row_gaps};
 pub use floorplan::{Floorplan, Row};
 pub use geometry::PlacedGeometry;
 pub use hpwl::{net_hpwl, total_hpwl};
 pub use place::{region_row_segments, spread_into_region, PlacementResult, Placer, PlacerConfig};
 pub use regions::assign_unit_regions;
-pub use search::{nearest_slot_outside, squeeze_into_row};
+pub use search::{squeeze_into_row, OutsideSlots, SlotSearchStats};
 pub use validate::{validate, Violation};

@@ -2,7 +2,7 @@ use geom::Rect;
 use netlist::{CellId, Netlist};
 use serde::{Deserialize, Serialize};
 
-use crate::{assign_unit_regions, fill_whitespace, Floorplan, PlaceError, Placement};
+use crate::{assign_unit_regions, Floorplan, PlaceError, Placement};
 
 /// Placer configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -154,7 +154,6 @@ impl Placer {
                 other => other,
             })?;
         }
-        fill_whitespace(netlist, &floorplan, &mut placement)?;
         Ok(PlacementResult {
             floorplan,
             placement,
@@ -184,23 +183,29 @@ pub fn spread_into_region(
 /// Row segments of `region`: `(row, site_lo, site_hi)` for every row whose
 /// center lies inside the region's vertical span.
 pub fn region_row_segments(floorplan: &Floorplan, region: Rect) -> Vec<(u32, u32, u32)> {
-    let mut segments = Vec::new();
-    for r in 0..floorplan.num_rows() {
-        let row_rect = floorplan.row_rect(r);
-        let cy = (row_rect.lly + row_rect.ury) / 2.0;
-        if cy < region.lly || cy >= region.ury {
-            continue;
-        }
-        let row = floorplan.row(r);
-        let sw = floorplan.site_width();
-        let lo = ((region.llx - row.origin_x) / sw).ceil().max(0.0) as u32;
-        let hi_f = ((region.urx - row.origin_x) / sw).floor();
-        let hi = (hi_f.max(0.0) as u32).min(row.num_sites);
-        if hi > lo {
-            segments.push((r as u32, lo, hi));
-        }
+    (0..floorplan.num_rows())
+        .filter_map(|r| row_segment(floorplan, r, region))
+        .collect()
+}
+
+/// Row `r`'s segment of `region` as in [`region_row_segments`], if the
+/// row's center lies inside the region's vertical span.
+pub(crate) fn row_segment(
+    floorplan: &Floorplan,
+    r: usize,
+    region: Rect,
+) -> Option<(u32, u32, u32)> {
+    let row_rect = floorplan.row_rect(r);
+    let cy = (row_rect.lly + row_rect.ury) / 2.0;
+    if cy < region.lly || cy >= region.ury {
+        return None;
     }
-    segments
+    let row = floorplan.row(r);
+    let sw = floorplan.site_width();
+    let lo = ((region.llx - row.origin_x) / sw).ceil().max(0.0) as u32;
+    let hi_f = ((region.urx - row.origin_x) / sw).floor();
+    let hi = (hi_f.max(0.0) as u32).min(row.num_sites);
+    (hi > lo).then_some((r as u32, lo, hi))
 }
 
 /// Packs `cells` (in order) into the region's row segments with uniform
@@ -213,13 +218,21 @@ pub(crate) fn place_unit_into_region(
     region: Rect,
     serpentine: bool,
 ) -> Result<(), PlaceError> {
-    let lib = netlist.library();
-    let widths: Vec<u32> = cells
-        .iter()
-        .map(|&c| lib.cell(netlist.cell(c).master()).width_sites())
-        .collect();
-    let needed: u64 = widths.iter().map(|&w| w as u64).sum();
     let segments = region_row_segments(floorplan, region);
+    place_into_segments(netlist, floorplan, placement, cells, &segments, serpentine)
+}
+
+/// [`place_unit_into_region`] over the region's row `segments`.
+pub(crate) fn place_into_segments(
+    netlist: &Netlist,
+    floorplan: &Floorplan,
+    placement: &mut Placement,
+    cells: &[CellId],
+    segments: &[(u32, u32, u32)],
+    serpentine: bool,
+) -> Result<(), PlaceError> {
+    let widths: Vec<u32> = cells.iter().map(|&c| netlist.cell_width_sites(c)).collect();
+    let needed: u64 = widths.iter().map(|&w| w as u64).sum();
     let capacity: u64 = segments.iter().map(|&(_, lo, hi)| (hi - lo) as u64).sum();
     if needed > capacity {
         return Err(PlaceError::RegionOverflow {
@@ -282,7 +295,7 @@ pub(crate) fn place_unit_into_region(
     if idx < cells.len() {
         // Proportional batching under-filled (can happen when one cell is
         // wider than a segment's leftover): sweep again, first-fit.
-        for &(row, lo, hi) in &segments {
+        for &(row, lo, hi) in segments {
             if idx >= cells.len() {
                 break;
             }

@@ -7,7 +7,7 @@
 //! and each column is sliced vertically in proportion to its units' areas.
 
 use geom::Rect;
-use netlist::{Netlist, NetlistStats};
+use netlist::Netlist;
 
 /// Assigns one core region per unit, in unit-id order.
 ///
@@ -19,20 +19,20 @@ use netlist::{Netlist, NetlistStats};
 ///
 /// Panics if the netlist has no units or a unit has zero cell area.
 pub fn assign_unit_regions(netlist: &Netlist, core: Rect) -> Vec<Rect> {
-    let stats = NetlistStats::of(netlist);
-    let n = stats.units.len();
+    let areas: Vec<f64> = netlist
+        .units()
+        .map(|(id, unit)| {
+            let area = netlist.unit_cell_area_um2(id);
+            assert!(area > 0.0, "unit {} has no cells", unit.name());
+            area
+        })
+        .collect();
+    let n = areas.len();
     assert!(n > 0, "netlist has no units");
-    for u in &stats.units {
-        assert!(u.cell_area_um2 > 0.0, "unit {} has no cells", u.name);
-    }
     // Balance units into up to 3 columns by greedy largest-first.
     let ncols = n.min(3);
     let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| {
-        stats.units[b]
-            .cell_area_um2
-            .total_cmp(&stats.units[a].cell_area_um2)
-    });
+    order.sort_by(|&a, &b| areas[b].total_cmp(&areas[a]));
     let mut columns: Vec<Vec<usize>> = vec![Vec::new(); ncols];
     let mut col_area = vec![0.0f64; ncols];
     for u in order {
@@ -45,7 +45,7 @@ pub fn assign_unit_regions(netlist: &Netlist, core: Rect) -> Vec<Rect> {
             }
         });
         columns[lightest].push(u);
-        col_area[lightest] += stats.units[u].cell_area_um2;
+        col_area[lightest] += areas[u];
     }
     // Keep unit order stable within a column (deterministic layout).
     for c in &mut columns {
@@ -58,7 +58,7 @@ pub fn assign_unit_regions(netlist: &Netlist, core: Rect) -> Vec<Rect> {
         let w = core.width() * col_area[ci] / total_area;
         let mut y = core.lly;
         for &u in col {
-            let h = core.height() * stats.units[u].cell_area_um2 / col_area[ci];
+            let h = core.height() * areas[u] / col_area[ci];
             regions[u] = Rect::new(x, y, x + w, y + h);
             y += h;
         }

@@ -6,69 +6,389 @@ use netlist::{CellId, Netlist};
 
 use crate::{Floorplan, Placement};
 
-/// Finds the free slot for `cell` nearest to `origin` (Manhattan distance
-/// between cell center and origin) whose footprint does not intersect any
-/// `forbidden` rectangle. Returns `(row, site)`.
+/// Counters of the searches one [`OutsideSlots`] answered.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SlotSearchStats {
+    /// Searches asked.
+    pub searches: u64,
+    /// Searches answered `None` without visiting a row: the cell is
+    /// wider than every row's bound.
+    pub skipped: u64,
+    /// Rows whose gaps the searches walked.
+    pub rows_scanned: u64,
+}
+
+/// Slot searches outside one fixed set of `forbidden` rectangles, for a
+/// caller that moves many cells out of them one at a time (the hotspot
+/// wrapper's evictions).
 ///
-/// Rows are ranked outward from the origin's row (`0, +1, −1, +2, …`, as
-/// many ranks as the floorplan has rows). Every free gap that fits the
-/// cell offers one candidate: its site nearest the origin, or, when that
-/// site is forbidden, whichever of the gap's two ends is legal. The
-/// answer is the nearest candidate; ties go to the lower row rank, then
-/// to the gap further left, then to the gap's left end.
+/// [`OutsideSlots::nearest`] finds the free slot for a cell nearest to
+/// an origin (Manhattan distance between cell center and origin) whose
+/// footprint does not intersect any forbidden rectangle. Rows are
+/// ranked outward from the origin's row (`0, +1, −1, +2, …`, as many
+/// ranks as the floorplan has rows). Every free gap that fits the cell
+/// offers one candidate: its site nearest the origin, or, when that site
+/// is forbidden, whichever of the gap's two ends is legal. The answer is
+/// the nearest candidate; ties go to the lower row rank, then to the gap
+/// further left, then to the gap's left end.
 ///
-/// The search only visits free space that could still win: a row whose
-/// widest gap is narrower than the cell is skipped in O(1), the row walk
+/// The search only visits free space that could still win. A site whose
+/// left edge lies inside a forbidden rectangle is covered by no legal
+/// footprint, so each row that a rectangle crosses keeps an upper bound
+/// on its widest run of free sites outside every such interval, computed
+/// when the searcher is built. A row is skipped in O(1) when that bound
+/// or its widest gap is narrower than the cell, and a cell wider than
+/// every row's bound is answered `None` without a scan. The row walk
 /// stops once both rows of the next step are no closer than the best
 /// candidate, and within a row the gaps are walked outward from the
 /// origin, jumping over every gap that lies wholly inside one forbidden
 /// interval and stopping each direction once a lower bound on its
 /// distance cannot win.
-pub fn nearest_slot_outside(
-    netlist: &Netlist,
-    floorplan: &Floorplan,
-    placement: &Placement,
-    cell: CellId,
-    origin: Point,
-    forbidden: &[Rect],
-) -> Option<(u32, u32)> {
-    let width = netlist
-        .library()
-        .cell(netlist.cell(cell).master())
-        .width_sites();
-    let mut search = SlotSearch {
-        floorplan,
-        placement,
-        origin,
-        width,
-        width_um: width as f64 * floorplan.site_width(),
-        forbidden,
-        best: None,
-        grid: None,
-        rect_sites: Vec::with_capacity(forbidden.len()),
-        blocked: Vec::with_capacity(forbidden.len()),
-    };
-    let origin_row = floorplan
-        .row_at(origin.y.clamp(floorplan.core().lly, floorplan.core().ury))
-        .unwrap_or(0) as i64;
-    let n_rows = floorplan.num_rows() as i64;
-    for rank in 0..n_rows {
-        // 0, +1, -1, +2, -2, …
-        let step = (rank + 1) / 2;
-        let r = if rank % 2 == 1 {
-            // Rows further out are no closer than this step's pair.
-            if !search.may_improve(origin_row + step) && !search.may_improve(origin_row - step) {
-                break;
-            }
-            origin_row + step
-        } else {
-            origin_row - step
+///
+/// Placing a cell only shrinks free runs, so the bounds stay sound
+/// across placements. A removal can widen a run outside the rectangles:
+/// after removing a cell that is not wholly inside them, or after any
+/// edit of a row no rectangle crosses, call
+/// [`OutsideSlots::refresh_row`] before the next search.
+#[derive(Debug, Clone)]
+pub struct OutsideSlots<'a> {
+    floorplan: &'a Floorplan,
+    forbidden: &'a [Rect],
+    /// Per row, the sites whose left edge lies in a forbidden rectangle
+    /// meeting the row, as sorted, disjoint inclusive intervals.
+    inside: Vec<Vec<(u32, u32)>>,
+    /// Per row with `inside` sites, an upper bound on its widest run of
+    /// free sites that meets no `inside` interval, and the row's used
+    /// sites when it was found.
+    bound: Vec<(u32, u32)>,
+    /// An upper bound on every row's widest legal run: its `bound`, or
+    /// its widest gap for a row no rectangle crosses.
+    widest: u32,
+    /// Per row, the known [`Frontier`]s of its `inside` intervals.
+    frontiers: Vec<Vec<Frontier>>,
+    stats: SlotSearchStats,
+}
+
+/// How far a legal footprint of one width must sit from one `inside`
+/// interval `[a, b]` of a row: none starts in `(left, a - width]` or
+/// in `[b + 1, right)`. Placing a cell only removes legal footprints, so
+/// a frontier stays true until [`OutsideSlots::refresh_row`] forgets it.
+#[derive(Debug, Clone, Copy)]
+struct Frontier {
+    interval: usize,
+    width: u32,
+    /// The last legal start left of the interval (`None`: there is none).
+    left: Option<u32>,
+    /// The first legal start right of it (`None`: there is none).
+    right: Option<u32>,
+    /// The row's used sites when the frontier was found: a row whose
+    /// count has not moved since is not searched for it again. (A
+    /// frontier that misses an edit is still true, only less tight.)
+    used: u32,
+}
+
+impl<'a> OutsideSlots<'a> {
+    /// A searcher for `placement` over `floorplan`, avoiding `forbidden`.
+    pub fn new(floorplan: &'a Floorplan, placement: &Placement, forbidden: &'a [Rect]) -> Self {
+        let inside: Vec<Vec<(u32, u32)>> = (0..floorplan.num_rows())
+            .map(|r| inside_sites(floorplan, r, forbidden))
+            .collect();
+        let mut slots = OutsideSlots {
+            floorplan,
+            forbidden,
+            bound: vec![(0, 0); inside.len()],
+            frontiers: vec![Vec::new(); inside.len()],
+            inside,
+            widest: 0,
+            stats: SlotSearchStats::default(),
         };
-        if search.may_improve(r) {
-            search.scan_row(r as usize, rank as u64);
+        for row in 0..floorplan.num_rows() as u32 {
+            slots.refresh_row(placement, row);
+        }
+        slots
+    }
+
+    /// Re-reads `row`'s free runs from `placement` after an edit that
+    /// may have widened one.
+    pub fn refresh_row(&mut self, placement: &Placement, row: u32) {
+        self.frontiers[row as usize].clear();
+        let inside = &self.inside[row as usize];
+        let widest = if inside.is_empty() {
+            placement.row_widest_gap(row)
+        } else {
+            let bound = widest_run_outside(placement, row, inside);
+            self.bound[row as usize] = (bound, placement.row_used_sites(row));
+            bound
+        };
+        self.widest = self.widest.max(widest);
+    }
+
+    /// The counters of every search so far.
+    pub fn stats(&self) -> SlotSearchStats {
+        self.stats
+    }
+
+    /// The nearest legal slot for `cell` (placed or not: its own slot
+    /// counts as occupied) to `origin`, as `(row, site)`; see
+    /// [`OutsideSlots`] for the candidate rule.
+    pub fn nearest(
+        &mut self,
+        netlist: &Netlist,
+        placement: &Placement,
+        cell: CellId,
+        origin: Point,
+    ) -> Option<(u32, u32)> {
+        let floorplan = self.floorplan;
+        let width = netlist.cell_width_sites(cell);
+        self.stats.searches += 1;
+        if width > self.widest {
+            self.stats.skipped += 1;
+            return None;
+        }
+        let mut search = SlotSearch {
+            floorplan,
+            placement,
+            origin,
+            width,
+            width_um: width as f64 * floorplan.site_width(),
+            forbidden: self.forbidden,
+            best: None,
+            grid: None,
+            rect_sites: Vec::with_capacity(self.forbidden.len()),
+            blocked: Vec::with_capacity(self.forbidden.len()),
+        };
+        let origin_row = floorplan
+            .row_at(origin.y.clamp(floorplan.core().lly, floorplan.core().ury))
+            .unwrap_or(0) as i64;
+        let n_rows = floorplan.num_rows() as i64;
+        for rank in 0..n_rows {
+            // 0, +1, -1, +2, -2, …
+            let step = (rank + 1) / 2;
+            let r = if rank % 2 == 1 {
+                // Rows further out are no closer than this step's pair.
+                if !search.may_improve(origin_row + step) && !search.may_improve(origin_row - step)
+                {
+                    break;
+                }
+                origin_row + step
+            } else {
+                origin_row - step
+            };
+            if search.may_improve(r)
+                && self.may_fit(placement, r as usize, width)
+                && self.may_beat(placement, &search, r as usize)
+            {
+                self.stats.rows_scanned += 1;
+                search.scan_row(r as usize, rank as u64);
+            }
+        }
+        search.best.map(|b| (b.row, b.site))
+    }
+
+    /// Whether row `r` may hold a legal footprint `width` sites wide. A
+    /// bound that would let the row through is re-read if cells were
+    /// placed in the row since.
+    fn may_fit(&mut self, placement: &Placement, r: usize, width: u32) -> bool {
+        if placement.row_widest_gap(r as u32) < width {
+            return false;
+        }
+        let inside = &self.inside[r];
+        if inside.is_empty() {
+            return true;
+        }
+        let (bound, used) = self.bound[r];
+        if bound < width {
+            return false;
+        }
+        let now = placement.row_used_sites(r as u32);
+        if used == now {
+            return true;
+        }
+        let bound = widest_run_outside(placement, r as u32, inside);
+        self.bound[r] = (bound, now);
+        bound >= width
+    }
+
+    /// Whether a legal footprint in row `r` may beat the best candidate
+    /// of `search`. When the origin lies over an `inside` interval,
+    /// widened by half the cell on each side, every legal center sits at
+    /// or beyond the interval's [`Frontier`] on one side; a remembered
+    /// frontier that cannot rule the row out is brought up to date first.
+    fn may_beat(&mut self, placement: &Placement, search: &SlotSearch, r: usize) -> bool {
+        let Some(best) = search.best else {
+            return true;
+        };
+        let (floorplan, half, origin) = (self.floorplan, search.width_um / 2.0, search.origin);
+        let x = |s: u32| floorplan.site_x(r, s);
+        let inside = &self.inside[r];
+        let k = inside.partition_point(|&(_, b)| x(b + 1) + half <= origin.x);
+        match inside.get(k) {
+            Some(&(a, _)) if x(a) - half < origin.x => {}
+            _ => return true,
+        }
+        let rect = floorplan.row_rect(r);
+        let dy = ((rect.lly + rect.ury) / 2.0 - origin.y).abs();
+        // The nearest legal center on either side; the slack covers the
+        // rounding of the centers `consider` measures.
+        let beats = |f: &Frontier| {
+            let left = f.left.map_or(f64::INFINITY, |s| origin.x - (x(s) + half));
+            let right = f.right.map_or(f64::INFINITY, |s| x(s) + half - origin.x);
+            dy + left.min(right) - CENTER_SLACK_UM < best.distance
+        };
+        let width = search.width;
+        let known = self.frontiers[r]
+            .iter()
+            .position(|f| f.interval == k && f.width == width);
+        let used = placement.row_used_sites(r as u32);
+        if let Some(i) = known {
+            let f = self.frontiers[r][i];
+            if !beats(&f) {
+                return false;
+            }
+            if f.used == used {
+                return true;
+            }
+        }
+        let fresh = frontier(placement, r as u32, inside, k, width);
+        match known {
+            Some(i) => self.frontiers[r][i] = fresh,
+            None => self.frontiers[r].push(fresh),
+        }
+        beats(&fresh)
+    }
+}
+
+/// The [`Frontier`] of `inside[k]` for footprints `width` sites wide:
+/// the free runs of `row` nearest the interval on each side that hold
+/// `width` sites meeting no `inside` interval.
+fn frontier(
+    placement: &Placement,
+    row: u32,
+    inside: &[(u32, u32)],
+    k: usize,
+    width: u32,
+) -> Frontier {
+    let (a, b) = inside[k];
+    // Rightward: the wide gaps from the one holding site `b + 1` on.
+    let mut right = None;
+    let mut gaps = placement
+        .wide_gaps_left(row, b + 1, width)
+        .next()
+        .into_iter()
+        .chain(placement.wide_gaps_right(row, b + 2, width));
+    let mut j = k + 1;
+    'right: for (start, end) in gaps.by_ref() {
+        let mut s = start.max(b + 1);
+        while s + width <= end {
+            while j < inside.len() && inside[j].1 < s {
+                j += 1;
+            }
+            match inside.get(j) {
+                Some(&(c, d)) if c < s + width => s = d + 1,
+                _ => {
+                    right = Some(s);
+                    break 'right;
+                }
+            }
         }
     }
-    search.best.map(|b| (b.row, b.site))
+    // Leftward: the wide gaps starting before site `a`, nearest first.
+    let mut left = None;
+    if let Some(from) = a.checked_sub(1) {
+        let mut j = k;
+        'left: for (start, end) in placement.wide_gaps_left(row, from, width) {
+            let mut e = end.min(a);
+            while e >= start + width {
+                while j > 0 && inside[j - 1].0 >= e {
+                    j -= 1;
+                }
+                match j.checked_sub(1).map(|i| inside[i]) {
+                    Some((c, d)) if d + width >= e => e = c,
+                    _ => {
+                        left = Some(e - width);
+                        break 'left;
+                    }
+                }
+            }
+        }
+    }
+    Frontier {
+        interval: k,
+        width,
+        left,
+        right,
+        used: placement.row_used_sites(row),
+    }
+}
+
+/// Rounding allowance of a distance lower bound against the distances
+/// [`SlotSearch::consider`] measures, µm.
+const CENTER_SLACK_UM: f64 = 1e-6;
+
+/// The sites of row `r` whose left edge lies in a `forbidden` rectangle
+/// meeting the row (by [`Rect::intersects`]'s strict test in y), as
+/// sorted, disjoint inclusive intervals. A legal footprint covers none of
+/// them: one right of a rectangle starts at or past its right edge, and
+/// one left of it ends at or before its left edge, which lies a whole
+/// site right of the last covered site's left edge.
+fn inside_sites(floorplan: &Floorplan, r: usize, forbidden: &[Rect]) -> Vec<(u32, u32)> {
+    let rect = floorplan.row_rect(r);
+    let last = i64::from(floorplan.row(r).num_sites) - 1;
+    let x = |s: i64| floorplan.site_x(r, s as u32);
+    let sw = floorplan.site_width();
+    let origin_x = floorplan.row(r).origin_x;
+    let mut sites: Vec<(u32, u32)> = forbidden
+        .iter()
+        .filter(|f| f.lly < rect.ury && rect.lly < f.ury)
+        .filter_map(|f| {
+            let first = first_true(last, ((f.llx - origin_x) / sw).ceil(), |s| x(s) >= f.llx);
+            let past = first_true(last, ((f.urx - origin_x) / sw).ceil(), |s| x(s) >= f.urx);
+            (first < past).then(|| (first as u32, (past - 1) as u32))
+        })
+        .collect();
+    sites.sort_unstable();
+    merge_intervals(&mut sites);
+    sites
+}
+
+/// Merges sorted inclusive intervals that overlap or touch, in place.
+fn merge_intervals(intervals: &mut Vec<(u32, u32)>) {
+    let mut merged = 0;
+    for i in 0..intervals.len() {
+        let (a, b) = intervals[i];
+        if merged > 0 && a <= intervals[merged - 1].1 + 1 {
+            let last = &mut intervals[merged - 1].1;
+            *last = (*last).max(b);
+        } else {
+            intervals[merged] = (a, b);
+            merged += 1;
+        }
+    }
+    intervals.truncate(merged);
+}
+
+/// The widest run of free sites of `row` that meets none of the sorted,
+/// disjoint `inside` intervals.
+fn widest_run_outside(placement: &Placement, row: u32, inside: &[(u32, u32)]) -> u32 {
+    let mut widest = 0;
+    let mut next = 0;
+    for (start, width) in placement.free_gaps(row) {
+        let end = start + width;
+        // Intervals ending before the gap cannot cut it.
+        while next < inside.len() && inside[next].1 < start {
+            next += 1;
+        }
+        let mut from = start;
+        let mut k = next;
+        while k < inside.len() && inside[k].0 < end {
+            let (a, b) = inside[k];
+            widest = widest.max(a.saturating_sub(from));
+            from = from.max(b + 1);
+            k += 1;
+        }
+        widest = widest.max(end.saturating_sub(from));
+    }
+    widest
 }
 
 /// A candidate slot with its distance and scan key `(rank, gap_start)`.
@@ -81,7 +401,7 @@ struct Candidate {
     site: u32,
 }
 
-/// State of one [`nearest_slot_outside`] query.
+/// State of one [`OutsideSlots::nearest`] query.
 struct SlotSearch<'a> {
     floorplan: &'a Floorplan,
     placement: &'a Placement,
@@ -209,9 +529,6 @@ impl SlotSearch<'_> {
 
     fn scan_row(&mut self, r: usize, rank: u64) {
         let (r32, width) = (r as u32, self.width);
-        if self.placement.row_widest_gap(r32) < width {
-            return;
-        }
         let floorplan = self.floorplan;
         let placement = self.placement;
         let grid = floorplan.row(r);
@@ -410,8 +727,19 @@ pub fn squeeze_into_row(
     if !inserted {
         order.push(cell);
     }
+    // The row's own segment, as spreading into its rectangle finds it.
     let region = floorplan.row_rect(row as usize);
-    if crate::spread_into_region(netlist, floorplan, placement, &order, region).is_err() {
+    let segment = crate::place::row_segment(floorplan, row as usize, region);
+    if crate::place::place_into_segments(
+        netlist,
+        floorplan,
+        placement,
+        &order,
+        segment.as_slice(),
+        true,
+    )
+    .is_err()
+    {
         // The spread refuses a capacity shortfall of the row's site grid
         // before it moves any cell: put the row back as it was.
         let back: Vec<(CellId, u32)> = occupants.iter().map(|&(site, c, _)| (c, site)).collect();
@@ -453,7 +781,9 @@ mod tests {
         // y = 5.4 sits exactly on the row-1/row-2 boundary: both rows'
         // centers are equidistant, either is a correct nearest slot.
         let origin = Point::new(15.0, 5.4);
-        let (row, site) = nearest_slot_outside(&nl, &fp, &p, CellId::new(0), origin, &[]).unwrap();
+        let (row, site) = OutsideSlots::new(&fp, &p, &[])
+            .nearest(&nl, &p, CellId::new(0), origin)
+            .unwrap();
         assert!(row == 1 || row == 2, "row {row}");
         // 15 µm = site 50; cell is 2 sites wide → starts at ~49.
         assert!((48..=50).contains(&site));
@@ -465,8 +795,9 @@ mod tests {
         let origin = Point::new(15.0, 5.4);
         // Forbid the two middle rows entirely.
         let forbidden = [Rect::new(0.0, 2.7, 30.0, 8.1)];
-        let (row, _) =
-            nearest_slot_outside(&nl, &fp, &p, CellId::new(0), origin, &forbidden).unwrap();
+        let (row, _) = OutsideSlots::new(&fp, &p, &forbidden)
+            .nearest(&nl, &p, CellId::new(0), origin)
+            .unwrap();
         assert!(
             row == 0 || row == 3,
             "row {row} is inside the forbidden band"
@@ -480,7 +811,9 @@ mod tests {
         // occupy the target area.
         p.place(&nl, &fp, CellId::new(1), 1, 48);
         let origin = Point::new(14.7, 2.8); // row 1, site ~48
-        let (row, site) = nearest_slot_outside(&nl, &fp, &p, CellId::new(0), origin, &[]).unwrap();
+        let (row, site) = OutsideSlots::new(&fp, &p, &[])
+            .nearest(&nl, &p, CellId::new(0), origin)
+            .unwrap();
         let rect = {
             let x = fp.site_x(row as usize, site);
             Rect::new(
@@ -498,14 +831,18 @@ mod tests {
     fn returns_none_when_everything_is_forbidden() {
         let (nl, fp, p) = setup();
         let forbidden = [fp.core()];
-        assert!(nearest_slot_outside(
-            &nl,
-            &fp,
-            &p,
-            CellId::new(0),
-            Point::new(1.0, 1.0),
-            &forbidden
-        )
-        .is_none());
+        let mut slots = OutsideSlots::new(&fp, &p, &forbidden);
+        assert!(slots
+            .nearest(&nl, &p, CellId::new(0), Point::new(1.0, 1.0))
+            .is_none());
+        assert_eq!(
+            slots.stats(),
+            SlotSearchStats {
+                searches: 1,
+                skipped: 1,
+                rows_scanned: 0
+            },
+            "no row can hold the cell, so the search is skipped"
+        );
     }
 }

@@ -2,6 +2,7 @@
 
 use netlist::{CellId, Netlist};
 
+use crate::fillers::{filler_masters, tile_gap};
 use crate::{Floorplan, Placement};
 
 /// A single legality violation.
@@ -24,8 +25,9 @@ pub enum Violation {
         /// Site where the overlap starts.
         site: u32,
     },
-    /// A site is covered by neither a cell nor a filler — the power rail
-    /// continuity invariant is broken.
+    /// A site is covered by neither a cell nor a filler — the library
+    /// has no filler master to tile it, so the power rail continuity
+    /// invariant is broken.
     UncoveredGap {
         /// Row index.
         row: u32,
@@ -37,7 +39,9 @@ pub enum Violation {
 }
 
 /// Checks full placement legality: everything placed, inside rows,
-/// non-overlapping, and every free site covered by fillers.
+/// non-overlapping, and every free site covered by the filler tiling
+/// derived from the row gaps ([`Placement::fillers`]), which leaves a
+/// site uncovered only when no filler master of the library fits it.
 ///
 /// Returns all violations found (empty = legal).
 pub fn validate(netlist: &Netlist, floorplan: &Floorplan, placement: &Placement) -> Vec<Violation> {
@@ -47,6 +51,8 @@ pub fn validate(netlist: &Netlist, floorplan: &Floorplan, placement: &Placement)
             violations.push(Violation::Unplaced { cell: id });
         }
     }
+    let masters = filler_masters(netlist.library());
+    let mut fillers = Vec::new();
     for row in 0..floorplan.num_rows() as u32 {
         let row_sites = floorplan.row(row as usize).num_sites;
         let mut spans: Vec<(u32, u32, Option<CellId>)> = placement
@@ -54,9 +60,12 @@ pub fn validate(netlist: &Netlist, floorplan: &Floorplan, placement: &Placement)
             .into_iter()
             .map(|(s, c, w)| (s, w, Some(c)))
             .collect();
-        for f in placement.fillers().iter().filter(|f| f.row == row) {
-            spans.push((f.site, f.width_sites, None));
+        fillers.clear();
+        for (start, width) in placement.row_gaps(floorplan, row) {
+            // An untiled remainder shows up below as an uncovered gap.
+            let _ = tile_gap(&masters, row, start, width, &mut fillers);
         }
+        spans.extend(fillers.iter().map(|f| (f.site, f.width_sites, None)));
         spans.sort_unstable_by_key(|&(s, _, _)| s);
         let mut cursor = 0u32;
         for (s, w, cell) in spans {
@@ -90,12 +99,12 @@ pub fn validate(netlist: &Netlist, floorplan: &Floorplan, placement: &Placement)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fill_whitespace;
     use netlist::NetlistBuilder;
     use stdcell::{CellFunction, Drive, Library};
 
-    fn setup() -> (Netlist, Floorplan, Placement) {
-        let mut b = NetlistBuilder::new("t", Library::c65());
+    /// One inverter over a 50-site row, cut from `lib`.
+    fn setup_with(lib: Library) -> (Netlist, Floorplan, Placement) {
+        let mut b = NetlistBuilder::new("t", lib);
         let u = b.add_unit("u");
         let a = b.input_port("a", u);
         let n0 = b.net("n0");
@@ -107,9 +116,22 @@ mod tests {
         (nl, fp, p)
     }
 
+    fn setup() -> (Netlist, Floorplan, Placement) {
+        setup_with(Library::c65())
+    }
+
+    /// The `c65` library without its filler masters.
+    fn without_fillers() -> Library {
+        let cells = stdcell::c65_cells()
+            .into_iter()
+            .filter(|c| c.function() != CellFunction::Filler)
+            .collect();
+        Library::new("no-fillers", 0.3, 2.7, 1.0, cells)
+    }
+
     #[test]
     fn unplaced_and_uncovered_are_reported() {
-        let (nl, fp, p) = setup();
+        let (nl, fp, p) = setup_with(without_fillers());
         let v = validate(&nl, &fp, &p);
         assert!(v.iter().any(|v| matches!(v, Violation::Unplaced { .. })));
         assert!(v
@@ -121,13 +143,12 @@ mod tests {
     fn complete_placement_is_clean() {
         let (nl, fp, mut p) = setup();
         p.place(&nl, &fp, CellId::new(0), 0, 12);
-        fill_whitespace(&nl, &fp, &mut p).unwrap();
         assert!(validate(&nl, &fp, &p).is_empty());
     }
 
     #[test]
     fn missing_fillers_break_continuity() {
-        let (nl, fp, mut p) = setup();
+        let (nl, fp, mut p) = setup_with(without_fillers());
         p.place(&nl, &fp, CellId::new(0), 0, 12);
         let v = validate(&nl, &fp, &p);
         // Gaps on both sides of the lone cell.

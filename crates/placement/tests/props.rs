@@ -3,7 +3,7 @@
 //! remapping must preserve legality.
 
 use arithgen::{build_benchmark, BenchmarkConfig};
-use placement::{fill_whitespace, validate, Placer, PlacerConfig};
+use placement::{validate, Placer, PlacerConfig};
 use proptest::prelude::*;
 
 proptest! {
@@ -29,8 +29,7 @@ proptest! {
         let n_rows = result.floorplan.num_rows();
         let positions: Vec<usize> = positions.iter().map(|&p| p % (n_rows + 1)).collect();
         let (fp2, mapping) = result.floorplan.with_rows_inserted(&positions);
-        let mut pl2 = result.placement.remap_rows(&fp2, &mapping);
-        fill_whitespace(&nl, &fp2, &mut pl2).unwrap();
+        let pl2 = result.placement.remap_rows(&fp2, &mapping);
         prop_assert!(validate(&nl, &fp2, &pl2).is_empty());
         // Area grows by exactly one pitch per inserted row.
         let dh = fp2.core().height() - result.floorplan.core().height();
@@ -52,7 +51,8 @@ proptest! {
             .sum();
         let filler_sites: u64 = result
             .placement
-            .fillers()
+            .fillers(&nl, &result.floorplan)
+            .unwrap()
             .iter()
             .map(|f| f.width_sites as u64)
             .sum();

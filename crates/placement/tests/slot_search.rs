@@ -5,7 +5,7 @@ use arithgen::{build_benchmark, BenchmarkConfig};
 use geom::{Point, Rect};
 use netlist::{CellId, Netlist};
 use placement::{
-    nearest_slot_outside, respread_row, squeeze_into_row, weighted_row_gaps, Floorplan, Placement,
+    respread_row, squeeze_into_row, weighted_row_gaps, Floorplan, OutsideSlots, Placement,
 };
 
 /// SplitMix64: a small, fixed generator so the cases never drift.
@@ -215,7 +215,8 @@ fn compare(
         let mut probe = placement.clone();
         probe.remove(cell);
         let want = reference_slot(netlist, floorplan, &probe, cell, origin, forbidden);
-        let got = nearest_slot_outside(netlist, floorplan, &probe, cell, origin, forbidden);
+        let got =
+            OutsideSlots::new(floorplan, &probe, forbidden).nearest(netlist, &probe, cell, origin);
         assert_eq!(
             got,
             want,
@@ -249,6 +250,19 @@ fn check_index(floorplan: &Floorplan, placement: &Placement, step: &str) {
             widest,
             "{step}: row {row} widest"
         );
+        let sites = floorplan.row(row as usize).num_sites;
+        for width in [1, 3, 8] {
+            for (from, to) in [(0, sites), (sites / 3, sites), (sites / 4, sites / 2)] {
+                let first_fit = (from..to)
+                    .take_while(|&s| s + width <= to)
+                    .find(|&s| placement.fits(row, s, width));
+                assert_eq!(
+                    placement.first_fit(row, from, to, width),
+                    first_fit,
+                    "{step}: row {row} first fit of {width} in [{from}, {to})"
+                );
+            }
+        }
     }
 }
 
@@ -435,12 +449,14 @@ fn pack(netlist: &Netlist, floorplan: &Floorplan, placement: &mut Placement, rng
 /// The wrapper's use of the search: evict every cell touching a wrap
 /// region, one at a time, to the slot the search picks outside all of
 /// them, with cells straddling the region edges and gaps between
-/// neighbouring regions. Every answer must be the reference's.
+/// neighbouring regions. One searcher serves every eviction of a case,
+/// refreshed only where a removal may widen a run outside the regions;
+/// every answer must be the reference's.
 #[test]
 fn slot_search_matches_the_reference_around_wrapped_regions() {
     let netlist = build_benchmark(&BenchmarkConfig::small()).unwrap();
     let mut rng = Rng(41);
-    let (mut found, mut queries) = (0, 0);
+    let (mut found, mut queries, mut skipped) = (0, 0, 0);
     for _ in 0..40 {
         let rows = 4 + rng.below(12) as usize;
         let width_um = rng.range(12.0, 120.0);
@@ -465,14 +481,20 @@ fn slot_search_matches_the_reference_around_wrapped_regions() {
                     .is_some_and(|rect| regions.iter().any(|g| g.intersects(&rect)))
             })
             .collect();
+        let mut slots = OutsideSlots::new(&floorplan, &placement, &regions);
         for cell in inside {
-            let origin = placement
-                .cell_center(&netlist, &floorplan, cell)
+            let rect = placement
+                .cell_rect(&netlist, &floorplan, cell)
                 .expect("placed");
+            let row = placement.location(cell).expect("placed").row;
             placement.remove(cell);
+            // A cell wholly inside one region frees no site outside them.
+            if !regions.iter().any(|g| g.contains_rect(&rect)) {
+                slots.refresh_row(&placement, row);
+            }
+            let origin = rect.center();
             let want = reference_slot(&netlist, &floorplan, &placement, cell, origin, &regions);
-            let got =
-                nearest_slot_outside(&netlist, &floorplan, &placement, cell, origin, &regions);
+            let got = slots.nearest(&netlist, &placement, cell, origin);
             assert_eq!(
                 got,
                 want,
@@ -485,9 +507,11 @@ fn slot_search_matches_the_reference_around_wrapped_regions() {
                 found += 1;
             }
         }
+        skipped += slots.stats().skipped;
     }
     assert!(
         found > queries / 4 && found < queries,
         "{found} of {queries} evictions found a slot"
     );
+    assert!(skipped > 0, "no search was answered from the bounds alone");
 }

@@ -35,15 +35,18 @@ pub struct SlotSearchStats {
 /// The search only visits free space that could still win. A site whose
 /// left edge lies inside a forbidden rectangle is covered by no legal
 /// footprint, so each row that a rectangle crosses keeps an upper bound
-/// on its widest run of free sites outside every such interval, computed
-/// when the searcher is built. A row is skipped in O(1) when that bound
-/// or its widest gap is narrower than the cell, and a cell wider than
-/// every row's bound is answered `None` without a scan. The row walk
-/// stops once both rows of the next step are no closer than the best
-/// candidate, and within a row the gaps are walked outward from the
-/// origin, jumping over every gap that lies wholly inside one forbidden
-/// interval and stopping each direction once a lower bound on its
-/// distance cannot win.
+/// on its widest run of free sites outside every such interval (read
+/// again once cells were placed in the row). A row is skipped in O(1)
+/// when that bound or its widest gap is narrower than the cell, and a
+/// cell wider than every row's bound is answered `None` without a scan.
+/// When the origin lies over such an interval, the nearest free run on
+/// each side of it that could hold the cell (its frontier,
+/// remembered per interval and width) bounds the row's distance before
+/// any gap is read. The row walk stops once both rows of the next step
+/// are no closer than the best candidate, and within a row the gaps are
+/// walked outward from the origin, jumping over every gap that lies
+/// wholly inside one forbidden interval and stopping each direction
+/// once a lower bound on the distance of the next gap cannot win.
 ///
 /// Placing a cell only shrinks free runs, so the bounds stay sound
 /// across placements. A removal can widen a run outside the rectangles:
@@ -586,7 +589,19 @@ impl SlotSearch<'_> {
                 match self.swallowed_by(start, end) {
                     Some((0, _)) => break,
                     Some((a, _)) => gaps = placement.wide_gaps_left(r32, a - 1, width),
-                    None => self.offer(&row, start, end),
+                    None => {
+                        self.offer(&row, start, end);
+                        // The next gap ends a cell or more left of
+                        // `start`: stop here if that cannot win either.
+                        let Some(site) = start.checked_sub(width + 1) else {
+                            break;
+                        };
+                        let c = self.center(&row, site);
+                        if c.x <= self.origin.x && !self.beats(c.manhattan_to(self.origin), rank, 0)
+                        {
+                            break;
+                        }
+                    }
                 }
             }
         }
@@ -611,7 +626,20 @@ impl SlotSearch<'_> {
                     };
                     gaps = placement.wide_gaps_right(r32, resume, width);
                 }
-                None => self.offer(&row, start, end),
+                None => {
+                    self.offer(&row, start, end);
+                    // The next gap starts a cell or more right of `end`:
+                    // stop here if that cannot win either.
+                    let next = end + 1;
+                    if next > row.max_site {
+                        break;
+                    }
+                    let c = self.center(&row, next);
+                    if c.x >= self.origin.x && !self.beats(c.manhattan_to(self.origin), rank, next)
+                    {
+                        break;
+                    }
+                }
             }
         }
     }

@@ -413,7 +413,9 @@ fn a_cache_hit_is_returned_even_past_the_deadline() {
 fn a_deadline_that_passes_while_another_job_builds_the_flow_times_out() {
     let root = scratch_dir("flow-wait");
     let plan = Arc::new(FaultPlan::new());
-    let config = ServiceConfig::new(base())
+    // The paper-scale design: its flow takes a debug build far longer to
+    // make than the handshake below takes to run.
+    let config = ServiceConfig::new(FlowConfig::with_workload(WorkloadSpec::clustered_hotspot()))
         .workers(2)
         .disk_root(&root)
         .backend(plan.clone() as Arc<dyn coolserved::StoreBackend>);
@@ -426,10 +428,9 @@ fn a_deadline_that_passes_while_another_job_builds_the_flow_times_out() {
         .unwrap();
     late.deadline_ms = Some(100);
     // The handshake runs on the service's own counters: the leader's
-    // flow is in flight from its miss until it lands (a debug-build flow
-    // takes far longer than the handshake), and the late job counts its
-    // wait before blocking. The deadline then passes on the virtual
-    // clock, which nothing else moves.
+    // flow is in flight from its miss until it lands, and the late job
+    // counts its wait before blocking. The deadline then passes on the
+    // virtual clock, which nothing else moves.
     let (lead, late, stats) = serve(config, |service| {
         let lead = service.submit(request());
         while service.stats().flows.misses == 0 {
@@ -447,7 +448,10 @@ fn a_deadline_that_passes_while_another_job_builds_the_flow_times_out() {
         plan.advance_clock_ms(1_000);
         (service.wait(lead), service.wait(late), service.stats())
     });
-    assert_baseline_bytes(&lead.expect("the leader answers"));
+    assert_eq!(
+        lead.expect("the leader answers").source,
+        coolserved::ResultSource::ColdSolve
+    );
     let err = late.expect_err("the late job's deadline must end its wait");
     assert_eq!(err.class(), ErrorClass::Timeout);
     assert!(err.is_retryable(), "a timeout is worth retrying");

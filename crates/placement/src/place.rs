@@ -300,14 +300,13 @@ pub(crate) fn place_into_segments(
                 break;
             }
             let mut site = lo;
-            while idx < cells.len() && site + widths[idx] <= hi {
-                if placement.fits(row, site, widths[idx]) {
-                    placement.place(netlist, floorplan, cells[idx], row, site);
-                    site += widths[idx];
-                    idx += 1;
-                } else {
-                    site += 1;
-                }
+            while idx < cells.len() {
+                let Some(fit) = placement.first_fit(row, site, hi, widths[idx]) else {
+                    break;
+                };
+                placement.place(netlist, floorplan, cells[idx], row, fit);
+                site = fit + widths[idx];
+                idx += 1;
             }
         }
     }

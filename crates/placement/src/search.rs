@@ -665,18 +665,7 @@ impl SlotSearch<'_> {
             }
         }
         self.blocked.sort_unstable();
-        let mut merged = 0;
-        for i in 0..self.blocked.len() {
-            let (a, b) = self.blocked[i];
-            if merged > 0 && a <= self.blocked[merged - 1].1 + 1 {
-                let last = &mut self.blocked[merged - 1].1;
-                *last = (*last).max(b);
-            } else {
-                self.blocked[merged] = (a, b);
-                merged += 1;
-            }
-        }
-        self.blocked.truncate(merged);
+        merge_intervals(&mut self.blocked);
     }
 
     /// The start sites of `row` whose footprint overlaps `f` in x.

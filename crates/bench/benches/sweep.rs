@@ -859,7 +859,7 @@ fn run_wrapper_bench() -> Result<Json, String> {
                 base.placement.clone(),
                 base.regions.clone(),
                 tmap,
-                hotspots.to_vec(),
+                hotspots.clone(),
             ),
         )
         .map_err(err)?;

@@ -12,6 +12,8 @@
 //! `budget``) instead of returning an opaque `None`: a truncated or
 //! hand-edited cache file must fail loudly, not deserialize to garbage.
 
+use std::sync::Arc;
+
 use arithgen::UnitRole;
 use geom::Rect;
 use netlist::CellId;
@@ -482,7 +484,7 @@ pub fn report_from_json(value: &Json) -> Result<FlowReport, ServiceError> {
     let hotspots = member_arr(value, "report", "hotspots")?
         .iter()
         .map(hotspot_from_json)
-        .collect::<Result<Vec<_>, _>>()?;
+        .collect::<Result<Arc<[_]>, _>>()?;
     Ok(FlowReport {
         strategy: strategy_from_json(member(value, "report", "strategy")?)?,
         transform_id: member_str(value, "report", "transform_id")?.to_string(),

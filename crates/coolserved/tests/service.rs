@@ -322,6 +322,50 @@ fn results_persist_across_service_restarts() {
     std::fs::remove_dir_all(&root).unwrap();
 }
 
+#[test]
+fn a_budget_answer_does_not_depend_on_the_flows_earlier_eri_runs() {
+    // Two budgets that quantize to the same ERI row count, where ERI
+    // wins: the second request's winner is served from its flow's ERI
+    // memo, filled by the first.
+    let request = |rows: f64| {
+        OptimizeRequest::builder()
+            .workload(FlowConfig::concentrated_large().workload)
+            .mesh(40, 40)
+            .budget(rows / 54.0)
+            .build()
+            .unwrap()
+    };
+    let (filler, served) = (request(24.05), request(24.2));
+    let flow = Flow::new(served.resolve_config(&base())).unwrap();
+    assert_eq!(flow.base_placement().floorplan.num_rows(), 54);
+    for budget in [24.05 / 54.0, 24.2 / 54.0] {
+        assert_eq!(postplace::rows_for_budget(&flow, budget), 24);
+    }
+
+    let config = ServiceConfig::new(base()).workers(1);
+    let (records, stats) = serve(config.clone(), |service| {
+        let records = [&filler, &served].map(|r| service.wait(service.submit(r.clone())).unwrap());
+        (records, service.stats())
+    });
+    assert_eq!(stats.cold_solves, 2, "distinct budgets, distinct keys");
+    assert_eq!(stats.flows_built, 1, "both requests ran on one flow");
+    for record in &records {
+        match &record.response.outcome {
+            OptimizeOutcome::Budget(search) => {
+                assert_eq!(search.evaluations, 3, "the ERI candidate fits the budget");
+                assert_eq!(search.report.transform_id, "eri:24");
+            }
+            other => panic!("a budget search, got {other:?}"),
+        }
+    }
+    let (fresh, fresh_stats) = serve(config, |service| {
+        let id = service.submit(served.clone());
+        (service.wait(id).unwrap(), service.stats())
+    });
+    assert_eq!(fresh_stats.cold_solves, 1);
+    assert_same_response(&records[1].response, &fresh.response);
+}
+
 /// The `pareto --fast` example's budget grid.
 const PARETO_BUDGETS: [f64; 8] = [0.04, 0.08, 0.12, 0.16, 0.20, 0.25, 0.30, 0.35];
 

@@ -15,8 +15,9 @@ use thermalsim::{FactorizedThermalModel, ThermalConfig, ThermalMap};
 use timan::{analyze_placed, TimingConfig, TimingReport};
 
 use crate::{
-    detect_hotspots, DeltaCandidateEvaluator, FlowError, Hotspot, HotspotConfig, KeyedCache,
-    PlacementTransform, PowerDelta, Strategy, TransformContext, TransformState, WrapperConfig,
+    detect_hotspots, CacheStats, DeltaCandidateEvaluator, EmptyRowInsertionTransform, FlowError,
+    Hotspot, HotspotConfig, KeyedCache, PlacementTransform, PowerDelta, Strategy, TransformContext,
+    TransformState, WrapperConfig,
 };
 
 /// Which units a workload exercises, and how hard.
@@ -185,8 +186,9 @@ pub struct FlowReport {
     pub before: ThermalSummary,
     /// Thermal summary after.
     pub after: ThermalSummary,
-    /// Detected hotspots (on the base placement).
-    pub hotspots: Vec<Hotspot>,
+    /// Detected hotspots (on the base placement), shared with the
+    /// flow's baseline analysis and every other report of the flow.
+    pub hotspots: Arc<[Hotspot]>,
     /// Critical-path report before.
     pub timing_before: TimingReport,
     /// Critical-path report after.
@@ -374,6 +376,18 @@ impl ThermalModelCache {
     }
 }
 
+/// Exact ERI reports a flow keeps, one per row count. A budget request
+/// at 139 base rows names one of 37 row counts over the budgets 4–30 %
+/// (`rows_for_budget`), so 64 entries hold every one a budget stream
+/// revisits; a report shares its hotspots and usually its critical path
+/// with the baseline, so an entry is a few hundred bytes.
+const ERI_MEMO_CAP: usize = 64;
+
+/// What an exact ERI run from the base state produced: its report, or
+/// the detail of the deterministic "inapplicable" outcome
+/// ([`FlowError::BadStrategy`]), which re-running would only repeat.
+type EriOutcome = Result<FlowReport, String>;
+
 /// The base placement's analysis — identical for every `Flow::run`, so
 /// computed once and shared (including across sweep worker threads).
 #[derive(Debug, Clone)]
@@ -383,7 +397,7 @@ struct BaselineAnalysis {
     power: Option<PowerReport>,
     pmap: Grid2d<f64>,
     tmap: ThermalMap,
-    hotspots: Vec<Hotspot>,
+    hotspots: Arc<[Hotspot]>,
     timing: TimingReport,
     hpwl_um: f64,
 }
@@ -400,8 +414,11 @@ struct BaselineAnalysis {
 /// Thermal work is amortized two ways: the conductance network for each
 /// die geometry is factorized once (see [`FactorizedThermalModel`]) and
 /// re-solved per power map, and the base placement's analysis is
-/// memoized across runs. Both caches are behind locks, so a `&Flow` can
-/// be shared by sweep worker threads.
+/// memoized across runs. Exact ERI runs from the base state are memoized
+/// per row count (at most 64 of them), since the budget and
+/// row-count searches revisit the few row counts a flow's budgets map
+/// to. Every cache is behind a lock, so a `&Flow` can be shared by sweep
+/// worker threads.
 ///
 /// See the [crate docs](crate) for an example.
 #[derive(Debug)]
@@ -416,6 +433,8 @@ pub struct Flow {
     power: PowerReport,
     models: ThermalModelCache,
     baseline: OnceLock<BaselineAnalysis>,
+    /// Exact ERI runs from the base state, by row count.
+    eri_runs: KeyedCache<usize, EriOutcome>,
 }
 
 impl Flow {
@@ -447,6 +466,7 @@ impl Flow {
             power,
             models: ThermalModelCache::new(),
             baseline: OnceLock::new(),
+            eri_runs: KeyedCache::with_capacity(ERI_MEMO_CAP),
         })
     }
 
@@ -566,7 +586,7 @@ impl Flow {
             Cow::Borrowed(_) => None,
             Cow::Owned(adjusted) => Some(adjusted),
         };
-        let hotspots = detect_hotspots(&tmap, &self.config.hotspot);
+        let hotspots = detect_hotspots(&tmap, &self.config.hotspot).into();
         let timing = analyze_placed(self.netlist(), geometry, Some(&tmap), &self.config.timing)?;
         Ok(BaselineAnalysis {
             power,
@@ -620,12 +640,13 @@ impl Flow {
         Ok(self.baseline()?.power.as_ref().unwrap_or(&self.power))
     }
 
-    /// The memoized baseline hotspots (detected on the base placement).
+    /// The memoized baseline hotspots (detected on the base placement),
+    /// the one copy every [`FlowReport::hotspots`] of this flow shares.
     ///
     /// # Errors
     ///
     /// Propagates thermal-solve failures.
-    pub fn baseline_hotspots(&self) -> Result<&[Hotspot], FlowError> {
+    pub fn baseline_hotspots(&self) -> Result<&Arc<[Hotspot]>, FlowError> {
         Ok(&self.baseline()?.hotspots)
     }
 
@@ -690,13 +711,53 @@ impl Flow {
     /// [`PlacementTransform`] (see [`Strategy::to_transform`]); the
     /// baseline analysis is memoized and every thermal solve reuses the
     /// factorized model of its die geometry, so repeated runs (row
-    /// bisection, budget search, sweeps) only pay for what changed.
+    /// bisection, budget search, sweeps) only pay for what changed. An
+    /// ERI run is answered from the flow's per-row-count memo when that
+    /// row count ran before (see [`Flow::eri_memo_stats`]).
     ///
     /// # Errors
     ///
     /// Propagates placement, thermal and strategy-parameter errors.
     pub fn run(&self, strategy: Strategy) -> Result<FlowReport, FlowError> {
-        self.run_transform(&*strategy.to_transform())
+        match strategy {
+            Strategy::EmptyRowInsertion { rows } => self.run_eri(rows),
+            _ => self.run_transform(&*strategy.to_transform()),
+        }
+    }
+
+    /// The exact ERI run of `rows` rows from the base state, computed
+    /// once per row count and then cloned from the flow's memo. A report
+    /// is a pure function of the flow and the row count
+    /// ([`Flow::run_transform`] is bit-reproducible), so a memo hit is
+    /// the report a fresh run computes. Two callers of one row count run
+    /// it once; the second waits for the first. The "inapplicable"
+    /// outcome ([`FlowError::BadStrategy`]) is memoized too; any other
+    /// error is not.
+    ///
+    /// # Errors
+    ///
+    /// As [`Flow::run_transform`] of [`EmptyRowInsertionTransform`].
+    pub(crate) fn run_eri(&self, rows: usize) -> Result<FlowReport, FlowError> {
+        let outcome = self.eri_runs.get_or_compute(rows, || {
+            match self.run_transform(&EmptyRowInsertionTransform { rows }) {
+                Ok(report) => Ok(Ok(report)),
+                Err(FlowError::BadStrategy { detail }) => Ok(Err(detail)),
+                Err(e) => Err(e),
+            }
+        })?;
+        match &*outcome {
+            Ok(report) => Ok(report.clone()),
+            Err(detail) => Err(FlowError::BadStrategy {
+                detail: detail.clone(),
+            }),
+        }
+    }
+
+    /// Counters of the flow's memo of exact ERI runs: a hit is a run
+    /// served from the memo, an insertion a run computed, a wait a
+    /// caller that found its row count being computed by another.
+    pub fn eri_memo_stats(&self) -> CacheStats {
+        self.eri_runs.stats()
     }
 
     /// Runs an arbitrary transform (composites and post-enum techniques
@@ -726,7 +787,7 @@ impl Flow {
             self.base.placed.placement.clone(),
             self.base.placed.regions.clone(),
             baseline.tmap.clone(),
-            baseline.hotspots.clone(),
+            Arc::clone(&baseline.hotspots),
         ))
     }
 
@@ -768,7 +829,7 @@ impl Flow {
             area_overhead_pct: (new_area / base_area - 1.0) * 100.0,
             before: ThermalSummary::of(&baseline.tmap),
             after: ThermalSummary::of(tmap_after),
-            hotspots: baseline.hotspots.clone(),
+            hotspots: Arc::clone(&baseline.hotspots),
             timing_before: baseline.timing.clone(),
             timing_after,
             hpwl_before_um: baseline.hpwl_um,

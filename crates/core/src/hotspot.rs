@@ -65,7 +65,7 @@ impl HotspotConfig {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Hotspot {
     /// The `(ix, iy)` bins belonging to the component (`u32`, as every
-    /// report of the hotspot holds a copy).
+    /// answer the service keeps holds them).
     pub bins: Vec<(u32, u32)>,
     /// Bounding box in die coordinates.
     pub bbox: Rect,
@@ -137,6 +137,9 @@ pub fn detect_hotspots(map: &ThermalMap, config: &HotspotConfig) -> Vec<Hotspot>
             }
             let (bbox, peak_c) = extent(grid, &bins);
             let bin_area = grid.bin_width() * grid.bin_height();
+            // The flow's baseline hotspots live as long as any report of
+            // the flow, so they hold no spare capacity.
+            bins.shrink_to_fit();
             hotspots.push(Hotspot {
                 area_um2: bins.len() as f64 * bin_area,
                 bins,

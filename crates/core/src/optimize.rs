@@ -63,7 +63,9 @@ pub struct RowOptimum {
     pub rows: usize,
     /// The report at that row count (from an exact run).
     pub report: FlowReport,
-    /// Number of exact `Flow::run` evaluations spent.
+    /// Number of distinct row counts the search evaluated exactly,
+    /// counting those the flow's ERI memo served without a new run (so
+    /// the count does not depend on what the flow ran before).
     pub evaluations: usize,
     /// Number of cheap surrogate screenings spent (power-delta estimates).
     pub screened: usize,
@@ -120,19 +122,14 @@ pub fn minimize_rows_for_target(
     }
 
     // Phase 2: verify exactly. Every number reported below comes from a
-    // real `Flow::run`; the surrogate only chose where to start. Memoize
-    // per row count — the grow phase and the closing bisection can land
-    // on the same candidate, and a re-place + re-solve is never free.
-    let mut evaluations = 0usize;
-    let mut memo: std::collections::HashMap<usize, FlowReport> = std::collections::HashMap::new();
+    // real `Flow::run`; the surrogate only chose where to start. The
+    // grow phase and the closing bisection can land on the same
+    // candidate; the flow's ERI memo answers the second visit, which
+    // counts as one evaluation with the first.
+    let mut evaluated = std::collections::BTreeSet::new();
     let mut run = |rows: usize| -> Result<FlowReport, FlowError> {
-        if let Some(report) = memo.get(&rows) {
-            return Ok(report.clone());
-        }
-        evaluations += 1;
-        let report = flow.run(Strategy::EmptyRowInsertion { rows })?;
-        memo.insert(rows, report.clone());
-        Ok(report)
+        evaluated.insert(rows);
+        flow.run(Strategy::EmptyRowInsertion { rows })
     };
     let mut rows = guess;
     let mut report = run(rows)?;
@@ -186,7 +183,7 @@ pub fn minimize_rows_for_target(
     Ok(RowOptimum {
         rows,
         report,
-        evaluations,
+        evaluations: evaluated.len(),
         screened,
     })
 }
@@ -200,7 +197,9 @@ pub struct BudgetOptimum {
     /// Always 0, as the budget search screens nothing; kept off the
     /// wire, for perfbench's accounting only.
     pub screened: usize,
-    /// Exact evaluations spent.
+    /// Candidates evaluated exactly, counting an ERI candidate the
+    /// flow's ERI memo served without a new run (so the count does not
+    /// depend on what the flow ran before).
     pub evaluations: usize,
     /// Candidates discarded *before any evaluation* because their
     /// row-quantized planned overhead already exceeded the budget.
@@ -218,7 +217,9 @@ pub struct BudgetOptimum {
 /// ERI, HW — and an exact tie keeps the earlier candidate. HW is the
 /// paper's uniform-then-wrap, so it wraps the placement the uniform
 /// candidate just evaluated instead of re-placing and re-solving it;
-/// its report bit-matches a direct [`Flow::run`] of the wrapper.
+/// its report bit-matches a direct [`Flow::run`] of the wrapper. ERI
+/// runs as [`Flow::run`] runs it, so a row count the flow ran before is
+/// served from the flow's ERI memo.
 ///
 /// # Errors
 ///
@@ -242,32 +243,18 @@ pub fn best_strategy_within_budget_with(
     let budget_cap_pct = area_budget * 100.0 + config.budget_slack_pct;
     let mut skipped_over_budget = 0usize;
     let mut evaluations = 0usize;
-    let mut best: Option<FlowReport> = None;
-    // One exact run of `candidate` as `stage` applied to `state` (`None`:
-    // a prefix that failed), returning the evaluated state for reuse. An
-    // inapplicable candidate (ERI without hotspots, a wrapper short of
-    // slack) is not a winner, and not fatal.
-    let mut exact = |candidate: &dyn PlacementTransform,
-                     stage: &dyn PlacementTransform,
-                     state: Option<TransformState>|
-     -> Result<Option<TransformState>, FlowError> {
+    // Whether `candidate` gets an exact run: not when its planned
+    // overhead is knowably over budget.
+    let mut admit = |candidate: &dyn PlacementTransform| -> Result<bool, FlowError> {
         if candidate.planned_overhead(flow)? * 100.0 > budget_cap_pct {
             skipped_over_budget += 1;
-            return Ok(None);
+            return Ok(false);
         }
         evaluations += 1;
-        let Some(mut state) = state else {
-            return Ok(None);
-        };
-        let evaluated = stage.apply(&ctx, &mut state).and_then(|mut next| {
-            let report = flow.evaluate_state(&ctx, candidate, &mut next)?;
-            Ok((next, report))
-        });
-        let (next, report) = match evaluated {
-            Ok(done) => done,
-            Err(FlowError::BadStrategy { .. }) => return Ok(None),
-            Err(e) => return Err(e),
-        };
+        Ok(true)
+    };
+    let mut best: Option<FlowReport> = None;
+    let mut offer = |report: FlowReport| {
         // Placer realization can drift past the planned overhead.
         if report.area_overhead_pct <= budget_cap_pct
             && best
@@ -276,13 +263,38 @@ pub fn best_strategy_within_budget_with(
         {
             best = Some(report);
         }
-        Ok(Some(next))
     };
-    let relaxed = exact(&uniform, &uniform, Some(flow.base_state()?))?;
-    exact(&eri, &eri, Some(flow.base_state()?))?;
+    // One exact run of `candidate` as `stage` applied to `state`,
+    // returning the evaluated state for reuse.
+    let exact = |candidate: &dyn PlacementTransform,
+                 stage: &dyn PlacementTransform,
+                 mut state: TransformState|
+     -> Result<(TransformState, FlowReport), FlowError> {
+        let mut next = stage.apply(&ctx, &mut state)?;
+        let report = flow.evaluate_state(&ctx, candidate, &mut next)?;
+        Ok((next, report))
+    };
+    let mut relaxed = None;
+    if admit(&uniform)? {
+        if let Some((state, report)) = applicable(exact(&uniform, &uniform, flow.base_state()?))? {
+            offer(report);
+            relaxed = Some(state);
+        }
+    }
+    if admit(&eri)? {
+        if let Some(report) = applicable(flow.run_eri(eri.rows))? {
+            offer(report);
+        }
+    }
     // HW shares uniform's planned overhead and first stage, so it is
     // skipped or fails with it, without a second run.
-    exact(&hw, &WrapHotspotsTransform, relaxed)?;
+    if admit(&hw)? {
+        if let Some(state) = relaxed {
+            if let Some((_, report)) = applicable(exact(&hw, &WrapHotspotsTransform, state))? {
+                offer(report);
+            }
+        }
+    }
     let report = best.ok_or_else(|| FlowError::BadStrategy {
         detail: "no strategy fits the area budget".to_string(),
     })?;
@@ -292,6 +304,16 @@ pub fn best_strategy_within_budget_with(
         evaluations,
         skipped_over_budget,
     })
+}
+
+/// An inapplicable candidate (ERI without hotspots, a wrapper short of
+/// slack) is not a winner, and not fatal: `None`.
+fn applicable<T>(outcome: Result<T, FlowError>) -> Result<Option<T>, FlowError> {
+    match outcome {
+        Ok(value) => Ok(Some(value)),
+        Err(FlowError::BadStrategy { .. }) => Ok(None),
+        Err(e) => Err(e),
+    }
 }
 
 /// One exact-verified point of an area-vs-temperature frontier.

@@ -40,6 +40,8 @@
 //! budget-parameterized factory — the search space a frontier goal
 //! ([`crate::OptimizeGoal::Frontier`]) screens.
 
+use std::sync::Arc;
+
 use geom::{Grid2d, Rect};
 use placement::{
     respread_row, weighted_row_gaps, Floorplan, PlacedGeometry, Placement, PlacerConfig,
@@ -99,7 +101,7 @@ pub struct TransformState {
     /// row-insertion stages; used by the wrap stage to split merged
     /// thermal blobs per hotspot source).
     pub regions: Vec<Rect>,
-    thermal: Option<(ThermalMap, Vec<Hotspot>)>,
+    thermal: Option<(ThermalMap, Arc<[Hotspot]>)>,
 }
 
 impl TransformState {
@@ -114,13 +116,14 @@ impl TransformState {
     }
 
     /// A state whose thermal analysis is already known (the flow's
-    /// memoized baseline) — no solve will be spent on it.
+    /// memoized baseline, whose hotspots it shares) — no solve will be
+    /// spent on it.
     pub fn with_thermal(
         floorplan: Floorplan,
         placement: Placement,
         regions: Vec<Rect>,
         tmap: ThermalMap,
-        hotspots: Vec<Hotspot>,
+        hotspots: Arc<[Hotspot]>,
     ) -> Self {
         TransformState {
             floorplan,
@@ -155,7 +158,7 @@ impl TransformState {
         if self.thermal.is_none() {
             let (_, _, tmap) = ctx.flow().analyze_geometry(geometry)?;
             let hotspots = detect_hotspots(&tmap, &ctx.flow().config().hotspot);
-            self.thermal = Some((tmap, hotspots));
+            self.thermal = Some((tmap, hotspots.into()));
         }
         Ok(())
     }
@@ -168,7 +171,7 @@ impl TransformState {
 
     /// The state's detected hotspots, if computed.
     pub fn hotspots(&self) -> Option<&[Hotspot]> {
-        self.thermal.as_ref().map(|(_, h)| h.as_slice())
+        self.thermal.as_ref().map(|(_, h)| &**h)
     }
 
     /// The memoized thermal analysis, as an error (not a panic) when a
@@ -178,7 +181,7 @@ impl TransformState {
     pub fn analysis(&self) -> Result<(&ThermalMap, &[Hotspot]), FlowError> {
         self.thermal
             .as_ref()
-            .map(|(t, h)| (t, h.as_slice()))
+            .map(|(t, h)| (t, &**h))
             .ok_or_else(|| FlowError::Internal {
                 detail: "transform stage read the thermal analysis before ensure_thermal"
                     .to_string(),

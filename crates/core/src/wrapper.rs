@@ -282,10 +282,21 @@ pub fn hotspot_wrapper(
     for region in regions.iter() {
         // Partition the cells touching the wrapped region. Any overlap
         // counts: a cell straddling the boundary would collide with the
-        // re-spread.
+        // re-spread. A cell spans its row's full height, so only the rows
+        // the region crosses hold candidates. They are evicted in cell
+        // order, which every placement bit depends on.
+        let mut candidates: Vec<CellId> = (0..floorplan.num_rows())
+            .filter(|&r| {
+                let row = floorplan.row_rect(r);
+                row.lly < region.ury && region.lly < row.ury
+            })
+            .flat_map(|r| placement.row_cells(r as u32))
+            .map(|(_, id, _)| id)
+            .collect();
+        candidates.sort_unstable();
         let mut hot_cells: Vec<(CellId, Rect, u32)> = Vec::new();
         let mut cold_cells: Vec<(CellId, Rect, placement::PlacedCell)> = Vec::new();
-        for (id, _) in netlist.cells() {
+        for id in candidates {
             let (Some(rect), Some(slot)) = (
                 placement.cell_rect(netlist, floorplan, id),
                 placement.location(id),

@@ -32,7 +32,7 @@ fn bits(report: &FlowReport) -> String {
     format!("{report:?}")
 }
 
-/// The budget search done by hand: a direct [`Flow::run`] of every
+/// The budget search done by hand: a direct, fresh run of every
 /// technique whose planned overhead fits, the applicable ones kept if
 /// their realized overhead fits too, the first of an exact tie winning.
 fn best_direct_run(flow: &Flow, budget: f64) -> Option<FlowReport> {
@@ -63,7 +63,9 @@ fn best_direct_run(flow: &Flow, budget: f64) -> Option<FlowReport> {
         if planned * 100.0 > cap_pct {
             continue;
         }
-        let report = match flow.run(strategy) {
+        // `run_transform` bypasses the flow's ERI memo, which the
+        // search under test may have filled.
+        let report = match flow.run_transform(&*strategy.to_transform()) {
             Ok(report) => report,
             Err(FlowError::BadStrategy { .. }) => continue,
             Err(e) => panic!("{strategy:?}: {e}"),
@@ -131,11 +133,17 @@ fn a_budget_search_makes_three_model_lookups_and_no_screening_solve() {
 
 #[test]
 fn hw_is_skipped_or_fails_with_the_uniform_candidate_it_wraps() {
-    let flow = flow_at_32(WorkloadSpec::clustered_hotspot());
-    flow.prime_baseline().unwrap();
-    let pitch_pct = 100.0 / flow.base_placement().floorplan.num_rows() as f64;
+    let pitch_pct = 100.0
+        / flow_at_32(WorkloadSpec::clustered_hotspot())
+            .base_placement()
+            .floorplan
+            .num_rows() as f64;
     let lookups = |s: postplace::CacheStats| s.hits + s.misses;
+    // Each case runs on its own flow, so its ERI run is not served from
+    // the memo another case filled.
     let eri_only = |budget: f64, budget_slack_pct: f64| {
+        let flow = flow_at_32(WorkloadSpec::clustered_hotspot());
+        flow.prime_baseline().unwrap();
         let config = OptimizeConfig {
             budget_slack_pct,
             ..OptimizeConfig::default()

@@ -75,7 +75,7 @@ fn base_state(flow: &Flow) -> TransformState {
         base.placement.clone(),
         base.regions.clone(),
         tmap,
-        hotspots.to_vec(),
+        hotspots.clone(),
     )
 }
 

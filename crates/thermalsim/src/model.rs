@@ -418,17 +418,20 @@ mod tests {
         }
     }
 
-    /// FNV-1a over the bits of the solved field, the iteration count and
-    /// the relative residual of one `Auto` solve.
-    fn answer_digest(model: &FactorizedThermalModel, power: &Grid2d<f64>) -> u64 {
+    /// Two FNV-1a digests of one `Auto` solve: `[answer, field]`. The
+    /// answer digest covers the bits of the solved field, the iteration
+    /// count and the relative residual; the field digest only the field
+    /// and the iteration count, the part of a solve every answer reads.
+    fn answer_digests(model: &FactorizedThermalModel, power: &Grid2d<f64>) -> [u64; 2] {
         let (map, stats) = model.solve_with_stats(power).unwrap();
         let mut h = crate::sim::StableFnv::new();
         for &v in map.grid().values() {
             h.write_f64(v);
         }
         h.write_usize(stats.iterations);
+        let field = h.clone().finish();
         h.write_f64(stats.relative_residual);
-        h.finish()
+        [h.finish(), field]
     }
 
     /// Golden answers of `Auto` on odd meshes, which the spectral tier
@@ -436,35 +439,66 @@ mod tests {
     #[test]
     fn auto_odd_mesh_models_match_their_golden_digests() {
         let cases = [
-            (25usize, 0x8f54_e07f_82f6_3a1cu64),
-            (21, 0x0832_ee40_a9ab_df21),
+            (25usize, [0x8f54_e07f_82f6_3a1cu64, 0x2b4a_075a_13ad_6cb9]),
+            (21, [0x0832_ee40_a9ab_df21, 0xfbfc_8e11_e366_66ac]),
         ];
         let mut got = Vec::new();
         for &(n, _) in &cases {
             let model = FactorizedThermalModel::build(&ThermalConfig::with_resolution(n, n), die())
                 .unwrap();
             assert_eq!(model.solver_name(), "spectral-dct", "{n}x{n}");
-            let digest = answer_digest(&model, &hashed_power(n, n, 0));
-            got.push(format!("{n}x{n}: {digest:016x}"));
+            let [answer, field] = answer_digests(&model, &hashed_power(n, n, 0));
+            got.push(format!("{n}x{n}: {answer:016x} field {field:016x}"));
         }
         let want: Vec<String> = cases
             .iter()
-            .map(|(n, digest)| format!("{n}x{n}: {digest:016x}"))
+            .map(|(n, [answer, field])| format!("{n}x{n}: {answer:016x} field {field:016x}"))
             .collect();
         assert_eq!(got, want, "odd-mesh spectral answers moved");
     }
 
     /// Golden answers of `Auto` on the benchmark meshes (40² for the
     /// paper scale, 128² for the fine budget search) and an even mesh
-    /// with `nx ≠ ny`, under hashed and zero power. Every mesh must give
-    /// the same bits at 1 and 2 solver threads.
+    /// with `nx ≠ ny`, under hashed and zero power: answer digests, then
+    /// field digests. Every mesh must give the same bits at 1 and 2
+    /// solver threads.
     #[test]
     fn auto_benchmark_mesh_models_match_their_golden_digests() {
-        let cases: [(usize, usize, [u64; 2]); 3] = [
-            (40, 40, [0xe7f5_aae9_2408_2df2, 0xdf0f_757c_614f_5d77]),
-            (128, 128, [0x8fd7_8105_7d1c_76af, 0x6336_462b_3c87_6776]),
-            (64, 48, [0xa79e_be61_51b2_f6ee, 0x0dc8_3fd4_4d83_e1e8]),
+        let cases: [(usize, usize, [u64; 4]); 3] = [
+            (
+                40,
+                40,
+                [
+                    0xe7f5_aae9_2408_2df2,
+                    0xdf0f_757c_614f_5d77,
+                    0xcc9e_b933_8e4e_c88b,
+                    0x266c_3e66_3c75_69a4,
+                ],
+            ),
+            (
+                128,
+                128,
+                [
+                    0x8fd7_8105_7d1c_76af,
+                    0x6336_462b_3c87_6776,
+                    0x4977_7c38_f00c_f7e5,
+                    0x7c68_0cb9_b648_efa4,
+                ],
+            ),
+            (
+                64,
+                48,
+                [
+                    0xa79e_be61_51b2_f6ee,
+                    0x0dc8_3fd4_4d83_e1e8,
+                    0x970e_7262_d9f5_03d3,
+                    0xb831_c3f3_9024_d7a4,
+                ],
+            ),
         ];
+        let line = |nx: usize, ny: usize, t: usize, [ha, za, hf, zf]: [u64; 4]| {
+            format!("{nx}x{ny} t={t}: {ha:016x} {za:016x} field {hf:016x} {zf:016x}")
+        };
         let mut got = Vec::new();
         for &(nx, ny, _) in &cases {
             let powers = [hashed_power(nx, ny, 0), Grid2d::new(nx, ny, die(), 0.0)];
@@ -472,18 +506,13 @@ mod tests {
                 let config = ThermalConfig::with_resolution(nx, ny).with_threads(threads);
                 let model = FactorizedThermalModel::build(&config, die()).unwrap();
                 assert_eq!(model.solver_name(), "spectral-dct", "{nx}x{ny}");
-                let digests = powers.each_ref().map(|p| answer_digest(&model, p));
-                got.push(format!(
-                    "{nx}x{ny} t={threads}: {:016x} {:016x}",
-                    digests[0], digests[1]
-                ));
+                let [[ha, hf], [za, zf]] = powers.each_ref().map(|p| answer_digests(&model, p));
+                got.push(line(nx, ny, threads, [ha, za, hf, zf]));
             }
         }
         let want: Vec<String> = cases
             .iter()
-            .flat_map(|&(nx, ny, [hashed, zero])| {
-                [1usize, 2].map(|t| format!("{nx}x{ny} t={t}: {hashed:016x} {zero:016x}"))
-            })
+            .flat_map(|&(nx, ny, digests)| [1usize, 2].map(|t| line(nx, ny, t, digests)))
             .collect();
         assert_eq!(got, want, "benchmark-mesh spectral answers moved");
     }

@@ -62,7 +62,9 @@ pub use factor::FactorizedCircuit;
 pub use mna::{Method, SolveOptions};
 pub use solution::{DcSolution, SolveStats};
 pub use sparse::CsrMatrix;
-pub use spectral::{DctPlan, DctScratch, SpectralSystem};
+pub use spectral::{
+    DctPlan, DctScratch, Planes, RhsPlane, SpectralField, SpectralRhs, SpectralSystem,
+};
 pub use stencil::{LayeredStencilSpec, StencilSystem};
 
 /// Exact-zero test for the places where an exact `0.0` carries meaning:

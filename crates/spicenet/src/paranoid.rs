@@ -12,6 +12,8 @@
 //! thread-parallel kernels tend to corrupt results silently rather than
 //! crash; these checks are the tripwire future perf work lands on.
 
+use crate::{SpectralSystem, StencilSystem};
+
 /// A CG iterate whose relative residual exceeds this factor is declared
 /// divergent. The preconditioned residual is not strictly monotone, but
 /// starting from `x0 = 0` the relative residual is 1 and a healthy
@@ -74,6 +76,81 @@ pub fn check_conservation_net(what: &str, net: f64, len: usize, norm_b: f64, tol
          |Σr| = {} exceeds bound {bound}",
         net.abs()
     );
+}
+
+/// The full-field cross-check of a spectral solve that transformed
+/// back only layer `iz`: re-solves `b` (the z-innermost right-hand side
+/// of [`StencilSystem::rhs_with`], border slot last) with every layer
+/// transformed back, requires the spatial relative residual
+/// `‖b − A·x‖/‖b‖` against `sys` within `tolerance` and the residual's
+/// net sum to conserve the injections, and requires layer `iz` of that
+/// field to equal `plane` bit for bit.
+///
+/// # Panics
+///
+/// When the whole-field solve is refused, its residual exceeds the
+/// tolerance, the injections are not conserved, or a bin of `plane`
+/// differs from the whole field's.
+pub fn check_spectral_plane(
+    sp: &SpectralSystem,
+    sys: &StencilSystem,
+    b: &[f64],
+    iz: usize,
+    plane: &[f64],
+    tolerance: f64,
+    threads: usize,
+) {
+    let full = sp.solve_stencil_order(sys, b, tolerance, threads);
+    assert!(
+        full.is_ok(),
+        "paranoid: the whole-field spectral solve refused an accepted answer: {full:?}"
+    );
+    let Ok((x, _)) = full else {
+        return;
+    };
+    let (nx, _, nz) = sys.dims();
+    let row_len = nx * nz;
+    let mut sums = [0.0; 3];
+    let border = sys.apply_rows(&x, |iy, ax| {
+        sums = fold_residual(sums, &b[iy * row_len..(iy + 1) * row_len], ax);
+    });
+    if let Some(a) = border {
+        sums = fold_residual(sums, &b[sys.grid_cells()..], &[a]);
+    }
+    let [nb, nr, net] = sums;
+    let norm_b = nb.sqrt();
+    let residual = if norm_b > 0.0 {
+        nr.sqrt() / norm_b
+    } else {
+        0.0
+    };
+    assert!(
+        residual <= tolerance,
+        "paranoid: spectral whole field misses the stencil system: \
+         relative residual {residual:e} above {tolerance:e}"
+    );
+    check_conservation_net("spectral whole field", net, b.len(), norm_b, tolerance);
+    assert_eq!(plane.len() * nz, sys.grid_cells(), "paranoid: plane length");
+    for (bin, v) in plane.iter().enumerate() {
+        let full = x[bin * nz + iz];
+        assert!(
+            v.to_bits() == full.to_bits(),
+            "paranoid: layer {iz} bin {bin} is {v} alone but {full} in the whole field"
+        );
+    }
+}
+
+/// Folds the residual `d = b − a` of one run of unknowns into the sums
+/// `[Σb², Σd², Σd]`, in index order.
+fn fold_residual(sums: [f64; 3], b: &[f64], a: &[f64]) -> [f64; 3] {
+    let [mut nb, mut nr, mut net] = sums;
+    for (&b, &a) in b.iter().zip(a) {
+        let d = b - a;
+        nb += b * b;
+        nr += d * d;
+        net += d;
+    }
+    [nb, nr, net]
 }
 
 /// A deterministic pseudo-random probe vector with entries in `[-1, 1]`

@@ -18,7 +18,9 @@
 //! across transforms and vectorizes. A plane's columns are already in
 //! that layout; rows go through a transposed tile. Planes whose
 //! right-hand side is entirely zero skip the forward transforms: their
-//! spectrum is zero.
+//! spectrum is zero. Only the planes a caller reads are transformed
+//! back; the per-mode sweeps still solve every layer, and a mode-space
+//! residual checks them against the stencil's coefficients.
 //!
 //! Everything here is dependency-free and, like [`crate::pool::dot_wide`],
 //! uses a fixed, shape-pure butterfly/summation order: each lane of a
@@ -29,6 +31,8 @@
 //! contract is load-bearing — `Flow::content_key` and the coolserved
 //! disk cache key results by solved bits.
 
+use std::ops::Range;
+
 use crate::stencil::StencilSystem;
 use crate::{exact_zero, SolveError, SolveStats};
 
@@ -36,6 +40,11 @@ use crate::{exact_zero, SolveError, SolveStats};
 /// [`SpectralSystem::solve`]: enough lanes to fill the vector units,
 /// few enough that a tile of a long row stays cache-resident.
 const ROW_TILE: usize = 16;
+
+/// Modes per block of the fused Thomas sweep and check in
+/// [`SpectralSystem::solve`]: a block's spectrum, pivots and field stay
+/// cache-resident from the forward sweep to its residual.
+const MODE_BLOCK: usize = 512;
 
 /// Minimal complex scalar for the twiddle and chirp tables (no external
 /// deps).
@@ -551,6 +560,48 @@ struct SpectralBorder {
     lu: SmallLu,
 }
 
+/// The per-mode form of a layered stencil: the eigenvalues
+/// `2 − 2cos(πk/n)` of the 1-D Neumann coupling along each lateral axis
+/// and the vertical part of each layer's modal diagonal. Mode
+/// `(kx, ky)` is the tridiagonal with diagonal
+/// `dz[iz] + gx[iz]·λx(kx) + gy[iz]·λy(ky)` and off-diagonals `−gz`; the
+/// lateral part is zero at the zero mode, matching the Neumann row sums
+/// of the assembled operator.
+struct ModalOperator {
+    lam_x: Vec<f64>,
+    lam_y: Vec<f64>,
+    dz: Vec<f64>,
+}
+
+impl ModalOperator {
+    fn of(sys: &StencilSystem) -> ModalOperator {
+        let (nx, ny, nz) = sys.dims();
+        let pi = std::f64::consts::PI;
+        let lam = |n: usize| -> Vec<f64> {
+            (0..n)
+                .map(|k| 2.0 - 2.0 * (pi * k as f64 / n as f64).cos())
+                .collect()
+        };
+        let dz = (0..nz)
+            .map(|iz| {
+                let mut d = sys.leak[iz];
+                if iz + 1 < nz {
+                    d += sys.gz[iz];
+                }
+                if iz > 0 {
+                    d += sys.gz[iz - 1];
+                }
+                d
+            })
+            .collect();
+        ModalOperator {
+            lam_x: lam(nx),
+            lam_y: lam(ny),
+            dz,
+        }
+    }
+}
+
 /// A factored spectral direct solver for a layered stencil stack:
 /// forward DCT-II over both lateral axes, one Thomas tridiagonal per
 /// `(kx, ky)` mode (division-free pivots, precomputed), inverse DCT-III
@@ -581,28 +632,7 @@ impl SpectralSystem {
         let plan_y = DctPlan::new(ny)?;
         let nxy = nx * ny;
         let gzi = &sys.gz;
-        let pi = std::f64::consts::PI;
-        let lam_x: Vec<f64> = (0..nx)
-            .map(|k| 2.0 - 2.0 * (pi * k as f64 / nx as f64).cos())
-            .collect();
-        let lam_y: Vec<f64> = (0..ny)
-            .map(|k| 2.0 - 2.0 * (pi * k as f64 / ny as f64).cos())
-            .collect();
-        // Vertical-only part of the modal diagonal; the lateral part is
-        // `gx·λx(kx) + gy·λy(ky)` (zero at the zero mode, matching the
-        // Neumann row sums of the assembled operator).
-        let dz: Vec<f64> = (0..nz)
-            .map(|iz| {
-                let mut d = sys.leak[iz];
-                if iz + 1 < nz {
-                    d += gzi[iz];
-                }
-                if iz > 0 {
-                    d += gzi[iz - 1];
-                }
-                d
-            })
-            .collect();
+        let ModalOperator { lam_x, lam_y, dz } = ModalOperator::of(sys);
         let mut inv = vec![0.0; nz * nxy];
         for (ky, &ly) in lam_y.iter().enumerate() {
             for (kx, &lx) in lam_x.iter().enumerate() {
@@ -681,20 +711,16 @@ fn even_bounds(n: usize, workers: usize) -> Vec<usize> {
     (0..=workers).map(|w| n * w / workers).collect()
 }
 
-/// Splits each plane of `planes` into per-worker disjoint element ranges:
-/// `result[w][iz]` is worker `w`'s slice of plane `iz`.
-fn split_planes<'a>(planes: &'a mut [Vec<f64>], bounds: &[usize]) -> Vec<Vec<&'a mut [f64]>> {
+/// Splits each of `planes` into per-worker disjoint element ranges:
+/// `result[w][i]` is worker `w`'s slice of plane `i`.
+fn split_planes<'a>(planes: Vec<&'a mut [f64]>, bounds: &[usize]) -> Vec<Vec<&'a mut [f64]>> {
     let workers = bounds.len() - 1;
     let mut out: Vec<Vec<&'a mut [f64]>> = (0..workers)
         .map(|_| Vec::with_capacity(planes.len()))
         .collect();
-    for plane in planes.iter_mut() {
-        let mut rest: &mut [f64] = plane.as_mut_slice();
-        for (w, slot) in out.iter_mut().enumerate() {
-            let take = bounds[w + 1] - bounds[w];
-            let (head, tail) = std::mem::take(&mut rest).split_at_mut(take);
+    for plane in planes {
+        for (slot, head) in out.iter_mut().zip(split_slices(plane, bounds)) {
             slot.push(head);
-            rest = tail;
         }
     }
     out
@@ -713,205 +739,461 @@ fn split_slices<'a, T>(mut rest: &'a mut [T], bounds: &[usize]) -> Vec<&'a mut [
     out
 }
 
-/// Folds the residual `d = b − a` of one run of unknowns into the sums
-/// `[Σb², Σd², Σd]`, in index order.
-fn fold_residual(sums: [f64; 3], b: &[f64], a: &[f64]) -> [f64; 3] {
-    let [mut nb, mut nr, mut net] = sums;
-    for (&b, &a) in b.iter().zip(a) {
-        let d = b - a;
-        nb += b * b;
-        nr += d * d;
-        net += d;
+/// Which layers of the solved field a [`SpectralSystem::solve`]
+/// transforms back to space. The per-mode sweeps solve every layer
+/// either way; only the inverse transforms are skipped.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Planes {
+    /// One layer: the power-dissipating one, say, the only layer a
+    /// thermal answer reads.
+    One(usize),
+    /// Every layer: the whole field.
+    All,
+}
+
+impl Planes {
+    fn contains(self, iz: usize) -> bool {
+        match self {
+            Planes::One(layer) => layer == iz,
+            Planes::All => true,
+        }
     }
-    [nb, nr, net]
+}
+
+/// One layer of the right-hand side of a [`SpectralSystem::solve`].
+#[derive(Clone, Copy, Debug)]
+pub enum RhsPlane<'a> {
+    /// No load on this layer: its spectrum is zero.
+    Zero,
+    /// A plane of values in `iy·nx + ix` order, transformed per solve.
+    /// A plane whose values are all exactly zero is taken as
+    /// [`RhsPlane::Zero`] and skips the transforms.
+    Values(&'a [f64]),
+    /// A plane already transformed by [`SpectralSystem::spectrum`]: a
+    /// constant Dirichlet plane, say, transformed once per
+    /// factorization instead of once per solve.
+    Spectrum(&'a [f64]),
+}
+
+/// The right-hand side of one [`SpectralSystem::solve`].
+#[derive(Clone, Debug)]
+pub struct SpectralRhs<'a> {
+    /// One entry per layer, bottom layer first.
+    pub layers: Vec<RhsPlane<'a>>,
+    /// The border node's entry: `Some` exactly when the factorization
+    /// has a border node.
+    pub border: Option<f64>,
+}
+
+/// The solved field of one [`SpectralSystem::solve`]: the layers it
+/// transformed back, each in `iy·nx + ix` order, and the border node.
+#[derive(Clone, Debug)]
+pub struct SpectralField {
+    planes: Vec<Option<Vec<f64>>>,
+    border: Option<f64>,
+}
+
+impl SpectralField {
+    /// Layer `iz`, when the solve transformed it back.
+    pub fn plane(&self, iz: usize) -> Option<&[f64]> {
+        self.planes.get(iz)?.as_deref()
+    }
+
+    /// Takes layer `iz` out of the field, when the solve transformed it
+    /// back.
+    pub fn into_plane(mut self, iz: usize) -> Option<Vec<f64>> {
+        self.planes.get_mut(iz)?.take()
+    }
+
+    /// The border node's value, when the system has one.
+    pub fn border(&self) -> Option<f64> {
+        self.border
+    }
+
+    /// The whole field in the z-innermost layout of [`StencilSystem`]
+    /// (cell `(ix, iy, iz)` at `(iy·nx + ix)·nz + iz`, the border node
+    /// last), or `None` unless the solve transformed back every layer.
+    pub fn to_stencil_order(&self) -> Option<Vec<f64>> {
+        let planes: Vec<&[f64]> = self
+            .planes
+            .iter()
+            .map(Option::as_deref)
+            .collect::<Option<_>>()?;
+        let cells = planes.first().map_or(0, |p| p.len());
+        let mut out = Vec::with_capacity(cells * planes.len() + 1);
+        for bin in 0..cells {
+            out.extend(planes.iter().map(|p| p[bin]));
+        }
+        out.extend(self.border);
+        Some(out)
+    }
+}
+
+/// Copies `lanes` consecutive rows of length `nx` into a transposed
+/// tile: element `ix` of row `r` lands at `ix·lanes + r`.
+fn rows_to_tile(rows: &[f64], tile: &mut [f64], nx: usize, lanes: usize) {
+    for (r, row) in rows.chunks_exact(nx).take(lanes).enumerate() {
+        for (ix, &v) in row.iter().enumerate() {
+            tile[ix * lanes + r] = v;
+        }
+    }
+}
+
+/// The inverse of [`rows_to_tile`].
+fn tile_to_rows(tile: &[f64], rows: &mut [f64], nx: usize, lanes: usize) {
+    for (r, row) in rows.chunks_exact_mut(nx).take(lanes).enumerate() {
+        for (ix, v) in row.iter_mut().enumerate() {
+            *v = tile[ix * lanes + r];
+        }
+    }
 }
 
 impl SpectralSystem {
-    /// Direct solve. `rhs` covers the grid in the z-innermost stencil
-    /// layout plus, when a border was factored, one trailing border slot;
-    /// the returned vector has the same shape.
+    /// The spectrum of one plane (`iy·nx + ix` order): the forward row
+    /// then column transforms [`SpectralSystem::solve`] applies to an
+    /// [`RhsPlane::Values`] layer, with the same bits. `None` when every
+    /// value is exactly zero, which the solve takes as no load.
     ///
-    /// The pipeline runs in five slab-parallel stages over the shared
-    /// `pool` worker teams — forward row DCTs, forward column DCTs, the
-    /// per-mode Thomas sweeps, inverse column DCTs, inverse row DCTs —
-    /// with the border fix sequential in between. The forward stages
-    /// touch only the planes with a non-zero right-hand side; every other
-    /// plane's spectrum stays `0.0`, which can differ from a transformed
-    /// zero plane only in the sign of a zero, and `x + (−0) == x`. No
-    /// stage performs a cross-thread reduction and every row, column and
-    /// mode is transformed by identical scalar code whatever the
-    /// partition and batch width, so the solution is bit-identical at
-    /// any `threads`.
-    pub fn solve(&self, rhs: &[f64], threads: usize) -> Vec<f64> {
+    /// # Panics
+    ///
+    /// Panics when `plane.len() != nx·ny`.
+    pub fn spectrum(&self, plane: &[f64], threads: usize) -> Option<Vec<f64>> {
+        assert_eq!(plane.len(), self.nx * self.ny, "spectral plane length");
+        if plane.iter().all(|&v| exact_zero(v)) {
+            return None;
+        }
+        let mut out = vec![0.0; plane.len()];
+        self.forward(
+            vec![(plane, out.as_mut_slice())],
+            crate::pool::effective_threads(threads),
+        );
+        Some(out)
+    }
+
+    /// Direct solve of `sys`, the system this factorization was built
+    /// from, for `rhs`, accepted only after a residual check against
+    /// `sys`. Returns the layers `planes` names and the border node.
+    ///
+    /// The pipeline runs in slab-parallel stages over the shared `pool`
+    /// worker teams: forward row then column DCTs of the layers of
+    /// `rhs` given as values, one Thomas sweep per `(kx, ky)` mode over
+    /// every layer, the sequential border fix of mode `(0, 0)`, the
+    /// check, and inverse column then row DCTs of the requested layers
+    /// only. A layer without a load keeps a spectrum of `0.0`, which
+    /// can differ from a transformed zero plane only in the sign of a
+    /// zero, and `x + (−0) == x`. No stage performs a cross-thread
+    /// reduction and every row, column and mode is transformed by
+    /// identical scalar code whatever the partition and batch width, so
+    /// the solution is bit-identical at any `threads`, and a layer's
+    /// bits do not depend on which other layers were transformed back.
+    ///
+    /// The check runs in mode space and costs no transform. With `b̂`
+    /// the spectrum of the right-hand side and `x̂` the swept solution,
+    /// it takes `‖b̂ − Â·x̂‖/‖b̂‖` over every mode and layer, where `Â`
+    /// is each mode's tridiagonal built from the per-layer coefficients
+    /// of `sys` (plus the border row and column at mode `(0, 0)`), not
+    /// from the stored pivots. Each mode is weighted by its Parseval
+    /// factor (`1/n` at wavenumber 0, `2/n` elsewhere, per axis), so the
+    /// ratio is the spatial `‖b − A·x‖/‖b‖` of the exact inverse
+    /// transform of `x̂`. A direct solve lands at machine precision; a
+    /// residual above `tolerance` means the factorization no longer
+    /// matches the system, so the solve is refused rather than returned
+    /// as a silently degraded field. The sums run in index order on one
+    /// thread, so the residual's bits do not depend on `threads`
+    /// either.
+    ///
+    /// # Errors
+    ///
+    /// [`SolveError::NotConverged`] carrying the residual when the check
+    /// fails.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `sys` has other dimensions than the factorization,
+    /// when `rhs` has the wrong layer count, plane lengths or border
+    /// entry, or when `planes` names a layer outside the stack.
+    pub fn solve(
+        &self,
+        sys: &StencilSystem,
+        rhs: &SpectralRhs<'_>,
+        planes: Planes,
+        tolerance: f64,
+        threads: usize,
+    ) -> Result<(SpectralField, SolveStats), SolveError> {
         let (nx, ny, nz) = (self.nx, self.ny, self.nz);
         let nxy = nx * ny;
-        let ng = nxy * nz;
-        let expect = ng + usize::from(self.border.is_some());
-        assert_eq!(rhs.len(), expect, "spectral rhs length mismatch");
-        let team = crate::pool::effective_threads(threads);
-        let mut planes: Vec<Vec<f64>> = vec![vec![0.0; nxy]; nz];
-        let mut loaded = vec![false; nz];
-        for column in rhs[..ng].chunks_exact(nz) {
-            for (flag, &v) in loaded.iter_mut().zip(column) {
-                *flag |= !exact_zero(v);
-            }
-        }
-
-        // Stage 1: gather tiles of x-rows of the loaded planes out of the
-        // z-innermost RHS in one sequential pass and DCT them; workers own
-        // disjoint y-row slabs.
-        let loaded_iz: Vec<usize> = (0..nz).filter(|&iz| loaded[iz]).collect();
-        {
-            let t = team.min(ny);
-            let row_bounds = even_bounds(ny, t);
-            let elem_bounds: Vec<usize> = row_bounds.iter().map(|r| r * nx).collect();
-            let ctxs = split_planes(&mut planes, &elem_bounds);
-            let plan_x = &self.plan_x;
-            let (row_bounds, loaded_iz) = (&row_bounds, &loaded_iz);
-            crate::pool::run(ctxs, move |w, mut slabs: Vec<&mut [f64]>| {
-                let mut scratch = DctScratch::new();
-                let mut tiles = vec![0.0; loaded_iz.len() * nx * ROW_TILE];
-                let y0 = row_bounds[w];
-                let rows = row_bounds[w + 1] - y0;
-                for r0 in (0..rows).step_by(ROW_TILE) {
-                    let lanes = ROW_TILE.min(rows - r0);
-                    let block = nx * lanes;
-                    let rows_in = &rhs[(y0 + r0) * nx * nz..(y0 + r0 + lanes) * nx * nz];
-                    for (c, cell) in rows_in.chunks_exact(nz).enumerate() {
-                        let (r, ix) = (c / nx, c % nx);
-                        for (k, &iz) in loaded_iz.iter().enumerate() {
-                            tiles[k * block + ix * lanes + r] = cell[iz];
-                        }
-                    }
-                    for (tile, &iz) in tiles.chunks_exact_mut(block).zip(loaded_iz) {
-                        plan_x.forward_lanes(tile, lanes, &mut scratch);
-                        for r in 0..lanes {
-                            let row = &mut slabs[iz][(r0 + r) * nx..(r0 + r + 1) * nx];
-                            for (ix, v) in row.iter_mut().enumerate() {
-                                *v = tile[ix * lanes + r];
-                            }
-                        }
-                    }
-                }
-            });
-        }
-
-        // Stage 2: forward DCT along y of the loaded planes.
-        let loaded_planes = planes
-            .iter_mut()
-            .zip(&loaded)
-            .filter(|(_, &l)| l)
-            .map(|(p, _)| p.as_mut_slice())
-            .collect();
-        self.column_pass(loaded_planes, team, false);
-
-        // Mode-(0,0) RHS must be captured before Thomas overwrites it:
-        // the border fix re-solves that mode against the coupled block.
-        let b00: Vec<f64> = planes.iter().map(|p| p[0]).collect();
-
-        // Stage 3: one Thomas sweep per mode; workers own disjoint mode
-        // ranges of every plane, marching z sequentially inside.
-        {
-            let t = team.min(nxy);
-            let bounds = even_bounds(nxy, t);
-            let ctxs = split_planes(&mut planes, &bounds);
-            let inv = &self.inv;
-            let gzi = &self.gzi;
-            let bounds = &bounds;
-            crate::pool::run(ctxs, move |w, mut slabs: Vec<&mut [f64]>| {
-                let m0 = bounds[w];
-                let width = bounds[w + 1] - m0;
-                for iz in 0..nz {
-                    let inv_plane = &inv[iz * nxy + m0..iz * nxy + m0 + width];
-                    if iz == 0 {
-                        for (v, piv) in slabs[0].iter_mut().zip(inv_plane) {
-                            *v *= piv;
-                        }
-                    } else {
-                        let g = gzi[iz - 1];
-                        for j in 0..width {
-                            let prev = slabs[iz - 1][j];
-                            slabs[iz][j] = (slabs[iz][j] + g * prev) * inv_plane[j];
-                        }
-                    }
-                }
-                for iz in (0..nz.saturating_sub(1)).rev() {
-                    let g = gzi[iz];
-                    let inv_plane = &inv[iz * nxy + m0..iz * nxy + m0 + width];
-                    for j in 0..width {
-                        let nxt = slabs[iz + 1][j];
-                        slabs[iz][j] += g * inv_plane[j] * nxt;
-                    }
-                }
-            });
-        }
-
-        // Border fix (sequential): mode (0,0) couples to the package node,
-        // so its Thomas result is discarded and the (nz+1)² block solved
-        // exactly instead.
-        let mut xb = None;
-        if let Some(border) = &self.border {
-            let mut v = b00;
-            v.push(rhs[ng]);
-            border.lu.solve(&mut v);
-            for (iz, plane) in planes.iter_mut().enumerate() {
-                plane[0] = v[iz];
-            }
-            xb = Some(v[nz]);
-        }
-
-        // Stage 4: inverse DCT along y, every plane.
-        self.column_pass(
-            planes.iter_mut().map(Vec::as_mut_slice).collect(),
-            team,
-            true,
+        assert_eq!(sys.dims(), self.dims(), "spectral system dimensions");
+        assert_eq!(rhs.layers.len(), nz, "spectral rhs layer count");
+        assert_eq!(
+            rhs.border.is_some(),
+            self.border.is_some(),
+            "spectral rhs border entry"
         );
+        if let Planes::One(iz) = planes {
+            assert!(iz < nz, "spectral plane {iz} outside a {nz}-layer stack");
+        }
+        let team = crate::pool::effective_threads(threads);
 
-        // Stage 5: inverse DCTs of tiles of x-rows, scattered straight
-        // into the z-innermost output layout; workers own disjoint y-row
-        // slabs of the output vector.
-        let mut out = vec![0.0; expect];
-        {
-            let t = team.min(ny);
-            let row_bounds = even_bounds(ny, t);
-            let slab_bounds: Vec<usize> = row_bounds.iter().map(|r| r * nx * nz).collect();
-            let slabs = split_slices(&mut out[..ng], &slab_bounds);
-            let planes = &planes;
-            let plan_x = &self.plan_x;
-            let row_bounds = &row_bounds;
-            crate::pool::run(slabs, move |w, slab: &mut [f64]| {
-                let mut scratch = DctScratch::new();
-                let mut tiles = vec![0.0; nz * nx * ROW_TILE];
-                let y0 = row_bounds[w];
-                let rows = row_bounds[w + 1] - y0;
+        // Stages 1–2: forward transforms of the value layers that carry a
+        // load, into spectra of their own.
+        let mut transformed: Vec<Option<Vec<f64>>> = rhs
+            .layers
+            .iter()
+            .map(|layer| match layer {
+                RhsPlane::Values(p) => {
+                    assert_eq!(p.len(), nxy, "spectral rhs plane length");
+                    p.iter().any(|&v| !exact_zero(v)).then(|| vec![0.0; nxy])
+                }
+                RhsPlane::Spectrum(s) => {
+                    assert_eq!(s.len(), nxy, "spectral rhs spectrum length");
+                    None
+                }
+                RhsPlane::Zero => None,
+            })
+            .collect();
+        let jobs = rhs
+            .layers
+            .iter()
+            .zip(&mut transformed)
+            .filter_map(|(layer, out)| match (layer, out) {
+                (RhsPlane::Values(p), Some(out)) => Some((*p, out.as_mut_slice())),
+                _ => None,
+            })
+            .collect();
+        self.forward(jobs, team);
+        let spectra: Vec<Option<&[f64]>> = rhs
+            .layers
+            .iter()
+            .zip(&transformed)
+            .map(|(layer, own)| match layer {
+                RhsPlane::Spectrum(s) => Some(*s),
+                _ => own.as_deref(),
+            })
+            .collect();
+
+        // Stage 3: one Thomas sweep per mode over every layer, the
+        // border fix of mode (0,0) and the check; only the requested
+        // layers of the solved spectrum are kept.
+        let mut kept: Vec<Option<Vec<f64>>> = (0..nz)
+            .map(|iz| planes.contains(iz).then(|| vec![0.0; nxy]))
+            .collect();
+        let (xb, residual) = self.sweep_and_check(sys, &spectra, rhs.border, &mut kept, team);
+        if !(residual.is_finite() && residual <= tolerance) {
+            return Err(SolveError::NotConverged {
+                iterations: 1,
+                residual,
+            });
+        }
+
+        // Stages 4–5: inverse column then row DCTs of the kept layers.
+        self.inverse(
+            kept.iter_mut().flatten().map(Vec::as_mut_slice).collect(),
+            team,
+        );
+        #[cfg(feature = "paranoid")]
+        for plane in kept.iter().flatten() {
+            crate::paranoid::check_finite("spectral direct solve", plane);
+        }
+        Ok((
+            SpectralField {
+                planes: kept,
+                border: xb,
+            },
+            SolveStats {
+                iterations: 1,
+                relative_residual: residual,
+            },
+        ))
+    }
+
+    /// Forward row then column DCTs of each `(plane, spectrum)` pair,
+    /// planes in `iy·nx + ix` order. The row pass gathers tiles of
+    /// x-rows; workers own disjoint y-row slabs of every spectrum.
+    fn forward(&self, jobs: Vec<(&[f64], &mut [f64])>, team: usize) {
+        let (nx, ny) = (self.nx, self.ny);
+        let (sources, mut spectra): (Vec<&[f64]>, Vec<&mut [f64]>) = jobs.into_iter().unzip();
+        let t = team.min(ny);
+        let row_bounds = even_bounds(ny, t);
+        let elem_bounds: Vec<usize> = row_bounds.iter().map(|r| r * nx).collect();
+        let ctxs = split_planes(spectra.iter_mut().map(|s| &mut **s).collect(), &elem_bounds);
+        let (plan_x, sources, row_bounds) = (&self.plan_x, &sources, &row_bounds);
+        crate::pool::run(ctxs, move |w, mut slabs: Vec<&mut [f64]>| {
+            let mut scratch = DctScratch::new();
+            let mut tile = vec![0.0; nx * ROW_TILE];
+            let y0 = row_bounds[w];
+            let rows = row_bounds[w + 1] - y0;
+            for (source, slab) in sources.iter().zip(&mut slabs) {
                 for r0 in (0..rows).step_by(ROW_TILE) {
                     let lanes = ROW_TILE.min(rows - r0);
-                    let block = nx * lanes;
-                    for (tile, plane) in tiles.chunks_exact_mut(block).zip(planes) {
-                        for r in 0..lanes {
-                            let row0 = (y0 + r0 + r) * nx;
-                            for (ix, v) in plane[row0..row0 + nx].iter().enumerate() {
-                                tile[ix * lanes + r] = *v;
-                            }
-                        }
-                        plan_x.inverse_lanes(tile, lanes, &mut scratch);
+                    let tile = &mut tile[..nx * lanes];
+                    rows_to_tile(&source[(y0 + r0) * nx..], tile, nx, lanes);
+                    plan_x.forward_lanes(tile, lanes, &mut scratch);
+                    tile_to_rows(tile, &mut slab[r0 * nx..], nx, lanes);
+                }
+            }
+        });
+        self.column_pass(spectra, team, false);
+    }
+
+    /// The per-mode Thomas sweeps and the mode-space check of their
+    /// result, over the spectrum of `spectra` (`None` is a zero layer),
+    /// with mode `(0, 0)` re-solved against the border block when the
+    /// system has one. Each `Some` entry of `out` receives its layer of
+    /// the solved spectrum. Returns the border node's value and the
+    /// relative residual of [`SpectralSystem::solve`]'s check.
+    ///
+    /// Workers own disjoint runs of [`MODE_BLOCK`]-mode blocks. A block's
+    /// layers are solved into a worker-local scratch that stays
+    /// cache-resident: the forward sweep marches up every layer, the
+    /// back-substitution down to the bottom, the residual reads every
+    /// layer, and only the layers of `out` are copied out. The
+    /// residual's partial sums are taken per block and folded in block
+    /// order after the workers join; the blocks do not depend on the
+    /// team size, so neither do the residual's bits.
+    fn sweep_and_check(
+        &self,
+        sys: &StencilSystem,
+        spectra: &[Option<&[f64]>],
+        b_border: Option<f64>,
+        out: &mut [Option<Vec<f64>>],
+        team: usize,
+    ) -> (Option<f64>, f64) {
+        let (nxy, nz) = (self.nx * self.ny, self.nz);
+        let blocks = nxy.div_ceil(MODE_BLOCK);
+        let bounds: Vec<usize> = even_bounds(blocks, team.min(blocks))
+            .into_iter()
+            .map(|b| (b * MODE_BLOCK).min(nxy))
+            .collect();
+        let layers: Vec<usize> = (0..nz).filter(|&iz| out[iz].is_some()).collect();
+        let ctxs = split_planes(
+            out.iter_mut().flatten().map(Vec::as_mut_slice).collect(),
+            &bounds,
+        );
+        let check = ModalCheck::of(sys);
+        let (check, bounds, layers) = (&check, &bounds, &layers);
+        let parts = crate::pool::run(ctxs, move |w, mut slabs: Vec<&mut [f64]>| {
+            let mut x = vec![0.0; nz * MODE_BLOCK];
+            let mut scratch = vec![0.0; 5 * MODE_BLOCK];
+            let mut sums = Vec::new();
+            let mut xb = None;
+            let (start, end) = (bounds[w], bounds[w + 1]);
+            for m0 in (start..end).step_by(MODE_BLOCK) {
+                let modes = m0..(m0 + MODE_BLOCK).min(end);
+                self.sweep_block(spectra, &mut x, &modes);
+                let mut border = None;
+                if let (0, Some(lu), Some(b)) = (m0, &self.border, b_border) {
+                    let mut v: Vec<f64> = spectra.iter().map(|s| s.map_or(0.0, |s| s[0])).collect();
+                    v.push(b);
+                    lu.lu.solve(&mut v);
+                    for (layer, &v) in x.chunks_exact_mut(MODE_BLOCK).zip(&v) {
+                        layer[0] = v;
                     }
-                    let rows_out = &mut slab[r0 * nx * nz..(r0 + lanes) * nx * nz];
-                    for (c, cell) in rows_out.chunks_exact_mut(nz).enumerate() {
-                        let (r, ix) = (c / nx, c % nx);
-                        for (iz, v) in cell.iter_mut().enumerate() {
-                            *v = tiles[iz * block + ix * lanes + r];
+                    xb = Some(v[nz]);
+                    border = Some((b, v[nz]));
+                }
+                sums.push(check.block(spectra, &x, &modes, border, &mut scratch));
+                let local = modes.start - start..modes.end - start;
+                for (slab, &iz) in slabs.iter_mut().zip(layers) {
+                    slab[local.clone()].copy_from_slice(&x[iz * MODE_BLOCK..][..modes.len()]);
+                }
+            }
+            (xb, sums)
+        });
+        let (mut nb, mut nr) = (0.0, 0.0);
+        let mut xb = None;
+        for (x, sums) in parts {
+            xb = xb.or(x);
+            for [b, r] in sums {
+                nb += b;
+                nr += r;
+            }
+        }
+        let norm_b = nb.sqrt();
+        let residual = if norm_b > 0.0 {
+            nr.sqrt() / norm_b
+        } else {
+            0.0
+        };
+        (xb, residual)
+    }
+
+    /// The forward sweep up every layer, then the back-substitution down
+    /// to the bottom, over `modes`: layer `iz` of the block lands in
+    /// `x[iz·MODE_BLOCK..]`. A zero layer sweeps `0.0`, the spectrum it
+    /// stands for.
+    fn sweep_block(&self, spectra: &[Option<&[f64]>], x: &mut [f64], modes: &Range<usize>) {
+        let (nxy, len) = (self.nx * self.ny, modes.len());
+        let pivots = |iz: usize| &self.inv[iz * nxy + modes.start..iz * nxy + modes.end];
+        for iz in 0..self.nz {
+            let piv = pivots(iz);
+            let b = spectra[iz].map(|s| &s[modes.clone()]);
+            let (below, rest) = x.split_at_mut(iz * MODE_BLOCK);
+            let x = &mut rest[..len];
+            if iz == 0 {
+                match b {
+                    Some(b) => {
+                        for ((x, &b), &p) in x.iter_mut().zip(b).zip(piv) {
+                            *x = b * p;
+                        }
+                    }
+                    None => {
+                        for (x, &p) in x.iter_mut().zip(piv) {
+                            *x = 0.0 * p;
                         }
                     }
                 }
-            });
+                continue;
+            }
+            let g = self.gzi[iz - 1];
+            let prev = &below[(iz - 1) * MODE_BLOCK..][..len];
+            match b {
+                Some(b) => {
+                    for (((x, &b), &p), &xp) in x.iter_mut().zip(b).zip(piv).zip(prev) {
+                        *x = (b + g * xp) * p;
+                    }
+                }
+                None => {
+                    for ((x, &p), &xp) in x.iter_mut().zip(piv).zip(prev) {
+                        *x = (0.0 + g * xp) * p;
+                    }
+                }
+            }
         }
-        if let Some(v) = xb {
-            out[ng] = v;
+        for iz in (0..self.nz.saturating_sub(1)).rev() {
+            let (g, piv) = (self.gzi[iz], pivots(iz));
+            let (lower, upper) = x.split_at_mut((iz + 1) * MODE_BLOCK);
+            let x = &mut lower[iz * MODE_BLOCK..][..len];
+            for ((x, &p), &n) in x.iter_mut().zip(piv).zip(&upper[..len]) {
+                *x += g * p * n;
+            }
         }
-        #[cfg(feature = "paranoid")]
-        crate::paranoid::check_finite("spectral direct solve", &out);
-        out
+    }
+
+    /// Inverse column then row DCTs of `planes`, in place. The row pass
+    /// goes through transposed tiles of x-rows; workers own disjoint
+    /// y-row slabs of every plane.
+    fn inverse(&self, mut planes: Vec<&mut [f64]>, team: usize) {
+        let (nx, ny) = (self.nx, self.ny);
+        self.column_pass(planes.iter_mut().map(|p| &mut **p).collect(), team, true);
+        let t = team.min(ny);
+        let row_bounds = even_bounds(ny, t);
+        let elem_bounds: Vec<usize> = row_bounds.iter().map(|r| r * nx).collect();
+        let ctxs = split_planes(planes, &elem_bounds);
+        let (plan_x, row_bounds) = (&self.plan_x, &row_bounds);
+        crate::pool::run(ctxs, move |w, mut slabs: Vec<&mut [f64]>| {
+            let mut scratch = DctScratch::new();
+            let mut tile = vec![0.0; nx * ROW_TILE];
+            let rows = row_bounds[w + 1] - row_bounds[w];
+            for slab in &mut slabs {
+                for r0 in (0..rows).step_by(ROW_TILE) {
+                    let lanes = ROW_TILE.min(rows - r0);
+                    let tile = &mut tile[..nx * lanes];
+                    rows_to_tile(&slab[r0 * nx..], tile, nx, lanes);
+                    plan_x.inverse_lanes(tile, lanes, &mut scratch);
+                    tile_to_rows(tile, &mut slab[r0 * nx..], nx, lanes);
+                }
+            }
+        });
     }
 
     /// Forward (`inverse == false`) or inverse column transforms of
@@ -934,72 +1216,147 @@ impl SpectralSystem {
             }
         });
     }
+}
 
-    /// Direct solve of `sys` — the system this factorization was built
-    /// from — for `rhs` (see [`StencilSystem::rhs_with`]), accepted only
-    /// after a residual check against `sys`. Returns the grid-cell part
-    /// of the solution.
-    ///
-    /// A direct solve lands at machine precision; a relative residual
-    /// `‖b − A·x‖/‖b‖` above `tolerance` means the factorization no
-    /// longer matches the system, so the solve is refused rather than
-    /// returned as a silently degraded field. The check is on
-    /// deterministic quantities, preserving bit-identity across thread
-    /// counts.
-    ///
-    /// # Errors
-    ///
-    /// [`SolveError::NotConverged`] carrying the residual when the check
-    /// fails.
-    pub fn solve_checked(
+/// The mode-space check of [`SpectralSystem::solve`]: the modal operator
+/// `Â` of a stencil system, built from its per-layer coefficients, and
+/// the Parseval weight of every mode.
+struct ModalCheck<'a> {
+    sys: &'a StencilSystem,
+    op: ModalOperator,
+    /// Per-axis Parseval weights: `1/n` at wavenumber 0, `2/n` above.
+    wx: Vec<f64>,
+    wy: Vec<f64>,
+}
+
+impl<'a> ModalCheck<'a> {
+    fn of(sys: &'a StencilSystem) -> ModalCheck<'a> {
+        let (nx, ny, _) = sys.dims();
+        let weights = |n: usize| -> Vec<f64> {
+            (0..n)
+                .map(|k| if k == 0 { 1.0 } else { 2.0 } / n as f64)
+                .collect()
+        };
+        ModalCheck {
+            sys,
+            op: ModalOperator::of(sys),
+            wx: weights(nx),
+            wy: weights(ny),
+        }
+    }
+
+    /// The Parseval-weighted squared norms `[Σ w·b̂², Σ w·r̂²]` of the
+    /// right-hand side and of the residual `r̂ = b̂ − Â·x̂` over one
+    /// block of `modes` of every layer, the block's layer `iz` at
+    /// `x[iz·MODE_BLOCK..]`. In the block holding mode `(0, 0)` of a
+    /// system with a border node, `border` carries the node's right-hand
+    /// side and value: the node pulls on mode `(0, 0)` of the bottom
+    /// layer with its column scaled by the zero-mode mass `nx·ny`, and
+    /// its own row reads that mode, the plain sum of the bottom layer.
+    /// `scratch` holds `5·MODE_BLOCK` values. Each layer's sums are
+    /// fixed-shape [`crate::pool::dot_wide`]s, folded bottom layer first.
+    fn block(
+        &self,
+        spectra: &[Option<&[f64]>],
+        x: &[f64],
+        modes: &Range<usize>,
+        border: Option<(f64, f64)>,
+        scratch: &mut [f64],
+    ) -> [f64; 2] {
+        let sys = self.sys;
+        let (nx, ny, nz) = sys.dims();
+        let len = modes.len();
+        let (lx, scratch) = scratch.split_at_mut(MODE_BLOCK);
+        let (ly, scratch) = scratch.split_at_mut(MODE_BLOCK);
+        let (w, scratch) = scratch.split_at_mut(MODE_BLOCK);
+        let (r, wr) = scratch.split_at_mut(MODE_BLOCK);
+        let (lx, ly, w, r, wr) = (
+            &mut lx[..len],
+            &mut ly[..len],
+            &mut w[..len],
+            &mut r[..len],
+            &mut wr[..len],
+        );
+        let (mut kx, mut ky) = (modes.start % nx, modes.start / nx);
+        for j in 0..len {
+            lx[j] = self.op.lam_x[kx];
+            ly[j] = self.op.lam_y[ky];
+            w[j] = self.wx[kx] * self.wy[ky];
+            kx += 1;
+            if kx == nx {
+                (kx, ky) = (0, ky + 1);
+            }
+        }
+        let layer = |iz: usize| &x[iz * MODE_BLOCK..][..len];
+        let node = border.and_then(|(b, xb)| Some((sys.border.as_ref()?, b, xb)));
+        let (mut nb, mut nr) = (0.0, 0.0);
+        for (iz, spectrum) in spectra.iter().enumerate() {
+            let (dz, gx, gy) = (self.op.dz[iz], sys.gx[iz], sys.gy[iz]);
+            for (((r, &x), &lx), &ly) in r.iter_mut().zip(layer(iz)).zip(&*lx).zip(&*ly) {
+                *r = -((dz + gx * lx + gy * ly) * x);
+            }
+            if iz > 0 {
+                let g = sys.gz[iz - 1];
+                for (r, &x) in r.iter_mut().zip(layer(iz - 1)) {
+                    *r += g * x;
+                }
+            }
+            if iz + 1 < nz {
+                let g = sys.gz[iz];
+                for (r, &x) in r.iter_mut().zip(layer(iz + 1)) {
+                    *r += g * x;
+                }
+            }
+            if let (0, Some((node, _, xb))) = (iz, node) {
+                r[0] += node.coupling * (nx * ny) as f64 * xb;
+            }
+            if let Some(b) = spectrum.map(|s| &s[modes.clone()]) {
+                for ((wr, &w), &b) in wr.iter_mut().zip(&*w).zip(b) {
+                    *wr = w * b;
+                }
+                nb += crate::pool::dot_wide(wr, b);
+                for (r, &b) in r.iter_mut().zip(b) {
+                    *r += b;
+                }
+            }
+            for ((wr, &w), &r) in wr.iter_mut().zip(&*w).zip(&*r) {
+                *wr = w * r;
+            }
+            nr += crate::pool::dot_wide(wr, r);
+        }
+        if let Some((node, b, xb)) = node {
+            let d = b - (node.diag * xb - node.coupling * x[0]);
+            nb += b * b;
+            nr += d * d;
+        }
+        [nb, nr]
+    }
+}
+
+#[cfg(any(test, feature = "paranoid"))]
+impl SpectralSystem {
+    /// The whole-field solve of a right-hand side in the z-innermost
+    /// layout of [`StencilSystem`] (border slot last), returned in that
+    /// layout: the form the spatial 3-D residual reads.
+    pub(crate) fn solve_stencil_order(
         &self,
         sys: &StencilSystem,
         rhs: &[f64],
         tolerance: f64,
         threads: usize,
     ) -> Result<(Vec<f64>, SolveStats), SolveError> {
-        let mut x = self.solve(rhs, threads);
-        // Plain sequential norms in index order, folded row by row as the
-        // matvec streams: deterministic and thread-independent, like
-        // everything else on this path.
-        let row_len = self.nx * self.nz;
-        let mut sums = [0.0; 3];
-        let border = sys.apply_rows(&x, |iy, ax| {
-            sums = fold_residual(sums, &rhs[iy * row_len..(iy + 1) * row_len], ax);
-        });
-        if let Some(a) = border {
-            sums = fold_residual(sums, &rhs[sys.grid_cells()..], &[a]);
-        }
-        let [nb, nr, net] = sums;
-        let norm_b = nb.sqrt();
-        let residual = if norm_b > 0.0 {
-            nr.sqrt() / norm_b
-        } else {
-            0.0
+        let nz = self.nz;
+        let ng = self.nx * self.ny * nz;
+        let planes: Vec<Vec<f64>> = (0..nz)
+            .map(|iz| rhs[..ng].iter().skip(iz).step_by(nz).copied().collect())
+            .collect();
+        let rhs = SpectralRhs {
+            layers: planes.iter().map(|p| RhsPlane::Values(p)).collect(),
+            border: rhs.get(ng).copied(),
         };
-        if !(residual.is_finite() && residual <= tolerance) {
-            return Err(SolveError::NotConverged {
-                iterations: 1,
-                residual,
-            });
-        }
-        #[cfg(feature = "paranoid")]
-        crate::paranoid::check_conservation_net(
-            "spectral direct solve",
-            net,
-            rhs.len(),
-            norm_b,
-            tolerance,
-        );
-        let _ = net;
-        x.truncate(sys.grid_cells());
-        Ok((
-            x,
-            SolveStats {
-                iterations: 1,
-                relative_residual: residual,
-            },
-        ))
+        let (field, stats) = self.solve(sys, &rhs, Planes::All, tolerance, threads)?;
+        let x = field.to_stencil_order().unwrap_or_default();
+        Ok((x, stats))
     }
 }
 
@@ -1145,7 +1502,7 @@ mod tests {
         let sp = SpectralSystem::from_stencil(sys).expect("layered stacks factor");
         assert_eq!(sp.unknowns(), sys.unknowns());
         let rhs: Vec<f64> = (0..sys.unknowns()).map(|i| noise(i + 101)).collect();
-        let x = sp.solve(&rhs, 1);
+        let (x, stats) = sp.solve_stencil_order(sys, &rhs, 1e-9, 1).unwrap();
         let ax = sys.mul_vec(&x);
         let norm_b = rhs.iter().map(|v| v * v).sum::<f64>().sqrt();
         let norm_r = rhs
@@ -1159,6 +1516,13 @@ mod tests {
             "direct solve residual {:.3e} (‖b‖ {:.3e})",
             norm_r,
             norm_b
+        );
+        // The modal check estimates the same ratio.
+        let spatial = norm_r / norm_b;
+        assert!(
+            stats.relative_residual <= 10.0 * spatial.max(1e-15),
+            "modal residual {:.3e} vs spatial {spatial:.3e}",
+            stats.relative_residual
         );
     }
 
@@ -1202,14 +1566,144 @@ mod tests {
                 })
                 .collect();
             for (label, rhs) in [("dense", dense), ("two-plane", sparse)] {
-                let baseline = sp.solve(&rhs, 1);
+                let solve = |threads| sp.solve_stencil_order(&sys, &rhs, 1e-9, threads).unwrap();
+                let (baseline, _) = solve(1);
                 for threads in [2usize, 4] {
-                    let got = sp.solve(&rhs, threads);
+                    let (got, _) = solve(threads);
                     assert_bits_eq(
                         &format!("{nx}x{ny} {label} spectral solve at {threads} threads"),
                         &got,
                         &baseline,
                     );
+                }
+            }
+        }
+    }
+
+    /// A layered fixture of `nz` layers (1 to 4) cut from [`layered`]'s
+    /// coefficients, nx≠ny allowed.
+    fn stack(nx: usize, ny: usize, nz: usize, package_resistance: f64) -> StencilSystem {
+        StencilSystem::layered(&LayeredStencilSpec {
+            nx,
+            ny,
+            gx_layers: &[6e-5, 4.8e-4, 4.8e-4, 2.4e-5][..nz],
+            gy_layers: &[6e-5, 5.2e-4, 5.2e-4, 3.0e-5][..nz],
+            gz_interfaces: &[1.2e-4, 2.6e-3, 3.1e-4][..nz - 1],
+            g_bottom: 7e-7,
+            g_top: 4e-9,
+            ambient: 25.0,
+            package_resistance,
+        })
+    }
+
+    #[test]
+    fn one_plane_solves_are_bitwise_layers_of_the_whole_field() {
+        // Each stack is loaded the way a thermal model loads it: a
+        // power plane on one layer (built from its Dirichlet value plus
+        // the watts, as `rhs_with` adds them) and every other layer's
+        // constant Dirichlet plane as a spectrum transformed once. The
+        // active layer alone must carry the bits of the whole-field
+        // solve of the assembled right-hand side, with the same check,
+        // at every thread count: even, odd (Bluestein), nx≠ny and 1×n
+        // meshes, with and without a border node, one layer or four,
+        // the active layer at the bottom, in the middle and on top,
+        // under hashed and zero power.
+        let meshes = [(12usize, 12usize), (25, 21), (16, 10), (1, 9), (7, 1)];
+        for (nx, ny) in meshes {
+            for package_resistance in [157.0, 0.0] {
+                for nz in [1usize, 4] {
+                    let sys = stack(nx, ny, nz, package_resistance);
+                    let sp = SpectralSystem::from_stencil(&sys).unwrap();
+                    let fixed = sys.fixed_rhs();
+                    for active in [0, nz / 2, nz - 1] {
+                        let dirichlet: Vec<Option<Vec<f64>>> = fixed
+                            .iter()
+                            .enumerate()
+                            .map(|(iz, &c)| {
+                                (iz != active)
+                                    .then(|| sp.spectrum(&vec![c; nx * ny], 1))
+                                    .flatten()
+                            })
+                            .collect();
+                        for hashed in [true, false] {
+                            let watts: Vec<f64> = (0..nx * ny)
+                                .map(|bin| {
+                                    if hashed {
+                                        (noise(bin + 3).abs() - 0.3).max(0.0) * 1e-3
+                                    } else {
+                                        0.0
+                                    }
+                                })
+                                .collect();
+                            let injections: Vec<(usize, f64)> = watts
+                                .iter()
+                                .enumerate()
+                                .filter(|&(_, &w)| w > 0.0)
+                                .map(|(bin, &w)| (bin * nz + active, w))
+                                .collect();
+                            let plane: Vec<f64> = watts
+                                .iter()
+                                .map(|&w| {
+                                    if w > 0.0 {
+                                        fixed[active] + w
+                                    } else {
+                                        fixed[active]
+                                    }
+                                })
+                                .collect();
+                            let rhs = SpectralRhs {
+                                layers: dirichlet
+                                    .iter()
+                                    .enumerate()
+                                    .map(|(iz, s)| match s {
+                                        _ if iz == active => RhsPlane::Values(&plane),
+                                        Some(s) => RhsPlane::Spectrum(s),
+                                        None => RhsPlane::Zero,
+                                    })
+                                    .collect(),
+                                border: sys.border_rhs(),
+                            };
+                            let label = format!(
+                                "{nx}x{ny}x{nz} R={package_resistance} active {active} \
+                                 hashed {hashed}"
+                            );
+                            let full = sys.rhs_with(&injections);
+                            let (whole, whole_stats) =
+                                sp.solve_stencil_order(&sys, &full, 1e-9, 1).unwrap();
+                            let want: Vec<f64> = whole[..nx * ny * nz]
+                                .iter()
+                                .skip(active)
+                                .step_by(nz)
+                                .copied()
+                                .collect();
+                            for threads in [1usize, 2, 4] {
+                                let (field, stats) = sp
+                                    .solve(&sys, &rhs, Planes::One(active), 1e-9, threads)
+                                    .unwrap();
+                                assert_eq!(field.plane(active).map(<[f64]>::len), Some(nx * ny));
+                                assert_eq!(
+                                    field.to_stencil_order().is_some(),
+                                    nz == 1,
+                                    "{label}: only one layer is transformed back"
+                                );
+                                assert_bits_eq(
+                                    &format!("{label} t={threads}"),
+                                    field.plane(active).unwrap_or_default(),
+                                    &want,
+                                );
+                                assert_eq!(
+                                    field.border().map(f64::to_bits),
+                                    whole.get(nx * ny * nz).map(|v| v.to_bits()),
+                                    "{label} t={threads}: border node"
+                                );
+                                assert_eq!(
+                                    stats.relative_residual.to_bits(),
+                                    whole_stats.relative_residual.to_bits(),
+                                    "{label} t={threads}: the check read another spectrum"
+                                );
+                            }
+                        }
+                    }
                 }
             }
         }

@@ -858,7 +858,7 @@ fn run_wrapper_bench() -> Result<Json, String> {
                 base.floorplan.clone(),
                 base.placement.clone(),
                 base.regions.clone(),
-                tmap,
+                tmap.into(),
                 hotspots.clone(),
             ),
         )

@@ -870,6 +870,41 @@ mod tests {
     }
 
     #[test]
+    fn meshes_above_the_ceiling_are_refused_without_allocating() {
+        // A wire request naming a mesh past `MAX_MESH_BINS` is refused by
+        // the builder's validation before any flow, model or field is
+        // sized from it, like a degenerate mesh; one at the ceiling
+        // decodes.
+        let text = request_to_json(&sample_request()).render();
+        for (mesh, needle) in [
+            ("[100000, 100000]", "100000x100000"),
+            ("[1025, 1024]", "1025x1024"),
+            ("[2, 1e300]", "exceeds the ceiling"),
+        ] {
+            let bad = text.replace("[16, 16]", mesh);
+            assert_ne!(bad, text, "replacement must have fired");
+            let err = request_from_json(&Json::parse(&bad).unwrap()).unwrap_err();
+            assert!(matches!(err, ServiceError::Codec { .. }), "{err:?}");
+            assert!(err.to_string().contains(needle), "{err}");
+            assert!(err.to_string().contains("ceiling"), "{err}");
+        }
+        let at_ceiling = text.replace("[16, 16]", "[1024, 1024]");
+        let back = request_from_json(&Json::parse(&at_ceiling).unwrap()).unwrap();
+        assert_eq!(back.mesh.0 * back.mesh.1, postplace::MAX_MESH_BINS);
+        // The builder's refusal itself is a typed bad request.
+        let err = OptimizeRequest::builder()
+            .workload(WorkloadSpec::checkerboard())
+            .mesh(100_000, 100_000)
+            .budget(0.16)
+            .build()
+            .unwrap_err();
+        assert!(
+            matches!(err, postplace::FlowError::BadRequest { .. }),
+            "{err:?}"
+        );
+    }
+
+    #[test]
     fn unknown_unit_roles_are_rejected() {
         let doc = Json::parse(r#"{"active": ["mul_booth", "quantum"], "toggle_probability": 0.5}"#)
             .unwrap();

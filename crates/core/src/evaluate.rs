@@ -201,7 +201,7 @@ pub trait CandidateEvaluator: Send + Sync {
 pub struct DeltaCandidateEvaluator {
     model: Arc<FactorizedThermalModel>,
     baseline_power: Grid2d<f64>,
-    baseline: ThermalMap,
+    baseline: Arc<ThermalMap>,
     count: AtomicUsize,
 }
 
@@ -217,7 +217,11 @@ impl DeltaCandidateEvaluator {
         baseline_power: &Grid2d<f64>,
     ) -> Result<Self, FlowError> {
         let baseline = model.solve(baseline_power)?;
-        Ok(Self::with_baseline(model, baseline_power, baseline))
+        Ok(Self::with_baseline(
+            model,
+            baseline_power,
+            Arc::new(baseline),
+        ))
     }
 
     /// Like [`DeltaCandidateEvaluator::new`] with the baseline field
@@ -226,7 +230,7 @@ impl DeltaCandidateEvaluator {
     pub fn with_baseline(
         model: Arc<FactorizedThermalModel>,
         baseline_power: &Grid2d<f64>,
-        baseline: ThermalMap,
+        baseline: Arc<ThermalMap>,
     ) -> Self {
         DeltaCandidateEvaluator {
             model,

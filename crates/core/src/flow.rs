@@ -396,7 +396,8 @@ struct BaselineAnalysis {
     /// flow's own ([`Flow::power`]).
     power: Option<PowerReport>,
     pmap: Grid2d<f64>,
-    tmap: ThermalMap,
+    /// Shared with every base state and delta evaluator of the flow.
+    tmap: Arc<ThermalMap>,
     hotspots: Arc<[Hotspot]>,
     timing: TimingReport,
     hpwl_um: f64,
@@ -591,7 +592,7 @@ impl Flow {
         Ok(BaselineAnalysis {
             power,
             pmap,
-            tmap,
+            tmap: Arc::new(tmap),
             hotspots,
             timing,
             hpwl_um: geometry.total_hpwl(),
@@ -616,7 +617,7 @@ impl Flow {
     /// Propagates thermal-solve failures.
     pub fn baseline_maps(&self) -> Result<(Grid2d<f64>, ThermalMap), FlowError> {
         let b = self.baseline()?;
-        Ok((b.pmap.clone(), b.tmap.clone()))
+        Ok((b.pmap.clone(), ThermalMap::clone(&b.tmap)))
     }
 
     /// The memoized baseline power map (watts per thermal bin) that
@@ -667,7 +668,7 @@ impl Flow {
         Ok(DeltaCandidateEvaluator::with_baseline(
             model,
             &b.pmap,
-            b.tmap.clone(),
+            Arc::clone(&b.tmap),
         ))
     }
 
@@ -780,13 +781,15 @@ impl Flow {
 
     /// The base placement as a transform state, carrying the memoized
     /// baseline analysis so no stage re-solves what is already known.
+    /// The state shares the baseline's thermal map and hotspots; only
+    /// the placement is copied.
     pub(crate) fn base_state(&self) -> Result<TransformState, FlowError> {
         let baseline = self.baseline()?;
         Ok(TransformState::with_thermal(
             self.base.placed.floorplan.clone(),
             self.base.placed.placement.clone(),
             self.base.placed.regions.clone(),
-            baseline.tmap.clone(),
+            Arc::clone(&baseline.tmap),
             Arc::clone(&baseline.hotspots),
         ))
     }
@@ -895,6 +898,28 @@ mod tests {
                 "memo stays bounded"
             );
         }
+    }
+
+    #[test]
+    fn base_states_share_the_baseline_thermal_map() {
+        // Every exact run starts from a base state; it carries the
+        // baseline's thermal map and hotspots without copying either.
+        let flow = Flow::new(FlowConfig::scattered_small().fast()).unwrap();
+        let (tmap, hotspots) = flow.baseline_thermal().unwrap();
+        for _ in 0..2 {
+            let state = flow.base_state().unwrap();
+            let (map, spots) = state.analysis().unwrap();
+            assert!(std::ptr::eq(map, tmap), "the base state copied the map");
+            assert!(
+                std::ptr::eq(spots, hotspots),
+                "the base state copied the hotspots"
+            );
+        }
+        let evaluator = flow.delta_evaluator().unwrap();
+        assert!(std::ptr::eq(
+            crate::CandidateEvaluator::baseline(&evaluator),
+            tmap
+        ));
     }
 
     #[test]

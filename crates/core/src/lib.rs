@@ -80,7 +80,7 @@ pub use optimize::{
 };
 pub use request::{
     config_fingerprint, CacheKey, JobId, OptimizeGoal, OptimizeOutcome, OptimizeRequest,
-    OptimizeRequestBuilder, OptimizeResponse, StableHasher, ENGINE_EPOCH,
+    OptimizeRequestBuilder, OptimizeResponse, StableHasher, ENGINE_EPOCH, MAX_MESH_BINS,
 };
 pub use strategy::Strategy;
 pub use sweep::{default_threads, run_requests, RequestBatch, RequestOutcome, Scenario, SweepGrid};

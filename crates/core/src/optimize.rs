@@ -373,7 +373,8 @@ impl ParetoFrontier {
 /// [`crate::DeltaCandidateEvaluator`] (one thermal solve of its power-map
 /// surrogate, or none for a uniform scaling); only the candidates on the
 /// *surrogate* Pareto front are verified with exact
-/// [`Flow::run_transform`] evaluations, and the returned frontier is
+/// [`Flow::run_transform`] evaluations (a plain ERI candidate through the
+/// flow's memo of exact ERI runs), and the returned frontier is
 /// re-filtered on the exact numbers — so it is monotone (strictly
 /// increasing reduction over increasing overhead), non-dominated, and
 /// every point's report bit-matches a direct run of its transform.
@@ -468,7 +469,14 @@ pub(crate) fn compute_pareto_frontier(
             continue; // dominated on the surrogate (within resolution)
         }
         exact_runs += 1;
-        let report = match flow.run_transform(candidate.transform.as_ref()) {
+        // A plain ERI candidate comes from the flow's memo of exact ERI
+        // runs, which the budget and row-count searches share; the memo
+        // returns the report a fresh run computes.
+        let exact = match candidate.transform.as_strategy() {
+            Some(Strategy::EmptyRowInsertion { rows }) => flow.run_eri(rows),
+            _ => flow.run_transform(candidate.transform.as_ref()),
+        };
+        let report = match exact {
             Ok(r) => r,
             Err(FlowError::BadStrategy { .. }) => {
                 // Degenerate at exact-apply time: do NOT raise the

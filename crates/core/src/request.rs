@@ -329,6 +329,13 @@ impl OptimizeRequest {
     }
 }
 
+/// The largest lateral mesh a request may name, in bins (`nx·ny`):
+/// 1024², four times the 512² the sweep bench's largest band solves. A
+/// spectral model holds about one `f64` per bin and layer, so this
+/// bounds one model near 80 MiB, where an unchecked wire request for
+/// `[100000, 100000]` would ask for ~10¹¹ values and abort the process.
+pub const MAX_MESH_BINS: usize = 1 << 20;
+
 /// Builder for [`OptimizeRequest`]. `workload`, `mesh` and exactly one
 /// goal are required; setting a second goal replaces the first.
 #[derive(Debug, Clone, Default)]
@@ -433,7 +440,8 @@ impl OptimizeRequestBuilder {
     /// # Errors
     ///
     /// [`FlowError::BadRequest`] when workload, mesh or goal is missing,
-    /// the mesh is degenerate, or a transform-goal id does not parse.
+    /// the mesh is degenerate or above [`MAX_MESH_BINS`], or a
+    /// transform-goal id does not parse.
     pub fn build(self) -> Result<OptimizeRequest, FlowError> {
         let workload = self.workload.ok_or_else(|| FlowError::BadRequest {
             detail: "request needs a workload".to_string(),
@@ -444,6 +452,18 @@ impl OptimizeRequestBuilder {
         if mesh.0 < 2 || mesh.1 < 2 {
             return Err(FlowError::BadRequest {
                 detail: format!("mesh {}x{} is degenerate (needs ≥ 2x2)", mesh.0, mesh.1),
+            });
+        }
+        if mesh
+            .0
+            .checked_mul(mesh.1)
+            .is_none_or(|bins| bins > MAX_MESH_BINS)
+        {
+            return Err(FlowError::BadRequest {
+                detail: format!(
+                    "mesh {}x{} exceeds the ceiling of {MAX_MESH_BINS} bins (1024x1024)",
+                    mesh.0, mesh.1
+                ),
             });
         }
         let goal = self.goal.ok_or_else(|| FlowError::BadRequest {

@@ -101,7 +101,7 @@ pub struct TransformState {
     /// row-insertion stages; used by the wrap stage to split merged
     /// thermal blobs per hotspot source).
     pub regions: Vec<Rect>,
-    thermal: Option<(ThermalMap, Arc<[Hotspot]>)>,
+    thermal: Option<(Arc<ThermalMap>, Arc<[Hotspot]>)>,
 }
 
 impl TransformState {
@@ -116,13 +116,13 @@ impl TransformState {
     }
 
     /// A state whose thermal analysis is already known (the flow's
-    /// memoized baseline, whose hotspots it shares) — no solve will be
-    /// spent on it.
+    /// memoized baseline, whose thermal map and hotspots it shares) — no
+    /// solve will be spent on it.
     pub fn with_thermal(
         floorplan: Floorplan,
         placement: Placement,
         regions: Vec<Rect>,
-        tmap: ThermalMap,
+        tmap: Arc<ThermalMap>,
         hotspots: Arc<[Hotspot]>,
     ) -> Self {
         TransformState {
@@ -158,7 +158,7 @@ impl TransformState {
         if self.thermal.is_none() {
             let (_, _, tmap) = ctx.flow().analyze_geometry(geometry)?;
             let hotspots = detect_hotspots(&tmap, &ctx.flow().config().hotspot);
-            self.thermal = Some((tmap, hotspots.into()));
+            self.thermal = Some((Arc::new(tmap), hotspots.into()));
         }
         Ok(())
     }
@@ -166,7 +166,7 @@ impl TransformState {
     /// The state's thermal map, if computed (see
     /// [`TransformState::ensure_thermal`]).
     pub fn tmap(&self) -> Option<&ThermalMap> {
-        self.thermal.as_ref().map(|(t, _)| t)
+        self.thermal.as_ref().map(|(t, _)| &**t)
     }
 
     /// The state's detected hotspots, if computed.
@@ -181,7 +181,7 @@ impl TransformState {
     pub fn analysis(&self) -> Result<(&ThermalMap, &[Hotspot]), FlowError> {
         self.thermal
             .as_ref()
-            .map(|(t, h)| (t, &**h))
+            .map(|(t, h)| (&**t, &**h))
             .ok_or_else(|| FlowError::Internal {
                 detail: "transform stage read the thermal analysis before ensure_thermal"
                     .to_string(),

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use postplace::{
     best_strategy_within_budget_with, minimize_rows_for_target, CacheStats, Flow, FlowConfig,
-    OptimizeConfig, Strategy, WorkloadSpec,
+    OptimizeConfig, OptimizeRequest, ParetoFrontier, Strategy, WorkloadSpec,
 };
 use thermalsim::ThermalConfig;
 
@@ -58,6 +58,43 @@ fn a_repeated_budget_search_matches_a_fresh_flow_and_skips_the_eri_solve() {
     );
     assert_eq!(memo_after.hits, memo_before.hits + 1, "{memo_after:?}");
     assert_eq!(memo_after.insertions, 1, "{memo_after:?}");
+}
+
+fn frontier_of(flow: &Flow) -> ParetoFrontier {
+    let request = OptimizeRequest::builder()
+        .for_flow(flow)
+        .frontier([0.04, 0.12, 0.20, 0.30])
+        .build()
+        .unwrap();
+    flow.optimize(&request)
+        .unwrap()
+        .frontier()
+        .cloned()
+        .expect("frontier goals yield frontiers")
+}
+
+#[test]
+fn a_frontier_on_a_warm_eri_memo_matches_a_fresh_flows_frontier() {
+    let fresh = flow_at_32();
+    let expected = frontier_of(&fresh);
+    let verified = fresh.eri_memo_stats().insertions;
+    assert!(verified > 0, "the frontier exact-verifies ERI candidates");
+
+    // The first frontier fills the memo with the row counts it
+    // verifies; the second is answered from it.
+    let flow = flow_at_32();
+    let first = frontier_of(&flow);
+    let before = flow.eri_memo_stats();
+    let second = frontier_of(&flow);
+    let after = flow.eri_memo_stats();
+    assert_eq!(bits(&first), bits(&expected));
+    assert_eq!(
+        bits(&second),
+        bits(&expected),
+        "a memo-served frontier reports the same bits, exact_runs included"
+    );
+    assert_eq!(after.hits - before.hits, verified, "{before:?} → {after:?}");
+    assert_eq!(after.insertions, before.insertions, "{after:?}");
 }
 
 #[test]

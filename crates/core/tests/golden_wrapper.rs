@@ -74,7 +74,7 @@ fn base_state(flow: &Flow) -> TransformState {
         base.floorplan.clone(),
         base.placement.clone(),
         base.regions.clone(),
-        tmap,
+        tmap.into(),
         hotspots.clone(),
     )
 }

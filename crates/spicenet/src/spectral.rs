@@ -46,6 +46,14 @@ const ROW_TILE: usize = 16;
 /// cache-resident from the forward sweep to its residual.
 const MODE_BLOCK: usize = 512;
 
+/// The spectrum of a zero layer over one block of modes.
+static ZERO_BLOCK: [f64; MODE_BLOCK] = [0.0; MODE_BLOCK];
+
+/// `modes` of a layer's spectrum, `0.0` for a zero layer (`None`).
+fn block_of<'a>(spectrum: Option<&'a [f64]>, modes: &Range<usize>) -> &'a [f64] {
+    spectrum.map_or(&ZERO_BLOCK[..modes.len()], |s| &s[modes.clone()])
+}
+
 /// Minimal complex scalar for the twiddle and chirp tables (no external
 /// deps).
 #[derive(Clone, Copy, Debug)]
@@ -881,11 +889,11 @@ impl SpectralSystem {
     /// check, and inverse column then row DCTs of the requested layers
     /// only. A layer without a load keeps a spectrum of `0.0`, which
     /// can differ from a transformed zero plane only in the sign of a
-    /// zero, and `x + (−0) == x`. No stage performs a cross-thread
-    /// reduction and every row, column and mode is transformed by
-    /// identical scalar code whatever the partition and batch width, so
-    /// the solution is bit-identical at any `threads`, and a layer's
-    /// bits do not depend on which other layers were transformed back.
+    /// zero, and `x + (−0) == x`. Every row, column and mode is
+    /// transformed by identical scalar code whatever the partition and
+    /// batch width, so the solution is bit-identical at any `threads`,
+    /// and a layer's bits do not depend on which other layers were
+    /// transformed back.
     ///
     /// The check runs in mode space and costs no transform. With `b̂`
     /// the spectrum of the right-hand side and `x̂` the swept solution,
@@ -898,9 +906,9 @@ impl SpectralSystem {
     /// transform of `x̂`. A direct solve lands at machine precision; a
     /// residual above `tolerance` means the factorization no longer
     /// matches the system, so the solve is refused rather than returned
-    /// as a silently degraded field. The sums run in index order on one
-    /// thread, so the residual's bits do not depend on `threads`
-    /// either.
+    /// as a silently degraded field. The sums are taken over fixed
+    /// blocks of modes and folded in block order, so the residual's
+    /// bits do not depend on `threads` either.
     ///
     /// # Errors
     ///
@@ -1124,39 +1132,20 @@ impl SpectralSystem {
     fn sweep_block(&self, spectra: &[Option<&[f64]>], x: &mut [f64], modes: &Range<usize>) {
         let (nxy, len) = (self.nx * self.ny, modes.len());
         let pivots = |iz: usize| &self.inv[iz * nxy + modes.start..iz * nxy + modes.end];
-        for iz in 0..self.nz {
-            let piv = pivots(iz);
-            let b = spectra[iz].map(|s| &s[modes.clone()]);
+        for (iz, spectrum) in spectra.iter().enumerate() {
+            let (piv, b) = (pivots(iz), block_of(*spectrum, modes));
             let (below, rest) = x.split_at_mut(iz * MODE_BLOCK);
             let x = &mut rest[..len];
             if iz == 0 {
-                match b {
-                    Some(b) => {
-                        for ((x, &b), &p) in x.iter_mut().zip(b).zip(piv) {
-                            *x = b * p;
-                        }
-                    }
-                    None => {
-                        for (x, &p) in x.iter_mut().zip(piv) {
-                            *x = 0.0 * p;
-                        }
-                    }
+                for ((x, &b), &p) in x.iter_mut().zip(b).zip(piv) {
+                    *x = b * p;
                 }
                 continue;
             }
             let g = self.gzi[iz - 1];
             let prev = &below[(iz - 1) * MODE_BLOCK..][..len];
-            match b {
-                Some(b) => {
-                    for (((x, &b), &p), &xp) in x.iter_mut().zip(b).zip(piv).zip(prev) {
-                        *x = (b + g * xp) * p;
-                    }
-                }
-                None => {
-                    for ((x, &p), &xp) in x.iter_mut().zip(piv).zip(prev) {
-                        *x = (0.0 + g * xp) * p;
-                    }
-                }
+            for (((x, &b), &p), &xp) in x.iter_mut().zip(b).zip(piv).zip(prev) {
+                *x = (b + g * xp) * p;
             }
         }
         for iz in (0..self.nz.saturating_sub(1)).rev() {
@@ -1310,14 +1299,13 @@ impl<'a> ModalCheck<'a> {
             if let (0, Some((node, _, xb))) = (iz, node) {
                 r[0] += node.coupling * (nx * ny) as f64 * xb;
             }
-            if let Some(b) = spectrum.map(|s| &s[modes.clone()]) {
-                for ((wr, &w), &b) in wr.iter_mut().zip(&*w).zip(b) {
-                    *wr = w * b;
-                }
-                nb += crate::pool::dot_wide(wr, b);
-                for (r, &b) in r.iter_mut().zip(b) {
-                    *r += b;
-                }
+            let b = block_of(*spectrum, modes);
+            for ((wr, &w), &b) in wr.iter_mut().zip(&*w).zip(b) {
+                *wr = w * b;
+            }
+            nb += crate::pool::dot_wide(wr, b);
+            for (r, &b) in r.iter_mut().zip(b) {
+                *r += b;
             }
             for ((wr, &w), &r) in wr.iter_mut().zip(&*w).zip(&*r) {
                 *wr = w * r;

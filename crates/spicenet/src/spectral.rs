@@ -777,10 +777,10 @@ pub enum RhsPlane<'a> {
     /// A plane whose values are all exactly zero is taken as
     /// [`RhsPlane::Zero`] and skips the transforms.
     Values(&'a [f64]),
-    /// A plane already transformed by [`SpectralSystem::spectrum`]: a
-    /// constant Dirichlet plane, say, transformed once per
-    /// factorization instead of once per solve.
-    Spectrum(&'a [f64]),
+    /// One value in every bin: a Dirichlet layer, say. Its rows are
+    /// alike, so one row is transformed and copied to the others. Zero
+    /// is taken as [`RhsPlane::Zero`].
+    Constant(f64),
 }
 
 /// The right-hand side of one [`SpectralSystem::solve`].
@@ -857,27 +857,6 @@ fn tile_to_rows(tile: &[f64], rows: &mut [f64], nx: usize, lanes: usize) {
 }
 
 impl SpectralSystem {
-    /// The spectrum of one plane (`iy·nx + ix` order): the forward row
-    /// then column transforms [`SpectralSystem::solve`] applies to an
-    /// [`RhsPlane::Values`] layer, with the same bits. `None` when every
-    /// value is exactly zero, which the solve takes as no load.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `plane.len() != nx·ny`.
-    pub fn spectrum(&self, plane: &[f64], threads: usize) -> Option<Vec<f64>> {
-        assert_eq!(plane.len(), self.nx * self.ny, "spectral plane length");
-        if plane.iter().all(|&v| exact_zero(v)) {
-            return None;
-        }
-        let mut out = vec![0.0; plane.len()];
-        self.forward(
-            vec![(plane, out.as_mut_slice())],
-            crate::pool::effective_threads(threads),
-        );
-        Some(out)
-    }
-
     /// Direct solve of `sys`, the system this factorization was built
     /// from, for `rhs`, accepted only after a residual check against
     /// `sys`. Returns the layers `planes` names and the border node.
@@ -942,24 +921,25 @@ impl SpectralSystem {
         }
         let team = crate::pool::effective_threads(threads);
 
-        // Stages 1–2: forward transforms of the value layers that carry a
-        // load, into spectra of their own.
+        // Stages 1–2: forward row then column transforms of the layers
+        // that carry a load, into spectra of their own.
         let mut transformed: Vec<Option<Vec<f64>>> = rhs
             .layers
             .iter()
-            .map(|layer| match layer {
+            .map(|layer| match *layer {
                 RhsPlane::Values(p) => {
                     assert_eq!(p.len(), nxy, "spectral rhs plane length");
                     p.iter().any(|&v| !exact_zero(v)).then(|| vec![0.0; nxy])
                 }
-                RhsPlane::Spectrum(s) => {
-                    assert_eq!(s.len(), nxy, "spectral rhs spectrum length");
-                    None
-                }
+                RhsPlane::Constant(c) => (!exact_zero(c)).then(|| {
+                    let mut row = vec![c; nx];
+                    self.plan_x.forward(&mut row, &mut DctScratch::new());
+                    row.repeat(ny)
+                }),
                 RhsPlane::Zero => None,
             })
             .collect();
-        let jobs = rhs
+        let rows = rhs
             .layers
             .iter()
             .zip(&mut transformed)
@@ -968,16 +948,17 @@ impl SpectralSystem {
                 _ => None,
             })
             .collect();
-        self.forward(jobs, team);
-        let spectra: Vec<Option<&[f64]>> = rhs
-            .layers
-            .iter()
-            .zip(&transformed)
-            .map(|(layer, own)| match layer {
-                RhsPlane::Spectrum(s) => Some(*s),
-                _ => own.as_deref(),
-            })
-            .collect();
+        self.row_pass(rows, team);
+        self.column_pass(
+            transformed
+                .iter_mut()
+                .flatten()
+                .map(Vec::as_mut_slice)
+                .collect(),
+            team,
+            false,
+        );
+        let spectra: Vec<Option<&[f64]>> = transformed.iter().map(Option::as_deref).collect();
 
         // Stage 3: one Thomas sweep per mode over every layer, the
         // border fix of mode (0,0) and the check; only the requested
@@ -1014,16 +995,16 @@ impl SpectralSystem {
         ))
     }
 
-    /// Forward row then column DCTs of each `(plane, spectrum)` pair,
-    /// planes in `iy·nx + ix` order. The row pass gathers tiles of
-    /// x-rows; workers own disjoint y-row slabs of every spectrum.
-    fn forward(&self, jobs: Vec<(&[f64], &mut [f64])>, team: usize) {
+    /// Forward row DCTs of each `(plane, spectrum)` pair, planes in
+    /// `iy·nx + ix` order, through transposed tiles of x-rows; workers
+    /// own disjoint y-row slabs of every spectrum.
+    fn row_pass(&self, jobs: Vec<(&[f64], &mut [f64])>, team: usize) {
         let (nx, ny) = (self.nx, self.ny);
-        let (sources, mut spectra): (Vec<&[f64]>, Vec<&mut [f64]>) = jobs.into_iter().unzip();
+        let (sources, spectra): (Vec<&[f64]>, Vec<&mut [f64]>) = jobs.into_iter().unzip();
         let t = team.min(ny);
         let row_bounds = even_bounds(ny, t);
         let elem_bounds: Vec<usize> = row_bounds.iter().map(|r| r * nx).collect();
-        let ctxs = split_planes(spectra.iter_mut().map(|s| &mut **s).collect(), &elem_bounds);
+        let ctxs = split_planes(spectra, &elem_bounds);
         let (plan_x, sources, row_bounds) = (&self.plan_x, &sources, &row_bounds);
         crate::pool::run(ctxs, move |w, mut slabs: Vec<&mut [f64]>| {
             let mut scratch = DctScratch::new();
@@ -1040,7 +1021,6 @@ impl SpectralSystem {
                 }
             }
         });
-        self.column_pass(spectra, team, false);
     }
 
     /// The per-mode Thomas sweeps and the mode-space check of their
@@ -1589,7 +1569,7 @@ mod tests {
         // Each stack is loaded the way a thermal model loads it: a
         // power plane on one layer (built from its Dirichlet value plus
         // the watts, as `rhs_with` adds them) and every other layer's
-        // constant Dirichlet plane as a spectrum transformed once. The
+        // Dirichlet value as a constant layer. The
         // active layer alone must carry the bits of the whole-field
         // solve of the assembled right-hand side, with the same check,
         // at every thread count: even, odd (Bluestein), nx≠ny and 1×n
@@ -1604,15 +1584,6 @@ mod tests {
                     let sp = SpectralSystem::from_stencil(&sys).unwrap();
                     let fixed = sys.fixed_rhs();
                     for active in [0, nz / 2, nz - 1] {
-                        let dirichlet: Vec<Option<Vec<f64>>> = fixed
-                            .iter()
-                            .enumerate()
-                            .map(|(iz, &c)| {
-                                (iz != active)
-                                    .then(|| sp.spectrum(&vec![c; nx * ny], 1))
-                                    .flatten()
-                            })
-                            .collect();
                         for hashed in [true, false] {
                             let watts: Vec<f64> = (0..nx * ny)
                                 .map(|bin| {
@@ -1640,13 +1611,15 @@ mod tests {
                                 })
                                 .collect();
                             let rhs = SpectralRhs {
-                                layers: dirichlet
+                                layers: fixed
                                     .iter()
                                     .enumerate()
-                                    .map(|(iz, s)| match s {
-                                        _ if iz == active => RhsPlane::Values(&plane),
-                                        Some(s) => RhsPlane::Spectrum(s),
-                                        None => RhsPlane::Zero,
+                                    .map(|(iz, &c)| {
+                                        if iz == active {
+                                            RhsPlane::Values(&plane)
+                                        } else {
+                                            RhsPlane::Constant(c)
+                                        }
                                     })
                                     .collect(),
                                 border: sys.border_rhs(),

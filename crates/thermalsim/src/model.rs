@@ -20,10 +20,10 @@
 //!   hundred bytes), which [`spicenet::SpectralSystem::from_stencil`]
 //!   factors at every mesh size: one cosine transform per lateral axis
 //!   plus a Thomas sweep per lateral mode. An answer reads only the
-//!   active layer, so a solve transforms only that layer's power plane
-//!   forward (the constant Dirichlet layers' spectra are transformed
-//!   once, here) and only that layer back. A 128×128×9 model holds
-//!   ~1.2 MiB, nearly all of it Thomas pivots.
+//!   active layer, so a solve transforms forward only that layer's
+//!   power plane and the constant Dirichlet layers (one row each), and
+//!   only the active layer back. A 128×128×9 model holds ~1.2 MiB,
+//!   nearly all of it Thomas pivots.
 //!
 //!   Every solve is checked in mode space before it is accepted: the
 //!   residual `‖b̂ − Â·x̂‖/‖b̂‖` of every mode and layer against the
@@ -55,51 +55,23 @@ use spicenet::{
 use crate::network::{build_circuit, build_stencil, validate_power};
 use crate::{GridSpec, SolverKind, ThermalConfig, ThermalError, ThermalMap};
 
-/// The spectral backend: the direct factorization, the layered system
-/// its residual check runs against, and the spectra of the constant
-/// Dirichlet layers.
+/// The spectral backend: the direct factorization plus the layered
+/// system its residual check runs against.
 #[derive(Debug)]
 struct SpectralModel {
     spectral: SpectralSystem,
     system: StencilSystem,
-    /// Per layer, the spectrum of its constant Dirichlet plane (the
-    /// ambient folded in through the top face, and through the bottom
-    /// face without a package node), transformed once here instead of
-    /// once per solve. `None` for a zero plane and for the active
-    /// layer, whose plane each solve builds from the power map.
-    dirichlet: Vec<Option<Vec<f64>>>,
     /// Power-dissipating layer index.
     active_layer: usize,
 }
 
 impl SpectralModel {
-    /// Factors `system`, or `None` when a mode's pivot is not positive.
-    fn build(system: StencilSystem, active_layer: usize, threads: usize) -> Option<Self> {
-        let spectral = SpectralSystem::from_stencil(&system)?;
-        let (nx, ny, _) = system.dims();
-        let dirichlet = system
-            .fixed_rhs()
-            .iter()
-            .enumerate()
-            .map(|(iz, &fixed)| {
-                (iz != active_layer)
-                    .then(|| spectral.spectrum(&vec![fixed; nx * ny], threads))
-                    .flatten()
-            })
-            .collect();
-        Some(SpectralModel {
-            spectral,
-            system,
-            dirichlet,
-            active_layer,
-        })
-    }
-
     /// The verified solve of one power map: the active layer's field in
     /// `iy·nx + ix` order. Only that layer is transformed back; its
     /// right-hand side comes straight from the power grid, the layer's
     /// Dirichlet value plus the watts of every powered bin, as
-    /// [`StencilSystem::rhs_with`] adds them.
+    /// [`StencilSystem::rhs_with`] adds them, and every other layer
+    /// carries its constant Dirichlet value.
     fn solve(
         &self,
         power: &Grid2d<f64>,
@@ -107,20 +79,27 @@ impl SpectralModel {
         threads: usize,
     ) -> Result<(Vec<f64>, SolveStats), SolveError> {
         let active = self.active_layer;
-        let fixed = self.system.fixed_rhs()[active];
+        let fixed = self.system.fixed_rhs();
         let plane: Vec<f64> = power
             .values()
             .iter()
-            .map(|&watts| if watts > 0.0 { fixed + watts } else { fixed })
+            .map(|&watts| {
+                if watts > 0.0 {
+                    fixed[active] + watts
+                } else {
+                    fixed[active]
+                }
+            })
             .collect();
-        let layers = self
-            .dirichlet
+        let layers = fixed
             .iter()
             .enumerate()
-            .map(|(iz, spectrum)| match spectrum {
-                _ if iz == active => RhsPlane::Values(&plane),
-                Some(s) => RhsPlane::Spectrum(s),
-                None => RhsPlane::Zero,
+            .map(|(iz, &c)| {
+                if iz == active {
+                    RhsPlane::Values(&plane)
+                } else {
+                    RhsPlane::Constant(c)
+                }
             })
             .collect();
         let rhs = SpectralRhs {
@@ -270,11 +249,14 @@ impl FactorizedThermalModel {
     pub fn build(config: &ThermalConfig, die: Rect) -> Result<Self, ThermalError> {
         let GridSpec { nx, ny } = config.grid;
         let spectral = match config.solver {
-            SolverKind::Auto => SpectralModel::build(
-                build_stencil(nx, ny, die, &config.stack),
-                config.stack.active_layer(),
-                config.threads,
-            ),
+            SolverKind::Auto => {
+                let system = build_stencil(nx, ny, die, &config.stack);
+                SpectralSystem::from_stencil(&system).map(|spectral| SpectralModel {
+                    spectral,
+                    system,
+                    active_layer: config.stack.active_layer(),
+                })
+            }
             SolverKind::Csr => None,
         };
         let backend = match spectral {
@@ -608,8 +590,8 @@ mod tests {
     #[test]
     fn active_layer_answers_are_bitwise_the_whole_fields_active_layer() {
         // The model transforms back only the active layer, builds its
-        // right-hand side from the power grid and reads the Dirichlet
-        // layers' spectra from the factorization. Its answers must carry
+        // right-hand side from the power grid and transforms one row of
+        // each constant Dirichlet layer. Its answers must carry
         // the bits of the whole-field solve of the assembled right-hand
         // side: even, odd (Bluestein), nx≠ny and 1×n meshes; stacks with
         // and without a package node (border node); one layer; the

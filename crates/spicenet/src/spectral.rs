@@ -863,8 +863,9 @@ impl SpectralSystem {
     ///
     /// The pipeline runs in slab-parallel stages over the shared `pool`
     /// worker teams: forward row then column DCTs of the layers of
-    /// `rhs` given as values, one Thomas sweep per `(kx, ky)` mode over
-    /// every layer, the sequential border fix of mode `(0, 0)`, the
+    /// `rhs` that carry a load (a constant layer's rows share one
+    /// transformed row), one Thomas sweep per `(kx, ky)` mode over every
+    /// layer, the border fix of mode `(0, 0)`, the
     /// check, and inverse column then row DCTs of the requested layers
     /// only. A layer without a load keeps a spectrum of `0.0`, which
     /// can differ from a transformed zero plane only in the sign of a

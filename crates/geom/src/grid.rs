@@ -48,6 +48,28 @@ impl<T: Clone> Grid2d<T> {
 }
 
 impl<T> Grid2d<T> {
+    /// Wraps `values`, in `iy·nx + ix` order, as a grid of `nx`×`ny`
+    /// bins covering `extent`, without copying them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nx` or `ny` is zero, the extent is degenerate or
+    /// `values` does not hold `nx·ny` entries.
+    pub fn from_values(nx: usize, ny: usize, extent: Rect, values: Vec<T>) -> Self {
+        assert!(nx > 0 && ny > 0, "grid must have at least one bin per axis");
+        assert!(
+            extent.width() > 0.0 && extent.height() > 0.0,
+            "grid extent must have positive area"
+        );
+        assert_eq!(values.len(), nx * ny, "grid values must fill every bin");
+        Grid2d {
+            nx,
+            ny,
+            extent,
+            data: values,
+        }
+    }
+
     /// Number of bins along x.
     pub fn nx(&self) -> usize {
         self.nx

@@ -22,6 +22,13 @@
 //! back; the per-mode sweeps still solve every layer, and a mode-space
 //! residual checks them against the stencil's coefficients.
 //!
+//! A solve's buffers — the spectra of the loaded layers, the FFT
+//! scratch, the row tiles and the sweep blocks — live in a per-thread
+//! workspace and are reused by the thread's next solve, so a solve
+//! allocates only the planes it returns: plane-sized buffers allocated
+//! per solve cost whatever the allocator's state makes them (a mapping,
+//! a trim, page faults), which depends on the process's history.
+//!
 //! Everything here is dependency-free and, like [`crate::pool::dot_wide`],
 //! uses a fixed, shape-pure butterfly/summation order: each lane of a
 //! batch runs the same scalar operations in the same order as a lone
@@ -31,6 +38,7 @@
 //! contract is load-bearing — `Flow::content_key` and the coolserved
 //! disk cache key results by solved bits.
 
+use std::cell::RefCell;
 use std::ops::Range;
 
 use crate::stencil::StencilSystem;
@@ -45,6 +53,63 @@ const ROW_TILE: usize = 16;
 /// [`SpectralSystem::solve`]: a block's spectrum, pivots and field stay
 /// cache-resident from the forward sweep to its residual.
 const MODE_BLOCK: usize = 512;
+
+/// Spectrum planes a thread's [`Workspace`] keeps between solves:
+/// enough for the loaded layers of a thermal solve (its active layer
+/// and the Dirichlet layer above it) with room to spare.
+const POOLED_PLANES: usize = 4;
+
+/// The buffers [`SpectralSystem::solve`] reuses on one thread. Each
+/// stage worker borrows its thread's workspace for the stage; worker 0
+/// runs on the calling thread, so a single-threaded solve allocates
+/// nothing here once the thread has run a solve of its size.
+#[derive(Default)]
+struct Workspace {
+    dct: DctScratch,
+    /// A row tile or a sweep block with its check scratch.
+    buf: Vec<f64>,
+    /// Spectrum planes given back by earlier solves.
+    planes: Vec<Vec<f64>>,
+}
+
+thread_local! {
+    static WORKSPACE: RefCell<Workspace> = RefCell::new(Workspace::default());
+}
+
+/// Runs `f` on this thread's FFT scratch and a zeroed buffer of `len`
+/// values.
+fn with_workspace<R>(len: usize, f: impl FnOnce(&mut DctScratch, &mut [f64]) -> R) -> R {
+    WORKSPACE.with_borrow_mut(|ws| {
+        if ws.buf.len() < len {
+            ws.buf.resize(len, 0.0);
+        }
+        let buf = &mut ws.buf[..len];
+        buf.fill(0.0);
+        f(&mut ws.dct, buf)
+    })
+}
+
+/// A zeroed plane of `len` values, from this thread's pool when it has
+/// one.
+fn take_plane(len: usize) -> Vec<f64> {
+    let mut plane = WORKSPACE
+        .with_borrow_mut(|ws| ws.planes.pop())
+        .unwrap_or_default();
+    plane.clear();
+    plane.resize(len, 0.0);
+    plane
+}
+
+/// Gives `planes` back to this thread's pool, up to [`POOLED_PLANES`].
+fn give_planes(planes: impl IntoIterator<Item = Vec<f64>>) {
+    WORKSPACE.with_borrow_mut(|ws| {
+        for plane in planes {
+            if ws.planes.len() < POOLED_PLANES {
+                ws.planes.push(plane);
+            }
+        }
+    });
+}
 
 /// The spectrum of a zero layer over one block of modes.
 static ZERO_BLOCK: [f64; MODE_BLOCK] = [0.0; MODE_BLOCK];
@@ -930,12 +995,17 @@ impl SpectralSystem {
             .map(|layer| match *layer {
                 RhsPlane::Values(p) => {
                     assert_eq!(p.len(), nxy, "spectral rhs plane length");
-                    p.iter().any(|&v| !exact_zero(v)).then(|| vec![0.0; nxy])
+                    p.iter().any(|&v| !exact_zero(v)).then(|| take_plane(nxy))
                 }
                 RhsPlane::Constant(c) => (!exact_zero(c)).then(|| {
-                    let mut row = vec![c; nx];
-                    self.plan_x.forward(&mut row, &mut DctScratch::new());
-                    row.repeat(ny)
+                    let mut plane = take_plane(nxy);
+                    let (row, rest) = plane.split_at_mut(nx);
+                    row.fill(c);
+                    with_workspace(0, |s, _| self.plan_x.forward(row, s));
+                    for other in rest.chunks_exact_mut(nx) {
+                        other.copy_from_slice(row);
+                    }
+                    plane
                 }),
                 RhsPlane::Zero => None,
             })
@@ -968,6 +1038,7 @@ impl SpectralSystem {
             .map(|iz| planes.contains(iz).then(|| vec![0.0; nxy]))
             .collect();
         let (xb, residual) = self.sweep_and_check(sys, &spectra, rhs.border, &mut kept, team);
+        give_planes(transformed.into_iter().flatten());
         if !(residual.is_finite() && residual <= tolerance) {
             return Err(SolveError::NotConverged {
                 iterations: 1,
@@ -1008,19 +1079,19 @@ impl SpectralSystem {
         let ctxs = split_planes(spectra, &elem_bounds);
         let (plan_x, sources, row_bounds) = (&self.plan_x, &sources, &row_bounds);
         crate::pool::run(ctxs, move |w, mut slabs: Vec<&mut [f64]>| {
-            let mut scratch = DctScratch::new();
-            let mut tile = vec![0.0; nx * ROW_TILE];
-            let y0 = row_bounds[w];
-            let rows = row_bounds[w + 1] - y0;
-            for (source, slab) in sources.iter().zip(&mut slabs) {
-                for r0 in (0..rows).step_by(ROW_TILE) {
-                    let lanes = ROW_TILE.min(rows - r0);
-                    let tile = &mut tile[..nx * lanes];
-                    rows_to_tile(&source[(y0 + r0) * nx..], tile, nx, lanes);
-                    plan_x.forward_lanes(tile, lanes, &mut scratch);
-                    tile_to_rows(tile, &mut slab[r0 * nx..], nx, lanes);
+            with_workspace(nx * ROW_TILE, |scratch, tile| {
+                let y0 = row_bounds[w];
+                let rows = row_bounds[w + 1] - y0;
+                for (source, slab) in sources.iter().zip(&mut slabs) {
+                    for r0 in (0..rows).step_by(ROW_TILE) {
+                        let lanes = ROW_TILE.min(rows - r0);
+                        let tile = &mut tile[..nx * lanes];
+                        rows_to_tile(&source[(y0 + r0) * nx..], tile, nx, lanes);
+                        plan_x.forward_lanes(tile, lanes, scratch);
+                        tile_to_rows(tile, &mut slab[r0 * nx..], nx, lanes);
+                    }
                 }
-            }
+            })
         });
     }
 
@@ -1061,32 +1132,34 @@ impl SpectralSystem {
         let check = ModalCheck::of(sys);
         let (check, bounds, layers) = (&check, &bounds, &layers);
         let parts = crate::pool::run(ctxs, move |w, mut slabs: Vec<&mut [f64]>| {
-            let mut x = vec![0.0; nz * MODE_BLOCK];
-            let mut scratch = vec![0.0; 5 * MODE_BLOCK];
-            let mut sums = Vec::new();
-            let mut xb = None;
-            let (start, end) = (bounds[w], bounds[w + 1]);
-            for m0 in (start..end).step_by(MODE_BLOCK) {
-                let modes = m0..(m0 + MODE_BLOCK).min(end);
-                self.sweep_block(spectra, &mut x, &modes);
-                let mut border = None;
-                if let (0, Some(lu), Some(b)) = (m0, &self.border, b_border) {
-                    let mut v: Vec<f64> = spectra.iter().map(|s| s.map_or(0.0, |s| s[0])).collect();
-                    v.push(b);
-                    lu.lu.solve(&mut v);
-                    for (layer, &v) in x.chunks_exact_mut(MODE_BLOCK).zip(&v) {
-                        layer[0] = v;
+            with_workspace((nz + 5) * MODE_BLOCK, |_, buf| {
+                let (x, scratch) = buf.split_at_mut(nz * MODE_BLOCK);
+                let mut sums = Vec::new();
+                let mut xb = None;
+                let (start, end) = (bounds[w], bounds[w + 1]);
+                for m0 in (start..end).step_by(MODE_BLOCK) {
+                    let modes = m0..(m0 + MODE_BLOCK).min(end);
+                    self.sweep_block(spectra, x, &modes);
+                    let mut border = None;
+                    if let (0, Some(lu), Some(b)) = (m0, &self.border, b_border) {
+                        let mut v: Vec<f64> =
+                            spectra.iter().map(|s| s.map_or(0.0, |s| s[0])).collect();
+                        v.push(b);
+                        lu.lu.solve(&mut v);
+                        for (layer, &v) in x.chunks_exact_mut(MODE_BLOCK).zip(&v) {
+                            layer[0] = v;
+                        }
+                        xb = Some(v[nz]);
+                        border = Some((b, v[nz]));
                     }
-                    xb = Some(v[nz]);
-                    border = Some((b, v[nz]));
+                    sums.push(check.block(spectra, x, &modes, border, scratch));
+                    let local = modes.start - start..modes.end - start;
+                    for (slab, &iz) in slabs.iter_mut().zip(layers) {
+                        slab[local.clone()].copy_from_slice(&x[iz * MODE_BLOCK..][..modes.len()]);
+                    }
                 }
-                sums.push(check.block(spectra, &x, &modes, border, &mut scratch));
-                let local = modes.start - start..modes.end - start;
-                for (slab, &iz) in slabs.iter_mut().zip(layers) {
-                    slab[local.clone()].copy_from_slice(&x[iz * MODE_BLOCK..][..modes.len()]);
-                }
-            }
-            (xb, sums)
+                (xb, sums)
+            })
         });
         let (mut nb, mut nr) = (0.0, 0.0);
         let mut xb = None;
@@ -1151,18 +1224,18 @@ impl SpectralSystem {
         let ctxs = split_planes(planes, &elem_bounds);
         let (plan_x, row_bounds) = (&self.plan_x, &row_bounds);
         crate::pool::run(ctxs, move |w, mut slabs: Vec<&mut [f64]>| {
-            let mut scratch = DctScratch::new();
-            let mut tile = vec![0.0; nx * ROW_TILE];
-            let rows = row_bounds[w + 1] - row_bounds[w];
-            for slab in &mut slabs {
-                for r0 in (0..rows).step_by(ROW_TILE) {
-                    let lanes = ROW_TILE.min(rows - r0);
-                    let tile = &mut tile[..nx * lanes];
-                    rows_to_tile(&slab[r0 * nx..], tile, nx, lanes);
-                    plan_x.inverse_lanes(tile, lanes, &mut scratch);
-                    tile_to_rows(tile, &mut slab[r0 * nx..], nx, lanes);
+            with_workspace(nx * ROW_TILE, |scratch, tile| {
+                let rows = row_bounds[w + 1] - row_bounds[w];
+                for slab in &mut slabs {
+                    for r0 in (0..rows).step_by(ROW_TILE) {
+                        let lanes = ROW_TILE.min(rows - r0);
+                        let tile = &mut tile[..nx * lanes];
+                        rows_to_tile(&slab[r0 * nx..], tile, nx, lanes);
+                        plan_x.inverse_lanes(tile, lanes, scratch);
+                        tile_to_rows(tile, &mut slab[r0 * nx..], nx, lanes);
+                    }
                 }
-            }
+            })
         });
     }
 
@@ -1176,14 +1249,15 @@ impl SpectralSystem {
         let chunks = split_slices(&mut planes, &bounds);
         let (plan_y, nx) = (&self.plan_y, self.nx);
         crate::pool::run(chunks, move |_w, chunk: &mut [&mut [f64]]| {
-            let mut scratch = DctScratch::new();
-            for plane in chunk.iter_mut() {
-                if inverse {
-                    plan_y.inverse_lanes(plane, nx, &mut scratch);
-                } else {
-                    plan_y.forward_lanes(plane, nx, &mut scratch);
+            with_workspace(0, |scratch, _| {
+                for plane in chunk.iter_mut() {
+                    if inverse {
+                        plan_y.inverse_lanes(plane, nx, scratch);
+                    } else {
+                        plan_y.forward_lanes(plane, nx, scratch);
+                    }
                 }
-            }
+            })
         });
     }
 }
@@ -1669,6 +1743,65 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The bits of a one-layer solve of a 4-layer stack, layer 1 loaded
+    /// with noise and the others with their Dirichlet constants, and of
+    /// its residual.
+    fn one_plane_bits(nx: usize, ny: usize) -> Vec<u64> {
+        let sys = stack(nx, ny, 4, 157.0);
+        let sp = SpectralSystem::from_stencil(&sys).unwrap();
+        let plane: Vec<f64> = (0..nx * ny).map(|bin| noise(bin + 11)).collect();
+        let rhs = SpectralRhs {
+            layers: sys
+                .fixed_rhs()
+                .iter()
+                .enumerate()
+                .map(|(iz, &c)| {
+                    if iz == 1 {
+                        RhsPlane::Values(&plane)
+                    } else {
+                        RhsPlane::Constant(c)
+                    }
+                })
+                .collect(),
+            border: sys.border_rhs(),
+        };
+        let (field, stats) = sp.solve(&sys, &rhs, Planes::One(1), 1e-9, 1).unwrap();
+        let mut bits: Vec<u64> = field
+            .plane(1)
+            .unwrap()
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
+        bits.push(stats.relative_residual.to_bits());
+        bits
+    }
+
+    #[test]
+    fn reused_workspaces_carry_nothing_between_solves() {
+        // A thread keeps its solve buffers for its next solve. A solve on
+        // a thread whose buffers were last filled by larger, odd
+        // (Bluestein) and whole-field solves must carry the bits of the
+        // same solve on a fresh thread.
+        let fresh = std::thread::spawn(|| one_plane_bits(12, 10))
+            .join()
+            .unwrap();
+        let reused = std::thread::spawn(|| {
+            one_plane_bits(32, 24);
+            one_plane_bits(25, 21);
+            let sys = stack(16, 16, 4, 0.0);
+            let rhs: Vec<f64> = (0..sys.unknowns()).map(|i| noise(i + 5)).collect();
+            let (whole, _) = SpectralSystem::from_stencil(&sys)
+                .unwrap()
+                .solve_stencil_order(&sys, &rhs, 1e-9, 1)
+                .unwrap();
+            assert_eq!(whole.len(), sys.unknowns());
+            one_plane_bits(12, 10)
+        })
+        .join()
+        .unwrap();
+        assert_eq!(reused, fresh, "a solve read what an earlier one left");
     }
 
     /// Each lane of a batched forward and inverse transform of length

@@ -44,6 +44,7 @@
 //!   need), and the cross-check oracle the property tests pin the
 //!   spectral path against (≤ 1e-6 K).
 
+use std::cell::RefCell;
 use std::sync::OnceLock;
 
 use geom::{Grid2d, Rect};
@@ -54,6 +55,12 @@ use spicenet::{
 
 use crate::network::{build_circuit, build_stencil, validate_power};
 use crate::{GridSpec, SolverKind, ThermalConfig, ThermalError, ThermalMap};
+
+thread_local! {
+    /// The active layer's right-hand side, reused by the thread's next
+    /// spectral solve rather than allocated per solve.
+    static ACTIVE_RHS: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+}
 
 /// The spectral backend: the direct factorization plus the layered
 /// system its residual check runs against.
@@ -80,35 +87,33 @@ impl SpectralModel {
     ) -> Result<(Vec<f64>, SolveStats), SolveError> {
         let active = self.active_layer;
         let fixed = self.system.fixed_rhs();
-        let plane: Vec<f64> = power
-            .values()
-            .iter()
-            .map(|&watts| {
+        let (field, stats) = ACTIVE_RHS.with_borrow_mut(|plane| {
+            plane.clear();
+            plane.extend(power.values().iter().map(|&watts| {
                 if watts > 0.0 {
                     fixed[active] + watts
                 } else {
                     fixed[active]
                 }
-            })
-            .collect();
-        let layers = fixed
-            .iter()
-            .enumerate()
-            .map(|(iz, &c)| {
-                if iz == active {
-                    RhsPlane::Values(&plane)
-                } else {
-                    RhsPlane::Constant(c)
-                }
-            })
-            .collect();
-        let rhs = SpectralRhs {
-            layers,
-            border: self.system.border_rhs(),
-        };
-        let (field, stats) =
+            }));
+            let layers = fixed
+                .iter()
+                .enumerate()
+                .map(|(iz, &c)| {
+                    if iz == active {
+                        RhsPlane::Values(plane)
+                    } else {
+                        RhsPlane::Constant(c)
+                    }
+                })
+                .collect();
+            let rhs = SpectralRhs {
+                layers,
+                border: self.system.border_rhs(),
+            };
             self.spectral
-                .solve(&self.system, &rhs, Planes::One(active), tolerance, threads)?;
+                .solve(&self.system, &rhs, Planes::One(active), tolerance, threads)
+        })?;
         let temps = field.into_plane(active).unwrap_or_default();
         #[cfg(feature = "paranoid")]
         {
@@ -337,18 +342,19 @@ impl FactorizedThermalModel {
     ) -> Result<(ThermalMap, SolveStats), ThermalError> {
         let GridSpec { nx, ny } = self.config.grid;
         validate_power(nx, ny, power)?;
-        let mut grid = Grid2d::new(nx, ny, self.die, 0.0);
-        let stats = match &self.backend {
+        let csr = |m: &CsrModel| -> Result<_, ThermalError> {
+            let mut grid = Grid2d::new(nx, ny, self.die, 0.0);
+            let stats = m.solve_into(power, &mut grid)?;
+            Ok((grid, stats))
+        };
+        let (grid, stats) = match &self.backend {
             Backend::Spectral(m) => {
                 match m.solve(power, self.config.tolerance, self.config.threads) {
-                    Ok((temps, stats)) => {
-                        grid.values_mut().copy_from_slice(&temps);
-                        stats
-                    }
-                    Err(_) => self.csr_fallback()?.solve_into(power, &mut grid)?,
+                    Ok((temps, stats)) => (Grid2d::from_values(nx, ny, self.die, temps), stats),
+                    Err(_) => csr(self.csr_fallback()?)?,
                 }
             }
-            Backend::Csr(m) => m.solve_into(power, &mut grid)?,
+            Backend::Csr(m) => csr(m)?,
         };
         #[cfg(feature = "paranoid")]
         Self::check_rise_field(

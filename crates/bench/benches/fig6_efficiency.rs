@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let mut rows_out = Vec::new();
     for &(ovh_pct, p_def, p_eri, p_hw) in FIG6_PAPER {
-        let (def, eri, hw) = run_triple(&flow, ovh_pct / 100.0);
+        let (def, eri, hw) = run_triple(&flow, ovh_pct / 100.0)?;
         println!(
             "{:>8.1}% | {:>13.2} ({:>5.1}) | {:>13.2} ({:>5.1}) | {:>13.2} ({:>5.1})",
             ovh_pct,

@@ -1,8 +1,8 @@
 //! **SWEEP** — the machine-readable bench pipeline behind
 //! `BENCH_sweep.json`.
 //!
-//! Runs a scenario grid through the parallel sweep engine and emits a
-//! stable-schema JSON document with per-scenario results and
+//! Runs a scenario grid through a memory-only `coolserved` service and
+//! emits a stable-schema JSON document with per-scenario results and
 //! wall-clocks, plus per-section solver, optimizer and service
 //! measurements. Every gated quantity is a within-run ratio or an exact
 //! count, so it is comparable across machines, which is what lets CI
@@ -13,7 +13,7 @@
 //! multigrid path against the CSR + MIC(0) oracle across meshes (20/40
 //! smoke, up to 128 full), with fitted time-vs-unknowns scaling
 //! exponents — plus a large-mesh scenario band (80×80, 128×128,
-//! engine-only) in `records[]`. CI gates on the 40×40×9 structured
+//! full mode only) in `records[]`. CI gates on the 40×40×9 structured
 //! speedup (≥ 1.5×) and oracle drift (≤ 1e-6 K).
 //!
 //! Schema version 4 adds the `optimizer` section — the strategy-engine
@@ -30,16 +30,16 @@
 //! mixed batch of typed requests cold and then warm from cache, with
 //! warm answers verified bit-identical to their cold solves. CI gates
 //! the warm-over-cold per-request ratio (≥ 3×) and forbids warm passes
-//! from falling back to cold solves. The engine legs of the bench now
-//! run through the typed request API (`SweepGrid::requests` +
-//! `run_requests`) instead of the deprecated `run_sweep` facade.
+//! from falling back to cold solves. The grid legs of the bench run
+//! through the typed request API: `SweepGrid::requests`, submitted to
+//! `coolserved::serve`.
 //!
 //! Schema version 6 adds the `solver_threads` section — the threaded
 //! slab-parallel V-cycle kernels against their own single-thread run at
 //! 128×128 and 256×256 (64/128 in smoke mode), recording the host's
 //! hardware thread count so CI can condition the speedup floor on it —
-//! plus an xlarge scenario band (256×256, 512×512, full mode,
-//! engine-only, thread budget spent inside each solve). CI gates the
+//! plus an xlarge scenario band (256×256, 512×512, full mode, one
+//! service worker, thread budget spent inside each solve). CI gates the
 //! 256×256 speedup (≥ 2× at 4 threads, multi-core hosts only) and,
 //! unconditionally, zero bit-drift between thread counts.
 //!
@@ -107,10 +107,10 @@ use coolserved::{serve, JobRecord, ResultSource, ServiceConfig, ServiceHandle};
 use geom::{Grid2d, Rect};
 use logicsim::{Simulator, Workload};
 use postplace::{
-    default_threads, detect_hotspots, hotspot_wrapper, run_requests, split_hotspots_by_regions,
-    wrap_regions, Flow, FlowConfig, FlowReport, HotspotConfig, OptimizeConfig, OptimizeRequest,
-    PlacementTransform, Scenario, Strategy, SweepGrid, TransformContext, TransformRegistry,
-    TransformState, UniformSlackTransform, WorkloadSpec,
+    detect_hotspots, hotspot_wrapper, split_hotspots_by_regions, wrap_regions, Flow, FlowConfig,
+    FlowReport, HotspotConfig, OptimizeConfig, OptimizeRequest, PlacementTransform, Scenario,
+    Strategy, SweepGrid, TransformContext, TransformRegistry, TransformState,
+    UniformSlackTransform, WorkloadSpec,
 };
 use thermalsim::{FactorizedThermalModel, SolverKind, ThermalConfig};
 
@@ -170,10 +170,15 @@ struct Args {
     check: Option<PathBuf>,
 }
 
+/// The host's hardware threads (1 if it cannot be queried).
+fn hw_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 fn parse_args() -> Args {
     let mut args = Args {
         smoke: false,
-        threads: default_threads(),
+        threads: hw_threads(),
         out: from_workspace_root("BENCH_sweep.json"),
         check: None,
     };
@@ -269,67 +274,80 @@ fn build_large_grid() -> SweepGrid {
         .row_counts([8])
 }
 
-/// One engine-evaluated scenario: the grid cell, its flow report and its
-/// wall-clock cost, recovered from the typed batch response.
+/// One served scenario: the grid cell, its flow report and its job's
+/// wall-clock.
 struct EngineResult {
     scenario: Scenario,
     report: FlowReport,
     wall_ms: f64,
 }
 
-/// One engine leg of the bench, through the typed request API.
+/// One grid leg of the bench.
 struct EngineRun {
     results: Vec<EngineResult>,
-    threads: usize,
-    flows_built: usize,
+    flows_built: u64,
     wall_ms: f64,
 }
 
-/// Runs a grid through the engine the way an external client does:
-/// expand the grid into typed
-/// [`OptimizeRequest`]s, dispatch the batch via [`run_requests`], and
-/// zip the responses back onto their scenarios (both sides share the
-/// grid's expansion order).
-fn run_engine(grid: &SweepGrid, threads: usize) -> Result<EngineRun, String> {
+/// Runs a grid the way an external client does: expand it into typed
+/// [`OptimizeRequest`]s, submit them all to a memory-only [`serve`] with
+/// `workers` workers and `solver_threads` threads per solve (0 = the
+/// service's auto split), and wait on each job in submission order, so
+/// the answers zip back onto the grid's scenarios. A failed job fails
+/// the leg, naming its scenario.
+fn run_engine(
+    grid: &SweepGrid,
+    workers: usize,
+    solver_threads: usize,
+) -> Result<EngineRun, String> {
     let requests = grid.requests().map_err(|e| e.to_string())?;
-    let batch = run_requests(&grid.base, &requests, threads).map_err(|e| e.to_string())?;
-    let results =
-        grid.scenarios()
+    let config = ServiceConfig::new(grid.base.clone())
+        .workers(workers)
+        .solver_threads(solver_threads);
+    let started = Instant::now();
+    let (results, flows_built) = serve(config, |service| {
+        let ids: Vec<_> = requests.into_iter().map(|r| service.submit(r)).collect();
+        let results = grid
+            .scenarios()
             .into_iter()
-            .zip(batch.outcomes)
-            .map(|(scenario, outcome)| {
+            .zip(ids)
+            .map(|(scenario, id)| {
+                let label = scenario.label();
+                let record = service
+                    .wait(id)
+                    .map_err(|e| format!("scenario `{label}` failed: {e}"))?;
                 // Every grid scenario is a single-report goal (strategy or
                 // transform), so a report-less response is a wiring bug.
-                let report =
-                    outcome.response.report().cloned().ok_or_else(|| {
-                        format!("scenario `{}` returned no report", scenario.label())
-                    })?;
+                let report = record
+                    .response
+                    .report()
+                    .cloned()
+                    .ok_or_else(|| format!("scenario `{label}` returned no report"))?;
                 Ok(EngineResult {
                     scenario,
                     report,
-                    wall_ms: outcome.wall_ms,
+                    wall_ms: record.wall_ms,
                 })
             })
-            .collect::<Result<Vec<_>, String>>()?;
+            .collect::<Result<Vec<_>, String>>();
+        (results, service.stats().flows_built)
+    });
     Ok(EngineRun {
-        results,
-        threads: batch.threads,
-        flows_built: batch.flows_built,
-        wall_ms: batch.wall_ms,
+        results: results?,
+        flows_built,
+        wall_ms: started.elapsed().as_secs_f64() * 1e3,
     })
 }
 
 /// The xlarge scenario band (full mode only): the 256×256 and 512×512
 /// resolutions. One workload, one strategy — at ~600k–2.4M unknowns per
 /// solve the point is that the band completes at all, not grid
-/// coverage. Run with a single engine worker and the thread budget
+/// coverage. It is served by a single worker with the thread budget
 /// spent *inside* each solve instead of across scenarios: two scenarios
 /// offer no batch parallelism worth having, while the threaded spectral
 /// stages scale with the mesh.
-fn build_xlarge_grid(threads: usize) -> SweepGrid {
-    let mut base = FlowConfig::scattered_small().fast();
-    base.thermal.threads = threads;
-    SweepGrid::new(base)
+fn build_xlarge_grid() -> SweepGrid {
+    SweepGrid::new(FlowConfig::scattered_small().fast())
         .workload("concentrated", concentrated())
         .meshes([(256, 256), (512, 512)])
         .strategy(Strategy::UniformSlack {
@@ -504,9 +522,7 @@ fn time_threaded(
 /// every thread count produce the *same bits*, which the content-keyed
 /// result caches assume — any nonzero drift fails CI on any machine.
 fn run_solver_threads(threads: usize, smoke: bool) -> Result<Json, String> {
-    let hw_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let hw_threads = hw_threads();
     // Even a `--threads 1` run must exercise the threaded path.
     let threads = threads.max(2);
     let meshes: &[usize] = if smoke { &[64, 128] } else { &[128, 256] };
@@ -944,20 +960,20 @@ fn main() -> ExitCode {
         grid.scenario_count(),
         args.threads
     );
-    let sweep = match run_engine(&grid, args.threads) {
+    let sweep = match run_engine(&grid, args.threads, 0) {
         Ok(r) => r,
         Err(e) => {
-            eprintln!("sweep engine failed: {e}");
+            eprintln!("sweep grid failed: {e}");
             return ExitCode::FAILURE;
         }
     };
     println!(
-        "engine {:.0} ms across {} flows",
+        "grid served in {:.0} ms across {} flows",
         sweep.wall_ms, sweep.flows_built
     );
 
     // The large-mesh band (full mode only): the resolutions the
-    // structured solver opened up, evaluated through the engine alone.
+    // spectral solver opened up.
     let large_results = if args.smoke {
         Vec::new()
     } else {
@@ -966,7 +982,7 @@ fn main() -> ExitCode {
             "large-mesh band: {} scenarios at 80x80 / 128x128",
             large_grid.scenario_count()
         );
-        match run_engine(&large_grid, args.threads) {
+        match run_engine(&large_grid, args.threads, 0) {
             Ok(report) => {
                 println!(
                     "large-mesh band done in {:.0} ms across {} flows",
@@ -982,17 +998,17 @@ fn main() -> ExitCode {
     };
 
     // The xlarge band (full mode only): 256×256 and 512×512 through a
-    // single engine worker, the thread budget spent inside each solve.
+    // single service worker, the thread budget spent inside each solve.
     let xlarge_results = if args.smoke {
         Vec::new()
     } else {
-        let xlarge_grid = build_xlarge_grid(args.threads);
+        let xlarge_grid = build_xlarge_grid();
         println!(
             "xlarge band: {} scenarios at 256x256 / 512x512, {} solver threads",
             xlarge_grid.scenario_count(),
             args.threads.max(1)
         );
-        match run_engine(&xlarge_grid, 1) {
+        match run_engine(&xlarge_grid, 1, args.threads.max(1)) {
             Ok(report) => {
                 println!(
                     "xlarge band done in {:.0} ms across {} flows",
@@ -1115,7 +1131,7 @@ fn main() -> ExitCode {
         ("schema_version", Json::Num(SCHEMA_VERSION)),
         ("generator", Json::Str("coolplace-bench sweep".to_string())),
         ("mode", Json::Str(mode.to_string())),
-        ("threads", Json::Num(sweep.threads as f64)),
+        ("threads", Json::Num(args.threads.max(1) as f64)),
         ("scenario_count", Json::Num(sweep.results.len() as f64)),
         (
             "large_scenario_count",

@@ -22,7 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "overhead", "Default", "ERI", "HW"
         );
         for ovh in [0.08, 0.161, 0.24, 0.322] {
-            let (def, eri, hw) = run_triple(&flow, ovh);
+            let (def, eri, hw) = run_triple(&flow, ovh)?;
             println!(
                 "{:>8.1}% | {:>+9.2}% | {:>+9.2}% | {:>+9.2}%",
                 ovh * 100.0,

@@ -10,7 +10,7 @@ pub mod gate;
 // paths through this re-export.
 pub use coolserved::json;
 
-use postplace::{Flow, FlowReport, Strategy};
+use postplace::{Flow, FlowError, FlowReport, Strategy};
 
 /// Paper reference values for Fig. 6 (test set 1, scattered hotspots),
 /// read off the published plot: `(area_overhead_pct, default, eri, hw)`.
@@ -30,26 +30,24 @@ pub const TABLE1_PAPER: &[(f64, usize, f64, f64)] =
 /// Runs Default / ERI / HW at one matched overhead and returns the three
 /// reports.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if a strategy fails — the harness treats that as a broken build.
-pub fn run_triple(flow: &Flow, overhead: f64) -> (FlowReport, FlowReport, FlowReport) {
+/// The first strategy's [`FlowError`]; the bench binaries exit non-zero
+/// on it.
+pub fn run_triple(
+    flow: &Flow,
+    overhead: f64,
+) -> Result<(FlowReport, FlowReport, FlowReport), FlowError> {
     let rows0 = flow.base_placement().floorplan.num_rows();
     let rows = ((overhead * rows0 as f64).round() as usize).max(1);
-    let def = flow
-        .run(Strategy::UniformSlack {
-            area_overhead: overhead,
-        })
-        .expect("default strategy");
-    let eri = flow
-        .run(Strategy::EmptyRowInsertion { rows })
-        .expect("eri strategy");
-    let hw = flow
-        .run(Strategy::HotspotWrapper {
-            area_overhead: overhead,
-        })
-        .expect("hw strategy");
-    (def, eri, hw)
+    let def = flow.run(Strategy::UniformSlack {
+        area_overhead: overhead,
+    })?;
+    let eri = flow.run(Strategy::EmptyRowInsertion { rows })?;
+    let hw = flow.run(Strategy::HotspotWrapper {
+        area_overhead: overhead,
+    })?;
+    Ok((def, eri, hw))
 }
 
 /// Prints a section header.

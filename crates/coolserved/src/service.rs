@@ -440,6 +440,10 @@ fn check_deadline(
 fn execute(shared: &Shared, job: &QueuedJob) -> Result<JobRecord, ServiceError> {
     let started = Instant::now();
     let request = &job.request;
+    // The request's fields are public, so one built by hand may have
+    // skipped the builder's checks; a bad one fails here, before any
+    // flow is built for it.
+    request.validate()?;
     check_deadline(shared, request, job.submitted_at_ms)?;
     let resolved = request.resolve_config(&shared.base);
     let key = CacheKey::of_request(request, &resolved);

@@ -1,7 +1,8 @@
 //! Acceptance tests for the optimization service: key stability and
 //! collision-freedom across a scenario grid, warm-equals-cold
-//! bit-identity under concurrent clients, and disk persistence across
-//! service restarts.
+//! bit-identity under concurrent clients, disk persistence across
+//! service restarts, and sweep grids served in order at any worker
+//! count.
 
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
@@ -9,10 +10,10 @@ use std::sync::Arc;
 
 use coolserved::json::Json;
 use coolserved::wire::{request_from_json, request_to_json, response_to_json};
-use coolserved::{serve, JobStatus, ResultSource, ServiceConfig};
+use coolserved::{serve, ErrorClass, JobRecord, JobStatus, ResultSource, ServiceConfig};
 use postplace::{
-    CacheKey, Flow, FlowConfig, OptimizeOutcome, OptimizeRequest, OptimizeResponse, Strategy,
-    WorkloadSpec,
+    CacheKey, Flow, FlowConfig, OptimizeGoal, OptimizeOutcome, OptimizeRequest, OptimizeResponse,
+    Strategy, SweepGrid, TransformRegistry, WorkloadSpec,
 };
 
 fn base() -> FlowConfig {
@@ -455,7 +456,7 @@ fn unknown_jobs_and_failures_surface_typed_errors() {
         let bad = OptimizeRequest {
             workload: WorkloadSpec::clustered_hotspot(),
             mesh: (16, 16),
-            goal: postplace::OptimizeGoal::Transform {
+            goal: OptimizeGoal::Transform {
                 id: "warp-drive:9".to_string(),
             },
             tag: None,
@@ -485,4 +486,104 @@ fn unknown_jobs_and_failures_surface_typed_errors() {
         let id = service.submit(good);
         service.wait(id).unwrap();
     });
+}
+
+#[test]
+fn hand_built_requests_past_the_mesh_checks_fail_before_any_flow_is_built() {
+    let config = ServiceConfig::new(base()).workers(1);
+    serve(config, |service| {
+        // Just past the ceiling: were the check to regress, this costs
+        // one large flow build rather than an allocation abort.
+        for (mesh, needle) in [((1025, 1024), "ceiling"), ((1, 16), "degenerate")] {
+            let request = OptimizeRequest {
+                workload: WorkloadSpec::clustered_hotspot(),
+                mesh,
+                goal: OptimizeGoal::Strategy(Strategy::None),
+                tag: None,
+                solver_threads: None,
+                deadline_ms: None,
+                solver: None,
+            };
+            let err = service.wait(service.submit(request)).unwrap_err();
+            assert_eq!(err.class(), ErrorClass::Flow, "{err}");
+            assert!(!err.is_retryable());
+            assert!(err.to_string().contains(needle), "{err}");
+        }
+        let stats = service.stats();
+        assert_eq!(stats.failed, 2);
+        assert_eq!(stats.flows_built, 0, "a bad request must not build a flow");
+    });
+}
+
+/// Two meshes × (a strategy axis of two + a transform axis of one) over
+/// the base workload.
+fn small_sweep_grid() -> SweepGrid {
+    SweepGrid::new(FlowConfig::scattered_small().fast())
+        .mesh(8, 8)
+        .mesh(10, 10)
+        .strategy(Strategy::UniformSlack {
+            area_overhead: 0.16,
+        })
+        .row_counts([4])
+        .transform("composite(targeted-eri:4+spread)")
+}
+
+/// Serves every request of `grid` with `workers` workers, waiting in
+/// submission order; returns the records and the flows built.
+fn serve_grid(grid: &SweepGrid, workers: usize) -> (Vec<JobRecord>, u64) {
+    let requests = grid.requests().unwrap();
+    let config = ServiceConfig::new(grid.base.clone()).workers(workers);
+    serve(config, |service| {
+        let ids: Vec<_> = requests.into_iter().map(|r| service.submit(r)).collect();
+        let records = ids
+            .into_iter()
+            .map(|id| service.wait(id).unwrap())
+            .collect();
+        (records, service.stats().flows_built)
+    })
+}
+
+#[test]
+fn a_served_sweep_grid_matches_direct_runs_at_any_worker_count() {
+    let grid = small_sweep_grid();
+    let scenarios = grid.scenarios();
+    assert_eq!(scenarios.len(), 6);
+    let (one, one_flows) = serve_grid(&grid, 1);
+    let (four, four_flows) = serve_grid(&grid, 4);
+    assert_eq!(one.len(), scenarios.len());
+    assert_eq!(four.len(), scenarios.len());
+    // One flow per distinct (workload, mesh): two meshes, one workload.
+    assert_eq!(one_flows, 2);
+    assert_eq!(four_flows, 2);
+    for ((a, b), scenario) in one.iter().zip(&four).zip(&scenarios) {
+        assert_eq!(
+            a.request, b.request,
+            "answers come back in submission order"
+        );
+        assert_eq!(a.request.mesh, scenario.mesh);
+        let (a, b) = (a.response.report().unwrap(), b.response.report().unwrap());
+        assert_eq!(
+            a.after.peak_c.to_bits(),
+            b.after.peak_c.to_bits(),
+            "the worker count must not change an answer"
+        );
+    }
+
+    // Scenario 0 (a strategy) and scenario 2 (the transform) share the
+    // 8x8 flow; both must match a direct run of that flow.
+    let flow = Flow::new(grid.scenario_config(&scenarios[0]).unwrap()).unwrap();
+    let direct = flow.run(scenarios[0].strategy).unwrap();
+    let served = one[0].response.report().unwrap();
+    assert_eq!(direct.after.peak_c.to_bits(), served.after.peak_c.to_bits());
+
+    let id = "composite(targeted-eri:4+spread)";
+    let scenario = &scenarios[2];
+    assert_eq!(scenario.label(), id);
+    assert_eq!(scenario.strategy, Strategy::None, "facade value");
+    assert_eq!(grid.scenario_config(scenario).unwrap(), *flow.config());
+    let transform = TransformRegistry::parse(id).unwrap();
+    let direct = flow.run_transform(transform.as_ref()).unwrap();
+    let served = one[2].response.report().unwrap();
+    assert_eq!(served.transform_id, id);
+    assert_eq!(direct.after.peak_c.to_bits(), served.after.peak_c.to_bits());
 }

@@ -86,9 +86,8 @@ struct Inner<K, V> {
 ///
 /// Values are handed out as `Arc<V>`, so a hit never clones the payload
 /// and an eviction never invalidates a value a caller still holds.
-/// Clones of the cache share one store — the sweep engine and the
-/// service worker pool both rely on that to share factorized models
-/// across threads.
+/// Clones of the cache share one store — the service worker pool
+/// relies on that to share flows and factorized models across threads.
 ///
 /// Eviction scans for the least-recently-used entry (O(len)); the
 /// workloads this backs hold tens of entries, where a scan beats the

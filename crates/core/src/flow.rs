@@ -307,19 +307,18 @@ fn placements() -> &'static KeyedCache<(BenchmarkConfig, u64), BasePlacement> {
     PLACEMENTS.get_or_init(|| KeyedCache::with_capacity(PLACEMENT_CACHE_CAP))
 }
 
-/// Factorized models held per cache. The largest shared cache, the full
-/// sweep grid of the bench, touches 16 die geometries: 2 meshes × (the
-/// base + 2 uniform-slack dies + 5 ERI dies; HW reuses its uniform die).
-/// A budget request factorizes two new dies (its uniform/HW outline and
-/// its ERI outline) that later requests rarely revisit, so a larger
-/// bound only holds ~1.2 MiB per 128² model nobody reads again.
+/// Factorized models held per flow. One flow of the bench's full sweep
+/// grid touches 8 die geometries: the base, 2 uniform-slack dies and 5
+/// ERI dies (HW reuses its uniform die). A budget request factorizes two
+/// new dies (its uniform/HW outline and its ERI outline) that later
+/// requests rarely revisit, so a larger bound only holds ~1.2 MiB per
+/// 128² model nobody reads again.
 const MODEL_CACHE_CAP: usize = 16;
 
-/// A shareable cache of factorized thermal models, keyed by mesh and die
-/// outline. Every [`Flow`] owns one; [`crate::run_requests`] points all
-/// of a batch's flows at a single cache so identical geometries (the
-/// base placement is workload-independent) are factorized once. Built on
-/// [`KeyedCache`], so hit/miss/eviction counters are observable through
+/// A cache of factorized thermal models, keyed by mesh and die outline.
+/// Every [`Flow`] owns one, so each die geometry the flow's requests
+/// place on is factorized once. Built on [`KeyedCache`], so
+/// hit/miss/eviction counters are observable through
 /// [`ThermalModelCache::stats`].
 #[derive(Debug, Clone)]
 pub struct ThermalModelCache {
@@ -507,16 +506,10 @@ impl Flow {
         self.models.get_or_build(&self.config.thermal, die)
     }
 
-    /// The flow's model cache handle (cheap to clone — the flows cloned
-    /// to share one).
+    /// The flow's model cache handle (cheap to clone; its counters are
+    /// the flow's).
     pub fn thermal_cache(&self) -> ThermalModelCache {
         self.models.clone()
-    }
-
-    /// Points this flow at `cache`, so identical geometries factorized by
-    /// other flows (e.g. the other workloads of a sweep) are reused.
-    pub fn set_thermal_cache(&mut self, cache: ThermalModelCache) {
-        self.models = cache;
     }
 
     /// Power, power map and thermal map for a given placement, including
@@ -560,8 +553,8 @@ impl Flow {
     }
 
     /// Computes and memoizes the baseline analysis now instead of on the
-    /// first [`Flow::run`]. The sweep engine primes each flow while the
-    /// build phase is still parallel, so run-phase workers never race to
+    /// first [`Flow::run`]. The `coolserved` service primes each flow as
+    /// it builds it, so the workers that share the flow never race to
     /// initialize the same baseline.
     ///
     /// # Errors

@@ -83,7 +83,7 @@ pub use request::{
     OptimizeRequestBuilder, OptimizeResponse, StableHasher, ENGINE_EPOCH, MAX_MESH_BINS,
 };
 pub use strategy::Strategy;
-pub use sweep::{default_threads, run_requests, RequestBatch, RequestOutcome, Scenario, SweepGrid};
+pub use sweep::{Scenario, SweepGrid};
 /// Re-exported so request builders can name a solver backend without
 /// depending on `thermalsim` directly.
 pub use thermalsim::SolverKind;

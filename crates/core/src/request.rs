@@ -243,8 +243,8 @@ pub enum OptimizeGoal {
 
 /// A typed optimization request: workload + mesh + goal, with an
 /// optional display tag. Build one with [`OptimizeRequest::builder`];
-/// evaluate it with [`Flow::optimize`] (single flow) or
-/// [`crate::run_requests`] (batched, parallel).
+/// evaluate it with [`Flow::optimize`] (single flow) or submit it to the
+/// `coolserved` service (many requests over a worker pool).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct OptimizeRequest {
     /// The workload to simulate.
@@ -326,6 +326,38 @@ impl OptimizeRequest {
             config.thermal.solver = solver;
         }
         config
+    }
+
+    /// Checks what a request needs before a flow is built for it: a
+    /// mesh of at least 2x2 and at most [`MAX_MESH_BINS`] bins, and a
+    /// transform-goal id that parses. [`OptimizeRequestBuilder::build`]
+    /// runs it, and so does the service on every request it executes,
+    /// because the fields are public and a hand-built request skips the
+    /// builder.
+    ///
+    /// # Errors
+    ///
+    /// [`FlowError::BadRequest`] naming the first check that fails.
+    pub fn validate(&self) -> Result<(), FlowError> {
+        let (nx, ny) = self.mesh;
+        if nx < 2 || ny < 2 {
+            return Err(FlowError::BadRequest {
+                detail: format!("mesh {nx}x{ny} is degenerate (needs ≥ 2x2)"),
+            });
+        }
+        if nx.checked_mul(ny).is_none_or(|bins| bins > MAX_MESH_BINS) {
+            return Err(FlowError::BadRequest {
+                detail: format!(
+                    "mesh {nx}x{ny} exceeds the ceiling of {MAX_MESH_BINS} bins (1024x1024)"
+                ),
+            });
+        }
+        if let OptimizeGoal::Transform { id } = &self.goal {
+            TransformRegistry::parse(id).map_err(|e| FlowError::BadRequest {
+                detail: format!("transform id `{id}` does not parse: {e}"),
+            })?;
+        }
+        Ok(())
     }
 }
 
@@ -449,33 +481,11 @@ impl OptimizeRequestBuilder {
         let mesh = self.mesh.ok_or_else(|| FlowError::BadRequest {
             detail: "request needs a mesh".to_string(),
         })?;
-        if mesh.0 < 2 || mesh.1 < 2 {
-            return Err(FlowError::BadRequest {
-                detail: format!("mesh {}x{} is degenerate (needs ≥ 2x2)", mesh.0, mesh.1),
-            });
-        }
-        if mesh
-            .0
-            .checked_mul(mesh.1)
-            .is_none_or(|bins| bins > MAX_MESH_BINS)
-        {
-            return Err(FlowError::BadRequest {
-                detail: format!(
-                    "mesh {}x{} exceeds the ceiling of {MAX_MESH_BINS} bins (1024x1024)",
-                    mesh.0, mesh.1
-                ),
-            });
-        }
         let goal = self.goal.ok_or_else(|| FlowError::BadRequest {
             detail: "request needs a goal (strategy / transform / budget / frontier / rows)"
                 .to_string(),
         })?;
-        if let OptimizeGoal::Transform { id } = &goal {
-            TransformRegistry::parse(id).map_err(|e| FlowError::BadRequest {
-                detail: format!("transform id `{id}` does not parse: {e}"),
-            })?;
-        }
-        Ok(OptimizeRequest {
+        let request = OptimizeRequest {
             workload,
             mesh,
             goal,
@@ -483,7 +493,9 @@ impl OptimizeRequestBuilder {
             solver_threads: self.solver_threads,
             deadline_ms: self.deadline_ms,
             solver: self.solver,
-        })
+        };
+        request.validate()?;
+        Ok(request)
     }
 }
 

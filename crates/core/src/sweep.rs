@@ -280,6 +280,80 @@ mod tests {
         assert_eq!(implicit.scenarios()[0].workload, "base");
     }
 
+    /// Dispatches every request of `grid` one by one through
+    /// [`crate::Flow::optimize`], building one flow per distinct scenario
+    /// config with `threads` solver threads; returns the responses in
+    /// grid order and the flows built.
+    fn optimize_grid(grid: &SweepGrid, threads: usize) -> (Vec<crate::OptimizeResponse>, usize) {
+        let mut flows: Vec<crate::Flow> = Vec::new();
+        let mut responses = Vec::new();
+        for (scenario, request) in grid.scenarios().iter().zip(grid.requests().unwrap()) {
+            let mut config = grid.scenario_config(scenario).unwrap();
+            config.thermal.threads = threads;
+            let flow = match flows.iter().position(|f| *f.config() == config) {
+                Some(i) => &flows[i],
+                None => {
+                    flows.push(crate::Flow::new(config).unwrap());
+                    flows.last().unwrap()
+                }
+            };
+            responses.push(flow.optimize(&request).unwrap());
+        }
+        (responses, flows.len())
+    }
+
+    #[test]
+    fn sweep_matches_direct_runs_and_is_thread_invariant() {
+        let grid = small_grid();
+        let (one, one_flows) = optimize_grid(&grid, 1);
+        let (four, four_flows) = optimize_grid(&grid, 4);
+        assert_eq!(one.len(), grid.scenario_count());
+        assert_eq!(four.len(), grid.scenario_count());
+        assert_eq!(one_flows, 2, "two meshes share one workload");
+        assert_eq!(four_flows, 2);
+        for (a, b) in one.iter().zip(&four) {
+            assert_eq!(a.key, b.key, "solver threads must not change the key");
+            let (a, b) = (a.report().unwrap(), b.report().unwrap());
+            assert_eq!(
+                a.after.peak_c.to_bits(),
+                b.after.peak_c.to_bits(),
+                "thread count must not change results"
+            );
+        }
+        // Spot-check scenario 0 against a direct Flow evaluation.
+        let scenario = &grid.scenarios()[0];
+        let flow = crate::Flow::new(grid.scenario_config(scenario).unwrap()).unwrap();
+        let direct = flow.run(scenario.strategy).unwrap();
+        assert_eq!(
+            direct.after.peak_c.to_bits(),
+            one[0].report().unwrap().after.peak_c.to_bits(),
+            "sweep result must match a direct run"
+        );
+    }
+
+    #[test]
+    fn transform_axis_scenarios_match_direct_transform_runs() {
+        let id = "composite(targeted-eri:4+spread)";
+        let grid = SweepGrid::new(FlowConfig::scattered_small().fast())
+            .mesh(10, 10)
+            .row_counts([4])
+            .transform(id)
+            .transform("hot-spread:0.16");
+        assert_eq!(grid.scenario_count(), 3);
+        let (responses, flows_built) = optimize_grid(&grid, 2);
+        assert_eq!(flows_built, 1, "transform scenarios share the mesh's flow");
+        let scenario = &grid.scenarios()[1];
+        assert_eq!(scenario.label(), id);
+        assert_eq!(scenario.strategy, Strategy::None, "facade value");
+        let report = responses[1].report().unwrap();
+        assert_eq!(report.transform_id, id);
+        // The sweep's transform evaluation must match a direct run.
+        let flow = crate::Flow::new(grid.scenario_config(scenario).unwrap()).unwrap();
+        let t = crate::TransformRegistry::parse(id).unwrap();
+        let direct = flow.run_transform(t.as_ref()).unwrap();
+        assert_eq!(direct.after.peak_c.to_bits(), report.after.peak_c.to_bits());
+    }
+
     #[test]
     fn bundled_workload_profiles_cover_both_regimes() {
         // The sweep's bundled profiles must exercise the two strategy

@@ -83,6 +83,11 @@
 //! the rows they walked, and the wrap's wall-clock. CI gates the rows
 //! walked per search, a deterministic count.
 //!
+//! Schema version 13 adds to the `wrapper` section the evictions the
+//! squeeze fallback placed (`squeezed`, per workload and in all) and
+//! `place_ms`, the median `Placer::place` of the paper design at the
+//! section's overhead — the placement the wrapped state starts from.
+//!
 //! ```sh
 //! cargo bench -p coolplace-bench --bench sweep -- \
 //!     --smoke --threads 2 --out BENCH_sweep.json --check ci/bench-baseline.json
@@ -106,10 +111,11 @@ use coolserved::wire::response_to_json;
 use coolserved::{serve, JobRecord, ResultSource, ServiceConfig, ServiceHandle};
 use geom::{Grid2d, Rect};
 use logicsim::{Simulator, Workload};
+use placement::PlacerConfig;
 use postplace::{
-    detect_hotspots, hotspot_wrapper, split_hotspots_by_regions, wrap_regions, Flow, FlowConfig,
-    FlowReport, HotspotConfig, OptimizeConfig, OptimizeRequest, PlacementTransform, Scenario,
-    Strategy, SweepGrid, TransformContext, TransformRegistry, TransformState,
+    detect_hotspots, hotspot_wrapper, split_hotspots_by_regions, uniform_slack, wrap_regions, Flow,
+    FlowConfig, FlowReport, HotspotConfig, OptimizeConfig, OptimizeRequest, PlacementTransform,
+    Scenario, Strategy, SweepGrid, TransformContext, TransformRegistry, TransformState,
     UniformSlackTransform, WorkloadSpec,
 };
 use thermalsim::{FactorizedThermalModel, SolverKind, ThermalConfig};
@@ -145,7 +151,10 @@ use thermalsim::{FactorizedThermalModel, SolverKind, ThermalConfig};
 /// v12: added the `wrapper` section (evictions, slot searches and rows
 /// walked per search, and wall-clock of the hotspot wrapper on the four
 /// fine-mesh flows).
-const SCHEMA_VERSION: f64 = 12.0;
+/// v13: added `squeezed` (evictions placed by the squeeze fallback) and
+/// `place_ms` (median `Placer::place` at the section's overhead) to the
+/// `wrapper` section.
+const SCHEMA_VERSION: f64 = 13.0;
 
 /// `cargo bench` launches the binary with the *package* directory as
 /// CWD; anchor relative paths at the workspace root so
@@ -834,12 +843,18 @@ const WRAPPER_OVERHEAD: f64 = 0.16;
 /// Timed repeats of each wrap; the fastest is reported.
 const WRAPPER_REPEATS: usize = 3;
 
+/// Timed runs of the section's `Placer::place` per workload; the median
+/// of all is reported.
+const PLACE_REPEATS: usize = 9;
+
 /// The `wrapper` section: HW at [`WRAPPER_OVERHEAD`] on the paper design
 /// at [`WRAPPER_MESH`]² for the four fine workloads, its wrap stage
 /// replayed by hand to read the report. Reports per workload and in all
-/// the cells evicted, the eviction slot searches run, those the row
-/// bounds answered without a scan, the rows the searches walked, and
-/// the best wall-clock of the wrap. The search counts are deterministic.
+/// the cells evicted and those the squeeze fallback placed, the eviction
+/// slot searches run, those the row bounds answered without a scan, the
+/// rows the searches walked, and the best wall-clock of the wrap; and
+/// the median wall-clock of the `Placer::place` behind the uniform
+/// stage. The counts are deterministic.
 fn run_wrapper_bench() -> Result<Json, String> {
     let workloads = [
         ("scattered_small", FlowConfig::scattered_small().workload),
@@ -852,7 +867,8 @@ fn run_wrapper_bench() -> Result<Json, String> {
     ];
     let err = |e: postplace::FlowError| e.to_string();
     let mut entries = Vec::new();
-    let (mut searches, mut rows_scanned, mut wrap_ms) = (0u64, 0u64, 0.0);
+    let (mut searches, mut rows_scanned, mut squeezed, mut wrap_ms) = (0u64, 0u64, 0usize, 0.0);
+    let mut place_ms = Vec::new();
     for (name, workload) in workloads {
         let mut config = FlowConfig::scattered_small();
         config.workload = workload;
@@ -862,6 +878,12 @@ fn run_wrapper_bench() -> Result<Json, String> {
         };
         let flow = Flow::new(config).map_err(err)?;
         let ctx = TransformContext::new(&flow).map_err(err)?;
+        let placer = PlacerConfig::with_utilization(flow.config().base_utilization);
+        for _ in 0..PLACE_REPEATS {
+            let started = Instant::now();
+            uniform_slack(flow.netlist(), &placer, WRAPPER_OVERHEAD).map_err(err)?;
+            place_ms.push(started.elapsed().as_secs_f64() * 1e3);
+        }
         let base = flow.base_placement();
         let (_, tmap) = flow.baseline_maps().map_err(err)?;
         let hotspots = flow.baseline_hotspots().map_err(err)?;
@@ -911,11 +933,13 @@ fn run_wrapper_bench() -> Result<Json, String> {
         let stats = report.searches;
         searches += stats.searches;
         rows_scanned += stats.rows_scanned;
+        squeezed += report.squeezed;
         wrap_ms += best_ms;
         println!(
-            "wrapper bench [{name}]: {} evicted, {} searches ({} skipped), {:.2} rows \
-             per search, {best_ms:.2} ms",
+            "wrapper bench [{name}]: {} evicted ({} squeezed), {} searches ({} skipped), \
+             {:.2} rows per search, {best_ms:.2} ms",
             report.evicted,
+            report.squeezed,
             stats.searches,
             stats.skipped,
             stats.rows_scanned as f64 / stats.searches.max(1) as f64
@@ -924,6 +948,7 @@ fn run_wrapper_bench() -> Result<Json, String> {
             ("workload", Json::Str(name.to_string())),
             ("regions", Json::Num(report.regions.len() as f64)),
             ("evicted", Json::Num(report.evicted as f64)),
+            ("squeezed", Json::Num(report.squeezed as f64)),
             ("respread", Json::Num(report.respread as f64)),
             ("searches", Json::Num(stats.searches as f64)),
             ("searches_skipped", Json::Num(stats.skipped as f64)),
@@ -931,6 +956,9 @@ fn run_wrapper_bench() -> Result<Json, String> {
             ("wrap_ms", Json::Num(best_ms)),
         ]));
     }
+    place_ms.sort_by(f64::total_cmp);
+    let place_ms = place_ms[place_ms.len() / 2];
+    println!("wrapper bench: Placer::place at +{WRAPPER_OVERHEAD}: {place_ms:.2} ms (median)");
     Ok(Json::obj([
         (
             "mesh",
@@ -940,6 +968,8 @@ fn run_wrapper_bench() -> Result<Json, String> {
             ]),
         ),
         ("area_overhead", Json::Num(WRAPPER_OVERHEAD)),
+        ("place_ms", Json::Num(place_ms)),
+        ("squeezed", Json::Num(squeezed as f64)),
         ("searches", Json::Num(searches as f64)),
         ("rows_scanned", Json::Num(rows_scanned as f64)),
         (

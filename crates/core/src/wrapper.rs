@@ -180,6 +180,9 @@ pub struct WrapperReport {
     pub regions: Vec<Rect>,
     /// Cells evicted out of the wrapped regions.
     pub evicted: usize,
+    /// Of those, the cells no slot search placed: the squeeze fallback
+    /// re-spread a row outside every region to take each.
+    pub squeezed: usize,
     /// Hot cells re-spread inside the wrapped regions.
     pub respread: usize,
     /// The eviction slot searches: how many ran, how many the row
@@ -277,22 +280,30 @@ pub fn hotspot_wrapper(
     let frees_outside = |rect: &Rect| !regions.iter().any(|g| g.contains_rect(rect));
     let mut slots = OutsideSlots::new(floorplan, placement, &regions);
     let mut evicted = 0usize;
+    let mut squeezed = 0usize;
     let mut respread = 0usize;
     let mut processed_regions = Vec::new();
     for region in regions.iter() {
         // Partition the cells touching the wrapped region. Any overlap
         // counts: a cell straddling the boundary would collide with the
         // re-spread. A cell spans its row's full height, so only the rows
-        // the region crosses hold candidates. They are evicted in cell
-        // order, which every placement bit depends on.
-        let mut candidates: Vec<CellId> = (0..floorplan.num_rows())
-            .filter(|&r| {
-                let row = floorplan.row_rect(r);
-                row.lly < region.ury && region.lly < row.ury
-            })
-            .flat_map(|r| placement.row_cells(r as u32))
-            .map(|(_, id, _)| id)
-            .collect();
+        // the region crosses hold candidates, and of each row's cells only
+        // those within a site of the region's x-span. They are evicted in
+        // cell order, which every placement bit depends on.
+        let mut candidates: Vec<CellId> = Vec::new();
+        for r in 0..floorplan.num_rows() {
+            let row = floorplan.row_rect(r);
+            if !(row.lly < region.ury && region.lly < row.ury) {
+                continue;
+            }
+            let to_site = |x: f64| (x - row.llx) / floorplan.site_width();
+            let lo = (to_site(region.llx).floor() - 1.0) as u32;
+            let hi = (to_site(region.urx).ceil() + 1.0) as u32;
+            let cells = placement.row_cells(r as u32);
+            let from = cells.partition_point(|&(s, _, w)| s + w <= lo);
+            let to = cells.partition_point(|&(s, _, _)| s < hi);
+            candidates.extend(cells[from..to].iter().map(|&(_, id, _)| id));
+        }
         candidates.sort_unstable();
         let mut hot_cells: Vec<(CellId, Rect, u32)> = Vec::new();
         let mut cold_cells: Vec<(CellId, Rect, placement::PlacedCell)> = Vec::new();
@@ -331,7 +342,7 @@ pub fn hotspot_wrapper(
             let origin = rect.center();
             placement.remove(id);
             if frees_outside(&rect) {
-                slots.refresh_row(placement, original_slot.row);
+                slots.removed(placement, original_slot, netlist.cell_width_sites(id));
             }
             if let Some((row, site)) = slots.nearest(netlist, placement, id, origin) {
                 placement.place(netlist, floorplan, id, row, site);
@@ -372,6 +383,7 @@ pub fn hotspot_wrapper(
                 continue;
             }
             evicted += 1;
+            squeezed += 1;
         }
         // Re-spread the hot cells over the wrapped region, preserving
         // their relative arrangement (affine scale-up): power density
@@ -387,16 +399,22 @@ pub fn hotspot_wrapper(
             placement.remove(id);
         }
         spread_scaled(netlist, floorplan, placement, &sources, *region)?;
-        for &(_, rect, row) in &hot_cells {
-            if frees_outside(&rect) {
-                slots.refresh_row(placement, row);
-            }
+        let mut freed_rows: Vec<u32> = hot_cells
+            .iter()
+            .filter(|(_, rect, _)| frees_outside(rect))
+            .map(|&(_, _, row)| row)
+            .collect();
+        freed_rows.sort_unstable();
+        freed_rows.dedup();
+        for row in freed_rows {
+            slots.refresh_row(placement, row);
         }
         respread += sources.len();
     }
     Ok(WrapperReport {
         regions: processed_regions,
         evicted,
+        squeezed,
         respread,
         searches: slots.stats(),
     })

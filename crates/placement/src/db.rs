@@ -1,5 +1,3 @@
-use std::collections::BTreeMap;
-
 use geom::{Point, Rect};
 use netlist::{CellId, Netlist};
 use serde::{Deserialize, Serialize};
@@ -35,13 +33,15 @@ pub struct FillerInst {
 /// occupancy index for fast gap queries. Filler cells are not stored:
 /// [`Placement::fillers`] derives them from the row gaps.
 ///
-/// Each row's index keeps its cells by site plus a free-space summary
-/// that every edit updates in O(log n), touching only the gaps it
-/// changes: the sites in use, the width of the gap starting at each site
-/// and, per block of sites, the widest gap starting in it, in a max
-/// segment tree. A row's utilization and widest free gap are O(1), and
-/// the nearest gap of a given width on either side of a site is
-/// O(log sites).
+/// Each row's index keeps its cells in a site-sorted vector plus a
+/// free-space summary: the sites in use, the width of the gap starting
+/// at each site and, per block of sites, the widest gap starting in it,
+/// in a max segment tree. A cell edit touches only the gaps it changes;
+/// a whole-row write ([`Placement::rewrite_row`], and every row of a
+/// placement built at once) writes the gap bytes and block leaves in one
+/// pass and builds the tree bottom-up. A row's utilization and widest
+/// free gap are O(1), and the nearest gap of a given width on either
+/// side of a site is O(log sites).
 ///
 /// # Examples
 ///
@@ -67,8 +67,8 @@ pub struct Placement {
 /// One row's occupancy: the cells by site and the free-space summary.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct RowIndex {
-    /// `site → (cell, width_sites)`.
-    cells: BTreeMap<u32, (CellId, u32)>,
+    /// `(site, cell, width_sites)`, by site.
+    cells: Vec<(u32, CellId, u32)>,
     /// Sites in the row.
     sites: u32,
     /// Sites covered by cells.
@@ -109,6 +109,13 @@ impl BlockMax {
 
     fn widest(&self) -> u32 {
         self.max[1]
+    }
+
+    /// Sets every inner node from the leaves, bottom-up.
+    fn build(&mut self) {
+        for i in (1..self.leaves).rev() {
+            self.max[i] = self.max[2 * i].max(self.max[2 * i + 1]);
+        }
     }
 
     /// Whether a gap at least `width` wide starts in `block`.
@@ -184,34 +191,66 @@ impl BlockMax {
 }
 
 impl RowIndex {
-    fn new(sites: u32) -> Self {
+    /// A row of `sites` sites holding `cells`, `(site, cell, width)` at
+    /// increasing sites, each past the end of the one before and inside
+    /// the row: its index is written in one pass.
+    fn built(sites: u32, cells: Vec<(u32, CellId, u32)>) -> Self {
         let mut row = RowIndex {
-            cells: BTreeMap::new(),
+            cells: Vec::new(),
             sites,
             used: 0,
             gap_at: vec![0; sites as usize],
             blocks: BlockMax::new(sites),
         };
-        let mut touched = Vec::new();
-        row.mark_span(0, sites, true, &mut touched);
-        row.refresh(&touched);
+        row.rebuild(cells);
         row
+    }
+
+    /// Replaces the row's cells with `cells` (as [`RowIndex::built`]
+    /// takes them) and returns the old ones. One pass writes every gap
+    /// byte and block leaf; the tree is then built bottom-up.
+    fn rebuild(&mut self, cells: Vec<(u32, CellId, u32)>) -> Vec<(u32, CellId, u32)> {
+        self.gap_at.fill(0);
+        self.blocks.max.fill(0);
+        let (gap_at, max, leaves) = (&mut self.gap_at, &mut self.blocks.max, self.blocks.leaves);
+        let mut note = |at: u32, width: u32| {
+            gap_at[at as usize] = u8::try_from(width).unwrap_or(u8::MAX);
+            let leaf = &mut max[leaves + (at / GAP_BLOCK) as usize];
+            *leaf = (*leaf).max(width);
+        };
+        let (mut cursor, mut used) = (0, 0);
+        for &(site, _, width) in &cells {
+            if site > cursor {
+                note(cursor, site - cursor);
+            }
+            cursor = site + width;
+            used += width;
+        }
+        if self.sites > cursor {
+            note(cursor, self.sites - cursor);
+        }
+        self.used = used;
+        self.blocks.build();
+        std::mem::replace(&mut self.cells, cells)
+    }
+
+    /// Position of the first cell at or after `site`.
+    fn first_from(&self, site: u32) -> usize {
+        self.cells.partition_point(|&(s, _, _)| s < site)
     }
 
     /// End of the last cell that starts before `site`, or 0.
     fn end_before(&self, site: u32) -> u32 {
-        self.cells
-            .range(..site)
-            .next_back()
-            .map_or(0, |(&s, &(_, w))| s + w)
+        self.first_from(site)
+            .checked_sub(1)
+            .map_or(0, |i| self.cells[i].0 + self.cells[i].2)
     }
 
     /// Start of the first cell at or after `site`, or the row end.
     fn start_from(&self, site: u32) -> u32 {
         self.cells
-            .range(site..)
-            .next()
-            .map_or(self.sites, |(&s, _)| s)
+            .get(self.first_from(site))
+            .map_or(self.sites, |&(s, _, _)| s)
     }
 
     /// Width of the free gap starting at `site` (0: none).
@@ -226,9 +265,11 @@ impl RowIndex {
     /// `[lo, hi)` — which starts at a cell end (or 0) and ends at a cell
     /// start (or the row end) — noting the blocks they start in.
     fn mark_span(&mut self, lo: u32, hi: u32, add: bool, touched: &mut Vec<u32>) {
+        let (from, to) = (self.first_from(lo), self.first_from(hi));
+        let gap_at = &mut self.gap_at;
         let mut cursor = lo;
         let mut mark = |at: u32, width: u32| {
-            self.gap_at[at as usize] = if add {
+            gap_at[at as usize] = if add {
                 u8::try_from(width).unwrap_or(u8::MAX)
             } else {
                 0
@@ -238,7 +279,7 @@ impl RowIndex {
                 touched.push(block);
             }
         };
-        for (&site, &(_, width)) in self.cells.range(lo..hi) {
+        for &(site, _, width) in &self.cells[from..to] {
             if site > cursor {
                 mark(cursor, site - cursor);
             }
@@ -287,11 +328,19 @@ impl RowIndex {
         let lo = self.end_before(first);
         let hi = self.start_from(last + last_width);
         self.respan(lo, hi, |row| {
-            if row.cells.is_empty() {
-                row.cells = run.iter().map(|&(s, c, w)| (s, (c, w))).collect();
-            } else {
-                for &(site, cell, width) in run {
-                    row.cells.insert(site, (cell, width));
+            // Merge from the back: the run goes in among the cells after
+            // it, each moved once.
+            let cells = &mut row.cells;
+            let (mut i, mut j) = (cells.len(), run.len());
+            cells.extend_from_slice(run);
+            while j > 0 {
+                let k = i + j - 1;
+                if i > 0 && cells[i - 1].0 > run[j - 1].0 {
+                    cells[k] = cells[i - 1];
+                    i -= 1;
+                } else {
+                    cells[k] = run[j - 1];
+                    j -= 1;
                 }
             }
             row.used += run.iter().map(|&(_, _, w)| w).sum::<u32>();
@@ -300,23 +349,16 @@ impl RowIndex {
 
     /// Removes the cell starting at `site`, if any.
     fn remove_at(&mut self, site: u32) {
-        let Some(&(_, width)) = self.cells.get(&site) else {
+        let at = self.first_from(site);
+        let Some(&(_, _, width)) = self.cells.get(at).filter(|&&(s, _, _)| s == site) else {
             return;
         };
         let lo = self.end_before(site);
         let hi = self.start_from(site + width);
         self.respan(lo, hi, |row| {
-            row.cells.remove(&site);
+            row.cells.remove(at);
             row.used -= width;
         });
-    }
-
-    /// Re-targets the row to `sites` sites, rebuilding its gap index.
-    fn resize(&mut self, sites: u32) {
-        let cells = std::mem::take(&mut self.cells);
-        *self = RowIndex::new(sites);
-        let run: Vec<(u32, CellId, u32)> = cells.into_iter().map(|(s, (c, w))| (s, c, w)).collect();
-        self.insert_run(&run);
     }
 }
 
@@ -402,12 +444,39 @@ impl Iterator for WideGaps<'_> {
 impl Placement {
     /// An empty placement for `netlist` over `floorplan`.
     pub fn new(netlist: &Netlist, floorplan: &Floorplan) -> Self {
-        Placement {
-            slots: vec![None; netlist.cell_count()],
-            row_index: (0..floorplan.num_rows())
-                .map(|r| RowIndex::new(floorplan.row(r).num_sites))
-                .collect(),
-        }
+        Self::from_rows(netlist, floorplan, vec![Vec::new(); floorplan.num_rows()])
+    }
+
+    /// A placement for `netlist` over `floorplan` holding `rows[r]` in
+    /// row `r`, each a run of distinct `(cell, site)` at increasing
+    /// sites; each row's index is built once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` does not have one run per row, a slot would
+    /// overlap another cell or leave its row, or a cell is in two runs.
+    pub(crate) fn from_rows(
+        netlist: &Netlist,
+        floorplan: &Floorplan,
+        rows: Vec<Vec<(CellId, u32)>>,
+    ) -> Self {
+        assert_eq!(rows.len(), floorplan.num_rows(), "one run per row");
+        let mut slots = vec![None; netlist.cell_count()];
+        let row_index = rows
+            .iter()
+            .enumerate()
+            .map(|(r, run)| {
+                let row = r as u32;
+                let entries = row_entries(netlist, floorplan, row, run);
+                for &(site, cell, _) in &entries {
+                    let slot: &mut Option<PlacedCell> = &mut slots[cell.index()];
+                    assert!(slot.is_none(), "cell {cell} placed twice");
+                    *slot = Some(PlacedCell { row, site });
+                }
+                RowIndex::built(floorplan.row(r).num_sites, entries)
+            })
+            .collect();
+        Placement { slots, row_index }
     }
 
     /// Places (or moves) `cell` at `(row, site)`.
@@ -440,44 +509,60 @@ impl Placement {
         row: u32,
         run: &[(CellId, u32)],
     ) {
-        assert!(
-            (row as usize) < floorplan.num_rows(),
-            "row {row} out of range"
-        );
-        let Some(&(_, first)) = run.first() else {
+        let entries = row_entries(netlist, floorplan, row, run);
+        let Some(&(first, _, _)) = entries.first() else {
             return;
         };
         // The cells the run could meet, as `[start, end)`: the one before
         // it and those after, walked alongside the run.
-        let cells = &self.row_index[row as usize].cells;
-        let mut existing = cells
-            .range(..first)
-            .next_back()
-            .into_iter()
-            .chain(cells.range(first..))
-            .map(|(&s, &(_, w))| (s, s + w))
+        let index = &self.row_index[row as usize];
+        let mut existing = index.cells[index.first_from(first).saturating_sub(1)..]
+            .iter()
+            .map(|&(s, _, w)| (s, s + w))
             .peekable();
-        let mut entries = Vec::with_capacity(run.len());
-        let mut run_end = 0;
-        for &(cell, site) in run {
-            let width = netlist.cell_width_sites(cell);
-            assert!(
-                site + width <= floorplan.row(row as usize).num_sites,
-                "cell {cell} leaves row {row} (site {site} width {width})"
-            );
+        for &(site, cell, width) in &entries {
             while existing.next_if(|&(_, end)| end <= site).is_some() {}
             assert!(
-                site >= run_end && existing.peek().is_none_or(|&(s, _)| s >= site + width),
+                existing.peek().is_none_or(|&(s, _)| s >= site + width),
                 "cell {cell} overlaps at row {row} site {site}"
             );
-            run_end = site + width;
-            entries.push((site, cell, width));
         }
-        for &(cell, site) in run {
+        for &(site, cell, _) in &entries {
             self.remove(cell);
             self.slots[cell.index()] = Some(PlacedCell { row, site });
         }
         self.row_index[row as usize].insert_run(&entries);
+    }
+
+    /// Makes the distinct cells of `run`, at increasing sites, the whole
+    /// content of `row`: a cell of the run placed elsewhere moves, and a
+    /// cell of the row left out of the run is unplaced. The row's index
+    /// is written in one pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a slot would overlap an earlier cell of the run or leave
+    /// the row.
+    pub fn rewrite_row(
+        &mut self,
+        netlist: &Netlist,
+        floorplan: &Floorplan,
+        row: u32,
+        run: &[(CellId, u32)],
+    ) {
+        let entries = row_entries(netlist, floorplan, row, run);
+        for &(_, cell, _) in &entries {
+            if self.slots[cell.index()].is_some_and(|pc| pc.row != row) {
+                self.remove(cell);
+            }
+        }
+        let index = &mut self.row_index[row as usize];
+        for (_, cell, _) in index.rebuild(entries) {
+            self.slots[cell.index()] = None;
+        }
+        for &(site, cell, _) in &index.cells {
+            self.slots[cell.index()] = Some(PlacedCell { row, site });
+        }
     }
 
     /// Removes `cell` from the placement (no-op when unplaced).
@@ -485,20 +570,6 @@ impl Placement {
         if let Some(pc) = self.slots[cell.index()].take() {
             self.row_index[pc.row as usize].remove_at(pc.site);
         }
-    }
-
-    /// Unplaces every cell of `row` at once and returns them as
-    /// `(site, cell, width)` in site order.
-    pub(crate) fn take_row(&mut self, row: u32) -> Vec<(u32, CellId, u32)> {
-        let index = &mut self.row_index[row as usize];
-        let cells = std::mem::replace(index, RowIndex::new(index.sites)).cells;
-        cells
-            .into_iter()
-            .map(|(site, (cell, width))| {
-                self.slots[cell.index()] = None;
-                (site, cell, width)
-            })
-            .collect()
     }
 
     /// The first site `s` of `row` in `[from, to - width]` where `width`
@@ -531,20 +602,16 @@ impl Placement {
     ///
     /// Panics if `row` is out of range.
     pub fn fits(&self, row: u32, site: u32, width: u32) -> bool {
-        let index = &self.row_index[row as usize].cells;
+        let cells = &self.row_index[row as usize].cells;
+        let next = cells.partition_point(|&(s, _, _)| s <= site);
         // Previous occupant must end at or before `site`…
-        if let Some((&s, &(_, w))) = index.range(..=site).next_back() {
+        if let Some(&(s, _, w)) = next.checked_sub(1).map(|i| &cells[i]) {
             if s + w > site {
                 return false;
             }
         }
         // …and the next must start at or after the end.
-        if let Some((&s, _)) = index.range(site..).next() {
-            if s < site + width {
-                return false;
-            }
-        }
-        true
+        cells.get(next).is_none_or(|&(s, _, _)| s >= site + width)
     }
 
     /// The slot of `cell`, if placed.
@@ -592,12 +659,8 @@ impl Placement {
     /// # Panics
     ///
     /// Panics if `row` is out of range.
-    pub fn row_cells(&self, row: u32) -> Vec<(u32, CellId, u32)> {
-        self.row_index[row as usize]
-            .cells
-            .iter()
-            .map(|(&s, &(c, w))| (s, c, w))
-            .collect()
+    pub fn row_cells(&self, row: u32) -> &[(u32, CellId, u32)] {
+        &self.row_index[row as usize].cells
     }
 
     /// Free gaps in `row` as `(site, width)` pairs, in site order.
@@ -619,7 +682,7 @@ impl Placement {
         let mut cells = index.cells.iter();
         let mut cursor = 0u32;
         std::iter::from_fn(move || {
-            for (&site, &(_, width)) in cells.by_ref() {
+            for &(site, _, width) in cells.by_ref() {
                 let start = cursor;
                 cursor = site + width;
                 if site > start {
@@ -688,18 +751,23 @@ impl Placement {
     /// Panics if the mapping has fewer entries than this placement has
     /// rows or names a row the new floorplan lacks.
     pub fn remap_rows(&self, floorplan_new: &Floorplan, mapping: &[usize]) -> Placement {
-        let mut row_index: Vec<RowIndex> = (0..floorplan_new.num_rows())
-            .map(|r| RowIndex::new(floorplan_new.row(r).num_sites))
-            .collect();
+        let mut row_index: Vec<Option<RowIndex>> = vec![None; floorplan_new.num_rows()];
         for (old, index) in self.row_index.iter().enumerate() {
             let new = mapping[old];
-            let mut moved = index.clone();
             let sites = floorplan_new.row(new).num_sites;
-            if moved.sites != sites {
-                moved.resize(sites);
-            }
-            row_index[new] = moved;
+            row_index[new] = Some(if index.sites == sites {
+                index.clone()
+            } else {
+                RowIndex::built(sites, index.cells.clone())
+            });
         }
+        let row_index = row_index
+            .into_iter()
+            .enumerate()
+            .map(|(r, index)| {
+                index.unwrap_or_else(|| RowIndex::built(floorplan_new.row(r).num_sites, Vec::new()))
+            })
+            .collect();
         let slots = self
             .slots
             .iter()
@@ -712,6 +780,41 @@ impl Placement {
             .collect();
         Placement { slots, row_index }
     }
+}
+
+/// `run` as `(site, cell, width)` entries of `row`.
+///
+/// # Panics
+///
+/// Panics if `row` is out of range, or a slot would leave the row or
+/// overlap an earlier slot of the run.
+fn row_entries(
+    netlist: &Netlist,
+    floorplan: &Floorplan,
+    row: u32,
+    run: &[(CellId, u32)],
+) -> Vec<(u32, CellId, u32)> {
+    assert!(
+        (row as usize) < floorplan.num_rows(),
+        "row {row} out of range"
+    );
+    let sites = floorplan.row(row as usize).num_sites;
+    let mut run_end = 0;
+    run.iter()
+        .map(|&(cell, site)| {
+            let width = netlist.cell_width_sites(cell);
+            assert!(
+                site + width <= sites,
+                "cell {cell} leaves row {row} (site {site} width {width})"
+            );
+            assert!(
+                site >= run_end,
+                "cell {cell} overlaps at row {row} site {site}"
+            );
+            run_end = site + width;
+            (site, cell, width)
+        })
+        .collect()
 }
 
 #[cfg(test)]

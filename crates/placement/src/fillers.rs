@@ -134,7 +134,7 @@ pub fn respread_row(
     row: u32,
     gaps: &[u32],
 ) {
-    let cells = placement.take_row(row);
+    let cells = placement.row_cells(row);
     assert!(
         gaps.len() >= cells.len(),
         "need one gap per cell: {} < {}",
@@ -151,7 +151,7 @@ pub fn respread_row(
             (id, site)
         })
         .collect();
-    placement.place_run(netlist, floorplan, row, &run);
+    placement.rewrite_row(netlist, floorplan, row, &run);
 }
 
 #[cfg(test)]
@@ -201,8 +201,8 @@ mod tests {
         for row in 0..fp.num_rows() as u32 {
             let mut spans: Vec<(u32, u32)> = p
                 .row_cells(row)
-                .into_iter()
-                .map(|(s, _, w)| (s, w))
+                .iter()
+                .map(|&(s, _, w)| (s, w))
                 .chain(
                     fillers
                         .iter()

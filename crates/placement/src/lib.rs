@@ -51,7 +51,7 @@ pub use fillers::{respread_row, weighted_row_gaps};
 pub use floorplan::{Floorplan, Row};
 pub use geometry::PlacedGeometry;
 pub use hpwl::{net_hpwl, total_hpwl};
-pub use place::{region_row_segments, spread_into_region, PlacementResult, Placer, PlacerConfig};
+pub use place::{region_row_segments, PlacementResult, Placer, PlacerConfig};
 pub use regions::assign_unit_regions;
 pub use search::{squeeze_into_row, OutsideSlots, SlotSearchStats};
 pub use validate::{validate, Violation};

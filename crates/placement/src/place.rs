@@ -130,30 +130,99 @@ impl Placer {
             });
         }
         let regions = assign_unit_regions(netlist, floorplan.core());
-        let mut placement = Placement::new(netlist, &floorplan);
+        // Each unit's cells go into its region's row segments in order,
+        // with uniform whitespace inside each segment. The runs wait per
+        // row, and each row is built once; only the first-fit sweep, which
+        // reads the row index, makes the placement sooner.
+        let mut runs: Vec<Vec<(CellId, u32)>> = vec![Vec::new(); floorplan.num_rows()];
+        let mut placement = None;
         for (unit, _) in netlist.units() {
             let cells = netlist.unit_cells(unit);
-            place_unit_into_region(
-                netlist,
-                &floorplan,
-                &mut placement,
-                &cells,
-                regions[unit.index()],
-                self.config.serpentine,
-            )
-            .map_err(|e| match e {
-                PlaceError::RegionOverflow {
-                    needed_sites,
-                    capacity_sites,
-                    ..
-                } => PlaceError::RegionOverflow {
-                    unit: netlist.unit(unit).name().to_string(),
-                    needed_sites,
-                    capacity_sites,
-                },
-                other => other,
-            })?;
+            let segments = region_row_segments(&floorplan, regions[unit.index()]);
+            let widths: Vec<u32> = cells.iter().map(|&c| netlist.cell_width_sites(c)).collect();
+            let needed: u64 = widths.iter().map(|&w| w as u64).sum();
+            let capacity: u64 = segments.iter().map(|&(_, lo, hi)| (hi - lo) as u64).sum();
+            let overflow = || PlaceError::RegionOverflow {
+                unit: netlist.unit(unit).name().to_string(),
+                needed_sites: needed,
+                capacity_sites: capacity,
+            };
+            if needed > capacity {
+                return Err(overflow());
+            }
+            let mut idx = 0usize; // next unplaced cell
+            let mut placed_sites: u64 = 0;
+            let mut seen_sites: u64 = 0;
+            for (seg_no, &(row, lo, hi)) in segments.iter().enumerate() {
+                if idx >= cells.len() {
+                    break;
+                }
+                let seg_sites = (hi - lo) as u64;
+                seen_sites += seg_sites;
+                // Proportional target: by the end of this segment we
+                // should have placed `needed × seen/capacity` sites worth
+                // of cells.
+                let target: u64 = if seg_no + 1 == segments.len() {
+                    needed
+                } else {
+                    needed * seen_sites / capacity
+                };
+                let mut batch: Vec<usize> = Vec::new();
+                let mut batch_width: u64 = 0;
+                while idx < cells.len()
+                    && placed_sites + batch_width < target
+                    && batch_width + widths[idx] as u64 <= seg_sites
+                {
+                    batch_width += widths[idx] as u64;
+                    batch.push(idx);
+                    idx += 1;
+                }
+                if batch.is_empty() {
+                    continue;
+                }
+                if self.config.serpentine && seg_no % 2 == 1 {
+                    batch.reverse();
+                }
+                // Uniform gaps before each cell; the row segment ends flush.
+                let free = seg_sites - batch_width;
+                let n = batch.len() as u64;
+                let gap_each = free / n;
+                let extra = free % n;
+                let mut cursor = lo as u64;
+                runs[row as usize].extend(batch.iter().enumerate().map(|(i, &ci)| {
+                    cursor += gap_each + u64::from((i as u64) < extra);
+                    let site = cursor as u32;
+                    cursor += widths[ci] as u64;
+                    (cells[ci], site)
+                }));
+                placed_sites += batch_width;
+            }
+            if idx < cells.len() {
+                // Proportional batching under-filled (can happen when one
+                // cell is wider than a segment's leftover): sweep again,
+                // first-fit.
+                let built = build_rows(netlist, &floorplan, placement.take(), &mut runs);
+                let placement = placement.insert(built);
+                for &(row, lo, hi) in &segments {
+                    if idx >= cells.len() {
+                        break;
+                    }
+                    let mut site = lo;
+                    while idx < cells.len() {
+                        let Some(fit) = placement.first_fit(row, site, hi, widths[idx]) else {
+                            break;
+                        };
+                        placement.place(netlist, &floorplan, cells[idx], row, fit);
+                        site = fit + widths[idx];
+                        idx += 1;
+                    }
+                }
+                if idx < cells.len() {
+                    return Err(overflow());
+                }
+            }
         }
+        let placement = build_rows(netlist, &floorplan, placement, &mut runs);
         Ok(PlacementResult {
             floorplan,
             placement,
@@ -162,22 +231,39 @@ impl Placer {
     }
 }
 
-/// Spreads `cells` (in the given order) uniformly into `region`,
-/// distributing whitespace evenly inside each row segment — the
-/// re-spreading primitive of the paper's hotspot wrapper. The cells must
-/// already be removed from the placement.
-///
-/// # Errors
-///
-/// Returns [`PlaceError::RegionOverflow`] when the cells do not fit.
-pub fn spread_into_region(
+/// Writes the waiting `runs` (per row, `(cell, site)` in any order) into
+/// `placement`, or into a new placement when there is none, building
+/// each row they touch once, and leaves `runs` empty.
+fn build_rows(
     netlist: &Netlist,
     floorplan: &Floorplan,
-    placement: &mut Placement,
-    cells: &[CellId],
-    region: Rect,
-) -> Result<(), PlaceError> {
-    place_unit_into_region(netlist, floorplan, placement, cells, region, true)
+    placement: Option<Placement>,
+    runs: &mut [Vec<(CellId, u32)>],
+) -> Placement {
+    for run in runs.iter_mut() {
+        run.sort_unstable_by_key(|&(_, site)| site);
+    }
+    let Some(mut placement) = placement else {
+        let rows = runs.iter_mut().map(std::mem::take).collect();
+        return Placement::from_rows(netlist, floorplan, rows);
+    };
+    for (row, run) in runs
+        .iter_mut()
+        .enumerate()
+        .filter(|(_, run)| !run.is_empty())
+    {
+        let row = row as u32;
+        run.extend(
+            placement
+                .row_cells(row)
+                .iter()
+                .map(|&(site, cell, _)| (cell, site)),
+        );
+        run.sort_unstable_by_key(|&(_, site)| site);
+        placement.rewrite_row(netlist, floorplan, row, run);
+        run.clear();
+    }
+    placement
 }
 
 /// Row segments of `region`: `(row, site_lo, site_hi)` for every row whose
@@ -206,118 +292,6 @@ pub(crate) fn row_segment(
     let hi_f = ((region.urx - row.origin_x) / sw).floor();
     let hi = (hi_f.max(0.0) as u32).min(row.num_sites);
     (hi > lo).then_some((r as u32, lo, hi))
-}
-
-/// Packs `cells` (in order) into the region's row segments with uniform
-/// whitespace distribution.
-pub(crate) fn place_unit_into_region(
-    netlist: &Netlist,
-    floorplan: &Floorplan,
-    placement: &mut Placement,
-    cells: &[CellId],
-    region: Rect,
-    serpentine: bool,
-) -> Result<(), PlaceError> {
-    let segments = region_row_segments(floorplan, region);
-    place_into_segments(netlist, floorplan, placement, cells, &segments, serpentine)
-}
-
-/// [`place_unit_into_region`] over the region's row `segments`.
-pub(crate) fn place_into_segments(
-    netlist: &Netlist,
-    floorplan: &Floorplan,
-    placement: &mut Placement,
-    cells: &[CellId],
-    segments: &[(u32, u32, u32)],
-    serpentine: bool,
-) -> Result<(), PlaceError> {
-    let widths: Vec<u32> = cells.iter().map(|&c| netlist.cell_width_sites(c)).collect();
-    let needed: u64 = widths.iter().map(|&w| w as u64).sum();
-    let capacity: u64 = segments.iter().map(|&(_, lo, hi)| (hi - lo) as u64).sum();
-    if needed > capacity {
-        return Err(PlaceError::RegionOverflow {
-            unit: String::new(),
-            needed_sites: needed,
-            capacity_sites: capacity,
-        });
-    }
-    let mut idx = 0usize; // next unplaced cell
-    let mut placed_sites: u64 = 0;
-    let mut seen_sites: u64 = 0;
-    for (seg_no, &(row, lo, hi)) in segments.iter().enumerate() {
-        if idx >= cells.len() {
-            break;
-        }
-        let seg_sites = (hi - lo) as u64;
-        seen_sites += seg_sites;
-        // Proportional target: by the end of this segment we should have
-        // placed `needed × seen/capacity` sites worth of cells.
-        let target: u64 = if seg_no + 1 == segments.len() {
-            needed
-        } else {
-            needed * seen_sites / capacity
-        };
-        let mut batch: Vec<usize> = Vec::new();
-        let mut batch_width: u64 = 0;
-        while idx < cells.len()
-            && placed_sites + batch_width < target
-            && batch_width + widths[idx] as u64 <= seg_sites
-        {
-            batch_width += widths[idx] as u64;
-            batch.push(idx);
-            idx += 1;
-        }
-        if batch.is_empty() {
-            continue;
-        }
-        if serpentine && seg_no % 2 == 1 {
-            batch.reverse();
-        }
-        // Uniform gaps before each cell; the row segment ends flush.
-        let free = seg_sites - batch_width;
-        let n = batch.len() as u64;
-        let gap_each = free / n;
-        let extra = free % n;
-        let mut cursor = lo as u64;
-        let run: Vec<(CellId, u32)> = batch
-            .iter()
-            .enumerate()
-            .map(|(i, &ci)| {
-                cursor += gap_each + u64::from((i as u64) < extra);
-                let site = cursor as u32;
-                cursor += widths[ci] as u64;
-                (cells[ci], site)
-            })
-            .collect();
-        placement.place_run(netlist, floorplan, row, &run);
-        placed_sites += batch_width;
-    }
-    if idx < cells.len() {
-        // Proportional batching under-filled (can happen when one cell is
-        // wider than a segment's leftover): sweep again, first-fit.
-        for &(row, lo, hi) in segments {
-            if idx >= cells.len() {
-                break;
-            }
-            let mut site = lo;
-            while idx < cells.len() {
-                let Some(fit) = placement.first_fit(row, site, hi, widths[idx]) else {
-                    break;
-                };
-                placement.place(netlist, floorplan, cells[idx], row, fit);
-                site = fit + widths[idx];
-                idx += 1;
-            }
-        }
-    }
-    if idx < cells.len() {
-        return Err(PlaceError::RegionOverflow {
-            unit: String::new(),
-            needed_sites: needed,
-            capacity_sites: capacity,
-        });
-    }
-    Ok(())
 }
 
 #[cfg(test)]

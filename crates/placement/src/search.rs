@@ -4,7 +4,7 @@
 use geom::{Point, Rect};
 use netlist::{CellId, Netlist};
 
-use crate::{Floorplan, Placement};
+use crate::{Floorplan, PlacedCell, Placement};
 
 /// Counters of the searches one [`OutsideSlots`] answered.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -35,10 +35,13 @@ pub struct SlotSearchStats {
 /// The search only visits free space that could still win. A site whose
 /// left edge lies inside a forbidden rectangle is covered by no legal
 /// footprint, so each row that a rectangle crosses keeps an upper bound
-/// on its widest run of free sites outside every such interval (read
-/// again once cells were placed in the row). A row is skipped in O(1)
-/// when that bound or its widest gap is narrower than the cell, and a
-/// cell wider than every row's bound is answered `None` without a scan.
+/// on its widest run of free sites outside every such interval and where
+/// that run lies; once cells were placed in the row, the bound is read
+/// again unless the run is still free. A row is skipped in O(1) when
+/// that bound or its widest gap is narrower than the cell, and a cell
+/// wider than every row's bound is answered `None` without a scan. The
+/// start sites a forbidden rectangle rules out are worked out once per
+/// row and cell width.
 /// When the origin lies over such an interval, the nearest free run on
 /// each side of it that could hold the cell (its frontier,
 /// remembered per interval and width) bounds the row's distance before
@@ -50,9 +53,10 @@ pub struct SlotSearchStats {
 ///
 /// Placing a cell only shrinks free runs, so the bounds stay sound
 /// across placements. A removal can widen a run outside the rectangles:
-/// after removing a cell that is not wholly inside them, or after any
-/// edit of a row no rectangle crosses, call
-/// [`OutsideSlots::refresh_row`] before the next search.
+/// after removing a cell that is not wholly inside them, call
+/// [`OutsideSlots::removed`] or [`OutsideSlots::refresh_row`], and after
+/// any edit of a row no rectangle crosses, [`OutsideSlots::refresh_row`],
+/// before the next search.
 #[derive(Debug, Clone)]
 pub struct OutsideSlots<'a> {
     floorplan: &'a Floorplan,
@@ -61,15 +65,34 @@ pub struct OutsideSlots<'a> {
     /// meeting the row, as sorted, disjoint inclusive intervals.
     inside: Vec<Vec<(u32, u32)>>,
     /// Per row with `inside` sites, an upper bound on its widest run of
-    /// free sites that meets no `inside` interval, and the row's used
-    /// sites when it was found.
-    bound: Vec<(u32, u32)>,
+    /// free sites that meets no `inside` interval.
+    bound: Vec<RunBound>,
     /// An upper bound on every row's widest legal run: its `bound`, or
     /// its widest gap for a row no rectangle crosses.
     widest: u32,
     /// Per row, the known [`Frontier`]s of its `inside` intervals.
     frontiers: Vec<Vec<Frontier>>,
+    /// Per row, the cell widths whose blocked start sites were worked
+    /// out so far.
+    blocked: Vec<Vec<BlockedStarts>>,
     stats: SlotSearchStats,
+}
+
+/// A cell width and the start sites of a row whose footprint that wide
+/// would meet a forbidden rectangle, as sorted, disjoint, non-adjacent
+/// inclusive intervals.
+type BlockedStarts = (u32, Vec<(u32, u32)>);
+
+/// A row's widest free run outside its `inside` intervals when last
+/// read: placing a cell only shrinks free runs, so while the run is still
+/// free it is still the widest.
+#[derive(Debug, Clone, Copy, Default)]
+struct RunBound {
+    width: u32,
+    /// The run's first site.
+    start: u32,
+    /// The row's used sites when the run was read.
+    used: u32,
 }
 
 /// How far a legal footprint of one width must sit from one `inside`
@@ -99,8 +122,9 @@ impl<'a> OutsideSlots<'a> {
         let mut slots = OutsideSlots {
             floorplan,
             forbidden,
-            bound: vec![(0, 0); inside.len()],
+            bound: vec![RunBound::default(); inside.len()],
             frontiers: vec![Vec::new(); inside.len()],
+            blocked: vec![Vec::new(); inside.len()],
             inside,
             widest: 0,
             stats: SlotSearchStats::default(),
@@ -120,10 +144,39 @@ impl<'a> OutsideSlots<'a> {
             placement.row_widest_gap(row)
         } else {
             let bound = widest_run_outside(placement, row, inside);
-            self.bound[row as usize] = (bound, placement.row_used_sites(row));
-            bound
+            self.bound[row as usize] = bound;
+            bound.width
         };
         self.widest = self.widest.max(widest);
+    }
+
+    /// [`OutsideSlots::refresh_row`] after removing a cell `width` sites
+    /// wide from `slot`. Only the free gap now holding its sites can have
+    /// widened, so unless the cell sat in the widest run the row's bound
+    /// knows, the bound is read from that gap alone.
+    pub fn removed(&mut self, placement: &Placement, slot: PlacedCell, width: u32) {
+        let (row, site) = (slot.row, slot.site);
+        let bound = self.bound[row as usize];
+        let apart = bound.start + bound.width <= site || site + width <= bound.start;
+        if self.inside[row as usize].is_empty()
+            || !apart
+            || !placement.fits(row, bound.start, bound.width)
+        {
+            self.refresh_row(placement, row);
+            return;
+        }
+        // The run missed the cell and is free, so it was the widest
+        // before the removal.
+        let mut widest = RunBound {
+            used: placement.row_used_sites(row),
+            ..bound
+        };
+        if let Some((start, end)) = placement.wide_gaps_left(row, site, 1).next() {
+            widen_by_gap(&mut widest, &self.inside[row as usize], start, end);
+        }
+        self.frontiers[row as usize].clear();
+        self.bound[row as usize] = widest;
+        self.widest = self.widest.max(widest.width);
     }
 
     /// The counters of every search so far.
@@ -154,11 +207,7 @@ impl<'a> OutsideSlots<'a> {
             origin,
             width,
             width_um: width as f64 * floorplan.site_width(),
-            forbidden: self.forbidden,
             best: None,
-            grid: None,
-            rect_sites: Vec::with_capacity(self.forbidden.len()),
-            blocked: Vec::with_capacity(self.forbidden.len()),
         };
         let origin_row = floorplan
             .row_at(origin.y.clamp(floorplan.core().lly, floorplan.core().ury))
@@ -182,7 +231,8 @@ impl<'a> OutsideSlots<'a> {
                 && self.may_beat(placement, &search, r as usize)
             {
                 self.stats.rows_scanned += 1;
-                search.scan_row(r as usize, rank as u64);
+                let blocked = self.blocked_starts(r as usize, width);
+                search.scan_row(r as usize, rank as u64, blocked);
             }
         }
         search.best.map(|b| (b.row, b.site))
@@ -190,7 +240,7 @@ impl<'a> OutsideSlots<'a> {
 
     /// Whether row `r` may hold a legal footprint `width` sites wide. A
     /// bound that would let the row through is re-read if cells were
-    /// placed in the row since.
+    /// placed in the row since and its run is no longer free.
     fn may_fit(&mut self, placement: &Placement, r: usize, width: u32) -> bool {
         if placement.row_widest_gap(r as u32) < width {
             return false;
@@ -199,17 +249,41 @@ impl<'a> OutsideSlots<'a> {
         if inside.is_empty() {
             return true;
         }
-        let (bound, used) = self.bound[r];
-        if bound < width {
+        let bound = &mut self.bound[r];
+        if bound.width < width {
             return false;
         }
         let now = placement.row_used_sites(r as u32);
-        if used == now {
-            return true;
+        if bound.used != now && !placement.fits(r as u32, bound.start, bound.width) {
+            *bound = widest_run_outside(placement, r as u32, inside);
         }
-        let bound = widest_run_outside(placement, r as u32, inside);
-        self.bound[r] = (bound, now);
-        bound >= width
+        bound.used = now;
+        bound.width >= width
+    }
+
+    /// The start sites of row `r` whose footprint `width` sites wide
+    /// would meet a forbidden rectangle, by the same strict-overlap test
+    /// as [`Rect::intersects`]: sorted, disjoint, non-adjacent inclusive
+    /// intervals, worked out on the row's first search for the width.
+    fn blocked_starts(&mut self, r: usize, width: u32) -> &[(u32, u32)] {
+        let known = &mut self.blocked[r];
+        let at = match known.iter().position(|&(w, _)| w == width) {
+            Some(at) => at,
+            None => {
+                let rect = self.floorplan.row_rect(r);
+                let mut blocked: Vec<(u32, u32)> = self
+                    .forbidden
+                    .iter()
+                    .filter(|f| f.lly < rect.ury && rect.lly < f.ury)
+                    .filter_map(|f| starts_meeting(self.floorplan, r, width, f))
+                    .collect();
+                blocked.sort_unstable();
+                merge_intervals(&mut blocked);
+                known.push((width, blocked));
+                known.len() - 1
+            }
+        };
+        &known[at].1
     }
 
     /// Whether a legal footprint in row `r` may beat the best candidate
@@ -371,27 +445,36 @@ fn merge_intervals(intervals: &mut Vec<(u32, u32)>) {
 }
 
 /// The widest run of free sites of `row` that meets none of the sorted,
-/// disjoint `inside` intervals.
-fn widest_run_outside(placement: &Placement, row: u32, inside: &[(u32, u32)]) -> u32 {
-    let mut widest = 0;
-    let mut next = 0;
+/// disjoint `inside` intervals (the leftmost of equals).
+fn widest_run_outside(placement: &Placement, row: u32, inside: &[(u32, u32)]) -> RunBound {
+    let mut widest = RunBound {
+        used: placement.row_used_sites(row),
+        ..RunBound::default()
+    };
     for (start, width) in placement.free_gaps(row) {
-        let end = start + width;
-        // Intervals ending before the gap cannot cut it.
-        while next < inside.len() && inside[next].1 < start {
-            next += 1;
-        }
-        let mut from = start;
-        let mut k = next;
-        while k < inside.len() && inside[k].0 < end {
-            let (a, b) = inside[k];
-            widest = widest.max(a.saturating_sub(from));
-            from = from.max(b + 1);
-            k += 1;
-        }
-        widest = widest.max(end.saturating_sub(from));
+        widen_by_gap(&mut widest, inside, start, start + width);
     }
     widest
+}
+
+/// Takes into `widest` the widest run of the free gap `[start, end)`
+/// that meets none of the sorted, disjoint `inside` intervals, if wider.
+fn widen_by_gap(widest: &mut RunBound, inside: &[(u32, u32)], start: u32, end: u32) {
+    let mut offer = |start: u32, end: u32| {
+        if end > start + widest.width {
+            (widest.start, widest.width) = (start, end - start);
+        }
+    };
+    // Intervals ending before the gap cannot cut it.
+    let mut k = inside.partition_point(|&(_, b)| b < start);
+    let mut from = start;
+    while k < inside.len() && inside[k].0 < end {
+        let (a, b) = inside[k];
+        offer(from, a);
+        from = from.max(b + 1);
+        k += 1;
+    }
+    offer(from, end);
 }
 
 /// A candidate slot with its distance and scan key `(rank, gap_start)`.
@@ -411,25 +494,18 @@ struct SlotSearch<'a> {
     origin: Point,
     width: u32,
     width_um: f64,
-    forbidden: &'a [Rect],
     best: Option<Candidate>,
-    /// The site grid `(origin_x, num_sites)` that `rect_sites` is for.
-    grid: Option<(f64, u32)>,
-    /// Per forbidden rectangle, the start sites whose footprint meets it
-    /// in x, as an inclusive interval.
-    rect_sites: Vec<Option<(u32, u32)>>,
-    /// The current row's forbidden start sites: sorted, disjoint,
-    /// non-adjacent inclusive intervals.
-    blocked: Vec<(u32, u32)>,
 }
 
 /// The row being scanned.
-struct RowScan {
+struct RowScan<'b> {
     r: usize,
     rank: u64,
     rect: Rect,
     ideal_site: f64,
     max_site: u32,
+    /// The row's forbidden start sites ([`OutsideSlots::blocked_starts`]).
+    blocked: &'b [(u32, u32)],
 }
 
 impl SlotSearch<'_> {
@@ -473,25 +549,17 @@ impl SlotSearch<'_> {
         }
     }
 
-    /// The forbidden interval holding start site `site`, if any.
-    fn blocked_at(&self, site: u32) -> Option<(u32, u32)> {
-        self.blocked
-            .iter()
-            .copied()
-            .find(|&(a, b)| a <= site && site <= b)
-    }
-
     /// Offers the candidate of the fitting gap `[start, end)`.
     fn offer(&mut self, row: &RowScan, start: u32, end: u32) {
         let (lo, hi) = (start, end - self.width);
         let site = row.ideal_site.clamp(lo as f64, hi as f64) as u32;
-        if self.blocked_at(site).is_none() {
+        if row.blocked_at(site).is_none() {
             self.consider(row, start, site);
             return;
         }
         // Try both gap extremes as fallbacks around a forbidden zone.
         for alt in [lo, hi] {
-            if self.blocked_at(alt).is_none() {
+            if row.blocked_at(alt).is_none() {
                 self.consider(row, start, alt);
             }
         }
@@ -499,8 +567,8 @@ impl SlotSearch<'_> {
 
     /// The forbidden interval a gap `[start, end)` lies wholly inside —
     /// such a gap offers no candidate.
-    fn swallowed_by(&self, start: u32, end: u32) -> Option<(u32, u32)> {
-        self.blocked_at(start)
+    fn swallowed_by(&self, row: &RowScan, start: u32, end: u32) -> Option<(u32, u32)> {
+        row.blocked_at(start)
             .filter(|&(_, b)| i64::from(end) - i64::from(self.width) <= i64::from(b))
     }
 
@@ -530,7 +598,7 @@ impl SlotSearch<'_> {
         })
     }
 
-    fn scan_row(&mut self, r: usize, rank: u64) {
+    fn scan_row(&mut self, r: usize, rank: u64, blocked: &[(u32, u32)]) {
         let (r32, width) = (r as u32, self.width);
         let floorplan = self.floorplan;
         let placement = self.placement;
@@ -542,8 +610,8 @@ impl SlotSearch<'_> {
             rect: floorplan.row_rect(r),
             ideal_site: ((ideal_x - grid.origin_x) / floorplan.site_width()).round(),
             max_site: grid.num_sites - width,
+            blocked,
         };
-        self.block_row(&row);
 
         // An ideal site inside a forbidden interval `[a, b]` bounds the
         // whole row by the interval's nearest legal neighbours, and the
@@ -552,7 +620,7 @@ impl SlotSearch<'_> {
         // gap starting at or before `b`.
         let pivot = row.ideal_site.clamp(0.0, grid.num_sites as f64) as u32;
         let nearest = row.ideal_site.clamp(0.0, row.max_site as f64) as u32;
-        let (left_from, right_from) = match self.blocked_at(nearest) {
+        let (left_from, right_from) = match row.blocked_at(nearest) {
             None => (Some(pivot), pivot + 1),
             Some((a, b)) => {
                 let dy = ((row.rect.lly + row.rect.ury) / 2.0 - self.origin.y).abs();
@@ -586,7 +654,7 @@ impl SlotSearch<'_> {
                 if c.x <= self.origin.x && !self.beats(c.manhattan_to(self.origin), rank, 0) {
                     break;
                 }
-                match self.swallowed_by(start, end) {
+                match self.swallowed_by(&row, start, end) {
                     Some((0, _)) => break,
                     Some((a, _)) => gaps = placement.wide_gaps_left(r32, a - 1, width),
                     None => {
@@ -615,7 +683,7 @@ impl SlotSearch<'_> {
             if c.x >= self.origin.x && !self.beats(c.manhattan_to(self.origin), rank, start) {
                 break;
             }
-            match self.swallowed_by(start, end) {
+            match self.swallowed_by(&row, start, end) {
                 // Every later gap starting inside the interval is
                 // swallowed too, except one that runs past its end: the
                 // last gap starting inside it.
@@ -643,47 +711,35 @@ impl SlotSearch<'_> {
             }
         }
     }
+}
 
-    /// Fills [`SlotSearch::blocked`] with the start sites of `row` whose
-    /// footprint would meet a forbidden rectangle, by the same
-    /// strict-overlap test as [`Rect::intersects`].
-    fn block_row(&mut self, row: &RowScan) {
-        let grid = self.floorplan.row(row.r);
-        if self.grid != Some((grid.origin_x, grid.num_sites)) {
-            self.grid = Some((grid.origin_x, grid.num_sites));
-            self.rect_sites.clear();
-            for f in self.forbidden {
-                self.rect_sites.push(self.sites_meeting(row, f));
-            }
-        }
-        self.blocked.clear();
-        for (f, sites) in self.forbidden.iter().zip(&self.rect_sites) {
-            if let Some(interval) = sites {
-                if f.lly < row.rect.ury && row.rect.lly < f.ury {
-                    self.blocked.push(*interval);
-                }
-            }
-        }
-        self.blocked.sort_unstable();
-        merge_intervals(&mut self.blocked);
+impl RowScan<'_> {
+    /// The forbidden interval holding start site `site`, if any.
+    fn blocked_at(&self, site: u32) -> Option<(u32, u32)> {
+        self.blocked
+            .iter()
+            .copied()
+            .find(|&(a, b)| a <= site && site <= b)
     }
+}
 
-    /// The start sites of `row` whose footprint overlaps `f` in x.
-    fn sites_meeting(&self, row: &RowScan, f: &Rect) -> Option<(u32, u32)> {
-        let origin_x = self.floorplan.row(row.r).origin_x;
-        let sw = self.floorplan.site_width();
-        let max_site = i64::from(row.max_site);
-        let x = |s: i64| self.floorplan.site_x(row.r, s as u32);
-        let first = first_true(
-            max_site,
-            ((f.llx - self.width_um - origin_x) / sw).floor() + 1.0,
-            |s| f.llx < x(s) + self.width_um,
-        );
-        let past = first_true(max_site, ((f.urx - origin_x) / sw).ceil(), |s| {
-            x(s) >= f.urx
-        });
-        (first < past).then(|| (first as u32, (past - 1) as u32))
-    }
+/// The start sites of row `r` whose footprint `width` sites wide overlaps
+/// `f` in x, as an inclusive interval.
+fn starts_meeting(floorplan: &Floorplan, r: usize, width: u32, f: &Rect) -> Option<(u32, u32)> {
+    let origin_x = floorplan.row(r).origin_x;
+    let sw = floorplan.site_width();
+    let width_um = width as f64 * sw;
+    let max_site = i64::from(floorplan.row(r).num_sites - width);
+    let x = |s: i64| floorplan.site_x(r, s as u32);
+    let first = first_true(
+        max_site,
+        ((f.llx - width_um - origin_x) / sw).floor() + 1.0,
+        |s| f.llx < x(s) + width_um,
+    );
+    let past = first_true(max_site, ((f.urx - origin_x) / sw).ceil(), |s| {
+        x(s) >= f.urx
+    });
+    (first < past).then(|| (first as u32, (past - 1) as u32))
 }
 
 /// The first `s` in `0..=max` where `pred` holds, or `max + 1`, for a
@@ -720,52 +776,51 @@ pub fn squeeze_into_row(
     row: u32,
     target_x: f64,
 ) -> bool {
-    let lib = netlist.library();
-    let width = lib.cell(netlist.cell(cell).master()).width_sites();
-    let slot = placement.location(cell);
-    let own = slot.filter(|pc| pc.row == row).map_or(0, |_| width);
-    if placement.row_used_sites(row) - own + width > floorplan.row(row as usize).num_sites {
-        return false;
-    }
-    placement.remove(cell);
-    let occupants = placement.take_row(row);
-    // Build the new order: existing cells by site, new cell by target x.
-    let sw = floorplan.site_width();
-    let target_site = ((target_x - floorplan.row(row as usize).origin_x) / sw) as u32;
-    let mut order: Vec<CellId> = Vec::with_capacity(occupants.len() + 1);
-    let mut inserted = false;
-    for &(site, c, _) in &occupants {
-        if !inserted && site >= target_site {
-            order.push(cell);
-            inserted = true;
-        }
-        order.push(c);
-    }
-    if !inserted {
-        order.push(cell);
-    }
+    let width = netlist.cell_width_sites(cell);
+    let own = placement
+        .location(cell)
+        .filter(|pc| pc.row == row)
+        .map_or(0, |_| width);
+    let needed = placement.row_used_sites(row) - own + width;
     // The row's own segment, as spreading into its rectangle finds it.
     let region = floorplan.row_rect(row as usize);
-    let segment = crate::place::row_segment(floorplan, row as usize, region);
-    if crate::place::place_into_segments(
-        netlist,
-        floorplan,
-        placement,
-        &order,
-        segment.as_slice(),
-        true,
-    )
-    .is_err()
-    {
-        // The spread refuses a capacity shortfall of the row's site grid
-        // before it moves any cell: put the row back as it was.
-        let back: Vec<(CellId, u32)> = occupants.iter().map(|&(site, c, _)| (c, site)).collect();
-        placement.place_run(netlist, floorplan, row, &back);
-        if let Some(pc) = slot {
-            placement.place(netlist, floorplan, cell, pc.row, pc.site);
-        }
+    let Some((_, lo, hi)) = crate::place::row_segment(floorplan, row as usize, region)
+        .filter(|&(_, lo, hi)| hi - lo >= needed)
+    else {
         return false;
+    };
+    // The new order: existing cells by site, the new cell by target x.
+    let sw = floorplan.site_width();
+    let target_site = ((target_x - floorplan.row(row as usize).origin_x) / sw) as u32;
+    let occupants = placement.row_cells(row);
+    let mut order: Vec<(CellId, u32)> = Vec::with_capacity(occupants.len() + 1);
+    let mut inserted = false;
+    for &(site, c, w) in occupants.iter().filter(|&&(_, c, _)| c != cell) {
+        if !inserted && site >= target_site {
+            order.push((cell, width));
+            inserted = true;
+        }
+        order.push((c, w));
     }
+    if !inserted {
+        order.push((cell, width));
+    }
+    // Uniform gaps before each cell; the segment ends flush.
+    let free = hi - lo - needed;
+    let n = order.len() as u32;
+    let (gap_each, extra) = (free / n, free % n);
+    let mut cursor = lo;
+    let run: Vec<(CellId, u32)> = order
+        .iter()
+        .enumerate()
+        .map(|(i, &(c, w))| {
+            cursor += gap_each + u32::from((i as u32) < extra);
+            let site = cursor;
+            cursor += w;
+            (c, site)
+        })
+        .collect();
+    placement.rewrite_row(netlist, floorplan, row, &run);
     true
 }
 

@@ -57,8 +57,8 @@ pub fn validate(netlist: &Netlist, floorplan: &Floorplan, placement: &Placement)
         let row_sites = floorplan.row(row as usize).num_sites;
         let mut spans: Vec<(u32, u32, Option<CellId>)> = placement
             .row_cells(row)
-            .into_iter()
-            .map(|(s, c, w)| (s, w, Some(c)))
+            .iter()
+            .map(|&(s, c, w)| (s, w, Some(c)))
             .collect();
         fillers.clear();
         for (start, width) in placement.row_gaps(floorplan, row) {

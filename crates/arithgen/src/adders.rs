@@ -80,36 +80,22 @@ pub fn carry_select_adder(b: &mut NetlistBuilder, name: &str, width: usize) -> G
     let a_reg = cx.register_bus(&a_in);
     let b_reg = cx.register_bus(&b_in);
 
-    let mut sums = Vec::with_capacity(width);
-    let mut carry: Option<netlist::NetId> = None;
-    let mut offset = 0;
-    while offset < width {
-        let len = (width - offset).min(4);
-        let ab = &a_reg[offset..offset + len];
-        let bb = &b_reg[offset..offset + len];
-        match carry {
-            None => {
-                // First block: a single ripple chain, no speculation needed.
-                let (s, co) = cx.ripple_add(ab, bb, None);
-                sums.extend(s);
-                carry = Some(co);
-            }
-            Some(c_in) => {
-                let zero = cx.tie0();
-                let one = cx.tie1();
-                let (s0, c0) = cx.ripple_add(ab, bb, Some(zero));
-                let (s1, c1) = cx.ripple_add(ab, bb, Some(one));
-                for i in 0..len {
-                    sums.push(cx.mux(s0[i], s1[i], c_in));
-                }
-                carry = Some(cx.mux(c0, c1, c_in));
-            }
+    // First block: a single ripple chain, no speculation needed.
+    let first = width.min(4);
+    let (mut sums, mut carry) = cx.ripple_add(&a_reg[..first], &b_reg[..first], None);
+    for (ab, bb) in a_reg[first..].chunks(4).zip(b_reg[first..].chunks(4)) {
+        let zero = cx.tie0();
+        let one = cx.tie1();
+        let (s0, c0) = cx.ripple_add(ab, bb, Some(zero));
+        let (s1, c1) = cx.ripple_add(ab, bb, Some(one));
+        for (&x0, &x1) in s0.iter().zip(&s1) {
+            sums.push(cx.mux(x0, x1, carry));
         }
-        offset += len;
+        carry = cx.mux(c0, c1, carry);
     }
 
     let mut out_nets = cx.register_bus(&sums);
-    out_nets.push(cx.dff(carry.expect("non-empty adder")));
+    out_nets.push(cx.dff(carry));
     for (i, &n) in out_nets.iter().enumerate() {
         b.output_port(format!("{name}/y[{i}]"), unit, n);
     }

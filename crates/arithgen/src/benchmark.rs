@@ -71,10 +71,18 @@ impl UnitRole {
     /// The [`UnitId`] this role receives in a netlist built by
     /// [`build_benchmark`].
     pub fn unit_id(self) -> UnitId {
-        let idx = UnitRole::ALL
-            .iter()
-            .position(|&r| r == self)
-            .expect("role is in ALL");
+        // The role's position in `ALL`.
+        let idx = match self {
+            UnitRole::RippleAdder => 0,
+            UnitRole::LookaheadAdder => 1,
+            UnitRole::SelectAdder => 2,
+            UnitRole::ArrayMult => 3,
+            UnitRole::WallaceMult => 4,
+            UnitRole::BoothMult => 5,
+            UnitRole::Mac => 6,
+            UnitRole::Divider => 7,
+            UnitRole::Alu => 8,
+        };
         UnitId::new(idx)
     }
 }
@@ -220,9 +228,10 @@ mod tests {
     #[test]
     fn roles_map_to_unit_ids_in_order() {
         let nl = build_benchmark(&BenchmarkConfig::small()).unwrap();
-        for role in UnitRole::ALL {
+        for (i, role) in UnitRole::ALL.into_iter().enumerate() {
             let id = nl.find_unit(role.unit_name()).expect("unit exists");
             assert_eq!(id, role.unit_id());
+            assert_eq!(id.index(), i);
         }
     }
 

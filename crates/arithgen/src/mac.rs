@@ -51,8 +51,7 @@ pub fn mac_unit(b: &mut NetlistBuilder, name: &str, width: usize) -> GeneratedUn
     sum.truncate(acc_width);
     // Close the loop: next accumulator state.
     for (d, s) in acc_d.iter().zip(&sum) {
-        cx.b.cell(unit, CellFunction::Buf, stdcell::Drive::X1, &[*s], &[*d])
-            .expect("buffer instantiation");
+        cx.emit(CellFunction::Buf, &[*s], &[*d]);
     }
 
     for (i, &q) in acc_q.iter().enumerate() {

@@ -26,7 +26,12 @@ impl<'a> Ctx<'a> {
         }
     }
 
-    fn emit(&mut self, f: CellFunction, inputs: &[NetId], outputs: &[NetId]) {
+    /// Instantiates one `f` cell of the unit on the given nets.
+    #[expect(
+        clippy::expect_used,
+        reason = "generators run only with the complete c65 library, whose functions and arities are correct by construction"
+    )]
+    pub fn emit(&mut self, f: CellFunction, inputs: &[NetId], outputs: &[NetId]) {
         self.b
             .cell(self.unit, f, Drive::X1, inputs, outputs)
             .expect("generator uses a complete library with correct arity");
@@ -121,17 +126,18 @@ impl<'a> Ctx<'a> {
     ) -> (Vec<NetId>, NetId) {
         assert_eq!(a.len(), b.len(), "adder bus width mismatch");
         assert!(!a.is_empty(), "adder needs at least one bit");
+        let (s0, mut carry) = match cin {
+            Some(c) => self.fa(a[0], b[0], c),
+            None => self.ha(a[0], b[0]),
+        };
         let mut sums = Vec::with_capacity(a.len());
-        let mut carry = cin;
-        for i in 0..a.len() {
-            let (s, co) = match carry {
-                Some(c) => self.fa(a[i], b[i], c),
-                None => self.ha(a[i], b[i]),
-            };
+        sums.push(s0);
+        for (&ai, &bi) in a[1..].iter().zip(&b[1..]) {
+            let (s, co) = self.fa(ai, bi, carry);
             sums.push(s);
-            carry = Some(co);
+            carry = co;
         }
-        (sums, carry.expect("non-empty adder produces a carry"))
+        (sums, carry)
     }
 
     /// Adds two bit vectors of possibly different lengths with a ripple

@@ -407,7 +407,6 @@ fn scaling_exponent(points: &[(f64, f64)]) -> Option<f64> {
 /// of `solves` timed re-solves (after one untimed warm-up), with the
 /// iteration count, the solved field for cross-checking, and the name
 /// of the backend the model actually routed to.
-#[allow(clippy::type_complexity)]
 fn time_backend(
     nx: usize,
     solver: SolverKind,

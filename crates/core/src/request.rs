@@ -57,7 +57,10 @@ impl StableHasher {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
 
     /// A fresh hasher.
-    #[allow(clippy::new_without_default)]
+    #[expect(
+        clippy::new_without_default,
+        reason = "the seeded FNV offsets are no neutral default, so a hasher is built by name only"
+    )]
     pub fn new() -> Self {
         StableHasher {
             lo: Self::OFFSET_LO,

@@ -18,6 +18,21 @@
 //! assert_eq!(w.to_string(), "WidgetId(3)");
 //! ```
 
+/// Narrows a dense vector index to the `u32` an id stores; every id type
+/// that [`define_id!`](crate::define_id) stamps out builds through it.
+///
+/// # Panics
+///
+/// Panics if `index` does not fit in `u32`.
+#[inline]
+#[expect(
+    clippy::expect_used,
+    reason = "unreachable in practice: every caller passes the length of a Vec it is about to push to or an index below it, and 2^32 objects of any id-indexed kind exceed 16 GiB, so allocation fails long before an index can overflow u32"
+)]
+pub fn dense_index(index: usize) -> u32 {
+    u32::try_from(index).expect("id index overflows u32")
+}
+
 /// Defines a `u32`-backed dense index newtype with the common trait set.
 ///
 /// The generated type implements `Debug`, `Display`, `Clone`, `Copy`,
@@ -40,8 +55,7 @@ macro_rules! define_id {
             ///
             /// Panics if `index` does not fit in `u32`.
             pub fn new(index: usize) -> Self {
-                // lint: allow(no-panic, reason = "documented panic, unreachable in practice: every caller passes the length of a Vec it is about to push to or an index below it, and 2^32 objects of any id-indexed kind exceed 16 GiB, so allocation fails long before an index can overflow u32")
-                $name(u32::try_from(index).expect("id index overflows u32"))
+                $name($crate::ids::dense_index(index))
             }
 
             /// The dense vector index this id refers to.

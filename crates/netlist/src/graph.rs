@@ -62,13 +62,11 @@ pub fn topo_order(netlist: &Netlist) -> Result<Vec<CellId>, NetlistError> {
             }
         }
     }
-    let comb_count = is_comb.iter().filter(|&&c| c).count();
-    if order.len() != comb_count {
-        // Some combinational cell never reached in-degree 0 → cycle.
-        let cell = (0..n)
-            .find(|&i| is_comb[i] && indegree[i] > 0)
-            .map(CellId::new)
-            .expect("cycle implies a blocked cell");
+    // A combinational cell that never reached in-degree 0 sits on a cycle.
+    if let Some(cell) = (0..n)
+        .find(|&i| is_comb[i] && indegree[i] > 0)
+        .map(CellId::new)
+    {
         return Err(NetlistError::CombinationalCycle {
             cell,
             cell_name: netlist.cell(cell).name().to_string(),

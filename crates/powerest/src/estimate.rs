@@ -86,6 +86,7 @@ fn estimate(
         // Switching power per output net.
         for &net in netlist.cell_output_nets(id) {
             let alpha = activity.switching_activity(net);
+            // lint: allow(float-eq, reason = "a net that never toggles has exactly 0.0 activity and adds no switching power")
             if alpha == 0.0 {
                 continue;
             }

@@ -1,9 +1,9 @@
 //! Dynamic numeric-invariant checks, compiled in only under the
 //! `paranoid` cargo feature.
 //!
-//! The static lint pass (`cargo run -p xtask -- lint`) proves the solver
-//! stack cannot *panic by accident*; this module makes it *fail loudly
-//! on purpose* when a numeric invariant breaks — non-finite matvec
+//! Clippy's library pass keeps explicit panic sites out of the solver
+//! stack, so it does not *panic by accident*; this module makes it *fail
+//! loudly on purpose* when a numeric invariant breaks — non-finite matvec
 //! outputs, operators that are not symmetric positive definite, CG
 //! iterations that diverge, or converged solutions that do not conserve
 //! the injected power. Everything here costs real time per iteration,

@@ -9,7 +9,7 @@
 
 use crate::{CellDef, CellFunction, Drive};
 
-#[allow(clippy::too_many_arguments)] // positional datasheet columns
+#[expect(clippy::too_many_arguments, reason = "positional datasheet columns")]
 fn combi(
     name: &str,
     f: CellFunction,

@@ -214,6 +214,10 @@ impl CellFunction {
     /// Panics if the slices do not match [`CellFunction::input_count`] /
     /// [`CellFunction::output_count`], or for [`CellFunction::Filler`]
     /// which has no logic function.
+    #[expect(
+        clippy::panic,
+        reason = "evaluating a filler is a caller bug; the panic is the documented contract"
+    )]
     pub fn eval(self, inputs: &[bool], outputs: &mut [bool]) {
         assert_eq!(inputs.len(), self.input_count(), "wrong input arity");
         assert_eq!(outputs.len(), self.output_count(), "wrong output arity");

@@ -54,6 +54,8 @@ pub struct Comment {
     pub line: u32,
     /// Text after `//` (line) or between `/*` and `*/` (block).
     pub text: String,
+    /// Index of the first token after the comment.
+    pub next_token: usize,
 }
 
 pub struct LexOutput {
@@ -159,7 +161,11 @@ impl Lexer {
             text.push(c);
             self.bump();
         }
-        self.comments.push(Comment { line, text });
+        self.comments.push(Comment {
+            line,
+            text,
+            next_token: self.tokens.len(),
+        });
     }
 
     fn block_comment(&mut self) {
@@ -189,7 +195,11 @@ impl Lexer {
                 }
             }
         }
-        self.comments.push(Comment { line, text });
+        self.comments.push(Comment {
+            line,
+            text,
+            next_token: self.tokens.len(),
+        });
     }
 
     /// Consumes a `"…"` literal whose opening quote is at the cursor.

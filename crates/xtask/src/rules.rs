@@ -1,41 +1,28 @@
-//! The rule engine: walks the token stream of one source file and
-//! reports violations of the repo invariants.
+//! The float-literal rule: walks the token stream of one library source
+//! file and reports every `==` / `!=` directly against a float literal
+//! (`float-eq`).
 //!
-//! Rules:
-//! - `no-panic` — no `.unwrap()` / `.expect(…)` / `panic!` / `todo!` /
-//!   `unimplemented!` / `dbg!` in library code.
-//! - `float-eq` — no `==` / `!=` directly against a float literal.
-//! - `unsafe-code` — `unsafe` only in files on an explicit allowlist.
-//! - `waiver-syntax` — `// lint:` comments must be well-formed waivers.
-//!
-//! Exemptions: files under `tests/`, `examples/`, `benches/` are skipped
-//! entirely by the driver; `#[cfg(test)]` / `#[test]` items inside
-//! library files are masked out here. Individual sites are waived with
+//! Test, example and bench trees are skipped by the driver;
+//! `#[cfg(test)]` / `#[test]` items inside library files, with any
+//! waiver comments in them, are masked out here. A site whose exact comparison is intended is waived with
 //!
 //! ```text
-//! // lint: allow(no-panic, reason = "grid ids are validated at construction")
+//! // lint: allow(float-eq, reason = "fract() == 0.0 is the exact integer-ness test")
 //! ```
 //!
 //! placed on the offending line or the line directly above it. The
-//! reason is mandatory and must be non-empty: every surviving panic site
-//! carries a documented invariant.
+//! reason is mandatory and must be non-empty. A `// lint:` comment that
+//! does not parse is itself a violation (`waiver-syntax`), and so is a
+//! waiver that covers no site (`stale-waiver`): once its comparison is
+//! gone, the waiver must go too.
 
 use crate::lexer::{lex, Comment, Token, TokenKind};
 
-pub const RULE_NO_PANIC: &str = "no-panic";
 pub const RULE_FLOAT_EQ: &str = "float-eq";
-pub const RULE_UNSAFE: &str = "unsafe-code";
 pub const RULE_WAIVER: &str = "waiver-syntax";
+pub const RULE_STALE: &str = "stale-waiver";
 
-pub const ALL_RULES: [&str; 4] = [RULE_NO_PANIC, RULE_FLOAT_EQ, RULE_UNSAFE, RULE_WAIVER];
-
-/// Workspace-relative paths (with `/` separators) where `unsafe` blocks
-/// are permitted. Deliberately empty: the workspace also carries
-/// `#![forbid]`-grade `unsafe_code = "deny"`, and any future exception
-/// must land here with a review, not ad hoc.
-pub const UNSAFE_ALLOWLIST: &[&str] = &[];
-
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Violation {
     pub rule: &'static str,
     pub line: u32,
@@ -44,75 +31,66 @@ pub struct Violation {
 
 /// Outcome of linting one file.
 pub struct FileReport {
-    /// Violations that survive waivers and test-code masking.
+    /// Unwaived float-literal comparisons, malformed waivers and stale
+    /// waivers.
     pub violations: Vec<Violation>,
-    /// Sites that matched a rule but were covered by a valid waiver.
-    pub waived: usize,
-    /// Every well-formed waiver comment in the file, for auditing.
+    /// Every well-formed waiver comment in the file.
     pub waivers: Vec<WaiverSite>,
 }
 
-/// One well-formed `lint: allow(…)` waiver, with its documented reason
-/// and whether it actually covered a rule hit on its line (a stale
-/// waiver — `used == false` — marks debt that has since been paid).
-#[derive(Debug, Clone)]
+/// One well-formed `lint: allow(float-eq, …)` waiver, with its
+/// documented reason and whether it covered a comparison on its line or
+/// the next (`used == false` marks a stale waiver).
+#[derive(Debug)]
 pub struct WaiverSite {
     pub line: u32,
-    pub rule: String,
     pub reason: String,
     pub used: bool,
 }
 
-/// Lints one library source file. `rel_path` is workspace-relative with
-/// `/` separators (used for the unsafe allowlist).
-pub fn check_file(rel_path: &str, src: &str) -> FileReport {
+/// Lints one library source file.
+pub fn check_file(src: &str) -> FileReport {
     let out = lex(src);
-    let (waivers, mut violations) = parse_waivers(&out.comments);
     let mask = test_exempt_mask(&out.tokens);
-    let unsafe_allowed = UNSAFE_ALLOWLIST.contains(&rel_path);
-    let raw = scan_tokens(&out.tokens, &mask, unsafe_allowed);
-
-    let mut waived = 0usize;
-    let mut used = vec![false; waivers.len()];
-    for v in raw {
-        let hit = waivers
-            .iter()
-            .position(|w| w.rule == v.rule && (w.line == v.line || w.line + 1 == v.line));
-        if let Some(i) = hit {
-            used[i] = true;
-            waived += 1;
-        } else {
-            violations.push(v);
+    // A comment between two masked tokens sits in test code, whose
+    // comparisons need no waiver, so its `lint:` comments are skipped.
+    let masked = |k: usize| mask.get(k).copied().unwrap_or(false);
+    let comments = out
+        .comments
+        .iter()
+        .filter(|c| !(c.next_token > 0 && masked(c.next_token - 1) && masked(c.next_token)));
+    let (mut waivers, mut violations) = parse_waivers(comments);
+    for v in float_comparisons(&out.tokens, &mask) {
+        match waivers
+            .iter_mut()
+            .find(|w| w.line == v.line || w.line + 1 == v.line)
+        {
+            Some(w) => w.used = true,
+            None => violations.push(v),
         }
     }
+    violations.extend(waivers.iter().filter(|w| !w.used).map(|w| Violation {
+        rule: RULE_STALE,
+        line: w.line,
+        message: format!(
+            "waiver covers no float-literal comparison on its line or the next; \
+             remove it (reason: \"{}\")",
+            w.reason
+        ),
+    }));
     violations.sort_by_key(|v| (v.line, v.rule));
-    let waivers = waivers
-        .into_iter()
-        .zip(used)
-        .map(|(w, used)| WaiverSite {
-            line: w.line,
-            rule: w.rule,
-            reason: w.reason,
-            used,
-        })
-        .collect();
     FileReport {
         violations,
-        waived,
         waivers,
     }
 }
 
-struct Waiver {
-    line: u32,
-    rule: String,
-    reason: String,
-}
-
-/// Extracts `lint: allow(<rule>, reason = "…")` waivers from comments.
+/// Extracts `lint: allow(float-eq, reason = "…")` waivers from comments.
 /// A comment that starts with `lint:` but does not parse is itself a
 /// violation — silent typos must not mint accidental permissions.
-fn parse_waivers(comments: &[Comment]) -> (Vec<Waiver>, Vec<Violation>) {
+fn parse_waivers<'a>(
+    comments: impl Iterator<Item = &'a Comment>,
+) -> (Vec<WaiverSite>, Vec<Violation>) {
     let mut waivers = Vec::new();
     let mut violations = Vec::new();
     for c in comments {
@@ -120,10 +98,10 @@ fn parse_waivers(comments: &[Comment]) -> (Vec<Waiver>, Vec<Violation>) {
             continue;
         };
         match parse_allow(rest.trim()) {
-            Ok((rule, reason)) => waivers.push(Waiver {
+            Ok(reason) => waivers.push(WaiverSite {
                 line: c.line,
-                rule,
                 reason,
+                used: false,
             }),
             Err(why) => violations.push(Violation {
                 rule: RULE_WAIVER,
@@ -135,8 +113,9 @@ fn parse_waivers(comments: &[Comment]) -> (Vec<Waiver>, Vec<Violation>) {
     (waivers, violations)
 }
 
-fn parse_allow(s: &str) -> Result<(String, String), String> {
-    const SHAPE: &str = "expected `lint: allow(<rule>, reason = \"…\")`";
+/// Parses the body after `lint:` and returns the waiver's reason.
+fn parse_allow(s: &str) -> Result<String, String> {
+    const SHAPE: &str = "expected `lint: allow(float-eq, reason = \"…\")`";
     let body = s
         .strip_prefix("allow(")
         .and_then(|b| b.strip_suffix(')'))
@@ -145,10 +124,9 @@ fn parse_allow(s: &str) -> Result<(String, String), String> {
         .split_once(',')
         .ok_or_else(|| format!("waiver is missing a `reason` clause; {SHAPE}"))?;
     let rule = rule.trim();
-    if !ALL_RULES.contains(&rule) {
+    if rule != RULE_FLOAT_EQ {
         return Err(format!(
-            "unknown rule `{rule}` in waiver (known: {})",
-            ALL_RULES.join(", ")
+            "unknown rule `{rule}` in waiver (only `{RULE_FLOAT_EQ}` is waivable here)"
         ));
     }
     let reason = reason_part
@@ -163,11 +141,11 @@ fn parse_allow(s: &str) -> Result<(String, String), String> {
     if reason.trim().is_empty() {
         return Err("waiver reason must not be empty".to_string());
     }
-    Ok((rule.to_string(), reason.to_string()))
+    Ok(reason.to_string())
 }
 
 /// Marks tokens that belong to `#[cfg(test)]` / `#[test]` items so the
-/// panic rules skip test code embedded in library files. An attribute
+/// float rule skips test code embedded in library files. An attribute
 /// counts as a test gate when it mentions the bare ident `test` without
 /// a `not(…)` (so `#[cfg(not(test))]` stays linted).
 fn test_exempt_mask(tokens: &[Token]) -> Vec<bool> {
@@ -261,65 +239,26 @@ fn item_end(tokens: &[Token], start: usize) -> usize {
     tokens.len().saturating_sub(1)
 }
 
-const PANIC_MACROS: [&str; 4] = ["panic", "todo", "unimplemented", "dbg"];
-const PANIC_METHODS: [&str; 2] = ["unwrap", "expect"];
-
-fn scan_tokens(tokens: &[Token], mask: &[bool], unsafe_allowed: bool) -> Vec<Violation> {
-    let mut out = Vec::new();
-    for (i, t) in tokens.iter().enumerate() {
-        if mask.get(i).copied().unwrap_or(false) {
-            continue;
-        }
-        match &t.kind {
-            TokenKind::Ident { name, raw: false } => {
-                let name = name.as_str();
-                let next_is = |c: char| tokens.get(i + 1).is_some_and(|t| t.is_punct(c));
-                if PANIC_METHODS.contains(&name)
-                    && i > 0
-                    && tokens[i - 1].is_punct('.')
-                    && next_is('(')
-                {
-                    out.push(Violation {
-                        rule: RULE_NO_PANIC,
-                        line: t.line,
-                        message: format!(
-                            ".{name}() in library code; return a typed error or add a waiver"
-                        ),
-                    });
-                } else if PANIC_MACROS.contains(&name) && next_is('!') {
-                    out.push(Violation {
-                        rule: RULE_NO_PANIC,
-                        line: t.line,
-                        message: format!(
-                            "{name}! in library code; return a typed error or add a waiver"
-                        ),
-                    });
-                } else if name == "unsafe" && !unsafe_allowed {
-                    out.push(Violation {
-                        rule: RULE_UNSAFE,
-                        line: t.line,
-                        message: "unsafe code outside the allowlist".to_string(),
-                    });
-                }
-            }
-            TokenKind::EqEq | TokenKind::Ne => {
-                let prev_float = i > 0 && tokens[i - 1].kind == TokenKind::Float;
-                let next_float = tokens
-                    .get(i + 1)
-                    .is_some_and(|t| t.kind == TokenKind::Float);
-                if prev_float || next_float {
-                    out.push(Violation {
-                        rule: RULE_FLOAT_EQ,
-                        line: t.line,
-                        message: "exact equality against a float literal; compare with a tolerance"
-                            .to_string(),
-                    });
-                }
-            }
-            _ => {}
-        }
-    }
-    out
+/// Every `==` / `!=` outside masked tokens with a float literal on
+/// either side.
+fn float_comparisons(tokens: &[Token], mask: &[bool]) -> Vec<Violation> {
+    let is_float = |k: usize| tokens.get(k).is_some_and(|t| t.kind == TokenKind::Float);
+    tokens
+        .iter()
+        .enumerate()
+        .filter(|&(i, t)| {
+            !mask.get(i).copied().unwrap_or(false)
+                && matches!(t.kind, TokenKind::EqEq | TokenKind::Ne)
+                && ((i > 0 && is_float(i - 1)) || is_float(i + 1))
+        })
+        .map(|(_, t)| Violation {
+            rule: RULE_FLOAT_EQ,
+            line: t.line,
+            message: "exact equality against a float literal; compare with a tolerance \
+                      or waive it with a reason"
+                .to_string(),
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -327,27 +266,11 @@ mod tests {
     use super::*;
 
     fn violations(src: &str) -> Vec<(&'static str, u32)> {
-        check_file("crates/x/src/lib.rs", src)
+        check_file(src)
             .violations
             .into_iter()
             .map(|v| (v.rule, v.line))
             .collect()
-    }
-
-    #[test]
-    fn flags_panic_sites() {
-        let src = "fn f() {\n    x.unwrap();\n    y.expect(\"msg\");\n    panic!(\"boom\");\n    todo!();\n    unimplemented!();\n    dbg!(z);\n}\n";
-        let v = violations(src);
-        assert_eq!(v.len(), 6);
-        assert!(v.iter().all(|(r, _)| *r == RULE_NO_PANIC));
-        assert_eq!(v[0].1, 2);
-    }
-
-    #[test]
-    fn ignores_lookalikes() {
-        // unwrap_or, a field named expect, should_panic, std::panic path.
-        let src = "fn f() {\n    x.unwrap_or(0);\n    x.unwrap_or_else(|| 0);\n    let y = s.expect;\n    std::panic::catch_unwind(f);\n}\n#[should_panic(expected = \"x\")]\nfn t() {}\n";
-        assert!(violations(src).is_empty());
     }
 
     #[test]
@@ -366,82 +289,92 @@ mod tests {
     }
 
     #[test]
-    fn flags_unsafe_and_respects_raw_idents() {
-        assert_eq!(violations("unsafe fn f() {}"), vec![(RULE_UNSAFE, 1)]);
-        assert!(violations("fn f(r#unsafe: u8) {}").is_empty());
+    fn cfg_test_items_are_exempt() {
+        let src = "fn lib() {}\n#[cfg(test)]\nmod tests {\n    fn t() { x == 0.0; y != 1.0; }\n}\nfn lib2() { z == 0.0; }\n";
+        assert_eq!(violations(src), vec![(RULE_FLOAT_EQ, 6)]);
     }
 
     #[test]
-    fn cfg_test_items_are_exempt() {
-        let src = "fn lib() {}\n#[cfg(test)]\nmod tests {\n    fn t() { x.unwrap(); panic!(); }\n}\nfn lib2() { y.unwrap(); }\n";
-        assert_eq!(violations(src), vec![(RULE_NO_PANIC, 6)]);
+    fn waivers_inside_test_items_are_exempt() {
+        let src = "#[cfg(test)]\nmod tests {\n    // lint: allow(float-eq, reason = \"stale\")\n    // lint: allow(float-eq)\n    fn t() {}\n}\n// lint: allow(float-eq, reason = \"stale\")\nfn lib() {}\n";
+        assert_eq!(violations(src), vec![(RULE_STALE, 7)]);
     }
 
     #[test]
     fn cfg_test_with_stacked_attributes() {
-        let src = "#[cfg(test)]\n#[allow(dead_code)]\nmod tests { fn t() { x.unwrap(); } }\n";
+        let src = "#[cfg(test)]\n#[expect(dead_code)]\nmod tests { fn t() { x == 0.0; } }\n";
         assert!(violations(src).is_empty());
     }
 
     #[test]
     fn test_attribute_exempts_single_fn() {
-        let src = "#[test]\nfn t() { x.unwrap(); }\nfn lib() { y.unwrap(); }\n";
-        assert_eq!(violations(src), vec![(RULE_NO_PANIC, 3)]);
+        let src = "#[test]\nfn t() { x == 0.0; }\nfn lib() { y == 0.0; }\n";
+        assert_eq!(violations(src), vec![(RULE_FLOAT_EQ, 3)]);
     }
 
     #[test]
     fn cfg_not_test_stays_linted() {
-        let src = "#[cfg(not(test))]\nfn lib() { x.unwrap(); }\n";
-        assert_eq!(violations(src), vec![(RULE_NO_PANIC, 2)]);
+        let src = "#[cfg(not(test))]\nfn lib() { x == 0.0; }\n";
+        assert_eq!(violations(src), vec![(RULE_FLOAT_EQ, 2)]);
     }
 
     #[test]
     fn waiver_on_previous_line_covers_site() {
-        let src = "fn f() {\n    // lint: allow(no-panic, reason = \"checked above\")\n    x.unwrap();\n}\n";
-        let rep = check_file("crates/x/src/lib.rs", src);
+        let src =
+            "fn f() {\n    // lint: allow(float-eq, reason = \"exact zero\")\n    x == 0.0;\n}\n";
+        let rep = check_file(src);
         assert!(rep.violations.is_empty());
-        assert_eq!(rep.waived, 1);
+        assert!(rep.waivers[0].used);
     }
 
     #[test]
     fn trailing_waiver_covers_its_own_line() {
-        let src = "fn f() {\n    x.unwrap(); // lint: allow(no-panic, reason = \"checked\")\n}\n";
-        let rep = check_file("crates/x/src/lib.rs", src);
+        let src = "fn f() {\n    x == 0.0; // lint: allow(float-eq, reason = \"exact zero\")\n}\n";
+        let rep = check_file(src);
         assert!(rep.violations.is_empty());
-        assert_eq!(rep.waived, 1);
+        assert!(rep.waivers[0].used);
     }
 
     #[test]
     fn waiver_sites_carry_reason_and_usage() {
-        let src = "fn f() {\n    // lint: allow(no-panic, reason = \"checked above\")\n    x.unwrap();\n    // lint: allow(float-eq, reason = \"stale\")\n}\n";
-        let rep = check_file("crates/x/src/lib.rs", src);
+        let src = "fn f() {\n    // lint: allow(float-eq, reason = \"exact zero\")\n    x == 0.0;\n    // lint: allow(float-eq, reason = \"stale\")\n}\n";
+        let rep = check_file(src);
         assert_eq!(rep.waivers.len(), 2);
-        assert_eq!(rep.waivers[0].rule, RULE_NO_PANIC);
-        assert_eq!(rep.waivers[0].reason, "checked above");
+        assert_eq!(rep.waivers[0].reason, "exact zero");
         assert!(rep.waivers[0].used, "covering waiver must read as used");
         assert!(!rep.waivers[1].used, "idle waiver must read as stale");
     }
 
     #[test]
+    fn stale_waiver_is_a_violation() {
+        let src = "fn f() {\n    // lint: allow(float-eq, reason = \"the comparison moved away\")\n    x <= 0.0;\n}\n";
+        let [v] = &check_file(src).violations[..] else {
+            panic!("expected exactly one violation");
+        };
+        assert_eq!((v.rule, v.line), (RULE_STALE, 2));
+        assert!(v.message.contains("the comparison moved away"));
+    }
+
+    #[test]
     fn waiver_does_not_leak_to_later_lines() {
-        let src = "fn f() {\n    // lint: allow(no-panic, reason = \"only the next line\")\n    x.unwrap();\n    y.unwrap();\n}\n";
-        assert_eq!(violations(src), vec![(RULE_NO_PANIC, 4)]);
+        let src = "fn f() {\n    // lint: allow(float-eq, reason = \"only the next line\")\n    x == 0.0;\n    y == 0.0;\n}\n";
+        assert_eq!(violations(src), vec![(RULE_FLOAT_EQ, 4)]);
     }
 
     #[test]
     fn waiver_for_wrong_rule_does_not_apply() {
         let src =
-            "fn f() {\n    // lint: allow(float-eq, reason = \"mismatched\")\n    x.unwrap();\n}\n";
-        assert_eq!(violations(src), vec![(RULE_NO_PANIC, 3)]);
+            "fn f() {\n    // lint: allow(no-panic, reason = \"mismatched\")\n    x == 0.0;\n}\n";
+        assert_eq!(violations(src), vec![(RULE_WAIVER, 2), (RULE_FLOAT_EQ, 3)]);
     }
 
     #[test]
     fn malformed_waivers_are_violations() {
         for src in [
-            "// lint: allow(no-panic)\n",
-            "// lint: allow(no-panic, reason = \"\")\n",
+            "// lint: allow(float-eq)\n",
+            "// lint: allow(float-eq, reason = \"\")\n",
             "// lint: allow(bogus-rule, reason = \"x\")\n",
-            "// lint: permit(no-panic, reason = \"x\")\n",
+            "// lint: permit(float-eq, reason = \"x\")\n",
         ] {
             assert_eq!(violations(src), vec![(RULE_WAIVER, 1)], "src: {src}");
         }
@@ -449,7 +382,8 @@ mod tests {
 
     #[test]
     fn strings_and_comments_never_trigger() {
-        let src = "fn f() -> &'static str {\n    // panic! in a comment\n    \"say panic!(x.unwrap())\"\n}\n";
+        let src =
+            "fn f() -> &'static str {\n    // x == 0.0 in a comment\n    \"say x == 0.0\"\n}\n";
         assert!(violations(src).is_empty());
     }
 }

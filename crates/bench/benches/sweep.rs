@@ -88,6 +88,11 @@
 //! `place_ms`, the median `Placer::place` of the paper design at the
 //! section's overhead — the placement the wrapped state starts from.
 //!
+//! Schema version 14 adds to the `service` section the answer codec's
+//! cost over the cold answers: the bytes of an answer's render
+//! (`doc_bytes`), and the time to render it (`render_us`) and to decode
+//! it back (`decode_us`), each the median over the answers.
+//!
 //! ```sh
 //! cargo bench -p coolplace-bench --bench sweep -- \
 //!     --smoke --threads 2 --out BENCH_sweep.json --check ci/bench-baseline.json
@@ -107,7 +112,7 @@ use std::time::Instant;
 use arithgen::{build_benchmark, UnitRole};
 use coolplace_bench::gate::{check_against_baseline, PEAK_TOLERANCE_C};
 use coolplace_bench::json::Json;
-use coolserved::wire::response_to_json;
+use coolserved::wire::{response_from_json, response_to_json};
 use coolserved::{serve, JobRecord, ResultSource, ServiceConfig, ServiceHandle};
 use geom::{Grid2d, Rect};
 use logicsim::{Simulator, Workload};
@@ -154,7 +159,9 @@ use thermalsim::{FactorizedThermalModel, SolverKind, ThermalConfig};
 /// v13: added `squeezed` (evictions placed by the squeeze fallback) and
 /// `place_ms` (median `Placer::place` at the section's overhead) to the
 /// `wrapper` section.
-const SCHEMA_VERSION: f64 = 13.0;
+/// v14: added `doc_bytes`, `render_us` and `decode_us` (the answer
+/// codec's cost per cold answer) to the `service` section.
+const SCHEMA_VERSION: f64 = 14.0;
 
 /// `cargo bench` launches the binary with the *package* directory as
 /// CWD; anchor relative paths at the workspace root so
@@ -650,6 +657,53 @@ fn run_optimizer_bench() -> Result<Json, String> {
 /// rather than timer noise.
 const SERVICE_WARM_PASSES: usize = 4;
 
+/// Timed repeats of each answer's render and decode; the median of each
+/// is kept.
+const CODEC_REPEATS: usize = 15;
+
+/// The answer codec on `records`: per answer, the bytes of its render
+/// and the median time to render it (`response_to_json` +
+/// `Json::render`, what a result-store write pays) and to decode it
+/// (`Json::parse` + `response_from_json`, what a disk hit pays). Returns
+/// `[doc_bytes, render_us, decode_us]`, each the median over the
+/// answers; an answer that does not decode back to its own bytes fails
+/// the bench.
+fn codec_costs(records: &[JobRecord]) -> Result<[f64; 3], String> {
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    let time_us = |f: &mut dyn FnMut()| {
+        let started = Instant::now();
+        f();
+        started.elapsed().as_secs_f64() * 1e6
+    };
+    let (mut bytes, mut render_us, mut decode_us) = (Vec::new(), Vec::new(), Vec::new());
+    for record in records {
+        let text = response_to_json(&record.response).render();
+        let renders = (0..CODEC_REPEATS)
+            .map(|_| time_us(&mut || drop(response_to_json(&record.response).render())))
+            .collect();
+        let decode = || {
+            Json::parse(&text).and_then(|doc| response_from_json(&doc).map_err(|e| e.to_string()))
+        };
+        let decoded = decode()?;
+        if response_to_json(&decoded).render() != text {
+            return Err(format!(
+                "answer for `{}` does not decode back to its own bytes",
+                record.request.label()
+            ));
+        }
+        let decodes = (0..CODEC_REPEATS)
+            .map(|_| time_us(&mut || drop(decode())))
+            .collect();
+        bytes.push(text.len() as f64);
+        render_us.push(median(renders));
+        decode_us.push(median(decodes));
+    }
+    Ok([median(bytes), median(render_us), median(decode_us)])
+}
+
 /// A tagged goal of the service-bench batch: a label plus the builder
 /// step that sets the goal.
 type ServiceGoal = (
@@ -721,6 +775,7 @@ fn run_service_bench(threads: usize) -> Result<Json, String> {
         let cold_started = Instant::now();
         let cold = run_batch(service)?;
         let cold_wall_ms = cold_started.elapsed().as_secs_f64() * 1e3;
+        let [doc_bytes, render_us, decode_us] = codec_costs(&cold)?;
         let by_key: HashMap<postplace::CacheKey, String> = cold
             .iter()
             .map(|r| (r.key, response_to_json(&r.response).render()))
@@ -759,7 +814,8 @@ fn run_service_bench(threads: usize) -> Result<Json, String> {
         println!(
             "service bench [clustered]: cold {cold_ms_per_req:.1} ms/req, \
              warm {warm_ms_per_req:.3} ms/req over {SERVICE_WARM_PASSES} passes \
-             → {warm_over_cold:.0}× ({} cold solves, {} memory hits, {} flows)",
+             → {warm_over_cold:.0}× ({} cold solves, {} memory hits, {} flows); \
+             answer codec: {doc_bytes} B, render {render_us:.1} µs, decode {decode_us:.1} µs",
             stats.cold_solves, stats.store.memory.hits, stats.flows_built
         );
         Ok(Json::obj([
@@ -775,6 +831,9 @@ fn run_service_bench(threads: usize) -> Result<Json, String> {
             ("cold_solves", Json::Num(stats.cold_solves as f64)),
             ("memory_hits", Json::Num(stats.store.memory.hits as f64)),
             ("flows_built", Json::Num(stats.flows_built as f64)),
+            ("doc_bytes", Json::Num(doc_bytes)),
+            ("render_us", Json::Num(render_us)),
+            ("decode_us", Json::Num(decode_us)),
         ]))
     })
 }
@@ -901,7 +960,7 @@ fn run_wrapper_bench() -> Result<Json, String> {
         )
         .map_err(err)?;
         relaxed.ensure_thermal(&ctx).map_err(err)?;
-        let (tmap, _) = relaxed.analysis().map_err(err)?;
+        let tmap = relaxed.thermal_map().map_err(err)?;
         let wrapper = flow.config().wrapper;
         let hotspot_cfg = HotspotConfig {
             threshold_fraction: wrapper.threshold_fraction,

@@ -110,13 +110,7 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(v) => {
-                if v.is_finite() {
-                    let _ = write!(out, "{v}");
-                } else {
-                    out.push_str("null");
-                }
-            }
+            Json::Num(v) => write_number(out, *v),
             Json::Str(s) => write_escaped(out, s),
             Json::Arr(items) => {
                 if !self.holds_object() {
@@ -218,6 +212,24 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Writes a number in Rust's shortest round-trip form, `null` when it
+/// is not finite. An integral value below 10^15 in magnitude, other than
+/// −0.0 (which `{v}` prints as `-0`), is written through integer
+/// formatting: it is exactly an `i64` whose digits are the ones `{v}`
+/// prints, without the shortest-digits search.
+fn write_number(out: &mut String, v: f64) {
+    if !v.is_finite() {
+        out.push_str("null");
+        return;
+    }
+    let int = v as i64;
+    if v.abs() < 1e15 && int as f64 == v && !(int == 0 && v.is_sign_negative()) {
+        let _ = write!(out, "{int}");
+    } else {
+        let _ = write!(out, "{v}");
+    }
+}
+
 fn skip_ws(bytes: &[u8], pos: &mut usize) {
     while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
         *pos += 1;
@@ -251,7 +263,14 @@ fn parse_value(text: &str, pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(text, pos)?);
+                // Integers, most of what an answer document holds, are
+                // read in place of the dispatch.
+                skip_ws(bytes, pos);
+                let item = match parse_integer(bytes, pos) {
+                    Some(v) => Json::Num(v),
+                    None => parse_value(text, pos)?,
+                };
+                items.push(item);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -276,7 +295,11 @@ fn parse_value(text: &str, pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(text, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, ":")?;
-                let value = parse_value(text, pos)?;
+                skip_ws(bytes, pos);
+                let value = match parse_integer(bytes, pos) {
+                    Some(v) => Json::Num(v),
+                    None => parse_value(text, pos)?,
+                };
                 pairs.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -354,6 +377,9 @@ fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
 }
 
 fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+    if let Some(v) = parse_integer(bytes, pos) {
+        return Ok(Json::Num(v));
+    }
     let start = *pos;
     while *pos < bytes.len()
         && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
@@ -365,6 +391,34 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     text.parse::<f64>()
         .map(Json::Num)
         .map_err(|_| format!("bad number `{text}` at byte {start}"))
+}
+
+/// Reads an integer token, an optional `-` and 1–15 digits not followed
+/// by `.`, `e`, `E`, `+`, `-` or a 16th digit, through a `u64`. Every
+/// such value is below 10^15 < 2^53, so it converts to `f64` exactly and
+/// carries the bits `str::parse::<f64>` gives. Any other token returns
+/// `None` with `pos` unmoved, for the general reader.
+fn parse_integer(bytes: &[u8], pos: &mut usize) -> Option<f64> {
+    let negative = bytes.get(*pos) == Some(&b'-');
+    let first = *pos + usize::from(negative);
+    let mut end = first;
+    let mut value = 0u64;
+    while let Some(&b) = bytes.get(end) {
+        if !b.is_ascii_digit() {
+            break;
+        }
+        if end - first == 15 {
+            return None;
+        }
+        value = value * 10 + u64::from(b - b'0');
+        end += 1;
+    }
+    if end == first || matches!(bytes.get(end), Some(b'.' | b'e' | b'E' | b'+' | b'-')) {
+        return None;
+    }
+    *pos = end;
+    let magnitude = value as f64;
+    Some(if negative { -magnitude } else { magnitude })
 }
 
 #[cfg(test)]
@@ -450,6 +504,82 @@ mod tests {
     fn non_finite_numbers_render_as_null() {
         assert_eq!(Json::Num(f64::NAN).render(), "null\n");
         assert_eq!(Json::Num(f64::INFINITY).render(), "null\n");
+        assert_eq!(Json::Num(f64::NEG_INFINITY).render(), "null\n");
+    }
+
+    #[test]
+    fn finite_numbers_render_as_display_does() {
+        // The integer path's edges (−0.0, ±(10^15 − 1), 10^15), values
+        // past it up to and beyond 2^53, and fractions.
+        let edges = [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            999_999_999_999_999.0,
+            -999_999_999_999_999.0,
+            1e15,
+            -1e15,
+            9_007_199_254_740_991.0,
+            9_007_199_254_740_992.0,
+            1e16,
+            0.5,
+            -0.5,
+            1e-7,
+            83.25,
+        ];
+        let small = (-2_000..=2_000).map(f64::from);
+        let powers = (0..=16).flat_map(|k| {
+            let p = 10f64.powi(k);
+            [p - 1.0, p, p + 1.0, -p, 1.0 / p]
+        });
+        for v in edges.into_iter().chain(small).chain(powers) {
+            assert_eq!(Json::Num(v).render(), format!("{v}\n"), "{v:?}");
+        }
+    }
+
+    #[test]
+    fn numbers_parse_to_the_bits_str_parse_gives() {
+        // Integer-shaped tokens the fast path takes or must hand back:
+        // signs, leading zeros, a bare `-`, a trailing sign, runs of 15,
+        // 16 and 17 digits (the last two past 2^53 rounding), exponents
+        // and fractions. Each reads as `str::parse::<f64>` reads the
+        // whole token, or fails where it fails, at the top level, as an
+        // array element and as an object value.
+        let tokens = [
+            "0",
+            "-0",
+            "007",
+            "-007",
+            "+5",
+            "-",
+            "1-2",
+            "1+2",
+            "999999999999999",
+            "-999999999999999",
+            "9007199254740993",
+            "1000000000000000",
+            "12345678901234567",
+            "-12345678901234567",
+            "1e5",
+            "1E5",
+            "1.0",
+            "-0.0",
+            "0.1",
+        ];
+        for token in tokens {
+            let want = token.parse::<f64>().ok().map(f64::to_bits);
+            let top = Json::parse(token).ok().and_then(|d| d.as_f64());
+            let element = Json::parse(&format!("[{token}, 1]"))
+                .ok()
+                .and_then(|d| d.as_arr().and_then(|a| a[0].as_f64()));
+            let value = Json::parse(&format!("{{\"k\": {token}, \"n\": 1}}"))
+                .ok()
+                .and_then(|d| d.get("k").and_then(Json::as_f64));
+            for (place, got) in [("top", top), ("element", element), ("value", value)] {
+                assert_eq!(got.map(f64::to_bits), want, "`{token}` as {place}");
+            }
+        }
     }
 
     #[test]

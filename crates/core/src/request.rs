@@ -36,7 +36,6 @@ use crate::{
     BudgetOptimum, Flow, FlowConfig, FlowError, FlowReport, OptimizeConfig, ParetoFrontier,
     RowOptimum, Strategy, TransformRegistry, WorkloadSpec,
 };
-use arithgen::UnitRole;
 use serde::{Deserialize, Serialize};
 
 /// A 128-bit stable content hasher: two FNV-1a lanes over the same byte
@@ -556,11 +555,7 @@ impl OptimizeResponse {
 fn hash_workload(h: &mut StableHasher, spec: &WorkloadSpec) {
     h.write_usize(spec.active.len());
     for role in &spec.active {
-        let idx = UnitRole::ALL
-            .iter()
-            .position(|r| r == role)
-            .unwrap_or(UnitRole::ALL.len());
-        h.write_usize(idx);
+        h.write_usize(role.unit_id().index());
     }
     h.write_f64(spec.toggle_probability);
 }

@@ -40,7 +40,7 @@
 //! budget-parameterized factory — the search space a frontier goal
 //! ([`crate::OptimizeGoal::Frontier`]) screens.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use geom::{Grid2d, Rect};
 use placement::{
@@ -101,7 +101,10 @@ pub struct TransformState {
     /// row-insertion stages; used by the wrap stage to split merged
     /// thermal blobs per hotspot source).
     pub regions: Vec<Rect>,
-    thermal: Option<(Arc<ThermalMap>, Arc<[Hotspot]>)>,
+    tmap: Option<Arc<ThermalMap>>,
+    /// Detected from `tmap` on first read: of the stages, only ERI
+    /// reads them, so most evaluated states never pay for detection.
+    hotspots: OnceLock<Arc<[Hotspot]>>,
 }
 
 impl TransformState {
@@ -111,7 +114,8 @@ impl TransformState {
             floorplan,
             placement,
             regions,
-            thermal: None,
+            tmap: None,
+            hotspots: OnceLock::new(),
         }
     }
 
@@ -129,18 +133,19 @@ impl TransformState {
             floorplan,
             placement,
             regions,
-            thermal: Some((tmap, hotspots)),
+            tmap: Some(tmap),
+            hotspots: OnceLock::from(hotspots),
         }
     }
 
-    /// Computes (and memoizes) the state's thermal map and hotspots if
-    /// they are not known yet.
+    /// Computes (and memoizes) the state's thermal map if it is not
+    /// known yet.
     ///
     /// # Errors
     ///
     /// Propagates thermal-solve failures.
     pub fn ensure_thermal(&mut self, ctx: &TransformContext) -> Result<(), FlowError> {
-        if self.thermal.is_none() {
+        if self.tmap.is_none() {
             let netlist = ctx.flow().netlist();
             let geometry = PlacedGeometry::new(netlist, &self.floorplan, &self.placement);
             self.ensure_thermal_with(ctx, &geometry)?;
@@ -155,37 +160,34 @@ impl TransformState {
         ctx: &TransformContext,
         geometry: &PlacedGeometry,
     ) -> Result<(), FlowError> {
-        if self.thermal.is_none() {
+        if self.tmap.is_none() {
             let (_, _, tmap) = ctx.flow().analyze_geometry(geometry)?;
-            let hotspots = detect_hotspots(&tmap, &ctx.flow().config().hotspot);
-            self.thermal = Some((Arc::new(tmap), hotspots.into()));
+            self.tmap = Some(Arc::new(tmap));
         }
         Ok(())
     }
 
-    /// The state's thermal map, if computed (see
-    /// [`TransformState::ensure_thermal`]).
-    pub fn tmap(&self) -> Option<&ThermalMap> {
-        self.thermal.as_ref().map(|(t, _)| &**t)
-    }
-
-    /// The state's detected hotspots, if computed.
-    pub fn hotspots(&self) -> Option<&[Hotspot]> {
-        self.thermal.as_ref().map(|(_, h)| &**h)
-    }
-
-    /// The memoized thermal analysis, as an error (not a panic) when a
-    /// stage asks before [`TransformState::ensure_thermal`] ran — a bug
-    /// in the transform, surfaced as [`FlowError::Internal`] so a batch
+    /// The memoized thermal map, as an error (not a panic) when a stage
+    /// asks before [`TransformState::ensure_thermal`] ran — a bug in the
+    /// transform, surfaced as [`FlowError::Internal`] so a batch
     /// degrades to one failed request instead of crashing the process.
-    pub fn analysis(&self) -> Result<(&ThermalMap, &[Hotspot]), FlowError> {
-        self.thermal
-            .as_ref()
-            .map(|(t, h)| (&**t, &**h))
-            .ok_or_else(|| FlowError::Internal {
-                detail: "transform stage read the thermal analysis before ensure_thermal"
-                    .to_string(),
-            })
+    pub fn thermal_map(&self) -> Result<&ThermalMap, FlowError> {
+        self.tmap.as_deref().ok_or_else(|| FlowError::Internal {
+            detail: "transform stage read the thermal map before ensure_thermal".to_string(),
+        })
+    }
+
+    /// The hotspots of the thermal map under the flow's detection
+    /// settings, detected on the first call and memoized.
+    ///
+    /// # Errors
+    ///
+    /// As [`TransformState::thermal_map`].
+    pub fn hotspots(&self, ctx: &TransformContext) -> Result<&[Hotspot], FlowError> {
+        let tmap = self.thermal_map()?;
+        Ok(self
+            .hotspots
+            .get_or_init(|| detect_hotspots(tmap, &ctx.flow().config().hotspot).into()))
     }
 }
 
@@ -428,12 +430,11 @@ impl PlacementTransform for EmptyRowInsertionTransform {
         state: &mut TransformState,
     ) -> Result<TransformState, FlowError> {
         state.ensure_thermal(ctx)?;
-        let (tmap, hotspots) = state.analysis()?;
         let (fp, pl, report) = empty_row_insertion(
             &state.floorplan,
             &state.placement,
-            tmap,
-            hotspots,
+            state.thermal_map()?,
+            state.hotspots(ctx)?,
             self.rows,
         )?;
         let regions = remap_regions_for_rows(
@@ -484,7 +485,7 @@ impl PlacementTransform for TargetedRowInsertionTransform {
         state: &mut TransformState,
     ) -> Result<TransformState, FlowError> {
         state.ensure_thermal(ctx)?;
-        let (tmap, _) = state.analysis()?;
+        let tmap = state.thermal_map()?;
         let positions = targeted_insertion_positions(&state.floorplan, tmap, self.rows)?;
         let (fp, mapping) = state.floorplan.with_rows_inserted(&positions);
         let placement = state.placement.remap_rows(&fp, &mapping);
@@ -548,7 +549,7 @@ impl PlacementTransform for WrapHotspotsTransform {
     ) -> Result<TransformState, FlowError> {
         let flow = ctx.flow();
         state.ensure_thermal(ctx)?;
-        let (tmap, _) = state.analysis()?;
+        let tmap = state.thermal_map()?;
         // Resolution-aware thresholds, as in the enum-era HW arm: a
         // fixed min_bins lets sliver hotspots through on fine meshes.
         let hotspot_cfg = flow.wrapper_hotspot_config();
@@ -661,7 +662,7 @@ impl PlacementTransform for SpreadFillersTransform {
         let flow = ctx.flow();
         let netlist = flow.netlist();
         state.ensure_thermal(ctx)?;
-        let (tmap, _) = state.analysis()?;
+        let tmap = state.thermal_map()?;
         let grid = tmap.grid();
         let (floor, peak) = (grid.min_bin(), grid.max_bin());
         let (tmin, tmax) = match (floor, peak) {
@@ -1166,6 +1167,39 @@ mod tests {
             .as_strategy()
             .is_none());
         assert!(WrapHotspotsTransform.as_strategy().is_none());
+    }
+
+    #[test]
+    fn eri_reads_the_hotspots_eager_detection_gives() {
+        // The uniform+eri stack: ERI detects the hotspots of a state
+        // evaluated without them, on its first read.
+        let flow = Flow::new(crate::FlowConfig::scattered_small().fast()).unwrap();
+        let ctx = TransformContext::new(&flow).unwrap();
+        let uniform = UniformSlackTransform {
+            area_overhead: 0.08,
+        };
+        let mut relaxed = uniform
+            .apply(&ctx, &mut flow.base_state().unwrap())
+            .unwrap();
+        relaxed.ensure_thermal(&ctx).unwrap();
+        let tmap = relaxed.thermal_map().unwrap();
+        let eager = detect_hotspots(tmap, &flow.config().hotspot);
+        assert!(!eager.is_empty());
+        let (fp, pl, _) =
+            empty_row_insertion(&relaxed.floorplan, &relaxed.placement, tmap, &eager, 4).unwrap();
+        let staged = EmptyRowInsertionTransform { rows: 4 }
+            .apply(&ctx, &mut relaxed)
+            .unwrap();
+        let lazy = relaxed.hotspots(&ctx).unwrap();
+        assert_eq!(lazy.len(), eager.len());
+        for (a, b) in lazy.iter().zip(&eager) {
+            assert_eq!(a.bins, b.bins);
+            assert_eq!(a.bbox, b.bbox);
+            assert_eq!(a.peak_c.to_bits(), b.peak_c.to_bits());
+            assert_eq!(a.area_um2.to_bits(), b.area_um2.to_bits());
+        }
+        assert_eq!(staged.floorplan, fp);
+        assert_eq!(staged.placement, pl);
     }
 
     #[test]

@@ -97,7 +97,7 @@ fn wrapped_digest(flow: &Flow, overhead: f64) -> u64 {
     .apply(&ctx, &mut base_state)
     .expect("uniform applies");
     relaxed.ensure_thermal(&ctx).expect("relaxed solve");
-    let (tmap, _) = relaxed.analysis().expect("analysis");
+    let tmap = relaxed.thermal_map().expect("thermal map");
     let config = flow.config();
     let hotspot_cfg = postplace::HotspotConfig {
         threshold_fraction: config.wrapper.threshold_fraction,

@@ -706,25 +706,30 @@ impl SpectralSystem {
         let nxy = nx * ny;
         let gzi = &sys.gz;
         let ModalOperator { lam_x, lam_y, dz } = ModalOperator::of(sys);
+        // One layer at a time over every mode: layer `iz` eliminates
+        // against layer `iz − 1`'s pivots, so the modes' division chains
+        // run side by side. Each mode sees the operations of its own
+        // bottom-up sweep in the same order, hence the same bits.
         let mut inv = vec![0.0; nz * nxy];
-        for (ky, &ly) in lam_y.iter().enumerate() {
-            for (kx, &lx) in lam_x.iter().enumerate() {
-                let m = ky * nx + kx;
-                let mut prev = 0.0;
-                for iz in 0..nz {
-                    let diag = dz[iz] + sys.gx[iz] * lx + sys.gy[iz] * ly;
-                    let pivot = if iz == 0 {
-                        diag
-                    } else {
-                        diag - gzi[iz - 1] * gzi[iz - 1] * prev
+        let layers = dz.iter().zip(&sys.gx).zip(&sys.gy);
+        for (iz, ((&d, &gx), &gy)) in layers.enumerate() {
+            let (done, rest) = inv.split_at_mut(iz * nxy);
+            let below = iz
+                .checked_sub(1)
+                .map(|b| (gzi[b] * gzi[b], &done[b * nxy..]));
+            for (ky, (row, &ly)) in rest[..nxy].chunks_exact_mut(nx).zip(&lam_y).enumerate() {
+                for (kx, (slot, &lx)) in row.iter_mut().zip(&lam_x).enumerate() {
+                    let diag = d + gx * lx + gy * ly;
+                    let pivot = match below {
+                        None => diag,
+                        Some((g2, prev)) => diag - g2 * prev[ky * nx + kx],
                     };
                     if !pivot.is_finite() || pivot <= 0.0 {
                         // Mode tridiagonal not SPD — refuse, callers use
                         // CSR.
                         return None;
                     }
-                    prev = 1.0 / pivot;
-                    inv[iz * nxy + m] = prev;
+                    *slot = 1.0 / pivot;
                 }
             }
         }
@@ -1523,6 +1528,58 @@ mod tests {
         }
         // Singular matrices are refused, not mis-factored.
         assert!(SmallLu::factor(2, vec![1.0, 2.0, 2.0, 4.0]).is_none());
+    }
+
+    /// The mode-major Thomas pivots `from_stencil` computed before it
+    /// went layer by layer: each mode's whole column, bottom up.
+    fn mode_major_pivots(sys: &StencilSystem) -> Option<Vec<f64>> {
+        let (nx, ny, nz) = sys.dims();
+        let nxy = nx * ny;
+        let gzi = &sys.gz;
+        let ModalOperator { lam_x, lam_y, dz } = ModalOperator::of(sys);
+        let mut inv = vec![0.0; nz * nxy];
+        for (ky, &ly) in lam_y.iter().enumerate() {
+            for (kx, &lx) in lam_x.iter().enumerate() {
+                let m = ky * nx + kx;
+                let mut prev = 0.0;
+                for iz in 0..nz {
+                    let diag = dz[iz] + sys.gx[iz] * lx + sys.gy[iz] * ly;
+                    let pivot = if iz == 0 {
+                        diag
+                    } else {
+                        diag - gzi[iz - 1] * gzi[iz - 1] * prev
+                    };
+                    if !pivot.is_finite() || pivot <= 0.0 {
+                        return None;
+                    }
+                    prev = 1.0 / pivot;
+                    inv[iz * nxy + m] = prev;
+                }
+            }
+        }
+        Some(inv)
+    }
+
+    #[test]
+    fn layer_major_pivots_are_bitwise_the_mode_major_ones() {
+        for (nx, ny) in [(20, 12), (25, 13), (9, 27), (16, 16), (1, 8), (1, 1)] {
+            for package_resistance in [157.0, 0.0] {
+                let sys = layered(nx, ny, package_resistance);
+                let want = mode_major_pivots(&sys).expect("layered stacks factor");
+                let got = SpectralSystem::from_stencil(&sys).expect("layered stacks factor");
+                assert_bits_eq(
+                    &format!("{nx}x{ny} pivots, package {package_resistance}"),
+                    &got.inv,
+                    &want,
+                );
+            }
+        }
+        // A negative leak on an upper layer makes some mode's pivot
+        // non-positive: both orders refuse.
+        let mut sys = layered(9, 8, 157.0);
+        sys.leak[2] = -1.0;
+        assert!(mode_major_pivots(&sys).is_none());
+        assert!(SpectralSystem::from_stencil(&sys).is_none());
     }
 
     /// The test stack: same contrastive layer values as the stencil

@@ -93,6 +93,11 @@
 //! (`doc_bytes`), and the time to render it (`render_us`) and to decode
 //! it back (`decode_us`), each the median over the answers.
 //!
+//! Schema version 15 times the codec on the document the result store
+//! keeps for an answer: `render_us` is `render_document` (what a store
+//! write pays) and `decode_us` is `decode_document`, the tape read a
+//! disk hit pays; `doc_bytes` counts that document.
+//!
 //! ```sh
 //! cargo bench -p coolplace-bench --bench sweep -- \
 //!     --smoke --threads 2 --out BENCH_sweep.json --check ci/bench-baseline.json
@@ -112,8 +117,10 @@ use std::time::Instant;
 use arithgen::{build_benchmark, UnitRole};
 use coolplace_bench::gate::{check_against_baseline, PEAK_TOLERANCE_C};
 use coolplace_bench::json::Json;
-use coolserved::wire::{response_from_json, response_to_json};
-use coolserved::{serve, JobRecord, ResultSource, ServiceConfig, ServiceHandle};
+use coolserved::wire::response_to_json;
+use coolserved::{
+    decode_document, render_document, serve, JobRecord, ResultSource, ServiceConfig, ServiceHandle,
+};
 use geom::{Grid2d, Rect};
 use logicsim::{Simulator, Workload};
 use placement::PlacerConfig;
@@ -161,7 +168,9 @@ use thermalsim::{FactorizedThermalModel, SolverKind, ThermalConfig};
 /// `wrapper` section.
 /// v14: added `doc_bytes`, `render_us` and `decode_us` (the answer
 /// codec's cost per cold answer) to the `service` section.
-const SCHEMA_VERSION: f64 = 14.0;
+/// v15: the codec keys time the stored document's `render_document` and
+/// `decode_document` (the tape read of a disk hit).
+const SCHEMA_VERSION: f64 = 15.0;
 
 /// `cargo bench` launches the binary with the *package* directory as
 /// CWD; anchor relative paths at the workspace root so
@@ -661,10 +670,10 @@ const SERVICE_WARM_PASSES: usize = 4;
 /// is kept.
 const CODEC_REPEATS: usize = 15;
 
-/// The answer codec on `records`: per answer, the bytes of its render
-/// and the median time to render it (`response_to_json` +
-/// `Json::render`, what a result-store write pays) and to decode it
-/// (`Json::parse` + `response_from_json`, what a disk hit pays). Returns
+/// The answer codec on `records`: per answer, the bytes of the document
+/// the result store keeps for it and the median time to render it
+/// (`render_document`, what a store write pays) and to decode it
+/// (`decode_document`, what a disk hit pays). Returns
 /// `[doc_bytes, render_us, decode_us]`, each the median over the
 /// answers; an answer that does not decode back to its own bytes fails
 /// the bench.
@@ -680,15 +689,13 @@ fn codec_costs(records: &[JobRecord]) -> Result<[f64; 3], String> {
     };
     let (mut bytes, mut render_us, mut decode_us) = (Vec::new(), Vec::new(), Vec::new());
     for record in records {
-        let text = response_to_json(&record.response).render();
+        let text = render_document(&record.response);
         let renders = (0..CODEC_REPEATS)
-            .map(|_| time_us(&mut || drop(response_to_json(&record.response).render())))
+            .map(|_| time_us(&mut || drop(render_document(&record.response))))
             .collect();
-        let decode = || {
-            Json::parse(&text).and_then(|doc| response_from_json(&doc).map_err(|e| e.to_string()))
-        };
+        let decode = || decode_document(&text);
         let decoded = decode()?;
-        if response_to_json(&decoded).render() != text {
+        if render_document(&decoded) != text {
             return Err(format!(
                 "answer for `{}` does not decode back to its own bytes",
                 record.request.label()

@@ -64,4 +64,7 @@ pub use backend::{OsBackend, RetryPolicy, StoreBackend};
 pub use error::{ErrorClass, ServiceError};
 pub use fault::{FaultKind, FaultOp, FaultPlan, FaultRule};
 pub use service::{serve, JobRecord, JobStatus, ServiceConfig, ServiceHandle, ServiceStats};
-pub use store::{DiskHealth, DiskOptions, ResultSource, ResultStore, StoreStats, STORE_NAMESPACE};
+pub use store::{
+    decode_document, render_document, DiskHealth, DiskOptions, ResultSource, ResultStore,
+    StoreStats, STORE_NAMESPACE,
+};

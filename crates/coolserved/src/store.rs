@@ -40,7 +40,7 @@ use std::sync::Arc;
 use postplace::{CacheKey, CacheStats, KeyedCache, OptimizeResponse, ENGINE_EPOCH};
 
 use crate::backend::{OsBackend, RetryPolicy, StoreBackend};
-use crate::json::Json;
+use crate::json::{Json, JsonView, Tape};
 use crate::wire::{response_from_json, response_to_json, WIRE_SCHEMA};
 use crate::ServiceError;
 
@@ -224,29 +224,10 @@ impl DiskTier {
         }
     }
 
-    /// Decodes a persisted document, checking its schema, its engine
-    /// epoch and that the response answers the key the file is named
-    /// by.
+    /// Decodes a persisted document ([`decode_document`]) and checks
+    /// that its response answers the key the file is named by.
     fn decode(&self, text: &str, key: CacheKey, path: &Path) -> Result<OptimizeResponse, String> {
-        let doc = Json::parse(text).map_err(|detail| format!("{}: {detail}", path.display()))?;
-        let schema = doc.get("schema").and_then(Json::as_f64);
-        if schema != Some(WIRE_SCHEMA) {
-            return Err(format!(
-                "{}: schema {schema:?} does not match wire schema {WIRE_SCHEMA}",
-                path.display()
-            ));
-        }
-        let epoch = doc.get("epoch").and_then(Json::as_f64);
-        if epoch != Some(ENGINE_EPOCH as f64) {
-            return Err(format!(
-                "{}: epoch {epoch:?} does not match engine epoch {ENGINE_EPOCH}",
-                path.display()
-            ));
-        }
-        let response = doc
-            .get("response")
-            .ok_or_else(|| format!("{}: missing key `response`", path.display()))
-            .and_then(|r| response_from_json(r).map_err(|e| e.to_string()))?;
+        let response = decode_document(text).map_err(|e| format!("{}: {e}", path.display()))?;
         if response.key != key {
             return Err(format!(
                 "{}: response answers key {} but file is named {key}",
@@ -382,17 +363,12 @@ impl DiskTier {
             }
             Incumbent::Absent => {}
         }
-        let document = Json::obj([
-            ("schema", Json::Num(WIRE_SCHEMA)),
-            ("epoch", Json::Num(ENGINE_EPOCH as f64)),
-            ("response", response_to_json(response)),
-        ]);
         // Unique temp name per process+key: concurrent writers of the
         // same key race only at the rename, which is atomic.
         let tmp = self
             .dir
             .join(format!(".{}.tmp-{}", key.to_hex(), std::process::id()));
-        let rendered = document.render();
+        let rendered = render_document(response);
         self.with_retries("write", &tmp, || self.backend.write(&tmp, &rendered))?;
         // Re-peek before publishing: if a valid document landed while
         // we rendered and wrote the temp file, it wins — renaming over
@@ -408,6 +384,46 @@ impl DiskTier {
         self.evict();
         Ok(true)
     }
+}
+
+/// The text of the document the disk tier stores for `response`:
+/// `{"schema", "epoch", "response"}`.
+pub fn render_document(response: &OptimizeResponse) -> String {
+    Json::obj([
+        ("schema", Json::Num(WIRE_SCHEMA)),
+        ("epoch", Json::Num(ENGINE_EPOCH as f64)),
+        ("response", response_to_json(response)),
+    ])
+    .render()
+}
+
+/// Decodes the text of a stored document ([`render_document`]) as a
+/// disk hit does: read into a [`Tape`], its schema and engine epoch
+/// checked, its response decoded from the tape with no [`Json`] tree
+/// built.
+///
+/// # Errors
+///
+/// Names what is malformed, missing or from another schema or epoch.
+pub fn decode_document(text: &str) -> Result<OptimizeResponse, String> {
+    let tape = Tape::parse(text)?;
+    let doc = tape.root();
+    let schema = doc.get("schema").and_then(JsonView::as_f64);
+    if schema != Some(WIRE_SCHEMA) {
+        return Err(format!(
+            "schema {schema:?} does not match wire schema {WIRE_SCHEMA}"
+        ));
+    }
+    let epoch = doc.get("epoch").and_then(JsonView::as_f64);
+    if epoch != Some(ENGINE_EPOCH as f64) {
+        return Err(format!(
+            "epoch {epoch:?} does not match engine epoch {ENGINE_EPOCH}"
+        ));
+    }
+    let response = doc
+        .get("response")
+        .ok_or_else(|| "missing key `response`".to_string())?;
+    response_from_json(response).map_err(|e| e.to_string())
 }
 
 /// Whether a directory entry looks like a live result document:

@@ -11,6 +11,10 @@
 //! Every decoder names what is missing (`request.goal: missing key
 //! `budget``) instead of returning an opaque `None`: a truncated or
 //! hand-edited cache file must fail loudly, not deserialize to garbage.
+//!
+//! Each decoder exists once, generic over [`JsonView`]: it reads a
+//! [`Json`] tree (`&Json`) or, on the result store's disk-hit path, a
+//! [`crate::json::TapeValue`] with no tree built.
 
 use std::sync::Arc;
 
@@ -24,7 +28,7 @@ use postplace::{
 };
 use timan::TimingReport;
 
-use crate::json::Json;
+use crate::json::{Json, JsonView};
 use crate::ServiceError;
 
 /// Schema version of the on-disk result documents; bump on any
@@ -36,19 +40,19 @@ fn codec_err(detail: String) -> ServiceError {
     ServiceError::Codec { detail }
 }
 
-fn member<'a>(value: &'a Json, ctx: &str, key: &str) -> Result<&'a Json, ServiceError> {
+fn member<'a, V: JsonView<'a>>(value: V, ctx: &str, key: &str) -> Result<V, ServiceError> {
     value
         .get(key)
         .ok_or_else(|| codec_err(format!("{ctx}: missing key `{key}`")))
 }
 
-fn member_f64(value: &Json, ctx: &str, key: &str) -> Result<f64, ServiceError> {
+fn member_f64<'a>(value: impl JsonView<'a>, ctx: &str, key: &str) -> Result<f64, ServiceError> {
     member(value, ctx, key)?
         .as_f64()
         .ok_or_else(|| codec_err(format!("{ctx}: key `{key}` is not a number")))
 }
 
-fn member_usize(value: &Json, ctx: &str, key: &str) -> Result<usize, ServiceError> {
+fn member_usize<'a>(value: impl JsonView<'a>, ctx: &str, key: &str) -> Result<usize, ServiceError> {
     let v = member_f64(value, ctx, key)?;
     // lint: allow(float-eq, reason = "fract() != 0.0 is the exact integer-ness test, not a tolerance comparison")
     if v.fract() != 0.0 || !(0.0..9.0e15).contains(&v) {
@@ -59,21 +63,24 @@ fn member_usize(value: &Json, ctx: &str, key: &str) -> Result<usize, ServiceErro
     Ok(v as usize)
 }
 
-fn member_str<'a>(value: &'a Json, ctx: &str, key: &str) -> Result<&'a str, ServiceError> {
+fn member_str<'a>(value: impl JsonView<'a>, ctx: &str, key: &str) -> Result<&'a str, ServiceError> {
     member(value, ctx, key)?
         .as_str()
         .ok_or_else(|| codec_err(format!("{ctx}: key `{key}` is not a string")))
 }
 
-fn member_arr<'a>(value: &'a Json, ctx: &str, key: &str) -> Result<&'a [Json], ServiceError> {
+fn member_arr<'a, V: JsonView<'a>>(
+    value: V,
+    ctx: &str,
+    key: &str,
+) -> Result<V::Items, ServiceError> {
     member(value, ctx, key)?
-        .as_arr()
+        .items()
         .ok_or_else(|| codec_err(format!("{ctx}: key `{key}` is not an array")))
 }
 
-fn f64_arr(value: &Json, ctx: &str, key: &str) -> Result<Vec<f64>, ServiceError> {
+fn f64_arr<'a>(value: impl JsonView<'a>, ctx: &str, key: &str) -> Result<Vec<f64>, ServiceError> {
     member_arr(value, ctx, key)?
-        .iter()
         .map(|v| {
             v.as_f64()
                 .ok_or_else(|| codec_err(format!("{ctx}: `{key}` holds a non-number")))
@@ -110,9 +117,8 @@ pub fn workload_to_json(spec: &WorkloadSpec) -> Json {
 }
 
 /// JSON → [`WorkloadSpec`].
-pub fn workload_from_json(value: &Json) -> Result<WorkloadSpec, ServiceError> {
+pub fn workload_from_json<'a>(value: impl JsonView<'a>) -> Result<WorkloadSpec, ServiceError> {
     let active = member_arr(value, "workload", "active")?
-        .iter()
         .map(|v| {
             v.as_str()
                 .ok_or_else(|| codec_err("workload.active holds a non-string".to_string()))
@@ -147,7 +153,7 @@ pub fn strategy_to_json(strategy: &Strategy) -> Json {
 }
 
 /// JSON → [`Strategy`].
-pub fn strategy_from_json(value: &Json) -> Result<Strategy, ServiceError> {
+pub fn strategy_from_json<'a>(value: impl JsonView<'a>) -> Result<Strategy, ServiceError> {
     match member_str(value, "strategy", "kind")? {
         "none" => Ok(Strategy::None),
         "uniform" => Ok(Strategy::UniformSlack {
@@ -196,8 +202,8 @@ fn goal_to_json(goal: &OptimizeGoal) -> Json {
 }
 
 /// Sets the goal a JSON goal object names on `builder`.
-fn goal_from_json(
-    value: &Json,
+fn goal_from_json<'a>(
+    value: impl JsonView<'a>,
     builder: OptimizeRequestBuilder,
 ) -> Result<OptimizeRequestBuilder, ServiceError> {
     Ok(match member_str(value, "goal", "type")? {
@@ -269,25 +275,27 @@ fn solver_from_token(token: &str) -> Result<SolverKind, ServiceError> {
 }
 
 /// JSON → [`OptimizeRequest`].
-pub fn request_from_json(value: &Json) -> Result<OptimizeRequest, ServiceError> {
-    let mesh = member_arr(value, "request", "mesh")?;
-    let [nx, ny] = mesh else {
+pub fn request_from_json<'a>(value: impl JsonView<'a>) -> Result<OptimizeRequest, ServiceError> {
+    let mut mesh = member_arr(value, "request", "mesh")?;
+    if mesh.len() != 2 {
         return Err(codec_err(format!(
             "request.mesh: expected [nx, ny], got {} element(s)",
             mesh.len()
         )));
-    };
-    let dim = |v: &Json, name: &str| {
-        v.as_f64()
+    }
+    let mut dim = |name: &str| {
+        mesh.next()
+            .and_then(JsonView::as_f64)
             // lint: allow(float-eq, reason = "fract() == 0.0 is the exact integer-ness test, not a tolerance comparison")
             .filter(|d| d.fract() == 0.0 && *d >= 0.0)
             .map(|d| d as usize)
             .ok_or_else(|| codec_err(format!("request.mesh: `{name}` is not an integer")))
     };
-    let tag = match member(value, "request", "tag")? {
-        Json::Null => None,
-        Json::Str(s) => Some(s.clone()),
-        _ => {
+    let tag = member(value, "request", "tag")?;
+    let tag = match tag.as_str() {
+        Some(s) => Some(s.to_string()),
+        None if tag.is_null() => None,
+        None => {
             return Err(codec_err(
                 "request.tag is neither string nor null".to_string(),
             ))
@@ -295,24 +303,22 @@ pub fn request_from_json(value: &Json) -> Result<OptimizeRequest, ServiceError> 
     };
     // Absent or null means "inherit the service default": documents
     // written before the knob existed must keep decoding.
-    let solver_threads = match value.get("solver_threads") {
-        None | Some(Json::Null) => None,
-        Some(_) => Some(member_usize(value, "request", "solver_threads")?),
-    };
-    let deadline_ms = match value.get("deadline_ms") {
-        None | Some(Json::Null) => None,
-        Some(_) => Some(member_usize(value, "request", "deadline_ms")? as u64),
-    };
-    let solver = match value.get("solver") {
-        None | Some(Json::Null) => None,
-        Some(_) => Some(solver_from_token(member_str(value, "request", "solver")?)?),
-    };
+    let set = |key: &str| value.get(key).is_some_and(|v| !v.is_null());
+    let solver_threads = set("solver_threads")
+        .then(|| member_usize(value, "request", "solver_threads"))
+        .transpose()?;
+    let deadline_ms = set("deadline_ms")
+        .then(|| member_usize(value, "request", "deadline_ms").map(|ms| ms as u64))
+        .transpose()?;
+    let solver = set("solver")
+        .then(|| member_str(value, "request", "solver").and_then(solver_from_token))
+        .transpose()?;
     // Decoded requests go through the builder's validation like every
     // other request: a degenerate mesh or an unparsable transform id is
     // a codec error, not a job that fails (or misbehaves) downstream.
     let mut builder = OptimizeRequest::builder()
         .workload(workload_from_json(member(value, "request", "workload")?)?)
-        .mesh(dim(nx, "nx")?, dim(ny, "ny")?);
+        .mesh(dim("nx")?, dim("ny")?);
     builder = goal_from_json(member(value, "request", "goal")?, builder)?;
     if let Some(tag) = tag {
         builder = builder.tag(tag);
@@ -340,7 +346,10 @@ fn thermal_summary_to_json(s: &ThermalSummary) -> Json {
     ])
 }
 
-fn thermal_summary_from_json(value: &Json, ctx: &str) -> Result<ThermalSummary, ServiceError> {
+fn thermal_summary_from_json<'a>(
+    value: impl JsonView<'a>,
+    ctx: &str,
+) -> Result<ThermalSummary, ServiceError> {
     Ok(ThermalSummary {
         peak_c: member_f64(value, ctx, "peak_c")?,
         peak_rise: member_f64(value, ctx, "peak_rise")?,
@@ -365,9 +374,8 @@ fn timing_to_json(t: &TimingReport) -> Json {
     ])
 }
 
-fn timing_from_json(value: &Json, ctx: &str) -> Result<TimingReport, ServiceError> {
+fn timing_from_json<'a>(value: impl JsonView<'a>, ctx: &str) -> Result<TimingReport, ServiceError> {
     let critical_cells = member_arr(value, ctx, "critical_cells")?
-        .iter()
         .map(|v| {
             v.as_f64()
                 // lint: allow(float-eq, reason = "fract() == 0.0 is the exact integer-ness test, not a tolerance comparison")
@@ -392,26 +400,22 @@ fn rect_to_json(r: &Rect) -> Json {
     ])
 }
 
-fn rect_from_json(value: &Json, ctx: &str) -> Result<Rect, ServiceError> {
-    let arr = value
-        .as_arr()
+fn rect_from_json<'a>(value: impl JsonView<'a>, ctx: &str) -> Result<Rect, ServiceError> {
+    let mut arr = value
+        .items()
         .ok_or_else(|| codec_err(format!("{ctx}: rect is not an array")))?;
-    let [llx, lly, urx, ury] = arr else {
+    if arr.len() != 4 {
         return Err(codec_err(format!(
             "{ctx}: rect needs [llx, lly, urx, ury], got {} element(s)",
             arr.len()
         )));
-    };
-    let coord = |v: &Json| {
-        v.as_f64()
+    }
+    let mut coord = || {
+        arr.next()
+            .and_then(JsonView::as_f64)
             .ok_or_else(|| codec_err(format!("{ctx}: rect holds a non-number")))
     };
-    Ok(Rect::new(
-        coord(llx)?,
-        coord(lly)?,
-        coord(urx)?,
-        coord(ury)?,
-    ))
+    Ok(Rect::new(coord()?, coord()?, coord()?, coord()?))
 }
 
 fn hotspot_to_json(h: &Hotspot) -> Json {
@@ -431,22 +435,23 @@ fn hotspot_to_json(h: &Hotspot) -> Json {
     ])
 }
 
-fn hotspot_from_json(value: &Json) -> Result<Hotspot, ServiceError> {
+fn hotspot_from_json<'a>(value: impl JsonView<'a>) -> Result<Hotspot, ServiceError> {
     let bins = member_arr(value, "hotspot", "bins")?
-        .iter()
         .map(|pair| {
-            let items = pair
-                .as_arr()
+            let mut items = pair
+                .items()
                 .filter(|a| a.len() == 2)
                 .ok_or_else(|| codec_err("hotspot.bins holds a non-pair".to_string()))?;
-            let idx = |v: &Json| {
-                v.as_f64()
+            let mut idx = || {
+                items
+                    .next()
+                    .and_then(JsonView::as_f64)
                     // lint: allow(float-eq, reason = "fract() == 0.0 is the exact integer-ness test, not a tolerance comparison")
                     .filter(|d| d.fract() == 0.0 && (0.0..=f64::from(u32::MAX)).contains(d))
                     .map(|d| d as u32)
                     .ok_or_else(|| codec_err("hotspot.bins holds a non-index".to_string()))
             };
-            Ok((idx(&items[0])?, idx(&items[1])?))
+            Ok((idx()?, idx()?))
         })
         .collect::<Result<Vec<_>, ServiceError>>()?;
     Ok(Hotspot {
@@ -480,9 +485,8 @@ pub fn report_to_json(report: &FlowReport) -> Json {
 }
 
 /// JSON → [`FlowReport`].
-pub fn report_from_json(value: &Json) -> Result<FlowReport, ServiceError> {
+pub fn report_from_json<'a>(value: impl JsonView<'a>) -> Result<FlowReport, ServiceError> {
     let hotspots = member_arr(value, "report", "hotspots")?
-        .iter()
         .map(hotspot_from_json)
         .collect::<Result<Arc<[_]>, _>>()?;
     Ok(FlowReport {
@@ -521,7 +525,7 @@ fn point_to_json(p: &ParetoPoint) -> Json {
     ])
 }
 
-fn point_from_json(value: &Json) -> Result<ParetoPoint, ServiceError> {
+fn point_from_json<'a>(value: impl JsonView<'a>) -> Result<ParetoPoint, ServiceError> {
     Ok(ParetoPoint {
         transform_id: member_str(value, "point", "transform_id")?.to_string(),
         kind: member_str(value, "point", "kind")?.to_string(),
@@ -567,7 +571,7 @@ fn outcome_to_json(outcome: &OptimizeOutcome) -> Json {
     }
 }
 
-fn outcome_from_json(value: &Json) -> Result<OptimizeOutcome, ServiceError> {
+fn outcome_from_json<'a>(value: impl JsonView<'a>) -> Result<OptimizeOutcome, ServiceError> {
     match member_str(value, "outcome", "type")? {
         "report" => Ok(OptimizeOutcome::Report(report_from_json(member(
             value, "outcome", "report",
@@ -580,7 +584,6 @@ fn outcome_from_json(value: &Json) -> Result<OptimizeOutcome, ServiceError> {
         })),
         "frontier" => Ok(OptimizeOutcome::Frontier(ParetoFrontier {
             points: member_arr(value, "outcome", "points")?
-                .iter()
                 .map(point_from_json)
                 .collect::<Result<Vec<_>, _>>()?,
             candidates: member_usize(value, "outcome", "candidates")?,
@@ -607,7 +610,7 @@ pub fn response_to_json(response: &OptimizeResponse) -> Json {
 }
 
 /// JSON → [`OptimizeResponse`].
-pub fn response_from_json(value: &Json) -> Result<OptimizeResponse, ServiceError> {
+pub fn response_from_json<'a>(value: impl JsonView<'a>) -> Result<OptimizeResponse, ServiceError> {
     let key = member_str(value, "response", "key")?;
     let key = CacheKey::from_hex(key)
         .ok_or_else(|| codec_err(format!("response.key `{key}` is not 32 hex digits")))?;

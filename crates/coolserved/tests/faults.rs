@@ -288,6 +288,25 @@ fn stale_and_misfiled_documents_are_quarantined_and_recomputed() {
 }
 
 #[test]
+fn a_hostile_nesting_document_is_quarantined_and_recomputed() {
+    // 64 KiB of `[` under a live key's file name: read on a worker's
+    // stack, it must be a decode error, not a stack overflow that aborts
+    // the process.
+    let root = scratch_dir("hostile-nesting");
+    let seeded = seed_root(&root);
+    std::fs::write(document_path(&root, seeded.key), "[".repeat(64 * 1024)).unwrap();
+
+    let (outcome, stats) = run_service(&root, Arc::new(FaultPlan::new()), request());
+    let record = outcome.expect("a hostile document must recompute, not fail");
+    assert_baseline_bytes(&record);
+    assert_eq!(stats.store.quarantined, 1);
+    assert_eq!(stats.cold_solves, 1, "the key must recompute");
+    assert_eq!(stats.store.disk_writes, 1, "and rewrite a clean document");
+    assert!(quarantine_path(&root, seeded.key, 1).exists());
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
 fn eio_bursts_within_the_retry_budget_still_answer_warm() {
     let root = scratch_dir("read-burst-warm");
     seed_root(&root);

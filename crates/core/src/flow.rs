@@ -154,12 +154,30 @@ pub struct ThermalSummary {
 }
 
 impl ThermalSummary {
+    /// The summary [`ThermalMap::peak_bin`], [`ThermalMap::peak_rise`],
+    /// [`ThermalMap::mean_rise`] and [`ThermalMap::gradient`] give, with
+    /// the extremes found in one pass: the largest and smallest value
+    /// under `total_cmp`, `NaN` skipped (and `NaN` for a grid of nothing
+    /// else), as `Grid2d::max_bin` and `Grid2d::min_bin` pick them.
     fn of(map: &ThermalMap) -> Self {
+        let extremes = map.grid().values().iter().filter(|v| !v.is_nan()).fold(
+            None,
+            |acc: Option<(f64, f64)>, &v| {
+                Some(match acc {
+                    None => (v, v),
+                    Some((lo, hi)) => (
+                        if v.total_cmp(&lo).is_lt() { v } else { lo },
+                        if v.total_cmp(&hi).is_gt() { v } else { hi },
+                    ),
+                })
+            },
+        );
+        let (min, max) = extremes.unwrap_or((f64::NAN, f64::NAN));
         ThermalSummary {
-            peak_c: map.peak_bin().1,
-            peak_rise: map.peak_rise(),
+            peak_c: max,
+            peak_rise: max - map.ambient_c(),
             mean_rise: map.mean_rise(),
-            gradient: map.gradient(),
+            gradient: max - min,
         }
     }
 }
@@ -398,6 +416,8 @@ struct BaselineAnalysis {
     pmap: Grid2d<f64>,
     /// Shared with every base state and delta evaluator of the flow.
     tmap: Arc<ThermalMap>,
+    /// The summary of `tmap`, the `before` of every report.
+    summary: ThermalSummary,
     hotspots: Arc<[Hotspot]>,
     timing: TimingReport,
     hpwl_um: f64,
@@ -586,6 +606,7 @@ impl Flow {
         Ok(BaselineAnalysis {
             power,
             pmap,
+            summary: ThermalSummary::of(&tmap),
             tmap: Arc::new(tmap),
             hotspots,
             timing,
@@ -824,7 +845,7 @@ impl Flow {
             base_area_um2: base_area,
             new_area_um2: new_area,
             area_overhead_pct: (new_area / base_area - 1.0) * 100.0,
-            before: ThermalSummary::of(&baseline.tmap),
+            before: baseline.summary,
             after: ThermalSummary::of(tmap_after),
             hotspots: Arc::clone(&baseline.hotspots),
             timing_before: baseline.timing.clone(),
@@ -839,6 +860,40 @@ impl Flow {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn one_pass_summaries_equal_the_map_accessors_bit_for_bit() {
+        let die = geom::Rect::new(0.0, 0.0, 30.0, 20.0);
+        let nan = f64::NAN;
+        let grids = [
+            vec![31.5, 25.0, 47.25, 25.0, 47.25, 26.0],
+            vec![0.0, -0.0, 0.0, -0.0, 0.0, -0.0],
+            vec![-0.0, 0.0, -0.0, 0.0, -0.0, 0.0],
+            vec![nan, 40.0, nan, 12.5, f64::INFINITY, 30.0],
+            vec![nan, f64::NEG_INFINITY, nan, 25.0, 25.0, nan],
+            vec![nan; 6],
+        ];
+        for values in grids {
+            let map = ThermalMap::new(geom::Grid2d::from_values(3, 2, die, values), 25.0);
+            let summary = ThermalSummary::of(&map);
+            let bits = |v: [f64; 4]| v.map(f64::to_bits);
+            assert_eq!(
+                bits([
+                    summary.peak_c,
+                    summary.peak_rise,
+                    summary.mean_rise,
+                    summary.gradient
+                ]),
+                bits([
+                    map.peak_bin().1,
+                    map.peak_rise(),
+                    map.mean_rise(),
+                    map.gradient()
+                ]),
+                "{map:?}"
+            );
+        }
+    }
 
     #[test]
     fn flows_of_one_benchmark_share_one_bounded_netlist_memo() {

@@ -3,10 +3,11 @@
 //!
 //! Runs a scenario grid through a memory-only `coolserved` service and
 //! emits a stable-schema JSON document with per-scenario results and
-//! wall-clocks, plus per-section solver, optimizer and service
-//! measurements. Every gated quantity is a within-run ratio or an exact
-//! count, so it is comparable across machines, which is what lets CI
-//! gate on it.
+//! wall-clocks, plus per-section solver, optimizer, service, logic-sim
+//! and wrapper measurements and the paper's claims at paper scale.
+//! Every gated quantity is a within-run ratio, an exact count or a
+//! deterministic result, so it is comparable across machines, which is
+//! what lets CI gate on it.
 //!
 //! Schema version 3 adds the `solver_scaling` section — per-solve
 //! latency, iteration counts and field drift of the structured stencil +
@@ -98,6 +99,13 @@
 //! write pays) and `decode_us` is `decode_document`, the tape read a
 //! disk hit pays; `doc_bytes` counts that document.
 //!
+//! Schema version 16 adds the `paper` section — the paper's claims at
+//! paper scale, in smoke and full mode alike: Table I's ERI gain over
+//! Default and its widening with overhead, Fig. 6's curves, Fig. 5's
+//! power/thermal correlation, §IV's worst timing overhead and the
+//! ablations, next to the paper's own numbers. CI gates each claim as
+//! one row of the gate's rule table.
+//!
 //! ```sh
 //! cargo bench -p coolplace-bench --bench sweep -- \
 //!     --smoke --threads 2 --out BENCH_sweep.json --check ci/bench-baseline.json
@@ -114,9 +122,9 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
-use arithgen::{build_benchmark, UnitRole};
+use arithgen::build_benchmark;
 use coolplace_bench::gate::{check_against_baseline, PEAK_TOLERANCE_C};
-use coolplace_bench::json::Json;
+use coolserved::json::Json;
 use coolserved::wire::response_to_json;
 use coolserved::{
     decode_document, render_document, serve, JobRecord, ResultSource, ServiceConfig, ServiceHandle,
@@ -170,7 +178,10 @@ use thermalsim::{FactorizedThermalModel, SolverKind, ThermalConfig};
 /// codec's cost per cold answer) to the `service` section.
 /// v15: the codec keys time the stored document's `render_document` and
 /// `decode_document` (the tape read of a disk hit).
-const SCHEMA_VERSION: f64 = 15.0;
+/// v16: added the `paper` section (the paper's Table I, Fig. 5, Fig. 6,
+/// timing and ablation claims at paper scale, each gated claim one
+/// field).
+const SCHEMA_VERSION: f64 = 16.0;
 
 /// `cargo bench` launches the binary with the *package* directory as
 /// CWD; anchor relative paths at the workspace root so
@@ -228,25 +239,6 @@ fn parse_args() -> Args {
     args
 }
 
-fn scattered() -> WorkloadSpec {
-    WorkloadSpec {
-        active: vec![
-            UnitRole::RippleAdder,
-            UnitRole::Alu,
-            UnitRole::LookaheadAdder,
-            UnitRole::Mac,
-        ],
-        toggle_probability: 0.5,
-    }
-}
-
-fn concentrated() -> WorkloadSpec {
-    WorkloadSpec {
-        active: vec![UnitRole::BoothMult],
-        toggle_probability: 0.5,
-    }
-}
-
 /// The sweep grid: strategies × row counts × workloads × meshes.
 /// Smoke = 2×1×4 = 8 scenarios for CI; full = 4×2×8 = 64 scenarios.
 /// The full grid carries all four workload regimes: the paper's two test
@@ -256,8 +248,8 @@ fn concentrated() -> WorkloadSpec {
 fn build_grid(smoke: bool) -> SweepGrid {
     let base = FlowConfig::scattered_small().fast();
     let grid = SweepGrid::new(base)
-        .workload("scattered", scattered())
-        .workload("concentrated", concentrated());
+        .workload("scattered", FlowConfig::scattered_small().workload)
+        .workload("concentrated", FlowConfig::concentrated_large().workload);
     if smoke {
         grid.mesh(12, 12)
             .strategy(Strategy::UniformSlack {
@@ -290,8 +282,8 @@ fn build_grid(smoke: bool) -> SweepGrid {
 /// spectral direct solver.
 fn build_large_grid() -> SweepGrid {
     SweepGrid::new(FlowConfig::scattered_small().fast())
-        .workload("scattered", scattered())
-        .workload("concentrated", concentrated())
+        .workload("scattered", FlowConfig::scattered_small().workload)
+        .workload("concentrated", FlowConfig::concentrated_large().workload)
         .meshes([(80, 80), (128, 128)])
         .strategy(Strategy::UniformSlack {
             area_overhead: 0.16,
@@ -373,7 +365,7 @@ fn run_engine(
 /// stages scale with the mesh.
 fn build_xlarge_grid() -> SweepGrid {
     SweepGrid::new(FlowConfig::scattered_small().fast())
-        .workload("concentrated", concentrated())
+        .workload("concentrated", FlowConfig::concentrated_large().workload)
         .meshes([(256, 256), (512, 512)])
         .strategy(Strategy::UniformSlack {
             area_overhead: 0.16,
@@ -1046,6 +1038,297 @@ fn run_wrapper_bench() -> Result<Json, String> {
     ]))
 }
 
+/// The paper's Fig. 6 (test set 1), read off the published plot:
+/// `(area_overhead_pct, default, eri, hw)` reductions in percent.
+const FIG6_PAPER: [(f64, f64, f64, f64); 5] = [
+    (8.0, 6.0, 7.0, 6.5),
+    (16.0, 11.3, 13.1, 12.0),
+    (24.0, 15.5, 17.5, 16.5),
+    (32.0, 20.2, 22.5, 21.0),
+    (40.0, 24.0, 27.0, 25.0),
+];
+
+/// The paper's Table I (test set 2):
+/// `(area_overhead_pct, rows on its 124-row die, default, eri)`.
+const TABLE1_PAPER: [(f64, usize, f64, f64); 2] = [(16.1, 20, 11.3, 13.1), (32.2, 40, 20.2, 28.6)];
+
+/// Overheads (percent) of the §IV timing check on both test sets; Table I
+/// reads the concentrated runs at its two.
+const TIMING_OVERHEADS_PCT: [f64; 4] = [8.0, 16.1, 24.0, 32.2];
+
+/// The overhead (percent) of the ablations.
+const ABLATION_OVERHEAD_PCT: f64 = 16.0;
+
+/// Default, ERI and HW at one matched overhead.
+struct Triple {
+    overhead_pct: f64,
+    default: FlowReport,
+    eri: FlowReport,
+    hw: FlowReport,
+}
+
+/// ERI's row count at `overhead`: that share of the base rows, at least
+/// one.
+fn eri_rows(flow: &Flow, overhead: f64) -> usize {
+    let rows = flow.base_placement().floorplan.num_rows() as f64;
+    ((overhead * rows).round() as usize).max(1)
+}
+
+fn run_triple(flow: &Flow, overhead_pct: f64) -> Result<Triple, postplace::FlowError> {
+    let area_overhead = overhead_pct / 100.0;
+    Ok(Triple {
+        overhead_pct,
+        default: flow.run(Strategy::UniformSlack { area_overhead })?,
+        eri: flow.run(Strategy::EmptyRowInsertion {
+            rows: eri_rows(flow, area_overhead),
+        })?,
+        hw: flow.run(Strategy::HotspotWrapper { area_overhead })?,
+    })
+}
+
+/// Runs `f` on `shared` when `config` is its configuration, else on a
+/// flow built for `config`.
+fn on_flow<T>(
+    shared: &Flow,
+    config: FlowConfig,
+    f: impl FnOnce(&Flow) -> Result<T, postplace::FlowError>,
+) -> Result<T, postplace::FlowError> {
+    if *shared.config() == config {
+        f(shared)
+    } else {
+        f(&Flow::new(config)?)
+    }
+}
+
+/// Pearson's correlation coefficient of two equally long samples.
+fn pearson(a: &[f64], b: &[f64]) -> f64 {
+    let n = a.len() as f64;
+    let (ma, mb) = (a.iter().sum::<f64>() / n, b.iter().sum::<f64>() / n);
+    let cov: f64 = a.iter().zip(b).map(|(x, y)| (x - ma) * (y - mb)).sum();
+    let va: f64 = a.iter().map(|x| (x - ma).powi(2)).sum();
+    let vb: f64 = b.iter().map(|y| (y - mb).powi(2)).sum();
+    cov / (va.sqrt() * vb.sqrt())
+}
+
+fn min_of(values: impl IntoIterator<Item = f64>) -> f64 {
+    values.into_iter().fold(f64::INFINITY, f64::min)
+}
+
+/// The `paper` section: the paper's claims on its two test sets at paper
+/// scale (11.4 k cells, 40×40×9), with one shared flow per test set; only
+/// the ablations that change the flow's configuration (ring width, mesh,
+/// leakage feedback) build flows of their own. Each gated claim is one
+/// field, next to the readings it is taken from and the paper's numbers,
+/// which nothing compares against:
+///
+/// * Table I: the least ERI − Default gain over its two overheads, and
+///   how much the gain widens from the first to the second;
+/// * Fig. 6: the least ERI − Default and HW − Default gains over its five
+///   overheads, and the least rise of any curve from one overhead to the
+///   next;
+/// * Fig. 5: Pearson's r between the baseline power and thermal maps;
+/// * §IV: the worst timing overhead of ERI and HW on both test sets;
+/// * ABL-1: hotspot-driven ERI against as many evenly spread rows;
+/// * ABL-3: the spread of ERI across thermal meshes.
+///
+/// ABL-2 (wrapper ring width) and ABL-4 (leakage feedback) are reported
+/// ungated.
+fn run_paper_bench() -> Result<Json, String> {
+    let err = |e: postplace::FlowError| e.to_string();
+    let started = Instant::now();
+    let scattered = Flow::new(FlowConfig::scattered_small()).map_err(err)?;
+    let concentrated = Flow::new(FlowConfig::concentrated_large()).map_err(err)?;
+    let triples = |flow: &Flow, overheads: &[f64]| {
+        overheads
+            .iter()
+            .map(|&pct| run_triple(flow, pct))
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(err)
+    };
+    let reductions = |t: &Triple| [&t.default, &t.eri, &t.hw].map(|r| r.reduction_pct());
+
+    let fig6 = triples(&scattered, &FIG6_PAPER.map(|p| p.0))?;
+    let fig6_min_eri_gain = min_of(
+        fig6.iter()
+            .map(|t| t.eri.reduction_pct() - t.default.reduction_pct()),
+    );
+    let fig6_min_hw_gain = min_of(
+        fig6.iter()
+            .map(|t| t.hw.reduction_pct() - t.default.reduction_pct()),
+    );
+    let fig6_min_rise = min_of(fig6.windows(2).flat_map(|w| {
+        let (lo, hi) = (reductions(&w[0]), reductions(&w[1]));
+        [0, 1, 2].map(|i| hi[i] - lo[i])
+    }));
+    let fig6_rows = fig6
+        .iter()
+        .zip(FIG6_PAPER)
+        .map(|(t, (_, p_def, p_eri, p_hw))| {
+            let [def, eri, hw] = reductions(t);
+            Json::obj([
+                ("area_overhead_pct", Json::Num(t.overhead_pct)),
+                ("default_pct", Json::Num(def)),
+                ("eri_pct", Json::Num(eri)),
+                ("hw_pct", Json::Num(hw)),
+                ("paper_default_pct", Json::Num(p_def)),
+                ("paper_eri_pct", Json::Num(p_eri)),
+                ("paper_hw_pct", Json::Num(p_hw)),
+            ])
+        })
+        .collect();
+
+    let timing_scattered = triples(&scattered, &TIMING_OVERHEADS_PCT)?;
+    let timing_concentrated = triples(&concentrated, &TIMING_OVERHEADS_PCT)?;
+    let mut timing_max = f64::NEG_INFINITY;
+    let mut timing_rows = Vec::new();
+    for (name, runs) in [
+        ("scattered", &timing_scattered),
+        ("concentrated", &timing_concentrated),
+    ] {
+        for t in runs {
+            timing_max = timing_max
+                .max(t.eri.timing_overhead_pct())
+                .max(t.hw.timing_overhead_pct());
+            timing_rows.push(Json::obj([
+                ("workload", Json::Str(name.to_string())),
+                ("area_overhead_pct", Json::Num(t.overhead_pct)),
+                ("default_pct", Json::Num(t.default.timing_overhead_pct())),
+                ("eri_pct", Json::Num(t.eri.timing_overhead_pct())),
+                ("hw_pct", Json::Num(t.hw.timing_overhead_pct())),
+            ]));
+        }
+    }
+
+    let mut table1_gains = Vec::new();
+    let mut table1_rows = Vec::new();
+    for (pct, paper_rows, p_def, p_eri) in TABLE1_PAPER {
+        let t = timing_concentrated
+            .iter()
+            .find(|t| t.overhead_pct == pct)
+            .ok_or("Table I overhead missing from the timing runs")?;
+        table1_gains.push(t.eri.reduction_pct() - t.default.reduction_pct());
+        table1_rows.push(Json::obj([
+            ("area_overhead_pct", Json::Num(pct)),
+            (
+                "rows",
+                Json::Num(eri_rows(&concentrated, pct / 100.0) as f64),
+            ),
+            ("default_pct", Json::Num(t.default.reduction_pct())),
+            ("eri_pct", Json::Num(t.eri.reduction_pct())),
+            ("paper_rows", Json::Num(paper_rows as f64)),
+            ("paper_default_pct", Json::Num(p_def)),
+            ("paper_eri_pct", Json::Num(p_eri)),
+        ]));
+    }
+
+    let (power, thermal) = scattered.baseline_maps().map_err(err)?;
+    let pearson_r = pearson(power.values(), thermal.grid().values());
+
+    // ABL-1: as many evenly spread rows as ERI inserts at the overhead.
+    let overhead = ABLATION_OVERHEAD_PCT / 100.0;
+    let rows = eri_rows(&scattered, overhead);
+    let eri = scattered
+        .run(Strategy::EmptyRowInsertion { rows })
+        .map_err(err)?
+        .reduction_pct();
+    let base = scattered.base_placement();
+    let rows0 = base.floorplan.num_rows();
+    let positions: Vec<usize> = (0..rows).map(|k| (k + 1) * rows0 / (rows + 1)).collect();
+    let (floorplan, mapping) = base.floorplan.with_rows_inserted(&positions);
+    let placement = base.placement.remap_rows(&floorplan, &mapping);
+    let (_, _, blind_map) = scattered
+        .analyze_placement(&floorplan, &placement)
+        .map_err(err)?;
+    let blind = thermal.reduction_to(&blind_map);
+
+    let mut rings = Vec::new();
+    for ring_rows in [1.0, 2.0, 3.0, 4.5, 6.0] {
+        let mut config = FlowConfig::scattered_small();
+        config.wrapper.ring_rows = ring_rows;
+        let hw = on_flow(&scattered, config, |flow| {
+            flow.run(Strategy::HotspotWrapper {
+                area_overhead: overhead,
+            })
+        })
+        .map_err(err)?;
+        rings.push(Json::obj([
+            ("ring_rows", Json::Num(ring_rows)),
+            ("hw_pct", Json::Num(hw.reduction_pct())),
+            ("timing_pct", Json::Num(hw.timing_overhead_pct())),
+        ]));
+    }
+
+    let mut mesh_eri = Vec::new();
+    let mut meshes = Vec::new();
+    for n in [20, 40, 60] {
+        let mut config = FlowConfig::scattered_small();
+        config.thermal = ThermalConfig::with_resolution(n, n);
+        let eri = on_flow(&scattered, config, |flow| {
+            flow.run(Strategy::EmptyRowInsertion {
+                rows: eri_rows(flow, overhead),
+            })
+        })
+        .map_err(err)?
+        .reduction_pct();
+        mesh_eri.push(eri);
+        meshes.push(Json::obj([
+            (
+                "mesh",
+                Json::Arr(vec![Json::Num(n as f64), Json::Num(n as f64)]),
+            ),
+            ("eri_pct", Json::Num(eri)),
+        ]));
+    }
+    let spread = mesh_eri.iter().copied().fold(f64::NEG_INFINITY, f64::max) - min_of(mesh_eri);
+
+    let mut feedback = Vec::new();
+    for iters in [0, 1, 3] {
+        let mut config = FlowConfig::scattered_small();
+        config.leakage_feedback_iters = iters;
+        let (_, map) = on_flow(&scattered, config, Flow::baseline_maps).map_err(err)?;
+        feedback.push(Json::obj([
+            ("iters", Json::Num(iters as f64)),
+            ("peak_rise_k", Json::Num(map.peak_rise())),
+            ("mean_rise_k", Json::Num(map.mean_rise())),
+        ]));
+    }
+    let wall_ms = started.elapsed().as_secs_f64() * 1e3;
+
+    let table1_min_gain = min_of(table1_gains.iter().copied());
+    let table1_widening = table1_gains[1] - table1_gains[0];
+    println!(
+        "paper bench: Table I ERI − Default {:+.2} / {:+.2} pp (widens {table1_widening:+.2}); \
+         Fig. 6 least ERI / HW gain {fig6_min_eri_gain:+.2} / {fig6_min_hw_gain:+.2} pp, \
+         least rise {fig6_min_rise:+.2} pp; Fig. 5 r {pearson_r:.3}; worst timing \
+         {timing_max:+.2} %; ERI − blind rows {:+.2} pp; mesh spread {spread:.2} pp; \
+         {wall_ms:.0} ms",
+        table1_gains[0],
+        table1_gains[1],
+        eri - blind,
+    );
+    Ok(Json::obj([
+        ("table1", Json::Arr(table1_rows)),
+        ("table1_min_eri_gain_pp", Json::Num(table1_min_gain)),
+        ("table1_gain_widening_pp", Json::Num(table1_widening)),
+        ("fig6", Json::Arr(fig6_rows)),
+        ("fig6_min_eri_gain_pp", Json::Num(fig6_min_eri_gain)),
+        ("fig6_min_hw_gain_pp", Json::Num(fig6_min_hw_gain)),
+        ("fig6_min_rise_pp", Json::Num(fig6_min_rise)),
+        ("fig5_pearson_r", Json::Num(pearson_r)),
+        ("timing", Json::Arr(timing_rows)),
+        ("timing_max_overhead_pct", Json::Num(timing_max)),
+        ("ablation_overhead_pct", Json::Num(ABLATION_OVERHEAD_PCT)),
+        ("abl1_eri_pct", Json::Num(eri)),
+        ("abl1_blind_pct", Json::Num(blind)),
+        ("abl1_eri_over_blind_pp", Json::Num(eri - blind)),
+        ("abl2_rings", Json::Arr(rings)),
+        ("abl3_meshes", Json::Arr(meshes)),
+        ("abl3_eri_spread_pp", Json::Num(spread)),
+        ("abl4_feedback", Json::Arr(feedback)),
+        ("wall_ms", Json::Num(wall_ms)),
+    ]))
+}
+
 fn main() -> ExitCode {
     let args = parse_args();
     let grid = build_grid(args.smoke);
@@ -1222,6 +1505,14 @@ fn main() -> ExitCode {
         }
     };
 
+    let paper_section = match run_paper_bench() {
+        Ok(section) => section,
+        Err(e) => {
+            eprintln!("paper bench failed: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+
     let doc = Json::obj([
         ("schema_version", Json::Num(SCHEMA_VERSION)),
         ("generator", Json::Str("coolplace-bench sweep".to_string())),
@@ -1244,6 +1535,7 @@ fn main() -> ExitCode {
         ("service", service_section),
         ("logic_sim", logic_sim_section),
         ("wrapper", wrapper_section),
+        ("paper", paper_section),
         ("records", Json::Arr(records)),
     ]);
     if let Err(e) = std::fs::write(&args.out, doc.render()) {

@@ -12,14 +12,16 @@
 //!   optimizer's exact-verification share and frontier, the service
 //!   cache's warm-over-cold ratio and cold fallbacks, the service
 //!   building its one resolved flow exactly once, the logic simulator's
-//!   evaluated share and the rows the wrapper's slot searches walk. Every bounded
-//!   quantity is a within-run ratio or an exact count, so machine speed
-//!   cancels out; the baseline only establishes which sections must be
-//!   present.
+//!   evaluated share, the rows the wrapper's slot searches walk, and the
+//!   paper's claims at paper scale (Table I, Fig. 5, Fig. 6, §IV's
+//!   timing overhead and two ablations). Every bounded quantity is a
+//!   within-run ratio, an exact count or a deterministic result, so
+//!   machine speed cancels out; the baseline only establishes which
+//!   sections must be present.
 //!
 //! Violations come back as human-readable strings; an empty list passes.
 
-use crate::json::Json;
+use coolserved::json::Json;
 
 /// Absolute peak-temperature agreement required between a run and the
 /// baseline, in kelvin. Far above solver tolerance, far below any real
@@ -102,6 +104,8 @@ enum Bound {
     AtLeast(f64),
     /// Strictly greater than the floor.
     Above(f64),
+    /// Strictly smaller than the ceiling.
+    Below(f64),
     /// No larger than the cap.
     AtMost(f64),
     /// Equal to the value.
@@ -144,9 +148,18 @@ struct Rule {
 
 /// Every section gate. A section the baseline has but the run lacks
 /// fails once by name; a present section is held to each of its rows.
+///
+/// The `paper` rows (schema ≥ 16) hold the paper's claims at paper
+/// scale: ERI beats Default at both Table I overheads and by more at
+/// the larger; at every Fig. 6 overhead ERI is within 0.05 pp of
+/// Default or above it and HW within 0.6 pp, and every curve rises from
+/// one overhead to the next; the power and thermal maps correlate
+/// (r > 0.5); ERI and HW keep the timing overhead under 5 %;
+/// hotspot-driven rows lose at most 0.05 pp to evenly spread ones; and
+/// ERI moves by under 5 pp across meshes.
 #[rustfmt::skip]
-const RULES: [Rule; 14] = {
-    use Bound::{Above, AtLeast, AtMost, Exactly, NonEmptyArray, ShareOf, StrEquals};
+const RULES: [Rule; 23] = {
+    use Bound::{Above, AtLeast, AtMost, Below, Exactly, NonEmptyArray, ShareOf, StrEquals};
     use Entry::{EveryMesh, Mesh, Section};
     use When::{Always, FullMode, HwThreads};
     const fn row(section: &'static str, entry: Entry, field: &'static str, bound: Bound, armed: When, required: When) -> Rule {
@@ -167,6 +180,15 @@ const RULES: [Rule; 14] = {
         row("service", Section, "flows_built", Exactly(1.0), Always, Always),
         row("logic_sim", Section, "evaluated_share", AtMost(MAX_LOGIC_SIM_EVALUATED_SHARE), Always, Always),
         row("wrapper", Section, "rows_scanned_per_search", AtMost(MAX_WRAPPER_ROWS_PER_SEARCH), Always, Always),
+        row("paper", Section, "table1_min_eri_gain_pp", Above(0.0), Always, Always),
+        row("paper", Section, "table1_gain_widening_pp", Above(0.0), Always, Always),
+        row("paper", Section, "fig6_min_eri_gain_pp", Above(-0.05), Always, Always),
+        row("paper", Section, "fig6_min_hw_gain_pp", Above(-0.6), Always, Always),
+        row("paper", Section, "fig6_min_rise_pp", Above(0.0), Always, Always),
+        row("paper", Section, "fig5_pearson_r", Above(0.5), Always, Always),
+        row("paper", Section, "timing_max_overhead_pct", Below(5.0), Always, Always),
+        row("paper", Section, "abl1_eri_over_blind_pp", AtLeast(-0.05), Always, Always),
+        row("paper", Section, "abl3_eri_spread_pp", Below(5.0), Always, Always),
     ]
 };
 
@@ -331,6 +353,10 @@ fn check_field(rule: &Rule, path: &str, entry: &Json) -> Result<(), String> {
         Bound::Above(floor) => {
             let v = number(field)?;
             (v, v > floor, format!("> {}", num(floor)))
+        }
+        Bound::Below(ceiling) => {
+            let v = number(field)?;
+            (v, v < ceiling, format!("< {}", num(ceiling)))
         }
         Bound::AtMost(cap) => {
             let v = number(field)?;
@@ -927,6 +953,78 @@ mod tests {
             failures
                 .iter()
                 .any(|f| f.contains("`wrapper` section missing")),
+            "{failures:?}"
+        );
+    }
+
+    /// A `paper` section reading today's claims, with `doctored` fields
+    /// overriding them.
+    fn with_paper(mut doc: Json, doctored: &[(&str, f64)]) -> Json {
+        let Json::Obj(pairs) = &mut doc else {
+            unreachable!()
+        };
+        let today = [
+            ("table1_min_eri_gain_pp", 1.54),
+            ("table1_gain_widening_pp", 1.18),
+            ("fig6_min_eri_gain_pp", 1.04),
+            ("fig6_min_hw_gain_pp", 0.13),
+            ("fig6_min_rise_pp", 3.6),
+            ("fig5_pearson_r", 0.615),
+            ("timing_max_overhead_pct", 4.22),
+            ("abl1_eri_over_blind_pp", 2.01),
+            ("abl3_eri_spread_pp", 0.02),
+        ];
+        let fields = today.map(|(key, value)| {
+            let value = doctored
+                .iter()
+                .find(|(k, _)| *k == key)
+                .map_or(value, |d| d.1);
+            (key, Json::Num(value))
+        });
+        pairs.push(("paper".to_string(), Json::obj(fields)));
+        doc
+    }
+
+    #[test]
+    fn paper_gate_fails_each_broken_claim_by_its_row() {
+        let base = with_paper(doc(3.0, 81.5), &[]);
+        assert!(check_against_baseline(&base, &base, 0.25).is_empty());
+        let cases: [(&str, f64, &str); 9] = [
+            ("table1_min_eri_gain_pp", -0.3, "= -0.3, needs > 0"),
+            // The Table I gap narrows from 16 % to 32 %.
+            ("table1_gain_widening_pp", -0.4, "= -0.4, needs > 0"),
+            ("fig6_min_eri_gain_pp", -0.06, "= -0.06, needs > -0.05"),
+            ("fig6_min_hw_gain_pp", -0.7, "= -0.7, needs > -0.6"),
+            // One Fig. 6 curve falls from one overhead to the next.
+            ("fig6_min_rise_pp", -0.12, "= -0.12, needs > 0"),
+            ("fig5_pearson_r", 0.49, "= 0.49, needs > 0.5"),
+            // The timing ceiling is strict.
+            ("timing_max_overhead_pct", 5.0, "= 5, needs < 5"),
+            ("abl1_eri_over_blind_pp", -0.06, "= -0.06, needs ≥ -0.05"),
+            ("abl3_eri_spread_pp", 5.0, "= 5, needs < 5"),
+        ];
+        for (field, value, needs) in cases {
+            let broken = with_paper(doc(3.0, 81.5), &[(field, value)]);
+            let failures = check_against_baseline(&broken, &base, 0.25);
+            assert_eq!(
+                failures,
+                [format!("`paper.{field}` {needs}")],
+                "{field} = {value}"
+            );
+        }
+    }
+
+    #[test]
+    fn paper_gate_requires_the_section_once_the_baseline_has_it() {
+        let base = with_paper(doc(3.0, 81.5), &[]);
+        let failures = check_against_baseline(&doc(3.0, 81.5), &base, 0.25);
+        assert_eq!(failures, ["`paper` section missing from this run"]);
+        let poisoned = with_paper(doc(3.0, 81.5), &[("fig5_pearson_r", f64::NAN)]);
+        let failures = check_against_baseline(&poisoned, &base, 0.25);
+        assert!(
+            failures
+                .iter()
+                .any(|f| f.contains("fig5_pearson_r") && f.contains("not finite")),
             "{failures:?}"
         );
     }

@@ -1,6 +1,7 @@
 //! The paper's qualitative results, asserted on the fast configuration so
-//! they run in CI time. The full-scale regenerations live in the bench
-//! harness (`cargo bench`).
+//! they run in CI time. The paper-scale checks are the `paper` section of
+//! the sweep bench (`cargo bench -p coolplace-bench --bench sweep`), gated
+//! in CI by the `paper` rows of `coolplace_bench::gate`.
 
 use coolplace::postplace::{Flow, FlowConfig, Strategy};
 

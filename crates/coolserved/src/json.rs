@@ -3,10 +3,9 @@
 //!
 //! Two consumers share this module: the service's persistent result
 //! cache (every `<key>.json` on disk is a rendered [`Json`] document)
-//! and the bench pipeline's CI contract (`BENCH_sweep.json`), which
-//! re-exports it as `coolplace_bench::json`. Both need the same
-//! properties: object keys keep insertion order, floats render in
-//! Rust's shortest round-trip form (so `f64`s survive a
+//! and the bench pipeline's CI contract (`BENCH_sweep.json`). Both
+//! need the same properties: object keys keep insertion order, floats
+//! render in Rust's shortest round-trip form (so `f64`s survive a
 //! render → parse cycle bit-exactly), and output is pretty-printed with
 //! two-space indents, except that an array holding no object renders on
 //! one line (`[16, 16]`, `[[3, 4], [3, 5]]`), which keeps long numeric

@@ -873,6 +873,41 @@ mod tests {
     }
 
     #[test]
+    fn a_ten_thousand_deep_transform_id_is_refused_on_a_small_stack() {
+        // A transform id nested 10,000 `composite(` levels deep (~160 KB)
+        // once overflowed the parser's recursion and aborted the process.
+        // Decoded on a 256 KiB stack, it is now a codec error.
+        let decoder = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(|| {
+                let depth = 10_000;
+                let id = format!(
+                    "{}eri:2{}",
+                    "composite(".repeat(depth),
+                    "+wrap)".repeat(depth)
+                );
+                let text = request_to_json(
+                    &OptimizeRequest::builder()
+                        .workload(WorkloadSpec::checkerboard())
+                        .mesh(10, 12)
+                        .transform("eri:8")
+                        .build()
+                        .unwrap(),
+                )
+                .render()
+                .replace("\"eri:8\"", &format!("\"{id}\""));
+                assert!(text.len() > 150_000, "replacement must have fired");
+                let err = request_from_json(&Json::parse(&text).unwrap()).unwrap_err();
+                assert!(matches!(err, ServiceError::Codec { .. }), "{err:?}");
+                let err = err.to_string();
+                assert!(err.contains("over the limit of 256"), "{err}");
+                assert!(err.len() < 200, "the id is not echoed: {} bytes", err.len());
+            })
+            .unwrap();
+        decoder.join().unwrap();
+    }
+
+    #[test]
     fn meshes_above_the_ceiling_are_refused_without_allocating() {
         // A wire request naming a mesh past `MAX_MESH_BINS` is refused by
         // the builder's validation before any flow, model or field is

@@ -12,7 +12,7 @@ use netlist::Netlist;
 use placement::{Floorplan, PlacedGeometry, Placement, PlacementResult, Placer, PlacerConfig};
 use powerest::{estimate_power_placed, power_map_placed, PowerConfig, PowerReport};
 use thermalsim::{FactorizedThermalModel, ThermalConfig, ThermalMap};
-use timan::{analyze_placed, TimingConfig, TimingReport};
+use timan::{analyze_placed, check_placed, TimingConfig, TimingReport};
 
 use crate::{
     detect_hotspots, CacheStats, DeltaCandidateEvaluator, EmptyRowInsertionTransform, FlowError,
@@ -223,10 +223,7 @@ impl FlowReport {
     /// Peak-temperature reduction in percent of the original rise — the
     /// paper's main metric.
     pub fn reduction_pct(&self) -> f64 {
-        if self.before.peak_rise <= 0.0 {
-            return 0.0;
-        }
-        (self.before.peak_rise - self.after.peak_rise) / self.before.peak_rise * 100.0
+        peak_reduction_pct(&self.before, &self.after)
     }
 
     /// Gradient reduction in percent.
@@ -241,6 +238,15 @@ impl FlowReport {
     pub fn timing_overhead_pct(&self) -> f64 {
         self.timing_before.overhead_to(&self.timing_after)
     }
+}
+
+/// The peak-rise reduction from `before` to `after`, in percent of
+/// `before`'s rise (0 when `before` has none).
+fn peak_reduction_pct(before: &ThermalSummary, after: &ThermalSummary) -> f64 {
+    if before.peak_rise <= 0.0 {
+        return 0.0;
+    }
+    (before.peak_rise - after.peak_rise) / before.peak_rise * 100.0
 }
 
 /// Cache key: the thermal config's process-stable fingerprint (mesh,
@@ -610,7 +616,7 @@ impl Flow {
             tmap: Arc::new(tmap),
             hotspots,
             timing,
-            hpwl_um: geometry.total_hpwl(),
+            hpwl_um: geometry.total_hpwl(self.netlist()),
         })
     }
 
@@ -809,26 +815,66 @@ impl Flow {
         ))
     }
 
-    /// The second half of [`Flow::run_transform`]: the thermal solve,
-    /// STA and HPWL of the state `transform` produced from the base
-    /// state, reported under `transform`'s id. The after-map stays
-    /// memoized on `state`, so a stage applied on top of it (the budget
-    /// search wraps the uniform candidate's placement) solves nothing
-    /// twice.
+    /// The second half of [`Flow::run_transform`]: the evaluation of
+    /// the state `transform` produced from the base state, reported under
+    /// `transform`'s id — [`Flow::score_state`], then
+    /// [`Flow::finish_state`]. The after-map stays memoized on `state`, so
+    /// a stage applied on top of it (the budget search wraps the uniform
+    /// candidate's placement) solves nothing twice.
     pub(crate) fn evaluate_state(
         &self,
         ctx: &TransformContext,
         transform: &dyn PlacementTransform,
         state: &mut TransformState,
     ) -> Result<FlowReport, FlowError> {
+        let scored = self.score_state(ctx, state)?;
+        self.finish_state(transform, state, scored)
+    }
+
+    /// The scoring half of [`Flow::evaluate_state`]: the state's
+    /// geometry, thermal solve, area and thermal summary — everything a
+    /// report's [`FlowReport::area_overhead_pct`] and
+    /// [`FlowReport::reduction_pct`] read. The state must be fully
+    /// placed, as the finishing half's timing analysis requires; that is
+    /// checked here, so a candidate that would fail there fails now,
+    /// with the same error.
+    pub(crate) fn score_state(
+        &self,
+        ctx: &TransformContext,
+        state: &mut TransformState,
+    ) -> Result<ScoredState, FlowError> {
         let baseline = self.baseline()?;
         let geometry = PlacedGeometry::new(self.netlist(), &state.floorplan, &state.placement);
         state.ensure_thermal_with(ctx, &geometry)?;
-        let tmap_after = state.thermal_map()?;
+        let after = ThermalSummary::of(state.thermal_map()?);
+        check_placed(self.netlist(), &geometry)?;
+        let base_area_um2 = self.base.geometry.core().area();
+        let new_area_um2 = geometry.core().area();
+        Ok(ScoredState {
+            geometry,
+            base_area_um2,
+            new_area_um2,
+            area_overhead_pct: (new_area_um2 / base_area_um2 - 1.0) * 100.0,
+            before: baseline.summary,
+            after,
+        })
+    }
+
+    /// The finishing half of [`Flow::evaluate_state`]: STA and total
+    /// wirelength of `state`, which `scored` scored, reported under
+    /// `transform`'s id.
+    pub(crate) fn finish_state(
+        &self,
+        transform: &dyn PlacementTransform,
+        state: &TransformState,
+        scored: ScoredState,
+    ) -> Result<FlowReport, FlowError> {
+        let baseline = self.baseline()?;
+        let geometry = &scored.geometry;
         let mut timing_after = analyze_placed(
             self.netlist(),
-            &geometry,
-            Some(tmap_after),
+            geometry,
+            Some(state.thermal_map()?),
             &self.config.timing,
         )?;
         // A transform seldom moves the critical path; when it did not,
@@ -836,24 +882,42 @@ impl Flow {
         if timing_after.critical_cells == baseline.timing.critical_cells {
             timing_after.critical_cells = Arc::clone(&baseline.timing.critical_cells);
         }
-        let hpwl_after = geometry.total_hpwl();
-        let base_area = self.base.geometry.core().area();
-        let new_area = geometry.core().area();
         Ok(FlowReport {
             strategy: transform.as_strategy().unwrap_or(Strategy::None),
             transform_id: transform.id(),
-            base_area_um2: base_area,
-            new_area_um2: new_area,
-            area_overhead_pct: (new_area / base_area - 1.0) * 100.0,
-            before: baseline.summary,
-            after: ThermalSummary::of(tmap_after),
+            base_area_um2: scored.base_area_um2,
+            new_area_um2: scored.new_area_um2,
+            area_overhead_pct: scored.area_overhead_pct,
+            before: scored.before,
+            after: scored.after,
             hotspots: Arc::clone(&baseline.hotspots),
             timing_before: baseline.timing.clone(),
             timing_after,
             hpwl_before_um: baseline.hpwl_um,
-            hpwl_after_um: hpwl_after,
+            hpwl_after_um: geometry.total_hpwl(self.netlist()),
             total_power_w: self.baseline_power_report()?.total_w(),
         })
+    }
+}
+
+/// A placed state scored on its thermal answer ([`Flow::score_state`]):
+/// the report's area and thermal-summary fields, and the geometry that
+/// [`Flow::finish_state`] times and measures.
+#[derive(Debug)]
+pub(crate) struct ScoredState {
+    geometry: PlacedGeometry,
+    base_area_um2: f64,
+    new_area_um2: f64,
+    /// As [`FlowReport::area_overhead_pct`] will read.
+    pub(crate) area_overhead_pct: f64,
+    before: ThermalSummary,
+    after: ThermalSummary,
+}
+
+impl ScoredState {
+    /// As [`FlowReport::reduction_pct`] will read.
+    pub(crate) fn reduction_pct(&self) -> f64 {
+        peak_reduction_pct(&self.before, &self.after)
     }
 }
 
@@ -971,6 +1035,26 @@ mod tests {
             crate::CandidateEvaluator::baseline(&evaluator),
             tmap
         ));
+    }
+
+    #[test]
+    fn scoring_refuses_a_state_timing_would_refuse_with_its_error() {
+        // The budget search times only its winner, so a candidate with
+        // an unplaced cell must fail where it is scored.
+        let flow = Flow::new(FlowConfig::scattered_small().fast()).unwrap();
+        let ctx = TransformContext::new(&flow).unwrap();
+        let mut state = flow.base_state().unwrap();
+        let order = flow.netlist().comb_order();
+        for cell in [order[order.len() / 2], order[0]] {
+            state.placement.remove(cell);
+        }
+        let err = flow.score_state(&ctx, &mut state).unwrap_err();
+        let geometry = PlacedGeometry::new(flow.netlist(), &state.floorplan, &state.placement);
+        let tmap = state.thermal_map().unwrap();
+        let timed =
+            analyze_placed(flow.netlist(), &geometry, Some(tmap), &flow.config.timing).unwrap_err();
+        assert!(matches!(err, FlowError::Timing(_)), "{err}");
+        assert_eq!(err.to_string(), FlowError::from(timed).to_string());
     }
 
     #[test]

@@ -91,7 +91,8 @@ pub use transform::{
     rows_for_budget, CompositeTransform, EmptyRowInsertionTransform, HotBinSpreadTransform,
     HotspotWrapperTransform, NoneTransform, PlacementTransform, SpreadFillersTransform,
     TargetedRowInsertionTransform, TransformContext, TransformFactory, TransformRegistry,
-    TransformState, UniformSlackTransform, WrapHotspotsTransform,
+    TransformState, UniformSlackTransform, WrapHotspotsTransform, MAX_COMPOSITE_DEPTH,
+    MAX_TRANSFORM_ID_LEN,
 };
 pub use uniform::{uniform_power_delta, uniform_slack, uniform_surrogate_map};
 pub use wrapper::{

@@ -22,6 +22,7 @@
 //! and the exactness guarantees (minimality of the row count, target
 //! actually met) are enforced by real runs.
 
+use crate::flow::ScoredState;
 use crate::{
     CandidateEvaluator, EmptyRowInsertionTransform, Flow, FlowError, FlowReport,
     HotspotWrapperTransform, PlacementTransform, Strategy, TransformContext, TransformRegistry,
@@ -216,10 +217,15 @@ pub struct BudgetOptimum {
 /// discarded). The rest run exactly, in a fixed order — uniform slack,
 /// ERI, HW — and an exact tie keeps the earlier candidate. HW is the
 /// paper's uniform-then-wrap, so it wraps the placement the uniform
-/// candidate just evaluated instead of re-placing and re-solving it;
-/// its report bit-matches a direct [`Flow::run`] of the wrapper. ERI
-/// runs as [`Flow::run`] runs it, so a row count the flow ran before is
-/// served from the flow's ERI memo.
+/// candidate just evaluated instead of re-placing and re-solving it.
+/// ERI runs as [`Flow::run`] runs it, so a row count the flow ran before
+/// is served from the flow's ERI memo.
+///
+/// Score, then finish: a candidate is ranked on its exact thermal answer
+/// alone (its realized area overhead and peak reduction), and only the
+/// winner pays for the timing analysis and wirelength its report
+/// carries. ERI's report comes complete from the memo. The winning
+/// report bit-matches a direct [`Flow::run`] of its strategy.
 ///
 /// # Errors
 ///
@@ -253,51 +259,74 @@ pub fn best_strategy_within_budget_with(
         evaluations += 1;
         Ok(true)
     };
-    let mut best: Option<FlowReport> = None;
-    let mut offer = |report: FlowReport| {
+    // The reduction to beat, and whether a candidate beats it.
+    let mut lead: Option<f64> = None;
+    let mut leads = |area_overhead_pct: f64, reduction_pct: f64| {
         // Placer realization can drift past the planned overhead.
-        if report.area_overhead_pct <= budget_cap_pct
-            && best
-                .as_ref()
-                .is_none_or(|b| b.reduction_pct() < report.reduction_pct())
-        {
-            best = Some(report);
+        let wins = area_overhead_pct <= budget_cap_pct && lead.is_none_or(|b| b < reduction_pct);
+        if wins {
+            lead = Some(reduction_pct);
         }
+        wins
     };
-    // One exact run of `candidate` as `stage` applied to `state`,
-    // returning the evaluated state for reuse.
-    let exact = |candidate: &dyn PlacementTransform,
-                 stage: &dyn PlacementTransform,
-                 mut state: TransformState|
-     -> Result<(TransformState, FlowReport), FlowError> {
-        let mut next = stage.apply(&ctx, &mut state)?;
-        let report = flow.evaluate_state(&ctx, candidate, &mut next)?;
-        Ok((next, report))
+    // `stage` applied to `state`, and the result scored.
+    let score = |stage: &dyn PlacementTransform,
+                 state: &mut TransformState|
+     -> Result<(TransformState, ScoredState), FlowError> {
+        let mut next = stage.apply(&ctx, state)?;
+        let scored = flow.score_state(&ctx, &mut next)?;
+        Ok((next, scored))
     };
+    enum Leader {
+        Uniform,
+        Eri(FlowReport),
+        Hw(TransformState, ScoredState),
+    }
+    let mut leader = None;
     let mut relaxed = None;
     if admit(&uniform)? {
-        if let Some((state, report)) = applicable(exact(&uniform, &uniform, flow.base_state()?))? {
-            offer(report);
-            relaxed = Some(state);
+        if let Some((state, scored)) = applicable(score(&uniform, &mut flow.base_state()?))? {
+            if leads(scored.area_overhead_pct, scored.reduction_pct()) {
+                leader = Some(Leader::Uniform);
+            }
+            relaxed = Some((state, scored));
         }
     }
     if admit(&eri)? {
         if let Some(report) = applicable(flow.run_eri(eri.rows))? {
-            offer(report);
+            if leads(report.area_overhead_pct, report.reduction_pct()) {
+                leader = Some(Leader::Eri(report));
+            }
         }
     }
     // HW shares uniform's planned overhead and first stage, so it is
     // skipped or fails with it, without a second run.
     if admit(&hw)? {
-        if let Some(state) = relaxed {
-            if let Some((_, report)) = applicable(exact(&hw, &WrapHotspotsTransform, state))? {
-                offer(report);
+        if let Some((state, _)) = relaxed.as_mut() {
+            if let Some((next, scored)) = applicable(score(&WrapHotspotsTransform, state))? {
+                if leads(scored.area_overhead_pct, scored.reduction_pct()) {
+                    leader = Some(Leader::Hw(next, scored));
+                }
             }
         }
     }
-    let report = best.ok_or_else(|| FlowError::BadStrategy {
-        detail: "no strategy fits the area budget".to_string(),
-    })?;
+    let report = match (leader, relaxed) {
+        (None, _) => {
+            return Err(FlowError::BadStrategy {
+                detail: "no strategy fits the area budget".to_string(),
+            })
+        }
+        (Some(Leader::Eri(report)), _) => report,
+        (Some(Leader::Hw(state, scored)), _) => flow.finish_state(&hw, &state, scored)?,
+        (Some(Leader::Uniform), Some((state, scored))) => {
+            flow.finish_state(&uniform, &state, scored)?
+        }
+        (Some(Leader::Uniform), None) => {
+            return Err(FlowError::Internal {
+                detail: "the uniform candidate led without a scored state".to_string(),
+            })
+        }
+    };
     Ok(BudgetOptimum {
         report,
         screened: 0,

@@ -355,8 +355,13 @@ impl OptimizeRequest {
             });
         }
         if let OptimizeGoal::Transform { id } = &self.goal {
-            TransformRegistry::parse(id).map_err(|e| FlowError::BadRequest {
-                detail: format!("transform id `{id}` does not parse: {e}"),
+            // An id past the parser's bounds is refused as it is, without
+            // echoing it; any other parse failure names the id.
+            TransformRegistry::parse(id).map_err(|e| match e {
+                FlowError::BadRequest { .. } => e,
+                e => FlowError::BadRequest {
+                    detail: format!("transform id `{id}` does not parse: {e}"),
+                },
             })?;
         }
         Ok(())

@@ -951,6 +951,15 @@ pub fn rows_for_budget(flow: &Flow, budget: f64) -> usize {
     (((budget.max(0.0) * rows0 as f64).floor()) as usize).max(1)
 }
 
+/// The longest transform id [`TransformRegistry::parse`] reads, in bytes.
+/// The registry's longest ids, composites of two stages at a
+/// shortest-round-trip budget each, are under 80.
+pub const MAX_TRANSFORM_ID_LEN: usize = 256;
+
+/// The deepest nesting of `composite(` levels [`TransformRegistry::parse`]
+/// reads. The registry's composites nest one level.
+pub const MAX_COMPOSITE_DEPTH: usize = 4;
+
 /// An open set of [`TransformFactory`]s — the search space the Pareto
 /// optimizer screens. Start from [`TransformRegistry::standard`] and
 /// [`TransformRegistry::register`] your own families.
@@ -1044,11 +1053,47 @@ impl TransformRegistry {
     /// `parse(t.id())?.id() == t.id()` for every built-in transform,
     /// composites included.
     ///
+    /// The id's shape is bounded before any of it is parsed: at most
+    /// [`MAX_TRANSFORM_ID_LEN`] bytes and [`MAX_COMPOSITE_DEPTH`] nested
+    /// `composite(` levels, so the recursive descent below stays shallow
+    /// whatever a wire request carries.
+    ///
     /// # Errors
     ///
-    /// Returns [`FlowError::BadStrategy`] for an unknown or malformed
-    /// id.
+    /// Returns [`FlowError::BadRequest`] for an id past either bound, and
+    /// [`FlowError::BadStrategy`] for an unknown or malformed id.
     pub fn parse(id: &str) -> Result<Box<dyn PlacementTransform>, FlowError> {
+        if id.len() > MAX_TRANSFORM_ID_LEN {
+            return Err(FlowError::BadRequest {
+                detail: format!(
+                    "transform id is {} bytes, over the limit of {MAX_TRANSFORM_ID_LEN}",
+                    id.len()
+                ),
+            });
+        }
+        let (mut depth, mut deepest) = (0usize, 0usize);
+        for byte in id.bytes() {
+            match byte {
+                b'(' => {
+                    depth += 1;
+                    deepest = deepest.max(depth);
+                }
+                b')' => depth = depth.saturating_sub(1),
+                _ => {}
+            }
+        }
+        if deepest > MAX_COMPOSITE_DEPTH {
+            return Err(FlowError::BadRequest {
+                detail: format!(
+                    "transform id nests {deepest} levels, over the limit of {MAX_COMPOSITE_DEPTH}"
+                ),
+            });
+        }
+        Self::parse_bounded(id)
+    }
+
+    /// [`TransformRegistry::parse`] of an id within its bounds.
+    fn parse_bounded(id: &str) -> Result<Box<dyn PlacementTransform>, FlowError> {
         let bad = |detail: String| FlowError::BadStrategy { detail };
         let parse_f64 = |s: &str, what: &str| -> Result<f64, FlowError> {
             s.parse::<f64>()
@@ -1073,13 +1118,13 @@ impl TransformRegistry {
                     '(' => depth += 1,
                     ')' => depth = depth.saturating_sub(1),
                     '+' if depth == 0 => {
-                        stages.push(Self::parse(&inner[start..i])?);
+                        stages.push(Self::parse_bounded(&inner[start..i])?);
                         start = i + 1;
                     }
                     _ => {}
                 }
             }
-            stages.push(Self::parse(&inner[start..])?);
+            stages.push(Self::parse_bounded(&inner[start..])?);
             return Ok(Box::new(CompositeTransform::new(stages)?));
         }
         match id {
@@ -1150,6 +1195,35 @@ mod tests {
         ] {
             assert!(TransformRegistry::parse(id).is_err(), "`{id}` should fail");
         }
+    }
+
+    #[test]
+    fn ids_past_the_length_or_depth_bound_are_bad_requests() {
+        let nested = |depth: usize| {
+            let mut id = "eri:2".to_string();
+            for _ in 0..depth {
+                id = format!("composite({id}+wrap)");
+            }
+            id
+        };
+        let deepest = nested(MAX_COMPOSITE_DEPTH);
+        assert_eq!(TransformRegistry::parse(&deepest).unwrap().id(), deepest);
+        let too_deep = nested(MAX_COMPOSITE_DEPTH + 1);
+        assert!(too_deep.len() <= MAX_TRANSFORM_ID_LEN);
+        let err = TransformRegistry::parse(&too_deep).unwrap_err();
+        assert!(matches!(err, FlowError::BadRequest { .. }), "{err}");
+        assert!(err.to_string().contains("nests 5 levels"), "{err}");
+        // A long id is refused before it is read, whatever it holds.
+        let long = format!("uniform:0.{}", "1".repeat(MAX_TRANSFORM_ID_LEN));
+        let err = TransformRegistry::parse(&long).unwrap_err();
+        assert!(matches!(err, FlowError::BadRequest { .. }), "{err}");
+        assert!(
+            !err.to_string().contains("111"),
+            "the id is not echoed: {err}"
+        );
+        let at_limit = format!("uniform:0.{}", "1".repeat(MAX_TRANSFORM_ID_LEN - 10));
+        assert_eq!(at_limit.len(), MAX_TRANSFORM_ID_LEN);
+        assert!(TransformRegistry::parse(&at_limit).is_ok());
     }
 
     #[test]

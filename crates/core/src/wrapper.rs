@@ -395,9 +395,8 @@ pub fn hotspot_wrapper(
             .iter()
             .map(|&(id, rect, _)| (id, rect.center()))
             .collect();
-        for &(id, _, _) in &hot_cells {
-            placement.remove(id);
-        }
+        let hot_ids: Vec<CellId> = hot_cells.iter().map(|&(id, _, _)| id).collect();
+        placement.remove_cells(&hot_ids);
         spread_scaled(netlist, floorplan, placement, &sources, *region)?;
         let mut freed_rows: Vec<u32> = hot_cells
             .iter()

@@ -30,8 +30,9 @@ pub fn congestion_map(
 ) -> (Grid2d<f64>, CongestionStats) {
     let mut demand = Grid2d::new(nx, ny, floorplan.core(), 0.0);
     let geometry = PlacedGeometry::new(netlist, floorplan, placement);
+    let hpwls = geometry.net_hpwls(netlist);
     for (id, _) in netlist.nets() {
-        let hpwl = geometry.net_hpwl(id);
+        let hpwl = hpwls[id.index()];
         if hpwl <= 0.0 {
             continue;
         }

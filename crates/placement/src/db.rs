@@ -572,6 +572,30 @@ impl Placement {
         }
     }
 
+    /// Removes every cell of `cells` (unplaced ones and repeats are
+    /// no-ops), leaving what [`Placement::remove`] of each in turn
+    /// leaves. Each row that loses a cell is rewritten once, in one pass,
+    /// as [`Placement::rewrite_row`] writes a row.
+    pub fn remove_cells(&mut self, cells: &[CellId]) {
+        let mut rows: Vec<u32> = cells
+            .iter()
+            .filter_map(|&cell| self.slots[cell.index()].take())
+            .map(|pc| pc.row)
+            .collect();
+        rows.sort_unstable();
+        rows.dedup();
+        for row in rows {
+            let index = &mut self.row_index[row as usize];
+            let kept = index
+                .cells
+                .iter()
+                .copied()
+                .filter(|&(_, cell, _)| self.slots[cell.index()].is_some())
+                .collect();
+            index.rebuild(kept);
+        }
+    }
+
     /// The first site `s` of `row` in `[from, to - width]` where `width`
     /// sites from `s` are free of placed cells, found through the gap
     /// index (the first `s` that [`Placement::fits`]).
@@ -894,6 +918,74 @@ mod tests {
         let gap_sites: u32 = gaps.iter().map(|&(_, w)| w).sum();
         assert_eq!(gap_sites + 4, total_sites); // two 2-site cells
         assert_eq!(gaps[0], (0, 10));
+    }
+
+    #[test]
+    fn removing_cells_in_one_batch_leaves_what_removing_them_in_turn_leaves() {
+        let mut b = NetlistBuilder::new("t", Library::c65());
+        let u = b.add_unit("u");
+        let mut prev = b.input_port("a", u);
+        for i in 0..240 {
+            let n = b.net(format!("n{i}"));
+            let drive = [Drive::X1, Drive::X2, Drive::X4][i % 3];
+            b.cell(u, CellFunction::Inv, drive, &[prev], &[n]).unwrap();
+            prev = n;
+        }
+        let nl = b.finish().unwrap();
+        // Rows of 400 sites: a row's gaps span many blocks, and a row
+        // emptied of most of its cells holds gaps wider than a byte.
+        let fp = Floorplan::new(nl.library(), 120.0, 3);
+        let mut full = Placement::new(&nl, &fp);
+        let mut next = (0u32, 0u32);
+        for (id, _) in nl.cells() {
+            let width = nl.cell_width_sites(id);
+            if next.1 + width > fp.row(next.0 as usize).num_sites {
+                next = (next.0 + 1, 0);
+            }
+            if next.0 as usize == fp.num_rows() {
+                break;
+            }
+            full.place(&nl, &fp, id, next.0, next.1);
+            next.1 += width + (id.index() as u32 % 4);
+        }
+        assert!((0..3).all(|row| full.row_cells(row).len() > 40));
+        let mut rng = 0x2545_f491_4f6c_dd1du64;
+        for round in 0..40 {
+            let mut cells = Vec::new();
+            for (id, _) in nl.cells() {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                // From a few cells per row up to most of the die, with
+                // an occasional repeat.
+                if rng % 40 < 1 + round {
+                    cells.push(id);
+                    if rng.is_multiple_of(7) {
+                        cells.push(id);
+                    }
+                }
+            }
+            let mut batched = full.clone();
+            batched.remove_cells(&cells);
+            let mut sequential = full.clone();
+            for &cell in &cells {
+                sequential.remove(cell);
+            }
+            for (id, _) in nl.cells() {
+                assert_eq!(batched.location(id), sequential.location(id));
+            }
+            for row in 0..fp.num_rows() as u32 {
+                assert_eq!(batched.row_cells(row), sequential.row_cells(row));
+                assert!(batched.free_gaps(row).eq(sequential.free_gaps(row)));
+                assert_eq!(batched.row_widest_gap(row), sequential.row_widest_gap(row));
+                assert_eq!(batched.row_used_sites(row), sequential.row_used_sites(row));
+                for width in [1, 2, 5, 9] {
+                    let right =
+                        |p: &Placement| p.wide_gaps_right(row, 0, width).collect::<Vec<_>>();
+                    assert_eq!(right(&batched), right(&sequential));
+                }
+            }
+        }
     }
 
     #[test]

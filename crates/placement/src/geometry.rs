@@ -1,7 +1,9 @@
-//! The geometry of one placement, computed in a single pass: where each
-//! cell sits and how long each net is. Timing, wirelength, power and the
-//! flow's per-cell temperatures all read it instead of recomputing cell
-//! positions per use.
+//! The geometry of one placement: where each cell sits, computed in one
+//! pass, and how long each net is, measured on first read. Timing,
+//! wirelength, power and the flow's per-cell temperatures all read it
+//! instead of recomputing cell positions per use.
+
+use std::sync::OnceLock;
 
 use geom::{Point, Rect};
 use netlist::{CellId, NetId, Netlist};
@@ -15,7 +17,10 @@ use crate::{Floorplan, Placement};
 /// The values are exactly those of [`Placement::cell_rect`],
 /// [`Placement::cell_center`] and [`crate::net_hpwl`]; the geometry only
 /// computes them once. It owns its values, so it describes the placement
-/// as it was when built.
+/// as it was when built. The footprints are computed in
+/// [`PlacedGeometry::new`]; the wirelengths on the first read of
+/// [`PlacedGeometry::net_hpwls`], so a geometry that only feeds a power
+/// map never measures a net.
 ///
 /// # Examples
 ///
@@ -28,36 +33,38 @@ use crate::{Floorplan, Placement};
 /// let placed = Placer::new(PlacerConfig::default()).place(&nl)?;
 /// let geometry = PlacedGeometry::new(&nl, &placed.floorplan, &placed.placement);
 /// assert_eq!(
-///     geometry.total_hpwl(),
+///     geometry.total_hpwl(&nl),
 ///     total_hpwl(&nl, &placed.floorplan, &placed.placement)
 /// );
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct PlacedGeometry {
     core: Rect,
     rects: Vec<Option<Rect>>,
-    hpwl: Vec<f64>,
+    hpwl: OnceLock<Vec<f64>>,
+}
+
+/// Two geometries are equal when their outlines and footprints are: the
+/// wirelengths follow from those, measured or not.
+impl PartialEq for PlacedGeometry {
+    fn eq(&self, other: &Self) -> bool {
+        self.core == other.core && self.rects == other.rects
+    }
 }
 
 impl PlacedGeometry {
-    /// Computes every cell's footprint, then every net's HPWL from the
-    /// cell centers of the net's [`Netlist::net_endpoints`].
+    /// Computes every cell's footprint.
     pub fn new(netlist: &Netlist, floorplan: &Floorplan, placement: &Placement) -> Self {
         let rects: Vec<Option<Rect>> = netlist
             .cells()
             .map(|(id, _)| placement.cell_rect(netlist, floorplan, id))
             .collect();
-        let center = |cell: CellId| rects[cell.index()].map(|r| r.center());
-        let hpwl = netlist
-            .nets()
-            .map(|(id, _)| bbox_hpwl(placed_bbox(netlist.net_endpoints(id), center)))
-            .collect();
         PlacedGeometry {
             core: floorplan.core(),
             rects,
-            hpwl,
+            hpwl: OnceLock::new(),
         }
     }
 
@@ -84,14 +91,27 @@ impl PlacedGeometry {
         self.rects[cell.index()].map(|r| r.center())
     }
 
-    /// Half-perimeter wirelength of `net` (µm); zero when fewer than two
-    /// of its endpoints are placed.
+    /// Whether every cell of the netlist is placed.
+    pub fn is_fully_placed(&self) -> bool {
+        self.rects.iter().all(Option::is_some)
+    }
+
+    /// Each net's half-perimeter wirelength (µm), indexed by
+    /// [`NetId::index`]: zero when fewer than two of its endpoints are
+    /// placed. Measured from the cell centers of each net's
+    /// [`Netlist::net_endpoints`] on the first call, then read back.
     ///
     /// # Panics
     ///
-    /// Panics if `net` is out of range.
-    pub fn net_hpwl(&self, net: NetId) -> f64 {
-        self.hpwl[net.index()]
+    /// Panics if `netlist` is not the one the geometry was built from.
+    pub fn net_hpwls(&self, netlist: &Netlist) -> &[f64] {
+        self.hpwl.get_or_init(|| {
+            let center = |cell: CellId| self.cell_center(cell);
+            netlist
+                .nets()
+                .map(|(id, _)| bbox_hpwl(placed_bbox(netlist.net_endpoints(id), center)))
+                .collect()
+        })
     }
 
     /// The bounding box of `net`'s placed endpoints, or `None` when fewer
@@ -107,15 +127,19 @@ impl PlacedGeometry {
 
     /// Total half-perimeter wirelength over all nets (µm), summed in net
     /// order.
-    pub fn total_hpwl(&self) -> f64 {
-        self.hpwl.iter().copied().sum()
+    ///
+    /// # Panics
+    ///
+    /// As [`PlacedGeometry::net_hpwls`].
+    pub fn total_hpwl(&self, netlist: &Netlist) -> f64 {
+        self.net_hpwls(netlist).iter().copied().sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::net_hpwl;
+    use crate::{net_hpwl, total_hpwl};
     use netlist::NetlistBuilder;
     use stdcell::{CellFunction, Drive, Library};
 
@@ -144,16 +168,20 @@ mod tests {
     fn nets_with_fewer_than_two_placed_endpoints_have_no_length() {
         let (nl, fp, p, [a, n0, n1, n2]) = chain_with_an_unplaced_tail();
         let geometry = PlacedGeometry::new(&nl, &fp, &p);
+        assert!(!geometry.is_fully_placed());
+        let unmeasured = geometry.clone();
         // n0: both endpoints placed. n1: its sink is unplaced. n2: no
         // sink, and its driver is unplaced. a: port-driven, one sink.
-        assert!(geometry.net_hpwl(n0) > 0.0);
+        let hpwl = geometry.net_hpwls(&nl);
+        assert!(hpwl[n0.index()] > 0.0);
         for net in [a, n1, n2] {
-            assert_eq!(geometry.net_hpwl(net), 0.0, "{net:?}");
+            assert_eq!(hpwl[net.index()], 0.0, "{net:?}");
             assert_eq!(geometry.net_bbox(&nl, net), None, "{net:?}");
         }
+        assert_eq!(hpwl.len(), nl.net_count());
         for (id, _) in nl.nets() {
             assert_eq!(
-                geometry.net_hpwl(id).to_bits(),
+                hpwl[id.index()].to_bits(),
                 net_hpwl(&nl, &fp, &p, id).to_bits()
             );
         }
@@ -162,6 +190,18 @@ mod tests {
             geometry.cell_center(CellId::new(1)),
             p.cell_center(&nl, &fp, CellId::new(1))
         );
-        assert_eq!(geometry.total_hpwl(), geometry.net_hpwl(n0));
+        assert_eq!(geometry.total_hpwl(&nl), hpwl[n0.index()]);
+        assert_eq!(
+            geometry.total_hpwl(&nl).to_bits(),
+            total_hpwl(&nl, &fp, &p).to_bits()
+        );
+        // Measuring is a read: a measured geometry equals an unmeasured
+        // copy, and a second read returns the first one's values.
+        assert_eq!(geometry, unmeasured);
+        assert!(std::ptr::eq(geometry.net_hpwls(&nl), hpwl));
+        assert_eq!(
+            unmeasured.total_hpwl(&nl).to_bits(),
+            geometry.total_hpwl(&nl).to_bits()
+        );
     }
 }

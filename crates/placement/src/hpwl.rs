@@ -57,7 +57,7 @@ pub fn net_hpwl(
 /// Total half-perimeter wirelength over all nets (µm); see
 /// [`PlacedGeometry::total_hpwl`].
 pub fn total_hpwl(netlist: &Netlist, floorplan: &Floorplan, placement: &Placement) -> f64 {
-    PlacedGeometry::new(netlist, floorplan, placement).total_hpwl()
+    PlacedGeometry::new(netlist, floorplan, placement).total_hpwl(netlist)
 }
 
 #[cfg(test)]

@@ -48,7 +48,8 @@ pub fn estimate_power_placed(
     cell_temps_c: Option<&[f64]>,
     config: &PowerConfig,
 ) -> PowerReport {
-    let hpwl = |net| geometry.net_hpwl(net);
+    let hpwls = geometry.net_hpwls(netlist);
+    let hpwl = |net: NetId| hpwls[net.index()];
     estimate(netlist, activity, Some(hpwl), cell_temps_c, config)
 }
 

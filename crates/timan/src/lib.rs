@@ -39,4 +39,4 @@ mod sta;
 pub use config::TimingConfig;
 pub use error::TimingError;
 pub use report::TimingReport;
-pub use sta::{analyze, analyze_placed};
+pub use sta::{analyze, analyze_placed, check_placed};

@@ -45,6 +45,7 @@ pub fn analyze_placed(
     config: &TimingConfig,
 ) -> Result<TimingReport, TimingError> {
     let lib = netlist.library();
+    let hpwl = geometry.net_hpwls(netlist);
     let center = |cell: CellId| {
         geometry
             .cell_center(cell)
@@ -124,7 +125,7 @@ pub fn analyze_placed(
         // Cell delay: intrinsic + R_drive × (pin caps + wire cap).
         for &net in netlist.cell_output_nets(cell_id) {
             let c_load =
-                netlist.net_sink_cap_ff(net) + geometry.net_hpwl(net) * config.wire_cap_ff_per_um;
+                netlist.net_sink_cap_ff(net) + hpwl[net.index()] * config.wire_cap_ff_per_um;
             let delay = (def.intrinsic_delay_ps() + def.drive_res_kohm() * c_load) * cell_derate;
             let a = worst_in + delay;
             if a > arrival[net.index()] {
@@ -164,6 +165,32 @@ pub fn analyze_placed(
         slack_ps: config.clock_period_ps - critical,
         critical_cells: critical_cells.into(),
     })
+}
+
+/// The placement check of [`analyze_placed`] under a thermal map, without
+/// the analysis: the error it would return for an unplaced cell, naming
+/// the cell it would name (the first unplaced flip-flop in cell order,
+/// else the first unplaced combinational cell in topological order).
+///
+/// # Errors
+///
+/// Returns [`TimingError::UnplacedCell`] if any cell is unplaced.
+pub fn check_placed(netlist: &Netlist, geometry: &PlacedGeometry) -> Result<(), TimingError> {
+    if geometry.is_fully_placed() {
+        return Ok(());
+    }
+    let lib = netlist.library();
+    let flops = netlist
+        .cells()
+        .map(|(id, _)| id)
+        .filter(|&id| lib.cell(netlist.cell_master(id)).function().is_sequential());
+    match flops
+        .chain(netlist.comb_order().iter().copied())
+        .find(|&cell| geometry.cell_rect(cell).is_none())
+    {
+        Some(cell) => Err(TimingError::UnplacedCell { cell }),
+        None => Ok(()),
+    }
 }
 
 #[cfg(test)]
@@ -303,6 +330,32 @@ mod tests {
                 matches!(err, TimingError::UnplacedCell { cell } if cell == removed),
                 "{err}"
             );
+        }
+    }
+
+    #[test]
+    fn the_placement_check_names_the_cell_timing_rejects() {
+        use geom::Grid2d;
+        let (nl, placed) = place_small();
+        let fp = &placed.floorplan;
+        let cfg = TimingConfig::default();
+        let map = ThermalMap::new(Grid2d::new(8, 8, fp.core(), 50.0), 25.0);
+        let geometry = |pl: &Placement| PlacedGeometry::new(&nl, fp, pl);
+        assert!(check_placed(&nl, &geometry(&placed.placement)).is_ok());
+        let cells = nl.cell_count();
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        for round in 0..24 {
+            let mut pl = placed.placement.clone();
+            for _ in 0..1 + round % 5 {
+                rng = rng
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                pl.remove(CellId::new((rng >> 33) as usize % cells));
+            }
+            let g = geometry(&pl);
+            let checked = check_placed(&nl, &g).unwrap_err();
+            let timed = analyze_placed(&nl, &g, Some(&map), &cfg).unwrap_err();
+            assert_eq!(checked.to_string(), timed.to_string(), "round {round}");
         }
     }
 

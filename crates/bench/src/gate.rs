@@ -14,7 +14,9 @@
 //!   building its one resolved flow exactly once, the logic simulator's
 //!   evaluated share, the rows the wrapper's slot searches walk, and the
 //!   paper's claims at paper scale (Table I, Fig. 5, Fig. 6, §IV's
-//!   timing overhead and two ablations). Every bounded quantity is a
+//!   timing overhead and two ablations). The `paper` summaries that
+//!   condense its `table1`, `fig6` and `timing` rows are recomputed from
+//!   those rows and must match to the bit. Every bounded quantity is a
 //!   within-run ratio, an exact count or a deterministic result, so
 //!   machine speed cancels out; the baseline only establishes which
 //!   sections must be present.
@@ -250,7 +252,85 @@ pub fn check_against_baseline(
     }
 
     failures.extend(check_sections(current, baseline));
+    if let Some(paper) = current.get("paper") {
+        failures.extend(check_paper_summaries(paper));
+    }
     failures
+}
+
+/// The `paper` summaries recomputed from the section's `table1`, `fig6`
+/// and `timing` rows, each the way the sweep bench computes it: the
+/// least ERI − Default gain over Table I and how much it widens from its
+/// first row to its second; the least ERI and HW gains over Fig. 6 and
+/// the least rise of any of its three curves from one overhead to the
+/// next; and the worst ERI or HW timing overhead.
+fn paper_summaries(paper: &Json) -> Result<[(&'static str, f64); 6], String> {
+    let columns = |key: &str, fields: &[&str]| -> Result<Vec<Vec<f64>>, String> {
+        let rows = paper
+            .get(key)
+            .and_then(Json::as_arr)
+            .ok_or_else(|| format!("section `paper` is missing key `{key}`"))?;
+        rows.iter()
+            .enumerate()
+            .map(|(i, row)| {
+                let path = format!("paper.{key}[{i}]");
+                fields.iter().map(|f| row.require_f64(&path, f)).collect()
+            })
+            .collect()
+    };
+    let min_of = |values: &mut dyn Iterator<Item = f64>| values.fold(f64::INFINITY, f64::min);
+    let table1 = columns("table1", &["default_pct", "eri_pct"])?;
+    let gains: Vec<f64> = table1.iter().map(|r| r[1] - r[0]).collect();
+    let [first, second, ..] = gains[..] else {
+        return Err("`paper.table1` needs two rows".to_string());
+    };
+    let fig6 = columns("fig6", &["default_pct", "eri_pct", "hw_pct"])?;
+    let timing = columns("timing", &["eri_pct", "hw_pct"])?;
+    Ok([
+        ("table1_min_eri_gain_pp", min_of(&mut gains.iter().copied())),
+        ("table1_gain_widening_pp", second - first),
+        (
+            "fig6_min_eri_gain_pp",
+            min_of(&mut fig6.iter().map(|r| r[1] - r[0])),
+        ),
+        (
+            "fig6_min_hw_gain_pp",
+            min_of(&mut fig6.iter().map(|r| r[2] - r[0])),
+        ),
+        (
+            "fig6_min_rise_pp",
+            min_of(
+                &mut fig6
+                    .windows(2)
+                    .flat_map(|w| (0..3).map(|i| w[1][i] - w[0][i])),
+            ),
+        ),
+        (
+            "timing_max_overhead_pct",
+            timing
+                .iter()
+                .flatten()
+                .fold(f64::NEG_INFINITY, |m, &v| m.max(v)),
+        ),
+    ])
+}
+
+/// Fails each stored `paper` summary that differs in any bit from the
+/// one its rows give ([`paper_summaries`]). A summary missing or not
+/// finite is left to its [`RULES`] row.
+fn check_paper_summaries(paper: &Json) -> Vec<String> {
+    let summaries = match paper_summaries(paper) {
+        Ok(summaries) => summaries,
+        Err(failure) => return vec![failure],
+    };
+    summaries
+        .into_iter()
+        .filter_map(|(field, want)| {
+            let got = paper.require_f64("paper", field).ok()?;
+            (got.to_bits() != want.to_bits())
+                .then(|| format!("`paper.{field}` = {got}, but its rows give {want}"))
+        })
+        .collect()
 }
 
 /// Holds every present section of `current` to its [`RULES`] rows and
@@ -957,31 +1037,85 @@ mod tests {
         );
     }
 
-    /// A `paper` section reading today's claims, with `doctored` fields
-    /// overriding them.
+    /// Numbers from the committed baseline: Table I's `(default_pct,
+    /// eri_pct)`, Fig. 6's `(default_pct, eri_pct, hw_pct)` and two of
+    /// the timing rows' `(eri_pct, hw_pct)`, the worst one included.
+    const TABLE1: [[f64; 2]; 2] = [
+        [11.256272082833489, 12.800233156961582],
+        [19.929945969730827, 22.654883574429736],
+    ];
+    const FIG6: [[f64; 3]; 5] = [
+        [6.189375878502763, 7.232980575498191, 6.475818369094516],
+        [11.484051011445679, 13.10811652281028, 11.747098125842621],
+        [15.876898725530197, 18.228393626315665, 16.158422553728748],
+        [19.862442608988655, 22.391436556632396, 19.99177373770489],
+        [23.46205238494859, 26.15145199296636, 23.59433632810424],
+    ];
+    const TIMING: [[f64; 2]; 2] = [
+        [-1.3068279086944956, 1.7137665610127215],
+        [-0.02541880504495823, 4.220095866001803],
+    ];
+
+    /// A `paper` section with [`TABLE1`], [`FIG6`] and [`TIMING`] rows,
+    /// the summaries they give and today's other claims, with
+    /// `doctored` summaries overriding them.
     fn with_paper(mut doc: Json, doctored: &[(&str, f64)]) -> Json {
         let Json::Obj(pairs) = &mut doc else {
             unreachable!()
         };
-        let today = [
-            ("table1_min_eri_gain_pp", 1.54),
-            ("table1_gain_widening_pp", 1.18),
-            ("fig6_min_eri_gain_pp", 1.04),
-            ("fig6_min_hw_gain_pp", 0.13),
-            ("fig6_min_rise_pp", 3.6),
+        let mut section = Json::obj([
+            ("table1", rows(["default_pct", "eri_pct"], &TABLE1)),
+            ("fig6", rows(["default_pct", "eri_pct", "hw_pct"], &FIG6)),
+            ("timing", rows(["eri_pct", "hw_pct"], &TIMING)),
+        ]);
+        let summaries = paper_summaries(&section).unwrap();
+        let others = [
             ("fig5_pearson_r", 0.615),
-            ("timing_max_overhead_pct", 4.22),
             ("abl1_eri_over_blind_pp", 2.01),
             ("abl3_eri_spread_pp", 0.02),
         ];
-        let fields = today.map(|(key, value)| {
+        let Json::Obj(fields) = &mut section else {
+            unreachable!()
+        };
+        for (key, value) in summaries.into_iter().chain(others) {
             let value = doctored
                 .iter()
                 .find(|(k, _)| *k == key)
                 .map_or(value, |d| d.1);
-            (key, Json::Num(value))
-        });
-        pairs.push(("paper".to_string(), Json::obj(fields)));
+            fields.push((key.to_string(), Json::Num(value)));
+        }
+        pairs.push(("paper".to_string(), section));
+        doc
+    }
+
+    /// An array of row objects, one `fields` value per column.
+    fn rows<const N: usize>(fields: [&'static str; N], rows: &[[f64; N]]) -> Json {
+        let row = |values: &[f64; N]| Json::obj(fields.into_iter().zip(values.map(Json::Num)));
+        Json::Arr(rows.iter().map(row).collect())
+    }
+
+    /// `doc` with `field` of row `index` of `paper.array` set to `f` of
+    /// itself.
+    fn doctor_row(
+        mut doc: Json,
+        array: &str,
+        index: usize,
+        field: &str,
+        f: fn(f64) -> f64,
+    ) -> Json {
+        let mut at = &mut doc;
+        for key in ["paper", array] {
+            let Json::Obj(pairs) = at else { unreachable!() };
+            at = &mut pairs.iter_mut().find(|(k, _)| k == key).unwrap().1;
+        }
+        let Json::Arr(rows) = at else { unreachable!() };
+        let Json::Obj(pairs) = &mut rows[index] else {
+            unreachable!()
+        };
+        let (_, Json::Num(v)) = pairs.iter_mut().find(|(k, _)| k == field).unwrap() else {
+            unreachable!()
+        };
+        *v = f(*v);
         doc
     }
 
@@ -1003,15 +1137,65 @@ mod tests {
             ("abl1_eri_over_blind_pp", -0.06, "= -0.06, needs ≥ -0.05"),
             ("abl3_eri_spread_pp", 5.0, "= 5, needs < 5"),
         ];
+        let recomputed = paper_summaries(base.get("paper").unwrap()).unwrap();
         for (field, value, needs) in cases {
             let broken = with_paper(doc(3.0, 81.5), &[(field, value)]);
             let failures = check_against_baseline(&broken, &base, 0.25);
-            assert_eq!(
-                failures,
-                [format!("`paper.{field}` {needs}")],
-                "{field} = {value}"
-            );
+            // A summary its rows do not give fails a second time.
+            let mut want = vec![format!("`paper.{field}` {needs}")];
+            if let Some((_, rows_give)) = recomputed.iter().find(|(k, _)| *k == field) {
+                want.push(format!(
+                    "`paper.{field}` = {value}, but its rows give {rows_give}"
+                ));
+            }
+            assert_eq!(failures, want, "{field} = {value}");
         }
+    }
+
+    #[test]
+    fn paper_gate_recomputes_each_summary_from_its_rows_to_the_bit() {
+        let base = with_paper(doc(3.0, 81.5), &[]);
+        let next_up = |v: f64| f64::from_bits(v.to_bits() + 1);
+        let fails = |doctored: &Json| {
+            let failures = check_against_baseline(doctored, &base, 0.25);
+            failures
+                .iter()
+                .map(|f| f.split(" = ").next().unwrap().to_string())
+                .collect::<Vec<_>>()
+        };
+        // One ulp more ERI on Table I's first row moves its least gain
+        // and the widening; no claim breaks, but both summaries are stale.
+        let table1 = doctor_row(base.clone(), "table1", 0, "eri_pct", next_up);
+        assert_eq!(
+            fails(&table1),
+            [
+                "`paper.table1_min_eri_gain_pp`",
+                "`paper.table1_gain_widening_pp`"
+            ]
+        );
+        // Fig. 6's 32 % row holds the least HW gain.
+        let fig6 = doctor_row(base.clone(), "fig6", 3, "hw_pct", next_up);
+        assert_eq!(fails(&fig6), ["`paper.fig6_min_hw_gain_pp`"]);
+        let timing = doctor_row(base.clone(), "timing", 1, "hw_pct", |v| v - 0.5);
+        assert_eq!(fails(&timing), ["`paper.timing_max_overhead_pct`"]);
+        let gone = doctor_row(base.clone(), "fig6", 0, "eri_pct", |_| f64::NAN);
+        let failures = check_against_baseline(&gone, &base, 0.25);
+        assert_eq!(
+            failures,
+            ["section `paper.fig6[0]`: key `eri_pct` is not finite (NaN)"]
+        );
+    }
+
+    #[test]
+    fn the_committed_baseline_gives_its_own_paper_summaries() {
+        let baseline = Json::parse(include_str!("../../../ci/bench-baseline.json")).unwrap();
+        let paper = baseline.get("paper").unwrap();
+        assert!(paper
+            .get("table1")
+            .and_then(Json::as_arr)
+            .is_some_and(|r| r.len() == 2));
+        assert_eq!(check_paper_summaries(paper), Vec::<String>::new());
+        assert!(check_against_baseline(&baseline, &baseline, PEAK_TOLERANCE_C).is_empty());
     }
 
     #[test]

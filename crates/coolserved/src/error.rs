@@ -30,7 +30,7 @@ pub enum ErrorClass {
     /// The service (or a tier of it) is over capacity or out of
     /// service right now — back off and resubmit.
     Unavailable,
-    /// A job id this service never issued.
+    /// A job id this service never issued, or whose record was taken.
     UnknownJob,
 }
 
@@ -106,7 +106,8 @@ pub enum ServiceError {
         /// The failed job's rendered error.
         detail: String,
     },
-    /// A job id that this service never issued.
+    /// A job id that this service never issued, or whose record an
+    /// earlier [`crate::ServiceHandle::wait`] took.
     UnknownJob {
         /// The id that was asked about.
         id: postplace::JobId,

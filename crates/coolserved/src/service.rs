@@ -194,7 +194,8 @@ pub enum JobStatus {
     Queued,
     /// A worker is solving it.
     Running,
-    /// Finished; [`ServiceHandle::wait`] returns its [`JobRecord`].
+    /// Finished; the first [`ServiceHandle::wait`] returns its
+    /// [`JobRecord`].
     Done,
     /// Failed; [`ServiceHandle::wait`] returns the error.
     Failed,
@@ -222,7 +223,10 @@ pub struct JobRecord {
 enum JobState {
     Queued,
     Running,
-    Done(JobRecord),
+    Done(Box<JobRecord>),
+    // Done, its record taken by the first wait(): the table keeps no
+    // response or request of a job once it is collected.
+    Collected,
     // The class travels beside the rendered error so wait() can
     // rebuild a typed, retryability-preserving ServiceError::Job.
     Failed(ErrorClass, String),
@@ -364,28 +368,33 @@ impl ServiceHandle<'_> {
         match jobs.get(&id.value()) {
             Some(JobState::Queued) => Ok(JobStatus::Queued),
             Some(JobState::Running) => Ok(JobStatus::Running),
-            Some(JobState::Done(_)) => Ok(JobStatus::Done),
+            Some(JobState::Done(_) | JobState::Collected) => Ok(JobStatus::Done),
             Some(JobState::Failed(..)) => Ok(JobStatus::Failed),
             None => Err(ServiceError::UnknownJob { id }),
         }
     }
 
     /// Blocks until the job reaches a terminal state and returns its
-    /// record.
+    /// record. The first `wait` that returns a job's record takes it out
+    /// of the job table, so the service holds no finished answer for
+    /// its caller: [`ServiceHandle::status`] still reports
+    /// [`JobStatus::Done`], but a later `wait` on the id fails with
+    /// [`ServiceError::UnknownJob`]. A failed job's error is returned to
+    /// every `wait`.
     ///
     /// # Errors
     ///
-    /// [`ServiceError::UnknownJob`] for an unissued id;
-    /// [`ServiceError::Job`] if the job failed, carrying the worker
-    /// error's [`ErrorClass`] beside its rendered form — so
+    /// [`ServiceError::UnknownJob`] for an unissued id or a record
+    /// already taken; [`ServiceError::Job`] if the job failed, carrying
+    /// the worker error's [`ErrorClass`] beside its rendered form — so
     /// [`ServiceError::is_retryable`] answers correctly for a timeout
     /// or transient fault that crossed the job table.
     pub fn wait(&self, id: JobId) -> Result<JobRecord, ServiceError> {
         let mut jobs = unpoison(self.shared.jobs.lock());
         loop {
             match jobs.get(&id.value()) {
-                None => return Err(ServiceError::UnknownJob { id }),
-                Some(JobState::Done(record)) => return Ok(record.clone()),
+                None | Some(JobState::Collected) => return Err(ServiceError::UnknownJob { id }),
+                Some(JobState::Done(_)) => break,
                 Some(JobState::Failed(class, detail)) => {
                     return Err(ServiceError::Job {
                         class: *class,
@@ -396,6 +405,11 @@ impl ServiceHandle<'_> {
                     jobs = unpoison(self.shared.jobs_cv.wait(jobs));
                 }
             }
+        }
+        match jobs.insert(id.value(), JobState::Collected) {
+            Some(JobState::Done(record)) => Ok(*record),
+            // Unreachable: the lock is held since the state read `Done`.
+            _ => Err(ServiceError::UnknownJob { id }),
         }
     }
 
@@ -544,7 +558,7 @@ fn worker_loop(shared: &Shared) {
         let state = match execute(shared, &job) {
             Ok(record) => {
                 shared.completed.fetch_add(1, Ordering::Relaxed);
-                JobState::Done(record)
+                JobState::Done(Box::new(record))
             }
             Err(e) => {
                 shared.failed.fetch_add(1, Ordering::Relaxed);

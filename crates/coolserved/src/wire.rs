@@ -942,6 +942,75 @@ mod tests {
         );
     }
 
+    /// Encodes `request`, decodes it on a 256 KiB stack and returns the
+    /// codec error the decoder refuses it with.
+    fn refusal_on_a_small_stack(request: OptimizeRequest) -> String {
+        std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(move || {
+                let text = request_to_json(&request).render();
+                let err = request_from_json(&Json::parse(&text).unwrap()).unwrap_err();
+                assert!(matches!(err, ServiceError::Codec { .. }), "{err:?}");
+                err.to_string()
+            })
+            .unwrap()
+            .join()
+            .unwrap()
+    }
+
+    /// Whether `request` survives the wire round trip.
+    fn decodes(request: &OptimizeRequest) -> bool {
+        let text = request_to_json(request).render();
+        request_from_json(&Json::parse(&text).unwrap()).is_ok_and(|back| back == *request)
+    }
+
+    #[test]
+    fn a_tag_over_the_limit_is_refused_without_echoing_it() {
+        let mut request = sample_request();
+        request.tag = Some("t".repeat(postplace::MAX_TAG_BYTES));
+        assert!(decodes(&request));
+        request.tag = Some("t".repeat(100_000));
+        let err = refusal_on_a_small_stack(request);
+        assert!(err.contains("100000 bytes, over the limit of 256"), "{err}");
+        assert!(
+            err.len() < 200,
+            "the tag is not echoed: {} bytes",
+            err.len()
+        );
+    }
+
+    #[test]
+    fn a_frontier_over_the_budget_limit_is_refused() {
+        let mut request = sample_request();
+        let frontier = |n: usize| OptimizeGoal::Frontier {
+            budgets: (0..n).map(|i| 0.01 * (i + 1) as f64).collect(),
+        };
+        request.goal = frontier(postplace::MAX_FRONTIER_BUDGETS);
+        assert!(decodes(&request));
+        request.goal = frontier(10_000);
+        let err = refusal_on_a_small_stack(request);
+        assert!(err.contains("10000 budgets, over the limit of 64"), "{err}");
+        assert!(err.len() < 200, "the budgets are not echoed: {err}");
+    }
+
+    #[test]
+    fn a_row_search_over_the_row_limit_is_refused() {
+        let mut request = sample_request();
+        let rows = |max_rows| OptimizeGoal::RowsForTarget {
+            target_reduction_pct: 12.5,
+            max_rows,
+        };
+        request.goal = rows(postplace::MAX_TARGET_ROWS);
+        assert!(decodes(&request));
+        request.goal = rows(1_000_000_000);
+        let err = refusal_on_a_small_stack(request);
+        assert!(err.contains("max_rows is over the limit of 1024"), "{err}");
+        assert!(
+            !err.contains("1000000000"),
+            "the row count is not echoed: {err}"
+        );
+    }
+
     #[test]
     fn unknown_unit_roles_are_rejected() {
         let doc = Json::parse(r#"{"active": ["mul_booth", "quantum"], "toggle_probability": 0.5}"#)

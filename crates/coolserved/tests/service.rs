@@ -489,6 +489,31 @@ fn unknown_jobs_and_failures_surface_typed_errors() {
 }
 
 #[test]
+fn a_waited_on_job_leaves_no_copy_of_its_answer_in_the_service() {
+    let request = |area_overhead| {
+        OptimizeRequest::builder()
+            .workload(WorkloadSpec::clustered_hotspot())
+            .mesh(12, 12)
+            .strategy(Strategy::UniformSlack { area_overhead })
+            .build()
+            .unwrap()
+    };
+    let config = ServiceConfig::new(base()).workers(1).cache_capacity(1);
+    serve(config, |service| {
+        let first = service.submit(request(0.08));
+        let record = service.wait(first).unwrap();
+        let second = service.submit(request(0.16));
+        service.wait(second).unwrap();
+        // The second answer displaced the first from the one-entry
+        // memory tier, and the job table kept no record of it.
+        assert_eq!(Arc::strong_count(&record.response), 1);
+        assert_eq!(service.status(first).unwrap(), JobStatus::Done);
+        let again = service.wait(first).unwrap_err();
+        assert_eq!(again.class(), ErrorClass::UnknownJob, "{again}");
+    });
+}
+
+#[test]
 fn hand_built_requests_past_the_mesh_checks_fail_before_any_flow_is_built() {
     let config = ServiceConfig::new(base()).workers(1);
     serve(config, |service| {

@@ -1,6 +1,8 @@
 //! A shared, generation-aware, LRU-bounded `get_or_compute` cache — the
 //! primitive under [`crate::ThermalModelCache`] and the result store of
-//! the `coolserved` optimization service.
+//! the `coolserved` optimization service. The bound is an entry count
+//! ([`KeyedCache::with_capacity`]) or the bytes its entries weigh
+//! ([`KeyedCache::with_byte_bound`]).
 //!
 //! [`KeyedCache::get_or_compute`] is single-flight: while one caller
 //! computes a key, later callers of that key wait for its value instead
@@ -42,8 +44,10 @@ pub struct CacheStats {
     pub generation: u64,
     /// Live entries.
     pub len: usize,
-    /// LRU capacity.
+    /// LRU capacity (`usize::MAX` for a byte-bounded cache).
     pub capacity: usize,
+    /// Bytes the entries weigh now (0 for a count-bounded cache).
+    pub bytes: usize,
 }
 
 impl CacheStats {
@@ -65,12 +69,31 @@ struct Entry<V> {
     last_used: u64,
 }
 
+/// The byte bound of a [`KeyedCache::with_byte_bound`] cache.
+#[derive(Debug)]
+struct ByteBound<V> {
+    bytes: usize,
+    /// Entries never evicted for bytes: the most recently used ones.
+    keep: usize,
+    weigh: fn(&V) -> usize,
+}
+
+// Derived impls would demand `V: Copy`; the fields are `Copy` for any `V`.
+impl<V> Clone for ByteBound<V> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<V> Copy for ByteBound<V> {}
+
 #[derive(Debug)]
 struct Inner<K, V> {
     entries: HashMap<K, Entry<V>>,
     /// Keys a [`KeyedCache::get_or_compute`] caller is computing now.
     in_flight: HashSet<K>,
     capacity: usize,
+    byte_bound: Option<ByteBound<V>>,
     /// Monotonic LRU clock, bumped on every touch.
     tick: u64,
     generation: u64,
@@ -130,12 +153,33 @@ impl<K: Eq + Hash + Clone, V> Drop for Flight<'_, K, V> {
 impl<K: Eq + Hash + Clone, V> KeyedCache<K, V> {
     /// An empty cache holding at most `capacity` entries (clamped to 1).
     pub fn with_capacity(capacity: usize) -> Self {
+        Self::bounded(capacity.max(1), None)
+    }
+
+    /// An empty cache whose entries, each weighed by `weigh`, are
+    /// evicted least recently used first while they weigh more than
+    /// `bytes` in all, but never below the `keep` most recently used
+    /// (clamped to 1). So an entry heavier than the bound is still kept
+    /// until a newer one displaces it. Weights are taken afresh on each
+    /// insertion, so a value that grows after it was inserted is counted
+    /// at its current size.
+    pub fn with_byte_bound(bytes: usize, keep: usize, weigh: fn(&V) -> usize) -> Self {
+        let bound = ByteBound {
+            bytes,
+            keep: keep.max(1),
+            weigh,
+        };
+        Self::bounded(usize::MAX, Some(bound))
+    }
+
+    fn bounded(capacity: usize, byte_bound: Option<ByteBound<V>>) -> Self {
         KeyedCache {
             shared: Arc::new(Shared {
                 inner: Mutex::new(Inner {
                     entries: HashMap::new(),
                     in_flight: HashSet::new(),
-                    capacity: capacity.max(1),
+                    capacity,
+                    byte_bound,
                     tick: 0,
                     generation: 0,
                     hits: 0,
@@ -169,7 +213,7 @@ impl<K: Eq + Hash + Clone, V> KeyedCache<K, V> {
     }
 
     /// Inserts `value` under `key` at the current generation, evicting
-    /// the least-recently-used entry if the cache is full.
+    /// least-recently-used entries while the cache is over its bound.
     pub fn insert(&self, key: K, value: Arc<V>) {
         let mut inner = self.lock();
         let generation = inner.generation;
@@ -286,6 +330,7 @@ impl<K: Eq + Hash + Clone, V> KeyedCache<K, V> {
             generation: inner.generation,
             len: inner.entries.len(),
             capacity: inner.capacity,
+            bytes: inner.held_bytes(),
         }
     }
 }
@@ -313,20 +358,13 @@ impl<K: Eq + Hash + Clone, V> Inner<K, V> {
         value
     }
 
-    /// Inserts `value` under `key` tagged with `generation`, evicting the
-    /// least-recently-used entry if the cache is full.
+    /// Inserts `value` under `key` tagged with `generation`, evicting
+    /// least-recently-used entries while the cache is over its bound.
+    /// The new entry is the most recently used, so it is never evicted.
     fn store(&mut self, key: K, value: Arc<V>, generation: u64) {
         self.tick += 1;
         if !self.entries.contains_key(&key) && self.entries.len() >= self.capacity {
-            let lru = self
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone());
-            if let Some(lru) = lru {
-                self.entries.remove(&lru);
-                self.evictions += 1;
-            }
+            self.evict_lru();
         }
         self.insertions += 1;
         let last_used = self.tick;
@@ -338,6 +376,33 @@ impl<K: Eq + Hash + Clone, V> Inner<K, V> {
                 last_used,
             },
         );
+        if let Some(bound) = self.byte_bound {
+            let mut held = self.held_bytes();
+            while held > bound.bytes && self.entries.len() > bound.keep {
+                match self.evict_lru() {
+                    Some(entry) => held -= (bound.weigh)(&entry.value),
+                    None => break,
+                }
+            }
+        }
+    }
+
+    /// Removes the least-recently-used entry, counting an eviction.
+    fn evict_lru(&mut self) -> Option<Entry<V>> {
+        let lru = self
+            .entries
+            .iter()
+            .min_by_key(|(_, e)| e.last_used)
+            .map(|(k, _)| k.clone())?;
+        self.evictions += 1;
+        self.entries.remove(&lru)
+    }
+
+    /// Bytes the entries weigh now (0 without a byte bound).
+    fn held_bytes(&self) -> usize {
+        self.byte_bound.map_or(0, |bound| {
+            self.entries.values().map(|e| (bound.weigh)(&e.value)).sum()
+        })
     }
 }
 
@@ -542,6 +607,41 @@ mod tests {
         assert!(cache.get(&1).is_some());
         assert!(cache.get(&3).is_some());
         assert_eq!(cache.stats().evictions, 1);
+    }
+
+    #[test]
+    fn a_byte_bound_evicts_the_coldest_entries_until_the_rest_fit() {
+        // Each value weighs its own number of bytes.
+        let cache: KeyedCache<u32, usize> = KeyedCache::with_byte_bound(10, 1, |v| *v);
+        for (key, bytes) in [(1, 3), (2, 3), (3, 3)] {
+            cache.insert(key, Arc::new(bytes));
+        }
+        assert!(cache.get(&1).is_some()); // 2 is now the coldest
+        cache.insert(4, Arc::new(4)); // 13 bytes: 2 goes, then 10 fit
+        assert!(cache.get(&2).is_none(), "the coldest entry must be gone");
+        let stats = cache.stats();
+        assert_eq!((stats.len, stats.bytes, stats.evictions), (3, 10, 1));
+        cache.insert(5, Arc::new(6)); // 16 bytes: 3, then 1 go
+        assert!(cache.get(&3).is_none() && cache.get(&1).is_none());
+        let stats = cache.stats();
+        assert_eq!((stats.len, stats.bytes, stats.evictions), (2, 10, 3));
+    }
+
+    #[test]
+    fn a_byte_bound_keeps_its_most_recent_entries_however_heavy() {
+        let cache: KeyedCache<u32, usize> = KeyedCache::with_byte_bound(10, 2, |v| *v);
+        cache.insert(1, Arc::new(50));
+        assert_eq!(cache.get(&1).as_deref(), Some(&50), "kept though over");
+        cache.insert(2, Arc::new(50));
+        assert!(cache.get(&1).is_some()); // 2 is now the coldest
+        cache.insert(3, Arc::new(1));
+        assert!(cache.get(&2).is_none(), "the third most recent goes");
+        assert!(cache.get(&1).is_some() && cache.get(&3).is_some());
+        let stats = cache.stats();
+        assert_eq!(
+            (stats.len, stats.bytes, stats.capacity),
+            (2, 51, usize::MAX)
+        );
     }
 
     #[test]

@@ -331,14 +331,20 @@ fn placements() -> &'static KeyedCache<(BenchmarkConfig, u64), BasePlacement> {
     PLACEMENTS.get_or_init(|| KeyedCache::with_capacity(PLACEMENT_CACHE_CAP))
 }
 
-/// Factorized models held per flow. One flow of the bench's full sweep
-/// grid touches 8 die geometries: the base, 2 uniform-slack dies and 5
-/// ERI dies (HW reuses its uniform die). A budget request factorizes
-/// about one new die, its uniform/HW outline (its ERI candidate comes
-/// from the flow's ERI memo once the row count was run), which later
-/// requests rarely revisit, so a larger bound only holds ~1.2 MiB per
-/// 128² model nobody reads again.
-const MODEL_CACHE_CAP: usize = 16;
+/// Bytes of factorized models a flow keeps, least recently used evicted
+/// first, though never below its two most recent models. Every model of
+/// one flow shares its configuration and mesh, so this is a count bound
+/// sized by the mesh: a 128×128×9 spectral model holds ~1.2 MiB, nearly
+/// all Thomas pivots, so a flow keeps 3 of them; at 40² it keeps ~34
+/// (the 8 die geometries one flow of the bench's sweep grid touches fit);
+/// at 256² and above it keeps 2 (a 1024² model holds ~72 MiB). The floor
+/// of two lets a budget search's HW candidate hit the die its uniform
+/// candidate just built while one other request runs on the same flow.
+/// A budget request factorizes about one new die, its uniform/HW outline
+/// (its ERI candidate comes from the flow's ERI memo once the row count
+/// was run), which later requests rarely revisit, so more bytes would
+/// only hold models nobody reads again.
+pub const MODEL_CACHE_BYTES: usize = 4 << 20;
 
 /// A cache of factorized thermal models, keyed by mesh and die outline.
 /// Every [`Flow`] owns one, so each die geometry the flow's requests
@@ -360,7 +366,11 @@ impl ThermalModelCache {
     /// An empty cache.
     pub fn new() -> Self {
         ThermalModelCache {
-            models: KeyedCache::with_capacity(MODEL_CACHE_CAP),
+            models: KeyedCache::with_byte_bound(
+                MODEL_CACHE_BYTES,
+                2,
+                FactorizedThermalModel::heap_bytes,
+            ),
         }
     }
 
@@ -374,7 +384,8 @@ impl ThermalModelCache {
         self.models.is_empty()
     }
 
-    /// Hit/miss/eviction counters of the underlying [`KeyedCache`].
+    /// Hit/miss/eviction counters of the underlying [`KeyedCache`], and
+    /// the bytes its models hold.
     pub fn stats(&self) -> crate::CacheStats {
         self.models.stats()
     }

@@ -69,7 +69,10 @@ pub use eri::{
 };
 pub use error::FlowError;
 pub use evaluate::{CandidateEval, CandidateEvaluator, DeltaCandidateEvaluator, PowerDelta};
-pub use flow::{Flow, FlowConfig, FlowReport, ThermalModelCache, ThermalSummary, WorkloadSpec};
+pub use flow::{
+    Flow, FlowConfig, FlowReport, ThermalModelCache, ThermalSummary, WorkloadSpec,
+    MODEL_CACHE_BYTES,
+};
 pub use hotspot::{
     classify_hotspots, detect_hotspots, split_hotspots_by_regions, Hotspot, HotspotClass,
     HotspotConfig,
@@ -80,7 +83,8 @@ pub use optimize::{
 };
 pub use request::{
     config_fingerprint, CacheKey, JobId, OptimizeGoal, OptimizeOutcome, OptimizeRequest,
-    OptimizeRequestBuilder, OptimizeResponse, StableHasher, ENGINE_EPOCH, MAX_MESH_BINS,
+    OptimizeRequestBuilder, OptimizeResponse, StableHasher, ENGINE_EPOCH, MAX_FRONTIER_BUDGETS,
+    MAX_MESH_BINS, MAX_TAG_BYTES, MAX_TARGET_ROWS,
 };
 pub use strategy::Strategy;
 pub use sweep::{Scenario, SweepGrid};

@@ -331,8 +331,11 @@ impl OptimizeRequest {
     }
 
     /// Checks what a request needs before a flow is built for it: a
-    /// mesh of at least 2x2 and at most [`MAX_MESH_BINS`] bins, and a
-    /// transform-goal id that parses. [`OptimizeRequestBuilder::build`]
+    /// mesh of at least 2x2 and at most [`MAX_MESH_BINS`] bins, a tag of
+    /// at most [`MAX_TAG_BYTES`], a transform-goal id that parses, a
+    /// frontier of at most [`MAX_FRONTIER_BUDGETS`] budgets and a row
+    /// search of at most [`MAX_TARGET_ROWS`] rows. A refusal names the
+    /// bound it breaks, not the input. [`OptimizeRequestBuilder::build`]
     /// runs it, and so does the service on every request it executes,
     /// because the fields are public and a hand-built request skips the
     /// builder.
@@ -354,15 +357,36 @@ impl OptimizeRequest {
                 ),
             });
         }
-        if let OptimizeGoal::Transform { id } = &self.goal {
-            // An id past the parser's bounds is refused as it is, without
-            // echoing it; any other parse failure names the id.
-            TransformRegistry::parse(id).map_err(|e| match e {
-                FlowError::BadRequest { .. } => e,
-                e => FlowError::BadRequest {
-                    detail: format!("transform id `{id}` does not parse: {e}"),
-                },
-            })?;
+        let refuse = |detail: String| Err(FlowError::BadRequest { detail });
+        if let Some(tag) = self.tag.as_ref().filter(|t| t.len() > MAX_TAG_BYTES) {
+            return refuse(format!(
+                "tag is {} bytes, over the limit of {MAX_TAG_BYTES}",
+                tag.len()
+            ));
+        }
+        match &self.goal {
+            OptimizeGoal::Transform { id } => {
+                // An id past the parser's bounds is refused as it is,
+                // without echoing it; any other parse failure names the id.
+                TransformRegistry::parse(id).map_err(|e| match e {
+                    FlowError::BadRequest { .. } => e,
+                    e => FlowError::BadRequest {
+                        detail: format!("transform id `{id}` does not parse: {e}"),
+                    },
+                })?;
+            }
+            OptimizeGoal::Frontier { budgets } if budgets.len() > MAX_FRONTIER_BUDGETS => {
+                return refuse(format!(
+                    "frontier names {} budgets, over the limit of {MAX_FRONTIER_BUDGETS}",
+                    budgets.len()
+                ));
+            }
+            OptimizeGoal::RowsForTarget { max_rows, .. } if *max_rows > MAX_TARGET_ROWS => {
+                return refuse(format!(
+                    "rows_for_target max_rows is over the limit of {MAX_TARGET_ROWS}"
+                ));
+            }
+            _ => {}
         }
         Ok(())
     }
@@ -374,6 +398,24 @@ impl OptimizeRequest {
 /// bounds one model near 80 MiB, where an unchecked wire request for
 /// `[100000, 100000]` would ask for ~10¹¹ values and abort the process.
 pub const MAX_MESH_BINS: usize = 1 << 20;
+
+/// The longest tag a request may carry, in bytes. The tag is a display
+/// label copied into every job record, so a wire request must not make
+/// it arbitrarily large.
+pub const MAX_TAG_BYTES: usize = 256;
+
+/// The most budgets a frontier goal may name. The frontier runs the
+/// registry × budgets grid, so its cost grows with this count; the sweep
+/// bench's frontier names 8.
+pub const MAX_FRONTIER_BUDGETS: usize = 64;
+
+/// The largest `max_rows` a row-count search may name. Each candidate
+/// lays out the die with that many empty rows added, so the bound is
+/// tied to the die: the paper-scale die has 139 rows, and 1,024 more
+/// would grow its area ~8-fold, far past the 32 % overhead the paper
+/// stops at, while an unchecked wire request for 10⁹ rows would lay out
+/// a floorplan of 10⁹ rows.
+pub const MAX_TARGET_ROWS: usize = 1024;
 
 /// Builder for [`OptimizeRequest`]. `workload`, `mesh` and exactly one
 /// goal are required; setting a second goal replaces the first.

@@ -101,6 +101,18 @@ impl FactorizedCircuit {
         self.sys.a.nnz()
     }
 
+    /// Bytes the factorization holds on the heap: the reduced matrix, its
+    /// preconditioner, the node maps and the static right-hand sides.
+    pub fn heap_bytes(&self) -> usize {
+        let sys = &self.sys;
+        sys.a.heap_bytes()
+            + self.precond.heap_bytes()
+            + size_of_val(&sys.reduced[..])
+            + sys.fixed.capacity() * (size_of::<(usize, f64)>() + 1)
+            + size_of_val(&sys.fixed_rhs[..])
+            + size_of_val(&self.static_rhs[..])
+    }
+
     /// Solves for per-node voltages with `injections` added on top of the
     /// circuit's own sources. Each entry injects the given current (amps,
     /// positive into the node) from ground into `node`; injections into

@@ -90,6 +90,13 @@ impl CsrMatrix {
         self.values.len()
     }
 
+    /// Bytes the matrix holds on the heap.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        size_of_val(&self.row_ptr[..])
+            + size_of_val(&self.col_idx[..])
+            + size_of_val(&self.values[..])
+    }
+
     /// `y = A·x`.
     ///
     /// # Panics
@@ -380,6 +387,18 @@ impl Preconditioner {
             .map(|&d| if d.abs() > 0.0 { 1.0 / d } else { 1.0 })
             .collect();
         Preconditioner::Jacobi(minv)
+    }
+
+    /// Bytes the preconditioner holds on the heap.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        match self {
+            Preconditioner::Jacobi(minv) => size_of_val(&minv[..]),
+            Preconditioner::Ic0(ic) => {
+                size_of_val(&ic.row_ptr[..])
+                    + size_of_val(&ic.col_idx[..])
+                    + size_of_val(&ic.values[..])
+            }
+        }
     }
 
     /// Strongest factorization that exists: modified IC(0), plain IC(0),

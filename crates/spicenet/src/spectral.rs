@@ -454,6 +454,18 @@ impl DctPlan {
         self.n
     }
 
+    /// Bytes the plan holds on the heap: its twiddle table and, for an
+    /// odd length, the chirp-z tables.
+    fn heap_bytes(&self) -> usize {
+        size_of_val(&self.tw[..])
+            + self.bluestein.as_ref().map_or(0, |b| {
+                size_of_val(&b.tw[..])
+                    + size_of_val(&b.chirp[..])
+                    + size_of_val(&b.kernel.re[..])
+                    + size_of_val(&b.kernel.im[..])
+            })
+    }
+
     /// True only for the trivial length-0 plan (never constructed; kept
     /// for the `len`/`is_empty` API convention).
     pub fn is_empty(&self) -> bool {
@@ -781,6 +793,19 @@ impl SpectralSystem {
     /// Whether the factorization carries a package border node.
     pub fn has_border(&self) -> bool {
         self.border.is_some()
+    }
+
+    /// Bytes the factorization holds on the heap: the Thomas pivots (one
+    /// `f64` per mode and layer, nearly all of it), the two transform
+    /// plans and the border's small LU.
+    pub fn heap_bytes(&self) -> usize {
+        size_of_val(&self.inv[..])
+            + size_of_val(&self.gzi[..])
+            + self.plan_x.heap_bytes()
+            + self.plan_y.heap_bytes()
+            + self.border.as_ref().map_or(0, |b| {
+                size_of_val(&b.lu.lu[..]) + size_of_val(&b.lu.piv[..])
+            })
     }
 }
 

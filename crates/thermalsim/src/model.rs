@@ -157,6 +157,10 @@ impl CsrModel {
         })
     }
 
+    fn heap_bytes(&self) -> usize {
+        self.factor.heap_bytes() + size_of_val(&self.active_nodes[..])
+    }
+
     /// Solves one power map (validated by the caller) into `grid`.
     fn solve_into(
         &self,
@@ -292,6 +296,23 @@ impl FactorizedThermalModel {
             Backend::Spectral(m) => m.system.unknowns(),
             Backend::Csr(m) => m.factor.reduced_dim(),
         }
+    }
+
+    /// Bytes the model holds on the heap: the spectral factorization
+    /// (nearly all of it Thomas pivots, ~1.2 MiB at 128×128×9; its
+    /// layered system is a few hundred bytes more), or the CSR system and
+    /// its MIC(0) factor, plus the CSR fallback once a failed residual
+    /// check has built it.
+    pub fn heap_bytes(&self) -> usize {
+        let backend = match &self.backend {
+            Backend::Spectral(m) => m.spectral.heap_bytes(),
+            Backend::Csr(m) => m.heap_bytes(),
+        };
+        let fallback = match self.fallback.get() {
+            Some(Ok(m)) => m.heap_bytes(),
+            _ => 0,
+        };
+        backend + fallback
     }
 
     /// Human-readable name of the solver backend: `"spectral-dct"` or
@@ -443,6 +464,26 @@ mod tests {
         for ((_, a), (_, b)) in fresh.grid().iter().zip(cached.grid().iter()) {
             assert!((a - b).abs() < 1e-6, "{a} vs {b}");
         }
+    }
+
+    #[test]
+    fn a_model_weighs_its_pivots_or_its_csr_factor() {
+        let spectral =
+            FactorizedThermalModel::build(&ThermalConfig::with_resolution(128, 128), die())
+                .unwrap();
+        // One pivot per mode and layer, plus tables of a few KiB.
+        let pivots = spectral.unknowns() * size_of::<f64>();
+        let bytes = spectral.heap_bytes();
+        assert!(bytes >= pivots && bytes < pivots + (64 << 10), "{bytes}");
+        let mut config = ThermalConfig::with_resolution(16, 16);
+        let small = FactorizedThermalModel::build(&config, die()).unwrap();
+        config.solver = SolverKind::Csr;
+        let csr = FactorizedThermalModel::build(&config, die()).unwrap();
+        assert_eq!(csr.solver_name(), "csr-mic0");
+        // The matrix and its factor hold ~7 entries a row each.
+        let entries = 2 * 7 * csr.unknowns() * (size_of::<f64>() + size_of::<usize>());
+        assert!(csr.heap_bytes() > entries / 2, "{}", csr.heap_bytes());
+        assert!(csr.heap_bytes() > 4 * small.heap_bytes());
     }
 
     #[test]
